@@ -155,26 +155,35 @@ def subset_label(labels: Sequence[str], mask: int) -> str:
     return "{" + ",".join(labels[i] for i in bits(mask)) + "}"
 
 
+def check_preorder(leq: Relation, labels: Sequence) -> None:
+    """Raise ``ValidationError`` unless ``leq`` is reflexive and transitive.
+
+    A reflexive relation is transitive iff it equals its own left residual
+    ``leq\\leq``: ``(j, k)`` is in the residual iff every ``i <= j`` has
+    ``i <= k``.  The witness is a labelled failing element or triple.
+    """
+    up = leq.rows
+    for i, row in enumerate(up):
+        if not row >> i & 1:
+            raise ValidationError(f"not reflexive at {labels[i]!r}", witness=(labels[i],))
+    for j, (row, closed) in enumerate(zip(up, relalg.left_residual(leq, leq).rows)):
+        if row != closed:
+            k = next(bits(row & ~closed))
+            i = next(i for i, r in enumerate(up) if r >> j & 1 and not r >> k & 1)
+            x, y, z = labels[i], labels[j], labels[k]
+            raise ValidationError(
+                f"not transitive: {x!r} <= {y!r} <= {z!r} but not {x!r} <= {z!r}",
+                witness=(x, y, z),
+            )
+
+
 def preorder_as_classification(labels: Sequence[str], leq: Relation) -> Classification:
     """A preorder as a classification of its own elements by its order."""
     labels = tuple(labels)
     n = len(labels)
     if leq.shape != (n, n):
         raise ValidationError(f"order relation shape {leq.shape} does not match {n} labels")
-    for i in range(n):
-        if not leq.bit(i, i):
-            raise ValidationError(
-                f"not reflexive at {labels[i]!r}", witness=(labels[i],)
-            )
-    for i in range(n):
-        for j in bits(leq.rows[i]):
-            if leq.rows[j] & ~leq.rows[i]:
-                k = next(bits(leq.rows[j] & ~leq.rows[i]))
-                raise ValidationError(
-                    f"not transitive: {labels[i]!r} <= {labels[j]!r} <= {labels[k]!r} "
-                    f"but not {labels[i]!r} <= {labels[k]!r}",
-                    witness=(labels[i], labels[j], labels[k]),
-                )
+    check_preorder(leq, labels)
     return Classification(labels, labels, leq)
 
 
@@ -199,30 +208,12 @@ def contranominal_classification(n: int) -> Classification:
 
 
 def instance_preorder(K: Classification) -> Relation:
-    """``a <= a'`` iff the types of ``a`` include the types of ``a'``."""
-    rows = K.rows
-    n = len(K.instances)
-    out = []
-    for a in range(n):
-        row = 0
-        ra = rows[a]
-        for b in range(n):
-            if rows[b] & ~ra == 0:
-                row |= 1 << b
-        out.append(row)
-    return Relation(n, n, tuple(out))
+    """``a <= a'`` iff the types of ``a`` include the types of ``a'``: the
+    right residual ``I/I`` of the incidence by itself."""
+    return relalg.right_residual(K.incidence, K.incidence)
 
 
 def type_preorder(K: Classification) -> Relation:
-    """``t <= t'`` iff the extent of ``t`` is within the extent of ``t'``."""
-    cols = K.cols
-    n = len(K.types)
-    out = []
-    for a in range(n):
-        row = 0
-        ca = cols[a]
-        for b in range(n):
-            if ca & ~cols[b] == 0:
-                row |= 1 << b
-        out.append(row)
-    return Relation(n, n, tuple(out))
+    """``t <= t'`` iff the extent of ``t`` is within the extent of ``t'``: the
+    left residual ``I\\I`` of the incidence by itself."""
+    return relalg.left_residual(K.incidence, K.incidence)

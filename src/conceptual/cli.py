@@ -139,37 +139,21 @@ def cmd_compose(args) -> int:
     return 0
 
 
+# command -> (construction, name of its two legs, help)
+BINARY_CONSTRUCTIONS = {
+    "sum": (coproduct_sum, "injection", "coproduct of two contexts"),
+    "appose": (apposition, "injection", "apposition (shared instances)"),
+    "subpose": (subposition, "projection", "subposition (shared types)"),
+    "product": (product, "projection", "product of two contexts"),
+}
+
+
 def cmd_binary_construction(args) -> int:
-    A = _load_classification(args.first)
-    B = _load_classification(args.second)
-    if args.command == "sum":
-        d = coproduct_sum(A, B)
-        obj = {
-            "apex": fmt.classification_to_obj(d.apex),
-            "left_injection": fmt.morphism_to_obj(d.left_injection),
-            "right_injection": fmt.morphism_to_obj(d.right_injection),
-        }
-    elif args.command == "appose":
-        d = apposition(A, B)
-        obj = {
-            "apex": fmt.classification_to_obj(d.apex),
-            "left_injection": fmt.morphism_to_obj(d.left_injection),
-            "right_injection": fmt.morphism_to_obj(d.right_injection),
-        }
-    elif args.command == "subpose":
-        d = subposition(A, B)
-        obj = {
-            "apex": fmt.classification_to_obj(d.apex),
-            "left_projection": fmt.morphism_to_obj(d.left_projection),
-            "right_projection": fmt.morphism_to_obj(d.right_projection),
-        }
-    else:
-        d = product(A, B)
-        obj = {
-            "apex": fmt.classification_to_obj(d.apex),
-            "left_projection": fmt.morphism_to_obj(d.left_projection),
-            "right_projection": fmt.morphism_to_obj(d.right_projection),
-        }
+    construct, leg, _ = BINARY_CONSTRUCTIONS[args.command]
+    d = construct(_load_classification(args.first), _load_classification(args.second))
+    obj = {"apex": fmt.classification_to_obj(d.apex)}
+    for side in ("left", "right"):
+        obj[f"{side}_{leg}"] = fmt.morphism_to_obj(getattr(d, f"{side}_{leg}"))
     sys.stdout.write(fmt.dumps(obj))
     return 0
 
@@ -217,6 +201,13 @@ def cmd_verify(args) -> int:
     return report.exit_code
 
 
+def nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="conceptual",
@@ -243,12 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("second")
     p.set_defaults(fn=cmd_compose)
 
-    for name, help_text in [
-        ("sum", "coproduct of two contexts"),
-        ("appose", "apposition (shared instances)"),
-        ("subpose", "subposition (shared types)"),
-        ("product", "product of two contexts"),
-    ]:
+    for name, (_, _, help_text) in BINARY_CONSTRUCTIONS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("first")
         p.add_argument("second")
@@ -270,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_powerset)
 
     p = sub.add_parser("verify-equivalences", help="run the equivalence suite")
-    p.add_argument("--max-size", type=int, default=3)
+    p.add_argument("--max-size", type=nonnegative_int, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--inject-bug", action="store_true")
     p.add_argument("--json", action="store_true")

@@ -21,7 +21,9 @@ from .infomorphism import FunctionalInfomorphism
 from .lattice import (
     ConceptLattice,
     FormalConcept,
+    bound_of,
     build_lattice,
+    check_lattice,
     concept_lattice_of,
 )
 from .relalg import FunctionGraph, Relation, bits, compose, mask_of, transpose
@@ -32,7 +34,10 @@ from .relalg import FunctionGraph, Relation, bits, compose, mask_of, transpose
 
 @dataclass(frozen=True)
 class CompleteLattice:
-    """A finite lattice presented by its order relation; always complete."""
+    """A finite lattice presented by its order relation; always complete.
+
+    Construction runs ``check_lattice``; meets and joins are looked up on
+    demand from the principal down- and up-sets."""
 
     elements: tuple[str, ...]
     leq: Relation
@@ -43,27 +48,7 @@ class CompleteLattice:
             raise ShapeError(f"order shape {self.leq.shape} for {n} elements")
         if len(set(self.elements)) != n:
             raise ValidationError("duplicate element labels")
-        up = self.leq.rows
-        for i in range(n):
-            if not up[i] >> i & 1:
-                raise ValidationError(f"order not reflexive at {self.elements[i]!r}")
-            for j in bits(up[i]):
-                if up[j] & ~up[i]:
-                    raise ValidationError(
-                        f"order not transitive at {self.elements[i]!r}", witness=(i, j)
-                    )
-                if i != j and up[j] >> i & 1:
-                    raise ValidationError(
-                        f"order not antisymmetric between {self.elements[i]!r} "
-                        f"and {self.elements[j]!r}",
-                        witness=(i, j),
-                    )
-        # force meets/joins (including the empty ones, i.e. top and bottom)
-        # so a non-lattice order fails at construction
-        self.top
-        self.bottom
-        self.meet_table
-        self.join_table
+        check_lattice(self.leq, self.elements, self.down, self.down_index)
 
     @property
     def size(self) -> int:
@@ -77,24 +62,20 @@ class CompleteLattice:
     def up(self) -> tuple[int, ...]:
         return self.leq.rows
 
+    @cached_property
+    def down_index(self) -> dict[int, int]:
+        return {d: x for x, d in enumerate(self.down)}
+
+    @cached_property
+    def up_index(self) -> dict[int, int]:
+        return {u: x for x, u in enumerate(self.up)}
+
     def meet_of(self, mask: int) -> int:
         """Greatest lower bound of a set of elements; top for the empty set."""
-        lb = (1 << self.size) - 1
-        for i in bits(mask):
-            lb &= self.down[i]
-        for j in bits(lb):
-            if lb & ~self.down[j] == 0:
-                return j
-        raise ValidationError(f"no meet for element set {mask:#x}", witness=(mask,))
+        return bound_of(self.down, self.down_index, (1 << len(self.elements)) - 1, mask, "meet")
 
     def join_of(self, mask: int) -> int:
-        ub = (1 << self.size) - 1
-        for i in bits(mask):
-            ub &= self.up[i]
-        for j in bits(ub):
-            if ub & ~self.up[j] == 0:
-                return j
-        raise ValidationError(f"no join for element set {mask:#x}", witness=(mask,))
+        return bound_of(self.up, self.up_index, (1 << len(self.elements)) - 1, mask, "join")
 
     @cached_property
     def top(self) -> int:
@@ -103,20 +84,6 @@ class CompleteLattice:
     @cached_property
     def bottom(self) -> int:
         return self.join_of(0)
-
-    @cached_property
-    def meet_table(self) -> tuple[tuple[int, ...], ...]:
-        n = self.size
-        return tuple(
-            tuple(self.meet_of((1 << i) | (1 << j)) for j in range(n)) for i in range(n)
-        )
-
-    @cached_property
-    def join_table(self) -> tuple[tuple[int, ...], ...]:
-        n = self.size
-        return tuple(
-            tuple(self.join_of((1 << i) | (1 << j)) for j in range(n)) for i in range(n)
-        )
 
     def __repr__(self):
         return f"CompleteLattice({self.size} elements)"
@@ -476,13 +443,14 @@ def is_complete_homomorphism(
         return CheckResult(False, witness=("bottom",), reason="bottom is not preserved")
     for i in range(L.size):
         for j in range(i + 1, L.size):
-            if psi(L.meet_table[i][j]) != K.meet_table[psi(i)][psi(j)]:
+            pair, image = 1 << i | 1 << j, 1 << psi(i) | 1 << psi(j)
+            if psi(L.meet_of(pair)) != K.meet_of(image):
                 return CheckResult(
                     False,
                     witness=("meet", L.elements[i], L.elements[j]),
                     reason="a binary meet is not preserved",
                 )
-            if psi(L.join_table[i][j]) != K.join_table[psi(i)][psi(j)]:
+            if psi(L.join_of(pair)) != K.join_of(image):
                 return CheckResult(
                     False,
                     witness=("join", L.elements[i], L.elements[j]),

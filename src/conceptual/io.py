@@ -241,8 +241,8 @@ def emit_dot(L: ConceptLattice, graph_name: str = "lattice") -> str:
     """Hasse diagram with reduced labelling, top rendered uppermost."""
     lines = [f"digraph {graph_name} {{", "  node [shape=box];"]
     for i in range(L.size):
-        own_types = [t for t in range(len(L.type_labels)) if L.tau(t) == i]
-        own_insts = [a for a in range(len(L.instance_labels)) if L.iota(a) == i]
+        own_types = list(bits(L.tau.rel.columns[i]))
+        own_insts = list(bits(L.iota.rel.columns[i]))
         parts = []
         if own_types:
             parts.append(" ".join(L.type_labels[t] for t in own_types))

@@ -6,16 +6,23 @@ style): starting from the closure of the empty type set, it repeatedly finds
 the lectically next closed intent by trying to add one type index at a time
 from the top down.  That yields every concept exactly once, in a canonical
 order, with no duplicate bookkeeping.
+
+The order structure is relational, as in the rest of the package: the concept
+order is the left residual ``M\\M`` of the instance x concept membership
+relation ``M`` by itself, and the two preorders of a classification are the
+residuals of its incidence (see ``classification``).  ``check_lattice`` is
+the one validator of lattice orders and ``bound_of`` the one meet/join
+lookup; ``functors.CompleteLattice`` uses both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import relalg
-from .classification import Classification
+from .classification import Classification, check_preorder
 from .errors import ResourceLimitError, ShapeError, ValidationError
 from .relalg import FunctionGraph, Relation, bits, compose, left_residual, right_residual, transpose
 
@@ -64,12 +71,20 @@ class ConceptLattice:
         return compose(self.order, transpose(self.tau.rel))
 
     @cached_property
+    def extents(self) -> tuple[int, ...]:
+        return tuple(c.extent for c in self.concepts)
+
+    @cached_property
+    def intents(self) -> tuple[int, ...]:
+        return tuple(c.intent for c in self.concepts)
+
+    @cached_property
     def extent_index(self) -> dict[int, int]:
-        return {c.extent: i for i, c in enumerate(self.concepts)}
+        return {e: i for i, e in enumerate(self.extents)}
 
     @cached_property
     def intent_index(self) -> dict[int, int]:
-        return {c.intent: i for i, c in enumerate(self.concepts)}
+        return {t: i for i, t in enumerate(self.intents)}
 
     @cached_property
     def concept_index(self) -> dict[FormalConcept, int]:
@@ -77,30 +92,24 @@ class ConceptLattice:
 
     @cached_property
     def top(self) -> int:
-        full = (1 << len(self.instance_labels)) - 1
-        return self.extent_index[full]
+        return self.meet_index(())
 
     @cached_property
     def bottom(self) -> int:
-        full = (1 << len(self.type_labels)) - 1
-        return self.intent_index[full]
+        return self.join_index(())
 
     def leq(self, i: int, j: int) -> bool:
         return self.order.bit(i, j)
 
     def meet_index(self, indices: Iterable[int]) -> int:
         """Meet by the extent-intersection formula."""
-        extent = (1 << len(self.instance_labels)) - 1
-        for i in indices:
-            extent &= self.concepts[i].extent
-        return self.extent_index[extent]
+        full = (1 << len(self.instance_labels)) - 1
+        return bound_of(self.extents, self.extent_index, full, relalg.mask_of(indices), "meet")
 
     def join_index(self, indices: Iterable[int]) -> int:
         """Join by the intent-intersection formula."""
-        intent = (1 << len(self.type_labels)) - 1
-        for i in indices:
-            intent &= self.concepts[i].intent
-        return self.intent_index[intent]
+        full = (1 << len(self.type_labels)) - 1
+        return bound_of(self.intents, self.intent_index, full, relalg.mask_of(indices), "join")
 
     @cached_property
     def covers(self) -> Relation:
@@ -174,16 +183,9 @@ def build_lattice(K: Classification, max_concepts: int = DEFAULT_CONCEPT_CAP) ->
         cur = nxt
 
     nc = len(pairs)
-    extents = [c.extent for c in pairs]
-    order_rows = []
-    for i in range(nc):
-        ei = extents[i]
-        row = 0
-        for j in range(nc):
-            if ei & ~extents[j] == 0:
-                row |= 1 << j
-        order_rows.append(row)
-    order = Relation(nc, nc, tuple(order_rows))
+    # instance x concept membership; concept i <= j iff extent i is within extent j
+    members = transpose(Relation(nc, m, tuple(c.extent for c in pairs)))
+    order = left_residual(members, members)
 
     intent_idx = {c.intent: k for k, c in enumerate(pairs)}
     extent_idx = {c.extent: k for k, c in enumerate(pairs)}
@@ -197,6 +199,59 @@ def build_lattice(K: Classification, max_concepts: int = DEFAULT_CONCEPT_CAP) ->
 def concept_lattice_of(K: Classification) -> ConceptLattice:
     """Cached ``build_lattice``; bonds and functors share lattices through it."""
     return build_lattice(K)
+
+
+def bound_of(
+    sets: Sequence[int], index: Mapping[int, int], full: int, mask: int, kind: str
+) -> int:
+    """The element whose principal set is the intersection of the principal
+    sets of the elements in ``mask``; the intersection over no element is
+    ``full``.
+
+    ``sets[i]`` is the principal set of element ``i`` and ``index`` inverts
+    ``sets``.  With down-sets (or extents) this is the meet, with up-sets (or
+    intents) the join: in a finite poset the meet of a set is the element
+    whose down-set is the intersection of the set's down-sets (Davey &
+    Priestley, *Introduction to Lattices and Order*, ch. 2).
+    """
+    acc = full
+    rest = mask
+    while rest:
+        low = rest & -rest
+        acc &= sets[low.bit_length() - 1]
+        rest ^= low
+    found = index.get(acc)
+    if found is None:
+        raise ValidationError(f"no {kind} for element set {mask:#x}", witness=(mask,))
+    return found
+
+
+def check_lattice(
+    leq: Relation, labels: Sequence, down: Sequence[int], down_index: Mapping[int, int]
+) -> None:
+    """Raise ``ValidationError`` unless ``leq`` orders a finite lattice.
+
+    ``down`` holds the principal down-sets (the columns of ``leq``) and
+    ``down_index`` inverts it.  Past the preorder check, antisymmetry means
+    the down-sets are pairwise distinct.  A finite poset is a lattice when
+    the full down-set (a top) is present and the intersection of every two
+    down-sets is a principal down-set again: then every meet exists, and so
+    every join.  Witnesses are labels.
+    """
+    check_preorder(leq, labels)
+    n = len(down)
+    if len(down_index) != n:
+        i = next(i for i, d in enumerate(down) if down_index[d] != i)
+        j = down_index[down[i]]
+        raise ValidationError(
+            f"order not antisymmetric between {labels[i]!r} and {labels[j]!r}",
+            witness=(labels[i], labels[j]),
+        )
+    full = (1 << n) - 1
+    bound_of(down, down_index, full, 0, "meet")
+    for i in range(n):
+        for j in range(i + 1, n):
+            bound_of(down, down_index, full, 1 << i | 1 << j, "meet")
 
 
 def assemble_lattice(
@@ -223,53 +278,22 @@ def assemble_lattice(
 
     up = order.rows
     down = transpose(order).rows
-    for i in range(n):
-        if not up[i] >> i & 1:
-            raise ValidationError(f"order not reflexive at {i}", witness=(i,))
-        for j in bits(up[i]):
-            if up[j] & ~up[i]:
-                raise ValidationError(f"order not transitive at {i}", witness=(i, j))
-            if i != j and up[j] >> i & 1:
-                raise ValidationError(f"order not antisymmetric at {i},{j}", witness=(i, j))
-
+    down_index = {d: x for x, d in enumerate(down)}
+    check_lattice(order, range(n), down, down_index)
+    up_index = {u: x for x, u in enumerate(up)}
     full = (1 << n) - 1
-
-    def join_of(mask: int) -> int:
-        ub = full
-        for i in bits(mask):
-            ub &= up[i]
-        for j in bits(ub):
-            if ub & ~up[j] == 0:
-                return j
-        raise ValidationError(f"no join for element set {mask:b}", witness=(mask,))
-
-    def meet_of(mask: int) -> int:
-        lb = full
-        for i in bits(mask):
-            lb &= down[i]
-        for j in bits(lb):
-            if lb & ~down[j] == 0:
-                return j
-        raise ValidationError(f"no meet for element set {mask:b}", witness=(mask,))
-
-    join_of(0)
-    meet_of(0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            join_of((1 << i) | (1 << j))
-            meet_of((1 << i) | (1 << j))
 
     iota_rel = compose(iota.rel, order)
     tau_rel = compose(order, transpose(tau.rel))
     iota_cols = transpose(iota_rel).rows
     for x in range(n):
         below = relalg.mask_of(iota(a) for a in bits(iota_cols[x]))
-        if join_of(below) != x:
+        if bound_of(up, up_index, full, below, "join") != x:
             raise ValidationError(
                 f"instance embedding image is not join-dense at element {x}", witness=(x,)
             )
         above = relalg.mask_of(tau(t) for t in bits(tau_rel.rows[x]))
-        if meet_of(above) != x:
+        if bound_of(down, down_index, full, above, "meet") != x:
             raise ValidationError(
                 f"type embedding image is not meet-dense at element {x}", witness=(x,)
             )

@@ -109,14 +109,6 @@ class Relation:
     def row(self, a: int) -> int:
         return self.rows[a]
 
-    def column(self, b: int) -> int:
-        mask = 0
-        probe = 1 << b
-        for a, row in enumerate(self.rows):
-            if row & probe:
-                mask |= 1 << a
-        return mask
-
     @cached_property
     def columns(self) -> tuple[int, ...]:
         return transpose(self).rows

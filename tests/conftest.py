@@ -29,6 +29,25 @@ def all_contexts(max_inst: int, max_typ: int):
                 yield Classification(inst, typ, Relation(m, n, rows))
 
 
+# seeded random shapes beyond the exhaustive 3x3: empty carriers on either
+# side, thin ones, and up to 8x8
+RANDOM_SHAPES = ((0, 5), (5, 0), (1, 8), (8, 1), (5, 7), (7, 5), (8, 8), (8, 8))
+
+
+def order_from_covers(n: int, covers) -> Relation:
+    """Reflexive-transitive closure of the pairs ``(i, j)``, ``i`` below ``j``."""
+    up = [1 << i for i in range(n)]
+    for _ in range(n):
+        for i, j in covers:
+            up[i] |= up[j]
+    return Relation(n, n, tuple(up))
+
+
+# bottom 0 < a 1, b 2 < c 3, d 4 < top 5: bounded, but a and b have two minimal
+# upper bounds and c and d two maximal lower bounds, so not a lattice
+BOWTIE = order_from_covers(6, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)])
+
+
 def random_context(rng, m: int, n: int) -> Classification:
     inst = tuple(f"i{k}" for k in range(m))
     typ = tuple(f"t{k}" for k in range(n))

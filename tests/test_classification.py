@@ -16,7 +16,7 @@ from conceptual.classification import (
 from conceptual.errors import ResourceLimitError, ValidationError
 from conceptual.relalg import Relation, bits, left_residual, right_residual
 
-from conftest import all_contexts, random_context
+from conftest import RANDOM_SHAPES, all_contexts, random_context
 from oracles import extent_oracle, intent_oracle
 
 
@@ -193,10 +193,17 @@ class TestInducedPreorders:
                         assert pre.rows[j] & ~pre.rows[i] == 0
 
     def test_preorder_against_derivation(self, rng):
-        for _ in range(10):
-            K = random_context(rng, 4, 3)
+        for m, n in ((4, 3),) * 10 + RANDOM_SHAPES:
+            K = random_context(rng, m, n)
             pre = instance_preorder(K)
-            for i in range(4):
-                for j in range(4):
-                    expected = intent_of(K, 1 << j) & ~intent_of(K, 1 << i) == 0
+            assert pre.shape == (m, m)
+            for i in range(m):
+                for j in range(m):
+                    expected = intent_oracle(K, {j}) <= intent_oracle(K, {i})
                     assert pre.bit(i, j) == expected
+            pre = type_preorder(K)
+            assert pre.shape == (n, n)
+            for s in range(n):
+                for t in range(n):
+                    expected = extent_oracle(K, {s}) <= extent_oracle(K, {t})
+                    assert pre.bit(s, t) == expected

@@ -165,6 +165,12 @@ class TestUsage:
             main(["lattice"])
         assert exc.value.code == 2
 
+    def test_negative_max_size_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-equivalences", "--max-size", "-1"])
+        assert exc.value.code == 2
+        assert "nonnegative" in capsys.readouterr().err
+
     def test_missing_file_is_reported(self, capsys):
         code = main(["lattice", "/nonexistent/path.cxt"])
         assert code == 3

@@ -1,4 +1,5 @@
 import itertools
+from types import SimpleNamespace
 
 import pytest
 
@@ -57,9 +58,10 @@ from conceptual.infomorphism import (
     instance_infomorphism,
 )
 from conceptual.lattice import concept_lattice_of
-from conceptual.relalg import FunctionGraph, Relation
+from conceptual.relalg import FunctionGraph, Relation, bits
 
-from conftest import random_context
+from conftest import BOWTIE, order_from_covers, random_context
+from oracles import inf_oracle, sup_oracle
 from test_bond import random_bond
 
 
@@ -73,16 +75,39 @@ class TestCompleteLattice:
     def test_chain_valid(self):
         L = chain_lattice(3)
         assert L.top == 2 and L.bottom == 0
-        assert L.meet_table[0][2] == 0
-        assert L.join_table[0][2] == 2
+        assert L.meet_of(0b101) == 0
+        assert L.join_of(0b101) == 2
 
     def test_rejects_unbounded_antichain(self):
         with pytest.raises(ValidationError, match="no (meet|join)"):
             CompleteLattice(("x", "y"), Relation.from_matrix([[1, 0], [0, 1]]))
+        with pytest.raises(ValidationError, match="no (meet|join)"):
+            CompleteLattice(tuple("0abcd1"), BOWTIE)
+
+    def test_meets_and_joins_match_oracles_on_every_subset(self, rng):
+        pentagon = order_from_covers(5, [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)])
+        diamond = order_from_covers(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
+        lattices = [
+            chain_lattice(1),
+            chain_lattice(4),
+            CompleteLattice(tuple("0abt1"), pentagon),
+            CompleteLattice(tuple("0abc1"), diamond),
+            complete_lattice_of(concept_lattice_of(contranominal_classification(3))),
+        ]
+        while len(lattices) < 10:
+            L = complete_lattice_of(concept_lattice_of(random_context(rng, 5, 5)))
+            if L.size <= 10:
+                lattices.append(L)
+        for L in lattices:
+            ref = SimpleNamespace(order=L.leq, size=L.size)
+            for mask in range(1 << L.size):
+                assert L.meet_of(mask) == inf_oracle(ref, list(bits(mask)))
+                assert L.join_of(mask) == sup_oracle(ref, list(bits(mask)))
 
     def test_rejects_cycles(self):
-        with pytest.raises(ValidationError, match="antisymmetric"):
+        with pytest.raises(ValidationError, match="antisymmetric") as exc:
             CompleteLattice(("x", "y"), Relation.full(2, 2))
+        assert exc.value.witness == ("x", "y")
 
 
 class TestFunctionalEquivalence:

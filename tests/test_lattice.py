@@ -25,7 +25,7 @@ from conceptual.lattice import (
 )
 from conceptual.relalg import FunctionGraph, Relation, bits, transpose
 
-from conftest import all_contexts, random_context
+from conftest import BOWTIE, RANDOM_SHAPES, all_contexts, random_context
 from oracles import closed_pairs_oracle, concept_set, inf_oracle, sup_oracle
 
 
@@ -65,8 +65,8 @@ class TestBuildLattice:
             build_lattice(contranominal_classification(5), max_concepts=10)
 
     def test_order_is_extent_inclusion_and_reverse_intents(self, rng):
-        for _ in range(10):
-            K = random_context(rng, 4, 4)
+        for m, n in ((4, 4),) * 10 + RANDOM_SHAPES:
+            K = random_context(rng, m, n)
             L = build_lattice(K)
             for i, ci in enumerate(L.concepts):
                 for j, cj in enumerate(L.concepts):
@@ -189,11 +189,13 @@ class TestAssembleLattice:
             assemble_lattice(order, ("a",), ("t",), iota, tau)
 
     def test_rejects_non_lattice_order(self):
-        # two incomparable points: no joins/meets
-        order = Relation.from_matrix([[1, 0], [0, 1]])
-        iota = FunctionGraph.identity(2)
-        with pytest.raises(ValidationError, match="no (meet|join)"):
-            assemble_lattice(order, ("x", "y"), ("x", "y"), iota, iota)
+        # two incomparable points: no joins/meets; the bowtie has both bounds
+        for order in (Relation.from_matrix([[1, 0], [0, 1]]), BOWTIE):
+            n = order.src_size
+            labels = tuple(f"x{i}" for i in range(n))
+            iota = FunctionGraph.identity(n)
+            with pytest.raises(ValidationError, match="no (meet|join)"):
+                assemble_lattice(order, labels, labels, iota, iota)
 
 
 class TestCollectiveConcepts:
