@@ -35,11 +35,7 @@ class Bond:
         if self.rel.shape != expected:
             raise ShapeError(f"bond relation shape {self.rel.shape}, expected {expected}")
         if validate:
-            verdict = is_bond(self.source, self.target, self.rel)
-            if not verdict:
-                raise ValidationError(
-                    f"relation is not a bond: {verdict.reason}", witness=verdict.witness
-                )
+            is_bond(self.source, self.target, self.rel).require("relation is not a bond")
 
     def __repr__(self):
         return f"Bond({self.source!r} -> {self.target!r})"
@@ -52,24 +48,16 @@ def is_bond(A: Classification, B: Classification, rel: Relation) -> CheckResult:
         raise ShapeError(f"bond relation shape {rel.shape}, expected {expected}")
     row_closed = left_residual(right_residual(A.incidence, rel), A.incidence)
     if row_closed != rel:
-        for b, (x, y) in enumerate(zip(rel.rows, row_closed.rows)):
-            if x != y:
-                return CheckResult(
-                    False,
-                    witness=("row", B.instances[b]),
-                    reason=f"row of {B.instances[b]!r} is not an intent of the source",
-                )
+        b = B.instances[relalg.first_difference(rel.rows, row_closed.rows)[0]]
+        return CheckResult(
+            False, witness=("row", b), reason=f"row of {b!r} is not an intent of the source"
+        )
     col_closed = right_residual(B.incidence, left_residual(rel, B.incidence))
     if col_closed != rel:
-        cols = rel.columns
-        good = col_closed.columns
-        for t, (x, y) in enumerate(zip(cols, good)):
-            if x != y:
-                return CheckResult(
-                    False,
-                    witness=("column", A.types[t]),
-                    reason=f"column of {A.types[t]!r} is not an extent of the target",
-                )
+        t = A.types[relalg.first_difference(rel.columns, col_closed.columns)[0]]
+        return CheckResult(
+            False, witness=("column", t), reason=f"column of {t!r} is not an extent of the target"
+        )
     return CheckResult(True)
 
 
@@ -80,11 +68,7 @@ def identity_bond(A: Classification) -> Bond:
 
 def bond_of(m: RelationalInfomorphism) -> Bond:
     """The common residual of a valid relational infomorphism."""
-    verdict = check_relational(m)
-    if not verdict:
-        raise ValidationError(
-            f"invalid relational infomorphism at {verdict.witness}", witness=verdict.witness
-        )
+    check_relational(m).require("invalid relational infomorphism")
     return Bond(m.source, m.target, left_residual(m.r, m.source.incidence))
 
 
@@ -145,11 +129,7 @@ class BondingPair:
         ):
             raise ShapeError("bonding pair endpoints do not oppose each other")
         if validate:
-            verdict = is_bonding_pair(self.forward, self.backward)
-            if not verdict:
-                raise ValidationError(
-                    f"pairing constraints fail: {verdict.reason}", witness=verdict.witness
-                )
+            is_bonding_pair(self.forward, self.backward).require("pairing constraints fail")
 
     @property
     def source(self) -> Classification:

@@ -166,15 +166,17 @@ def check_preorder(leq: Relation, labels: Sequence) -> None:
     for i, row in enumerate(up):
         if not row >> i & 1:
             raise ValidationError(f"not reflexive at {labels[i]!r}", witness=(labels[i],))
-    for j, (row, closed) in enumerate(zip(up, relalg.left_residual(leq, leq).rows)):
-        if row != closed:
-            k = next(bits(row & ~closed))
-            i = next(i for i, r in enumerate(up) if r >> j & 1 and not r >> k & 1)
-            x, y, z = labels[i], labels[j], labels[k]
-            raise ValidationError(
-                f"not transitive: {x!r} <= {y!r} <= {z!r} but not {x!r} <= {z!r}",
-                witness=(x, y, z),
-            )
+    # reflexivity puts the residual inside leq, so a difference (j, k) has
+    # j <= k and some i <= j without i <= k
+    diff = relalg.first_difference(up, relalg.left_residual(leq, leq).rows)
+    if diff is not None:
+        j, k = diff
+        i = next(i for i, r in enumerate(up) if r >> j & 1 and not r >> k & 1)
+        x, y, z = labels[i], labels[j], labels[k]
+        raise ValidationError(
+            f"not transitive: {x!r} <= {y!r} <= {z!r} but not {x!r} <= {z!r}",
+            witness=(x, y, z),
+        )
 
 
 def preorder_as_classification(labels: Sequence[str], leq: Relation) -> Classification:

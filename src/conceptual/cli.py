@@ -36,7 +36,7 @@ from .infomorphism import (
 )
 from .lattice import build_lattice
 from .relalg import Relation
-from .verify import verify_equivalences
+from .verify import MAX_CORPUS_SIZE, verify_equivalences
 
 
 def _read(path: str) -> str:
@@ -201,10 +201,12 @@ def cmd_verify(args) -> int:
     return report.exit_code
 
 
-def nonnegative_int(text: str) -> int:
+def corpus_size(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    if value > MAX_CORPUS_SIZE:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_CORPUS_SIZE}, got {value}")
     return value
 
 
@@ -256,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_powerset)
 
     p = sub.add_parser("verify-equivalences", help="run the equivalence suite")
-    p.add_argument("--max-size", type=nonnegative_int, default=3)
+    p.add_argument("--max-size", type=corpus_size, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--inject-bug", action="store_true")
     p.add_argument("--json", action="store_true")

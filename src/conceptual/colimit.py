@@ -242,11 +242,7 @@ def dual_quotient(
     Returns the quotient classification and the projection infomorphism from
     ``A`` onto it.
     """
-    verdict = check_dual_invariant(A, J)
-    if not verdict:
-        raise ValidationError(
-            f"incompatible dual invariant: {verdict.reason}", witness=verdict.witness
-        )
+    check_dual_invariant(A, J).require("incompatible dual invariant")
     classes = _equivalence_classes(len(A.types), J.type_relation)
     kept = list(bits(J.kept_instances))
     instances = tuple(A.instances[a] for a in kept)

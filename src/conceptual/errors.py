@@ -45,3 +45,8 @@ class CheckResult:
 
     def __bool__(self) -> bool:
         return self.ok
+
+    def require(self, what: str) -> None:
+        """Raise ``ValidationError("<what>: <reason>")`` with the witness on failure."""
+        if not self.ok:
+            raise ValidationError(f"{what}: {self.reason}", witness=self.witness)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
 from functools import cached_property, lru_cache
+from typing import Iterable, Sequence
 
 from .bond import Bond, BondingPair, compose_bonding_pairs, compose_bonds
 from .classification import Classification, extent_of, intent_of
@@ -26,7 +27,16 @@ from .lattice import (
     check_lattice,
     concept_lattice_of,
 )
-from .relalg import FunctionGraph, Relation, bits, compose, mask_of, transpose
+from .relalg import (
+    FunctionGraph,
+    Relation,
+    bits,
+    compose,
+    first_difference,
+    mask_of,
+    subrelation,
+    transpose,
+)
 
 
 # -- complete lattices -------------------------------------------------------
@@ -135,20 +145,31 @@ class ConceptLatticeMorphism:
         if self.psi.rel.shape != (self.source.size, self.target.size):
             raise ShapeError(f"psi shape {self.psi.rel.shape} is wrong")
         if validate:
-            verdict = check_lattice_morphism(self)
-            if not verdict:
-                raise ValidationError(verdict.reason, witness=verdict.witness)
+            check_lattice_morphism(self).require("not a concept lattice morphism")
+
+
+def _adjoint_failure(
+    src_rows: Sequence[int], tgt_rows: Iterable[int], phi: Iterable[int], psi: FunctionGraph
+) -> tuple[int, int] | None:
+    """First ``(y, x)`` breaking ``phi(y) <= x iff y <= psi(x)``; ``None``
+    when ``phi`` and ``psi`` are adjoint.
+
+    ``src_rows`` and ``tgt_rows`` are the principal up-sets of the two
+    orders (down-sets test the dual orders), and ``phi`` yields ``phi(0),
+    phi(1), ...``, lazily if need be.  This is the relation equation
+    ``compose(phi, <=) == compose(<=', psi^T)`` compared row by row, so it
+    stops at the first failing ``y``.
+    """
+    return first_difference(
+        (src_rows[x] for x in phi), (psi.inverse_image(row) for row in tgt_rows)
+    )
 
 
 def check_lattice_morphism(m: ConceptLatticeMorphism) -> CheckResult:
     src, tgt = m.source, m.target
-    for y in range(tgt.size):
-        # adjointness: phi(y) <= x  iff  y <= psi(x)
-        lhs = src.order.rows[m.phi(y)]
-        rhs = m.psi.inverse_image(tgt.order.rows[y])
-        if lhs != rhs:
-            x = next(bits(lhs ^ rhs))
-            return CheckResult(False, witness=(y, x), reason="adjointness fails")
+    diff = _adjoint_failure(src.order.rows, tgt.order.rows, m.phi.targets, m.psi)
+    if diff is not None:
+        return CheckResult(False, witness=diff, reason="adjointness fails")
     if m.source.tau.then(m.psi) != m.g.then(m.target.tau):
         return CheckResult(False, reason="psi does not preserve type concepts")
     if m.target.iota.then(m.phi) != m.f.then(m.source.iota):
@@ -258,11 +279,8 @@ def lattice_equivalence_witness(L: ConceptLattice) -> LatticeWitness:
 
 
 def _monotone(src_order: Relation, dst_order: Relation, fn: FunctionGraph) -> bool:
-    for i in range(src_order.src_size):
-        for j in bits(src_order.rows[i]):
-            if not dst_order.bit(fn(i), fn(j)):
-                return False
-    return True
+    """``i <= j`` implies ``fn(i) <= fn(j)``: ``<= ; fn`` lies within ``fn ; <=``."""
+    return subrelation(compose(src_order, fn.rel), compose(fn.rel, dst_order))
 
 
 def witness_as_lattice_morphism(w: LatticeWitness) -> ConceptLatticeMorphism:
@@ -297,23 +315,19 @@ class AdjointPair:
         if self.psi.rel.shape != (self.source.size, self.target.size):
             raise ShapeError(f"psi shape {self.psi.rel.shape} is wrong")
         if validate:
-            verdict = check_adjoint(self)
-            if not verdict:
-                raise ValidationError(verdict.reason, witness=verdict.witness)
+            check_adjoint(self).require("not an adjoint pair")
 
 
 def check_adjoint(p: AdjointPair) -> CheckResult:
-    for y in range(p.target.size):
-        lhs = p.source.up[p.phi(y)]
-        rhs = p.psi.inverse_image(p.target.up[y])
-        if lhs != rhs:
-            x = next(bits(lhs ^ rhs))
-            return CheckResult(
-                False,
-                witness=(p.target.elements[y], p.source.elements[x]),
-                reason="adjointness fails",
-            )
-    return CheckResult(True)
+    diff = _adjoint_failure(p.source.up, p.target.up, p.phi.targets, p.psi)
+    if diff is None:
+        return CheckResult(True)
+    y, x = diff
+    return CheckResult(
+        False,
+        witness=(p.target.elements[y], p.source.elements[x]),
+        reason="adjointness fails",
+    )
 
 
 def identity_adjoint(L: CompleteLattice) -> AdjointPair:
@@ -428,34 +442,44 @@ class CompleteHomomorphism:
         if self.psi.rel.shape != (self.source.size, self.target.size):
             raise ShapeError(f"psi shape {self.psi.rel.shape} is wrong")
         if validate:
-            verdict = is_complete_homomorphism(self.source, self.target, self.psi)
-            if not verdict:
-                raise ValidationError(verdict.reason, witness=verdict.witness)
+            is_complete_homomorphism(self.source, self.target, self.psi).require(
+                "not a complete homomorphism"
+            )
+
+
+def _adjoint_candidates(L: CompleteLattice, K: CompleteLattice, psi: FunctionGraph):
+    """The only possible left and right adjoints of ``psi``, lazily in ``y``
+    of ``K``: ``phi(y) = meet of psi^-1(up y)`` and ``theta(y) = join of
+    psi^-1(down y)``."""
+    return (
+        (L.meet_of(psi.inverse_image(up)) for up in K.up),
+        (L.join_of(psi.inverse_image(down)) for down in K.down),
+    )
 
 
 def is_complete_homomorphism(
     L: CompleteLattice, K: CompleteLattice, psi: FunctionGraph
 ) -> CheckResult:
-    """Binary meets/joins plus the empty ones; enough at finite scale."""
+    """``psi`` preserves all meets iff it has a left adjoint, and all joins
+    iff it has a right adjoint (Davey & Priestley, ch. 7).
+
+    Top and bottom, the empty meet and join, are cheap early exits.  A
+    failing adjoint check names the ``K`` element ``y`` where it fails.
+    """
     if psi(L.top) != K.top:
         return CheckResult(False, witness=("top",), reason="top is not preserved")
     if psi(L.bottom) != K.bottom:
         return CheckResult(False, witness=("bottom",), reason="bottom is not preserved")
-    for i in range(L.size):
-        for j in range(i + 1, L.size):
-            pair, image = 1 << i | 1 << j, 1 << psi(i) | 1 << psi(j)
-            if psi(L.meet_of(pair)) != K.meet_of(image):
-                return CheckResult(
-                    False,
-                    witness=("meet", L.elements[i], L.elements[j]),
-                    reason="a binary meet is not preserved",
-                )
-            if psi(L.join_of(pair)) != K.join_of(image):
-                return CheckResult(
-                    False,
-                    witness=("join", L.elements[i], L.elements[j]),
-                    reason="a binary join is not preserved",
-                )
+    phi, theta = _adjoint_candidates(L, K, psi)
+    for kind, src_rows, tgt_rows, adjoint in (
+        ("meet", L.up, K.up, phi),
+        ("join", L.down, K.down, theta),
+    ):
+        diff = _adjoint_failure(src_rows, tgt_rows, adjoint, psi)
+        if diff is not None:
+            return CheckResult(
+                False, witness=(kind, K.elements[diff[0]]), reason=f"a {kind} is not preserved"
+            )
     return CheckResult(True)
 
 
@@ -474,14 +498,9 @@ def compose_homs(
 def canonical_adjoints(h: CompleteHomomorphism) -> tuple[FunctionGraph, FunctionGraph]:
     """Left and right adjoints of a complete homomorphism, by meet/join
     formulas over the preimages."""
-    L, K, psi = h.source, h.target, h.psi
-    phi = FunctionGraph.from_targets(
-        tuple(L.meet_of(psi.inverse_image(K.up[y])) for y in range(K.size)), L.size
-    )
-    theta = FunctionGraph.from_targets(
-        tuple(L.join_of(psi.inverse_image(K.down[y])) for y in range(K.size)), L.size
-    )
-    return phi, theta
+    phi, theta = _adjoint_candidates(h.source, h.target, h.psi)
+    n = h.source.size
+    return FunctionGraph.from_targets(tuple(phi), n), FunctionGraph.from_targets(tuple(theta), n)
 
 
 def hom_of_pair(p: BondingPair) -> CompleteHomomorphism:
@@ -489,13 +508,10 @@ def hom_of_pair(p: BondingPair) -> CompleteHomomorphism:
     the backward bond, which must agree pointwise."""
     fwd = adjoint_of_bond(p.forward)
     bwd = adjoint_of_bond(p.backward)
-    if fwd.psi != bwd.phi:
-        diff = next(
-            i for i in range(fwd.psi.src_size) if fwd.psi(i) != bwd.phi(i)
-        )
+    diff = first_difference(fwd.psi.rel.rows, bwd.phi.rel.rows)
+    if diff is not None:
         raise ValidationError(
-            "forward right adjoint and backward left adjoint disagree",
-            witness=(diff,),
+            "forward right adjoint and backward left adjoint disagree", witness=(diff[0],)
         )
     return CompleteHomomorphism(fwd.source, fwd.target, fwd.psi)
 

@@ -18,7 +18,7 @@ from .classification import (
     type_preorder,
     dual as dual_classification,
 )
-from .errors import CheckResult, ShapeError, ValidationError
+from .errors import CheckResult, ShapeError
 from .relalg import FunctionGraph, Relation, compose, left_residual, right_residual, transpose
 
 
@@ -44,32 +44,27 @@ class FunctionalInfomorphism:
                 f"source types to target types"
             )
         if validate:
-            verdict = check_functional(self)
-            if not verdict:
-                raise ValidationError(
-                    f"fundamental property fails at {verdict.witness}",
-                    witness=verdict.witness,
-                )
+            check_functional(self).require("not a functional infomorphism")
 
     def __repr__(self):
         return f"FunctionalInfomorphism({self.source!r} => {self.target!r})"
+
+
+def _instance_type_witness(m, lhs: Relation, rhs: Relation, reason: str) -> CheckResult:
+    """Equality of two target-instance x source-type relations; the witness
+    labels their first differing cell."""
+    diff = relalg.first_difference(lhs.rows, rhs.rows)
+    if diff is None:
+        return CheckResult(True)
+    b, t = diff
+    return CheckResult(False, witness=(m.target.instances[b], m.source.types[t]), reason=reason)
 
 
 def check_functional(m: FunctionalInfomorphism) -> CheckResult:
     """Fundamental property: f(b) carries t in the source iff b carries g(t)."""
     lhs = compose(m.f.rel, m.source.incidence)
     rhs = compose(m.target.incidence, transpose(m.g.rel))
-    if lhs == rhs:
-        return CheckResult(True)
-    for b, (x, y) in enumerate(zip(lhs.rows, rhs.rows)):
-        if x != y:
-            t = next(relalg.bits(x ^ y))
-            return CheckResult(
-                False,
-                witness=(m.target.instances[b], m.source.types[t]),
-                reason="fundamental property fails",
-            )
-    raise AssertionError("unreachable")
+    return _instance_type_witness(m, lhs, rhs, "fundamental property fails")
 
 
 def identity_functional(K: Classification) -> FunctionalInfomorphism:
@@ -143,12 +138,7 @@ class RelationalInfomorphism:
         if self.s.shape != (len(self.source.types), len(self.target.types)):
             raise ShapeError(f"type relation shape {self.s.shape} is wrong")
         if validate:
-            verdict = check_relational(self)
-            if not verdict:
-                raise ValidationError(
-                    f"fundamental property fails at {verdict.witness}",
-                    witness=verdict.witness,
-                )
+            check_relational(self).require("not a relational infomorphism")
 
     def __repr__(self):
         return f"RelationalInfomorphism({self.source!r} => {self.target!r})"
@@ -158,17 +148,7 @@ def check_relational(m: RelationalInfomorphism) -> CheckResult:
     """Fundamental property: the two residuals agree (their value is the bond)."""
     lhs = left_residual(m.r, m.source.incidence)
     rhs = right_residual(m.target.incidence, m.s)
-    if lhs == rhs:
-        return CheckResult(True)
-    for b, (x, y) in enumerate(zip(lhs.rows, rhs.rows)):
-        if x != y:
-            t = next(relalg.bits(x ^ y))
-            return CheckResult(
-                False,
-                witness=(m.target.instances[b], m.source.types[t]),
-                reason="residuals differ",
-            )
-    raise AssertionError("unreachable")
+    return _instance_type_witness(m, lhs, rhs, "residuals differ")
 
 
 def identity_relational(K: Classification) -> RelationalInfomorphism:

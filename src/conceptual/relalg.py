@@ -44,6 +44,17 @@ def submask(a: int, b: int) -> bool:
     return a & ~b == 0
 
 
+def first_difference(xs: Iterable[int], ys: Iterable[int]) -> tuple[int, int] | None:
+    """First row where two row sequences differ, with its lowest differing
+    bit; ``None`` when they agree.  Consumes lazy rows only up to the first
+    difference."""
+    for row, (x, y) in enumerate(zip(xs, ys)):
+        if x != y:
+            diff = x ^ y
+            return row, (diff & -diff).bit_length() - 1
+    return None
+
+
 @dataclass(frozen=True)
 class Relation:
     """Boolean matrix between two finite index sets, value semantics."""

@@ -29,7 +29,7 @@ from .classification import (
     contranominal_classification,
     powerset_classification,
 )
-from .errors import ConceptualError
+from .errors import ConceptualError, ValidationError
 from .infomorphism import (
     FunctionalInfomorphism,
     compose_functional,
@@ -71,7 +71,13 @@ def k1_classification() -> Classification:
     )
 
 
+# random square contexts go up to this size, and the corpus has no larger tier
+MAX_CORPUS_SIZE = 6
+
+
 def context_corpus(max_size: int, rng: random.Random) -> list[tuple[str, Classification]]:
+    if not 0 <= max_size <= MAX_CORPUS_SIZE:
+        raise ValidationError(f"max_size must be in 0..{MAX_CORPUS_SIZE}, got {max_size}")
     items: list[tuple[str, Classification]] = []
     exh = min(3, max_size)
     for m in range(exh + 1):
@@ -83,7 +89,7 @@ def context_corpus(max_size: int, rng: random.Random) -> list[tuple[str, Classif
                 items.append(
                     (f"exh-{m}x{n}-{code}", Classification(inst, typ, Relation(m, n, rows)))
                 )
-    for size in range(exh + 1, min(6, max_size) + 1):
+    for size in range(exh + 1, max_size + 1):
         inst = tuple(f"i{k}" for k in range(size))
         typ = tuple(f"t{k}" for k in range(size))
         for trial in range(2):

@@ -7,7 +7,9 @@ word-parallel kernels is a meaningful check.
 
 from __future__ import annotations
 
+import functools
 import itertools
+from types import SimpleNamespace
 
 from conceptual.relalg import Relation
 
@@ -141,6 +143,30 @@ def sup_oracle(L, indices: list[int]) -> int | None:
         if all(L.order.bit(x, y) for y in candidates):
             return x
     return None
+
+
+@functools.lru_cache(maxsize=None)
+def subset_bounds(leq: Relation) -> tuple[tuple, tuple]:
+    """Infimum and supremum of every subset of a finite order, by search,
+    indexed by subset mask."""
+    ref = SimpleNamespace(order=leq, size=leq.src_size)
+    subsets = [[i for i in range(ref.size) if mask >> i & 1] for mask in range(1 << ref.size)]
+    return tuple(inf_oracle(ref, s) for s in subsets), tuple(sup_oracle(ref, s) for s in subsets)
+
+
+def complete_hom_oracle(L, K, psi) -> bool:
+    """``psi`` sends the meet and the join of every subset of ``L``, the empty
+    one included, to the meet and the join of its image in ``K``."""
+    L_inf, L_sup = subset_bounds(L.leq)
+    K_inf, K_sup = subset_bounds(K.leq)
+    for mask in range(1 << L.size):
+        image = 0
+        for i in range(L.size):
+            if mask >> i & 1:
+                image |= 1 << psi(i)
+        if psi(L_inf[mask]) != K_inf[image] or psi(L_sup[mask]) != K_sup[image]:
+            return False
+    return True
 
 
 def all_functions(src: int, dst: int):

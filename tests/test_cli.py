@@ -171,6 +171,12 @@ class TestUsage:
         assert exc.value.code == 2
         assert "nonnegative" in capsys.readouterr().err
 
+    def test_max_size_above_corpus_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-equivalences", "--max-size", "7"])
+        assert exc.value.code == 2
+        assert "at most 6" in capsys.readouterr().err
+
     def test_missing_file_is_reported(self, capsys):
         code = main(["lattice", "/nonexistent/path.cxt"])
         assert code == 3

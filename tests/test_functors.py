@@ -61,8 +61,12 @@ from conceptual.lattice import concept_lattice_of
 from conceptual.relalg import FunctionGraph, Relation, bits
 
 from conftest import BOWTIE, order_from_covers, random_context
-from oracles import inf_oracle, sup_oracle
+from oracles import complete_hom_oracle, inf_oracle, sup_oracle
 from test_bond import random_bond
+
+
+PENTAGON = order_from_covers(5, [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)])
+DIAMOND = order_from_covers(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
 
 
 def chain_lattice(n):
@@ -85,13 +89,11 @@ class TestCompleteLattice:
             CompleteLattice(tuple("0abcd1"), BOWTIE)
 
     def test_meets_and_joins_match_oracles_on_every_subset(self, rng):
-        pentagon = order_from_covers(5, [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)])
-        diamond = order_from_covers(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
         lattices = [
             chain_lattice(1),
             chain_lattice(4),
-            CompleteLattice(tuple("0abt1"), pentagon),
-            CompleteLattice(tuple("0abc1"), diamond),
+            CompleteLattice(tuple("0abt1"), PENTAGON),
+            CompleteLattice(tuple("0abc1"), DIAMOND),
             complete_lattice_of(concept_lattice_of(contranominal_classification(3))),
         ]
         while len(lattices) < 10:
@@ -268,6 +270,40 @@ class TestCompleteRelationalEquivalence:
         assert not verdict and verdict.witness == ("bottom",)
         with pytest.raises(ValidationError):
             CompleteHomomorphism(L, L, psi)
+
+    def test_hom_check_matches_oracle_on_small_lattices(self, rng):
+        # every map between each ordered pair, or a seeded sample of MAP_CAP
+        # distinct maps where there are more
+        MAP_CAP = 5000
+        lattices = [
+            chain_lattice(1),
+            chain_lattice(2),
+            chain_lattice(3),
+            CompleteLattice(tuple("0abt1"), PENTAGON),
+            CompleteLattice(tuple("0abc1"), DIAMOND),
+            CompleteLattice(tuple("0ab1"), order_from_covers(4, [(0, 1), (0, 2), (1, 3), (2, 3)])),
+            complete_lattice_of(concept_lattice_of(contranominal_classification(3))),
+        ]
+        verdicts = {True: 0, False: 0, "past top and bottom": 0}
+        for L, K in itertools.product(lattices, repeat=2):
+            total = K.size**L.size
+            codes = range(total) if total <= MAP_CAP else rng.sample(range(total), MAP_CAP)
+            for code in codes:
+                psi = FunctionGraph.from_targets(
+                    tuple(code // K.size**i % K.size for i in range(L.size)), K.size
+                )
+                verdict = is_complete_homomorphism(L, K, psi)
+                assert bool(verdict) == complete_hom_oracle(L, K, psi)
+                verdicts[bool(verdict)] += 1
+                if not verdict and verdict.witness[0] in ("meet", "join"):
+                    verdicts["past top and bottom"] += 1
+                    # the preimage of the named principal filter (or ideal)
+                    # is not principal
+                    kind, y = verdict.witness
+                    sets = (L.up, K.up) if kind == "meet" else (L.down, K.down)
+                    preimage = psi.inverse_image(sets[1][K.elements.index(y)])
+                    assert preimage not in sets[0]
+        assert all(verdicts.values()), verdicts
 
     def test_canonical_adjoints_are_adjoint(self):
         L = chain_lattice(3)

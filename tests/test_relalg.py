@@ -6,6 +6,7 @@ from conceptual.relalg import (
     Relation,
     complement,
     compose,
+    first_difference,
     identity,
     intersection,
     left_residual,
@@ -67,6 +68,33 @@ class TestCompose:
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
             compose(Relation.empty(2, 3), Relation.empty(2, 2))
+
+
+class TestFirstDifference:
+    def test_matches_row_major_search(self, rng):
+        for _ in range(300):
+            n, width = rng.randint(0, 6), rng.randint(1, 6)
+            xs = [rng.getrandbits(width) for _ in range(n)]
+            # flip a few random bits, sometimes none
+            ys = list(xs)
+            for _ in range(rng.randint(0, 3)):
+                if n:
+                    ys[rng.randrange(n)] ^= 1 << rng.randrange(width)
+            cells = [
+                (a, b) for a in range(n) for b in range(width) if (xs[a] ^ ys[a]) >> b & 1
+            ]
+            assert first_difference(xs, ys) == (cells[0] if cells else None)
+
+    def test_stops_at_the_first_difference(self):
+        consumed = []
+
+        def rows():
+            for row in (0b10, 0b11, 0b00):
+                consumed.append(row)
+                yield row
+
+        assert first_difference(rows(), [0b10, 0b01, 0b01]) == (1, 1)
+        assert consumed == [0b10, 0b11]
 
 
 class TestIdentityTransposeComplement:

@@ -1,5 +1,8 @@
+import pytest
+
+from conceptual.errors import ValidationError
 from conceptual.report import NO_COVERAGE, VerificationReport
-from conceptual.verify import CHECK_FAMILIES, verify_equivalences
+from conceptual.verify import CHECK_FAMILIES, MAX_CORPUS_SIZE, verify_equivalences
 
 
 class TestVerifyEquivalences:
@@ -24,6 +27,11 @@ class TestVerifyEquivalences:
         assert report.ok
         verdicts = {r.verdict for r in report.records}
         assert NO_COVERAGE in verdicts
+
+    @pytest.mark.parametrize("size", [-1, MAX_CORPUS_SIZE + 1])
+    def test_max_size_out_of_range_is_rejected(self, size):
+        with pytest.raises(ValidationError, match="max_size"):
+            verify_equivalences(max_size=size, seed=3)
 
     def test_deterministic_under_seed(self):
         a = verify_equivalences(max_size=2, seed=9).to_obj()
