@@ -109,8 +109,7 @@ def coproduct_mediator(
         f = mA.f
     else:
         raise ValidationError(f"unknown coproduct kind {d.kind!r}")
-    g_targets = tuple(mA.g.targets) + tuple(mB.g.targets)
-    g = FunctionGraph.from_targets(g_targets, len(C.types))
+    g = FunctionGraph(mA.g.targets + mB.g.targets, len(C.types))
     return FunctionalInfomorphism(d.apex, C, f, g)
 
 
@@ -299,7 +298,16 @@ def enumerate_infomorphisms(A: Classification, C: Classification, instance_ident
                 A, C, f, FunctionGraph.from_targets(g_t, tc), validate=False
             )
             if check_functional(m):
-                yield FunctionalInfomorphism(A, C, m.f, m.g)
+                yield m
+
+
+def _by_restrictions(candidates, compose, left, right) -> dict:
+    """Candidates grouped by their two composites with the injections, each
+    list in candidate order: a cocone's mediators are its entry."""
+    index: dict = {}
+    for m in candidates:
+        index.setdefault((compose(left, m), compose(right, m)), []).append(m)
+    return index
 
 
 def check_coproduct_property(
@@ -315,15 +323,13 @@ def check_coproduct_property(
         if not legs_a or not legs_b:
             report.add(f"{d.kind}-universal", f"target-{t_i}", True)
             continue
+        mediators = _by_restrictions(
+            all_mediators, compose_functional, d.left_injection, d.right_injection
+        )
         for ca, mA in enumerate(legs_a):
             for cb, mB in enumerate(legs_b):
                 item = f"target-{t_i}-cocone-{ca}-{cb}"
-                found = [
-                    m
-                    for m in all_mediators
-                    if compose_functional(d.left_injection, m) == mA
-                    and compose_functional(d.right_injection, m) == mB
-                ]
+                found = mediators.get((mA, mB), [])
                 built = coproduct_mediator(d, mA, mB)
                 ok = len(found) == 1 and found[0] == built
                 report.add(
@@ -388,18 +394,18 @@ def transport_coproduct(
         M = functors.concept_lattice_of(C)
         witness = functors.lattice_equivalence_witness(M)
         iso = functors.witness_as_lattice_morphism(witness)
-        candidates = _enumerate_lattice_morphisms(L_apex, M)
+        mediators = _by_restrictions(
+            _enumerate_lattice_morphisms(L_apex, M),
+            functors.compose_lattice_morphisms,
+            L_left_inj,
+            L_right_inj,
+        )
         for ca, mA in enumerate(legs_a):
             for cb, mB in enumerate(legs_b):
                 item = f"target-{t_i}-cocone-{ca}-{cb}"
-                gamma_a = functors.lattice_of_morphism(mA)
-                gamma_b = functors.lattice_of_morphism(mB)
-                found = [
-                    cm
-                    for cm in candidates
-                    if functors.compose_lattice_morphisms(L_left_inj, cm) == gamma_a
-                    and functors.compose_lattice_morphisms(L_right_inj, cm) == gamma_b
-                ]
+                found = mediators.get(
+                    (functors.lattice_of_morphism(mA), functors.lattice_of_morphism(mB)), []
+                )
                 mediator = coproduct_mediator(d, mA, mB)
                 formula = functors.compose_lattice_morphisms(
                     functors.lattice_of_morphism(mediator), iso

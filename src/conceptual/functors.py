@@ -140,10 +140,10 @@ class ConceptLatticeMorphism:
     validate: InitVar[bool] = True
 
     def __post_init__(self, validate: bool):
-        if self.phi.rel.shape != (self.target.size, self.source.size):
-            raise ShapeError(f"phi shape {self.phi.rel.shape} is wrong")
-        if self.psi.rel.shape != (self.source.size, self.target.size):
-            raise ShapeError(f"psi shape {self.psi.rel.shape} is wrong")
+        if self.phi.shape != (self.target.size, self.source.size):
+            raise ShapeError(f"phi shape {self.phi.shape} is wrong")
+        if self.psi.shape != (self.source.size, self.target.size):
+            raise ShapeError(f"psi shape {self.psi.shape} is wrong")
         if validate:
             check_lattice_morphism(self).require("not a concept lattice morphism")
 
@@ -310,10 +310,10 @@ class AdjointPair:
     validate: InitVar[bool] = True
 
     def __post_init__(self, validate: bool):
-        if self.phi.rel.shape != (self.target.size, self.source.size):
-            raise ShapeError(f"phi shape {self.phi.rel.shape} is wrong")
-        if self.psi.rel.shape != (self.source.size, self.target.size):
-            raise ShapeError(f"psi shape {self.psi.rel.shape} is wrong")
+        if self.phi.shape != (self.target.size, self.source.size):
+            raise ShapeError(f"phi shape {self.phi.shape} is wrong")
+        if self.psi.shape != (self.source.size, self.target.size):
+            raise ShapeError(f"psi shape {self.psi.shape} is wrong")
         if validate:
             check_adjoint(self).require("not an adjoint pair")
 
@@ -439,8 +439,8 @@ class CompleteHomomorphism:
     validate: InitVar[bool] = True
 
     def __post_init__(self, validate: bool):
-        if self.psi.rel.shape != (self.source.size, self.target.size):
-            raise ShapeError(f"psi shape {self.psi.rel.shape} is wrong")
+        if self.psi.shape != (self.source.size, self.target.size):
+            raise ShapeError(f"psi shape {self.psi.shape} is wrong")
         if validate:
             is_complete_homomorphism(self.source, self.target, self.psi).require(
                 "not a complete homomorphism"
@@ -508,7 +508,7 @@ def hom_of_pair(p: BondingPair) -> CompleteHomomorphism:
     the backward bond, which must agree pointwise."""
     fwd = adjoint_of_bond(p.forward)
     bwd = adjoint_of_bond(p.backward)
-    diff = first_difference(fwd.psi.rel.rows, bwd.phi.rel.rows)
+    diff = first_difference(fwd.psi.targets, bwd.phi.targets)
     if diff is not None:
         raise ValidationError(
             "forward right adjoint and backward left adjoint disagree", witness=(diff[0],)

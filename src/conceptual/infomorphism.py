@@ -33,14 +33,14 @@ class FunctionalInfomorphism:
     validate: InitVar[bool] = True
 
     def __post_init__(self, validate: bool):
-        if self.f.rel.shape != (len(self.target.instances), len(self.source.instances)):
+        if self.f.shape != (len(self.target.instances), len(self.source.instances)):
             raise ShapeError(
-                f"instance function shape {self.f.rel.shape} does not map "
+                f"instance function shape {self.f.shape} does not map "
                 f"target instances to source instances"
             )
-        if self.g.rel.shape != (len(self.source.types), len(self.target.types)):
+        if self.g.shape != (len(self.source.types), len(self.target.types)):
             raise ShapeError(
-                f"type function shape {self.g.rel.shape} does not map "
+                f"type function shape {self.g.shape} does not map "
                 f"source types to target types"
             )
         if validate:
@@ -102,8 +102,8 @@ def powerset_infomorphism(
     ``f`` maps the second label set into the first; types go forward by
     inverse image.
     """
-    if f.rel.shape != (len(b_labels), len(a_labels)):
-        raise ShapeError(f"function shape {f.rel.shape} does not map {len(b_labels)} into {len(a_labels)}")
+    if f.shape != (len(b_labels), len(a_labels)):
+        raise ShapeError(f"function shape {f.shape} does not map {len(b_labels)} into {len(a_labels)}")
     pa = powerset_classification(a_labels)
     pb = powerset_classification(b_labels)
     # subset masks double as type indices in both powersets

@@ -243,54 +243,48 @@ def intersection(r: Relation, t: Relation) -> Relation:
 
 @dataclass(frozen=True)
 class FunctionGraph:
-    """Relation that is total and single-valued: one set bit per row."""
+    """Total function ``range(len(targets)) -> range(dst_size)``, stored as
+    its target tuple; the graph relation is derived on first use."""
 
-    rel: Relation
+    targets: tuple[int, ...]
+    dst_size: int
 
     def __post_init__(self):
-        for a, row in enumerate(self.rel.rows):
-            if row == 0 or row & (row - 1):
-                raise ValidationError(
-                    f"row {a} of a function graph must have exactly one bit"
-                )
+        if self.dst_size < 0:
+            raise ValidationError("function sizes must be nonnegative")
+        for a, b in enumerate(self.targets):
+            if not 0 <= b < self.dst_size:
+                raise ValidationError(f"target {b} of {a} out of range 0..{self.dst_size - 1}")
 
     @classmethod
     def from_targets(cls, targets: Sequence[int], dst_size: int) -> "FunctionGraph":
-        rows = []
-        for a, b in enumerate(targets):
-            if not 0 <= b < dst_size:
-                raise ValidationError(f"target {b} of {a} out of range 0..{dst_size - 1}")
-            rows.append(1 << b)
-        return cls(Relation(len(targets), dst_size, tuple(rows)))
+        return cls(tuple(targets), dst_size)
 
     @classmethod
     def identity(cls, n: int) -> "FunctionGraph":
-        return cls(identity(n))
+        return cls(tuple(range(n)), n)
 
     @cached_property
-    def targets(self) -> tuple[int, ...]:
-        return tuple(row.bit_length() - 1 for row in self.rel.rows)
+    def rel(self) -> Relation:
+        """The graph: row ``a`` holds the single bit ``targets[a]``."""
+        return Relation(len(self.targets), self.dst_size, tuple(1 << b for b in self.targets))
 
     def __call__(self, a: int) -> int:
         return self.targets[a]
 
     @property
     def src_size(self) -> int:
-        return self.rel.src_size
+        return len(self.targets)
 
     @property
-    def dst_size(self) -> int:
-        return self.rel.dst_size
+    def shape(self) -> tuple[int, int]:
+        return (len(self.targets), self.dst_size)
 
     def then(self, other: "FunctionGraph") -> "FunctionGraph":
         """Diagrammatic composition: first self, then other."""
         if self.dst_size != other.src_size:
-            raise ShapeError(
-                f"then: incompatible shapes {self.rel.shape} and {other.rel.shape}"
-            )
-        return FunctionGraph.from_targets(
-            tuple(other.targets[b] for b in self.targets), other.dst_size
-        )
+            raise ShapeError(f"then: incompatible shapes {self.shape} and {other.shape}")
+        return FunctionGraph(tuple(other.targets[b] for b in self.targets), other.dst_size)
 
     def inverse_image(self, mask: int) -> int:
         """Sources whose target lands in ``mask``."""
@@ -301,6 +295,4 @@ class FunctionGraph:
         return out
 
     def is_identity(self) -> bool:
-        return self.src_size == self.dst_size and all(
-            b == a for a, b in enumerate(self.targets)
-        )
+        return self.targets == tuple(range(self.dst_size))

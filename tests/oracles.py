@@ -171,3 +171,12 @@ def complete_hom_oracle(L, K, psi) -> bool:
 
 def all_functions(src: int, dst: int):
     yield from itertools.product(range(dst), repeat=src)
+
+
+# -- coproduct mediators ----------------------------------------------------------
+
+
+def cocone_mediators(candidates, compose, left, right, leg_a, leg_b) -> list:
+    """One cocone's mediators by the per-cocone filter: every candidate whose
+    composites with the two injections are the cocone's legs, in order."""
+    return [m for m in candidates if compose(left, m) == leg_a and compose(right, m) == leg_b]

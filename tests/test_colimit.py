@@ -1,14 +1,21 @@
+import random
+
 import pytest
 
+from conceptual import functors
 from conceptual.classification import (
     Classification,
     antichain_classification,
     chain_classification,
+    contranominal_classification,
     dual,
     powerset_classification,
 )
 from conceptual.colimit import (
+    CoproductDiagram,
     DualInvariant,
+    _by_restrictions,
+    _enumerate_lattice_morphisms,
     apposition,
     check_coproduct_property,
     check_dual_invariant,
@@ -23,10 +30,16 @@ from conceptual.colimit import (
     transport_coproduct,
 )
 from conceptual.errors import ShapeError, ValidationError
-from conceptual.infomorphism import check_functional, compose_functional, instance_infomorphism
-from conceptual.relalg import Relation
+from conceptual.infomorphism import (
+    FunctionalInfomorphism,
+    check_functional,
+    compose_functional,
+    instance_infomorphism,
+)
+from conceptual.relalg import FunctionGraph, Relation
 from conceptual.report import VerificationReport
 
+import oracles
 from conftest import random_context
 
 
@@ -212,3 +225,181 @@ class TestTransport:
         report = transport_coproduct(d, targets=[k1], inject_bug=True)
         assert not report.ok
         assert report.failures[0].witness
+
+
+# -- the mediator index against the per-cocone filter --------------------------
+
+
+def _small_contexts(k1):
+    """k1, chain-2, contranominal-2 and two seeded 2x2 contexts, all over the
+    instances ("0", "1") so that any two of them appose."""
+    rng = random.Random(4)
+    contexts = [
+        k1,
+        chain_classification(2),
+        contranominal_classification(2),
+        random_context(rng, 2, 2),
+        random_context(rng, 2, 2),
+    ]
+    return [Classification(("0", "1"), K.types, K.incidence) for K in contexts]
+
+
+def _duplicated_instance_sum(A, B) -> CoproductDiagram:
+    """The sum of A and B with apex instance 0 repeated: the injections stay
+    valid, but a cocone can have two mediators, so records fail with a count."""
+    d = coproduct_sum(A, B)
+    rows = d.apex.rows + d.apex.rows[:1]
+    apex = Classification(
+        d.apex.instances + ("copy",), d.apex.types, Relation(len(rows), len(d.apex.types), rows)
+    )
+
+    def leg(inj):
+        return FunctionalInfomorphism(
+            inj.source, apex, FunctionGraph(inj.f.targets + inj.f.targets[:1], inj.f.dst_size), inj.g
+        )
+
+    return CoproductDiagram(A, B, apex, leg(d.left_injection), leg(d.right_injection), "sum")
+
+
+def _diagrams(k1):
+    Ks = _small_contexts(k1)
+    pairs = [(A, B) for A in Ks for B in Ks]
+    return (
+        [coproduct_sum(A, B) for A, B in pairs]
+        + [apposition(A, B) for A, B in pairs]
+        + [_duplicated_instance_sum(Ks[0], Ks[0])]
+    )
+
+
+def _filtered_report(d, targets, inject_bug=False) -> VerificationReport:
+    """``transport_coproduct``'s records, each cocone's mediators found by
+    ``oracles.cocone_mediators`` over every candidate."""
+    report = VerificationReport()
+    if inject_bug:
+        rows = list(d.apex.rows)
+        rows[0] ^= 1
+        broken = Classification(
+            d.apex.instances, d.apex.types, Relation(len(rows), len(d.apex.types), tuple(rows))
+        )
+        left, right = (
+            FunctionalInfomorphism(m.source, broken, m.f, m.g, validate=False)
+            for m in (d.left_injection, d.right_injection)
+        )
+        res_left, res_right = check_functional(left), check_functional(right)
+        valid = bool(res_left and res_right)
+        report.add(
+            "transport-injection-valid", d.kind, valid, str(res_left.witness or res_right.witness)
+        )
+        if not valid:
+            return report
+        d = CoproductDiagram(d.left, d.right, broken, left, right, d.kind)
+    fiber = d.kind == "apposition"
+
+    def legs(source, C):
+        return list(enumerate_infomorphisms(source, C, instance_identity=fiber))
+
+    for t_i, C in enumerate(targets):
+        legs_a, legs_b = legs(d.left, C), legs(d.right, C)
+        if not legs_a or not legs_b:
+            report.add(f"{d.kind}-universal", f"target-{t_i}", True)
+            continue
+        candidates = legs(d.apex, C)
+        for ca, mA in enumerate(legs_a):
+            for cb, mB in enumerate(legs_b):
+                found = oracles.cocone_mediators(
+                    candidates, compose_functional, d.left_injection, d.right_injection, mA, mB
+                )
+                ok = len(found) == 1 and found[0] == coproduct_mediator(d, mA, mB)
+                report.add(
+                    f"{d.kind}-universal",
+                    f"target-{t_i}-cocone-{ca}-{cb}",
+                    ok,
+                    f"{len(found)} mediators found",
+                )
+    L_apex = functors.concept_lattice_of(d.apex)
+    L_left, L_right = (
+        functors.lattice_of_morphism(m) for m in (d.left_injection, d.right_injection)
+    )
+    for t_i, C in enumerate(targets):
+        M = functors.concept_lattice_of(C)
+        iso = functors.witness_as_lattice_morphism(functors.lattice_equivalence_witness(M))
+        candidates = _enumerate_lattice_morphisms(L_apex, M)
+        for ca, mA in enumerate(legs(d.left, C)):
+            for cb, mB in enumerate(legs(d.right, C)):
+                found = oracles.cocone_mediators(
+                    candidates,
+                    functors.compose_lattice_morphisms,
+                    L_left,
+                    L_right,
+                    functors.lattice_of_morphism(mA),
+                    functors.lattice_of_morphism(mB),
+                )
+                formula = functors.compose_lattice_morphisms(
+                    functors.lattice_of_morphism(coproduct_mediator(d, mA, mB)), iso
+                )
+                report.add(
+                    f"{d.kind}-transport",
+                    f"target-{t_i}-cocone-{ca}-{cb}",
+                    len(found) == 1 and found[0] == formula,
+                    f"{len(found)} lattice mediators found",
+                )
+    return report
+
+
+class TestMediatorIndex:
+    def test_records_match_the_per_cocone_filter(self, k1):
+        failing = 0
+        for d in _diagrams(k1):
+            targets = [d.left, d.right]
+            expected = _filtered_report(d, targets)
+            universal = VerificationReport()
+            check_coproduct_property(d, targets, universal)
+            assert universal.records == [
+                r for r in expected.records if r.check.endswith("-universal")
+            ]
+            assert transport_coproduct(d).records == expected.records
+            assert (
+                transport_coproduct(d, inject_bug=True).records
+                == _filtered_report(d, targets, inject_bug=True).records
+            )
+            failing += len(expected.failures)
+        # the duplicated-instance apex makes some cocones fail with a count
+        assert failing
+
+    def test_index_entries_are_the_filtered_lists(self, k1):
+        for d in _diagrams(k1):
+            fiber = d.kind == "apposition"
+            L_left, L_right = (
+                functors.lattice_of_morphism(m) for m in (d.left_injection, d.right_injection)
+            )
+            for C in (d.left, d.right):
+                legs_a = list(enumerate_infomorphisms(d.left, C, instance_identity=fiber))
+                legs_b = list(enumerate_infomorphisms(d.right, C, instance_identity=fiber))
+                mediators = list(enumerate_infomorphisms(d.apex, C, instance_identity=fiber))
+                lattice_mediators = _enumerate_lattice_morphisms(
+                    functors.concept_lattice_of(d.apex), functors.concept_lattice_of(C)
+                )
+                index = _by_restrictions(
+                    mediators, compose_functional, d.left_injection, d.right_injection
+                )
+                lattice_index = _by_restrictions(
+                    lattice_mediators, functors.compose_lattice_morphisms, L_left, L_right
+                )
+                for mA in legs_a:
+                    for mB in legs_b:
+                        assert index.get((mA, mB), []) == oracles.cocone_mediators(
+                            mediators,
+                            compose_functional,
+                            d.left_injection,
+                            d.right_injection,
+                            mA,
+                            mB,
+                        )
+                        gammas = tuple(functors.lattice_of_morphism(m) for m in (mA, mB))
+                        assert lattice_index.get(gammas, []) == oracles.cocone_mediators(
+                            lattice_mediators,
+                            functors.compose_lattice_morphisms,
+                            L_left,
+                            L_right,
+                            *gammas,
+                        )

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from conceptual.errors import ShapeError, ValidationError
@@ -311,11 +313,35 @@ class TestValuesAndValidation:
             assert subrelation(r, u) and subrelation(t, u)
             assert subrelation(i, r) and subrelation(i, t)
 
-    def test_function_graph_rejects_non_functions(self):
-        with pytest.raises(ValidationError):
-            FunctionGraph(M([[1, 1]]))
-        with pytest.raises(ValidationError):
-            FunctionGraph(M([[0, 0]]))
+    def test_function_graph_rejects_out_of_range_targets(self):
+        cases = [
+            ((0, 2), 2, "target 2 of 1 out of range 0..1"),
+            ((-1,), 3, "target -1 of 0 out of range 0..2"),
+            ((0,), 0, "target 0 of 0 out of range 0..-1"),
+        ]
+        for targets, dst_size, message in cases:
+            for build in (FunctionGraph, FunctionGraph.from_targets):
+                with pytest.raises(ValidationError, match=re.escape(message)):
+                    build(targets, dst_size)
+        with pytest.raises(ValidationError, match="must be nonnegative"):
+            FunctionGraph.identity(-1)
+
+    def test_function_graph_agrees_with_its_relation(self, rng):
+        def random_function(src, dst):
+            return FunctionGraph(tuple(rng.randrange(dst) for _ in range(src)), dst)
+
+        outcomes = set()
+        shapes = [(0, 0, 0), (0, 0, 2), (0, 3, 1), (1, 1, 1), (3, 1, 2), (2, 2, 2), (4, 4, 3), (6, 3, 5)]
+        for src, mid, dst in shapes:
+            for _ in range(20):
+                f, h = random_function(src, mid), random_function(src, mid)
+                g = random_function(mid, dst)
+                assert f.then(g).rel == compose(f.rel, g.rel)
+                assert all(row.bit_count() == 1 for row in f.rel.rows + g.rel.rows)
+                assert f.rel.shape == f.shape == (src, mid)
+                assert (f == h) == (f.rel == h.rel)
+                outcomes.add(f == h)
+        assert outcomes == {True, False}
 
     def test_function_graph_composition_and_inverse_image(self):
         f = FunctionGraph.from_targets((1, 0, 1), 2)
