@@ -25,7 +25,7 @@ from .colimit import (
     product,
     subposition,
 )
-from .errors import ConceptualError
+from .errors import ConceptualError, ParseError
 from .infomorphism import (
     FunctionalInfomorphism,
     RelationalInfomorphism,
@@ -40,10 +40,13 @@ from .verify import MAX_CORPUS_SIZE, verify_equivalences
 
 
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 text: {e}") from None
 
 
 def _load_classification(path: str) -> Classification:
@@ -161,12 +164,15 @@ def cmd_binary_construction(args) -> int:
 def cmd_quotient(args) -> int:
     K = _load_classification(args.context)
     invariant = json.loads(_read(args.invariant))
-    kept = 0
-    for label in invariant["kept_instances"]:
-        kept |= 1 << K.instance_index[label]
-    rel_pairs = [
-        (K.type_index[a], K.type_index[b]) for a, b in invariant["related_types"]
-    ]
+    try:
+        kept = 0
+        for label in invariant["kept_instances"]:
+            kept |= 1 << K.instance_index[label]
+        rel_pairs = [
+            (K.type_index[a], K.type_index[b]) for a, b in invariant["related_types"]
+        ]
+    except (KeyError, TypeError, ValueError) as e:
+        raise ParseError(f"bad invariant object: {e}") from None
     rel = Relation.from_pairs(len(K.types), len(K.types), rel_pairs)
     quotient, projection = dual_quotient(K, DualInvariant(kept, rel))
     sys.stdout.write(

@@ -1,11 +1,14 @@
 """Concept lattices: construction, order structure, embeddings, and the
 collective-concept machinery.
 
-``build_lattice`` enumerates closed intents in lectic order (NextClosure
-style): starting from the closure of the empty type set, it repeatedly finds
-the lectically next closed intent by trying to add one type index at a time
-from the top down.  That yields every concept exactly once, in a canonical
-order, with no duplicate bookkeeping.
+``build_lattice`` enumerates concepts by FCbO (Outrata & Vychodil, *Fast
+algorithm for computing fixpoints of Galois connections induced by
+object-attribute relational data*, Inf. Sci. 185, 2012): a depth-first walk
+of the tree in which each concept's parent is the one it extends canonically.
+A child's extent is one AND of its parent's with a type column, and closures
+that fail the canonicity test are handed down so that descendants skip the
+test.  The walk visits every concept exactly once, in the lectic order of
+intents that Ganter's NextClosure produces.
 
 The order structure is relational, as in the rest of the package: the concept
 order is the left residual ``M\\M`` of the instance x concept membership
@@ -135,21 +138,31 @@ class ConceptLattice:
 
 
 def build_lattice(K: Classification, max_concepts: int = DEFAULT_CONCEPT_CAP) -> ConceptLattice:
-    """All formal concepts of ``K``, in lectic order of their intents."""
+    """All formal concepts of ``K``, in lectic order of their intents.
+
+    Intents compare lectically by their lowest differing type: the set holding
+    it is the larger.  FCbO walks the canonical-extension tree from the
+    closure of the empty type set.  The child of intent ``B`` at type ``j``
+    (not in ``B``, above the type that made ``B``) has the extent
+    ``ext & cols[j]`` and its intent ``D``; it is kept when ``D`` adds no type
+    below ``j``, so that every concept has exactly one parent.  A concept precedes its descendants
+    (their intents contain its own), and the subtree at a higher ``j``
+    precedes the one at a lower ``j`` (the lower subtree holds ``j`` where the
+    higher one does not).  Children are pushed in ascending ``j`` on a
+    stack, so the highest pops first and the pre-order is the lectic order.
+
+    A closure failing at ``j`` is recorded for the node's children: below a
+    node, every closure at ``j`` contains it, so if it adds a type below ``j``
+    that the child's intent lacks, the child's closure at ``j`` fails too and
+    is not computed.  ``ResourceLimitError`` is raised once more than
+    ``max_concepts`` concepts are found.
+    """
     m = len(K.instances)
     n = len(K.types)
     rows = K.rows
     cols = K.cols
     full_i = (1 << m) - 1
     full_t = (1 << n) - 1
-
-    def extent(tmask: int) -> int:
-        e = full_i
-        while tmask:
-            low = tmask & -tmask
-            e &= cols[low.bit_length() - 1]
-            tmask ^= low
-        return e
 
     def intent(imask: int) -> int:
         t = full_t
@@ -160,27 +173,34 @@ def build_lattice(K: Classification, max_concepts: int = DEFAULT_CONCEPT_CAP) ->
         return t
 
     pairs: list[FormalConcept] = []
-    cur = intent(full_i)
-    while True:
-        ext = extent(cur)
+    # each entry: extent, intent, the first type index its children may add,
+    # and the closures that failed the canonicity test, by type index
+    stack = [(full_i, intent(full_i), 0, [0] * n)]
+    while stack:
+        ext, cur, start, inherited = stack.pop()
         pairs.append(FormalConcept(ext, cur))
         if len(pairs) > max_concepts:
             raise ResourceLimitError(
                 f"more than {max_concepts} concepts; raise max_concepts to proceed"
             )
-        nxt = None
-        for i in range(n - 1, -1, -1):
-            bit = 1 << i
+        if start == n or cur == full_t:
+            continue  # no type left to add: a leaf needs no failure list
+        # shared by every child pushed below; final before the first of them pops
+        failed = inherited.copy()
+        for j in range(start, n):
+            bit = 1 << j
             if cur & bit:
                 continue
             below = bit - 1
-            cand = intent(extent((cur & below) | bit))
-            if cand & below == cur & below:
-                nxt = cand
-                break
-        if nxt is None:
-            break
-        cur = nxt
+            # a closure that failed at j in an ancestor lies inside this one's
+            if failed[j] & below & ~cur:
+                continue
+            child_ext = ext & cols[j]
+            child = intent(child_ext)
+            if child & below == cur & below:
+                stack.append((child_ext, child, j + 1, failed))
+            else:
+                failed[j] = child
 
     nc = len(pairs)
     # instance x concept membership; concept i <= j iff extent i is within extent j

@@ -110,6 +110,48 @@ def closed_pairs_oracle(K) -> set[tuple[frozenset, frozenset]]:
     return out
 
 
+def next_closure_oracle(K) -> list[tuple[int, int]]:
+    """Every concept of ``K`` as an (extent, intent) bitmask pair, in lectic
+    order of the intents, by Ganter's NextClosure: from the closure of the
+    empty type set, the lectically next closed intent is the closure of
+    ``(cur & below) | bit`` for the highest type ``bit`` not in ``cur`` whose
+    closure adds no type below it.  Every candidate is closed from scratch."""
+    m, n = len(K.instances), len(K.types)
+    rows = [sum(1 << t for t in range(n) if K.incidence.bit(a, t)) for a in range(m)]
+    cols = [sum(1 << a for a in range(m) if K.incidence.bit(a, t)) for t in range(n)]
+    full_i, full_t = (1 << m) - 1, (1 << n) - 1
+
+    def extent(tmask: int) -> int:
+        e = full_i
+        for t in range(n):
+            if tmask >> t & 1:
+                e &= cols[t]
+        return e
+
+    def intent(imask: int) -> int:
+        t = full_t
+        for a in range(m):
+            if imask >> a & 1:
+                t &= rows[a]
+        return t
+
+    out = []
+    cur = intent(full_i)
+    while True:
+        out.append((extent(cur), cur))
+        for i in range(n - 1, -1, -1):
+            bit = 1 << i
+            if cur & bit:
+                continue
+            below = bit - 1
+            cand = intent(extent((cur & below) | bit))
+            if cand & below == cur & below:
+                cur = cand
+                break
+        else:
+            return out
+
+
 def concept_set(L) -> set[tuple[frozenset, frozenset]]:
     """The library lattice as comparably-typed closed pairs."""
     out = set()

@@ -138,6 +138,34 @@ class TestConstructions:
         assert code == 3
 
 
+class TestMalformedInput:
+    """Malformed input is a structural error (exit 3) with a message, never a
+    traceback."""
+
+    def run_malformed(self, capsys, *argv):
+        code = main(list(argv))
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: ")
+        return err
+
+    @pytest.mark.parametrize("command", ["lattice", "dual"])
+    def test_non_utf8_file(self, capsys, tmp_path, command):
+        path = tmp_path / "bin.cxt"
+        path.write_bytes(b"\xff\xfe")
+        assert "not UTF-8" in self.run_malformed(capsys, command, str(path))
+
+    @pytest.mark.parametrize(
+        "invariant",
+        [[], {"kept_instances": ["2"], "related_types": [["a"]]}],
+        ids=["list", "related-types-entry-not-a-pair"],
+    )
+    def test_malformed_invariant(self, capsys, tmp_path, k1_file, invariant):
+        inv = tmp_path / "inv.json"
+        inv.write_text(json.dumps(invariant))
+        assert "bad invariant" in self.run_malformed(capsys, "quotient", k1_file, str(inv))
+
+
 class TestVerifyCommand:
     def test_deterministic_output(self, capsys):
         code1, out1 = run(capsys, "verify-equivalences", "--max-size", "2", "--seed", "5", "--json")

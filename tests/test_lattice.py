@@ -8,6 +8,7 @@ from conceptual.classification import (
     contranominal_classification,
 )
 from conceptual.errors import ResourceLimitError, ValidationError
+from conceptual.functors import complete_lattice_of, lattice_classification
 from conceptual.lattice import (
     CollectiveConcept,
     assemble_lattice,
@@ -26,7 +27,28 @@ from conceptual.lattice import (
 from conceptual.relalg import FunctionGraph, Relation, bits, transpose
 
 from conftest import BOWTIE, RANDOM_SHAPES, all_contexts, random_context
-from oracles import closed_pairs_oracle, concept_set, inf_oracle, sup_oracle
+from oracles import (
+    closed_pairs_oracle,
+    concept_set,
+    inf_oracle,
+    next_closure_oracle,
+    sup_oracle,
+)
+
+
+def order_classifications(rng):
+    """Lattices classified by their own order: chains, boolean lattices and
+    random lattices, up to 128 elements.  Their concepts are the principal
+    (down-set, up-set) pairs, so most canonicity tests fail and the failures
+    handed down prune the most."""
+    for K in (
+        [chain_classification(n) for n in (1, 2, 5, 32, 128)]
+        + [contranominal_classification(n) for n in range(8)]
+        + [random_context(rng, m, n) for m, n in ((5, 5), (8, 8), (12, 12), (16, 12))]
+    ):
+        L = complete_lattice_of(build_lattice(K))
+        assert L.size <= 128
+        yield lattice_classification(L)
 
 
 class TestBuildLattice:
@@ -56,6 +78,17 @@ class TestBuildLattice:
             assert concept_set(L) == closed_pairs_oracle(K)
             assert len({c.intent for c in L.concepts}) == L.size
 
+    def test_lectic_order_matches_next_closure(self, rng):
+        contexts = itertools.chain(
+            all_contexts(3, 3),
+            (random_context(rng, m, n) for m, n in RANDOM_SHAPES),
+            (contranominal_classification(n) for n in range(9)),
+            order_classifications(rng),
+        )
+        for K in contexts:
+            got = [(c.extent, c.intent) for c in build_lattice(K).concepts]
+            assert got == next_closure_oracle(K)
+
     def test_lectic_output_is_deterministic(self, rng):
         K = random_context(rng, 5, 5)
         assert build_lattice(K) == build_lattice(K)
@@ -63,6 +96,12 @@ class TestBuildLattice:
     def test_concept_cap(self):
         with pytest.raises(ResourceLimitError):
             build_lattice(contranominal_classification(5), max_concepts=10)
+
+    def test_concept_cap_boundary(self):
+        K = contranominal_classification(5)
+        assert build_lattice(K, max_concepts=32).size == 32
+        with pytest.raises(ResourceLimitError, match="more than 31 concepts"):
+            build_lattice(K, max_concepts=31)
 
     def test_order_is_extent_inclusion_and_reverse_intents(self, rng):
         for m, n in ((4, 4),) * 10 + RANDOM_SHAPES:
