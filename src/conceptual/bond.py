@@ -11,15 +11,10 @@ from __future__ import annotations
 from dataclasses import InitVar, dataclass
 
 from . import relalg
-from .classification import Classification, extent_of, intent_of
+from .classification import Classification
 from .errors import CheckResult, ShapeError, ValidationError
 from .infomorphism import RelationalInfomorphism, check_relational
-from .lattice import (
-    CollectiveConcept,
-    ConceptLattice,
-    concept_lattice_of,
-    is_collective_concept,
-)
+from .lattice import CollectiveConcept, concept_lattice_of, is_collective_concept
 from .relalg import Relation, left_residual, right_residual
 
 
@@ -46,19 +41,31 @@ def is_bond(A: Classification, B: Classification, rel: Relation) -> CheckResult:
     expected = (len(B.instances), len(A.types))
     if rel.shape != expected:
         raise ShapeError(f"bond relation shape {rel.shape}, expected {expected}")
-    row_closed = left_residual(right_residual(A.incidence, rel), A.incidence)
+    row_closed = _close_rows(A, rel)
     if row_closed != rel:
         b = B.instances[relalg.first_difference(rel.rows, row_closed.rows)[0]]
         return CheckResult(
             False, witness=("row", b), reason=f"row of {b!r} is not an intent of the source"
         )
-    col_closed = right_residual(B.incidence, left_residual(rel, B.incidence))
+    col_closed = _close_columns(B, rel)
     if col_closed != rel:
         t = A.types[relalg.first_difference(rel.columns, col_closed.columns)[0]]
         return CheckResult(
             False, witness=("column", t), reason=f"column of {t!r} is not an extent of the target"
         )
     return CheckResult(True)
+
+
+def _close_rows(A: Classification, rel: Relation) -> Relation:
+    """Each row closed to an intent of ``A``: the residual ``(I/rel)\\I``
+    sends an instance of the target to the types shared by every source
+    instance carrying its whole row."""
+    return left_residual(right_residual(A.incidence, rel), A.incidence)
+
+
+def _close_columns(B: Classification, rel: Relation) -> Relation:
+    """Each column closed to an extent of ``B``: ``I/(rel\\I)``, dually."""
+    return right_residual(B.incidence, left_residual(rel, B.incidence))
 
 
 def identity_bond(A: Classification) -> Bond:
@@ -106,14 +113,10 @@ def close_to_bond(A: Classification, B: Classification, rel: Relation) -> Relati
         raise ShapeError(f"bond seed shape {rel.shape}, expected {expected}")
     cur = rel
     while True:
-        rows = tuple(intent_of(A, extent_of(A, row)) for row in cur.rows)
-        cur2 = Relation(cur.src_size, cur.dst_size, rows)
-        cols = relalg.transpose(cur2)
-        closed_cols = tuple(extent_of(B, intent_of(B, col)) for col in cols.rows)
-        cur3 = relalg.transpose(Relation(cols.src_size, cols.dst_size, closed_cols))
-        if cur3 == cur:
+        closed = _close_columns(B, _close_rows(A, cur))
+        if closed == cur:
             return cur
-        cur = cur3
+        cur = closed
 
 
 @dataclass(frozen=True)
@@ -141,49 +144,36 @@ class BondingPair:
 
 
 def is_bonding_pair(F: Bond, G: Bond) -> CheckResult:
-    """The two pairing constraints, computed over the source concept lattice."""
+    """The two pairing constraints, computed over the source concept lattice.
+
+    Column ``c`` of ``fwd`` holds the target instances whose ``F`` row
+    contains the intent of concept ``c``, row ``c`` of ``bwd`` the target
+    types that ``G`` gives its whole extent.  The first constraint asks each
+    such instance set to be the extent of the type set, the second the type
+    set to be the intent of the instance set; the witness is the first
+    concept at which either fails.
+    """
     if F.source != G.target or F.target != G.source:
         raise ShapeError("bonds do not oppose each other")
     LA = concept_lattice_of(F.source)
     B = F.target
     fwd = right_residual(F.rel, LA.tau_rel)  # inst(B) x L(A)
     bwd = left_residual(LA.iota_rel, G.rel)  # L(A) x typ(B)
-    if fwd != right_residual(B.incidence, bwd):
-        c = _pair_witness(F, G, LA)
-        return CheckResult(False, witness=c, reason="first pairing constraint fails")
-    if bwd != left_residual(fwd, B.incidence):
-        c = _pair_witness(F, G, LA)
-        return CheckResult(False, witness=c, reason="second pairing constraint fails")
-    return CheckResult(True)
-
-
-def _pair_witness(F: Bond, G: Bond, LA: ConceptLattice) -> tuple | None:
-    """First concept violating the pointwise constraints, if any."""
-    for i, violated in enumerate(pointwise_pair_violations(F, G)):
-        if violated:
-            c = LA.concepts[i]
-            return ("concept", LA.extent_labels(c), LA.intent_labels(c))
-    return None
-
-
-def pointwise_pair_violations(F: Bond, G: Bond) -> list[bool]:
-    """Per-concept failure flags for the pointwise pairing constraints.
-
-    For each concept (E, I) of the source lattice the forward image by
-    intent-derivation along F must match the closed instance image along G,
-    and symmetrically.
-    """
-    LA = concept_lattice_of(F.source)
-    B = F.target
-    F_cls = Classification(B.instances, F.source.types, F.rel)
-    G_cls = Classification(F.source.instances, B.types, G.rel)
-    out = []
-    for c in LA.concepts:
-        gamma_f = extent_of(F_cls, c.intent)  # instances of B below the intent via F
-        a_g = intent_of(G_cls, c.extent)  # types of B above the extent via G
-        ok = gamma_f == extent_of(B, a_g) and a_g == intent_of(B, gamma_f)
-        out.append(not ok)
-    return out
+    first = right_residual(B.incidence, bwd)
+    second = left_residual(fwd, B.incidence)
+    if fwd == first and bwd == second:
+        return CheckResult(True)
+    diffs = (
+        relalg.first_difference(fwd.columns, first.columns),
+        relalg.first_difference(bwd.rows, second.rows),
+    )
+    c = LA.concepts[min(d[0] for d in diffs if d is not None)]
+    which = "first" if diffs[0] is not None else "second"
+    return CheckResult(
+        False,
+        witness=("concept", LA.extent_labels(c), LA.intent_labels(c)),
+        reason=f"{which} pairing constraint fails",
+    )
 
 
 def identity_bonding_pair(A: Classification) -> BondingPair:

@@ -22,7 +22,7 @@ from .infomorphism import (
     compose_functional,
     dual_functional,
 )
-from .relalg import FunctionGraph, Relation, bits, transpose
+from .relalg import FunctionGraph, Relation, bits
 from .report import VerificationReport
 
 
@@ -429,18 +429,17 @@ def _enumerate_lattice_morphisms(L, M) -> list:
     n_inst_l = len(L.instance_labels)
     n_typ_l = len(L.type_labels)
     n_typ_m = len(M.type_labels)
-    iota_cols_m = transpose(M.iota_rel).rows
     for f_t in itertools.product(range(n_inst_l), repeat=n_inst_m):
         f = FunctionGraph.from_targets(f_t, n_inst_l)
         for g_t in itertools.product(range(n_typ_m), repeat=n_typ_l):
             g = FunctionGraph.from_targets(g_t, n_typ_m)
             # the lattice legs are forced: psi by meet-density, phi by join-density
             psi_t = tuple(
-                M.meet_index(M.tau(g(t)) for t in bits(L.tau_rel.rows[x]))
+                M.meet_index(M.tau(g(t)) for t in bits(L.intents[x]))
                 for x in range(L.size)
             )
             phi_t = tuple(
-                L.join_index(L.iota(f(b)) for b in bits(iota_cols_m[y]))
+                L.join_index(L.iota(f(b)) for b in bits(M.extents[y]))
                 for y in range(M.size)
             )
             try:

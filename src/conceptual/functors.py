@@ -16,7 +16,7 @@ from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 from .bond import Bond, BondingPair, compose_bonding_pairs, compose_bonds
-from .classification import Classification, extent_of, intent_of
+from .classification import Classification
 from .errors import CheckResult, ShapeError, ValidationError
 from .infomorphism import FunctionalInfomorphism
 from .lattice import (
@@ -33,6 +33,7 @@ from .relalg import (
     bits,
     compose,
     first_difference,
+    left_residual,
     mask_of,
     subrelation,
     transpose,
@@ -116,7 +117,7 @@ def abstract_concept_lattice(L: CompleteLattice) -> ConceptLattice:
     n = L.size
     ident = FunctionGraph.identity(n)
     concepts = tuple(FormalConcept(L.down[x], L.up[x]) for x in range(n))
-    return ConceptLattice(concepts, L.leq, L.elements, L.elements, ident, ident)
+    return ConceptLattice(concepts, L.elements, L.elements, ident, ident)
 
 
 # -- functional equivalence ---------------------------------------------------
@@ -253,9 +254,8 @@ def lattice_equivalence_witness(L: ConceptLattice) -> LatticeWitness:
     isomorphism; raises if the maps fail to invert or to respect order."""
     K = classification_of_lattice(L)
     M = build_lattice(K)
-    iota_cols = transpose(L.iota_rel).rows
     backward = FunctionGraph.from_targets(
-        tuple(M.extent_index[iota_cols[x]] for x in range(L.size)), M.size
+        tuple(M.extent_index[e] for e in L.extents), M.size
     )
     fwd = []
     for c in M.concepts:
@@ -344,18 +344,18 @@ def compose_adjoints(p1: AdjointPair, p2: AdjointPair) -> AdjointPair:
 
 
 def adjoint_of_bond(F: Bond) -> AdjointPair:
-    """Derivation along the bond, in both directions."""
+    """Derivation along the bond, in both directions, as residuals.
+
+    ``psi`` sends a source concept to the target instances whose bond row
+    holds its intent, the rows of ``(tau_A)^T \\ F^T``; ``phi`` sends a
+    target concept to the source types the bond gives all of its extent, the
+    rows of ``iota_B \\ F``.  For a bond both are extents and intents."""
     LA = concept_lattice_of(F.source)
     LB = concept_lattice_of(F.target)
-    F_cls = Classification(F.target.instances, F.source.types, F.rel)
-    psi = FunctionGraph.from_targets(
-        tuple(LB.extent_index[extent_of(F_cls, c.intent)] for c in LA.concepts),
-        LB.size,
-    )
-    phi = FunctionGraph.from_targets(
-        tuple(LA.intent_index[intent_of(F_cls, d.extent)] for d in LB.concepts),
-        LA.size,
-    )
+    images = left_residual(transpose(LA.tau_rel), transpose(F.rel)).rows
+    psi = FunctionGraph.from_targets(tuple(LB.extent_index[e] for e in images), LB.size)
+    preimages = left_residual(LB.iota_rel, F.rel).rows
+    phi = FunctionGraph.from_targets(tuple(LA.intent_index[t] for t in preimages), LA.size)
     return AdjointPair(complete_lattice_of(LA), complete_lattice_of(LB), phi, psi)
 
 

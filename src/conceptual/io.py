@@ -147,14 +147,21 @@ def classification_to_obj(K: Classification) -> dict:
 
 def classification_from_obj(obj: dict) -> Classification:
     try:
-        instances = tuple(obj["instances"])
-        types = tuple(obj["types"])
+        instances = _labels(obj, "instances")
+        types = _labels(obj, "types")
         rel = Relation.from_matrix(obj["incidence"], dst_size=len(types))
     except (KeyError, TypeError, ValidationError) as e:
         raise ParseError(f"bad classification object: {e}") from None
     if rel.src_size != len(instances):
         raise ParseError("incidence row count does not match instances")
     return Classification(instances, types, rel)
+
+
+def _labels(obj: dict, key: str) -> tuple[str, ...]:
+    labels = obj[key]
+    if not isinstance(labels, list) or not all(isinstance(label, str) for label in labels):
+        raise ParseError(f"bad classification object: {key} must be a list of strings")
+    return tuple(labels)
 
 
 def parse_classification(text: str) -> Classification:

@@ -43,14 +43,16 @@ class FormalConcept(NamedTuple):
 class ConceptLattice:
     """The concept lattice of a classification, plus both embeddings.
 
-    ``order`` relates concept indices by extent inclusion.  ``iota`` sends an
-    instance to its smallest containing concept, ``tau`` a type to its
-    largest; ``iota_rel``/``tau_rel`` are the order-saturated membership
-    relations recovering extents (columns) and intents (rows).
+    Stored: the ``concepts``, the two label tuples, and the embeddings:
+    ``iota`` sends an instance to its smallest containing concept, ``tau`` a
+    type to its largest.  Everything else is derived on first use from the
+    extents and intents: the membership relations ``iota_rel`` (instance x
+    concept, the extents as columns) and ``tau_rel`` (concept x type, the
+    intents as rows), and ``order``, extent inclusion, which is the left
+    residual ``iota_rel\\iota_rel``.
     """
 
     concepts: tuple[FormalConcept, ...]
-    order: Relation
     instance_labels: tuple[str, ...]
     type_labels: tuple[str, ...]
     iota: FunctionGraph
@@ -66,12 +68,18 @@ class ConceptLattice:
     @cached_property
     def iota_rel(self) -> Relation:
         """instance x concept: the instance lies in the concept's extent."""
-        return compose(self.iota.rel, self.order)
+        return transpose(Relation(self.size, len(self.instance_labels), self.extents))
 
     @cached_property
     def tau_rel(self) -> Relation:
         """concept x type: the type lies in the concept's intent."""
-        return compose(self.order, transpose(self.tau.rel))
+        return Relation(self.size, len(self.type_labels), self.intents)
+
+    @cached_property
+    def order(self) -> Relation:
+        """Concept ``i`` below ``j`` iff extent ``i`` is within extent ``j``:
+        every instance in ``i`` is in ``j``."""
+        return left_residual(self.iota_rel, self.iota_rel)
 
     @cached_property
     def extents(self) -> tuple[int, ...]:
@@ -203,16 +211,12 @@ def build_lattice(K: Classification, max_concepts: int = DEFAULT_CONCEPT_CAP) ->
                 failed[j] = child
 
     nc = len(pairs)
-    # instance x concept membership; concept i <= j iff extent i is within extent j
-    members = transpose(Relation(nc, m, tuple(c.extent for c in pairs)))
-    order = left_residual(members, members)
-
     intent_idx = {c.intent: k for k, c in enumerate(pairs)}
     extent_idx = {c.extent: k for k, c in enumerate(pairs)}
     iota = FunctionGraph.from_targets(tuple(intent_idx[rows[a]] for a in range(m)), nc)
     tau = FunctionGraph.from_targets(tuple(extent_idx[cols[t]] for t in range(n)), nc)
 
-    return ConceptLattice(tuple(pairs), order, K.instances, K.types, iota, tau)
+    return ConceptLattice(tuple(pairs), K.instances, K.types, iota, tau)
 
 
 @lru_cache(maxsize=4096)
@@ -283,8 +287,15 @@ def assemble_lattice(
 ) -> ConceptLattice:
     """Assemble an abstract concept lattice from untrusted parts.
 
-    Validates the partial order, completeness, and the two density
-    conditions, then derives the concept pairs that the embeddings induce.
+    Validates the partial order and completeness, derives the concept pairs
+    that the embeddings induce, and checks the two density conditions as
+    relation equalities.  With ``M`` the instance x element relation
+    ``iota;<=``, the residual ``M\\M`` relates ``x`` to the upper bounds of
+    the instance elements below ``x``: its row ``x`` is the up-set of ``x``
+    iff ``x`` is their join.  Dually, with ``T`` the type x element relation
+    ``tau;>=``, row ``x`` of ``T\\T`` is the down-set of ``x`` iff ``x`` is the
+    meet of the type elements above it.  The first differing row names the
+    failing element; at equal elements the join failure is reported.
     """
     instance_labels = tuple(instance_labels)
     type_labels = tuple(type_labels)
@@ -296,34 +307,27 @@ def assemble_lattice(
     if tau.src_size != len(type_labels) or tau.dst_size != n:
         raise ValidationError("type embedding does not match order size")
 
-    up = order.rows
     down = transpose(order).rows
-    down_index = {d: x for x, d in enumerate(down)}
-    check_lattice(order, range(n), down, down_index)
-    up_index = {u: x for x, u in enumerate(up)}
-    full = (1 << n) - 1
+    check_lattice(order, range(n), down, {d: x for x, d in enumerate(down)})
 
-    iota_rel = compose(iota.rel, order)
-    tau_rel = compose(order, transpose(tau.rel))
-    iota_cols = transpose(iota_rel).rows
-    for x in range(n):
-        below = relalg.mask_of(iota(a) for a in bits(iota_cols[x]))
-        if bound_of(up, up_index, full, below, "join") != x:
-            raise ValidationError(
-                f"instance embedding image is not join-dense at element {x}", witness=(x,)
-            )
-        above = relalg.mask_of(tau(t) for t in bits(tau_rel.rows[x]))
-        if bound_of(down, down_index, full, above, "meet") != x:
-            raise ValidationError(
-                f"type embedding image is not meet-dense at element {x}", witness=(x,)
-            )
-
-    concepts = tuple(
-        FormalConcept(iota_cols[x], tau_rel.rows[x]) for x in range(n)
-    )
-    if len({c.extent for c in concepts}) != n:
-        raise ValidationError("embedding-induced extents are not distinct")
-    return ConceptLattice(concepts, order, instance_labels, type_labels, iota, tau)
+    extents = transpose(compose(iota.rel, order)).rows
+    intents = compose(order, transpose(tau.rel)).rows
+    concepts = tuple(FormalConcept(e, t) for e, t in zip(extents, intents))
+    L = ConceptLattice(concepts, instance_labels, type_labels, iota, tau)
+    T = transpose(L.tau_rel)
+    join_diff = relalg.first_difference(order.rows, L.order.rows)
+    meet_diff = relalg.first_difference(down, left_residual(T, T).rows)
+    if join_diff is not None and (meet_diff is None or join_diff[0] <= meet_diff[0]):
+        x = join_diff[0]
+        raise ValidationError(
+            f"instance embedding image is not join-dense at element {x}", witness=(x,)
+        )
+    if meet_diff is not None:
+        x = meet_diff[0]
+        raise ValidationError(
+            f"type embedding image is not meet-dense at element {x}", witness=(x,)
+        )
+    return L
 
 
 def meet(L: ConceptLattice, concepts: Iterable[FormalConcept]) -> FormalConcept:

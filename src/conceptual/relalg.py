@@ -35,15 +35,6 @@ def mask_of(indices: Iterable[int]) -> int:
     return m
 
 
-def popcount(mask: int) -> int:
-    return mask.bit_count()
-
-
-def submask(a: int, b: int) -> bool:
-    """True when every bit of ``a`` is also set in ``b``."""
-    return a & ~b == 0
-
-
 def first_difference(xs: Iterable[int], ys: Iterable[int]) -> tuple[int, int] | None:
     """First row where two row sequences differ, with its lowest differing
     bit; ``None`` when they agree.  Consumes lazy rows only up to the first

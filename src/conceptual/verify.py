@@ -116,6 +116,17 @@ def _sample(rng: random.Random, items: list, k: int) -> list:
     return rng.sample(items, k)
 
 
+def _composable(items) -> list[tuple[int, int]]:
+    """Index pairs ``(i, j)`` of ``(id, morphism)`` items whose morphisms
+    compose: the target of ``i`` is the source of ``j``."""
+    return [
+        (i, j)
+        for i in range(len(items))
+        for j in range(len(items))
+        if items[i][1].target == items[j][1].source
+    ]
+
+
 def _small(items, max_inst, max_typ):
     return [
         (i, K)
@@ -142,13 +153,7 @@ def infomorphism_corpus(
     for mid, m in list(items):
         if len(m.source.types) <= 3 and len(m.target.types) <= 3 and len(items) < 60:
             items.append((f"dual-{mid}", dual_functional(m)))
-    composable = [
-        (i1, i2)
-        for i1 in range(len(items))
-        for i2 in range(len(items))
-        if items[i1][1].target == items[i2][1].source
-    ]
-    for i1, i2 in _sample(rng, composable, 8):
+    for i1, i2 in _sample(rng, _composable(items), 8):
         items.append(
             (
                 f"comp-{items[i1][0]}-{items[i2][0]}",
@@ -247,13 +252,7 @@ def pair_corpus(contexts, homs, rng: random.Random) -> list[tuple[str, BondingPa
         items.append((f"embfrom-{cid}", from_lattice))
     for hid, h in homs:
         items.append((f"spread-{hid}", functors.pair_of_hom(h)))
-    composable = [
-        (i1, i2)
-        for i1 in range(len(items))
-        for i2 in range(len(items))
-        if items[i1][1].target == items[i2][1].source
-    ]
-    for i1, i2 in _sample(rng, composable, 6):
+    for i1, i2 in _sample(rng, _composable(items), 6):
         items.append(
             (
                 f"comp-{items[i1][0]}-{items[i2][0]}",
@@ -356,13 +355,7 @@ def verify_equivalences(
         report.add(
             "bond-naturality", bid, functors.bond_naturality_holds(F), witness="paths differ"
         )
-    composable_bonds = [
-        (b1, b2)
-        for b1 in range(len(bonds))
-        for b2 in range(len(bonds))
-        if bonds[b1][1].target == bonds[b2][1].source
-    ]
-    for b1, b2 in _sample(rng, composable_bonds, 10):
+    for b1, b2 in _sample(rng, _composable(bonds), 10):
         F, G = bonds[b1][1], bonds[b2][1]
         lhs = functors.adjoint_of_bond(compose_bonds(F, G))
         rhs = functors.compose_adjoints(
@@ -380,13 +373,7 @@ def verify_equivalences(
             functors.complete_lattice_of(concept_lattice_of(K))
         )
         report.add("adjoint-functoriality", f"identity-{cid}", lhs == rhs)
-    composable_adj = [
-        (a1, a2)
-        for a1 in range(len(adjoints))
-        for a2 in range(len(adjoints))
-        if adjoints[a1][1].target == adjoints[a2][1].source
-    ]
-    for a1, a2 in _sample(rng, composable_adj, 10):
+    for a1, a2 in _sample(rng, _composable(adjoints), 10):
         p1, p2 = adjoints[a1][1], adjoints[a2][1]
         lhs = functors.bond_of_adjoint(functors.compose_adjoints(p1, p2))
         rhs = compose_bonds(functors.bond_of_adjoint(p1), functors.bond_of_adjoint(p2))
@@ -418,13 +405,7 @@ def verify_equivalences(
         report.add(
             "hom-roundtrip", hid, functors.hom_roundtrip_holds(h), witness="witness maps do not intertwine"
         )
-    composable_pairs = [
-        (p1, p2)
-        for p1 in range(len(pairs))
-        for p2 in range(len(pairs))
-        if pairs[p1][1].target == pairs[p2][1].source
-    ]
-    for p1, p2 in _sample(rng, composable_pairs, 8):
+    for p1, p2 in _sample(rng, _composable(pairs), 8):
         q1, q2 = pairs[p1][1], pairs[p2][1]
         lhs = functors.hom_of_pair(compose_bonding_pairs(q1, q2))
         rhs = functors.compose_homs(functors.hom_of_pair(q1), functors.hom_of_pair(q2))
@@ -434,13 +415,7 @@ def verify_equivalences(
             lhs == rhs,
             witness="composite homomorphism differs",
         )
-    composable_homs = [
-        (h1, h2)
-        for h1 in range(len(homs))
-        for h2 in range(len(homs))
-        if homs[h1][1].target == homs[h2][1].source
-    ]
-    for h1, h2 in _sample(rng, composable_homs, 8):
+    for h1, h2 in _sample(rng, _composable(homs), 8):
         g1, g2 = homs[h1][1], homs[h2][1]
         lhs = functors.pair_of_hom(functors.compose_homs(g1, g2))
         rhs = compose_bonding_pairs(functors.pair_of_hom(g1), functors.pair_of_hom(g2))

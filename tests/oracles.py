@@ -152,6 +152,30 @@ def next_closure_oracle(K) -> list[tuple[int, int]]:
             return out
 
 
+def pointwise_pair_violations(F, G) -> list[bool]:
+    """Per-concept failure flags of the pointwise pairing constraints, by set
+    derivation.
+
+    For each concept (E, I) of the source lattice, the target instances whose
+    ``F`` row contains I must be the extent of the target types that ``G``
+    gives every instance of E, and those types the intent of those instances.
+    """
+    from conceptual.lattice import concept_lattice_of
+
+    B = F.target
+    out = []
+    for c in concept_lattice_of(F.source).concepts:
+        extent = {a for a in range(len(F.source.instances)) if c.extent >> a & 1}
+        intent = {t for t in range(len(F.source.types)) if c.intent >> t & 1}
+        gamma = {
+            b for b in range(len(B.instances)) if all(F.rel.bit(b, t) for t in intent)
+        }
+        alpha = {s for s in range(len(B.types)) if all(G.rel.bit(a, s) for a in extent)}
+        ok = gamma == extent_oracle(B, alpha) and alpha == intent_oracle(B, gamma)
+        out.append(not ok)
+    return out
+
+
 def concept_set(L) -> set[tuple[frozenset, frozenset]]:
     """The library lattice as comparably-typed closed pairs."""
     out = set()

@@ -16,7 +16,6 @@ from conceptual.bond import (
     infomorphism_of,
     is_bond,
     is_bonding_pair,
-    pointwise_pair_violations,
 )
 from conceptual.classification import (
     Classification,
@@ -44,7 +43,7 @@ from conceptual.relalg import (
 )
 
 from conftest import random_context
-from oracles import enumerate_relations
+from oracles import enumerate_relations, pointwise_pair_violations, random_relation
 
 
 def random_bond(rng, A, B):
@@ -277,12 +276,32 @@ class TestBondingPairs:
         assert is_bonding_pair(p.forward, p.backward)
 
     def test_pointwise_and_categorical_agree(self, k1, rng):
-        other = contranominal_classification(2)
-        for _ in range(30):
-            F = random_bond(rng, k1, other)
-            G = random_bond(rng, other, k1)
+        # the verdict agrees with the pointwise reference, and a failure's
+        # witness names the first concept the reference flags; k1 against
+        # contranominal 2, then random contexts with empty carriers.  Between
+        # bonds the two constraints fail at the same concepts; between
+        # unchecked relations, every other pair, they can fail apart
+        pairs = [(k1, contranominal_classification(2))] * 30 + [
+            tuple(random_context(rng, rng.randint(0, 4), rng.randint(0, 4)) for _ in range(2))
+            for _ in range(80)
+        ]
+        failures = 0
+        for k, (A, B) in enumerate(pairs):
+            if k % 2:
+                F = Bond(A, B, random_relation(rng, len(B.instances), len(A.types)), validate=False)
+                G = Bond(B, A, random_relation(rng, len(A.instances), len(B.types)), validate=False)
+            else:
+                F = random_bond(rng, A, B)
+                G = random_bond(rng, B, A)
             verdict = is_bonding_pair(F, G)
-            assert bool(verdict) == (not any(pointwise_pair_violations(F, G)))
+            flags = pointwise_pair_violations(F, G)
+            assert bool(verdict) == (not any(flags))
+            if not verdict:
+                failures += 1
+                LA = concept_lattice_of(A)
+                c = LA.concepts[flags.index(True)]
+                assert verdict.witness == ("concept", LA.extent_labels(c), LA.intent_labels(c))
+        assert failures
 
     def test_non_paired_bonds_fail_with_concept_witness(self, k1, rng):
         other = contranominal_classification(2)

@@ -165,6 +165,31 @@ class TestMalformedInput:
         inv.write_text(json.dumps(invariant))
         assert "bad invariant" in self.run_malformed(capsys, "quotient", k1_file, str(inv))
 
+    @pytest.mark.parametrize(
+        "obj, argv",
+        [
+            (
+                {"instances": [1, 2], "types": ["a"], "incidence": [[1], [0]]},
+                ("lattice", "--dot"),
+            ),
+            ({"instances": "ab", "types": ["a"], "incidence": [[1], [0]]}, ("lattice",)),
+        ],
+        ids=["int-labels", "string-as-labels"],
+    )
+    def test_labels_not_a_list_of_strings(self, capsys, tmp_path, obj, argv):
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps(obj))
+        err = self.run_malformed(capsys, argv[0], str(path), *argv[1:])
+        assert "instances must be a list of strings" in err
+
+    def test_morphism_source_with_int_labels(self, capsys, tmp_path, k1):
+        obj = morphism_to_obj(identity_bond(k1))
+        obj["source"]["instances"] = [1, 2]
+        path = tmp_path / "bond.json"
+        path.write_text(json.dumps(obj))
+        err = self.run_malformed(capsys, "check", "bond", str(path))
+        assert "instances must be a list of strings" in err
+
 
 class TestVerifyCommand:
     def test_deterministic_output(self, capsys):

@@ -24,7 +24,7 @@ from conceptual.lattice import (
     meet,
     type_concept,
 )
-from conceptual.relalg import FunctionGraph, Relation, bits, transpose
+from conceptual.relalg import FunctionGraph, Relation, bits, compose, left_residual, transpose
 
 from conftest import BOWTIE, RANDOM_SHAPES, all_contexts, random_context
 from oracles import (
@@ -123,6 +123,19 @@ class TestBuildLattice:
             for t in range(4):
                 for ci, c in enumerate(L.concepts):
                     assert L.tau_rel.bit(ci, t) == bool(c.intent >> t & 1)
+
+    def test_derived_views_agree_with_embeddings(self, rng):
+        # the order is the residual of the membership relation by itself, and
+        # the membership relations are the embeddings saturated by the order
+        contexts = itertools.chain(
+            all_contexts(3, 3), (random_context(rng, m, n) for m, n in RANDOM_SHAPES)
+        )
+        for K in contexts:
+            L = build_lattice(K)
+            members = transpose(Relation(L.size, len(K.instances), L.extents))
+            assert L.order == left_residual(members, members)
+            assert L.iota_rel == compose(L.iota.rel, L.order)
+            assert L.tau_rel == compose(L.order, transpose(L.tau.rel))
 
 
 class TestMeetJoin:
@@ -224,8 +237,21 @@ class TestAssembleLattice:
         order = Relation.from_matrix([[1, 1, 1], [0, 1, 1], [0, 0, 1]])
         iota = FunctionGraph.from_targets((2,), 3)
         tau = FunctionGraph.from_targets((0,), 3)
-        with pytest.raises(ValidationError, match="join-dense"):
+        # element 1 is neither a join of instance images nor a meet of type
+        # images; at equal elements the join failure is reported
+        with pytest.raises(ValidationError, match="join-dense at element 1") as exc:
             assemble_lattice(order, ("a",), ("t",), iota, tau)
+        assert exc.value.witness == (1,)
+
+    def test_rejects_non_meet_dense_types(self):
+        # 3-chain with every element an instance image, but the only type at
+        # the top: the bottom is not the meet of the type images above it
+        order = Relation.from_matrix([[1, 1, 1], [0, 1, 1], [0, 0, 1]])
+        iota = FunctionGraph.identity(3)
+        tau = FunctionGraph.from_targets((2,), 3)
+        with pytest.raises(ValidationError, match="meet-dense at element 0") as exc:
+            assemble_lattice(order, ("a", "b", "c"), ("t",), iota, tau)
+        assert exc.value.witness == (0,)
 
     def test_rejects_non_lattice_order(self):
         # two incomparable points: no joins/meets; the bowtie has both bounds
