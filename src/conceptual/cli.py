@@ -73,14 +73,7 @@ def cmd_lattice(args) -> int:
     if args.dot:
         sys.stdout.write(fmt.emit_dot(L))
         return 0
-    concepts = [
-        {
-            "extent": list(L.extent_labels(c)),
-            "intent": list(L.intent_labels(c)),
-        }
-        for c in L.concepts
-    ]
-    sys.stdout.write(fmt.dumps({"concepts": concepts}))
+    sys.stdout.write(fmt.lattice_json(L))
     return 0
 
 

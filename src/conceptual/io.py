@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import io as _io
 import json
+from json.encoder import encode_basestring
 
 from .bond import Bond, BondingPair
 from .classification import Classification
@@ -21,7 +22,19 @@ from .relalg import FunctionGraph, Relation, bits
 # -- Burmeister context format -------------------------------------------------
 
 
+# a .cxt row read backwards is the binary numeral of its bitmask
+_CELL_DIGITS = str.maketrans("X.", "10")
+
+
 def parse_cxt(text: str) -> Classification:
+    """Parse a Burmeister context: ``B``, an optional name line, the two
+    counts, a blank line, the instance and type labels, then one row of
+    ``X`` (incidence) and ``.`` per instance.
+
+    Each row is checked to hold only those two characters and then read as
+    a binary numeral, least significant cell first.  The check comes first
+    because ``int(..., 2)`` alone also accepts ``_``, whitespace and a sign.
+    """
     lines = text.split("\n")
 
     def get(idx: int) -> str:
@@ -69,13 +82,10 @@ def parse_cxt(text: str) -> Classification:
             raise ParseError(
                 f"row has {len(raw)} cells, expected {n_typ}", line=pos + i + 1
             )
-        row = 0
-        for b, ch in enumerate(raw):
-            if ch == "X":
-                row |= 1 << b
-            elif ch != ".":
-                raise ParseError(f"illegal cell character {ch!r}", line=pos + i + 1)
-        rows.append(row)
+        if raw.strip("X."):
+            ch = next(ch for ch in raw if ch not in "X.")
+            raise ParseError(f"illegal cell character {ch!r}", line=pos + i + 1)
+        rows.append(int(raw[::-1].translate(_CELL_DIGITS) or "0", 2))
     try:
         return Classification(instances, types, Relation(n_inst, n_typ, tuple(rows)))
     except ValidationError as e:
@@ -241,21 +251,57 @@ def dumps(obj) -> str:
     return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
 
 
+def lattice_json(L: ConceptLattice) -> str:
+    """``dumps({"concepts": [{"extent": [...], "intent": [...]}, ...]})``,
+    byte for byte, for the concepts of ``L`` with their labels.
+
+    With ``indent`` set, ``json.dumps`` runs the standard library's
+    pure-Python encoder over every label of every concept.  This emitter
+    encodes each label once, with the encoder's own ``encode_basestring``,
+    and joins the encoded labels of each extent and intent in the
+    ``indent=2`` layout.
+    """
+    inst = [encode_basestring(label) for label in L.instance_labels]
+    typ = [encode_basestring(label) for label in L.type_labels]
+
+    def labels(enc: list[str], mask: int) -> str:
+        if not mask:
+            return "[]"
+        return "[\n        " + ",\n        ".join([enc[i] for i in bits(mask)]) + "\n      ]"
+
+    # a concept lattice always has a top concept, so the list is not empty
+    body = ",\n".join(
+        [
+            f'    {{\n      "extent": {labels(inst, c.extent)},\n'
+            f'      "intent": {labels(typ, c.intent)}\n    }}'
+            for c in L.concepts
+        ]
+    )
+    return '{\n  "concepts": [\n' + body + "\n  ]\n}\n"
+
+
 # -- DOT ------------------------------------------------------------------------
 
 
 def emit_dot(L: ConceptLattice, graph_name: str = "lattice") -> str:
-    """Hasse diagram with reduced labelling, top rendered uppermost."""
+    """Hasse diagram with reduced labelling, top rendered uppermost.
+
+    Each concept is labelled with the types whose concept it is (``tau``),
+    then the instances whose concept it is (``iota``), each in label index
+    order; the two lines are joined by DOT's ``\\n``.  Inside the quoted
+    label, ``\\`` is escaped before ``"``, so that no label can end the
+    string or escape its closing quote.
+    """
+    own: list[list[list[str]]] = [[[], []] for _ in range(L.size)]
+    for t, c in enumerate(L.tau.targets):
+        own[c][0].append(L.type_labels[t])
+    for a, c in enumerate(L.iota.targets):
+        own[c][1].append(L.instance_labels[a])
     lines = [f"digraph {graph_name} {{", "  node [shape=box];"]
-    for i in range(L.size):
-        own_types = list(bits(L.tau.rel.columns[i]))
-        own_insts = list(bits(L.iota.rel.columns[i]))
-        parts = []
-        if own_types:
-            parts.append(" ".join(L.type_labels[t] for t in own_types))
-        if own_insts:
-            parts.append(" ".join(L.instance_labels[a] for a in own_insts))
-        label = "\\n".join(p.replace('"', '\\"') for p in parts)
+    for i, parts in enumerate(own):
+        label = "\\n".join(
+            " ".join(part).replace("\\", "\\\\").replace('"', '\\"') for part in parts if part
+        )
         lines.append(f'  c{i} [label="{label}"];')
     for i in range(L.size):
         for j in bits(L.covers.rows[i]):

@@ -124,14 +124,27 @@ class ConceptLattice:
 
     @cached_property
     def covers(self) -> Relation:
-        """Transitive reduction of the strict order (the Hasse diagram)."""
+        """Transitive reduction of the strict order (the Hasse diagram).
+
+        Row ``i`` is the strict up-set of ``i`` minus the strict up-set of
+        each element in it.  The elements of the up-set are visited from the
+        highest index down, and a candidate already removed is skipped: it
+        lies above a kept ``k``, so its strict up-set is inside that of
+        ``k``, which is removed already.  That is exact for any index order.
+        In lectic order a concept above another has the smaller index (its
+        intent is a proper subset), so the descending walk meets every
+        element before any element above it, and each element it visits is
+        a cover of ``i``.
+        """
         n = self.size
-        strict = [self.order.rows[i] & ~(1 << i) for i in range(n)]
+        strict = [row & ~(1 << i) for i, row in enumerate(self.order.rows)]
         out = []
-        for i in range(n):
-            row = strict[i]
-            for j in bits(strict[i]):
+        for row in strict:
+            rest = row
+            while rest:
+                j = rest.bit_length() - 1
                 row &= ~strict[j]
+                rest &= row & ~(1 << j)
             out.append(row)
         return Relation(n, n, tuple(out))
 
@@ -162,7 +175,10 @@ def build_lattice(K: Classification, max_concepts: int = DEFAULT_CONCEPT_CAP) ->
     A closure failing at ``j`` is recorded for the node's children: below a
     node, every closure at ``j`` contains it, so if it adds a type below ``j``
     that the child's intent lacks, the child's closure at ``j`` fails too and
-    is not computed.  ``ResourceLimitError`` is raised once more than
+    is not computed.  A child's closure stops once it has narrowed to
+    ``B | {j}``: every instance of its extent has those types, so its intent
+    contains that set, and no further row can remove a type from it.
+    ``ResourceLimitError`` is raised once more than
     ``max_concepts`` concepts are found.
     """
     m = len(K.instances)
@@ -172,9 +188,10 @@ def build_lattice(K: Classification, max_concepts: int = DEFAULT_CONCEPT_CAP) ->
     full_i = (1 << m) - 1
     full_t = (1 << n) - 1
 
-    def intent(imask: int) -> int:
+    # the closure stops at ``floor``, a set the intent is known to contain
+    def intent(imask: int, floor: int = 0) -> int:
         t = full_t
-        while imask:
+        while imask and t != floor:
             low = imask & -imask
             t &= rows[low.bit_length() - 1]
             imask ^= low
@@ -204,7 +221,7 @@ def build_lattice(K: Classification, max_concepts: int = DEFAULT_CONCEPT_CAP) ->
             if failed[j] & below & ~cur:
                 continue
             child_ext = ext & cols[j]
-            child = intent(child_ext)
+            child = intent(child_ext, cur | bit)
             if child & below == cur & below:
                 stack.append((child_ext, child, j + 1, failed))
             else:

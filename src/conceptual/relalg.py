@@ -61,10 +61,13 @@ class Relation:
             raise ValidationError(
                 f"expected {self.src_size} rows, got {len(self.rows)}"
             )
+        # every row lies in 0..full: two C-level scans, and the offending row
+        # is searched for only on failure
+        rows = self.rows
         full = (1 << self.dst_size) - 1
-        for a, row in enumerate(self.rows):
-            if row < 0 or row & ~full:
-                raise ValidationError(f"row {a} has bits outside 0..{self.dst_size - 1}")
+        if rows and (min(rows) < 0 or max(rows) > full):
+            a = next(a for a, row in enumerate(rows) if row < 0 or row > full)
+            raise ValidationError(f"row {a} has bits outside 0..{self.dst_size - 1}")
 
     # -- constructors ------------------------------------------------------
 

@@ -98,6 +98,20 @@ def extent_oracle(K, type_set: set[int]) -> set[int]:
     }
 
 
+def covers_oracle(extents: list[set[int]]) -> set[tuple[int, int]]:
+    """The Hasse diagram of extent inclusion by its definition: ``(i, j)``
+    with extent ``i`` strictly inside extent ``j`` and no extent strictly
+    between them."""
+    n = len(extents)
+    less = [[extents[i] < extents[j] for j in range(n)] for i in range(n)]
+    return {
+        (i, j)
+        for i in range(n)
+        for j in range(n)
+        if less[i][j] and not any(less[i][k] and less[k][j] for k in range(n))
+    }
+
+
 def closed_pairs_oracle(K) -> set[tuple[frozenset, frozenset]]:
     """Close every instance subset and dedupe."""
     out = set()

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -9,7 +10,9 @@ from conceptual.io import (
     parse_classification,
 )
 from conceptual.bond import Bond, identity_bond
-from conceptual.classification import powerset_classification
+from conceptual.classification import Classification, powerset_classification
+from conceptual.io import emit_cxt
+from conceptual.lattice import build_lattice
 from conceptual.relalg import Relation
 
 K1_CXT = "B\n\n2\n2\n\n1\n2\na\nb\nX.\nXX\n"
@@ -51,6 +54,45 @@ class TestLatticeCommand:
         code, out = run(capsys, "lattice", "-")
         assert code == 0
         assert len(json.loads(out)["concepts"]) == 2
+
+
+DOT_NODE = re.compile(r'^  c(\d+) \[label="((?:[^"\\]|\\.)*)"\];$', re.M)
+
+
+def dot_label_parts(label: str) -> list[list[str]]:
+    """A DOT node label read back: escapes undone, split into its lines and
+    each line into its labels."""
+    escapes = {"n": "\n", "\\": "\\", '"': '"'}
+    text = re.sub(r"\\(.)", lambda m: escapes[m.group(1)], label)
+    return [line.split(" ") for line in text.split("\n")] if text else []
+
+
+class TestDotLabels:
+    def test_trailing_backslash_from_csv(self, capsys, tmp_path):
+        path = tmp_path / "bs.csv"
+        path.write_text(",t\\\na\\,1\n")
+        code, out = run(capsys, "lattice", str(path), "--dot")
+        assert code == 0
+        assert '  c0 [label="t\\\\\\na\\\\"];' in out.split("\n")
+
+    def test_labels_read_back(self, capsys, tmp_path):
+        instances = ("a\\", 'q"', '\\"x', "p\\\\", "n\\n")
+        types = ("t\\", '"', '\\"', "\\\\", 'e"\\')
+        rows = (0b00011, 0b00110, 0b01100, 0b11000, 0b10001)
+        K = Classification(instances, types, Relation(5, 5, rows))
+        path = tmp_path / "awkward.cxt"
+        path.write_text(emit_cxt(K), encoding="utf-8")
+        code, out = run(capsys, "lattice", str(path), "--dot")
+        assert code == 0
+        L = build_lattice(K)
+        nodes = DOT_NODE.findall(out)
+        assert [int(i) for i, _ in nodes] == list(range(L.size))
+        for i, label in nodes:
+            expected = [
+                [types[t] for t in range(5) if L.tau(t) == int(i)],
+                [instances[a] for a in range(5) if L.iota(a) == int(i)],
+            ]
+            assert dot_label_parts(label) == [part for part in expected if part]
 
 
 class TestCheckCommand:

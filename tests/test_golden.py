@@ -1,8 +1,10 @@
 """Byte identity of the CLI's reports, pinned by SHA-256.
 
 An intended change of any of these outputs must update its digest here, and
-say why.  The contexts are two seeded random ones and the contranominal scale
-on four elements, whose lattice is the boolean lattice of 16 concepts.
+say why.  The contexts are two seeded random ones, the contranominal scale
+on four elements, whose lattice is the boolean lattice of 16 concepts, and a
+small context whose labels JSON must escape: quotes, backslashes and control
+characters, next to non-ASCII ones it must not.
 """
 
 import contextlib
@@ -12,9 +14,10 @@ import random
 
 import pytest
 
-from conceptual.classification import contranominal_classification
+from conceptual.classification import Classification, contranominal_classification
 from conceptual.cli import main
 from conceptual.io import emit_cxt
+from conceptual.relalg import Relation
 
 from conftest import random_context
 
@@ -22,6 +25,11 @@ CONTEXTS = {
     "rand-6x5": lambda: random_context(random.Random(11), 6, 5),
     "rand-5x7": lambda: random_context(random.Random(12), 5, 7),
     "contranominal-4": lambda: contranominal_classification(4),
+    "escapes": lambda: Classification(
+        ('q"uote', "back\\slash", "tab\tctl\x01\x1f\x7f", "café 日本 \U0001F600"),
+        ('"', "\\", '\\"', "é\x08", "t\\"),
+        Relation(4, 5, (0b00011, 0b00110, 0b11100, 0b10001)),
+    ),
 }
 
 # argv, with "{ctx}" standing for the context file -> (exit code, SHA-256 of stdout)
@@ -50,6 +58,10 @@ GOLDEN = {
         0,
         "572141b59d2aceed0d956e3bda4f9ccbbb9cb5fc09e7e9bbcd2f854763094b13",
     ),
+    ("lattice", "{escapes}"): (
+        0,
+        "baf7825c39215330b5f213f1600253b10fd2b0eb1e1b01b56072b53f1024437d",
+    ),
     ("verify-equivalences", "--max-size", "3", "--seed", "7", "--json"): (
         0,
         "a9bce591d71cc6684ac49d7407fb30cd6e29d4ff6f03cb0e0a4163ef86b3479d",
@@ -72,7 +84,7 @@ def golden_output(argv, tmp_path) -> tuple[int, str]:
     for arg in argv:
         if arg.startswith("{"):
             path = tmp_path / f"{arg[1:-1]}.cxt"
-            path.write_text(emit_cxt(CONTEXTS[arg[1:-1]]()))
+            path.write_text(emit_cxt(CONTEXTS[arg[1:-1]]()), encoding="utf-8")
             arg = str(path)
         args.append(arg)
     buf = io.StringIO()

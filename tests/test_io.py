@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -12,6 +13,7 @@ from conceptual.io import (
     emit_csv,
     emit_cxt,
     emit_dot,
+    lattice_json,
     morphism_from_obj,
     morphism_to_obj,
     parse_classification,
@@ -48,6 +50,23 @@ class TestCxt:
     def test_illegal_row_character_carries_line_number(self):
         with pytest.raises(ParseError, match="line 11.*'Y'"):
             parse_cxt("B\n\n2\n2\n\n1\n2\na\nb\nX.\nXY\n")
+
+    @pytest.mark.parametrize("ch", ["_", " ", "+", "-", "0", "1", "x"])
+    def test_cells_other_than_x_and_dot_rejected(self, ch):
+        # int(..., 2) would accept most of these
+        for row in (f"X{ch}X", f"{ch}..", f"..{ch}"):
+            text = f"B\n\n2\n3\n\n1\n2\na\nb\nc\nX.X\n{row}\n"
+            with pytest.raises(ParseError, match=re.escape(f"line 12: illegal cell character {ch!r}")):
+                parse_cxt(text)
+
+    def test_first_illegal_cell_is_named(self):
+        with pytest.raises(ParseError, match="line 11: illegal cell character '_'"):
+            parse_cxt("B\n\n1\n4\n\n1\na\nb\nc\nd\nX_-Y\n")
+
+    def test_context_without_types(self):
+        K = parse_cxt("B\n\n2\n0\n\n1\n2\n\n\n")
+        assert K.instances == ("1", "2") and K.types == ()
+        assert K.incidence == Relation.empty(2, 0)
 
     def test_row_width_mismatch(self):
         with pytest.raises(ParseError, match="cells"):
@@ -119,6 +138,60 @@ class TestJsonAndSniffing:
         obj["data"]["instance_map"] = ["zz", "2"]
         with pytest.raises(ParseError, match="zz"):
             morphism_from_obj(obj)
+
+
+# labels that JSON must escape, or must pass through unescaped
+AWKWARD_LABELS = (
+    'q"uote',
+    "back\\slash",
+    "\\",
+    '\\"',
+    "tab\tnew\nline\rcr",
+    "\x00\x01\x1f",
+    "\x7f",
+    " ",
+    "",
+    "café",
+    "\U0001F600 non-BMP",
+    "\u2028\u2029",
+)
+
+
+class TestLatticeJson:
+    @staticmethod
+    def reference(L) -> str:
+        """The report as ``conceptual lattice`` built it with ``dumps``."""
+        concepts = [
+            {"extent": list(L.extent_labels(c)), "intent": list(L.intent_labels(c))}
+            for c in L.concepts
+        ]
+        return json.dumps({"concepts": concepts}, indent=2, ensure_ascii=False) + "\n"
+
+    def test_matches_dumps_on_awkward_labels(self, rng):
+        labels = list(AWKWARD_LABELS)
+        for _ in range(40):
+            m, n = rng.randint(0, 6), rng.randint(0, 6)
+            rng.shuffle(labels)
+            K = random_context(rng, m, n)
+            K = Classification(tuple(labels[:m]), tuple(labels[-n:] if n else ()), K.incidence)
+            L = build_lattice(K)
+            assert lattice_json(L) == self.reference(L)
+
+    @pytest.mark.parametrize("m, n", [(0, 0), (0, 4), (4, 0), (1, 1)])
+    def test_empty_carriers(self, m, n):
+        for rows in ((0,) * m, ((1 << n) - 1,) * m):
+            K = Classification(
+                AWKWARD_LABELS[:m], AWKWARD_LABELS[-n:] if n else (), Relation(m, n, rows)
+            )
+            L = build_lattice(K)
+            assert lattice_json(L) == self.reference(L)
+
+    def test_empty_extent_and_intent(self):
+        # top has no common type, bottom no instance with every type
+        K = Classification(("a", "b"), ("s", "t"), Relation(2, 2, (0b01, 0b10)))
+        L = build_lattice(K)
+        assert 0 in L.extents and 0 in L.intents
+        assert lattice_json(L) == self.reference(L)
 
 
 class TestDot:

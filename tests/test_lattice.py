@@ -30,6 +30,8 @@ from conftest import BOWTIE, RANDOM_SHAPES, all_contexts, random_context
 from oracles import (
     closed_pairs_oracle,
     concept_set,
+    covers_oracle,
+    extent_oracle,
     inf_oracle,
     next_closure_oracle,
     sup_oracle,
@@ -112,6 +114,41 @@ class TestBuildLattice:
                     leq = L.order.bit(i, j)
                     assert leq == (ci.extent & ~cj.extent == 0)
                     assert leq == (cj.intent & ~ci.intent == 0)
+
+    def test_covers_are_the_reduction_of_extent_inclusion(self, rng):
+        contexts = itertools.chain(
+            all_contexts(3, 3), (random_context(rng, m, n) for m, n in RANDOM_SHAPES)
+        )
+        for K in contexts:
+            L = build_lattice(K)
+            extents = [extent_oracle(K, set(bits(c.intent))) for c in L.concepts]
+            assert set(L.covers.pairs()) == covers_oracle(extents)
+
+    def test_covers_off_the_lectic_order(self, rng):
+        # the skip in the covers loop is exact for any index order; shuffled
+        # concept indices make lower elements come before higher ones
+        lattices = [build_lattice(random_context(rng, 6, 6)) for _ in range(20)]
+        lattices += [build_lattice(contranominal_classification(4))]
+        lattices += [build_lattice(chain_classification(6))]
+        for L in lattices:
+            for _ in range(10):
+                perm = list(range(L.size))
+                rng.shuffle(perm)
+                order = Relation(
+                    L.size,
+                    L.size,
+                    tuple(
+                        sum(1 << perm[j] for j in bits(L.order.rows[i]))
+                        for i in sorted(range(L.size), key=perm.__getitem__)
+                    ),
+                )
+                iota = FunctionGraph(tuple(perm[c] for c in L.iota.targets), L.size)
+                tau = FunctionGraph(tuple(perm[c] for c in L.tau.targets), L.size)
+                shuffled = assemble_lattice(order, L.instance_labels, L.type_labels, iota, tau)
+                extents = [set(bits(e)) for e in shuffled.extents]
+                assert set(shuffled.covers.pairs()) == covers_oracle(extents)
+                expected = {(perm[i], perm[j]) for i, j in L.covers.pairs()}
+                assert set(shuffled.covers.pairs()) == expected
 
     def test_embeddings_reconstruct_membership(self, rng):
         for _ in range(10):

@@ -300,6 +300,24 @@ class TestValuesAndValidation:
         with pytest.raises(ValidationError):
             Relation(2, 2, (1,))
 
+    def test_first_offending_row_is_named(self):
+        cases = [
+            ((0, -1, 1), "row 1 has bits outside 0..1"),
+            ((1, 2, 0b100), "row 2 has bits outside 0..1"),
+            ((3, 0b100, -1), "row 1 has bits outside 0..1"),
+            ((3, -2, 0b100), "row 1 has bits outside 0..1"),
+        ]
+        for rows, message in cases:
+            with pytest.raises(ValidationError, match=re.escape(message)):
+                Relation(3, 2, rows)
+        with pytest.raises(ValidationError, match=re.escape("row 0 has bits outside 0..-1")):
+            Relation(1, 0, (1,))
+
+    def test_zero_rows_accepted(self):
+        for dst in (0, 3):
+            assert Relation(0, dst, ()).rows == ()
+        assert Relation(2, 0, (0, 0)).count() == 0
+
     def test_from_pairs_bounds(self):
         with pytest.raises(ValidationError):
             Relation.from_pairs(2, 2, [(2, 0)])
