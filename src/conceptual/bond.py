@@ -9,6 +9,7 @@ opposed bonds to a single lattice homomorphism.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
+from functools import cached_property
 
 from . import relalg
 from .classification import Classification
@@ -20,6 +21,28 @@ from .relalg import Relation, left_residual, right_residual
 
 @dataclass(frozen=True)
 class Bond:
+    """A bond ``rel`` from ``source`` (A) to ``target`` (B), checked by
+    ``is_bond`` unless ``validate`` is false.
+
+    The residuals a bond determines on its own are derived views, built on
+    first use and kept by the instance, so the checks, compositions and
+    adjoints that meet one bond share them:
+
+    - ``r``, inst(A) x inst(B), is ``I_A/rel``: ``(a, b)`` when ``a`` has
+      every type in ``b``'s row.  It is the instance relation of the
+      canonical infomorphism and the inner residual of the row check.
+    - ``s``, typ(A) x typ(B), is ``rel\\I_B``: ``(t, u)`` when every
+      instance ``rel`` gives ``t`` has type ``u``.  It is the type relation
+      of the canonical infomorphism and the inner residual of the column
+      check.
+    - ``images``, inst(B) x L(A), is ``rel/tau_A``: column ``c`` holds the
+      target instances whose row contains the intent of source concept
+      ``c``, the extent the right adjoint sends ``c`` to.
+    - ``preimages``, L(B) x typ(A), is ``iota_B\\rel``: row ``c`` holds the
+      source types that the bond gives all of the extent of target concept
+      ``c``, the intent the left adjoint sends ``c`` to.
+    """
+
     source: Classification
     target: Classification
     rel: Relation  # inst(target) x typ(source)
@@ -30,24 +53,51 @@ class Bond:
         if self.rel.shape != expected:
             raise ShapeError(f"bond relation shape {self.rel.shape}, expected {expected}")
         if validate:
-            is_bond(self.source, self.target, self.rel).require("relation is not a bond")
+            is_bond(self.source, self.target, self).require("relation is not a bond")
+
+    @cached_property
+    def r(self) -> Relation:
+        return right_residual(self.source.incidence, self.rel)
+
+    @cached_property
+    def s(self) -> Relation:
+        return left_residual(self.rel, self.target.incidence)
+
+    @cached_property
+    def images(self) -> Relation:
+        return right_residual(self.rel, concept_lattice_of(self.source).tau_rel)
+
+    @cached_property
+    def preimages(self) -> Relation:
+        return left_residual(concept_lattice_of(self.target).iota_rel, self.rel)
 
     def __repr__(self):
         return f"Bond({self.source!r} -> {self.target!r})"
 
 
-def is_bond(A: Classification, B: Classification, rel: Relation) -> CheckResult:
-    """Both closure equalities; on failure names the offending row or column."""
+def is_bond(A: Classification, B: Classification, rel: Relation | Bond) -> CheckResult:
+    """Both closure equalities, ``(I_A/rel)\\I_A == rel`` on the rows and
+    ``I_B/(rel\\I_B) == rel`` on the columns; on failure names the first
+    offending row, else the first offending column.
+
+    ``rel`` is a raw relation, or a ``Bond`` from ``A`` to ``B``, whose
+    views ``r`` and ``s`` then serve as the two inner residuals.
+    """
+    bond = rel if isinstance(rel, Bond) else None
+    if bond is not None:
+        rel = bond.rel
     expected = (len(B.instances), len(A.types))
     if rel.shape != expected:
         raise ShapeError(f"bond relation shape {rel.shape}, expected {expected}")
-    row_closed = _close_rows(A, rel)
+    r = right_residual(A.incidence, rel) if bond is None else bond.r
+    row_closed = left_residual(r, A.incidence)
     if row_closed != rel:
         b = B.instances[relalg.first_difference(rel.rows, row_closed.rows)[0]]
         return CheckResult(
             False, witness=("row", b), reason=f"row of {b!r} is not an intent of the source"
         )
-    col_closed = _close_columns(B, rel)
+    s = left_residual(rel, B.incidence) if bond is None else bond.s
+    col_closed = right_residual(B.incidence, s)
     if col_closed != rel:
         t = A.types[relalg.first_difference(rel.columns, col_closed.columns)[0]]
         return CheckResult(
@@ -80,19 +130,17 @@ def bond_of(m: RelationalInfomorphism) -> Bond:
 
 
 def infomorphism_of(F: Bond) -> RelationalInfomorphism:
-    """The canonical closed relational infomorphism with bond ``F``."""
-    r = right_residual(F.source.incidence, F.rel)
-    s = left_residual(F.rel, F.target.incidence)
-    return RelationalInfomorphism(F.source, F.target, r, s)
+    """The canonical closed relational infomorphism with bond ``F``: the
+    bond's views ``r`` and ``s``."""
+    return RelationalInfomorphism(F.source, F.target, F.r, F.s)
 
 
 def compose_bonds(F: Bond, G: Bond) -> Bond:
-    """Residuate out the middle classification."""
+    """Residuate out the middle classification: ``G.r\\F``, where ``G.r``
+    is ``I_mid/G``."""
     if F.target != G.source:
         raise ShapeError("compose_bonds: middle classifications differ")
-    mid = F.target.incidence
-    rel = left_residual(right_residual(mid, G.rel), F.rel)
-    return Bond(F.source, G.target, rel)
+    return Bond(F.source, G.target, left_residual(G.r, F.rel))
 
 
 def bonds_equivalent(m1: RelationalInfomorphism, m2: RelationalInfomorphism) -> bool:
@@ -146,19 +194,19 @@ class BondingPair:
 def is_bonding_pair(F: Bond, G: Bond) -> CheckResult:
     """The two pairing constraints, computed over the source concept lattice.
 
-    Column ``c`` of ``fwd`` holds the target instances whose ``F`` row
-    contains the intent of concept ``c``, row ``c`` of ``bwd`` the target
-    types that ``G`` gives its whole extent.  The first constraint asks each
-    such instance set to be the extent of the type set, the second the type
-    set to be the intent of the instance set; the witness is the first
-    concept at which either fails.
+    ``fwd`` is ``F``'s view ``images``: column ``c`` holds the target
+    instances whose ``F`` row contains the intent of concept ``c``.  ``bwd``
+    is ``G``'s view ``preimages``: row ``c`` holds the target types that
+    ``G`` gives its whole extent.  The first constraint asks each such
+    instance set to be the extent of the type set, the second the type set
+    to be the intent of the instance set; the witness is the first concept
+    at which either fails.
     """
     if F.source != G.target or F.target != G.source:
         raise ShapeError("bonds do not oppose each other")
-    LA = concept_lattice_of(F.source)
     B = F.target
-    fwd = right_residual(F.rel, LA.tau_rel)  # inst(B) x L(A)
-    bwd = left_residual(LA.iota_rel, G.rel)  # L(A) x typ(B)
+    fwd = F.images  # inst(B) x L(A)
+    bwd = G.preimages  # L(A) x typ(B)
     first = right_residual(B.incidence, bwd)
     second = left_residual(fwd, B.incidence)
     if fwd == first and bwd == second:
@@ -167,6 +215,7 @@ def is_bonding_pair(F: Bond, G: Bond) -> CheckResult:
         relalg.first_difference(fwd.columns, first.columns),
         relalg.first_difference(bwd.rows, second.rows),
     )
+    LA = concept_lattice_of(F.source)
     c = LA.concepts[min(d[0] for d in diffs if d is not None)]
     which = "first" if diffs[0] is not None else "second"
     return CheckResult(

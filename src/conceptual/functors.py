@@ -344,18 +344,22 @@ def compose_adjoints(p1: AdjointPair, p2: AdjointPair) -> AdjointPair:
 
 
 def adjoint_of_bond(F: Bond) -> AdjointPair:
-    """Derivation along the bond, in both directions, as residuals.
+    """Derivation along the bond, in both directions, read off the bond's
+    views.
 
     ``psi`` sends a source concept to the target instances whose bond row
-    holds its intent, the rows of ``(tau_A)^T \\ F^T``; ``phi`` sends a
-    target concept to the source types the bond gives all of its extent, the
-    rows of ``iota_B \\ F``.  For a bond both are extents and intents."""
+    holds its intent, the columns of ``F.images`` (``F/tau_A``); ``phi``
+    sends a target concept to the source types the bond gives all of its
+    extent, the rows of ``F.preimages`` (``iota_B\\F``).  For a bond both
+    are extents and intents."""
     LA = concept_lattice_of(F.source)
     LB = concept_lattice_of(F.target)
-    images = left_residual(transpose(LA.tau_rel), transpose(F.rel)).rows
-    psi = FunctionGraph.from_targets(tuple(LB.extent_index[e] for e in images), LB.size)
-    preimages = left_residual(LB.iota_rel, F.rel).rows
-    phi = FunctionGraph.from_targets(tuple(LA.intent_index[t] for t in preimages), LA.size)
+    psi = FunctionGraph.from_targets(
+        tuple(LB.extent_index[e] for e in F.images.columns), LB.size
+    )
+    phi = FunctionGraph.from_targets(
+        tuple(LA.intent_index[t] for t in F.preimages.rows), LA.size
+    )
     return AdjointPair(complete_lattice_of(LA), complete_lattice_of(LB), phi, psi)
 
 
@@ -381,16 +385,18 @@ class EmbeddingBonds:
 
 def embedding_bonds(A: Classification) -> EmbeddingBonds:
     """Exhibit ``A``'s isomorphism with its own concept lattice in the bond
-    category; the two bonds are mutually inverse (checked)."""
+    category; the two bonds are mutually inverse (checked).
+
+    Each composite is computed as the relation ``compose_bonds`` would
+    give, ``G.r\\F``, and compared with the identity bond's incidence, which
+    is stronger than being a bond."""
     LA = concept_lattice_of(A)
     order_cls = lattice_classification(complete_lattice_of(LA))
     instance_bond = Bond(order_cls, A, LA.iota_rel)
     type_bond = Bond(A, order_cls, LA.tau_rel)
-    there = compose_bonds(instance_bond, type_bond)
-    if there.rel != order_cls.incidence:
+    if left_residual(type_bond.r, instance_bond.rel) != order_cls.incidence:
         raise ValidationError("instance;type composite is not the lattice identity bond")
-    back = compose_bonds(type_bond, instance_bond)
-    if back.rel != A.incidence:
+    if left_residual(instance_bond.r, type_bond.rel) != A.incidence:
         raise ValidationError("type;instance composite is not the identity bond")
     return EmbeddingBonds(A, order_cls, instance_bond, type_bond)
 
@@ -534,9 +540,14 @@ def embedding_bonding_pairs(A: Classification) -> tuple[BondingPair, BondingPair
 
 
 def pair_roundtrip_holds(p: BondingPair) -> bool:
-    """Conjugation by the embedding pairs equals the rebuilt pair, bit-exact."""
-    to_src = embedding_bonding_pairs(p.source)[1]
-    to_tgt = embedding_bonding_pairs(p.target)[0]
+    """Conjugation by the embedding pairs equals the rebuilt pair, bit-exact.
+
+    Of ``embedding_bonding_pairs``, only the pair from the lattice side of
+    the source and the pair to the lattice side of the target are built."""
+    emb_src = embedding_bonds(p.source)
+    emb_tgt = embedding_bonds(p.target)
+    to_src = BondingPair(emb_src.instance_bond, emb_src.type_bond)
+    to_tgt = BondingPair(emb_tgt.type_bond, emb_tgt.instance_bond)
     conjugated = compose_bonding_pairs(compose_bonding_pairs(to_src, p), to_tgt)
     rebuilt = pair_of_hom(hom_of_pair(p))
     return conjugated == rebuilt

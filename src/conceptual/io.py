@@ -68,6 +68,10 @@ def parse_cxt(text: str) -> Classification:
             raise ParseError("expected instance and type counts after the header", line=3)
     n_inst = int_at(pos)
     n_typ = int_at(pos + 1)
+    # a negative count would index the label and row lines from the end
+    for idx, n in ((pos, n_inst), (pos + 1, n_typ)):
+        if n < 0:
+            raise ParseError(f"expected a nonnegative count, got {n}", line=idx + 1)
     if get(pos + 2).strip() != "":
         raise ParseError("expected a blank line after the counts", line=pos + 3)
     pos += 3

@@ -53,3 +53,19 @@ def random_context(rng, m: int, n: int) -> Classification:
     typ = tuple(f"t{k}" for k in range(n))
     rows = tuple(rng.getrandbits(n) for _ in range(m))
     return Classification(inst, typ, Relation(m, n, rows))
+
+
+# .cxt headers with one negative count, id -> (text, line of the count):
+# -100 and -1 as the instance or the type count, after an empty name line or
+# with no name line.  Each file ends after the header, so a negative count
+# that slipped through would index its lines from the end.
+NEGATIVE_COUNT_CXT = {
+    f"{n}-{which}-{'named' if named else 'unnamed'}": (
+        ("B\n\n" if named else "B\n")
+        + ("{}\n{}\n\n".format(*((n, 2) if which == "instances" else (2, n)))),
+        (3 if named else 2) + (which == "types"),
+    )
+    for n in (-100, -1)
+    for which in ("instances", "types")
+    for named in (True, False)
+}

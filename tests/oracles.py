@@ -166,13 +166,14 @@ def next_closure_oracle(K) -> list[tuple[int, int]]:
             return out
 
 
-def pointwise_pair_violations(F, G) -> list[bool]:
-    """Per-concept failure flags of the pointwise pairing constraints, by set
-    derivation.
+def pointwise_pair_constraints(F, G) -> list[tuple[bool, bool]]:
+    """Per-concept failure flags of the two pointwise pairing constraints,
+    by set derivation.
 
     For each concept (E, I) of the source lattice, the target instances whose
     ``F`` row contains I must be the extent of the target types that ``G``
-    gives every instance of E, and those types the intent of those instances.
+    gives every instance of E (the first constraint), and those types the
+    intent of those instances (the second).
     """
     from conceptual.lattice import concept_lattice_of
 
@@ -185,9 +186,35 @@ def pointwise_pair_violations(F, G) -> list[bool]:
             b for b in range(len(B.instances)) if all(F.rel.bit(b, t) for t in intent)
         }
         alpha = {s for s in range(len(B.types)) if all(G.rel.bit(a, s) for a in extent)}
-        ok = gamma == extent_oracle(B, alpha) and alpha == intent_oracle(B, gamma)
-        out.append(not ok)
+        out.append((gamma != extent_oracle(B, alpha), alpha != intent_oracle(B, gamma)))
     return out
+
+
+def adjoint_masks_oracle(F) -> tuple[list[int], list[int]]:
+    """What ``adjoint_of_bond`` sends each concept to, as masks, by set
+    derivation: for each source concept the target instances whose ``F`` row
+    holds its intent, for each target concept the source types ``F`` gives
+    every instance of its extent."""
+    from conceptual.lattice import concept_lattice_of
+
+    A, B = F.source, F.target
+    psi = []
+    for c in concept_lattice_of(A).concepts:
+        intent = [t for t in range(len(A.types)) if c.intent >> t & 1]
+        psi.append(
+            sum(
+                1 << b
+                for b in range(len(B.instances))
+                if all(F.rel.bit(b, t) for t in intent)
+            )
+        )
+    phi = []
+    for d in concept_lattice_of(B).concepts:
+        extent = [b for b in range(len(B.instances)) if d.extent >> b & 1]
+        phi.append(
+            sum(1 << t for t in range(len(A.types)) if all(F.rel.bit(b, t) for b in extent))
+        )
+    return psi, phi
 
 
 def concept_set(L) -> set[tuple[frozenset, frozenset]]:

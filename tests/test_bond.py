@@ -42,8 +42,14 @@ from conceptual.relalg import (
     transpose,
 )
 
-from conftest import random_context
-from oracles import enumerate_relations, pointwise_pair_violations, random_relation
+from conftest import RANDOM_SHAPES, all_contexts, random_context
+from oracles import (
+    enumerate_relations,
+    extent_oracle,
+    intent_oracle,
+    pointwise_pair_constraints,
+    random_relation,
+)
 
 
 def random_bond(rng, A, B):
@@ -106,6 +112,87 @@ class TestIsBond:
     def test_shape_check(self, k1, rng):
         with pytest.raises(ShapeError):
             is_bond(k1, k1, Relation.empty(3, 2))
+
+
+def assert_views_are_residuals(F):
+    """Each view of ``F`` equals the free residual it stands for, and
+    ``images`` is also the transposed left residual ``adjoint_of_bond``
+    reads it as."""
+    LA, LB = concept_lattice_of(F.source), concept_lattice_of(F.target)
+    assert F.r == right_residual(F.source.incidence, F.rel)
+    assert F.s == left_residual(F.rel, F.target.incidence)
+    assert F.images == right_residual(F.rel, LA.tau_rel)
+    assert transpose(F.images) == left_residual(transpose(LA.tau_rel), transpose(F.rel))
+    assert F.preimages == left_residual(LB.iota_rel, F.rel)
+
+
+def bad_row_oracle(A, B, rel):
+    """Witness and reason of the first row of ``rel`` that is not an intent
+    of ``A``, by set derivation; ``None`` if every row is one."""
+    for b in range(len(B.instances)):
+        row = {t for t in range(len(A.types)) if rel.bit(b, t)}
+        if intent_oracle(A, extent_oracle(A, row)) != row:
+            label = B.instances[b]
+            return ("row", label), f"row of {label!r} is not an intent of the source"
+    return None
+
+
+def bad_column_oracle(A, B, rel):
+    """Dually, the first column that is not an extent of ``B``."""
+    for t in range(len(A.types)):
+        col = {b for b in range(len(B.instances)) if rel.bit(b, t)}
+        if extent_oracle(B, intent_oracle(B, col)) != col:
+            label = A.types[t]
+            return ("column", label), f"column of {label!r} is not an extent of the target"
+    return None
+
+
+class TestBondViews:
+    def test_every_bond_up_to_2x2(self):
+        contexts = list(all_contexts(2, 2))
+        bonds = 0
+        for A in contexts:
+            for B in contexts:
+                for rel in enumerate_relations(len(B.instances), len(A.types)):
+                    if is_bond(A, B, rel):
+                        assert_views_are_residuals(Bond(A, B, rel))
+                        bonds += 1
+        assert bonds > 1000
+
+    def test_random_bonds_and_unchecked_relations(self, rng):
+        # close_to_bond results, and unchecked relations under validate=False
+        for m, n in RANDOM_SHAPES:
+            for _ in range(3):
+                A = random_context(rng, m, n)
+                B = random_context(rng, rng.randint(0, 8), rng.randint(0, 8))
+                assert_views_are_residuals(random_bond(rng, A, B))
+                rel = random_relation(rng, len(B.instances), len(A.types))
+                assert_views_are_residuals(Bond(A, B, rel, validate=False))
+
+    def test_rejection_matches_is_bond(self, rng):
+        # every relation between random 3x3 contexts: the constructor raises
+        # with is_bond's reason and witness, which the set-derivation
+        # reference names; row failures, column failures and ties (both
+        # fail, and the row is named) all occur
+        kinds = set()
+        for _ in range(4):
+            A = random_context(rng, 3, 3)
+            B = random_context(rng, 3, 3)
+            for rel in enumerate_relations(3, 3):
+                bad_row = bad_row_oracle(A, B, rel)
+                bad_column = bad_column_oracle(A, B, rel)
+                verdict = is_bond(A, B, rel)
+                if bad_row is None and bad_column is None:
+                    assert verdict and Bond(A, B, rel).rel == rel
+                    continue
+                witness, reason = bad_row or bad_column
+                assert (verdict.witness, verdict.reason) == (witness, reason)
+                with pytest.raises(ValidationError) as exc:
+                    Bond(A, B, rel)
+                assert str(exc.value) == f"relation is not a bond: {reason}"
+                assert exc.value.witness == witness
+                kinds.add((bad_row is not None, bad_column is not None))
+        assert kinds == {(True, False), (False, True), (True, True)}
 
 
 class TestBondOfInfomorphism:
@@ -276,8 +363,9 @@ class TestBondingPairs:
         assert is_bonding_pair(p.forward, p.backward)
 
     def test_pointwise_and_categorical_agree(self, k1, rng):
-        # the verdict agrees with the pointwise reference, and a failure's
-        # witness names the first concept the reference flags; k1 against
+        # the verdict agrees with the pointwise reference, a failure's witness
+        # names the first concept the reference flags, and its reason the
+        # first constraint if that fails anywhere; k1 against
         # contranominal 2, then random contexts with empty carriers.  Between
         # bonds the two constraints fail at the same concepts; between
         # unchecked relations, every other pair, they can fail apart
@@ -285,7 +373,7 @@ class TestBondingPairs:
             tuple(random_context(rng, rng.randint(0, 4), rng.randint(0, 4)) for _ in range(2))
             for _ in range(80)
         ]
-        failures = 0
+        reasons = set()
         for k, (A, B) in enumerate(pairs):
             if k % 2:
                 F = Bond(A, B, random_relation(rng, len(B.instances), len(A.types)), validate=False)
@@ -294,14 +382,17 @@ class TestBondingPairs:
                 F = random_bond(rng, A, B)
                 G = random_bond(rng, B, A)
             verdict = is_bonding_pair(F, G)
-            flags = pointwise_pair_violations(F, G)
-            assert bool(verdict) == (not any(flags))
+            flags = pointwise_pair_constraints(F, G)
+            failing = [first or second for first, second in flags]
+            assert bool(verdict) == (not any(failing))
             if not verdict:
-                failures += 1
                 LA = concept_lattice_of(A)
-                c = LA.concepts[flags.index(True)]
+                c = LA.concepts[failing.index(True)]
                 assert verdict.witness == ("concept", LA.extent_labels(c), LA.intent_labels(c))
-        assert failures
+                which = "first" if any(first for first, _ in flags) else "second"
+                assert verdict.reason == f"{which} pairing constraint fails"
+                reasons.add(which)
+        assert reasons == {"first", "second"}
 
     def test_non_paired_bonds_fail_with_concept_witness(self, k1, rng):
         other = contranominal_classification(2)

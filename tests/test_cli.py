@@ -15,6 +15,8 @@ from conceptual.io import emit_cxt
 from conceptual.lattice import build_lattice
 from conceptual.relalg import Relation
 
+from conftest import NEGATIVE_COUNT_CXT
+
 K1_CXT = "B\n\n2\n2\n\n1\n2\na\nb\nX.\nXX\n"
 
 
@@ -223,6 +225,16 @@ class TestMalformedInput:
         path.write_text(json.dumps(obj))
         err = self.run_malformed(capsys, argv[0], str(path), *argv[1:])
         assert "instances must be a list of strings" in err
+
+    @pytest.mark.parametrize(
+        "text, line", list(NEGATIVE_COUNT_CXT.values()), ids=list(NEGATIVE_COUNT_CXT)
+    )
+    def test_negative_cxt_count(self, capsys, tmp_path, text, line):
+        path = tmp_path / "neg.cxt"
+        path.write_text(text)
+        err = self.run_malformed(capsys, "lattice", str(path))
+        assert f"line {line}: expected a nonnegative count" in err
+        assert "Traceback" not in err
 
     def test_morphism_source_with_int_labels(self, capsys, tmp_path, k1):
         obj = morphism_to_obj(identity_bond(k1))

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import pytest
 
 from conceptual.bond import (
+    Bond,
     compose_bonds,
     identity_bond,
     identity_bonding_pair,
@@ -58,10 +59,16 @@ from conceptual.infomorphism import (
     instance_infomorphism,
 )
 from conceptual.lattice import concept_lattice_of
-from conceptual.relalg import FunctionGraph, Relation, bits
+from conceptual.relalg import FunctionGraph, Relation, bits, left_residual
 
-from conftest import BOWTIE, order_from_covers, random_context
-from oracles import complete_hom_oracle, inf_oracle, sup_oracle
+from conftest import BOWTIE, all_contexts, order_from_covers, random_context
+from oracles import (
+    adjoint_masks_oracle,
+    complete_hom_oracle,
+    inf_oracle,
+    random_relation,
+    sup_oracle,
+)
 from test_bond import random_bond
 
 
@@ -238,6 +245,50 @@ class TestRelationalEquivalence:
         embedding_bonds(contranominal_classification(2))
         one = Classification(("x",), ("t",), Relation.full(1, 1))
         embedding_bonds(one)
+
+    def test_embedding_composites_are_compose_bonds(self):
+        # embedding_bonds compares each composite, as a relation, with an
+        # identity incidence: the relation of the validated composite bond
+        for K in all_contexts(3, 3):
+            emb = embedding_bonds(K)
+            inst, typ = emb.instance_bond, emb.type_bond
+            there = left_residual(typ.r, inst.rel)
+            back = left_residual(inst.r, typ.rel)
+            assert there == compose_bonds(inst, typ).rel == emb.order_classification.incidence
+            assert back == compose_bonds(typ, inst).rel == K.incidence
+
+    def test_adjoint_of_bond_matches_set_derivation(self, rng):
+        # on closed bonds and, every other time, on unchecked relations, the
+        # outcome is that of the pair built from the set-derivation masks:
+        # the pair itself, or the KeyError of the first mask that is no
+        # extent (psi, first) or no intent (phi).  Derivation along any
+        # relation is a Galois connection, so well-defined maps are adjoint
+        def outcome(build):
+            try:
+                return build()
+            except (KeyError, ValidationError) as e:
+                return type(e), str(e), getattr(e, "witness", None)
+
+        kinds = set()
+        for k in range(120):
+            A, B = (random_context(rng, rng.randint(0, 4), rng.randint(0, 4)) for _ in range(2))
+            if k % 2:
+                rel = random_relation(rng, len(B.instances), len(A.types))
+                F = Bond(A, B, rel, validate=False)
+            else:
+                F = random_bond(rng, A, B)
+            LA, LB = concept_lattice_of(A), concept_lattice_of(B)
+            psi, phi = adjoint_masks_oracle(F)
+
+            def reference():
+                psi_fn = FunctionGraph.from_targets([LB.extent_index[e] for e in psi], LB.size)
+                phi_fn = FunctionGraph.from_targets([LA.intent_index[t] for t in phi], LA.size)
+                return AdjointPair(complete_lattice_of(LA), complete_lattice_of(LB), phi_fn, psi_fn)
+
+            expected = outcome(reference)
+            assert outcome(lambda: adjoint_of_bond(F)) == expected
+            kinds.add(expected[0] if isinstance(expected, tuple) else AdjointPair)
+        assert kinds == {AdjointPair, KeyError}
 
     def test_bond_naturality(self, k1, rng):
         B = contranominal_classification(2)

@@ -4,7 +4,9 @@ An intended change of any of these outputs must update its digest here, and
 say why.  The contexts are two seeded random ones, the contranominal scale
 on four elements, whose lattice is the boolean lattice of 16 concepts, and a
 small context whose labels JSON must escape: quotes, backslashes and control
-characters, next to non-ASCII ones it must not.
+characters, next to non-ASCII ones it must not.  The bond commands read
+seeded bonds and bonding pairs between the two random contexts, valid and
+invalid.
 """
 
 import contextlib
@@ -14,9 +16,11 @@ import random
 
 import pytest
 
+from conceptual.bond import Bond, BondingPair, close_to_bond
 from conceptual.classification import Classification, contranominal_classification
 from conceptual.cli import main
-from conceptual.io import emit_cxt
+from conceptual.functors import embedding_bonding_pairs
+from conceptual.io import dumps, emit_cxt, morphism_to_obj
 from conceptual.relalg import Relation
 
 from conftest import random_context
@@ -29,6 +33,37 @@ CONTEXTS = {
         ('q"uote', "back\\slash", "tab\tctl\x01\x1f\x7f", "café 日本 \U0001F600"),
         ('"', "\\", '\\"', "é\x08", "t\\"),
         Relation(4, 5, (0b00011, 0b00110, 0b11100, 0b10001)),
+    ),
+}
+
+
+
+def seeded_relation(seed: int, m: int, n: int) -> Relation:
+    rng = random.Random(seed)
+    return Relation(m, n, tuple(rng.getrandbits(n) for _ in range(m)))
+
+
+def seeded_bond(A: Classification, B: Classification, seed: int) -> Bond:
+    """The least bond above a seeded relation."""
+    rel = seeded_relation(seed, len(B.instances), len(A.types))
+    return Bond(A, B, close_to_bond(A, B, rel))
+
+
+def _contexts(*names):
+    return tuple(CONTEXTS[name]() for name in names)
+
+
+MORPHISMS = {
+    "bond": lambda: seeded_bond(*_contexts("rand-6x5", "rand-5x7"), 13),
+    "bond-next": lambda: seeded_bond(*_contexts("rand-5x7", "contranominal-4"), 14),
+    "non-bond": lambda: Bond(
+        *_contexts("rand-6x5", "rand-5x7"), seeded_relation(15, 5, 5), validate=False
+    ),
+    "pair": lambda: embedding_bonding_pairs(CONTEXTS["rand-6x5"]())[0],
+    "non-pair": lambda: BondingPair(
+        seeded_bond(*_contexts("rand-6x5", "rand-5x7"), 16),
+        seeded_bond(*_contexts("rand-5x7", "rand-6x5"), 17),
+        validate=False,
     ),
 }
 
@@ -74,18 +109,62 @@ GOLDEN = {
         1,
         "2250260674b3a750c873f3aafa90aeed25ed70f42220f690ab16d5ec18fc6bc9",
     ),
+    ("check", "bond", "{bond}"): (
+        0,
+        "439c75779c238b3edfab84c500047cd69853f7fafbb4290416ed35e0bd1aa4e4",
+    ),
+    ("check", "bond", "{bond}", "--json"): (
+        0,
+        "00f8d2b7e8e49fac3af464f39d74e670ad378fa7901c8baf89dfb6f7d6fad43f",
+    ),
+    ("check", "bond", "{non-bond}"): (
+        1,
+        "b4068dae763313aa9a605f515850f54ab7b352162deb47be345cb0376a5e90af",
+    ),
+    ("check", "bond", "{non-bond}", "--json"): (
+        1,
+        "692c765c4670ed6e62f6f35db0a232f789dc8c2f0540e6c44bf02ff67bcb2f49",
+    ),
+    ("check", "bonding-pair", "{pair}"): (
+        0,
+        "2f1b0c801aa8a369278da2d2ef0e506caae00029025947f4f6cdc246d34f8108",
+    ),
+    ("check", "bonding-pair", "{pair}", "--json"): (
+        0,
+        "44b37560c970cfc6de2b1c37f2e2ac55ea59882982311060215128c37c8f2020",
+    ),
+    ("check", "bonding-pair", "{non-pair}"): (
+        1,
+        "51398f5f05f26b7b95b4a38e196629fafebeb5f0958e68aff0a2ab87dedf2b0a",
+    ),
+    ("check", "bonding-pair", "{non-pair}", "--json"): (
+        1,
+        "9717dc0efa58938036cbbb87ee21bccabd545097bfcd47d8f5f7400da9deb9bf",
+    ),
+    ("compose", "bonds", "{bond}", "{bond-next}"): (
+        0,
+        "e8494ee8c5ebdc2fc1d2156a58f2240350cd02327a85862fab4da8c332dba1b1",
+    ),
 }
 
 
-def golden_output(argv, tmp_path) -> tuple[int, str]:
-    """Run ``main`` on ``argv``, with each context placeholder written to a
-    ``.cxt`` file; the exit code and the SHA-256 of stdout."""
+def golden_output(argv, tmp_path, monkeypatch) -> tuple[int, str]:
+    """Run ``main`` on ``argv`` in ``tmp_path``, with each context placeholder
+    written to a ``.cxt`` file and each morphism placeholder to a ``.json``
+    one, both named relatively because ``check`` prints the name; the exit
+    code and the SHA-256 of stdout."""
+    monkeypatch.chdir(tmp_path)
     args = []
     for arg in argv:
         if arg.startswith("{"):
-            path = tmp_path / f"{arg[1:-1]}.cxt"
-            path.write_text(emit_cxt(CONTEXTS[arg[1:-1]]()), encoding="utf-8")
-            arg = str(path)
+            name = arg[1:-1]
+            if name in CONTEXTS:
+                arg = f"{name}.cxt"
+                text = emit_cxt(CONTEXTS[name]())
+            else:
+                arg = f"{name}.json"
+                text = dumps(morphism_to_obj(MORPHISMS[name]()))
+            (tmp_path / arg).write_text(text, encoding="utf-8")
         args.append(arg)
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
@@ -94,5 +173,5 @@ def golden_output(argv, tmp_path) -> tuple[int, str]:
 
 
 @pytest.mark.parametrize("argv", list(GOLDEN), ids=[" ".join(a) for a in GOLDEN])
-def test_output_digest(argv, tmp_path):
-    assert golden_output(argv, tmp_path) == GOLDEN[argv]
+def test_output_digest(argv, tmp_path, monkeypatch):
+    assert golden_output(argv, tmp_path, monkeypatch) == GOLDEN[argv]

@@ -23,7 +23,7 @@ from conceptual.io import (
 from conceptual.lattice import build_lattice
 from conceptual.relalg import Relation
 
-from conftest import random_context
+from conftest import NEGATIVE_COUNT_CXT, random_context
 
 K1_CXT = "B\n\n2\n2\n\n1\n2\na\nb\nX.\nXX\n"
 
@@ -67,6 +67,13 @@ class TestCxt:
         K = parse_cxt("B\n\n2\n0\n\n1\n2\n\n\n")
         assert K.instances == ("1", "2") and K.types == ()
         assert K.incidence == Relation.empty(2, 0)
+
+    @pytest.mark.parametrize(
+        "text, line", list(NEGATIVE_COUNT_CXT.values()), ids=list(NEGATIVE_COUNT_CXT)
+    )
+    def test_negative_count_names_its_line(self, text, line):
+        with pytest.raises(ParseError, match=f"line {line}: expected a nonnegative count"):
+            parse_cxt(text)
 
     def test_row_width_mismatch(self):
         with pytest.raises(ParseError, match="cells"):

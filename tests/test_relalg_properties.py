@@ -21,10 +21,16 @@ from conceptual.relalg import (
 
 def relations(draw, src: int, dst: int) -> Relation:
     """Rows are often empty or full, so residuals over vacuous and total
-    quantifiers both come up."""
+    quantifiers both come up.  Three draws per relation, whatever its size:
+    the cells, then the rows made empty and the rows made full."""
     full = (1 << dst) - 1
-    row = st.one_of(st.just(0), st.just(full), st.integers(0, full))
-    return Relation(src, dst, tuple(draw(st.lists(row, min_size=src, max_size=src))))
+    cells = draw(st.integers(0, (1 << src * dst) - 1))
+    empty, filled = (draw(st.integers(0, (1 << src) - 1)) for _ in range(2))
+    rows = (
+        0 if empty >> a & 1 else full if filled >> a & 1 else cells >> a * dst & full
+        for a in range(src)
+    )
+    return Relation(src, dst, tuple(rows))
 
 
 @st.composite
