@@ -156,14 +156,14 @@ def _adjoint_failure(
     when ``phi`` and ``psi`` are adjoint.
 
     ``src_rows`` and ``tgt_rows`` are the principal up-sets of the two
-    orders (down-sets test the dual orders), and ``phi`` yields ``phi(0),
-    phi(1), ...``, lazily if need be.  This is the relation equation
-    ``compose(phi, <=) == compose(<=', psi^T)`` compared row by row, so it
-    stops at the first failing ``y``.
+    orders, the rows of ``<=`` and ``<='``, and ``phi`` yields ``phi(0),
+    phi(1), ...``.  This is the relation equation ``compose(phi, <=) ==
+    compose(<=', psi^T)``: row ``y`` of the right side is ``psi``'s inverse
+    image of the up-set of ``y``, and ``psi.preimages`` gives all of them in
+    one pass over the fibers of ``psi``.  The rows are compared in order, so
+    the first failing ``y`` is the one reported.
     """
-    return first_difference(
-        (src_rows[x] for x in phi), (psi.inverse_image(row) for row in tgt_rows)
-    )
+    return first_difference(map(src_rows.__getitem__, phi), psi.preimages(tgt_rows))
 
 
 def check_lattice_morphism(m: ConceptLatticeMorphism) -> CheckResult:
@@ -208,17 +208,17 @@ def lattice_of_morphism(m: FunctionalInfomorphism) -> ConceptLatticeMorphism:
     """Functional equivalence, object-to-lattice direction on morphisms.
 
     ``psi`` sends a concept to the closure of the inverse image of its
-    extent; ``phi`` dually via inverse images of intents.
+    extent; ``phi`` dually via inverse images of intents.  The inverse
+    images of all extents (all intents) come from one ``preimages`` pass
+    over the fibers of ``f`` (of ``g``).
     """
     LA = concept_lattice_of(m.source)
     LB = concept_lattice_of(m.target)
     psi = FunctionGraph.from_targets(
-        tuple(LB.extent_index[m.f.inverse_image(c.extent)] for c in LA.concepts),
-        LB.size,
+        tuple(map(LB.extent_index.__getitem__, m.f.preimages(LA.extents))), LB.size
     )
     phi = FunctionGraph.from_targets(
-        tuple(LA.intent_index[m.g.inverse_image(c.intent)] for c in LB.concepts),
-        LA.size,
+        tuple(map(LA.intent_index.__getitem__, m.g.preimages(LB.intents))), LA.size
     )
     return ConceptLatticeMorphism(LA, LB, phi, psi, m.f, m.g)
 
@@ -453,38 +453,39 @@ class CompleteHomomorphism:
             )
 
 
-def _adjoint_candidates(L: CompleteLattice, K: CompleteLattice, psi: FunctionGraph):
-    """The only possible left and right adjoints of ``psi``, lazily in ``y``
-    of ``K``: ``phi(y) = meet of psi^-1(up y)`` and ``theta(y) = join of
-    psi^-1(down y)``."""
-    return (
-        (L.meet_of(psi.inverse_image(up)) for up in K.up),
-        (L.join_of(psi.inverse_image(down)) for down in K.down),
-    )
-
-
 def is_complete_homomorphism(
     L: CompleteLattice, K: CompleteLattice, psi: FunctionGraph
 ) -> CheckResult:
     """``psi`` preserves all meets iff it has a left adjoint, and all joins
-    iff it has a right adjoint (Davey & Priestley, ch. 7).
+    iff it has a right adjoint (Davey & Priestley, *Introduction to Lattices
+    and Order*, ch. 7).
+
+    By residuation theory (Blyth & Janowitz, *Residuation Theory*, 1972), a
+    map between complete lattices has a left adjoint iff the preimage of
+    every principal up-set is a principal up-set, whose generator is then
+    the adjoint's value: ``up[meet(S)] == S`` holds exactly when ``S`` is
+    principal.  So the meet check asks that every row of
+    ``compose(<=', psi^T)``, the preimages of the up-sets of ``K``, be a key
+    of ``L.up_index``, and the join check that every preimage of a down-set
+    of ``K`` be a key of ``L.down_index``; no meet or join is computed.
 
     Top and bottom, the empty meet and join, are cheap early exits.  A
-    failing adjoint check names the ``K`` element ``y`` where it fails.
+    failing check names the first ``K`` element ``y`` where it fails, the
+    meet check first.
     """
     if psi(L.top) != K.top:
         return CheckResult(False, witness=("top",), reason="top is not preserved")
     if psi(L.bottom) != K.bottom:
         return CheckResult(False, witness=("bottom",), reason="bottom is not preserved")
-    phi, theta = _adjoint_candidates(L, K, psi)
-    for kind, src_rows, tgt_rows, adjoint in (
-        ("meet", L.up, K.up, phi),
-        ("join", L.down, K.down, theta),
+    for kind, tgt_rows, principal in (
+        ("meet", K.up, L.up_index),
+        ("join", K.down, L.down_index),
     ):
-        diff = _adjoint_failure(src_rows, tgt_rows, adjoint, psi)
-        if diff is not None:
+        preimages = enumerate(psi.preimages(tgt_rows))
+        y = next((y for y, s in preimages if s not in principal), None)
+        if y is not None:
             return CheckResult(
-                False, witness=(kind, K.elements[diff[0]]), reason=f"a {kind} is not preserved"
+                False, witness=(kind, K.elements[y]), reason=f"a {kind} is not preserved"
             )
     return CheckResult(True)
 
@@ -503,10 +504,13 @@ def compose_homs(
 
 def canonical_adjoints(h: CompleteHomomorphism) -> tuple[FunctionGraph, FunctionGraph]:
     """Left and right adjoints of a complete homomorphism, by meet/join
-    formulas over the preimages."""
-    phi, theta = _adjoint_candidates(h.source, h.target, h.psi)
-    n = h.source.size
-    return FunctionGraph.from_targets(tuple(phi), n), FunctionGraph.from_targets(tuple(theta), n)
+    formulas over the preimages: ``phi(y)`` is the meet of ``psi^-1(up y)``
+    and ``theta(y)`` the join of ``psi^-1(down y)``."""
+    L, K, psi = h.source, h.target, h.psi
+    return (
+        FunctionGraph(tuple(map(L.meet_of, psi.preimages(K.up))), L.size),
+        FunctionGraph(tuple(map(L.join_of, psi.preimages(K.down))), L.size),
+    )
 
 
 def hom_of_pair(p: BondingPair) -> CompleteHomomorphism:

@@ -107,9 +107,7 @@ def powerset_infomorphism(
     pa = powerset_classification(a_labels)
     pb = powerset_classification(b_labels)
     # subset masks double as type indices in both powersets
-    g = FunctionGraph.from_targets(
-        tuple(f.inverse_image(s) for s in range(1 << len(a_labels))), 1 << len(b_labels)
-    )
+    g = FunctionGraph(f.preimages(range(1 << len(a_labels))), 1 << len(b_labels))
     return FunctionalInfomorphism(pa, pb, f, g)
 
 

@@ -277,7 +277,10 @@ def check_lattice(
     the down-sets are pairwise distinct.  A finite poset is a lattice when
     the full down-set (a top) is present and the intersection of every two
     down-sets is a principal down-set again: then every meet exists, and so
-    every join.  Witnesses are labels.
+    every join.  The pairs are tested one element at a time, by one set
+    membership pass over ``down[i] & down[j]`` for all ``j > i``; only on a
+    failure is the first failing pair ``(i, j)`` looked for, and reported
+    as ``bound_of`` reports it.  Witnesses are labels.
     """
     check_preorder(leq, labels)
     n = len(down)
@@ -290,8 +293,10 @@ def check_lattice(
         )
     full = (1 << n) - 1
     bound_of(down, down_index, full, 0, "meet")
-    for i in range(n):
-        for j in range(i + 1, n):
+    principal = set(down_index)
+    for i, d in enumerate(down):
+        if not principal.issuperset(map(d.__and__, down[i + 1 :])):
+            j = next(j for j in range(i + 1, n) if d & down[j] not in principal)
             bound_of(down, down_index, full, 1 << i | 1 << j, "meet")
 
 

@@ -263,6 +263,15 @@ class FunctionGraph:
         """The graph: row ``a`` holds the single bit ``targets[a]``."""
         return Relation(len(self.targets), self.dst_size, tuple(1 << b for b in self.targets))
 
+    @cached_property
+    def fibers(self) -> tuple[int, ...]:
+        """The rows of the transposed graph, built in one pass over
+        ``targets``: row ``b`` holds the sources sent to ``b``."""
+        out = [0] * self.dst_size
+        for a, b in enumerate(self.targets):
+            out[b] |= 1 << a
+        return tuple(out)
+
     def __call__(self, a: int) -> int:
         return self.targets[a]
 
@@ -280,13 +289,30 @@ class FunctionGraph:
             raise ShapeError(f"then: incompatible shapes {self.shape} and {other.shape}")
         return FunctionGraph(tuple(other.targets[b] for b in self.targets), other.dst_size)
 
+    def preimages(self, masks: Iterable[int]) -> tuple[int, ...]:
+        """The inverse image of each mask, the union of the fibers of its
+        bits; bits past the targets are ignored.
+
+        With the masks as the rows of a relation ``R`` into the targets, this
+        is ``compose(R, transpose(rel)).rows``, the same loop on the fibers
+        without the two relations: each mask costs its popcount, not the
+        number of sources."""
+        fibers = self.fibers
+        full = (1 << self.dst_size) - 1
+        out = []
+        for mask in masks:
+            mask &= full
+            acc = 0
+            while mask:
+                low = mask & -mask
+                acc |= fibers[low.bit_length() - 1]
+                mask ^= low
+            out.append(acc)
+        return tuple(out)
+
     def inverse_image(self, mask: int) -> int:
         """Sources whose target lands in ``mask``."""
-        out = 0
-        for a, b in enumerate(self.targets):
-            if mask >> b & 1:
-                out |= 1 << a
-        return out
+        return self.preimages((mask,))[0]
 
     def is_identity(self) -> bool:
         return self.targets == tuple(range(self.dst_size))

@@ -202,13 +202,9 @@ def adjoint_corpus(contexts, bonds, rng: random.Random):
         count = 0
         for psi_t in itertools.product(range(Kl.size), repeat=L.size):
             psi = FunctionGraph.from_targets(psi_t, Kl.size)
-            phi_t = []
+            phi_t = tuple(map(L.meet_of, psi.preimages(Kl.up)))
             try:
-                for y in range(Kl.size):
-                    phi_t.append(L.meet_of(psi.inverse_image(Kl.up[y])))
-                pair = functors.AdjointPair(
-                    L, Kl, FunctionGraph.from_targets(tuple(phi_t), L.size), psi
-                )
+                pair = functors.AdjointPair(L, Kl, FunctionGraph(phi_t, L.size), psi)
             except ConceptualError:
                 continue
             items.append((f"enumadj-{aid}>{bid}-{count}", pair))

@@ -261,19 +261,65 @@ def subset_bounds(leq: Relation) -> tuple[tuple, tuple]:
     return tuple(inf_oracle(ref, s) for s in subsets), tuple(sup_oracle(ref, s) for s in subsets)
 
 
-def complete_hom_oracle(L, K, psi) -> bool:
-    """``psi`` sends the meet and the join of every subset of ``L``, the empty
-    one included, to the meet and the join of its image in ``K``."""
+def complete_hom_oracle(L, K, psi) -> tuple[bool, tuple | None]:
+    """Verdict and witness of ``is_complete_homomorphism``, from the
+    definitions.
+
+    The verdict: ``psi`` sends the top, the bottom, and the meet and the
+    join of every subset of ``L`` to those of its image in ``K``.  The
+    witness of a failure: ``("top",)`` or ``("bottom",)`` when those are
+    not preserved, else ``("meet", y)`` for the first ``y`` of ``K`` at which
+    no element of ``L`` can be a left adjoint's value (``x0 <= x`` iff
+    ``y <= psi(x)`` for every ``x``), else ``("join", y)`` for the first ``y``
+    with no right adjoint value (``x <= x0`` iff ``psi(x) <= y``)."""
     L_inf, L_sup = subset_bounds(L.leq)
     K_inf, K_sup = subset_bounds(K.leq)
+    if psi(L_inf[0]) != K_inf[0]:
+        return False, ("top",)
+    if psi(L_sup[0]) != K_sup[0]:
+        return False, ("bottom",)
+    preserved = True
     for mask in range(1 << L.size):
         image = 0
         for i in range(L.size):
             if mask >> i & 1:
                 image |= 1 << psi(i)
         if psi(L_inf[mask]) != K_inf[image] or psi(L_sup[mask]) != K_sup[image]:
-            return False
-    return True
+            preserved = False
+            break
+    if preserved:
+        return True, None
+    for kind, below in (
+        ("meet", lambda x0, x, y: L.leq.bit(x0, x) == K.leq.bit(y, psi(x))),
+        ("join", lambda x0, x, y: L.leq.bit(x, x0) == K.leq.bit(psi(x), y)),
+    ):
+        for y in range(K.size):
+            if not any(all(below(x0, x, y) for x in range(L.size)) for x0 in range(L.size)):
+                return False, (kind, K.elements[y])
+    raise AssertionError("some bound is not preserved, yet both adjoints exist")
+
+
+def adjoint_oracle(L, K, phi, psi) -> tuple[int, int] | None:
+    """First ``(y, x)``, ``y`` of ``K`` and then ``x`` of ``L`` ascending, at
+    which ``phi(y) <= x`` and ``y <= psi(x)`` disagree; ``None`` when
+    ``phi: K -> L`` and ``psi: L -> K`` are adjoint."""
+    for y in range(K.size):
+        for x in range(L.size):
+            if L.leq.bit(phi(y), x) != K.leq.bit(y, psi(x)):
+                return y, x
+    return None
+
+
+def lattice_order_oracle(leq: Relation) -> tuple[int, int] | None:
+    """First pair ``(i, j)``, ``i < j`` in lexicographic order, with no
+    greatest lower bound in the order ``leq``; ``None`` when every pair has
+    one."""
+    ref = SimpleNamespace(order=leq, size=leq.src_size)
+    for i in range(ref.size):
+        for j in range(i + 1, ref.size):
+            if inf_oracle(ref, [i, j]) is None:
+                return i, j
+    return None
 
 
 def all_functions(src: int, dst: int):

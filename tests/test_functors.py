@@ -64,8 +64,10 @@ from conceptual.relalg import FunctionGraph, Relation, bits, left_residual
 from conftest import BOWTIE, all_contexts, order_from_covers, random_context
 from oracles import (
     adjoint_masks_oracle,
+    adjoint_oracle,
     complete_hom_oracle,
     inf_oracle,
+    lattice_order_oracle,
     random_relation,
     sup_oracle,
 )
@@ -80,6 +82,56 @@ def chain_lattice(n):
     labels = tuple(str(i) for i in range(n))
     rows = tuple(((1 << n) - 1) >> i << i for i in range(n))
     return CompleteLattice(labels, Relation(n, n, rows))
+
+
+def small_lattices():
+    """Every lattice of up to 4 elements (up to isomorphism), then the two
+    5-element lattices that are not distributive."""
+    return [
+        chain_lattice(1),
+        chain_lattice(2),
+        chain_lattice(3),
+        chain_lattice(4),
+        CompleteLattice(tuple("0ab1"), order_from_covers(4, [(0, 1), (0, 2), (1, 3), (2, 3)])),
+        CompleteLattice(tuple("0abt1"), PENTAGON),
+        CompleteLattice(tuple("0abc1"), DIAMOND),
+    ]
+
+
+def relabelled(leq: Relation, perm) -> Relation:
+    """The order with element ``i`` renamed ``perm[i]``."""
+    rows = [0] * leq.src_size
+    for i, j in leq.pairs():
+        rows[perm[i]] |= 1 << perm[j]
+    return Relation(leq.src_size, leq.dst_size, tuple(rows))
+
+
+def order_flaw(leq: Relation) -> str | None:
+    """``"transitive"`` or ``"antisymmetric"``, the first partial-order law a
+    reflexive relation breaks, from the single bits; ``None`` for an order."""
+    n = leq.src_size
+    if not all(
+        leq.bit(i, k) or not (leq.bit(i, j) and leq.bit(j, k))
+        for i, j, k in itertools.product(range(n), repeat=3)
+    ):
+        return "transitive"
+    if any(
+        i != j and leq.bit(i, j) and leq.bit(j, i)
+        for i, j in itertools.product(range(n), repeat=2)
+    ):
+        return "antisymmetric"
+    return None
+
+
+def reflexive_relations(n):
+    """Every reflexive relation on ``n`` elements."""
+    off = [(i, j) for i in range(n) for j in range(n) if i != j]
+    for code in range(1 << len(off)):
+        rows = [1 << i for i in range(n)]
+        for k, (i, j) in enumerate(off):
+            if code >> k & 1:
+                rows[i] |= 1 << j
+        yield Relation(n, n, tuple(rows))
 
 
 class TestCompleteLattice:
@@ -117,6 +169,73 @@ class TestCompleteLattice:
         with pytest.raises(ValidationError, match="antisymmetric") as exc:
             CompleteLattice(("x", "y"), Relation.full(2, 2))
         assert exc.value.witness == ("x", "y")
+
+    def test_every_reflexive_relation_against_definitions(self):
+        # 4,166 relations on up to 4 elements: every outcome of the
+        # validator, each checked against its definition
+        outcomes = {"transitive": 0, "antisymmetric": 0, "top": 0, "pair": 0, "lattice": 0}
+        for n in range(5):
+            labels = tuple(f"e{i}" for i in range(n))
+            for leq in reflexive_relations(n):
+                kind = order_flaw(leq)
+                if kind is not None:
+                    with pytest.raises(ValidationError, match=kind):
+                        CompleteLattice(labels, leq)
+                    outcomes[kind] += 1
+                    continue
+                ref = SimpleNamespace(order=leq, size=n)
+                if inf_oracle(ref, []) is None:
+                    with pytest.raises(ValidationError, match="no meet for element set 0x0"):
+                        CompleteLattice(labels, leq)
+                    outcomes["top"] += 1
+                    continue
+                pair = lattice_order_oracle(leq)
+                if pair is None:
+                    assert CompleteLattice(labels, leq).leq == leq
+                    outcomes["lattice"] += 1
+                    continue
+                mask = 1 << pair[0] | 1 << pair[1]
+                with pytest.raises(ValidationError) as exc:
+                    CompleteLattice(labels, leq)
+                assert str(exc.value) == f"no meet for element set {mask:#x}"
+                assert exc.value.witness == (mask,)
+                outcomes["pair"] += 1
+        assert sum(outcomes.values()) == 4166 and all(outcomes.values()), outcomes
+
+    def test_bounded_non_lattices_name_their_first_pair(self, rng):
+        # bottom and top around every partial order on 3 or 4 elements: the
+        # 6-element non-lattices (the bowtie among them) are bounded, so only
+        # the pairwise check rejects them; each order is also relabelled
+        seen = {"lattice": 0, "not a lattice": 0}
+        for middle in (3, 4):
+            n = middle + 2
+            for inner in reflexive_relations(middle):
+                if order_flaw(inner) is not None:
+                    continue
+                rows = [(1 << n) - 1]
+                rows += [inner.rows[i] << 1 | 1 << n - 1 for i in range(middle)]
+                rows.append(1 << n - 1)
+                bounded = Relation(n, n, tuple(rows))
+                perm = list(range(n))
+                rng.shuffle(perm)
+                for leq in (bounded, relabelled(bounded, perm)):
+                    pair = lattice_order_oracle(leq)
+                    labels = tuple(f"e{i}" for i in range(n))
+                    if pair is None:
+                        assert CompleteLattice(labels, leq).leq == leq
+                        seen["lattice"] += 1
+                        continue
+                    mask = 1 << pair[0] | 1 << pair[1]
+                    with pytest.raises(ValidationError) as exc:
+                        CompleteLattice(labels, leq)
+                    assert str(exc.value) == f"no meet for element set {mask:#x}"
+                    assert exc.value.witness == (mask,)
+                    seen["not a lattice"] += 1
+        assert all(seen.values()), seen
+        # 1 and 2 meet at 0, but 3 and 4 have the lower bounds 0, 1 and 2
+        assert lattice_order_oracle(BOWTIE) == (3, 4)
+        with pytest.raises(ValidationError, match="no meet for element set 0x18"):
+            CompleteLattice(tuple("0abcd1"), BOWTIE)
 
 
 class TestFunctionalEquivalence:
@@ -324,18 +443,13 @@ class TestCompleteRelationalEquivalence:
 
     def test_hom_check_matches_oracle_on_small_lattices(self, rng):
         # every map between each ordered pair, or a seeded sample of MAP_CAP
-        # distinct maps where there are more
+        # distinct maps where there are more; verdict and witness, so the
+        # first failing element is pinned too
         MAP_CAP = 5000
-        lattices = [
-            chain_lattice(1),
-            chain_lattice(2),
-            chain_lattice(3),
-            CompleteLattice(tuple("0abt1"), PENTAGON),
-            CompleteLattice(tuple("0abc1"), DIAMOND),
-            CompleteLattice(tuple("0ab1"), order_from_covers(4, [(0, 1), (0, 2), (1, 3), (2, 3)])),
-            complete_lattice_of(concept_lattice_of(contranominal_classification(3))),
+        lattices = small_lattices() + [
+            complete_lattice_of(concept_lattice_of(contranominal_classification(3)))
         ]
-        verdicts = {True: 0, False: 0, "past top and bottom": 0}
+        verdicts = {True: 0, "top": 0, "bottom": 0, "meet": 0, "join": 0}
         for L, K in itertools.product(lattices, repeat=2):
             total = K.size**L.size
             codes = range(total) if total <= MAP_CAP else rng.sample(range(total), MAP_CAP)
@@ -344,17 +458,48 @@ class TestCompleteRelationalEquivalence:
                     tuple(code // K.size**i % K.size for i in range(L.size)), K.size
                 )
                 verdict = is_complete_homomorphism(L, K, psi)
-                assert bool(verdict) == complete_hom_oracle(L, K, psi)
-                verdicts[bool(verdict)] += 1
-                if not verdict and verdict.witness[0] in ("meet", "join"):
-                    verdicts["past top and bottom"] += 1
-                    # the preimage of the named principal filter (or ideal)
-                    # is not principal
-                    kind, y = verdict.witness
-                    sets = (L.up, K.up) if kind == "meet" else (L.down, K.down)
-                    preimage = psi.inverse_image(sets[1][K.elements.index(y)])
-                    assert preimage not in sets[0]
+                assert (bool(verdict), verdict.witness) == complete_hom_oracle(L, K, psi)
+                verdicts[True if verdict else verdict.witness[0]] += 1
         assert all(verdicts.values()), verdicts
+
+    def test_adjoint_pair_witness_matches_oracle(self, rng):
+        # every psi between lattices of up to 4 elements, and between the two
+        # 5-element ones and those of up to 3; phi is psi's left adjoint
+        # when it has one, that map with one value moved, and a seeded
+        # random map
+        lattices = small_lattices()
+        outcomes = {"adjoint": 0, "not adjoint": 0}
+        for L, K in itertools.product(lattices, repeat=2):
+            if max(L.size, K.size) == 5 and min(L.size, K.size) > 3:
+                continue
+            ref = SimpleNamespace(order=L.leq, size=L.size)
+            for psi_t in itertools.product(range(K.size), repeat=L.size):
+                psi = FunctionGraph(psi_t, K.size)
+                # the meet of {x : y <= psi(x)}, the only candidate value
+                left = [
+                    inf_oracle(ref, [x for x in range(L.size) if K.leq.bit(y, psi(x))])
+                    for y in range(K.size)
+                ]
+                moved = list(left)
+                y = rng.randrange(K.size)
+                moved[y] = (moved[y] + 1) % L.size
+                randomly = [rng.randrange(L.size) for _ in range(K.size)]
+                for phi_t in (left, moved, randomly):
+                    phi = FunctionGraph(tuple(phi_t), L.size)
+                    expected = adjoint_oracle(L, K, phi, psi)
+                    verdict = check_adjoint(AdjointPair(L, K, phi, psi, validate=False))
+                    if expected is None:
+                        assert verdict and AdjointPair(L, K, phi, psi).phi == phi
+                        outcomes["adjoint"] += 1
+                        continue
+                    y, x = expected
+                    assert not verdict
+                    assert verdict.witness == (K.elements[y], L.elements[x])
+                    with pytest.raises(ValidationError) as exc:
+                        AdjointPair(L, K, phi, psi)
+                    assert exc.value.witness == verdict.witness
+                    outcomes["not adjoint"] += 1
+        assert all(outcomes.values()), outcomes
 
     def test_canonical_adjoints_are_adjoint(self):
         L = chain_lattice(3)

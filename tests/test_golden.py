@@ -101,9 +101,21 @@ GOLDEN = {
         0,
         "a9bce591d71cc6684ac49d7407fb30cd6e29d4ff6f03cb0e0a4163ef86b3479d",
     ),
+    ("verify-equivalences", "--max-size", "3", "--seed", "8", "--json"): (
+        0,
+        "1500829901e32c400a08aabe47c25484558895f98069580e498b3d8c5f4cca26",
+    ),
+    ("verify-equivalences", "--max-size", "3", "--seed", "9", "--json"): (
+        0,
+        "798c7abd5e7c592dfe115b514590e6f1cab3d292ad7ba1715962f2ca910de519",
+    ),
     ("verify-equivalences", "--max-size", "3", "--seed", "10", "--json"): (
         0,
         "e2d756337f679132464a2c3c62e5237b76c69cdc42f5a275655b47b62f7b4b6e",
+    ),
+    ("verify-equivalences", "--max-size", "3", "--seed", "11", "--json"): (
+        0,
+        "e8e1045c7763957331403b478483745e6753eaa9f81ffe44e22ad3a423fecb71",
     ),
     ("verify-equivalences", "--max-size", "3", "--seed", "10", "--inject-bug", "--json"): (
         1,
