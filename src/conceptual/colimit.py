@@ -8,6 +8,7 @@ enumerate candidate mediators outright at desk scale.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -312,14 +313,20 @@ def _by_restrictions(candidates, compose, left, right) -> dict:
 
 def check_coproduct_property(
     d: CoproductDiagram, targets: list[Classification], report: VerificationReport
-):
+) -> list[list[tuple]]:
     """Enumerate cocones over the given targets and confirm a unique mediator,
-    equal to the formula-built one, for each."""
+    equal to the formula-built one, for each.
+
+    Returns the cocones of each target, in report order: the item, the two
+    legs and the mediator ``coproduct_mediator`` builds from them."""
     fiber = d.kind == "apposition"
+    cocones = []
     for t_i, C in enumerate(targets):
-        all_mediators = list(enumerate_infomorphisms(d.apex, C, instance_identity=fiber))
-        legs_a = list(enumerate_infomorphisms(d.left, C, instance_identity=fiber))
-        legs_b = list(enumerate_infomorphisms(d.right, C, instance_identity=fiber))
+        all_mediators, legs_a, legs_b = (
+            list(enumerate_infomorphisms(X, C, instance_identity=fiber))
+            for X in (d.apex, d.left, d.right)
+        )
+        cocones.append([])
         if not legs_a or not legs_b:
             report.add(f"{d.kind}-universal", f"target-{t_i}", True)
             continue
@@ -338,6 +345,8 @@ def check_coproduct_property(
                     ok,
                     witness=f"{len(found)} mediators found",
                 )
+                cocones[-1].append((item, mA, mB, built))
+    return cocones
 
 
 def transport_coproduct(
@@ -350,6 +359,8 @@ def transport_coproduct(
     The transported mediator is rebuilt by the equivalence recipe: take the
     classification mediator of the pulled-back cocone, apply the lattice
     functor, and compose with the rebuild isomorphism of the target lattice.
+    The cocones and their mediators are those ``check_coproduct_property``
+    enumerated; each leg's lattice image is computed once per target.
     """
     report = VerificationReport()
     if inject_bug:
@@ -362,14 +373,11 @@ def transport_coproduct(
         broken = Classification(
             apex.instances, apex.types, Relation(len(rows), len(apex.types), tuple(rows))
         )
-        left = FunctionalInfomorphism(
-            d.left, broken, d.left_injection.f, d.left_injection.g, validate=False
+        left, right = (
+            FunctionalInfomorphism(m.source, broken, m.f, m.g, validate=False)
+            for m in (d.left_injection, d.right_injection)
         )
-        right = FunctionalInfomorphism(
-            d.right, broken, d.right_injection.f, d.right_injection.g, validate=False
-        )
-        res_left = check_functional(left)
-        res_right = check_functional(right)
+        res_left, res_right = check_functional(left), check_functional(right)
         report.add(
             "transport-injection-valid",
             d.kind,
@@ -382,41 +390,33 @@ def transport_coproduct(
 
     if targets is None:
         targets = [d.left, d.right]
-    check_coproduct_property(d, targets, report)
+    cocones = check_coproduct_property(d, targets, report)
 
-    fiber = d.kind == "apposition"
     L_apex = functors.concept_lattice_of(d.apex)
     L_left_inj = functors.lattice_of_morphism(d.left_injection)
     L_right_inj = functors.lattice_of_morphism(d.right_injection)
-    for t_i, C in enumerate(targets):
-        legs_a = list(enumerate_infomorphisms(d.left, C, instance_identity=fiber))
-        legs_b = list(enumerate_infomorphisms(d.right, C, instance_identity=fiber))
+    for C, target_cocones in zip(targets, cocones):
         M = functors.concept_lattice_of(C)
-        witness = functors.lattice_equivalence_witness(M)
-        iso = functors.witness_as_lattice_morphism(witness)
+        iso = functors.witness_as_lattice_morphism(functors.lattice_equivalence_witness(M))
+        image = functools.cache(functors.lattice_of_morphism)
         mediators = _by_restrictions(
             _enumerate_lattice_morphisms(L_apex, M),
             functors.compose_lattice_morphisms,
             L_left_inj,
             L_right_inj,
         )
-        for ca, mA in enumerate(legs_a):
-            for cb, mB in enumerate(legs_b):
-                item = f"target-{t_i}-cocone-{ca}-{cb}"
-                found = mediators.get(
-                    (functors.lattice_of_morphism(mA), functors.lattice_of_morphism(mB)), []
-                )
-                mediator = coproduct_mediator(d, mA, mB)
-                formula = functors.compose_lattice_morphisms(
-                    functors.lattice_of_morphism(mediator), iso
-                )
-                ok = len(found) == 1 and found[0] == formula
-                report.add(
-                    f"{d.kind}-transport",
-                    item,
-                    ok,
-                    witness=f"{len(found)} lattice mediators found",
-                )
+        for item, mA, mB, mediator in target_cocones:
+            found = mediators.get((image(mA), image(mB)), [])
+            formula = functors.compose_lattice_morphisms(
+                functors.lattice_of_morphism(mediator), iso
+            )
+            ok = len(found) == 1 and found[0] == formula
+            report.add(
+                f"{d.kind}-transport",
+                item,
+                ok,
+                witness=f"{len(found)} lattice mediators found",
+            )
     return report
 
 

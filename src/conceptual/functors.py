@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Sequence
 
 from .bond import Bond, BondingPair, compose_bonding_pairs, compose_bonds
 from .classification import Classification
@@ -30,6 +29,7 @@ from .lattice import (
 from .relalg import (
     FunctionGraph,
     Relation,
+    adjoint_failure,
     bits,
     compose,
     first_difference,
@@ -149,26 +149,9 @@ class ConceptLatticeMorphism:
             check_lattice_morphism(self).require("not a concept lattice morphism")
 
 
-def _adjoint_failure(
-    src_rows: Sequence[int], tgt_rows: Iterable[int], phi: Iterable[int], psi: FunctionGraph
-) -> tuple[int, int] | None:
-    """First ``(y, x)`` breaking ``phi(y) <= x iff y <= psi(x)``; ``None``
-    when ``phi`` and ``psi`` are adjoint.
-
-    ``src_rows`` and ``tgt_rows`` are the principal up-sets of the two
-    orders, the rows of ``<=`` and ``<='``, and ``phi`` yields ``phi(0),
-    phi(1), ...``.  This is the relation equation ``compose(phi, <=) ==
-    compose(<=', psi^T)``: row ``y`` of the right side is ``psi``'s inverse
-    image of the up-set of ``y``, and ``psi.preimages`` gives all of them in
-    one pass over the fibers of ``psi``.  The rows are compared in order, so
-    the first failing ``y`` is the one reported.
-    """
-    return first_difference(map(src_rows.__getitem__, phi), psi.preimages(tgt_rows))
-
-
 def check_lattice_morphism(m: ConceptLatticeMorphism) -> CheckResult:
     src, tgt = m.source, m.target
-    diff = _adjoint_failure(src.order.rows, tgt.order.rows, m.phi.targets, m.psi)
+    diff = adjoint_failure(src.order.rows, tgt.order.rows, m.phi.targets, m.psi)
     if diff is not None:
         return CheckResult(False, witness=diff, reason="adjointness fails")
     if m.source.tau.then(m.psi) != m.g.then(m.target.tau):
@@ -319,7 +302,7 @@ class AdjointPair:
 
 
 def check_adjoint(p: AdjointPair) -> CheckResult:
-    diff = _adjoint_failure(p.source.up, p.target.up, p.phi.targets, p.psi)
+    diff = adjoint_failure(p.source.up, p.target.up, p.phi.targets, p.psi)
     if diff is None:
         return CheckResult(True)
     y, x = diff

@@ -50,10 +50,9 @@ class FunctionalInfomorphism:
         return f"FunctionalInfomorphism({self.source!r} => {self.target!r})"
 
 
-def _instance_type_witness(m, lhs: Relation, rhs: Relation, reason: str) -> CheckResult:
-    """Equality of two target-instance x source-type relations; the witness
-    labels their first differing cell."""
-    diff = relalg.first_difference(lhs.rows, rhs.rows)
+def _instance_type_witness(m, diff: tuple[int, int] | None, reason: str) -> CheckResult:
+    """The verdict on a first differing (target instance, source type) cell;
+    the witness labels it."""
     if diff is None:
         return CheckResult(True)
     b, t = diff
@@ -61,10 +60,11 @@ def _instance_type_witness(m, lhs: Relation, rhs: Relation, reason: str) -> Chec
 
 
 def check_functional(m: FunctionalInfomorphism) -> CheckResult:
-    """Fundamental property: f(b) carries t in the source iff b carries g(t)."""
-    lhs = compose(m.f.rel, m.source.incidence)
-    rhs = compose(m.target.incidence, transpose(m.g.rel))
-    return _instance_type_witness(m, lhs, rhs, "fundamental property fails")
+    """Fundamental property: f(b) carries t in the source iff b carries g(t),
+    the equation of ``relalg.adjoint_failure`` on the two incidences:
+    ``compose(f, I_A) == compose(I_B, g^T)``."""
+    diff = relalg.adjoint_failure(m.source.rows, m.target.rows, m.f.targets, m.g)
+    return _instance_type_witness(m, diff, "fundamental property fails")
 
 
 def identity_functional(K: Classification) -> FunctionalInfomorphism:
@@ -146,7 +146,7 @@ def check_relational(m: RelationalInfomorphism) -> CheckResult:
     """Fundamental property: the two residuals agree (their value is the bond)."""
     lhs = left_residual(m.r, m.source.incidence)
     rhs = right_residual(m.target.incidence, m.s)
-    return _instance_type_witness(m, lhs, rhs, "residuals differ")
+    return _instance_type_witness(m, relalg.first_difference(lhs.rows, rhs.rows), "residuals differ")
 
 
 def identity_relational(K: Classification) -> RelationalInfomorphism:

@@ -46,6 +46,11 @@ def first_difference(xs: Iterable[int], ys: Iterable[int]) -> tuple[int, int] | 
     return None
 
 
+# the binary digit of a matrix cell: a lookup by hash and ``==``, so a cell
+# is a digit exactly when it equals 0 or 1 (``False``, ``True`` and ``1.0`` too)
+_DIGITS = {0: "0", 1: "1"}
+
+
 @dataclass(frozen=True)
 class Relation:
     """Boolean matrix between two finite index sets, value semantics."""
@@ -82,20 +87,22 @@ class Relation:
 
     @classmethod
     def from_matrix(cls, matrix: Sequence[Sequence[int]], dst_size: int | None = None) -> "Relation":
-        """Build from a 0/1 row-of-rows; ``dst_size`` disambiguates 0 rows."""
+        """Build from a 0/1 row-of-rows; ``dst_size`` disambiguates 0 rows.
+
+        Each row is checked once and read as a binary numeral, last cell
+        first, as ``io.parse_cxt`` reads its rows; the cells are scanned one
+        by one only to name a bad one."""
         if dst_size is None:
             dst_size = len(matrix[0]) if matrix else 0
         rows = []
         for cells in matrix:
             if len(cells) != dst_size:
                 raise ValidationError("ragged incidence matrix")
-            row = 0
-            for b, cell in enumerate(cells):
-                if cell not in (0, 1, False, True):
-                    raise ValidationError(f"matrix cell must be 0/1, got {cell!r}")
-                if cell:
-                    row |= 1 << b
-            rows.append(row)
+            try:
+                rows.append(int("".join(map(_DIGITS.__getitem__, reversed(cells))) or "0", 2))
+            except (KeyError, TypeError):
+                bad = next(cell for cell in cells if cell not in (0, 1))
+                raise ValidationError(f"matrix cell must be 0/1, got {bad!r}") from None
         return cls(len(matrix), dst_size, tuple(rows))
 
     @classmethod
@@ -316,3 +323,20 @@ class FunctionGraph:
 
     def is_identity(self) -> bool:
         return self.targets == tuple(range(self.dst_size))
+
+
+def adjoint_failure(
+    src_rows: Sequence[int], tgt_rows: Iterable[int], phi: Iterable[int], psi: FunctionGraph
+) -> tuple[int, int] | None:
+    """First ``(y, x)`` breaking ``compose(phi, R) == compose(S, psi^T)``,
+    for ``R`` and ``S`` with rows ``src_rows`` and ``tgt_rows`` and ``phi``
+    yielding ``phi(0), phi(1), ...``; ``None`` when it holds.
+
+    Row ``y`` of the right side is ``psi``'s inverse image of row ``y`` of
+    ``S``, and ``psi.preimages`` reads them all from its fibers.  On two
+    orders this is adjointness, ``phi(y) <= x iff y <= psi(x)``; on the
+    incidences of two classifications it is the fundamental property of an
+    infomorphism, ``f(b)`` carries ``t`` iff ``b`` carries ``g(t)``.  Rows
+    are compared in order, so the first failing ``y`` is reported.
+    """
+    return first_difference(map(src_rows.__getitem__, phi), psi.preimages(tgt_rows))

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
+
+from .errors import ConceptualError
 
 PASS = "pass"
 FAIL = "fail"
@@ -26,11 +29,22 @@ class VerificationReport:
             CheckRecord(check, item, PASS if ok else FAIL, None if ok else witness)
         )
 
+    def attempt(self, check: str, item: str, test: Callable[[], object], witness: str | None):
+        """Record whether ``test()`` holds; a ``ConceptualError`` it raises fails
+        the record with its message as the witness.  A validated build passes."""
+        try:
+            ok = bool(test())
+        except ConceptualError as e:
+            ok, witness = False, str(e)
+        self.add(check, item, ok, witness)
+
     def flag_no_coverage(self, check: str):
         self.records.append(CheckRecord(check, "-", NO_COVERAGE))
 
-    def extend(self, other: "VerificationReport"):
-        self.records.extend(other.records)
+    def extend(self, other: "VerificationReport", prefix: str):
+        """Append ``other``'s records, each item prefixed by ``prefix``."""
+        for r in other.records:
+            self.records.append(CheckRecord(r.check, prefix + r.item, r.verdict, r.witness))
 
     @property
     def failures(self) -> list[CheckRecord]:

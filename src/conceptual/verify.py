@@ -186,6 +186,36 @@ def bond_corpus(contexts, morphisms, rng: random.Random) -> list[tuple[str, Bond
     return items
 
 
+def _first_maps(contexts, rng: random.Random, pairs: int, prefix: str, make):
+    """For each of ``pairs`` sampled pairs of lattices of contexts up to
+    2x2, the first three maps ``make(L, K, psi)`` builds without raising, in
+    the enumeration order of ``psi``."""
+    lattices = []
+    for cid, K in _sample(rng, _small(contexts, 2, 2), 5):
+        lattices.append((cid, functors.complete_lattice_of(concept_lattice_of(K))))
+    items = []
+    for (aid, L), (bid, Kl) in _sample(
+        rng, list(itertools.product(lattices, repeat=2)), pairs
+    ):
+        count = 0
+        for psi_t in itertools.product(range(Kl.size), repeat=L.size):
+            try:
+                m = make(L, Kl, FunctionGraph(psi_t, Kl.size))
+            except ConceptualError:
+                continue
+            items.append((f"{prefix}-{aid}>{bid}-{count}", m))
+            count += 1
+            if count >= 3:
+                break
+    return items
+
+
+def _with_left_adjoint(L, Kl, psi) -> functors.AdjointPair:
+    """``psi`` with its left adjoint by the meet formula, validated."""
+    phi_t = tuple(map(L.meet_of, psi.preimages(Kl.up)))
+    return functors.AdjointPair(L, Kl, FunctionGraph(phi_t, L.size), psi)
+
+
 def adjoint_corpus(contexts, bonds, rng: random.Random):
     items = []
     for cid, K in _sample(rng, contexts, 6):
@@ -193,25 +223,7 @@ def adjoint_corpus(contexts, bonds, rng: random.Random):
         items.append((f"idadj-{cid}", functors.identity_adjoint(L)))
     for bid, F in _sample(rng, bonds, 10):
         items.append((f"adj-{bid}", functors.adjoint_of_bond(F)))
-    lattices = []
-    for cid, K in _sample(rng, _small(contexts, 2, 2), 5):
-        lattices.append((cid, functors.complete_lattice_of(concept_lattice_of(K))))
-    for (aid, L), (bid, Kl) in _sample(
-        rng, list(itertools.product(lattices, repeat=2)), 4
-    ):
-        count = 0
-        for psi_t in itertools.product(range(Kl.size), repeat=L.size):
-            psi = FunctionGraph.from_targets(psi_t, Kl.size)
-            phi_t = tuple(map(L.meet_of, psi.preimages(Kl.up)))
-            try:
-                pair = functors.AdjointPair(L, Kl, FunctionGraph(phi_t, L.size), psi)
-            except ConceptualError:
-                continue
-            items.append((f"enumadj-{aid}>{bid}-{count}", pair))
-            count += 1
-            if count >= 3:
-                break
-    return items
+    return items + _first_maps(contexts, rng, 4, "enumadj", _with_left_adjoint)
 
 
 def hom_corpus(contexts, rng: random.Random):
@@ -219,23 +231,7 @@ def hom_corpus(contexts, rng: random.Random):
     for cid, K in _sample(rng, contexts, 5):
         L = functors.complete_lattice_of(concept_lattice_of(K))
         items.append((f"idhom-{cid}", functors.identity_hom(L)))
-    lattices = []
-    for cid, K in _sample(rng, _small(contexts, 2, 2), 5):
-        lattices.append((cid, functors.complete_lattice_of(concept_lattice_of(K))))
-    for (aid, L), (bid, Kl) in _sample(
-        rng, list(itertools.product(lattices, repeat=2)), 5
-    ):
-        count = 0
-        for psi_t in itertools.product(range(Kl.size), repeat=L.size):
-            psi = FunctionGraph.from_targets(psi_t, Kl.size)
-            if functors.is_complete_homomorphism(L, Kl, psi):
-                items.append(
-                    (f"enumhom-{aid}>{bid}-{count}", functors.CompleteHomomorphism(L, Kl, psi))
-                )
-                count += 1
-                if count >= 3:
-                    break
-    return items
+    return items + _first_maps(contexts, rng, 5, "enumhom", functors.CompleteHomomorphism)
 
 
 def pair_corpus(contexts, homs, rng: random.Random) -> list[tuple[str, BondingPair]]:
@@ -278,15 +274,25 @@ def abstract_lattice_corpus(contexts, adjoints, rng: random.Random):
     return lattices, morphisms
 
 
-def _eta_morphism(w: functors.LatticeWitness) -> functors.ConceptLatticeMorphism:
-    return functors.ConceptLatticeMorphism(
-        w.lattice,
-        w.rebuilt,
-        w.forward,
-        w.backward,
-        FunctionGraph.identity(len(w.lattice.instance_labels)),
-        FunctionGraph.identity(len(w.lattice.type_labels)),
+def _naturality_holds(cm: functors.ConceptLatticeMorphism) -> bool:
+    """The rebuild isomorphisms ``iso`` (rebuilt lattice to lattice) make
+    the square ``L(C(cm)) ; iso_tgt == iso_src ; cm`` commute."""
+    iso_src, iso_tgt = (
+        functors.witness_as_lattice_morphism(functors.lattice_equivalence_witness(M))
+        for M in (cm.source, cm.target)
     )
+    rebuilt = functors.lattice_of_morphism(functors.morphism_of_lattice_morphism(cm))
+    lhs = functors.compose_lattice_morphisms(rebuilt, iso_tgt)
+    return lhs == functors.compose_lattice_morphisms(iso_src, cm)
+
+
+def _functoriality(report, check, items, pairs, compose, functor, compose_image, witness):
+    """For each ``(i, j)`` of ``pairs``: ``functor`` sends the composite of
+    items ``i`` and ``j`` to the composite of their images."""
+    for i, j in pairs:
+        (aid, a), (bid, b) = items[i], items[j]
+        lhs = functor(compose(a, b))
+        report.add(check, f"{aid};{bid}", lhs == compose_image(functor(a), functor(b)), witness)
 
 
 def verify_equivalences(
@@ -322,63 +328,35 @@ def verify_equivalences(
         rebuilt = functors.morphism_of_lattice_morphism(functors.lattice_of_morphism(m))
         report.add("infomorphism-roundtrip", mid, rebuilt == m, witness="C(L(m)) != m")
     for lid, L in abstract_lattices:
-        try:
-            functors.lattice_equivalence_witness(L)
-            report.add("lattice-roundtrip", lid, True)
-        except ConceptualError as e:
-            report.add("lattice-roundtrip", lid, False, witness=str(e))
+        report.attempt(
+            "lattice-roundtrip", lid, lambda: functors.lattice_equivalence_witness(L), None
+        )
     for mid, cm in abstract_morphisms:
-        try:
-            w_src = functors.lattice_equivalence_witness(cm.source)
-            w_tgt = functors.lattice_equivalence_witness(cm.target)
-            rebuilt_cm = functors.lattice_of_morphism(
-                functors.morphism_of_lattice_morphism(cm)
-            )
-            lhs = functors.compose_lattice_morphisms(_eta_morphism(w_src), rebuilt_cm)
-            rhs = functors.compose_lattice_morphisms(cm, _eta_morphism(w_tgt))
-            report.add("cl-naturality", mid, lhs == rhs, witness="naturality square broke")
-        except ConceptualError as e:
-            report.add("cl-naturality", mid, False, witness=str(e))
+        report.attempt("cl-naturality", mid, lambda: _naturality_holds(cm), "naturality square broke")
 
     # relational equivalence
     for cid, K in contexts:
-        try:
-            functors.embedding_bonds(K)
-            report.add("embedding-inverse", cid, True)
-        except ConceptualError as e:
-            report.add("embedding-inverse", cid, False, witness=str(e))
+        report.attempt("embedding-inverse", cid, lambda: functors.embedding_bonds(K), None)
     for bid, F in bonds:
         report.add(
             "bond-naturality", bid, functors.bond_naturality_holds(F), witness="paths differ"
         )
-    for b1, b2 in _sample(rng, _composable(bonds), 10):
-        F, G = bonds[b1][1], bonds[b2][1]
-        lhs = functors.adjoint_of_bond(compose_bonds(F, G))
-        rhs = functors.compose_adjoints(
-            functors.adjoint_of_bond(F), functors.adjoint_of_bond(G)
-        )
-        report.add(
-            "adjoint-functoriality",
-            f"{bonds[b1][0]};{bonds[b2][0]}",
-            lhs == rhs,
-            witness="composite adjoint differs",
-        )
+    _functoriality(
+        report, "adjoint-functoriality", bonds, _sample(rng, _composable(bonds), 10),
+        compose_bonds, functors.adjoint_of_bond, functors.compose_adjoints,
+        "composite adjoint differs",
+    )
     for cid, K in _sample(rng, contexts, 6):
         lhs = functors.adjoint_of_bond(identity_bond(K))
         rhs = functors.identity_adjoint(
             functors.complete_lattice_of(concept_lattice_of(K))
         )
         report.add("adjoint-functoriality", f"identity-{cid}", lhs == rhs)
-    for a1, a2 in _sample(rng, _composable(adjoints), 10):
-        p1, p2 = adjoints[a1][1], adjoints[a2][1]
-        lhs = functors.bond_of_adjoint(functors.compose_adjoints(p1, p2))
-        rhs = compose_bonds(functors.bond_of_adjoint(p1), functors.bond_of_adjoint(p2))
-        report.add(
-            "bond-functoriality",
-            f"{adjoints[a1][0]};{adjoints[a2][0]}",
-            lhs == rhs,
-            witness="composite bond differs",
-        )
+    _functoriality(
+        report, "bond-functoriality", adjoints, _sample(rng, _composable(adjoints), 10),
+        functors.compose_adjoints, functors.bond_of_adjoint, compose_bonds,
+        "composite bond differs",
+    )
     for aid, p in adjoints:
         report.add(
             "adjoint-roundtrip", aid, functors.adjoint_roundtrip_holds(p), witness="conjugated round trip differs"
@@ -386,41 +364,27 @@ def verify_equivalences(
 
     # complete relational equivalence
     for pid, p in pairs:
-        try:
-            functors.hom_of_pair(p)
-            report.add("pair-psi-phi", pid, True)
-        except ConceptualError as e:
-            report.add("pair-psi-phi", pid, False, witness=str(e))
-        try:
-            report.add(
-                "pair-roundtrip", pid, functors.pair_roundtrip_holds(p), witness="conjugation differs from rebuild"
-            )
-        except ConceptualError as e:
-            report.add("pair-roundtrip", pid, False, witness=str(e))
+        report.attempt("pair-psi-phi", pid, lambda: functors.hom_of_pair(p), None)
+        report.attempt(
+            "pair-roundtrip",
+            pid,
+            lambda: functors.pair_roundtrip_holds(p),
+            "conjugation differs from rebuild",
+        )
     for hid, h in homs:
         report.add(
             "hom-roundtrip", hid, functors.hom_roundtrip_holds(h), witness="witness maps do not intertwine"
         )
-    for p1, p2 in _sample(rng, _composable(pairs), 8):
-        q1, q2 = pairs[p1][1], pairs[p2][1]
-        lhs = functors.hom_of_pair(compose_bonding_pairs(q1, q2))
-        rhs = functors.compose_homs(functors.hom_of_pair(q1), functors.hom_of_pair(q2))
-        report.add(
-            "pair-functoriality",
-            f"{pairs[p1][0]};{pairs[p2][0]}",
-            lhs == rhs,
-            witness="composite homomorphism differs",
-        )
-    for h1, h2 in _sample(rng, _composable(homs), 8):
-        g1, g2 = homs[h1][1], homs[h2][1]
-        lhs = functors.pair_of_hom(functors.compose_homs(g1, g2))
-        rhs = compose_bonding_pairs(functors.pair_of_hom(g1), functors.pair_of_hom(g2))
-        report.add(
-            "hom-functoriality",
-            f"{homs[h1][0]};{homs[h2][0]}",
-            lhs == rhs,
-            witness="composite pair differs",
-        )
+    _functoriality(
+        report, "pair-functoriality", pairs, _sample(rng, _composable(pairs), 8),
+        compose_bonding_pairs, functors.hom_of_pair, functors.compose_homs,
+        "composite homomorphism differs",
+    )
+    _functoriality(
+        report, "hom-functoriality", homs, _sample(rng, _composable(homs), 8),
+        functors.compose_homs, functors.pair_of_hom, compose_bonding_pairs,
+        "composite pair differs",
+    )
 
     # irreducibility preservation
     for mid, m in morphisms:
@@ -448,17 +412,10 @@ def verify_equivalences(
             d, targets=[A], inject_bug=inject_bug and first_transport
         )
         first_transport = False
-        for r in sub.records:
-            report.records.append(
-                type(r)(r.check, f"{aid}+{bid}:{r.item}", r.verdict, r.witness)
-            )
+        report.extend(sub, f"{aid}+{bid}:")
     for cid, K in _sample(rng, [item for item in small if item[1].instances], 2):
-        d = colimit.apposition(K, K)
-        sub = colimit.transport_coproduct(d, targets=[K])
-        for r in sub.records:
-            report.records.append(
-                type(r)(r.check, f"{cid}|{cid}:{r.item}", r.verdict, r.witness)
-            )
+        sub = colimit.transport_coproduct(colimit.apposition(K, K), targets=[K])
+        report.extend(sub, f"{cid}|{cid}:")
 
     present = {r.check for r in report.records}
     for family in CHECK_FAMILIES:

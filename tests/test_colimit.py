@@ -1,8 +1,9 @@
+import collections
 import random
 
 import pytest
 
-from conceptual import functors
+from conceptual import colimit, functors
 from conceptual.classification import (
     Classification,
     antichain_classification,
@@ -403,3 +404,67 @@ class TestMediatorIndex:
                             L_right,
                             *gammas,
                         )
+
+    def test_universal_check_returns_the_cocones_it_reported(self, k1):
+        for d in _diagrams(k1):
+            report = VerificationReport()
+            cocones = check_coproduct_property(d, [d.left, d.right], report)
+            assert len(cocones) == 2
+            flat = [c for target_cocones in cocones for c in target_cocones]
+            assert [c[0] for c in flat] == [
+                r.item for r in report.records if "cocone" in r.item
+            ]
+            for _, mA, mB, mediator in flat:
+                assert mediator == coproduct_mediator(d, mA, mB)
+
+    def test_transport_builds_each_mediator_and_image_once(self, k1, monkeypatch):
+        """One ``coproduct_mediator`` per cocone, one enumeration of each
+        list of legs per target, and one lattice image per injection, per
+        distinct leg of a target and per mediator."""
+        diagrams = _diagrams(k1)
+        expected = []
+        for d in diagrams:
+            fiber = d.kind == "apposition"
+            cocones = images = 0
+            for C in (d.left, d.right):
+                legs_a, legs_b = (
+                    list(enumerate_infomorphisms(X, C, instance_identity=fiber))
+                    for X in (d.left, d.right)
+                )
+                if legs_a and legs_b:
+                    cocones += len(legs_a) * len(legs_b)
+                    images += len(set(legs_a) | set(legs_b))
+            expected.append((cocones, images))
+        calls = collections.Counter()
+        for module, name in (
+            (colimit, "coproduct_mediator"),
+            (colimit, "enumerate_infomorphisms"),
+            (functors, "lattice_of_morphism"),
+        ):
+            monkeypatch.setattr(module, name, _counting(calls, name, getattr(module, name)))
+        for d, (cocones, images) in zip(diagrams, expected):
+            calls.clear()
+            transport_coproduct(d)
+            assert calls["coproduct_mediator"] == cocones
+            assert calls["lattice_of_morphism"] == 2 + images + cocones
+            enumerations = collections.Counter(
+                ("enumerate_infomorphisms", X, C)
+                for C in (d.left, d.right)
+                for X in (d.apex, d.left, d.right)
+            )
+            assert {
+                k: n for k, n in calls.items() if k[0] == "enumerate_infomorphisms" and len(k) == 3
+            } == enumerations
+
+
+def _counting(calls: collections.Counter, name: str, fn):
+    """``fn``, counting its calls under ``name`` and, for two or more
+    arguments, under ``(name, first, second)``."""
+
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        if len(args) >= 2:
+            calls[(name, *args[:2])] += 1
+        return fn(*args, **kwargs)
+
+    return wrapper

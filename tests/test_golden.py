@@ -6,7 +6,8 @@ on four elements, whose lattice is the boolean lattice of 16 concepts, and a
 small context whose labels JSON must escape: quotes, backslashes and control
 characters, next to non-ASCII ones it must not.  The bond commands read
 seeded bonds and bonding pairs between the two random contexts, valid and
-invalid.
+invalid; ``check infomorphism`` reads an injection into their sum, and the
+same map with one instance moved.
 """
 
 import contextlib
@@ -19,9 +20,11 @@ import pytest
 from conceptual.bond import Bond, BondingPair, close_to_bond
 from conceptual.classification import Classification, contranominal_classification
 from conceptual.cli import main
+from conceptual.colimit import coproduct_sum
 from conceptual.functors import embedding_bonding_pairs
+from conceptual.infomorphism import FunctionalInfomorphism
 from conceptual.io import dumps, emit_cxt, morphism_to_obj
-from conceptual.relalg import Relation
+from conceptual.relalg import FunctionGraph, Relation
 
 from conftest import random_context
 
@@ -53,7 +56,22 @@ def _contexts(*names):
     return tuple(CONTEXTS[name]() for name in names)
 
 
+def injection():
+    return coproduct_sum(*_contexts("rand-6x5", "rand-5x7")).right_injection
+
+
+def moved_instance(m: FunctionalInfomorphism, b: int) -> FunctionalInfomorphism:
+    """``m`` with the source instance of target instance ``b`` moved by one,
+    unchecked."""
+    t = list(m.f.targets)
+    t[b] = (t[b] + 1) % m.f.dst_size
+    f = FunctionGraph(tuple(t), m.f.dst_size)
+    return FunctionalInfomorphism(m.source, m.target, f, m.g, validate=False)
+
+
 MORPHISMS = {
+    "infomorphism": injection,
+    "non-infomorphism": lambda: moved_instance(injection(), 13),
     "bond": lambda: seeded_bond(*_contexts("rand-6x5", "rand-5x7"), 13),
     "bond-next": lambda: seeded_bond(*_contexts("rand-5x7", "contranominal-4"), 14),
     "non-bond": lambda: Bond(
@@ -152,6 +170,22 @@ GOLDEN = {
     ("check", "bonding-pair", "{non-pair}", "--json"): (
         1,
         "9717dc0efa58938036cbbb87ee21bccabd545097bfcd47d8f5f7400da9deb9bf",
+    ),
+    ("check", "infomorphism", "{infomorphism}"): (
+        0,
+        "807715ad8c21e4b4d02e22daab55c31648aca5b83c68a0b61ca1c4351be72bd3",
+    ),
+    ("check", "infomorphism", "{infomorphism}", "--json"): (
+        0,
+        "390a407df9ea2f2bf6fc33915f8a00bf9cb7f3a32e7b95ff9bbef32d77a337ec",
+    ),
+    ("check", "infomorphism", "{non-infomorphism}"): (
+        1,
+        "006fd712b6abbf9e47a669cebb2f5bfa87b3f4b8ac4ca0d28b15bbf650770c0a",
+    ),
+    ("check", "infomorphism", "{non-infomorphism}", "--json"): (
+        1,
+        "5445c7c57d284cb279378ab9f01c207ba3299679c427fa117ce23835c3413253",
     ),
     ("compose", "bonds", "{bond}", "{bond-next}"): (
         0,

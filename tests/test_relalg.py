@@ -1,3 +1,4 @@
+import json
 import re
 
 import pytest
@@ -285,6 +286,51 @@ class TestDerivedLaws:
                 tuple(rng.randrange(b) for _ in range(a)), b
             )
             assert right_residual(s, g.rel) == compose(s, transpose(g.rel))
+
+
+# JSON matrix text and dst_size (None: from the first row) -> the rows built,
+# or the error type and message; one case per kind of cell JSON can hold
+FROM_MATRIX = [
+    ("[[1, 0, 1], [0, 0, 0], [1, 1, 1]]", 3, (5, 0, 7)),
+    ("[[true, false], [false, true]]", 2, (1, 2)),
+    ("[[1.0, 0.0, -0.0], [0, 1, 1.0]]", 3, (1, 6)),
+    ("[[true, 1, 1.0], [false, 0, 0.0]]", 3, (7, 0)),
+    ("[[1e0, 1]]", 2, (3,)),
+    ("[]", 4, ()),
+    ("[[], []]", 0, (0, 0)),
+    ("[[1], [0]]", None, (1, 0)),
+    ("[[0, 2, 1]]", 3, (ValidationError, "matrix cell must be 0/1, got 2")),
+    ("[[3, 1, 2]]", 3, (ValidationError, "matrix cell must be 0/1, got 3")),
+    ("[[-1, 0]]", 2, (ValidationError, "matrix cell must be 0/1, got -1")),
+    ("[[0.5, 1]]", 2, (ValidationError, "matrix cell must be 0/1, got 0.5")),
+    ("[[NaN, 1]]", 2, (ValidationError, "matrix cell must be 0/1, got nan")),
+    ('[[1, "1"]]', 2, (ValidationError, "matrix cell must be 0/1, got '1'")),
+    ("[[0, null]]", 2, (ValidationError, "matrix cell must be 0/1, got None")),
+    ("[[0, [1]]]", 2, (ValidationError, "matrix cell must be 0/1, got [1]")),
+    ("[[0, {}]]", 2, (ValidationError, "matrix cell must be 0/1, got {}")),
+    ("[[1, 0, 1], [1, 0]]", 3, (ValidationError, "ragged incidence matrix")),
+    ("[[1, 0], [1, 0, 1]]", 2, (ValidationError, "ragged incidence matrix")),
+    ("[[1, 2], [1]]", 2, (ValidationError, "matrix cell must be 0/1, got 2")),
+    ("[[1], [2, 0]]", 1, (ValidationError, "ragged incidence matrix")),
+    ("[[1, 0], [0, 2, 1]]", 2, (ValidationError, "ragged incidence matrix")),
+    ('["01", "10"]', 2, (ValidationError, "matrix cell must be 0/1, got '0'")),
+    ('[{"a": 1}]', 1, (ValidationError, "matrix cell must be 0/1, got 'a'")),
+    ("[5]", 1, (TypeError, "object of type 'int' has no len()")),
+    ("[[1, 1], null]", 2, (TypeError, "object of type 'NoneType' has no len()")),
+]
+
+
+@pytest.mark.parametrize("text, dst_size, expected", FROM_MATRIX)
+def test_from_matrix_verdicts_and_messages(text, dst_size, expected):
+    matrix = json.loads(text)
+    if expected and isinstance(expected[0], type):
+        error, message = expected
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            Relation.from_matrix(matrix, dst_size)
+    else:
+        r = Relation.from_matrix(matrix, dst_size)
+        width = dst_size if dst_size is not None else len(matrix[0])
+        assert (r.src_size, r.dst_size, r.rows) == (len(matrix), width, expected)
 
 
 class TestValuesAndValidation:

@@ -1,6 +1,6 @@
 import pytest
 
-from conceptual.errors import ValidationError
+from conceptual.errors import ShapeError, ValidationError
 from conceptual.report import NO_COVERAGE, VerificationReport
 from conceptual.verify import CHECK_FAMILIES, MAX_CORPUS_SIZE, verify_equivalences
 
@@ -33,6 +33,15 @@ class TestVerifyEquivalences:
         with pytest.raises(ValidationError, match="max_size"):
             verify_equivalences(max_size=size, seed=3)
 
+    @pytest.mark.parametrize("seed", [7, 10])
+    @pytest.mark.parametrize("max_size", [4, 5, 6])
+    def test_random_tiers_pass_and_cover_every_family(self, max_size, seed):
+        report = verify_equivalences(max_size=max_size, seed=seed)
+        assert report.failures == []
+        covered = {r.check for r in report.records if r.verdict != NO_COVERAGE}
+        assert set(CHECK_FAMILIES) <= covered
+        assert any(r.item.startswith(f"rand-{max_size}x{max_size}-") for r in report.records)
+
     def test_deterministic_under_seed(self):
         a = verify_equivalences(max_size=2, seed=9).to_obj()
         b = verify_equivalences(max_size=2, seed=9).to_obj()
@@ -55,3 +64,34 @@ class TestReportType:
         assert r.failures[0].witness == "boom"
         assert r.records[1].witness is None
         assert r.exit_code == 1
+
+    def test_attempt_fails_a_raising_check_with_its_message(self):
+        r = VerificationReport()
+
+        def raises():
+            raise ShapeError("shapes differ")
+
+        def raises_other():
+            raise KeyError("not ours")
+
+        r.attempt("family", "built", lambda: object(), None)
+        r.attempt("family", "false", lambda: False, "it is false")
+        r.attempt("family", "raised", raises, "it is false")
+        assert [(x.item, x.verdict, x.witness) for x in r.records] == [
+            ("built", "pass", None),
+            ("false", "fail", "it is false"),
+            ("raised", "fail", "shapes differ"),
+        ]
+        with pytest.raises(KeyError):
+            r.attempt("family", "other", raises_other, None)
+
+    def test_extend_prefixes_items(self):
+        sub = VerificationReport()
+        sub.add("family", "item", False, witness="boom")
+        sub.flag_no_coverage("other")
+        r = VerificationReport()
+        r.extend(sub, "a+b:")
+        assert [(x.check, x.item, x.verdict, x.witness) for x in r.records] == [
+            ("family", "a+b:item", "fail", "boom"),
+            ("other", "a+b:-", "no-coverage", None),
+        ]
