@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 from . import relalg
 from .classification import Classification
@@ -17,6 +18,9 @@ from .errors import CheckResult, ShapeError, ValidationError
 from .infomorphism import RelationalInfomorphism, check_relational
 from .lattice import CollectiveConcept, concept_lattice_of, is_collective_concept
 from .relalg import Relation, left_residual, right_residual
+
+if TYPE_CHECKING:
+    from .functors import CompleteHomomorphism
 
 
 @dataclass(frozen=True)
@@ -169,6 +173,9 @@ def close_to_bond(A: Classification, B: Classification, rel: Relation) -> Relati
 
 @dataclass(frozen=True)
 class BondingPair:
+    """Two opposed bonds, checked by ``is_bonding_pair`` unless ``validate``
+    is false; the homomorphism they determine, ``hom``, is built on first use."""
+
     forward: Bond  # A -> B
     backward: Bond  # B -> A
     validate: InitVar[bool] = True
@@ -189,6 +196,22 @@ class BondingPair:
     @property
     def target(self) -> Classification:
         return self.forward.target
+
+    @cached_property
+    def hom(self) -> CompleteHomomorphism:
+        """Right adjoint of the forward bond; checked against the left
+        adjoint of the backward bond, which must agree pointwise."""
+        # functors imports this module, so it is imported on first use
+        from .functors import CompleteHomomorphism, adjoint_of_bond
+
+        fwd = adjoint_of_bond(self.forward)
+        bwd = adjoint_of_bond(self.backward)
+        diff = relalg.first_difference(fwd.psi.targets, bwd.phi.targets)
+        if diff is not None:
+            raise ValidationError(
+                "forward right adjoint and backward left adjoint disagree", witness=(diff[0],)
+            )
+        return CompleteHomomorphism(fwd.source, fwd.target, fwd.psi)
 
 
 def is_bonding_pair(F: Bond, G: Bond) -> CheckResult:

@@ -151,30 +151,19 @@ def apposition(A0: Classification, A1: Classification) -> CoproductDiagram:
 
 
 def subposition(A0: Classification, A1: Classification) -> ProductDiagram:
-    """Product in the type fiber: shared types, instances stacked."""
+    """Product in the type fiber: shared types, instances stacked.  The dual
+    construction of apposition: dualize, appose, dualize back."""
     if A0.types != A1.types:
         raise ShapeError("subposition requires identical ordered type sets")
-    instances = tuple(_tag(0, a) for a in A0.instances) + tuple(
-        _tag(1, a) for a in A1.instances
-    )
-    rows = A0.rows + A1.rows
-    apex = Classification(
-        instances, A0.types, Relation(len(instances), len(A0.types), rows)
-    )
-    n0 = len(A0.instances)
-    ident = FunctionGraph.identity(len(A0.types))
-    left = FunctionalInfomorphism(
-        apex, A0, FunctionGraph.from_targets(tuple(range(n0)), len(instances)), ident
-    )
-    right = FunctionalInfomorphism(
-        apex,
+    a = apposition(dual_classification(A0), dual_classification(A1))
+    return ProductDiagram(
+        A0,
         A1,
-        FunctionGraph.from_targets(
-            tuple(n0 + a for a in range(len(A1.instances))), len(instances)
-        ),
-        ident,
+        dual_classification(a.apex),
+        dual_functional(a.left_injection),
+        dual_functional(a.right_injection),
+        "subposition",
     )
-    return ProductDiagram(A0, A1, apex, left, right, "subposition")
 
 
 def fiber_initial(labels: tuple[str, ...]) -> Classification:
@@ -423,7 +412,7 @@ def transport_coproduct(
 def _enumerate_lattice_morphisms(L, M) -> list:
     """All concept lattice morphisms between two built lattices, enumerated
     over the instance/type functions (the lattice maps are forced by
-    density)."""
+    density) and kept by ``check_lattice_morphism``, in candidate order."""
     out = []
     n_inst_m = len(M.instance_labels)
     n_inst_l = len(L.instance_labels)
@@ -442,16 +431,15 @@ def _enumerate_lattice_morphisms(L, M) -> list:
                 L.join_index(L.iota(f(b)) for b in bits(M.extents[y]))
                 for y in range(M.size)
             )
-            try:
-                cm = functors.ConceptLatticeMorphism(
-                    L,
-                    M,
-                    FunctionGraph.from_targets(phi_t, L.size),
-                    FunctionGraph.from_targets(psi_t, M.size),
-                    f,
-                    g,
-                )
-            except ValidationError:
-                continue
-            out.append(cm)
+            cm = functors.ConceptLatticeMorphism(
+                L,
+                M,
+                FunctionGraph.from_targets(phi_t, L.size),
+                FunctionGraph.from_targets(psi_t, M.size),
+                f,
+                g,
+                validate=False,
+            )
+            if functors.check_lattice_morphism(cm):
+                out.append(cm)
     return out

@@ -32,7 +32,6 @@ from .relalg import (
     adjoint_failure,
     bits,
     compose,
-    first_difference,
     left_residual,
     mask_of,
     subrelation,
@@ -435,6 +434,14 @@ class CompleteHomomorphism:
                 "not a complete homomorphism"
             )
 
+    @cached_property
+    def pair(self) -> BondingPair:
+        """The hom spread into its two adjunction bonds, built on first use."""
+        phi, theta = canonical_adjoints(self)
+        forward = bond_of_adjoint(AdjointPair(self.source, self.target, phi, self.psi))
+        backward = bond_of_adjoint(AdjointPair(self.target, self.source, self.psi, theta))
+        return BondingPair(forward, backward)
+
 
 def is_complete_homomorphism(
     L: CompleteLattice, K: CompleteLattice, psi: FunctionGraph
@@ -497,24 +504,13 @@ def canonical_adjoints(h: CompleteHomomorphism) -> tuple[FunctionGraph, Function
 
 
 def hom_of_pair(p: BondingPair) -> CompleteHomomorphism:
-    """Right adjoint of the forward bond; checked against the left adjoint of
-    the backward bond, which must agree pointwise."""
-    fwd = adjoint_of_bond(p.forward)
-    bwd = adjoint_of_bond(p.backward)
-    diff = first_difference(fwd.psi.targets, bwd.phi.targets)
-    if diff is not None:
-        raise ValidationError(
-            "forward right adjoint and backward left adjoint disagree", witness=(diff[0],)
-        )
-    return CompleteHomomorphism(fwd.source, fwd.target, fwd.psi)
+    """The pair's view ``hom``, the right adjoint of its forward bond."""
+    return p.hom
 
 
 def pair_of_hom(h: CompleteHomomorphism) -> BondingPair:
-    """Spread a complete homomorphism into its two adjunction bonds."""
-    phi, theta = canonical_adjoints(h)
-    forward = bond_of_adjoint(AdjointPair(h.source, h.target, phi, h.psi))
-    backward = bond_of_adjoint(AdjointPair(h.target, h.source, h.psi, theta))
-    return BondingPair(forward, backward)
+    """The hom's view ``pair``: its two adjunction bonds."""
+    return h.pair
 
 
 def embedding_bonding_pairs(A: Classification) -> tuple[BondingPair, BondingPair]:

@@ -109,9 +109,6 @@ class ConceptLattice:
     def bottom(self) -> int:
         return self.join_index(())
 
-    def leq(self, i: int, j: int) -> bool:
-        return self.order.bit(i, j)
-
     def meet_index(self, indices: Iterable[int]) -> int:
         """Meet by the extent-intersection formula."""
         full = (1 << len(self.instance_labels)) - 1

@@ -118,9 +118,6 @@ class Relation:
     def bit(self, a: int, b: int) -> bool:
         return bool(self.rows[a] >> b & 1)
 
-    def row(self, a: int) -> int:
-        return self.rows[a]
-
     @cached_property
     def columns(self) -> tuple[int, ...]:
         return transpose(self).rows
@@ -316,10 +313,6 @@ class FunctionGraph:
                 mask ^= low
             out.append(acc)
         return tuple(out)
-
-    def inverse_image(self, mask: int) -> int:
-        """Sources whose target lands in ``mask``."""
-        return self.preimages((mask,))[0]
 
     def is_identity(self) -> bool:
         return self.targets == tuple(range(self.dst_size))

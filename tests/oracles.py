@@ -113,14 +113,19 @@ def covers_oracle(extents: list[set[int]]) -> set[tuple[int, int]]:
 
 
 def closed_pairs_oracle(K) -> set[tuple[frozenset, frozenset]]:
-    """Close every instance subset and dedupe."""
+    """Close every instance subset and dedupe.
+
+    Each instance's type set is read once; the intent of a subset is the
+    intersection of its members' sets, and its closure the instances whose
+    set contains that intent."""
     out = set()
     n = len(K.instances)
+    rows = [instance_types(K, a) for a in range(n)]
+    everything = set(range(len(K.types)))
     for code in range(1 << n):
-        subset = {a for a in range(n) if code >> a & 1}
-        intent = intent_oracle(K, subset)
-        extent = extent_oracle(K, intent)
-        out.add((frozenset(extent), frozenset(intent)))
+        intent = everything.intersection(*(rows[a] for a in range(n) if code >> a & 1))
+        extent = frozenset(a for a in range(n) if intent <= rows[a])
+        out.add((extent, frozenset(intent)))
     return out
 
 

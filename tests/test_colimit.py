@@ -1,4 +1,5 @@
 import collections
+import itertools
 import random
 
 import pytest
@@ -37,7 +38,7 @@ from conceptual.infomorphism import (
     compose_functional,
     instance_infomorphism,
 )
-from conceptual.relalg import FunctionGraph, Relation
+from conceptual.relalg import FunctionGraph, Relation, bits
 from conceptual.report import VerificationReport
 
 import oracles
@@ -455,6 +456,46 @@ class TestMediatorIndex:
             assert {
                 k: n for k, n in calls.items() if k[0] == "enumerate_infomorphisms" and len(k) == 3
             } == enumerations
+
+
+def _validated_lattice_morphisms(L, M) -> list:
+    """Every forced candidate of ``_enumerate_lattice_morphisms`` that the
+    validating ``ConceptLatticeMorphism`` constructor accepts, in order."""
+    out = []
+    for f_t in itertools.product(range(len(L.instance_labels)), repeat=len(M.instance_labels)):
+        f = FunctionGraph.from_targets(f_t, len(L.instance_labels))
+        for g_t in itertools.product(range(len(M.type_labels)), repeat=len(L.type_labels)):
+            g = FunctionGraph.from_targets(g_t, len(M.type_labels))
+            psi_t = tuple(
+                M.meet_index(M.tau(g(t)) for t in bits(L.intents[x])) for x in range(L.size)
+            )
+            phi_t = tuple(
+                L.join_index(L.iota(f(b)) for b in bits(M.extents[y])) for y in range(M.size)
+            )
+            phi = FunctionGraph.from_targets(phi_t, L.size)
+            psi = FunctionGraph.from_targets(psi_t, M.size)
+            try:
+                out.append(functors.ConceptLatticeMorphism(L, M, phi, psi, f, g))
+            except ValidationError:
+                continue
+    return out
+
+
+def test_lattice_morphisms_are_the_validated_candidates(k1):
+    """On every lattice pair the transport check meets, the apex lattice
+    and a target's, the check-filtered enumeration keeps exactly the
+    candidates the validating constructor accepts."""
+    pairs = {
+        (functors.concept_lattice_of(d.apex), functors.concept_lattice_of(C))
+        for d in _diagrams(k1)
+        for C in (d.left, d.right)
+    }
+    kept = 0
+    for L, M in pairs:
+        found = _enumerate_lattice_morphisms(L, M)
+        assert found == _validated_lattice_morphisms(L, M)
+        kept += len(found)
+    assert kept
 
 
 def _counting(calls: collections.Counter, name: str, fn):

@@ -1,13 +1,18 @@
+import collections
 import itertools
+import json
 from types import SimpleNamespace
 
 import pytest
 
+from conceptual import functors
 from conceptual.bond import (
     Bond,
+    BondingPair,
     compose_bonds,
     identity_bond,
     identity_bonding_pair,
+    is_bonding_pair,
 )
 from conceptual.classification import (
     Classification,
@@ -58,6 +63,7 @@ from conceptual.infomorphism import (
     identity_functional,
     instance_infomorphism,
 )
+from conceptual.io import dumps, morphism_from_obj, morphism_to_obj
 from conceptual.lattice import concept_lattice_of
 from conceptual.relalg import FunctionGraph, Relation, bits, left_residual
 
@@ -569,6 +575,70 @@ class TestCompleteRelationalEquivalence:
                 lhs = pair_of_hom(compose_homs(h1, h2))
                 rhs = compose_bonding_pairs(pair_of_hom(h1), pair_of_hom(h2))
                 assert lhs == rhs
+
+
+class TestDerivedViews:
+    """A bonding pair owns its homomorphism and a homomorphism its pair,
+    each built and checked once, neither seeded from the other."""
+
+    @staticmethod
+    def boolean_hom(a: int, b: int, f: tuple[int, ...]) -> CompleteHomomorphism:
+        """Inverse image along the injection ``f: [b] -> [a]``, a complete
+        homomorphism from the boolean lattice 2^a onto 2^b."""
+        LA = concept_lattice_of(contranominal_classification(a))
+        LB = concept_lattice_of(contranominal_classification(b))
+        targets = tuple(
+            LB.extent_index[sum(1 << y for y in range(b) if c.extent >> f[y] & 1)]
+            for c in LA.concepts
+        )
+        return CompleteHomomorphism(
+            complete_lattice_of(LA),
+            complete_lattice_of(LB),
+            FunctionGraph.from_targets(targets, LB.size),
+        )
+
+    def test_views_are_kept_and_not_seeded(self, k1):
+        h = self.boolean_hom(3, 2, (2, 0))
+        p = pair_of_hom(h)
+        assert pair_of_hom(h) is p
+        assert hom_of_pair(p) is hom_of_pair(p)
+        assert h.pair.hom is not h
+        q = embedding_bonding_pairs(k1)[0]
+        assert hom_of_pair(q) is hom_of_pair(q)
+        assert q.hom.pair is not q
+
+    def test_failing_pair_raises_on_every_access(self, k1):
+        m, n = len(k1.instances), len(k1.types)
+        everything = Bond(k1, k1, Relation(m, n, ((1 << n) - 1,) * m))
+        p = BondingPair(identity_bond(k1), everything, validate=False)
+        raised = []
+        for _ in range(2):
+            with pytest.raises(ValidationError) as exc:
+                hom_of_pair(p)
+            raised.append((str(exc.value), exc.value.witness))
+        assert raised[0] == raised[1]
+        assert raised[0] == ("forward right adjoint and backward left adjoint disagree", (0,))
+
+    def test_bonding_op_builds_each_view_once(self, monkeypatch):
+        """The benchmark's ``bonding`` op on a parsed spread boolean hom: one
+        pair of canonical adjoints, to spread the parsed pair's hom, and four
+        bond adjoints, two for that hom and two for the spread pair's hom."""
+        text = dumps(morphism_to_obj(pair_of_hom(self.boolean_hom(3, 2, (2, 0)))))
+        calls = collections.Counter()
+        for name in ("canonical_adjoints", "adjoint_of_bond"):
+            original = getattr(functors, name)
+
+            def counted(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(functors, name, counted)
+        q = morphism_from_obj(json.loads(text), validate=False)
+        assert is_bonding_pair(q.forward, q.backward)
+        h = hom_of_pair(q)
+        assert pair_roundtrip_holds(q)
+        assert hom_roundtrip_holds(h)
+        assert calls == {"canonical_adjoints": 1, "adjoint_of_bond": 4}
 
 
 class TestIrreducibility:

@@ -7,7 +7,9 @@ small context whose labels JSON must escape: quotes, backslashes and control
 characters, next to non-ASCII ones it must not.  The bond commands read
 seeded bonds and bonding pairs between the two random contexts, valid and
 invalid; ``check infomorphism`` reads an injection into their sum, and the
-same map with one instance moved.
+same map with one instance moved.  The four binary constructions pin their
+apex and legs: sum and product of the two random contexts, apposition and
+subposition of a context with itself.
 """
 
 import contextlib
@@ -190,6 +192,30 @@ GOLDEN = {
     ("compose", "bonds", "{bond}", "{bond-next}"): (
         0,
         "e8494ee8c5ebdc2fc1d2156a58f2240350cd02327a85862fab4da8c332dba1b1",
+    ),
+    ("sum", "{rand-6x5}", "{rand-5x7}"): (
+        0,
+        "fe01f8a4ab0518ed90caa3627bd7f9234fc955d2b763e3ae09e66cd5fcb8787e",
+    ),
+    ("product", "{rand-6x5}", "{rand-5x7}"): (
+        0,
+        "4a85e60799f6f054e00182f87e9f7900c57b2c629acff03c565642a9c763ed18",
+    ),
+    ("appose", "{rand-6x5}", "{rand-6x5}"): (
+        0,
+        "41d12c1770137f486abfe6288e5362bba2a10df0e427b3985dce334f6821d7e2",
+    ),
+    ("subpose", "{rand-6x5}", "{rand-6x5}"): (
+        0,
+        "d4a21e6a0d344d4907cc971cbd9edfb49b261d97351578d63e9ab9355c0683a3",
+    ),
+    ("appose", "{escapes}", "{escapes}"): (
+        0,
+        "17e3574be8b3a8524bdbb412158c1df394fbe66dfd43e0ced6ff4c94bef7b2ea",
+    ),
+    ("subpose", "{escapes}", "{escapes}"): (
+        0,
+        "cfc2b3e2546831c82c52e23e71ac92d62a262328315ae74661a09c0bc392db04",
     ),
 }
 

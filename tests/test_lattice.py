@@ -80,6 +80,20 @@ class TestBuildLattice:
             assert concept_set(L) == closed_pairs_oracle(K)
             assert len({c.intent for c in L.concepts}) == L.size
 
+    def test_closure_oracles_agree(self):
+        """The two brute-force references, subset closure and NextClosure,
+        find the same concepts."""
+        for K in all_contexts(3, 3):
+            m, n = len(K.instances), len(K.types)
+            by_next_closure = {
+                (
+                    frozenset(a for a in range(m) if e >> a & 1),
+                    frozenset(t for t in range(n) if i >> t & 1),
+                )
+                for e, i in next_closure_oracle(K)
+            }
+            assert closed_pairs_oracle(K) == by_next_closure
+
     def test_lectic_order_matches_next_closure(self, rng):
         contexts = itertools.chain(
             all_contexts(3, 3),

@@ -411,5 +411,5 @@ class TestValuesAndValidation:
         f = FunctionGraph.from_targets((1, 0, 1), 2)
         g = FunctionGraph.from_targets((0, 0), 1)
         assert f.then(g).targets == (0, 0, 0)
-        assert f.inverse_image(0b10) == 0b101
+        assert f.preimages((0b10,)) == (0b101,)
         assert FunctionGraph.identity(3).is_identity()
