@@ -23,6 +23,13 @@ if TYPE_CHECKING:
     from .functors import CompleteHomomorphism
 
 
+def _residual_into(K: Classification, s: Relation) -> Relation:
+    """``I_K/s``: by the meets of ``K``'s order lattice when it carries one,
+    else by the generic kernel ``right_residual``."""
+    L = K.order_lattice
+    return right_residual(K.incidence, s) if L is None else L.residual(s)
+
+
 @dataclass(frozen=True)
 class Bond:
     """A bond ``rel`` from ``source`` (A) to ``target`` (B), checked by
@@ -61,7 +68,7 @@ class Bond:
 
     @cached_property
     def r(self) -> Relation:
-        return right_residual(self.source.incidence, self.rel)
+        return _residual_into(self.source, self.rel)
 
     @cached_property
     def s(self) -> Relation:
@@ -93,7 +100,7 @@ def is_bond(A: Classification, B: Classification, rel: Relation | Bond) -> Check
     expected = (len(B.instances), len(A.types))
     if rel.shape != expected:
         raise ShapeError(f"bond relation shape {rel.shape}, expected {expected}")
-    r = right_residual(A.incidence, rel) if bond is None else bond.r
+    r = _residual_into(A, rel) if bond is None else bond.r
     row_closed = left_residual(r, A.incidence)
     if row_closed != rel:
         b = B.instances[relalg.first_difference(rel.rows, row_closed.rows)[0]]
@@ -101,7 +108,7 @@ def is_bond(A: Classification, B: Classification, rel: Relation | Bond) -> Check
             False, witness=("row", b), reason=f"row of {b!r} is not an intent of the source"
         )
     s = left_residual(rel, B.incidence) if bond is None else bond.s
-    col_closed = right_residual(B.incidence, s)
+    col_closed = _residual_into(B, s)
     if col_closed != rel:
         t = A.types[relalg.first_difference(rel.columns, col_closed.columns)[0]]
         return CheckResult(
@@ -114,12 +121,12 @@ def _close_rows(A: Classification, rel: Relation) -> Relation:
     """Each row closed to an intent of ``A``: the residual ``(I/rel)\\I``
     sends an instance of the target to the types shared by every source
     instance carrying its whole row."""
-    return left_residual(right_residual(A.incidence, rel), A.incidence)
+    return left_residual(_residual_into(A, rel), A.incidence)
 
 
 def _close_columns(B: Classification, rel: Relation) -> Relation:
     """Each column closed to an extent of ``B``: ``I/(rel\\I)``, dually."""
-    return right_residual(B.incidence, left_residual(rel, B.incidence))
+    return _residual_into(B, left_residual(rel, B.incidence))
 
 
 def identity_bond(A: Classification) -> Bond:
@@ -230,7 +237,7 @@ def is_bonding_pair(F: Bond, G: Bond) -> CheckResult:
     B = F.target
     fwd = F.images  # inst(B) x L(A)
     bwd = G.preimages  # L(A) x typ(B)
-    first = right_residual(B.incidence, bwd)
+    first = _residual_into(B, bwd)
     second = left_residual(fwd, B.incidence)
     if fwd == first and bwd == second:
         return CheckResult(True)

@@ -7,22 +7,37 @@ indices and bitmasks.  Subsets of instances or types are plain ints, bit
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from . import relalg
 from .errors import ResourceLimitError, ValidationError
 from .relalg import Relation, bits
+
+if TYPE_CHECKING:
+    from .functors import CompleteLattice
 
 POWERSET_CAP = 16
 
 
 @dataclass(frozen=True)
 class Classification:
+    """Instances, types and the incidence between them.
+
+    ``order_lattice`` is set on the classification of a complete lattice by
+    its own order, and only when the lattice's elements label both sides and
+    its order is the incidence (checked), so residuals into the incidence
+    may be read off the lattice's meets.  It takes no part in equality,
+    hashing or ``repr``.
+    """
+
     instances: tuple[str, ...]
     types: tuple[str, ...]
     incidence: Relation
+    order_lattice: CompleteLattice | None = field(
+        default=None, compare=False, repr=False, kw_only=True
+    )
 
     def __post_init__(self):
         if self.incidence.shape != (len(self.instances), len(self.types)):
@@ -34,6 +49,11 @@ class Classification:
             raise ValidationError("duplicate instance labels")
         if len(set(self.types)) != len(self.types):
             raise ValidationError("duplicate type labels")
+        L = self.order_lattice
+        if L is not None and not (
+            L.elements == self.instances == self.types and L.leq == self.incidence
+        ):
+            raise ValidationError("order lattice does not match the classification")
 
     @classmethod
     def from_pairs(

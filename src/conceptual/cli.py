@@ -194,7 +194,7 @@ def cmd_verify(args) -> int:
         max_size=args.max_size, seed=args.seed, inject_bug=args.inject_bug
     )
     if args.json:
-        sys.stdout.write(fmt.dumps(report.to_obj()))
+        sys.stdout.write(report.to_json())
     else:
         print(report.to_text())
     return report.exit_code

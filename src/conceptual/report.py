@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring
 from typing import Callable
 
 from .errors import ConceptualError
@@ -72,12 +74,38 @@ class VerificationReport:
                 }
                 for r in self.records
             ],
-            "summary": {
-                "total": len(self.records),
-                "failed": len(self.failures),
-                "families": self.counts(),
-            },
+            "summary": self._summary(),
         }
+
+    def _summary(self) -> dict:
+        return {
+            "total": len(self.records),
+            "failed": len(self.failures),
+            "families": self.counts(),
+        }
+
+    def to_json(self) -> str:
+        """``io.dumps(self.to_obj())``, byte for byte.
+
+        With ``indent`` set, ``json.dumps`` runs the standard library's
+        pure-Python encoder over every field of every record.  This emitter
+        encodes each string once, with the encoder's own
+        ``encode_basestring``, and lays each record out as ``indent=2``
+        does; only the small summary goes through ``json.dumps``, indented
+        one level further.
+        """
+        enc = encode_basestring
+        records = ",\n".join(
+            [
+                f'    {{\n      "check": {enc(r.check)},\n      "item": {enc(r.item)},\n'
+                f'      "verdict": {enc(r.verdict)},\n'
+                f'      "witness": {"null" if r.witness is None else enc(r.witness)}\n    }}'
+                for r in self.records
+            ]
+        )
+        checks = "[\n" + records + "\n  ]" if records else "[]"
+        summary = json.dumps(self._summary(), indent=2, ensure_ascii=False).replace("\n", "\n  ")
+        return '{\n  "checks": ' + checks + ',\n  "summary": ' + summary + "\n}\n"
 
     def to_text(self) -> str:
         lines = []

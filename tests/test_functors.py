@@ -1,11 +1,13 @@
 import collections
 import itertools
 import json
+import random
+import sys
 from types import SimpleNamespace
 
 import pytest
 
-from conceptual import functors
+from conceptual import functors, relalg
 from conceptual.bond import (
     Bond,
     BondingPair,
@@ -18,10 +20,11 @@ from conceptual.classification import (
     Classification,
     chain_classification,
     contranominal_classification,
+    dual,
     extent_of,
 )
 from conceptual.colimit import enumerate_infomorphisms
-from conceptual.errors import ValidationError
+from conceptual.errors import ShapeError, ValidationError
 from conceptual.functors import (
     AdjointPair,
     CompleteHomomorphism,
@@ -65,7 +68,7 @@ from conceptual.infomorphism import (
 )
 from conceptual.io import dumps, morphism_from_obj, morphism_to_obj
 from conceptual.lattice import concept_lattice_of
-from conceptual.relalg import FunctionGraph, Relation, bits, left_residual
+from conceptual.relalg import FunctionGraph, Relation, bits, left_residual, right_residual
 
 from conftest import BOWTIE, all_contexts, order_from_covers, random_context
 from oracles import (
@@ -575,6 +578,81 @@ class TestCompleteRelationalEquivalence:
                 lhs = pair_of_hom(compose_homs(h1, h2))
                 rhs = compose_bonding_pairs(pair_of_hom(h1), pair_of_hom(h2))
                 assert lhs == rhs
+
+
+class TestOrderLattice:
+    """An order classification carries its lattice, checked on construction
+    and invisible to equality, and residuals into its order go by meets."""
+
+    def test_carried_lattice_is_invisible_to_equality(self):
+        L = complete_lattice_of(concept_lattice_of(contranominal_classification(3)))
+        K = lattice_classification(L)
+        bare = Classification(L.elements, L.elements, L.leq)
+        assert K.order_lattice is L and bare.order_lattice is None
+        assert K == bare and hash(K) == hash(bare) and repr(K) == repr(bare)
+        assert concept_lattice_of(K) is concept_lattice_of(bare)
+        assert dual(K).order_lattice is None
+
+    def test_a_lattice_that_does_not_match_is_rejected(self):
+        L = chain_lattice(3)
+        other = ("a", "b", "c")
+        for instances, types, incidence in (
+            (L.elements, L.elements, relalg.transpose(L.leq)),
+            (other, other, L.leq),
+            (L.elements, other, L.leq),
+        ):
+            with pytest.raises(ValidationError, match="order lattice does not match"):
+                Classification(instances, types, incidence, order_lattice=L)
+
+    def test_residual_by_meets_is_the_kernel(self):
+        lattices = [
+            chain_lattice(1),
+            chain_lattice(4),
+            CompleteLattice(tuple("0abt1"), PENTAGON),
+            CompleteLattice(tuple("0abc1"), DIAMOND),
+            complete_lattice_of(concept_lattice_of(contranominal_classification(3))),
+        ]
+        for L in lattices:
+            n = L.size
+            for s in (
+                Relation.empty(0, n),
+                Relation.empty(2, n),
+                Relation.full(2, n),
+                L.leq,
+                relalg.transpose(L.leq),
+                Relation(n, n, tuple(u | d for u, d in zip(L.up, L.down))),
+            ):
+                assert L.residual(s) == right_residual(L.leq, s)
+
+    def test_residual_shape_error_is_the_kernels(self):
+        L = chain_lattice(3)
+        s = Relation.empty(2, 4)
+        with pytest.raises(ShapeError) as by_meets:
+            L.residual(s)
+        with pytest.raises(ShapeError) as by_kernel:
+            right_residual(L.leq, s)
+        assert str(by_meets.value) == str(by_kernel.value)
+
+    def test_embedding_bonds_divide_no_order_by_the_kernel(self, monkeypatch):
+        """A 10x10 context at density .5, the shape of the benchmark's
+        embedding pairs: every ``right_residual`` call divides ``A``'s own
+        incidence, none the order of its lattice."""
+        A = random_context(random.Random(5), 10, 10)
+        dividends = []
+        original = relalg.right_residual
+
+        def recorded(t, s):
+            dividends.append(t)
+            return original(t, s)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("conceptual"):
+                for key, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, key, recorded)
+        emb = embedding_bonds(A)
+        assert emb.order_classification.incidence.src_size > 10
+        assert dividends and all(t == A.incidence for t in dividends)
 
 
 class TestDerivedViews:

@@ -137,6 +137,11 @@ GOLDEN = {
         0,
         "e8e1045c7763957331403b478483745e6753eaa9f81ffe44e22ad3a423fecb71",
     ),
+    # reaches the meet form of the residual on lattices beyond the 3x3 corpus
+    ("verify-equivalences", "--max-size", "6", "--seed", "7", "--json"): (
+        0,
+        "4531ccd03dfdb02eb398d25340a1a670b2f4daadcdbd03c2a91ce10c186b8d21",
+    ),
     ("verify-equivalences", "--max-size", "3", "--seed", "10", "--inject-bug", "--json"): (
         1,
         "2250260674b3a750c873f3aafa90aeed25ed70f42220f690ab16d5ec18fc6bc9",

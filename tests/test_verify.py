@@ -1,6 +1,7 @@
 import pytest
 
 from conceptual.errors import ShapeError, ValidationError
+from conceptual.io import dumps
 from conceptual.report import NO_COVERAGE, VerificationReport
 from conceptual.verify import CHECK_FAMILIES, MAX_CORPUS_SIZE, verify_equivalences
 
@@ -95,3 +96,22 @@ class TestReportType:
             ("family", "a+b:item", "fail", "boom"),
             ("other", "a+b:-", "no-coverage", None),
         ]
+
+    def test_json_is_dumps_of_the_object(self):
+        """The fused emitter against ``json.dumps``: an empty report, labels
+        JSON must escape next to ones it must not, and whole reports with
+        failures and no-coverage records."""
+        empty = VerificationReport()
+        odd = VerificationReport()
+        odd.add('q"uote\\', "tab\tctl\x01\x1f\x7f", False, witness="café 日本 \U0001F600\n")
+        odd.add("family", "", True)
+        odd.flag_no_coverage("none")
+        reports = [
+            empty,
+            odd,
+            verify_equivalences(max_size=0, seed=3),
+            verify_equivalences(max_size=2, seed=3, inject_bug=True),
+        ]
+        for report in reports:
+            assert report.to_json() == dumps(report.to_obj())
+
