@@ -7,37 +7,22 @@ indices and bitmasks.  Subsets of instances or types are plain ints, bit
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from . import relalg
 from .errors import ResourceLimitError, ValidationError
 from .relalg import Relation, bits
-
-if TYPE_CHECKING:
-    from .functors import CompleteLattice
 
 POWERSET_CAP = 16
 
 
 @dataclass(frozen=True)
 class Classification:
-    """Instances, types and the incidence between them.
-
-    ``order_lattice`` is set on the classification of a complete lattice by
-    its own order, and only when the lattice's elements label both sides and
-    its order is the incidence (checked), so residuals into the incidence
-    may be read off the lattice's meets.  It takes no part in equality,
-    hashing or ``repr``.
-    """
-
     instances: tuple[str, ...]
     types: tuple[str, ...]
     incidence: Relation
-    order_lattice: CompleteLattice | None = field(
-        default=None, compare=False, repr=False, kw_only=True
-    )
 
     def __post_init__(self):
         if self.incidence.shape != (len(self.instances), len(self.types)):
@@ -49,11 +34,6 @@ class Classification:
             raise ValidationError("duplicate instance labels")
         if len(set(self.types)) != len(self.types):
             raise ValidationError("duplicate type labels")
-        L = self.order_lattice
-        if L is not None and not (
-            L.elements == self.instances == self.types and L.leq == self.incidence
-        ):
-            raise ValidationError("order lattice does not match the classification")
 
     @classmethod
     def from_pairs(
@@ -141,6 +121,34 @@ def extent_of(K: Classification, type_set: int) -> int:
         if not out:
             break
     return out
+
+
+def incidence_residual(K: Classification, s: Relation) -> Relation:
+    """``right_residual(K.incidence, s)``, by derivation, with the same
+    shape rule.
+
+    ``(a, b)`` is in ``I/s`` iff ``a`` carries every type in row ``b`` of
+    ``s``, so column ``b`` is the extent of that row: the AND of the type
+    columns of ``K`` over its bits, all instances for an empty row.
+    """
+    t = K.incidence
+    relalg._require(t.dst_size == s.dst_size, "right_residual", t, s)
+    cols = K.cols
+    m = t.src_size
+    full = (1 << m) - 1
+    out = [0] * m
+    for b, sb in enumerate(s.rows):
+        ext = full
+        while sb and ext:
+            low = sb & -sb
+            ext &= cols[low.bit_length() - 1]
+            sb ^= low
+        bbit = 1 << b
+        while ext:
+            low = ext & -ext
+            out[low.bit_length() - 1] |= bbit
+            ext ^= low
+    return Relation(m, s.src_size, tuple(out))
 
 
 def dual(K: Classification) -> Classification:
@@ -232,7 +240,7 @@ def contranominal_classification(n: int) -> Classification:
 def instance_preorder(K: Classification) -> Relation:
     """``a <= a'`` iff the types of ``a`` include the types of ``a'``: the
     right residual ``I/I`` of the incidence by itself."""
-    return relalg.right_residual(K.incidence, K.incidence)
+    return incidence_residual(K, K.incidence)
 
 
 def type_preorder(K: Classification) -> Relation:

@@ -56,7 +56,7 @@ def _load_classification(path: str) -> Classification:
     if path.endswith(".csv"):
         return fmt.parse_csv(text)
     if path.endswith(".json"):
-        return fmt.classification_from_obj(json.loads(text))
+        return fmt.classification_from_obj(fmt.loads(text))
     return fmt.parse_classification(text)
 
 
@@ -81,7 +81,7 @@ def cmd_check(args) -> int:
     failures = 0
     results = []
     for path in args.files:
-        m = fmt.morphism_from_obj(json.loads(_read(path)), validate=False)
+        m = fmt.morphism_from_obj(fmt.loads(_read(path)), validate=False)
         if args.kind == "infomorphism":
             if not isinstance(m, FunctionalInfomorphism):
                 raise ConceptualError(f"{path}: expected a functional infomorphism")
@@ -118,8 +118,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_compose(args) -> int:
-    a = fmt.morphism_from_obj(json.loads(_read(args.first)))
-    b = fmt.morphism_from_obj(json.loads(_read(args.second)))
+    a = fmt.morphism_from_obj(fmt.loads(_read(args.first)))
+    b = fmt.morphism_from_obj(fmt.loads(_read(args.second)))
     if args.kind == "bonds":
         if not isinstance(a, Bond) or not isinstance(b, Bond):
             raise ConceptualError("compose bonds expects two bond files")
@@ -154,17 +154,22 @@ def cmd_binary_construction(args) -> int:
     return 0
 
 
+def _strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(s, str) for s in value)
+
+
 def cmd_quotient(args) -> int:
     K = _load_classification(args.context)
-    invariant = json.loads(_read(args.invariant))
+    invariant = fmt.loads(_read(args.invariant))
     try:
-        kept = 0
-        for label in invariant["kept_instances"]:
-            kept |= 1 << K.instance_index[label]
-        rel_pairs = [
-            (K.type_index[a], K.type_index[b]) for a, b in invariant["related_types"]
-        ]
-    except (KeyError, TypeError, ValueError) as e:
+        kept, pairs = invariant["kept_instances"], invariant["related_types"]
+        if not _strings(kept) or not isinstance(pairs, list) or not all(
+            _strings(pair) and len(pair) == 2 for pair in pairs
+        ):
+            raise ParseError("bad invariant object: need a list of labels and of label pairs")
+        kept = K.instance_mask(kept)
+        rel_pairs = [(K.type_index[a], K.type_index[b]) for a, b in pairs]
+    except (KeyError, TypeError) as e:
         raise ParseError(f"bad invariant object: {e}") from None
     rel = Relation.from_pairs(len(K.types), len(K.types), rel_pairs)
     quotient, projection = dual_quotient(K, DualInvariant(kept, rel))

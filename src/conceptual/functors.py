@@ -47,7 +47,9 @@ class CompleteLattice:
     """A finite lattice presented by its order relation; always complete.
 
     Construction runs ``check_lattice``; meets and joins are looked up on
-    demand from the principal down- and up-sets."""
+    demand from the principal down- and up-sets.  The lattice owns its order
+    classification, ``classification``, so residuals into its order are
+    taken from the down-sets, as into any incidence."""
 
     elements: tuple[str, ...]
     leq: Relation
@@ -66,7 +68,8 @@ class CompleteLattice:
 
     @cached_property
     def down(self) -> tuple[int, ...]:
-        return transpose(self.leq).rows
+        """The principal down-sets: the type columns of ``classification``."""
+        return self.classification.cols
 
     @property
     def up(self) -> tuple[int, ...]:
@@ -87,39 +90,6 @@ class CompleteLattice:
     def join_of(self, mask: int) -> int:
         return bound_of(self.up, self.up_index, (1 << len(self.elements)) - 1, mask, "join")
 
-    def residual(self, s: Relation) -> Relation:
-        """``right_residual(self.leq, s)``, by meets, with the same shape rule.
-
-        ``(a, b)`` is in ``<=/s`` iff row ``b`` of ``s`` lies in the up-set of
-        ``a``, iff ``a`` is below the meet of that row (Blyth & Janowitz,
-        *Residuation Theory*, 1972).  So column ``b`` is the down-set of one
-        meet, and an empty row, whose meet is top, gives a full column.  A
-        row that is a principal up-set is looked up as its generator; any
-        other row has its meet computed.  The ``b``s sharing a meet are
-        OR-ed together into each row of its down-set.
-        """
-        n = len(self.elements)
-        if s.dst_size != n:
-            raise ShapeError(
-                f"right_residual: incompatible shapes {self.leq.shape} and {s.shape}"
-            )
-        up_index = self.up_index
-        groups: dict[int, int] = {}
-        for b, sb in enumerate(s.rows):
-            x = up_index.get(sb)
-            if x is None:
-                x = self.meet_of(sb)
-            groups[x] = groups.get(x, 0) | 1 << b
-        out = [0] * n
-        down = self.down
-        for x, group in groups.items():
-            d = down[x]
-            while d:
-                low = d & -d
-                out[low.bit_length() - 1] |= group
-                d ^= low
-        return Relation(n, s.src_size, tuple(out))
-
     @cached_property
     def top(self) -> int:
         return self.meet_of(0)
@@ -127,6 +97,12 @@ class CompleteLattice:
     @cached_property
     def bottom(self) -> int:
         return self.join_of(0)
+
+    @cached_property
+    def classification(self) -> Classification:
+        """The lattice classified by its own order (instances = types =
+        elements); its type columns are the principal down-sets."""
+        return Classification(self.elements, self.elements, self.leq)
 
     def __repr__(self):
         return f"CompleteLattice({self.size} elements)"
@@ -139,9 +115,8 @@ def complete_lattice_of(L: ConceptLattice) -> CompleteLattice:
 
 
 def lattice_classification(L: CompleteLattice) -> Classification:
-    """The lattice classified by its own order (instances = types = elements);
-    it carries ``L``, so residuals into its incidence are taken by meets."""
-    return Classification(L.elements, L.elements, L.leq, order_lattice=L)
+    """The lattice classified by its own order: its view ``classification``."""
+    return L.classification
 
 
 def abstract_concept_lattice(L: CompleteLattice) -> ConceptLattice:

@@ -13,13 +13,14 @@ from . import relalg
 from .classification import (
     Classification,
     extent_of,
+    incidence_residual,
     instance_preorder,
     powerset_classification,
     type_preorder,
     dual as dual_classification,
 )
 from .errors import CheckResult, ShapeError
-from .relalg import FunctionGraph, Relation, compose, left_residual, right_residual, transpose
+from .relalg import FunctionGraph, Relation, compose, left_residual, transpose
 
 
 @dataclass(frozen=True)
@@ -145,7 +146,7 @@ class RelationalInfomorphism:
 def check_relational(m: RelationalInfomorphism) -> CheckResult:
     """Fundamental property: the two residuals agree (their value is the bond)."""
     lhs = left_residual(m.r, m.source.incidence)
-    rhs = right_residual(m.target.incidence, m.s)
+    rhs = incidence_residual(m.target, m.s)
     return _instance_type_witness(m, relalg.first_difference(lhs.rows, rhs.rows), "residuals differ")
 
 

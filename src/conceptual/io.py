@@ -97,6 +97,11 @@ def parse_cxt(text: str) -> Classification:
 
 
 def emit_cxt(K: Classification, name: str = "") -> str:
+    """The Burmeister text of ``K``.  A label or name holding ``\\n`` or
+    ``\\r``, a line break when read as text, raises ``ValidationError``."""
+    for label in (name, *K.instances, *K.types):
+        if "\n" in label or "\r" in label:
+            raise ValidationError(f"label {label!r} holds a line break, which .cxt cannot")
     out = ["B", name, str(len(K.instances)), str(len(K.types)), ""]
     out.extend(K.instances)
     out.extend(K.types)
@@ -178,10 +183,18 @@ def _labels(obj: dict, key: str) -> tuple[str, ...]:
     return tuple(labels)
 
 
+def loads(text: str):
+    """``json.loads``; input nested too deeply to decode is a ``ParseError``."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ParseError("JSON input is nested too deeply") from None
+
+
 def parse_classification(text: str) -> Classification:
     """Sniff the format: .cxt starts with 'B', JSON with '{', else CSV."""
     if text.lstrip().startswith("{"):
-        return classification_from_obj(json.loads(text))
+        return classification_from_obj(loads(text))
     if text.split("\n", 1)[0].strip() == "B":
         return parse_cxt(text)
     return parse_csv(text)

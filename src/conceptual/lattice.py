@@ -25,7 +25,7 @@ from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import relalg
-from .classification import Classification, check_preorder
+from .classification import Classification, check_preorder, incidence_residual
 from .errors import ResourceLimitError, ShapeError, ValidationError
 from .relalg import FunctionGraph, Relation, bits, compose, left_residual, right_residual, transpose
 
@@ -417,7 +417,7 @@ def is_collective_concept(K: Classification, c: CollectiveConcept) -> bool:
             f"{len(K.instances)} instances x {len(K.types)} types over {x} indices"
         )
     return (
-        c.a == right_residual(K.incidence, c.alpha)
+        c.a == incidence_residual(K, c.alpha)
         and c.alpha == left_residual(c.a, K.incidence)
     )
 
@@ -468,14 +468,14 @@ def collective_transport(
         if c.a.dst_size != r.src_size:
             raise ShapeError(f"left transport: index set {c.a.dst_size} vs relation {r.shape}")
         alpha = left_residual(r, c.alpha)
-        a = right_residual(A, left_residual(compose(c.a, r), A))
+        a = incidence_residual(K, left_residual(compose(c.a, r), A))
         labels = tuple(f"y{i}" for i in range(r.dst_size))
         return CollectiveConcept(labels, a, alpha)
     if side == "right":
         if c.a.dst_size != r.dst_size:
             raise ShapeError(f"right transport: index set {c.a.dst_size} vs relation {r.shape}")
         a = right_residual(c.a, r)
-        alpha = left_residual(right_residual(A, compose(r, c.alpha)), A)
+        alpha = left_residual(incidence_residual(K, compose(r, c.alpha)), A)
         labels = tuple(f"x{i}" for i in range(r.src_size))
         return CollectiveConcept(labels, a, alpha)
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")

@@ -201,13 +201,47 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize(
         "invariant",
-        [[], {"kept_instances": ["2"], "related_types": [["a"]]}],
-        ids=["list", "related-types-entry-not-a-pair"],
+        [
+            [],
+            {"kept_instances": ["2"], "related_types": [["a"]]},
+            {"kept_instances": "2", "related_types": []},
+            {"kept_instances": [], "related_types": ["ab"]},
+        ],
+        ids=[
+            "list",
+            "related-types-entry-not-a-pair",
+            "string-as-kept-instances",
+            "string-as-related-pair",
+        ],
     )
     def test_malformed_invariant(self, capsys, tmp_path, k1_file, invariant):
         inv = tmp_path / "inv.json"
         inv.write_text(json.dumps(invariant))
         assert "bad invariant" in self.run_malformed(capsys, "quotient", k1_file, str(inv))
+
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (("lattice", "{deep}"), '{"a":' * 100_000),
+            (("check", "bond", "{deep}"), "[" * 100_000),
+            (("quotient", "{k1}", "{deep}"), "[" * 100_000),
+        ],
+        ids=["lattice", "check", "quotient"],
+    )
+    def test_deeply_nested_json(self, capsys, tmp_path, k1_file, argv, text):
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        argv = [arg.format(deep=path, k1=k1_file) for arg in argv]
+        err = self.run_malformed(capsys, *argv)
+        assert "nested too deeply" in err
+        assert "Traceback" not in err
+
+    def test_cxt_label_with_a_line_break(self, capsys, tmp_path):
+        path = tmp_path / "k.json"
+        obj = {"instances": ["a\nb"], "types": ["t", "u"], "incidence": [[1, 0]]}
+        path.write_text(json.dumps(obj))
+        err = self.run_malformed(capsys, "dual", str(path), "--cxt")
+        assert repr("a\nb") in err
 
     @pytest.mark.parametrize(
         "obj, argv",

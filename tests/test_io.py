@@ -5,7 +5,7 @@ import pytest
 
 from conceptual.bond import identity_bond, identity_bonding_pair
 from conceptual.classification import Classification, contranominal_classification
-from conceptual.errors import ParseError
+from conceptual.errors import ParseError, ValidationError
 from conceptual.infomorphism import fn2rel, identity_functional, instance_infomorphism
 from conceptual.io import (
     classification_from_obj,
@@ -83,6 +83,34 @@ class TestCxt:
         for _ in range(15):
             K = random_context(rng, rng.randint(0, 4), rng.randint(0, 4))
             assert parse_cxt(emit_cxt(K)) == K
+
+    def test_every_label_emitted_reads_back(self, rng, tmp_path):
+        """Labels and names drawn from characters the format could trip on:
+        ``emit_cxt`` refuses exactly those holding ``\\n`` or ``\\r``, and
+        everything else reads back equal from a file read as text."""
+        alphabet = ["a", "B", "0", "3", "X", ".", " ", "\t", "\n", "\r", "\x0b", "\x0c", "\x1c"]
+        alphabet += ["\x85", "\u2028", "\\", '"', "é"]
+
+        def label():
+            return "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 3)))
+
+        path = tmp_path / "k.cxt"
+        refused = 0
+        for _ in range(400):
+            name = label()
+            instances = tuple(dict.fromkeys(label() for _ in range(rng.randint(0, 3))))
+            types = tuple(dict.fromkeys(label() for _ in range(rng.randint(0, 3))))
+            rows = tuple(rng.getrandbits(len(types)) for _ in instances)
+            K = Classification(instances, types, Relation(len(instances), len(types), rows))
+            breaks = [l for l in (name, *instances, *types) if "\n" in l or "\r" in l]
+            if breaks:
+                refused += 1
+                with pytest.raises(ValidationError, match=re.escape(repr(breaks[0]))):
+                    emit_cxt(K, name)
+                continue
+            path.write_text(emit_cxt(K, name), encoding="utf-8")
+            assert parse_cxt(path.read_text(encoding="utf-8")) == K
+        assert 0 < refused < 400
 
 
 class TestCsv:

@@ -1,7 +1,7 @@
 """Bounded property tests of ``build_lattice`` on random contexts up to 7x7,
 against the brute-force closure of every instance subset (the concept set)
-and against NextClosure (the lectic order); and of the meet form of the
-residual into a lattice order against the generic kernel."""
+and against NextClosure (the lectic order); and of the residual into an
+incidence, taken from extents, against the generic kernel."""
 
 import pytest
 
@@ -13,7 +13,9 @@ from conceptual.classification import (
     Classification,
     chain_classification,
     contranominal_classification,
+    incidence_residual,
 )
+from conceptual.errors import ShapeError
 from conceptual.functors import CompleteLattice, complete_lattice_of
 from conceptual.lattice import build_lattice, concept_lattice_of
 from conceptual.relalg import Relation, right_residual
@@ -47,35 +49,40 @@ def test_build_lattice_matches_oracles(K):
 
 
 @st.composite
-def lattices(draw) -> CompleteLattice:
-    """Lattices of 1..8 elements: concept lattices of contexts up to 3x3,
-    chains, and boolean lattices."""
-    kind = draw(st.sampled_from(("context", "chain", "boolean")))
+def dividends(draw) -> tuple[Classification, tuple[int, ...]]:
+    """A classification and the principal down-sets of its incidence, if
+    any: random contexts up to 7x7 (0xn and nx0 among them), and the order
+    classifications of chains of 1..8 elements, of boolean lattices of 1..8
+    elements and of concept lattices of contexts up to 3x3."""
+    kind = draw(st.sampled_from(("context", "chain", "boolean", "concepts")))
+    if kind == "context":
+        return draw(contexts()), ()
     if kind == "chain":
         K = chain_classification(draw(st.integers(1, 8)))
-        return CompleteLattice(K.instances, K.incidence)
-    if kind == "boolean":
-        K = contranominal_classification(draw(st.integers(0, 3)))
+        L = CompleteLattice(K.instances, K.incidence)
+    elif kind == "boolean":
+        L = complete_lattice_of(concept_lattice_of(contranominal_classification(draw(st.integers(0, 3)))))
     else:
-        K = draw(contexts(max_size=3))
-    return complete_lattice_of(concept_lattice_of(K))
+        L = complete_lattice_of(concept_lattice_of(draw(contexts(max_size=3))))
+    return L.classification, L.down
 
 
 @settings(max_examples=300, deadline=None, database=None)
 @given(st.data())
-def test_residual_by_meets_is_the_kernel(data):
-    """0..6 rows, each empty, full, a principal up- or down-set, or random."""
-    L = data.draw(lattices())
-    n = L.size
+def test_incidence_residual_is_the_kernel(data):
+    """0..6 rows, each empty, full, a principal up- or down-set, or random;
+    a divisor of the wrong width raises the kernel's ``ShapeError``."""
+    K, down = data.draw(dividends())
+    n = len(K.types)
     full = (1 << n) - 1
-    element = st.integers(0, n - 1)
-    row = st.one_of(
-        st.just(0),
-        st.just(full),
-        element.map(L.up.__getitem__),
-        element.map(L.down.__getitem__),
-        st.integers(0, full),
-    )
+    principal = [st.sampled_from(sets) for sets in (K.rows, down) if sets]
+    row = st.one_of(st.just(0), st.just(full), st.integers(0, full), *principal)
     rows = data.draw(st.lists(row, max_size=6))
     s = Relation(len(rows), n, tuple(rows))
-    assert L.residual(s) == right_residual(L.leq, s)
+    assert incidence_residual(K, s) == right_residual(K.incidence, s)
+    wrong = Relation.empty(len(rows), n + 1)
+    with pytest.raises(ShapeError) as by_extents:
+        incidence_residual(K, wrong)
+    with pytest.raises(ShapeError) as by_kernel:
+        right_residual(K.incidence, wrong)
+    assert str(by_extents.value) == str(by_kernel.value)
