@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 
 from . import relalg
 from .classification import Classification, incidence_residual
-from .errors import CheckResult, ShapeError, ValidationError
+from .errors import CheckResult, ShapeError, ValidationError, quote
 from .infomorphism import RelationalInfomorphism, check_relational
 from .lattice import CollectiveConcept, concept_lattice_of, is_collective_concept
 from .relalg import Relation, left_residual, right_residual
@@ -98,14 +98,16 @@ def is_bond(A: Classification, B: Classification, rel: Relation | Bond) -> Check
     if row_closed != rel:
         b = B.instances[relalg.first_difference(rel.rows, row_closed.rows)[0]]
         return CheckResult(
-            False, witness=("row", b), reason=f"row of {b!r} is not an intent of the source"
+            False, witness=("row", b), reason=f"row of {quote(b)} is not an intent of the source"
         )
     s = left_residual(rel, B.incidence) if bond is None else bond.s
     col_closed = incidence_residual(B, s)
     if col_closed != rel:
         t = A.types[relalg.first_difference(rel.columns, col_closed.columns)[0]]
         return CheckResult(
-            False, witness=("column", t), reason=f"column of {t!r} is not an extent of the target"
+            False,
+            witness=("column", t),
+            reason=f"column of {quote(t)} is not an extent of the target",
         )
     return CheckResult(True)
 

@@ -12,7 +12,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from . import relalg
-from .errors import ResourceLimitError, ValidationError
+from .errors import ResourceLimitError, ValidationError, quote
 from .relalg import Relation, bits
 
 POWERSET_CAP = 16
@@ -193,7 +193,7 @@ def check_preorder(leq: Relation, labels: Sequence) -> None:
     up = leq.rows
     for i, row in enumerate(up):
         if not row >> i & 1:
-            raise ValidationError(f"not reflexive at {labels[i]!r}", witness=(labels[i],))
+            raise ValidationError(f"not reflexive at {quote(labels[i])}", witness=(labels[i],))
     # reflexivity puts the residual inside leq, so a difference (j, k) has
     # j <= k and some i <= j without i <= k
     diff = relalg.first_difference(up, relalg.left_residual(leq, leq).rows)
@@ -201,9 +201,9 @@ def check_preorder(leq: Relation, labels: Sequence) -> None:
         j, k = diff
         i = next(i for i, r in enumerate(up) if r >> j & 1 and not r >> k & 1)
         x, y, z = labels[i], labels[j], labels[k]
+        qx, qy, qz = quote(x), quote(y), quote(z)
         raise ValidationError(
-            f"not transitive: {x!r} <= {y!r} <= {z!r} but not {x!r} <= {z!r}",
-            witness=(x, y, z),
+            f"not transitive: {qx} <= {qy} <= {qz} but not {qx} <= {qz}", witness=(x, y, z)
         )
 
 

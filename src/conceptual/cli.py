@@ -25,7 +25,7 @@ from .colimit import (
     product,
     subposition,
 )
-from .errors import ConceptualError, ParseError
+from .errors import ConceptualError, ParseError, quote
 from .infomorphism import (
     FunctionalInfomorphism,
     RelationalInfomorphism,
@@ -169,7 +169,9 @@ def cmd_quotient(args) -> int:
             raise ParseError("bad invariant object: need a list of labels and of label pairs")
         kept = K.instance_mask(kept)
         rel_pairs = [(K.type_index[a], K.type_index[b]) for a, b in pairs]
-    except (KeyError, TypeError) as e:
+    except KeyError as e:
+        raise ParseError(f"bad invariant object: {quote(e.args[0])}") from None
+    except TypeError as e:
         raise ParseError(f"bad invariant object: {e}") from None
     rel = Relation.from_pairs(len(K.types), len(K.types), rel_pairs)
     quotient, projection = dual_quotient(K, DualInvariant(kept, rel))

@@ -4,6 +4,28 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+# the most characters of an input value that a message quotes
+QUOTE_LIMIT = 60
+
+
+def quote(value: object) -> str:
+    """``repr(value)`` for a message that quotes input, cut to
+    ``QUOTE_LIMIT`` characters.
+
+    A longer repr keeps its head and tail around ``...``, so a short value
+    reads exactly as ``repr`` and no input is echoed back unbounded.  A
+    value ``repr`` cannot render, an int past the digit limit or a nesting
+    past the recursion limit, is named by its type."""
+    try:
+        text = repr(value)
+    except (ValueError, RecursionError):
+        return f"<{type(value).__name__}>"
+    if len(text) <= QUOTE_LIMIT:
+        return text
+    head = (QUOTE_LIMIT - 3) // 2
+    tail = QUOTE_LIMIT - 3 - head
+    return text[:head] + "..." + text[-tail:]
+
 
 class ConceptualError(Exception):
     """Base class for all errors raised by this package."""

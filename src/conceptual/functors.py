@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import InitVar, dataclass
 from functools import cached_property, lru_cache
 
-from .bond import Bond, BondingPair, compose_bonding_pairs, compose_bonds
-from .classification import Classification
+from .bond import Bond, BondingPair, compose_bonds
+from .classification import Classification, incidence_residual
 from .errors import CheckResult, ShapeError, ValidationError
 from .infomorphism import FunctionalInfomorphism
 from .lattice import (
@@ -534,15 +534,31 @@ def embedding_bonding_pairs(A: Classification) -> tuple[BondingPair, BondingPair
 def pair_roundtrip_holds(p: BondingPair) -> bool:
     """Conjugation by the embedding pairs equals the rebuilt pair, bit-exact.
 
-    Of ``embedding_bonding_pairs``, only the pair from the lattice side of
-    the source and the pair to the lattice side of the target are built."""
+    The conjugation, from the lattice side of the source through ``p`` to
+    the lattice side of the target, is taken as the two relations
+    ``compose_bonding_pairs`` would give, each a ``G.r\\F`` as in
+    ``compose_bonds``, and compared bit for bit with the rebuilt pair, the
+    one object built here; its endpoints must be the order classifications.
+    The rebuilt pair is validated, so a conjugation equal to it is a bonding
+    pair, which is stronger than checking each composite for being a bond.
+    The embedding pairs' own pairing constraints are checked where that fact
+    is claimed, by ``embedding_bonding_pairs``; a conjugation that is not a
+    bond returns false."""
     emb_src = embedding_bonds(p.source)
     emb_tgt = embedding_bonds(p.target)
-    to_src = BondingPair(emb_src.instance_bond, emb_src.type_bond)
-    to_tgt = BondingPair(emb_tgt.type_bond, emb_tgt.instance_bond)
-    conjugated = compose_bonding_pairs(compose_bonding_pairs(to_src, p), to_tgt)
+    forward = left_residual(
+        emb_tgt.type_bond.r, left_residual(p.forward.r, emb_src.instance_bond.rel)
+    )
+    # the middle composite, B to the source's lattice side; its r is I_B/middle
+    middle = left_residual(emb_src.type_bond.r, p.backward.rel)
+    backward = left_residual(incidence_residual(p.target, middle), emb_tgt.instance_bond.rel)
     rebuilt = pair_of_hom(hom_of_pair(p))
-    return conjugated == rebuilt
+    return (
+        rebuilt.source == emb_src.order_classification
+        and rebuilt.target == emb_tgt.order_classification
+        and rebuilt.forward.rel == forward
+        and rebuilt.backward.rel == backward
+    )
 
 
 def hom_roundtrip_holds(h: CompleteHomomorphism) -> bool:

@@ -13,7 +13,7 @@ from json.encoder import encode_basestring
 
 from .bond import Bond, BondingPair
 from .classification import Classification
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, quote
 from .infomorphism import FunctionalInfomorphism, RelationalInfomorphism
 from .lattice import ConceptLattice
 from .relalg import FunctionGraph, Relation, bits
@@ -43,13 +43,13 @@ def parse_cxt(text: str) -> Classification:
         return lines[idx]
 
     if get(0).strip() != "B":
-        raise ParseError(f"expected header 'B', got {get(0)!r}", line=1)
+        raise ParseError(f"expected header 'B', got {quote(get(0))}", line=1)
 
     def int_at(idx: int) -> int:
         try:
             return int(get(idx).strip())
         except ValueError:
-            raise ParseError(f"expected a count, got {get(idx)!r}", line=idx + 1) from None
+            raise ParseError(f"expected a count, got {quote(get(idx))}", line=idx + 1) from None
 
     # the name line is optional: without it the two counts are
     # immediately followed by the blank separator
@@ -71,7 +71,7 @@ def parse_cxt(text: str) -> Classification:
     # a negative count would index the label and row lines from the end
     for idx, n in ((pos, n_inst), (pos + 1, n_typ)):
         if n < 0:
-            raise ParseError(f"expected a nonnegative count, got {n}", line=idx + 1)
+            raise ParseError(f"expected a nonnegative count, got {quote(n)}", line=idx + 1)
     if get(pos + 2).strip() != "":
         raise ParseError("expected a blank line after the counts", line=pos + 3)
     pos += 3
@@ -101,7 +101,7 @@ def emit_cxt(K: Classification, name: str = "") -> str:
     ``\\r``, a line break when read as text, raises ``ValidationError``."""
     for label in (name, *K.instances, *K.types):
         if "\n" in label or "\r" in label:
-            raise ValidationError(f"label {label!r} holds a line break, which .cxt cannot")
+            raise ValidationError(f"label {quote(label)} holds a line break, which .cxt cannot")
     out = ["B", name, str(len(K.instances)), str(len(K.types)), ""]
     out.extend(K.instances)
     out.extend(K.types)
@@ -134,7 +134,7 @@ def parse_csv(text: str) -> Classification:
             if cell == "1":
                 row |= 1 << b
             elif cell != "0":
-                raise ParseError(f"cell must be 0 or 1, got {cell!r}", line=li)
+                raise ParseError(f"cell must be 0 or 1, got {quote(cell)}", line=li)
         rows.append(row)
     try:
         return Classification(
@@ -184,11 +184,16 @@ def _labels(obj: dict, key: str) -> tuple[str, ...]:
 
 
 def loads(text: str):
-    """``json.loads``; input nested too deeply to decode is a ``ParseError``."""
+    """``json.loads``; input nested too deeply, or an integer with more
+    digits than ``int`` reads, is a ``ParseError``."""
     try:
         return json.loads(text)
     except RecursionError:
         raise ParseError("JSON input is nested too deeply") from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError:
+        raise ParseError("JSON input holds an integer too long to read") from None
 
 
 def parse_classification(text: str) -> Classification:
@@ -259,9 +264,11 @@ def morphism_from_obj(obj: dict, validate: bool = True):
                 validate=validate,
             )
             return BondingPair(fwd, bwd, validate=validate)
-    except (KeyError, TypeError) as e:
+    except KeyError as e:
+        raise ParseError(f"bad morphism object: missing or invalid {quote(e.args[0])}") from None
+    except TypeError as e:
         raise ParseError(f"bad morphism object: missing or invalid {e}") from None
-    raise ParseError(f"unknown morphism kind {kind!r}")
+    raise ParseError(f"unknown morphism kind {quote(kind)}")
 
 
 def dumps(obj) -> str:

@@ -26,10 +26,13 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import relalg
 from .classification import Classification, check_preorder, incidence_residual
-from .errors import ResourceLimitError, ShapeError, ValidationError
+from .errors import ResourceLimitError, ShapeError, ValidationError, quote
 from .relalg import FunctionGraph, Relation, bits, compose, left_residual, right_residual, transpose
 
 DEFAULT_CONCEPT_CAP = 1_000_000
+# the most bytes the concept order, n x n bits, may take: 2 GiB is 131,072
+# concepts; ``covers`` builds a second relation of the same size
+ORDER_BYTE_CAP = 2 << 30
 
 
 class FormalConcept(NamedTuple):
@@ -78,7 +81,16 @@ class ConceptLattice:
     @cached_property
     def order(self) -> Relation:
         """Concept ``i`` below ``j`` iff extent ``i`` is within extent ``j``:
-        every instance in ``i`` is in ``j``."""
+        every instance in ``i`` is in ``j``.
+
+        Raises ``ResourceLimitError`` before allocating if its ``n * n / 8``
+        bytes exceed ``ORDER_BYTE_CAP``, so ``covers`` and everything built
+        on the order fail fast rather than exhaust memory."""
+        n = self.size
+        if n * n > 8 * ORDER_BYTE_CAP:
+            raise ResourceLimitError(
+                f"order of {n} concepts needs {n * n // 8} bytes, over the cap {ORDER_BYTE_CAP}"
+            )
         return left_residual(self.iota_rel, self.iota_rel)
 
     @cached_property
@@ -285,7 +297,7 @@ def check_lattice(
         i = next(i for i, d in enumerate(down) if down_index[d] != i)
         j = down_index[down[i]]
         raise ValidationError(
-            f"order not antisymmetric between {labels[i]!r} and {labels[j]!r}",
+            f"order not antisymmetric between {quote(labels[i])} and {quote(labels[j])}",
             witness=(labels[i], labels[j]),
         )
     full = (1 << n) - 1
@@ -374,7 +386,7 @@ def instance_concept(L: ConceptLattice, label: str) -> FormalConcept:
     try:
         a = L.instance_labels.index(label)
     except ValueError:
-        raise ValidationError(f"unknown instance label {label!r}") from None
+        raise ValidationError(f"unknown instance label {quote(label)}") from None
     return L.concepts[L.iota(a)]
 
 
@@ -382,7 +394,7 @@ def type_concept(L: ConceptLattice, label: str) -> FormalConcept:
     try:
         t = L.type_labels.index(label)
     except ValueError:
-        raise ValidationError(f"unknown type label {label!r}") from None
+        raise ValidationError(f"unknown type label {quote(label)}") from None
     return L.concepts[L.tau(t)]
 
 

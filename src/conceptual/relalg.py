@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-from .errors import ShapeError, ValidationError
+from .errors import ShapeError, ValidationError, quote
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -102,7 +102,7 @@ class Relation:
                 rows.append(int("".join(map(_DIGITS.__getitem__, reversed(cells))) or "0", 2))
             except (KeyError, TypeError):
                 bad = next(cell for cell in cells if cell not in (0, 1))
-                raise ValidationError(f"matrix cell must be 0/1, got {bad!r}") from None
+                raise ValidationError(f"matrix cell must be 0/1, got {quote(bad)}") from None
         return cls(len(matrix), dst_size, tuple(rows))
 
     @classmethod

@@ -338,3 +338,22 @@ def cocone_mediators(candidates, compose, left, right, leg_a, leg_b) -> list:
     """One cocone's mediators by the per-cocone filter: every candidate whose
     composites with the two injections are the cocone's legs, in order."""
     return [m for m in candidates if compose(left, m) == leg_a and compose(right, m) == leg_b]
+
+
+# -- bonding-pair round trip ------------------------------------------------------
+
+
+def pair_roundtrip_by_composition(p) -> bool:
+    """The pair round trip as validated objects: the embedding pairs built as
+    ``BondingPair``s, conjugated by ``compose_bonding_pairs``, which
+    validates each composite bond and pair, and compared with the rebuilt
+    pair as dataclasses."""
+    from conceptual.bond import BondingPair, compose_bonding_pairs
+    from conceptual.functors import embedding_bonds, hom_of_pair, pair_of_hom
+
+    emb_src = embedding_bonds(p.source)
+    emb_tgt = embedding_bonds(p.target)
+    from_src = BondingPair(emb_src.instance_bond, emb_src.type_bond)
+    to_tgt = BondingPair(emb_tgt.type_bond, emb_tgt.instance_bond)
+    conjugated = compose_bonding_pairs(compose_bonding_pairs(from_src, p), to_tgt)
+    return conjugated == pair_of_hom(hom_of_pair(p))

@@ -11,6 +11,8 @@ from conceptual.io import (
 )
 from conceptual.bond import Bond, identity_bond
 from conceptual.classification import Classification, powerset_classification
+from conceptual.errors import QUOTE_LIMIT, quote
+from conceptual.infomorphism import identity_functional
 from conceptual.io import emit_cxt
 from conceptual.lattice import build_lattice
 from conceptual.relalg import Relation
@@ -48,6 +50,23 @@ class TestLatticeCommand:
         assert code == 0
         assert out.startswith("digraph")
         assert out.count("->") == 1
+
+    def test_dot_over_the_order_cap_is_a_structural_error(self, capsys, monkeypatch, tmp_path):
+        """Over ``ORDER_BYTE_CAP`` (patched low), ``--dot``, which needs the
+        order, exits 3 with the cap in its message; the JSON path, which
+        does not, is unchanged."""
+        from conceptual import lattice
+
+        path = tmp_path / "k.cxt"
+        path.write_text(emit_cxt(powerset_classification(("a", "b", "c"))))
+        code, expected = run(capsys, "lattice", str(path))
+        assert code == 0
+        monkeypatch.setattr(lattice, "ORDER_BYTE_CAP", 1)
+        assert run(capsys, "lattice", str(path)) == (0, expected)
+        code = main(["lattice", str(path), "--dot"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == "error: order of 8 concepts needs 8 bytes, over the cap 1\n"
 
     def test_stdin(self, capsys, monkeypatch):
         import io as stdlib_io
@@ -277,6 +296,121 @@ class TestMalformedInput:
         path.write_text(json.dumps(obj))
         err = self.run_malformed(capsys, "check", "bond", str(path))
         assert "instances must be a list of strings" in err
+
+
+LONG = "x" * 100_000
+
+
+def _long_morphism_text(k1, path: str, value: str) -> str:
+    """A serialized identity bond (or, for ``instance_map``, functional
+    infomorphism) of ``k1`` with the field at ``path`` set to ``value``,
+    which is JSON text spliced in as is."""
+    m = identity_functional(k1) if path.startswith("data.instance_map") else identity_bond(k1)
+    obj = morphism_to_obj(m)
+    *keys, last = path.split(".")
+    node = obj
+    for key in keys:
+        node = node[int(key)] if key.isdigit() else node[key]
+    node[int(last) if last.isdigit() else last] = "@SPLICE@"
+    return json.dumps(obj).replace('"@SPLICE@"', value)
+
+
+class TestLongInputIsQuotedWithinBounds:
+    """A message that quotes a long input value quotes at most
+    ``QUOTE_LIMIT`` characters of it, so stderr stays small: exit 3, an
+    ``error:`` line under 1 KB, no traceback."""
+
+    @pytest.mark.parametrize(
+        "files, argv, needle",
+        [
+            (
+                {"m.json": ("data.rel.0.0", json.dumps(LONG))},
+                ("check", "bond", "{0}"),
+                "matrix cell must be 0/1",
+            ),
+            (
+                {"m.json": ("data.rel.0.0", "1" * 5000)},
+                ("check", "bond", "{0}"),
+                "integer too long",
+            ),
+            (
+                {"m.json": ("kind", json.dumps(LONG))},
+                ("check", "bond", "{0}"),
+                "unknown morphism kind",
+            ),
+            (
+                {"m.json": ("data.instance_map.0", json.dumps(LONG))},
+                ("check", "infomorphism", "{0}"),
+                "missing or invalid",
+            ),
+            ({"k.cxt": LONG + "\n\n2\n2\n"}, ("lattice", "{0}"), "expected header"),
+            (
+                {"k.cxt": "B\n\n-" + "9" * 4000 + "\n2\n\n"},
+                ("lattice", "{0}"),
+                "expected a nonnegative count",
+            ),
+            ({"k.csv": ",a\n1," + LONG + "\n"}, ("lattice", "{0}"), "cell must be 0 or 1"),
+            (
+                {
+                    "k.json": json.dumps(
+                        {"instances": ["a\n" + LONG], "types": [], "incidence": [[]]}
+                    )
+                },
+                ("dual", "{0}", "--cxt"),
+                "holds a line break",
+            ),
+            (
+                {
+                    "k.cxt": K1_CXT,
+                    "inv.json": json.dumps({"kept_instances": [], "related_types": [[LONG, "a"]]}),
+                },
+                ("quotient", "{0}", "{1}"),
+                "bad invariant object",
+            ),
+        ],
+        ids=[
+            "bond-cell",
+            "bond-cell-digits",
+            "morphism-kind",
+            "instance-map-label",
+            "cxt-header",
+            "cxt-count",
+            "csv-cell",
+            "cxt-label-line-break",
+            "invariant-label",
+        ],
+    )
+    def test_error_line_is_short(self, capsys, tmp_path, k1, files, argv, needle):
+        paths = []
+        for name, content in files.items():
+            if isinstance(content, tuple):
+                content = _long_morphism_text(k1, *content)
+            (tmp_path / name).write_text(content)
+            paths.append(str(tmp_path / name))
+        code = main([arg.format(*paths) for arg in argv])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: ") and needle in err
+        assert len(err.encode()) < 1024
+        assert "Traceback" not in err
+
+    def test_short_values_read_as_repr(self):
+        for value in ("", "a\nb", "x" * 58, 0, -1, 0.5, float("nan"), None, [1], {"b": 1, "a": 2}):
+            assert quote(value) == repr(value)
+
+    def test_long_values_keep_head_and_tail(self):
+        x = []
+        for _ in range(5000):
+            x = [x]
+        for value, head, tail in (
+            ("a" + LONG + "z", "'ax", "xz'"),
+            (list(range(1000)), "[0, 1, ", "998, 999]"),
+            (10 ** 5000, "<int>", "<int>"),
+            (x, "<list>", "<list>"),
+        ):
+            text = quote(value)
+            assert len(text) <= QUOTE_LIMIT
+            assert text.startswith(head) and text.endswith(tail)
 
 
 class TestVerifyCommand:

@@ -7,10 +7,12 @@ from types import SimpleNamespace
 
 import pytest
 
+from conceptual import bond as bond_module
 from conceptual import functors, relalg
 from conceptual.bond import (
     Bond,
     BondingPair,
+    compose_bonding_pairs,
     compose_bonds,
     identity_bond,
     identity_bonding_pair,
@@ -69,6 +71,7 @@ from conceptual.infomorphism import (
 from conceptual.io import dumps, morphism_from_obj, morphism_to_obj
 from conceptual.lattice import concept_lattice_of
 from conceptual.relalg import FunctionGraph, Relation, bits, left_residual, right_residual
+from conceptual.verify import verify_equivalences
 
 from conftest import BOWTIE, all_contexts, order_from_covers, random_context
 from oracles import (
@@ -77,6 +80,7 @@ from oracles import (
     complete_hom_oracle,
     inf_oracle,
     lattice_order_oracle,
+    pair_roundtrip_by_composition,
     random_relation,
     sup_oracle,
 )
@@ -550,8 +554,6 @@ class TestCompleteRelationalEquivalence:
             assert pair_roundtrip_holds(p)
 
     def test_embedding_pairs_mutually_inverse(self, k1):
-        from conceptual.bond import compose_bonding_pairs
-
         to_lattice, from_lattice = embedding_bonding_pairs(k1)
         round1 = compose_bonding_pairs(to_lattice, from_lattice)
         assert round1 == identity_bonding_pair(k1)
@@ -571,8 +573,6 @@ class TestCompleteRelationalEquivalence:
             for t in itertools.product(range(3), repeat=2)
             if is_complete_homomorphism(K, M, FunctionGraph.from_targets(t, 3))
         ]
-        from conceptual.bond import compose_bonding_pairs
-
         for h1 in hs1:
             for h2 in hs2:
                 lhs = pair_of_hom(compose_homs(h1, h2))
@@ -716,6 +716,99 @@ class TestDerivedViews:
         assert pair_roundtrip_holds(q)
         assert hom_roundtrip_holds(h)
         assert calls == {"canonical_adjoints": 1, "adjoint_of_bond": 4}
+
+
+class TestPairRoundtripByResiduals:
+    """The pair round trip compares the conjugation, taken as relations, with
+    the one validated pair it builds, the rebuilt one."""
+
+    boolean_hom = staticmethod(TestDerivedViews.boolean_hom)
+
+    @staticmethod
+    def parsed(p: BondingPair) -> BondingPair:
+        """``p`` as the benchmark's op reads it: serialized, then parsed
+        without validation."""
+        return morphism_from_obj(json.loads(dumps(morphism_to_obj(p))), validate=False)
+
+    def test_agrees_with_validated_composition_on_the_verify_corpus(self, monkeypatch):
+        """Every pair ``verify_equivalences`` round-trips at ``--max-size 3``,
+        seeds 0-3."""
+        original = functors.pair_roundtrip_holds
+        seen = []
+
+        def compared(p):
+            got = original(p)
+            seen.append((got, pair_roundtrip_by_composition(p)))
+            return got
+
+        monkeypatch.setattr(functors, "pair_roundtrip_holds", compared)
+        for seed in range(4):
+            assert verify_equivalences(max_size=3, seed=seed).exit_code == 0
+        assert len(seen) > 100
+        assert all(got == expected for got, expected in seen)
+        assert all(got for got, _ in seen)
+
+    def test_agrees_with_validated_composition_on_benchmark_shapes(self):
+        """The benchmark's shapes, small: the embedding pairs of a
+        contranominal, spread boolean homs 2^a -> 2^b, and a composite of an
+        embedding pair with two spreads, each also as parsed."""
+        pairs = list(embedding_bonding_pairs(contranominal_classification(3)))
+        for a, b, f in ((2, 1, (1,)), (3, 2, (2, 0)), (5, 3, (4, 1, 2))):
+            pairs.append(pair_of_hom(self.boolean_hom(a, b, f)))
+        composite = embedding_bonding_pairs(contranominal_classification(3))[0]
+        for hom in (self.boolean_hom(3, 2, (0, 2)), self.boolean_hom(2, 1, (1,))):
+            composite = compose_bonding_pairs(composite, pair_of_hom(hom))
+        pairs.append(composite)
+        for p in pairs:
+            for q in (p, self.parsed(p)):
+                assert pair_roundtrip_holds(q) is True
+                assert pair_roundtrip_by_composition(q) is True
+
+    def test_a_rebuild_that_differs_is_false_not_an_error(self, monkeypatch):
+        """With ``pair_of_hom`` patched to give a valid pair other than the
+        rebuild, on the same endpoints or on other ones, the round trip is
+        false and raises nothing."""
+        p = pair_of_hom(self.boolean_hom(2, 1, (0,)))
+        original = functors.pair_of_hom
+        rebuilt = original(hom_of_pair(p))
+        h = hom_of_pair(rebuilt)
+        others = []
+        for t in itertools.product(range(h.target.size), repeat=h.source.size):
+            psi = FunctionGraph.from_targets(t, h.target.size)
+            if is_complete_homomorphism(h.source, h.target, psi):
+                q = original(CompleteHomomorphism(h.source, h.target, psi))
+                if q != rebuilt:
+                    others.append(q)
+        assert others and all(
+            (q.source, q.target) == (rebuilt.source, rebuilt.target) for q in others
+        )
+        others.append(identity_bonding_pair(rebuilt.source))
+        others.append(identity_bonding_pair(rebuilt.target))
+        for q in [rebuilt, *others]:
+            monkeypatch.setattr(functors, "pair_of_hom", lambda _h, q=q: q)
+            assert pair_roundtrip_holds(p) is (q is rebuilt)
+
+    def test_builds_only_the_rebuilt_pair(self, monkeypatch):
+        """On a parsed spread boolean hom 2^5 -> 2^3: one pairing check, for
+        the rebuilt pair, and six bond checks, four for the two embeddings
+        and two for the rebuilt pair; no bond is composed."""
+        q = self.parsed(pair_of_hom(self.boolean_hom(5, 3, (4, 1, 2))))
+        hom_of_pair(q)
+        calls = collections.Counter()
+        for name in ("is_bond", "is_bonding_pair", "compose_bonds"):
+            original = getattr(bond_module, name)
+
+            def counted(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
+
+            for module_name, module in list(sys.modules.items()):
+                if module_name.startswith("conceptual"):
+                    for key, value in list(vars(module).items()):
+                        if value is original:
+                            monkeypatch.setattr(module, key, counted)
+        assert pair_roundtrip_holds(q)
+        assert calls == {"is_bonding_pair": 1, "is_bond": 6}
 
 
 class TestIrreducibility:

@@ -119,6 +119,31 @@ class TestBuildLattice:
         with pytest.raises(ResourceLimitError, match="more than 31 concepts"):
             build_lattice(K, max_concepts=31)
 
+    def test_order_byte_cap(self, monkeypatch):
+        """The documented cap: 2 GiB of order is 131,072 concepts.  Patched
+        low, the order of a 16-concept lattice (32 bytes) passes at a cap of
+        32 and raises at 31, before allocating, as do ``covers``,
+        ``complete_lattice_of`` and the irreducibles, which read it."""
+        from conceptual import lattice
+        from conceptual.functors import meet_irreducibles
+
+        assert lattice.ORDER_BYTE_CAP == 131_072**2 // 8 == 2 << 30
+        K = contranominal_classification(4)
+        monkeypatch.setattr(lattice, "ORDER_BYTE_CAP", 32)
+        assert build_lattice(K).order.shape == (16, 16)
+        monkeypatch.setattr(lattice, "ORDER_BYTE_CAP", 31)
+        L = build_lattice(K)
+        complete_lattice_of.cache_clear()  # an equal lattice may be cached
+        for read in (
+            lambda: L.order,
+            lambda: L.covers,
+            lambda: complete_lattice_of(L),
+            lambda: meet_irreducibles(L),
+        ):
+            with pytest.raises(ResourceLimitError, match="order of 16 concepts needs 32 bytes"):
+                read()
+        assert "order" not in vars(L) and "covers" not in vars(L)
+
     def test_order_is_extent_inclusion_and_reverse_intents(self, rng):
         for m, n in ((4, 4),) * 10 + RANDOM_SHAPES:
             K = random_context(rng, m, n)
