@@ -9,7 +9,6 @@ opposed bonds to a single lattice homomorphism.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
-from functools import cached_property
 from typing import TYPE_CHECKING
 
 from . import relalg
@@ -17,7 +16,7 @@ from .classification import Classification, incidence_residual
 from .errors import CheckResult, ShapeError, ValidationError, quote
 from .infomorphism import RelationalInfomorphism, check_relational
 from .lattice import CollectiveConcept, concept_lattice_of, is_collective_concept
-from .relalg import Relation, left_residual, right_residual
+from .relalg import Relation, left_residual, right_residual, view
 
 if TYPE_CHECKING:
     from .functors import CompleteHomomorphism
@@ -59,19 +58,19 @@ class Bond:
         if validate:
             is_bond(self.source, self.target, self).require("relation is not a bond")
 
-    @cached_property
+    @view
     def r(self) -> Relation:
         return incidence_residual(self.source, self.rel)
 
-    @cached_property
+    @view
     def s(self) -> Relation:
         return left_residual(self.rel, self.target.incidence)
 
-    @cached_property
+    @view
     def images(self) -> Relation:
         return right_residual(self.rel, concept_lattice_of(self.source).tau_rel)
 
-    @cached_property
+    @view
     def preimages(self) -> Relation:
         return left_residual(concept_lattice_of(self.target).iota_rel, self.rel)
 
@@ -199,7 +198,7 @@ class BondingPair:
     def target(self) -> Classification:
         return self.forward.target
 
-    @cached_property
+    @view
     def hom(self) -> CompleteHomomorphism:
         """Right adjoint of the forward bond; checked against the left
         adjoint of the backward bond, which must agree pointwise."""

@@ -8,12 +8,11 @@ indices and bitmasks.  Subsets of instances or types are plain ints, bit
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Sequence
 
 from . import relalg
 from .errors import ResourceLimitError, ValidationError, quote
-from .relalg import Relation, bits
+from .relalg import Relation, bits, view
 
 POWERSET_CAP = 16
 
@@ -50,20 +49,20 @@ class Classification:
         rel = Relation.from_pairs(len(instances), len(types), index_pairs)
         return cls(instances, types, rel)
 
-    @cached_property
+    @view
     def instance_index(self) -> dict[str, int]:
         return {label: i for i, label in enumerate(self.instances)}
 
-    @cached_property
+    @view
     def type_index(self) -> dict[str, int]:
         return {label: i for i, label in enumerate(self.types)}
 
-    @cached_property
+    @view
     def rows(self) -> tuple[int, ...]:
         """Per-instance type masks."""
         return self.incidence.rows
 
-    @cached_property
+    @view
     def cols(self) -> tuple[int, ...]:
         """Per-type instance masks."""
         return relalg.transpose(self.incidence).rows

@@ -207,12 +207,26 @@ def cmd_verify(args) -> int:
     return report.exit_code
 
 
+def _int_value(text: str, name: str) -> int:
+    """``int(text)``, failing as argparse words a bad value, ``invalid
+    <name> value: '...'``, but with the value quoted by ``errors.quote``, so
+    a huge argument is not echoed whole."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid {name} value: {quote(text)}") from None
+
+
+def seed_value(text: str) -> int:
+    return _int_value(text, "int")
+
+
 def corpus_size(text: str) -> int:
-    value = int(text)
+    value = _int_value(text, "corpus_size")
     if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {quote(value)}")
     if value > MAX_CORPUS_SIZE:
-        raise argparse.ArgumentTypeError(f"must be at most {MAX_CORPUS_SIZE}, got {value}")
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_CORPUS_SIZE}, got {quote(value)}")
     return value
 
 
@@ -265,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-equivalences", help="run the equivalence suite")
     p.add_argument("--max-size", type=corpus_size, default=3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=seed_value, default=0)
     p.add_argument("--inject-bug", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_verify)

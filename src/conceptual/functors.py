@@ -12,7 +12,7 @@ a witness if the books do not balance.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .bond import Bond, BondingPair, compose_bonds
 from .classification import Classification, incidence_residual
@@ -36,6 +36,7 @@ from .relalg import (
     mask_of,
     subrelation,
     transpose,
+    view,
 )
 
 
@@ -66,7 +67,7 @@ class CompleteLattice:
     def size(self) -> int:
         return len(self.elements)
 
-    @cached_property
+    @view
     def down(self) -> tuple[int, ...]:
         """The principal down-sets: the type columns of ``classification``."""
         return self.classification.cols
@@ -75,11 +76,11 @@ class CompleteLattice:
     def up(self) -> tuple[int, ...]:
         return self.leq.rows
 
-    @cached_property
+    @view
     def down_index(self) -> dict[int, int]:
         return {d: x for x, d in enumerate(self.down)}
 
-    @cached_property
+    @view
     def up_index(self) -> dict[int, int]:
         return {u: x for x, u in enumerate(self.up)}
 
@@ -90,15 +91,15 @@ class CompleteLattice:
     def join_of(self, mask: int) -> int:
         return bound_of(self.up, self.up_index, (1 << len(self.elements)) - 1, mask, "join")
 
-    @cached_property
+    @view
     def top(self) -> int:
         return self.meet_of(0)
 
-    @cached_property
+    @view
     def bottom(self) -> int:
         return self.join_of(0)
 
-    @cached_property
+    @view
     def classification(self) -> Classification:
         """The lattice classified by its own order (instances = types =
         elements); its type columns are the principal down-sets."""
@@ -109,9 +110,22 @@ class CompleteLattice:
 
 
 @lru_cache(maxsize=4096)
+def _complete_lattice_of_order(order: Relation) -> CompleteLattice:
+    return CompleteLattice(tuple(f"c{i}" for i in range(order.src_size)), order)
+
+
 def complete_lattice_of(L: ConceptLattice) -> CompleteLattice:
-    """Forget the embeddings; elements are named by concept position."""
-    return CompleteLattice(tuple(f"c{i}" for i in range(L.size)), L.order)
+    """Forget the embeddings; elements are named by concept position.
+
+    A complete lattice is its order, so the cache is keyed by ``L.order``:
+    concept lattices with equal orders share one validated lattice and its
+    views (hash-consing).  ``cache_clear`` and ``cache_info`` are the
+    cache's own."""
+    return _complete_lattice_of_order(L.order)
+
+
+complete_lattice_of.cache_clear = _complete_lattice_of_order.cache_clear
+complete_lattice_of.cache_info = _complete_lattice_of_order.cache_info
 
 
 def lattice_classification(L: CompleteLattice) -> Classification:
@@ -215,8 +229,12 @@ def lattice_of_morphism(m: FunctionalInfomorphism) -> ConceptLatticeMorphism:
 
 
 def classification_of_lattice(L: ConceptLattice) -> Classification:
-    """Instances and types of the lattice, classified through the embeddings."""
-    incidence = compose(L.iota_rel, transpose(L.tau.rel))
+    """Instances and types of the lattice, classified through the embeddings:
+    ``compose(iota_rel, transpose(tau.rel))``, read as ``tau``'s inverse
+    images of the ``iota_rel`` rows."""
+    incidence = Relation(
+        len(L.instance_labels), len(L.type_labels), L.tau.preimages(L.iota_rel.rows)
+    )
     return Classification(L.instance_labels, L.type_labels, incidence)
 
 
@@ -443,7 +461,7 @@ class CompleteHomomorphism:
                 "not a complete homomorphism"
             )
 
-    @cached_property
+    @view
     def pair(self) -> BondingPair:
         """The hom spread into its two adjunction bonds, built on first use."""
         phi, theta = canonical_adjoints(self)

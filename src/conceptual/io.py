@@ -52,7 +52,8 @@ def parse_cxt(text: str) -> Classification:
             raise ParseError(f"expected a count, got {quote(get(idx))}", line=idx + 1) from None
 
     # the name line is optional: without it the two counts are
-    # immediately followed by the blank separator
+    # immediately followed by the blank separator; any other layout is read
+    # as having a name line, so a bad count is quoted on its own line
     def looks_like_counts(idx: int) -> bool:
         try:
             int_at(idx)
@@ -61,11 +62,7 @@ def parse_cxt(text: str) -> Classification:
             return False
         return get(idx + 2).strip() == ""
 
-    pos = 1
-    if not looks_like_counts(1):
-        pos = 2
-        if not looks_like_counts(2):
-            raise ParseError("expected instance and type counts after the header", line=3)
+    pos = 1 if looks_like_counts(1) else 2
     n_inst = int_at(pos)
     n_typ = int_at(pos + 1)
     # a negative count would index the label and row lines from the end

@@ -21,17 +21,26 @@ lookup; ``functors.CompleteLattice`` uses both.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import relalg
 from .classification import Classification, check_preorder, incidence_residual
 from .errors import ResourceLimitError, ShapeError, ValidationError, quote
-from .relalg import FunctionGraph, Relation, bits, compose, left_residual, right_residual, transpose
+from .relalg import (
+    FunctionGraph,
+    Relation,
+    bits,
+    compose,
+    left_residual,
+    right_residual,
+    transpose,
+    view,
+)
 
 DEFAULT_CONCEPT_CAP = 1_000_000
 # the most bytes the concept order, n x n bits, may take: 2 GiB is 131,072
-# concepts; ``covers`` builds a second relation of the same size
+# concepts; ``covers`` adds only its output, the Hasse diagram
 ORDER_BYTE_CAP = 2 << 30
 
 
@@ -68,17 +77,17 @@ class ConceptLattice:
     def __len__(self) -> int:
         return len(self.concepts)
 
-    @cached_property
+    @view
     def iota_rel(self) -> Relation:
         """instance x concept: the instance lies in the concept's extent."""
         return transpose(Relation(self.size, len(self.instance_labels), self.extents))
 
-    @cached_property
+    @view
     def tau_rel(self) -> Relation:
         """concept x type: the type lies in the concept's intent."""
         return Relation(self.size, len(self.type_labels), self.intents)
 
-    @cached_property
+    @view
     def order(self) -> Relation:
         """Concept ``i`` below ``j`` iff extent ``i`` is within extent ``j``:
         every instance in ``i`` is in ``j``.
@@ -93,31 +102,31 @@ class ConceptLattice:
             )
         return left_residual(self.iota_rel, self.iota_rel)
 
-    @cached_property
+    @view
     def extents(self) -> tuple[int, ...]:
         return tuple(c.extent for c in self.concepts)
 
-    @cached_property
+    @view
     def intents(self) -> tuple[int, ...]:
         return tuple(c.intent for c in self.concepts)
 
-    @cached_property
+    @view
     def extent_index(self) -> dict[int, int]:
         return {e: i for i, e in enumerate(self.extents)}
 
-    @cached_property
+    @view
     def intent_index(self) -> dict[int, int]:
         return {t: i for i, t in enumerate(self.intents)}
 
-    @cached_property
+    @view
     def concept_index(self) -> dict[FormalConcept, int]:
         return {c: i for i, c in enumerate(self.concepts)}
 
-    @cached_property
+    @view
     def top(self) -> int:
         return self.meet_index(())
 
-    @cached_property
+    @view
     def bottom(self) -> int:
         return self.join_index(())
 
@@ -131,7 +140,7 @@ class ConceptLattice:
         full = (1 << len(self.type_labels)) - 1
         return bound_of(self.intents, self.intent_index, full, relalg.mask_of(indices), "join")
 
-    @cached_property
+    @view
     def covers(self) -> Relation:
         """Transitive reduction of the strict order (the Hasse diagram).
 
@@ -144,16 +153,23 @@ class ConceptLattice:
         intent is a proper subset), so the descending walk meets every
         element before any element above it, and each element it visits is
         a cover of ``i``.
+
+        The order rows are read in place, so no second n x n relation is
+        built beside the order: removing the up-set of ``j`` and setting
+        ``j`` again removes its strict up-set, and the candidates left are
+        the bits of the row below ``j``.
         """
         n = self.size
-        strict = [row & ~(1 << i) for i, row in enumerate(self.order.rows)]
+        rows = self.order.rows
         out = []
-        for row in strict:
+        for i, row in enumerate(rows):
+            row &= ~(1 << i)
             rest = row
             while rest:
                 j = rest.bit_length() - 1
-                row &= ~strict[j]
-                rest &= row & ~(1 << j)
+                bit = 1 << j
+                row = row & ~rows[j] | bit
+                rest = row & bit - 1
             out.append(row)
         return Relation(n, n, tuple(out))
 

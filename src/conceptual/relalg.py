@@ -46,6 +46,23 @@ def first_difference(xs: Iterable[int], ys: Iterable[int]) -> tuple[int, int] | 
     return None
 
 
+class view(cached_property):
+    """A value derived from a frozen object on first read and kept in its
+    instance dict: ``functools.cached_property`` without the lock that
+    Python 3.11 takes on every first read (3.12 dropped it).
+
+    The descriptor defines no ``__set__``, so once the value is stored the
+    instance dict answers every later read and ``__get__`` runs once per
+    object and name.  Concurrent first reads may each compute the value;
+    views are pure functions of the object, so either result is kept."""
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.attrname] = self.func(instance)
+        return value
+
+
 # the binary digit of a matrix cell: a lookup by hash and ``==``, so a cell
 # is a digit exactly when it equals 0 or 1 (``False``, ``True`` and ``1.0`` too)
 _DIGITS = {0: "0", 1: "1"}
@@ -118,7 +135,7 @@ class Relation:
     def bit(self, a: int, b: int) -> bool:
         return bool(self.rows[a] >> b & 1)
 
-    @cached_property
+    @view
     def columns(self) -> tuple[int, ...]:
         return transpose(self).rows
 
@@ -250,9 +267,12 @@ class FunctionGraph:
     def __post_init__(self):
         if self.dst_size < 0:
             raise ValidationError("function sizes must be nonnegative")
-        for a, b in enumerate(self.targets):
-            if not 0 <= b < self.dst_size:
-                raise ValidationError(f"target {b} of {a} out of range 0..{self.dst_size - 1}")
+        # every target lies in 0..dst_size - 1: two C-level scans, as in
+        # ``Relation``, and the offending target is searched for only on failure
+        targets = self.targets
+        if targets and (min(targets) < 0 or max(targets) >= self.dst_size):
+            a, b = next((a, b) for a, b in enumerate(targets) if not 0 <= b < self.dst_size)
+            raise ValidationError(f"target {b} of {a} out of range 0..{self.dst_size - 1}")
 
     @classmethod
     def from_targets(cls, targets: Sequence[int], dst_size: int) -> "FunctionGraph":
@@ -262,12 +282,12 @@ class FunctionGraph:
     def identity(cls, n: int) -> "FunctionGraph":
         return cls(tuple(range(n)), n)
 
-    @cached_property
+    @view
     def rel(self) -> Relation:
         """The graph: row ``a`` holds the single bit ``targets[a]``."""
         return Relation(len(self.targets), self.dst_size, tuple(1 << b for b in self.targets))
 
-    @cached_property
+    @view
     def fibers(self) -> tuple[int, ...]:
         """The rows of the transposed graph, built in one pass over
         ``targets``: row ``b`` holds the sources sent to ``b``."""

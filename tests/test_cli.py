@@ -452,6 +452,40 @@ class TestUsage:
         assert exc.value.code == 2
         assert "at most 6" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "option, message",
+        [("--max-size", "invalid corpus_size value"), ("--seed", "invalid int value")],
+    )
+    def test_bad_int_values_are_quoted(self, capsys, option, message):
+        """A short bad value reads as argparse words it; a 100,000-digit one
+        is quoted, not echoed whole."""
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-equivalences", option, "abc"])
+        assert exc.value.code == 2
+        assert f"{option}: {message}: 'abc'\n" in capsys.readouterr().err
+        huge = "9" * 100_000
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-equivalences", option, huge])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"{option}: {message}: {quote(huge)}\n" in err
+        assert len(err) < 1000
+
+    def test_out_of_range_max_size_is_quoted(self, capsys):
+        huge = "-" + "9" * 4000
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-equivalences", f"--max-size={huge}"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"must be nonnegative, got {quote(int(huge))}" in err and len(err) < 1000
+
+    def test_bad_cxt_count_is_quoted(self, capsys, tmp_path):
+        path = tmp_path / "bad.cxt"
+        path.write_text("B\n\nfoo\n3\n\n")
+        code = main(["lattice", str(path)])
+        assert code == 3
+        assert "line 3: expected a count, got 'foo'" in capsys.readouterr().err
+
     def test_missing_file_is_reported(self, capsys):
         code = main(["lattice", "/nonexistent/path.cxt"])
         assert code == 3

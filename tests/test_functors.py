@@ -26,7 +26,7 @@ from conceptual.classification import (
     incidence_residual,
 )
 from conceptual.colimit import enumerate_infomorphisms
-from conceptual.errors import ShapeError, ValidationError
+from conceptual.errors import ResourceLimitError, ShapeError, ValidationError
 from conceptual.functors import (
     AdjointPair,
     CompleteHomomorphism,
@@ -70,7 +70,15 @@ from conceptual.infomorphism import (
 )
 from conceptual.io import dumps, morphism_from_obj, morphism_to_obj
 from conceptual.lattice import concept_lattice_of
-from conceptual.relalg import FunctionGraph, Relation, bits, left_residual, right_residual
+from conceptual.relalg import (
+    FunctionGraph,
+    Relation,
+    bits,
+    compose,
+    left_residual,
+    right_residual,
+    transpose,
+)
 from conceptual.verify import verify_equivalences
 
 from conftest import BOWTIE, all_contexts, order_from_covers, random_context
@@ -652,6 +660,88 @@ class TestOrderLattice:
         emb = embedding_bonds(A)
         assert emb.order_classification.incidence.src_size > 10
         assert calls == []
+
+
+class TestCompleteLatticeByOrder:
+    """``complete_lattice_of`` keeps one validated lattice per order value."""
+
+    @staticmethod
+    def equal_orders():
+        """Two distinct concept lattices, of a context and of a relabelled
+        copy, whose orders are equal."""
+        K = random_context(random.Random(7), 4, 4)
+        renamed = Classification(
+            tuple(f"x{a}" for a in range(4)), tuple(f"y{t}" for t in range(4)), K.incidence
+        )
+        L1, L2 = concept_lattice_of(K), concept_lattice_of(renamed)
+        assert L1 != L2 and L1.order == L2.order and L1.order is not L2.order
+        return L1, L2
+
+    def test_equal_orders_share_one_lattice_and_its_views(self):
+        L1, L2 = self.equal_orders()
+        complete_lattice_of.cache_clear()
+        C = complete_lattice_of(L1)
+        assert complete_lattice_of(L2) is C
+        assert C.down is complete_lattice_of(L2).down
+        assert C.classification.cols is C.down
+
+    def test_cache_clear_and_info(self):
+        L1, L2 = self.equal_orders()
+        complete_lattice_of.cache_clear()
+        info = complete_lattice_of.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+        first = complete_lattice_of(L1)
+        complete_lattice_of(L2)
+        complete_lattice_of(L1)
+        info = complete_lattice_of.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (2, 1, 1)
+        complete_lattice_of.cache_clear()
+        rebuilt = complete_lattice_of(L2)
+        assert rebuilt is not first and rebuilt == first
+        assert complete_lattice_of.cache_info().misses == 1
+
+    def test_check_lattice_runs_once_per_object(self, monkeypatch):
+        calls = []
+        original = functors.check_lattice
+
+        def counted(*args):
+            calls.append(args[0])
+            return original(*args)
+
+        monkeypatch.setattr(functors, "check_lattice", counted)
+        L1, L2 = self.equal_orders()
+        complete_lattice_of.cache_clear()
+        C = complete_lattice_of(L1)
+        complete_lattice_of(L2)
+        assert calls == [C.leq]
+        complete_lattice_of.cache_clear()
+        complete_lattice_of(L2)
+        assert len(calls) == 2
+
+    def test_order_cap_raises_past_a_warm_cache(self, monkeypatch):
+        """A lattice whose order is over the cap raises, even when a lattice
+        with an equal order was cached under a larger cap."""
+        from conceptual import lattice
+
+        L1, _ = self.equal_orders()
+        K = contranominal_classification(4)
+        complete_lattice_of.cache_clear()
+        complete_lattice_of(concept_lattice_of(K))
+        monkeypatch.setattr(lattice, "ORDER_BYTE_CAP", 31)
+        with pytest.raises(ResourceLimitError, match="order of 16 concepts needs 32 bytes"):
+            complete_lattice_of(lattice.build_lattice(K))
+        assert complete_lattice_of(L1).size == L1.size
+
+    def test_classification_of_lattice_is_the_composite(self, rng):
+        """The incidence read as ``tau``'s inverse images equals the
+        composite ``iota_rel ; tau^T`` it replaces, and the context."""
+        contexts = [random_context(rng, m, n) for m, n in ((0, 3), (3, 0), (4, 4), (6, 5))]
+        contexts += [contranominal_classification(3), chain_classification(4)]
+        for K in contexts:
+            L = concept_lattice_of(K)
+            got = classification_of_lattice(L)
+            assert got.incidence == compose(L.iota_rel, transpose(L.tau.rel))
+            assert got == K
 
 
 class TestDerivedViews:

@@ -75,6 +75,26 @@ class TestCxt:
         with pytest.raises(ParseError, match=f"line {line}: expected a nonnegative count"):
             parse_cxt(text)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("B\n\nfoo\n3\n\n", "line 3: expected a count, got 'foo'"),
+            ("B\nname\n2\nx\n\n", "line 4: expected a count, got 'x'"),
+            ("B\nname\n1\n1\nX\n", "line 5: expected a blank line after the counts"),
+        ],
+    )
+    def test_bad_count_line_is_quoted(self, text, message):
+        """A layout that is not ``counts, blank`` right after the header is
+        read as having a name line, so the bad count is named on its line."""
+        with pytest.raises(ParseError, match=re.escape(message)):
+            parse_cxt(text)
+
+    def test_both_layouts_still_parse(self):
+        body = "\na\nt\nX\n"
+        unnamed = parse_cxt("B\n1\n1\n" + body)
+        for name in ("", "7", "name"):
+            assert parse_cxt(f"B\n{name}\n1\n1\n" + body) == unnamed
+
     def test_row_width_mismatch(self):
         with pytest.raises(ParseError, match="cells"):
             parse_cxt("B\n\n2\n2\n\n1\n2\na\nb\nX\nXX\n")

@@ -133,7 +133,6 @@ class TestBuildLattice:
         assert build_lattice(K).order.shape == (16, 16)
         monkeypatch.setattr(lattice, "ORDER_BYTE_CAP", 31)
         L = build_lattice(K)
-        complete_lattice_of.cache_clear()  # an equal lattice may be cached
         for read in (
             lambda: L.order,
             lambda: L.covers,
@@ -188,6 +187,27 @@ class TestBuildLattice:
                 assert set(shuffled.covers.pairs()) == covers_oracle(extents)
                 expected = {(perm[i], perm[j]) for i, j in L.covers.pairs()}
                 assert set(shuffled.covers.pairs()) == expected
+
+    def test_covers_build_no_second_order(self):
+        """The covers walk reads the order rows in place: beside the order,
+        its peak is about its own output, where a strict copy of the order
+        would double it.  On contranominal 10 (1,024 concepts) every covers
+        row has the bit length of its strict up-set, so a copy costs as
+        much as the output."""
+        import sys
+        import tracemalloc
+
+        L = build_lattice(contranominal_classification(10))
+        L.order
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            covers = L.covers
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        output = sys.getsizeof(covers.rows) + sum(map(sys.getsizeof, covers.rows))
+        assert peak < 1.5 * output
 
     def test_embeddings_reconstruct_membership(self, rng):
         for _ in range(10):

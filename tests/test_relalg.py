@@ -1,3 +1,4 @@
+import functools
 import json
 import re
 
@@ -6,6 +7,7 @@ import pytest
 from conceptual.errors import ShapeError, ValidationError
 from conceptual.relalg import (
     FunctionGraph,
+    view,
     Relation,
     complement,
     compose,
@@ -331,6 +333,48 @@ def test_from_matrix_verdicts_and_messages(text, dst_size, expected):
         r = Relation.from_matrix(matrix, dst_size)
         width = dst_size if dst_size is not None else len(matrix[0])
         assert (r.src_size, r.dst_size, r.rows) == (len(matrix), width, expected)
+
+
+class TestView:
+    def test_is_a_cached_property_computed_once_per_instance(self):
+        calls = []
+
+        class Box:
+            def __init__(self, x):
+                self.x = x
+
+            @view
+            def double(self):
+                calls.append(self.x)
+                return 2 * self.x
+
+        assert isinstance(Box.__dict__["double"], functools.cached_property)
+        assert Box.double is Box.__dict__["double"]
+        a, b = Box(1), Box(5)
+        assert (a.double, a.double, b.double, a.double) == (2, 2, 10, 2)
+        assert calls == [1, 5] and vars(a)["double"] == 2
+
+    def test_every_library_view_is_a_view(self):
+        """Every ``cached_property`` of the package is the lock-free
+        ``view``, and each stays a ``functools.cached_property``."""
+        import conceptual
+        from conceptual import bond, classification, functors, lattice, relalg
+
+        found = 0
+        for module in (relalg, classification, lattice, bond, functors, conceptual):
+            for cls in vars(module).values():
+                if isinstance(cls, type) and cls.__module__ == module.__name__:
+                    for attr in vars(cls).values():
+                        if isinstance(attr, functools.cached_property):
+                            assert type(attr) is view, attr
+                            found += 1
+        assert found > 20
+
+    def test_frozen_dataclass_view_is_kept(self):
+        r = Relation(2, 3, (0b101, 0b010))
+        cols = r.columns
+        assert r.columns is cols == transpose(r).rows
+        assert vars(r)["columns"] is cols
 
 
 class TestValuesAndValidation:
