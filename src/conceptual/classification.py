@@ -64,8 +64,8 @@ class Classification:
 
     @view
     def cols(self) -> tuple[int, ...]:
-        """Per-type instance masks."""
-        return relalg.transpose(self.incidence).rows
+        """Per-type instance masks: the incidence's own columns."""
+        return self.incidence.columns
 
     @property
     def full_instances(self) -> int:

@@ -300,6 +300,12 @@ def _by_restrictions(candidates, compose, left, right) -> dict:
     return index
 
 
+def transport_families(kind: str) -> tuple[str, str]:
+    """The families ``transport_coproduct`` records for a coproduct of this
+    kind: the universal property, then its image under the lattice functor."""
+    return f"{kind}-universal", f"{kind}-transport"
+
+
 def check_coproduct_property(
     d: CoproductDiagram, targets: list[Classification], report: VerificationReport
 ) -> list[list[tuple]]:
@@ -317,7 +323,7 @@ def check_coproduct_property(
         )
         cocones.append([])
         if not legs_a or not legs_b:
-            report.add(f"{d.kind}-universal", f"target-{t_i}", True)
+            report.add(transport_families(d.kind)[0], f"target-{t_i}", True)
             continue
         mediators = _by_restrictions(
             all_mediators, compose_functional, d.left_injection, d.right_injection
@@ -329,7 +335,7 @@ def check_coproduct_property(
                 built = coproduct_mediator(d, mA, mB)
                 ok = len(found) == 1 and found[0] == built
                 report.add(
-                    f"{d.kind}-universal",
+                    transport_families(d.kind)[0],
                     item,
                     ok,
                     witness=f"{len(found)} mediators found",
@@ -401,7 +407,7 @@ def transport_coproduct(
             )
             ok = len(found) == 1 and found[0] == formula
             report.add(
-                f"{d.kind}-transport",
+                transport_families(d.kind)[1],
                 item,
                 ok,
                 witness=f"{len(found)} lattice mediators found",

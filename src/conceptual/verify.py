@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from types import SimpleNamespace
 
 from . import colimit, functors
 from .bond import (
@@ -41,28 +42,6 @@ from .infomorphism import (
 from .lattice import concept_lattice_of
 from .relalg import FunctionGraph, Relation, bits
 from .report import VerificationReport
-
-CHECK_FAMILIES = (
-    "classification-roundtrip",
-    "infomorphism-roundtrip",
-    "lattice-roundtrip",
-    "cl-naturality",
-    "embedding-inverse",
-    "bond-naturality",
-    "adjoint-functoriality",
-    "bond-functoriality",
-    "adjoint-roundtrip",
-    "pair-psi-phi",
-    "pair-roundtrip",
-    "hom-roundtrip",
-    "pair-functoriality",
-    "hom-functoriality",
-    "irreducibility",
-    "sum-universal",
-    "sum-transport",
-    "apposition-universal",
-    "apposition-transport",
-)
 
 
 def k1_classification() -> Classification:
@@ -116,15 +95,12 @@ def _sample(rng: random.Random, items: list, k: int) -> list:
     return rng.sample(items, k)
 
 
-def _composable(items) -> list[tuple[int, int]]:
-    """Index pairs ``(i, j)`` of ``(id, morphism)`` items whose morphisms
-    compose: the target of ``i`` is the source of ``j``."""
-    return [
-        (i, j)
-        for i in range(len(items))
-        for j in range(len(items))
-        if items[i][1].target == items[j][1].source
-    ]
+def _composites(rng: random.Random, items: list, k: int, sep: str) -> list:
+    """``k`` sampled pairs of ``(id, morphism)`` items whose morphisms
+    compose, the target of the first the source of the second, each as
+    ``(first id + sep + second id, (first, second))``."""
+    composable = [(a, b) for a in items for b in items if a[1].target == b[1].source]
+    return [(f"{aid}{sep}{bid}", (a, b)) for (aid, a), (bid, b) in _sample(rng, composable, k)]
 
 
 def _small(items, max_inst, max_typ):
@@ -153,13 +129,8 @@ def infomorphism_corpus(
     for mid, m in list(items):
         if len(m.source.types) <= 3 and len(m.target.types) <= 3 and len(items) < 60:
             items.append((f"dual-{mid}", dual_functional(m)))
-    for i1, i2 in _sample(rng, _composable(items), 8):
-        items.append(
-            (
-                f"comp-{items[i1][0]}-{items[i2][0]}",
-                compose_functional(items[i1][1], items[i2][1]),
-            )
-        )
+    for ab, (a, b) in _composites(rng, items, 8, "-"):
+        items.append((f"comp-{ab}", compose_functional(a, b)))
     return items
 
 
@@ -244,13 +215,8 @@ def pair_corpus(contexts, homs, rng: random.Random) -> list[tuple[str, BondingPa
         items.append((f"embfrom-{cid}", from_lattice))
     for hid, h in homs:
         items.append((f"spread-{hid}", functors.pair_of_hom(h)))
-    for i1, i2 in _sample(rng, _composable(items), 6):
-        items.append(
-            (
-                f"comp-{items[i1][0]}-{items[i2][0]}",
-                compose_bonding_pairs(items[i1][1], items[i2][1]),
-            )
-        )
+    for ab, (a, b) in _composites(rng, items, 6, "-"):
+        items.append((f"comp-{ab}", compose_bonding_pairs(a, b)))
     return items
 
 
@@ -274,6 +240,33 @@ def abstract_lattice_corpus(contexts, adjoints, rng: random.Random):
     return lattices, morphisms
 
 
+def _rebuilds(c):
+    """Each context, with whether its rebuild carries the injected bug: the
+    first context with an instance and a type does.  A corpus with no such
+    context gets one more item, whose check fails for want of a bit to flip."""
+    pending = c.inject_bug
+    for cid, K in c.contexts:
+        yield cid, (K, pending and bool(K.instances and K.types))
+        pending = pending and not (K.instances and K.types)
+    if pending:
+        yield "inject-bug", (c.contexts[0][1], True)
+
+
+def _classification_roundtrip(item) -> bool:
+    """Whether ``C(L(K)) == K``, raising both incidences when not.  With
+    ``plant``, the rebuild's first bit is flipped first; a ``K`` without one fails."""
+    K, plant = item
+    back = functors.classification_of_lattice(concept_lattice_of(K))
+    if plant:
+        if not (K.instances and K.types):
+            raise ValidationError("no context has an instance and a type to perturb")
+        rows = (back.incidence.rows[0] ^ 1,) + back.incidence.rows[1:]
+        back = Classification(back.instances, back.types, Relation(len(rows), len(K.types), rows))
+    if back != K:
+        raise ValidationError(f"incidence differs: {back.incidence!r} vs {K.incidence!r}")
+    return True
+
+
 def _naturality_holds(cm: functors.ConceptLatticeMorphism) -> bool:
     """The rebuild isomorphisms ``iso`` (rebuilt lattice to lattice) make
     the square ``L(C(cm)) ; iso_tgt == iso_src ; cm`` commute."""
@@ -286,137 +279,141 @@ def _naturality_holds(cm: functors.ConceptLatticeMorphism) -> bool:
     return lhs == functors.compose_lattice_morphisms(iso_src, cm)
 
 
-def _functoriality(report, check, items, pairs, compose, functor, compose_image, witness):
-    """For each ``(i, j)`` of ``pairs``: ``functor`` sends the composite of
-    items ``i`` and ``j`` to the composite of their images."""
-    for i, j in pairs:
-        (aid, a), (bid, b) = items[i], items[j]
-        lhs = functor(compose(a, b))
-        report.add(check, f"{aid};{bid}", lhs == compose_image(functor(a), functor(b)), witness)
+def _irreducibility_kept(m: FunctionalInfomorphism) -> bool:
+    """The lattice image of ``m`` keeps meet-irreducibles when the target is
+    type-reduced, and join-irreducibles when the source is instance-reduced."""
+    LA, LB = concept_lattice_of(m.source), concept_lattice_of(m.target)
+    cm = functors.lattice_of_morphism(m)
+    if functors.is_type_reduced(LB):
+        irr_a, irr_b = functors.meet_irreducibles(LA), functors.meet_irreducibles(LB)
+        if not all(irr_b >> cm.psi(x) & 1 for x in bits(irr_a)):
+            return False
+    if functors.is_instance_reduced(LA):
+        irr_b, irr_a = functors.join_irreducibles(LB), functors.join_irreducibles(LA)
+        return all(irr_a >> cm.phi(y) & 1 for y in bits(irr_b))
+    return True
+
+
+def _summands(c) -> list:
+    return _sample(c.rng, [item for item in _small(c.contexts, 2, 2) if item[1].instances], 2)
+
+
+def _sums(c):
+    """The sum of each ordered pair of sampled summands, transported; the
+    first carries the injected bug."""
+    for k, ((aid, A), (bid, B)) in enumerate(itertools.product(_summands(c), repeat=2)):
+        yield f"{aid}+{bid}:", colimit.transport_coproduct(
+            colimit.coproduct_sum(A, B), targets=[A], inject_bug=c.inject_bug and k == 0
+        )
+
+
+def _appositions(c):
+    for cid, K in _summands(c):
+        yield f"{cid}|{cid}:", colimit.transport_coproduct(colimit.apposition(K, K), targets=[K])
+
+
+_ADJOINT_FUNCTORIALITY = "adjoint-functoriality"
+
+# The checks, in report order.  A row is a function of the corpora ``c``
+# giving ``(item id, item)`` pairs, called when the driver reaches the row so
+# every ``rng`` draw keeps its place, then the ``(family, check, witness)``
+# triples run on each item in turn.  A coproduct row's items are sub-reports
+# of ``colimit.transport_coproduct``, and its triples only name families.
+# Checks name library calls in their bodies, so a rebound function is seen.
+FAMILIES = (
+    # functional equivalence
+    (_rebuilds, ("classification-roundtrip", _classification_roundtrip, None)),
+    (lambda c: c.morphisms, (
+        "infomorphism-roundtrip",
+        lambda m: functors.morphism_of_lattice_morphism(functors.lattice_of_morphism(m)) == m,
+        "C(L(m)) != m",
+    )),
+    (lambda c: c.lattices, (
+        "lattice-roundtrip", lambda L: functors.lattice_equivalence_witness(L), None,
+    )),
+    (lambda c: c.lattice_morphisms, (
+        "cl-naturality", _naturality_holds, "naturality square broke",
+    )),
+    # relational equivalence
+    (lambda c: c.contexts, ("embedding-inverse", lambda K: functors.embedding_bonds(K), None)),
+    (lambda c: c.bonds, (
+        "bond-naturality", lambda F: functors.bond_naturality_holds(F), "paths differ",
+    )),
+    (lambda c: _composites(c.rng, c.bonds, 10, ";"), (
+        _ADJOINT_FUNCTORIALITY,
+        lambda ab: functors.adjoint_of_bond(compose_bonds(*ab))
+        == functors.compose_adjoints(*map(functors.adjoint_of_bond, ab)),
+        "composite adjoint differs",
+    )),
+    (lambda c: [(f"identity-{cid}", K) for cid, K in _sample(c.rng, c.contexts, 6)], (
+        _ADJOINT_FUNCTORIALITY,
+        lambda K: functors.adjoint_of_bond(identity_bond(K))
+        == functors.identity_adjoint(functors.complete_lattice_of(concept_lattice_of(K))),
+        None,
+    )),
+    (lambda c: _composites(c.rng, c.adjoints, 10, ";"), (
+        "bond-functoriality",
+        lambda pq: functors.bond_of_adjoint(functors.compose_adjoints(*pq))
+        == compose_bonds(*map(functors.bond_of_adjoint, pq)),
+        "composite bond differs",
+    )),
+    (lambda c: c.adjoints, (
+        "adjoint-roundtrip",
+        lambda p: functors.adjoint_roundtrip_holds(p),
+        "conjugated round trip differs",
+    )),
+    # complete relational equivalence
+    (lambda c: c.pairs, ("pair-psi-phi", lambda p: functors.hom_of_pair(p), None), (
+        "pair-roundtrip",
+        lambda p: functors.pair_roundtrip_holds(p),
+        "conjugation differs from rebuild",
+    )),
+    (lambda c: c.homs, (
+        "hom-roundtrip",
+        lambda h: functors.hom_roundtrip_holds(h),
+        "witness maps do not intertwine",
+    )),
+    (lambda c: _composites(c.rng, c.pairs, 8, ";"), (
+        "pair-functoriality",
+        lambda pq: functors.hom_of_pair(compose_bonding_pairs(*pq))
+        == functors.compose_homs(*map(functors.hom_of_pair, pq)),
+        "composite homomorphism differs",
+    )),
+    (lambda c: _composites(c.rng, c.homs, 8, ";"), (
+        "hom-functoriality",
+        lambda hk: functors.pair_of_hom(functors.compose_homs(*hk))
+        == compose_bonding_pairs(*map(functors.pair_of_hom, hk)),
+        "composite pair differs",
+    )),
+    # irreducibility preservation
+    (lambda c: c.morphisms, ("irreducibility", _irreducibility_kept, "irreducibility lost")),
+    # colimit transport
+    (_sums, *((family, None, None) for family in colimit.transport_families("sum"))),
+    (_appositions, *((family, None, None) for family in colimit.transport_families("apposition"))),
+)
+
+CHECK_FAMILIES = tuple(dict.fromkeys(family for _, *checks in FAMILIES for family, _, _ in checks))
 
 
 def verify_equivalences(
     max_size: int = 3, seed: int = 0, inject_bug: bool = False
 ) -> VerificationReport:
-    rng = random.Random(seed)
+    c = SimpleNamespace(rng=random.Random(seed), inject_bug=inject_bug)
+    c.contexts = context_corpus(max_size, c.rng)
+    c.morphisms = infomorphism_corpus(c.contexts, c.rng)
+    c.bonds = bond_corpus(c.contexts, c.morphisms, c.rng)
+    c.adjoints = adjoint_corpus(c.contexts, c.bonds, c.rng)
+    c.homs = hom_corpus(c.contexts, c.rng)
+    c.pairs = pair_corpus(c.contexts, c.homs, c.rng)
+    c.lattices, c.lattice_morphisms = abstract_lattice_corpus(c.contexts, c.adjoints, c.rng)
     report = VerificationReport()
-    contexts = context_corpus(max_size, rng)
-    morphisms = infomorphism_corpus(contexts, rng)
-    bonds = bond_corpus(contexts, morphisms, rng)
-    adjoints = adjoint_corpus(contexts, bonds, rng)
-    homs = hom_corpus(contexts, rng)
-    pairs = pair_corpus(contexts, homs, rng)
-    abstract_lattices, abstract_morphisms = abstract_lattice_corpus(contexts, adjoints, rng)
-
-    # functional equivalence
-    injected = inject_bug
-    for cid, K in contexts:
-        L = concept_lattice_of(K)
-        back = functors.classification_of_lattice(L)
-        if injected and K.instances and K.types:
-            rows = list(back.incidence.rows)
-            rows[0] ^= 1
-            back = Classification(back.instances, back.types, Relation(len(rows), len(K.types), tuple(rows)))
-            injected = False
-        report.add(
-            "classification-roundtrip",
-            cid,
-            back == K,
-            witness=f"incidence differs: {back.incidence!r} vs {K.incidence!r}",
-        )
-    for mid, m in morphisms:
-        rebuilt = functors.morphism_of_lattice_morphism(functors.lattice_of_morphism(m))
-        report.add("infomorphism-roundtrip", mid, rebuilt == m, witness="C(L(m)) != m")
-    for lid, L in abstract_lattices:
-        report.attempt(
-            "lattice-roundtrip", lid, lambda: functors.lattice_equivalence_witness(L), None
-        )
-    for mid, cm in abstract_morphisms:
-        report.attempt("cl-naturality", mid, lambda: _naturality_holds(cm), "naturality square broke")
-
-    # relational equivalence
-    for cid, K in contexts:
-        report.attempt("embedding-inverse", cid, lambda: functors.embedding_bonds(K), None)
-    for bid, F in bonds:
-        report.add(
-            "bond-naturality", bid, functors.bond_naturality_holds(F), witness="paths differ"
-        )
-    _functoriality(
-        report, "adjoint-functoriality", bonds, _sample(rng, _composable(bonds), 10),
-        compose_bonds, functors.adjoint_of_bond, functors.compose_adjoints,
-        "composite adjoint differs",
-    )
-    for cid, K in _sample(rng, contexts, 6):
-        lhs = functors.adjoint_of_bond(identity_bond(K))
-        rhs = functors.identity_adjoint(
-            functors.complete_lattice_of(concept_lattice_of(K))
-        )
-        report.add("adjoint-functoriality", f"identity-{cid}", lhs == rhs)
-    _functoriality(
-        report, "bond-functoriality", adjoints, _sample(rng, _composable(adjoints), 10),
-        functors.compose_adjoints, functors.bond_of_adjoint, compose_bonds,
-        "composite bond differs",
-    )
-    for aid, p in adjoints:
-        report.add(
-            "adjoint-roundtrip", aid, functors.adjoint_roundtrip_holds(p), witness="conjugated round trip differs"
-        )
-
-    # complete relational equivalence
-    for pid, p in pairs:
-        report.attempt("pair-psi-phi", pid, lambda: functors.hom_of_pair(p), None)
-        report.attempt(
-            "pair-roundtrip",
-            pid,
-            lambda: functors.pair_roundtrip_holds(p),
-            "conjugation differs from rebuild",
-        )
-    for hid, h in homs:
-        report.add(
-            "hom-roundtrip", hid, functors.hom_roundtrip_holds(h), witness="witness maps do not intertwine"
-        )
-    _functoriality(
-        report, "pair-functoriality", pairs, _sample(rng, _composable(pairs), 8),
-        compose_bonding_pairs, functors.hom_of_pair, functors.compose_homs,
-        "composite homomorphism differs",
-    )
-    _functoriality(
-        report, "hom-functoriality", homs, _sample(rng, _composable(homs), 8),
-        functors.compose_homs, functors.pair_of_hom, compose_bonding_pairs,
-        "composite pair differs",
-    )
-
-    # irreducibility preservation
-    for mid, m in morphisms:
-        LA = concept_lattice_of(m.source)
-        LB = concept_lattice_of(m.target)
-        cm = functors.lattice_of_morphism(m)
-        ok = True
-        if functors.is_type_reduced(LB):
-            irr_a = functors.meet_irreducibles(LA)
-            irr_b = functors.meet_irreducibles(LB)
-            ok = all(irr_b >> cm.psi(x) & 1 for x in bits(irr_a))
-        if ok and functors.is_instance_reduced(LA):
-            irr_b = functors.join_irreducibles(LB)
-            irr_a = functors.join_irreducibles(LA)
-            ok = all(irr_a >> cm.phi(y) & 1 for y in bits(irr_b))
-        report.add("irreducibility", mid, ok, witness="irreducibility lost")
-
-    # colimit transport
-    small = _small(contexts, 2, 2)
-    summands = _sample(rng, [item for item in small if item[1].instances], 2)
-    first_transport = True
-    for (aid, A), (bid, B) in itertools.product(summands, repeat=2):
-        d = colimit.coproduct_sum(A, B)
-        sub = colimit.transport_coproduct(
-            d, targets=[A], inject_bug=inject_bug and first_transport
-        )
-        first_transport = False
-        report.extend(sub, f"{aid}+{bid}:")
-    for cid, K in _sample(rng, [item for item in small if item[1].instances], 2):
-        sub = colimit.transport_coproduct(colimit.apposition(K, K), targets=[K])
-        report.extend(sub, f"{cid}|{cid}:")
-
+    for items, *checks in FAMILIES:
+        for item_id, item in items(c):
+            if isinstance(item, VerificationReport):
+                report.extend(item, item_id)
+                continue
+            for family, check, witness in checks:
+                report.attempt(family, item_id, lambda: check(item), witness)
     present = {r.check for r in report.records}
     for family in CHECK_FAMILIES:
         if family not in present:

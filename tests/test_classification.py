@@ -56,6 +56,11 @@ class TestDerivation:
                 via_residual = right_residual(K.incidence, as_rel)
                 assert transposed_column(via_residual) == extent_of(K, code)
 
+    def test_columns_are_the_incidences_one_transpose(self, k1):
+        """``cols`` reads the incidence's own cached columns."""
+        assert k1.cols is k1.incidence.columns
+        assert k1.cols == tuple(extent_of(k1, 1 << b) for b in range(len(k1.types)))
+
     def test_galois_property(self, rng):
         for _ in range(12):
             K = random_context(rng, 3, 3)

@@ -1,10 +1,12 @@
 import json
+import random
 import re
 
 import pytest
 
 from conceptual.cli import main
 from conceptual.io import (
+    classification_to_obj,
     dumps,
     morphism_to_obj,
     parse_classification,
@@ -315,6 +317,57 @@ def _long_morphism_text(k1, path: str, value: str) -> str:
     return json.dumps(obj).replace('"@SPLICE@"', value)
 
 
+# pieces a mutation inserts: the formats' own syntax, line breaks, a NUL,
+# non-ASCII text and numbers too large for the shapes they sit in
+MUTATION_PIECES = (
+    "X", ".", "B", "\n", "\r", "\t", " ", "0", "7", "-1", "99999", "1e9", "[", "]", "{",
+    "}", '"', ",", ":", "null", "true", "\x00", "\u00e9", "\u2028", "\\",
+)
+
+
+def _mutate(text: str, rng: random.Random) -> str:
+    """``text`` after one to three seeded edits: a piece inserted or put in
+    place of a character, a span deleted, or a span repeated."""
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(text) + 1)
+        j = min(len(text), i + rng.randint(1, 8))
+        op = rng.randrange(4)
+        if op == 0:
+            text = text[:i] + rng.choice(MUTATION_PIECES) + text[i:]
+        elif op == 1:
+            text = text[:i] + rng.choice(MUTATION_PIECES) + text[i + 1:]
+        elif op == 2:
+            text = text[:i] + text[j:]
+        else:
+            text = text[:j] + text[i:j] + text[j:]
+    return text
+
+
+class TestMutatedInputs:
+    """Seeded mutations of a valid 3x3 context, as ``.cxt`` and as JSON, run
+    through ``lattice``, ``lattice --dot`` and ``dual``: every run exits 0-3
+    with a bounded message, and none raises out of ``main``."""
+
+    @pytest.mark.parametrize("suffix", [".cxt", ".json"])
+    def test_mutations_exit_cleanly(self, capsys, tmp_path, suffix):
+        K = Classification.from_pairs(
+            ("1", "2", "3"), ("a", "b", "c"), [("1", "a"), ("2", "a"), ("2", "b"), ("3", "c")]
+        )
+        valid = emit_cxt(K) if suffix == ".cxt" else json.dumps(classification_to_obj(K))
+        rng = random.Random(20261018)
+        codes = set()
+        for n in range(150):
+            path = tmp_path / f"m{n}{suffix}"
+            path.write_text(_mutate(valid, rng), encoding="utf-8")
+            for command, *flags in (("lattice",), ("lattice", "--dot"), ("dual",)):
+                code = main([command, str(path), *flags])
+                err = capsys.readouterr().err
+                assert code in (0, 1, 2, 3), (path.read_text(encoding="utf-8"), command, flags)
+                assert "Traceback" not in err and len(err.encode()) <= 2048
+                codes.add(code)
+        assert codes == {0, 3}
+
+
 class TestLongInputIsQuotedWithinBounds:
     """A message that quotes a long input value quotes at most
     ``QUOTE_LIMIT`` characters of it, so stderr stays small: exit 3, an
@@ -424,6 +477,11 @@ class TestVerifyCommand:
         code, out = run(capsys, "verify-equivalences", "--max-size", "1", "--seed", "5", "--inject-bug")
         assert code == 1
         assert "FAIL" in out
+
+    def test_inject_bug_fails_with_nothing_to_perturb(self, capsys):
+        code, out = run(capsys, "verify-equivalences", "--max-size", "0", "--seed", "3", "--inject-bug")
+        assert code == 1
+        assert "FAIL classification-roundtrip on inject-bug" in out
 
     def test_no_coverage_flagging(self, capsys):
         code, out = run(capsys, "verify-equivalences", "--max-size", "0", "--seed", "5", "--json")

@@ -2,7 +2,7 @@ import pytest
 
 from conceptual.errors import ShapeError, ValidationError
 from conceptual.io import dumps
-from conceptual.report import NO_COVERAGE, VerificationReport
+from conceptual.report import FAIL, NO_COVERAGE, CheckRecord, VerificationReport
 from conceptual.verify import CHECK_FAMILIES, MAX_CORPUS_SIZE, verify_equivalences
 
 
@@ -15,13 +15,33 @@ class TestVerifyEquivalences:
     def test_every_family_covered_at_size_two(self):
         report = verify_equivalences(max_size=2, seed=3)
         covered = {r.check for r in report.records if r.verdict != NO_COVERAGE}
-        assert set(CHECK_FAMILIES) <= covered | {"transport-injection-valid"}
+        assert covered == set(CHECK_FAMILIES)
 
     def test_bug_injection_fails_with_witness(self):
         report = verify_equivalences(max_size=2, seed=3, inject_bug=True)
         assert not report.ok
         assert report.exit_code == 1
         assert all(r.witness for r in report.failures)
+
+    @pytest.mark.parametrize("max_size", range(MAX_CORPUS_SIZE + 1))
+    def test_bug_injection_fails_at_every_size(self, max_size):
+        report = verify_equivalences(max_size=max_size, seed=3, inject_bug=True)
+        assert report.exit_code == 1
+        assert all(r.witness for r in report.failures)
+
+    def test_bug_injection_with_nothing_to_perturb_adds_one_failure(self):
+        """The size-0 corpus holds only the 0x0 context and no coproducts:
+        the report is the clean one with one failing record after the
+        context's round trip."""
+        clean = verify_equivalences(max_size=0, seed=3).records
+        injected = verify_equivalences(max_size=0, seed=3, inject_bug=True).records
+        planted = CheckRecord(
+            "classification-roundtrip",
+            "inject-bug",
+            FAIL,
+            "no context has an instance and a type to perturb",
+        )
+        assert injected == clean[:1] + [planted] + clean[1:]
 
     def test_empty_corpus_flags_no_coverage(self):
         report = verify_equivalences(max_size=0, seed=3)
@@ -40,7 +60,7 @@ class TestVerifyEquivalences:
         report = verify_equivalences(max_size=max_size, seed=seed)
         assert report.failures == []
         covered = {r.check for r in report.records if r.verdict != NO_COVERAGE}
-        assert set(CHECK_FAMILIES) <= covered
+        assert covered == set(CHECK_FAMILIES)
         assert any(r.item.startswith(f"rand-{max_size}x{max_size}-") for r in report.records)
 
     def test_deterministic_under_seed(self):
