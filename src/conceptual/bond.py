@@ -12,7 +12,7 @@ from dataclasses import InitVar, dataclass
 from typing import TYPE_CHECKING
 
 from . import relalg
-from .classification import Classification, incidence_residual
+from .classification import Classification
 from .errors import CheckResult, ShapeError, ValidationError, quote
 from .infomorphism import RelationalInfomorphism, check_relational
 from .lattice import CollectiveConcept, concept_lattice_of, is_collective_concept
@@ -60,7 +60,7 @@ class Bond:
 
     @view
     def r(self) -> Relation:
-        return incidence_residual(self.source, self.rel)
+        return right_residual(self.source.incidence, self.rel)
 
     @view
     def s(self) -> Relation:
@@ -92,7 +92,7 @@ def is_bond(A: Classification, B: Classification, rel: Relation | Bond) -> Check
     expected = (len(B.instances), len(A.types))
     if rel.shape != expected:
         raise ShapeError(f"bond relation shape {rel.shape}, expected {expected}")
-    r = incidence_residual(A, rel) if bond is None else bond.r
+    r = right_residual(A.incidence, rel) if bond is None else bond.r
     row_closed = left_residual(r, A.incidence)
     if row_closed != rel:
         b = B.instances[relalg.first_difference(rel.rows, row_closed.rows)[0]]
@@ -100,7 +100,7 @@ def is_bond(A: Classification, B: Classification, rel: Relation | Bond) -> Check
             False, witness=("row", b), reason=f"row of {quote(b)} is not an intent of the source"
         )
     s = left_residual(rel, B.incidence) if bond is None else bond.s
-    col_closed = incidence_residual(B, s)
+    col_closed = right_residual(B.incidence, s)
     if col_closed != rel:
         t = A.types[relalg.first_difference(rel.columns, col_closed.columns)[0]]
         return CheckResult(
@@ -115,12 +115,12 @@ def _close_rows(A: Classification, rel: Relation) -> Relation:
     """Each row closed to an intent of ``A``: the residual ``(I/rel)\\I``
     sends an instance of the target to the types shared by every source
     instance carrying its whole row."""
-    return left_residual(incidence_residual(A, rel), A.incidence)
+    return left_residual(right_residual(A.incidence, rel), A.incidence)
 
 
 def _close_columns(B: Classification, rel: Relation) -> Relation:
     """Each column closed to an extent of ``B``: ``I/(rel\\I)``, dually."""
-    return incidence_residual(B, left_residual(rel, B.incidence))
+    return right_residual(B.incidence, left_residual(rel, B.incidence))
 
 
 def identity_bond(A: Classification) -> Bond:
@@ -231,7 +231,7 @@ def is_bonding_pair(F: Bond, G: Bond) -> CheckResult:
     B = F.target
     fwd = F.images  # inst(B) x L(A)
     bwd = G.preimages  # L(A) x typ(B)
-    first = incidence_residual(B, bwd)
+    first = right_residual(B.incidence, bwd)
     second = left_residual(fwd, B.incidence)
     if fwd == first and bwd == second:
         return CheckResult(True)

@@ -122,34 +122,6 @@ def extent_of(K: Classification, type_set: int) -> int:
     return out
 
 
-def incidence_residual(K: Classification, s: Relation) -> Relation:
-    """``right_residual(K.incidence, s)``, by derivation, with the same
-    shape rule.
-
-    ``(a, b)`` is in ``I/s`` iff ``a`` carries every type in row ``b`` of
-    ``s``, so column ``b`` is the extent of that row: the AND of the type
-    columns of ``K`` over its bits, all instances for an empty row.
-    """
-    t = K.incidence
-    relalg._require(t.dst_size == s.dst_size, "right_residual", t, s)
-    cols = K.cols
-    m = t.src_size
-    full = (1 << m) - 1
-    out = [0] * m
-    for b, sb in enumerate(s.rows):
-        ext = full
-        while sb and ext:
-            low = sb & -sb
-            ext &= cols[low.bit_length() - 1]
-            sb ^= low
-        bbit = 1 << b
-        while ext:
-            low = ext & -ext
-            out[low.bit_length() - 1] |= bbit
-            ext ^= low
-    return Relation(m, s.src_size, tuple(out))
-
-
 def dual(K: Classification) -> Classification:
     """Swap instances with types and transpose the incidence."""
     return Classification(K.types, K.instances, relalg.transpose(K.incidence))
@@ -239,7 +211,7 @@ def contranominal_classification(n: int) -> Classification:
 def instance_preorder(K: Classification) -> Relation:
     """``a <= a'`` iff the types of ``a`` include the types of ``a'``: the
     right residual ``I/I`` of the incidence by itself."""
-    return incidence_residual(K, K.incidence)
+    return relalg.right_residual(K.incidence, K.incidence)
 
 
 def type_preorder(K: Classification) -> Relation:

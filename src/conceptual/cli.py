@@ -7,6 +7,7 @@ errors, 3 structural errors in the inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -77,27 +78,31 @@ def cmd_lattice(args) -> int:
     return 0
 
 
+# kind -> (class, its name in the mismatch message, check); each check calls
+# the library by its name in this module, so a wrapper bound to that name sees it
+CHECKS = {
+    "infomorphism": (
+        FunctionalInfomorphism, "a functional infomorphism", lambda m: check_functional(m)
+    ),
+    "relational": (
+        RelationalInfomorphism, "a relational infomorphism", lambda m: check_relational(m)
+    ),
+    "bond": (Bond, "a bond", lambda m: is_bond(m.source, m.target, m.rel)),
+    "bonding-pair": (
+        BondingPair, "a bonding pair", lambda m: is_bonding_pair(m.forward, m.backward)
+    ),
+}
+
+
 def cmd_check(args) -> int:
+    cls, name, check = CHECKS[args.kind]
     failures = 0
     results = []
     for path in args.files:
         m = fmt.morphism_from_obj(fmt.loads(_read(path)), validate=False)
-        if args.kind == "infomorphism":
-            if not isinstance(m, FunctionalInfomorphism):
-                raise ConceptualError(f"{path}: expected a functional infomorphism")
-            verdict = check_functional(m)
-        elif args.kind == "relational":
-            if not isinstance(m, RelationalInfomorphism):
-                raise ConceptualError(f"{path}: expected a relational infomorphism")
-            verdict = check_relational(m)
-        elif args.kind == "bond":
-            if not isinstance(m, Bond):
-                raise ConceptualError(f"{path}: expected a bond")
-            verdict = is_bond(m.source, m.target, m.rel)
-        else:
-            if not isinstance(m, BondingPair):
-                raise ConceptualError(f"{path}: expected a bonding pair")
-            verdict = is_bonding_pair(m.forward, m.backward)
+        if not isinstance(m, cls):
+            raise ConceptualError(f"{path}: expected {name}")
+        verdict = check(m)
         results.append(
             {
                 "file": path,
@@ -154,17 +159,13 @@ def cmd_binary_construction(args) -> int:
     return 0
 
 
-def _strings(value) -> bool:
-    return isinstance(value, list) and all(isinstance(s, str) for s in value)
-
-
 def cmd_quotient(args) -> int:
     K = _load_classification(args.context)
     invariant = fmt.loads(_read(args.invariant))
     try:
         kept, pairs = invariant["kept_instances"], invariant["related_types"]
-        if not _strings(kept) or not isinstance(pairs, list) or not all(
-            _strings(pair) and len(pair) == 2 for pair in pairs
+        if not fmt.is_labels(kept) or not isinstance(pairs, list) or not all(
+            fmt.is_labels(pair) and len(pair) == 2 for pair in pairs
         ):
             raise ParseError("bad invariant object: need a list of labels and of label pairs")
         kept = K.instance_mask(kept)
@@ -230,7 +231,10 @@ def corpus_size(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: ``parse_args`` keeps no
+    state between calls, so every ``main`` call shares it."""
     parser = argparse.ArgumentParser(
         prog="conceptual",
         description="Classifications, concept lattices, bonds, and the equivalences between them.",
@@ -243,9 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_lattice)
 
     p = sub.add_parser("check", help="check a serialized morphism")
-    p.add_argument(
-        "kind", choices=["infomorphism", "relational", "bond", "bonding-pair"]
-    )
+    p.add_argument("kind", choices=list(CHECKS))
     p.add_argument("files", nargs="+")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_check)
@@ -288,8 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except ConceptualError as e:

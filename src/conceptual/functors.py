@@ -15,7 +15,7 @@ from dataclasses import InitVar, dataclass
 from functools import lru_cache
 
 from .bond import Bond, BondingPair, compose_bonds
-from .classification import Classification, incidence_residual
+from .classification import Classification
 from .errors import CheckResult, ShapeError, ValidationError
 from .infomorphism import FunctionalInfomorphism
 from .lattice import (
@@ -34,6 +34,7 @@ from .relalg import (
     compose,
     left_residual,
     mask_of,
+    right_residual,
     subrelation,
     transpose,
     view,
@@ -569,7 +570,9 @@ def pair_roundtrip_holds(p: BondingPair) -> bool:
     )
     # the middle composite, B to the source's lattice side; its r is I_B/middle
     middle = left_residual(emb_src.type_bond.r, p.backward.rel)
-    backward = left_residual(incidence_residual(p.target, middle), emb_tgt.instance_bond.rel)
+    backward = left_residual(
+        right_residual(p.target.incidence, middle), emb_tgt.instance_bond.rel
+    )
     rebuilt = pair_of_hom(hom_of_pair(p))
     return (
         rebuilt.source == emb_src.order_classification

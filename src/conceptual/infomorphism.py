@@ -13,7 +13,6 @@ from . import relalg
 from .classification import (
     Classification,
     extent_of,
-    incidence_residual,
     instance_preorder,
     powerset_classification,
     type_preorder,
@@ -146,7 +145,7 @@ class RelationalInfomorphism:
 def check_relational(m: RelationalInfomorphism) -> CheckResult:
     """Fundamental property: the two residuals agree (their value is the bond)."""
     lhs = left_residual(m.r, m.source.incidence)
-    rhs = incidence_residual(m.target, m.s)
+    rhs = relalg.right_residual(m.target.incidence, m.s)
     return _instance_type_witness(m, relalg.first_difference(lhs.rows, rhs.rows), "residuals differ")
 
 

@@ -173,9 +173,15 @@ def classification_from_obj(obj: dict) -> Classification:
     return Classification(instances, types, rel)
 
 
+def is_labels(value) -> bool:
+    """Whether a JSON value is a list of label strings; a string, whose
+    characters would iterate as labels, is not."""
+    return isinstance(value, list) and all(isinstance(label, str) for label in value)
+
+
 def _labels(obj: dict, key: str) -> tuple[str, ...]:
     labels = obj[key]
-    if not isinstance(labels, list) or not all(isinstance(label, str) for label in labels):
+    if not is_labels(labels):
         raise ParseError(f"bad classification object: {key} must be a list of strings")
     return tuple(labels)
 
@@ -232,6 +238,9 @@ def morphism_from_obj(obj: dict, validate: bool = True):
         target = classification_from_obj(obj["target"])
         data = obj["data"]
         if kind == "functional":
+            for key in ("instance_map", "type_map"):
+                if not is_labels(data[key]):
+                    raise ParseError(f"bad morphism object: {key} must be a list of strings")
             f = FunctionGraph.from_targets(
                 tuple(source.instance_index[l] for l in data["instance_map"]),
                 len(source.instances),
@@ -304,7 +313,7 @@ def lattice_json(L: ConceptLattice) -> str:
 # -- DOT ------------------------------------------------------------------------
 
 
-def emit_dot(L: ConceptLattice, graph_name: str = "lattice") -> str:
+def emit_dot(L: ConceptLattice) -> str:
     """Hasse diagram with reduced labelling, top rendered uppermost.
 
     Each concept is labelled with the types whose concept it is (``tau``),
@@ -318,7 +327,7 @@ def emit_dot(L: ConceptLattice, graph_name: str = "lattice") -> str:
         own[c][0].append(L.type_labels[t])
     for a, c in enumerate(L.iota.targets):
         own[c][1].append(L.instance_labels[a])
-    lines = [f"digraph {graph_name} {{", "  node [shape=box];"]
+    lines = ["digraph lattice {", "  node [shape=box];"]
     for i, parts in enumerate(own):
         label = "\\n".join(
             " ".join(part).replace("\\", "\\\\").replace('"', '\\"') for part in parts if part

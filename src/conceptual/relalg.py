@@ -226,18 +226,27 @@ def right_residual(t: Relation, s: Relation) -> Relation:
     """Largest ``r`` with ``compose(r, s) <= t``.
 
     ``(a, b)`` is in ``t/s`` iff the ``s``-row of ``b`` is contained in the
-    ``t``-row of ``a``.
+    ``t``-row of ``a``, so column ``b`` is the AND of the columns of ``t``
+    (its cached ``columns`` view) over the bits of that row: every row of
+    ``t`` for an empty one.  Each column is then scattered into the rows.
     """
     _require(t.dst_size == s.dst_size, "right_residual", t, s)
-    srows = s.rows
-    out = []
-    for ta in t.rows:
-        acc = 0
-        for b, sb in enumerate(srows):
-            if sb & ~ta == 0:
-                acc |= 1 << b
-        out.append(acc)
-    return Relation(t.src_size, s.src_size, tuple(out))
+    cols = t.columns
+    m = t.src_size
+    full = (1 << m) - 1
+    out = [0] * m
+    for b, sb in enumerate(s.rows):
+        col = full
+        while sb and col:
+            low = sb & -sb
+            col &= cols[low.bit_length() - 1]
+            sb ^= low
+        bbit = 1 << b
+        while col:
+            low = col & -col
+            out[low.bit_length() - 1] |= bbit
+            col ^= low
+    return Relation(m, s.src_size, tuple(out))
 
 
 def subrelation(r: Relation, t: Relation) -> bool:

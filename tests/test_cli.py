@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from conceptual import cli as cli_module
 from conceptual.cli import main
 from conceptual.io import (
     classification_to_obj,
@@ -299,6 +300,23 @@ class TestMalformedInput:
         err = self.run_malformed(capsys, "check", "bond", str(path))
         assert "instances must be a list of strings" in err
 
+    @pytest.mark.parametrize(
+        "command", [("check", "infomorphism"), ("compose", "infos")], ids=["check", "compose"]
+    )
+    @pytest.mark.parametrize("key", ["instance_map", "type_map"])
+    @pytest.mark.parametrize("form", ["string", "dict"], ids=["string-as-map", "dict-as-map"])
+    def test_morphism_map_not_a_list_of_strings(self, capsys, tmp_path, k1, command, key, form):
+        """A map written as a string of one-character labels, or as a dict
+        keyed by the labels, is refused, not iterated as its labels."""
+        obj = morphism_to_obj(identity_functional(k1))
+        labels = obj["data"][key]
+        obj["data"][key] = "".join(labels) if form == "string" else dict(zip(labels, labels))
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(obj))
+        paths = (str(path),) if command[0] == "check" else (str(path), str(path))
+        err = self.run_malformed(capsys, *command, *paths)
+        assert f"bad morphism object: {key} must be a list of strings" in err
+
 
 LONG = "x" * 100_000
 
@@ -497,6 +515,34 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["lattice"])
         assert exc.value.code == 2
+
+    def test_two_calls_build_one_parser(self, capsys):
+        cli_module.build_parser.cache_clear()
+        assert main(["powerset", "a"]) == 0
+        assert main(["powerset", "a", "--cxt"]) == 0
+        info = cli_module.build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        out = capsys.readouterr().out
+        assert out.startswith('{\n  "instances"') and out.endswith("X\n")
+
+    def test_json_does_not_carry_into_the_next_call(self, capsys, tmp_path, k1):
+        path = tmp_path / "bond.json"
+        path.write_text(dumps(morphism_to_obj(identity_bond(k1))))
+        assert run(capsys, "check", "bond", str(path), "--json") == (
+            0, dumps({"results": [{"file": str(path), "ok": True, "witness": None, "reason": None}]})
+        )
+        assert run(capsys, "check", "bond", str(path)) == (0, f"{path}: ok\n")
+
+    def test_usage_error_after_a_good_call_exits_two(self, capsys, k1_file):
+        assert run(capsys, "lattice", k1_file)[0] == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["lattice"])
+        assert exc.value.code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "bonds", k1_file])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bonds'" in capsys.readouterr().err
+        assert run(capsys, "lattice", k1_file)[0] == 0
 
     def test_negative_max_size_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

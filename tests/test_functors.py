@@ -23,7 +23,6 @@ from conceptual.classification import (
     chain_classification,
     contranominal_classification,
     extent_of,
-    incidence_residual,
 )
 from conceptual.colimit import enumerate_infomorphisms
 from conceptual.errors import ResourceLimitError, ShapeError, ValidationError
@@ -69,7 +68,7 @@ from conceptual.infomorphism import (
     instance_infomorphism,
 )
 from conceptual.io import dumps, morphism_from_obj, morphism_to_obj
-from conceptual.lattice import concept_lattice_of
+from conceptual.lattice import collective_from_function, concept_lattice_of
 from conceptual.relalg import (
     FunctionGraph,
     Relation,
@@ -90,6 +89,7 @@ from oracles import (
     lattice_order_oracle,
     pair_roundtrip_by_composition,
     random_relation,
+    right_residual_oracle,
     sup_oracle,
 )
 from test_bond import random_bond
@@ -600,10 +600,12 @@ class TestOrderLattice:
         assert K == bare and hash(K) == hash(bare) and repr(K) == repr(bare)
         assert concept_lattice_of(K) is concept_lattice_of(bare)
 
-    def test_incidence_residual_is_the_kernel(self):
-        """Order classifications of chains, the pentagon, the diamond and
-        the 8-element boolean lattice, and random contexts with 0x3 and 3x0
-        among them; rows empty, full, the incidence's own rows, down-sets or
+    def test_right_residual_is_the_oracle(self):
+        """Dividends: the order classifications of chains, the pentagon, the
+        diamond and the 8-element boolean lattice; random contexts with 0x3
+        and 3x0 among them; and relations that are no incidence, random
+        bonds and the instance relations ``a`` of collective concepts.
+        Divisor rows are empty, full, the dividend's own rows, down-sets or
         random."""
         rng = random.Random(13)
         lattices = (
@@ -613,43 +615,50 @@ class TestOrderLattice:
             CompleteLattice(tuple("0abc1"), DIAMOND),
             complete_lattice_of(concept_lattice_of(contranominal_classification(3))),
         )
-        cases = [(lattice_classification(L), Relation(L.size, L.size, L.down)) for L in lattices]
+        cases = [
+            (lattice_classification(L).incidence, Relation(L.size, L.size, L.down))
+            for L in lattices
+        ]
         for m, n in ((0, 3), (3, 0), (4, 5), (6, 2)):
-            cases.append((random_context(rng, m, n), random_relation(rng, 3, n)))
-        for K, other in cases:
-            n = len(K.types)
+            cases.append((random_context(rng, m, n).incidence, random_relation(rng, 3, n)))
+        for m, n in ((3, 4), (4, 3), (0, 2)):
+            A, B = random_context(rng, m, n), random_context(rng, n, m)
+            cases.append((random_bond(rng, A, B).rel, random_relation(rng, 3, n)))
+            L = concept_lattice_of(A)
+            f = FunctionGraph(tuple(rng.randrange(L.size) for _ in range(3)), L.size)
+            cases.append((collective_from_function(A, L, f).a, random_relation(rng, 2, 3)))
+        for t, other in cases:
+            n = t.dst_size
             for s in (
                 Relation.empty(0, n),
                 Relation.empty(2, n),
                 Relation.full(2, n),
-                K.incidence,
+                t,
                 other,
                 random_relation(rng, 5, n),
             ):
-                assert incidence_residual(K, s) == right_residual(K.incidence, s)
+                assert right_residual(t, s) == right_residual_oracle(t, s)
 
     def test_residual_shape_error_is_the_kernels(self):
-        for K, s in (
-            (chain_classification(3), Relation.empty(2, 4)),
-            (random_context(random.Random(2), 0, 3), Relation.empty(1, 0)),
+        for t, s in (
+            (chain_classification(3).incidence, Relation.empty(2, 4)),
+            (random_context(random.Random(2), 0, 3).incidence, Relation.empty(1, 0)),
         ):
-            with pytest.raises(ShapeError) as by_extents:
-                incidence_residual(K, s)
-            with pytest.raises(ShapeError) as by_kernel:
-                right_residual(K.incidence, s)
-            assert str(by_extents.value) == str(by_kernel.value)
+            with pytest.raises(ShapeError) as e:
+                right_residual(t, s)
+            assert str(e.value) == f"right_residual: incompatible shapes {t.shape} and {s.shape}"
 
-    def test_embedding_bonds_divide_no_order_by_the_kernel(self, monkeypatch):
+    def test_embedding_bonds_divide_only_incidences(self, monkeypatch):
         """A 10x10 context at density .5, the shape of the benchmark's
-        embedding pairs: every residual into an incidence, the context's or
-        its lattice order's, is taken from extents, so the generic
-        ``right_residual`` is never called."""
+        embedding pairs: every ``right_residual`` dividend is the context's
+        incidence or its lattice order's, the very objects whose cached
+        columns the kernel reads."""
         A = random_context(random.Random(5), 10, 10)
-        calls = []
+        dividends = []
         original = relalg.right_residual
 
         def recorded(t, s):
-            calls.append(t)
+            dividends.append(t)
             return original(t, s)
 
         for name, module in list(sys.modules.items()):
@@ -658,8 +667,9 @@ class TestOrderLattice:
                     if value is original:
                         monkeypatch.setattr(module, key, recorded)
         emb = embedding_bonds(A)
-        assert emb.order_classification.incidence.src_size > 10
-        assert calls == []
+        order = emb.order_classification.incidence
+        assert order.src_size > 10
+        assert dividends and {id(t) for t in dividends} <= {id(A.incidence), id(order)}
 
 
 class TestCompleteLatticeByOrder:

@@ -1,7 +1,7 @@
 """Bounded property tests of ``build_lattice`` on random contexts up to 7x7,
 against the brute-force closure of every instance subset (the concept set)
-and against NextClosure (the lectic order); and of the residual into an
-incidence, taken from extents, against the generic kernel."""
+and against NextClosure (the lectic order); and of ``right_residual``
+against its oracle, on incidences, orders and relations that are neither."""
 
 import pytest
 
@@ -9,18 +9,23 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
 
+from conceptual.bond import close_to_bond
 from conceptual.classification import (
     Classification,
     chain_classification,
     contranominal_classification,
-    incidence_residual,
 )
 from conceptual.errors import ShapeError
 from conceptual.functors import CompleteLattice, complete_lattice_of
-from conceptual.lattice import build_lattice, concept_lattice_of
-from conceptual.relalg import Relation, right_residual
+from conceptual.lattice import build_lattice, collective_from_function, concept_lattice_of
+from conceptual.relalg import FunctionGraph, Relation, right_residual
 
-from oracles import closed_pairs_oracle, concept_set, next_closure_oracle
+from oracles import (
+    closed_pairs_oracle,
+    concept_set,
+    next_closure_oracle,
+    right_residual_oracle,
+)
 
 
 @st.composite
@@ -49,14 +54,28 @@ def test_build_lattice_matches_oracles(K):
 
 
 @st.composite
-def dividends(draw) -> tuple[Classification, tuple[int, ...]]:
-    """A classification and the principal down-sets of its incidence, if
-    any: random contexts up to 7x7 (0xn and nx0 among them), and the order
-    classifications of chains of 1..8 elements, of boolean lattices of 1..8
-    elements and of concept lattices of contexts up to 3x3."""
-    kind = draw(st.sampled_from(("context", "chain", "boolean", "concepts")))
+def dividends(draw) -> tuple[Relation, tuple[int, ...]]:
+    """A dividend and the principal down-sets of it, if it is an order: the
+    incidences of random contexts up to 7x7 (0xn and nx0 among them); the
+    order classifications of chains of 1..8 elements, of boolean lattices
+    of 1..8 elements and of concept lattices of contexts up to 3x3; and two
+    relations that are no incidence, the least bond above a random relation
+    between contexts up to 4x4, and the instance relation ``a`` of the
+    collective concept of a random function into a concept lattice."""
+    kinds = ("context", "chain", "boolean", "concepts", "bond", "collective")
+    kind = draw(st.sampled_from(kinds))
     if kind == "context":
-        return draw(contexts()), ()
+        return draw(contexts()).incidence, ()
+    if kind == "bond":
+        A, B = draw(contexts(max_size=4)), draw(contexts(max_size=4))
+        row = st.integers(0, (1 << len(A.types)) - 1)
+        rows = draw(st.lists(row, min_size=len(B.instances), max_size=len(B.instances)))
+        return close_to_bond(A, B, Relation(len(B.instances), len(A.types), tuple(rows))), ()
+    if kind == "collective":
+        K = draw(contexts(max_size=4))
+        L = concept_lattice_of(K)
+        targets = draw(st.lists(st.integers(0, L.size - 1), max_size=4))
+        return collective_from_function(K, L, FunctionGraph(tuple(targets), L.size)).a, ()
     if kind == "chain":
         K = chain_classification(draw(st.integers(1, 8)))
         L = CompleteLattice(K.instances, K.incidence)
@@ -64,25 +83,24 @@ def dividends(draw) -> tuple[Classification, tuple[int, ...]]:
         L = complete_lattice_of(concept_lattice_of(contranominal_classification(draw(st.integers(0, 3)))))
     else:
         L = complete_lattice_of(concept_lattice_of(draw(contexts(max_size=3))))
-    return L.classification, L.down
+    return L.classification.incidence, L.down
 
 
 @settings(max_examples=300, deadline=None, database=None)
 @given(st.data())
-def test_incidence_residual_is_the_kernel(data):
-    """0..6 rows, each empty, full, a principal up- or down-set, or random;
-    a divisor of the wrong width raises the kernel's ``ShapeError``."""
-    K, down = data.draw(dividends())
-    n = len(K.types)
+def test_right_residual_is_the_oracle(data):
+    """0..6 divisor rows, each empty, full, a row of the dividend (a
+    principal up-set of an order), a principal down-set or random; a
+    divisor of the wrong width raises ``right_residual``'s ``ShapeError``."""
+    t, down = data.draw(dividends())
+    n = t.dst_size
     full = (1 << n) - 1
-    principal = [st.sampled_from(sets) for sets in (K.rows, down) if sets]
+    principal = [st.sampled_from(sets) for sets in (t.rows, down) if sets]
     row = st.one_of(st.just(0), st.just(full), st.integers(0, full), *principal)
     rows = data.draw(st.lists(row, max_size=6))
     s = Relation(len(rows), n, tuple(rows))
-    assert incidence_residual(K, s) == right_residual(K.incidence, s)
+    assert right_residual(t, s) == right_residual_oracle(t, s)
     wrong = Relation.empty(len(rows), n + 1)
-    with pytest.raises(ShapeError) as by_extents:
-        incidence_residual(K, wrong)
-    with pytest.raises(ShapeError) as by_kernel:
-        right_residual(K.incidence, wrong)
-    assert str(by_extents.value) == str(by_kernel.value)
+    with pytest.raises(ShapeError) as e:
+        right_residual(t, wrong)
+    assert str(e.value) == f"right_residual: incompatible shapes {t.shape} and {wrong.shape}"
