@@ -83,24 +83,19 @@ def is_bond(A: Classification, B: Classification, rel: Relation | Bond) -> Check
     ``I_B/(rel\\I_B) == rel`` on the columns; on failure names the first
     offending row, else the first offending column.
 
-    ``rel`` is a raw relation, or a ``Bond`` from ``A`` to ``B``, whose
-    views ``r`` and ``s`` then serve as the two inner residuals.
+    ``rel`` is a ``Bond`` from ``A`` to ``B``, or a raw relation, which is
+    wrapped as one unchecked; the bond's views ``r`` and ``s`` serve as the
+    two inner residuals.
     """
-    bond = rel if isinstance(rel, Bond) else None
-    if bond is not None:
-        rel = bond.rel
-    expected = (len(B.instances), len(A.types))
-    if rel.shape != expected:
-        raise ShapeError(f"bond relation shape {rel.shape}, expected {expected}")
-    r = right_residual(A.incidence, rel) if bond is None else bond.r
-    row_closed = left_residual(r, A.incidence)
+    bond = rel if isinstance(rel, Bond) else Bond(A, B, rel, validate=False)
+    rel = bond.rel
+    row_closed = left_residual(bond.r, A.incidence)
     if row_closed != rel:
         b = B.instances[relalg.first_difference(rel.rows, row_closed.rows)[0]]
         return CheckResult(
             False, witness=("row", b), reason=f"row of {quote(b)} is not an intent of the source"
         )
-    s = left_residual(rel, B.incidence) if bond is None else bond.s
-    col_closed = right_residual(B.incidence, s)
+    col_closed = right_residual(B.incidence, bond.s)
     if col_closed != rel:
         t = A.types[relalg.first_difference(rel.columns, col_closed.columns)[0]]
         return CheckResult(

@@ -87,7 +87,7 @@ CHECKS = {
     "relational": (
         RelationalInfomorphism, "a relational infomorphism", lambda m: check_relational(m)
     ),
-    "bond": (Bond, "a bond", lambda m: is_bond(m.source, m.target, m.rel)),
+    "bond": (Bond, "a bond", lambda m: is_bond(m.source, m.target, m)),
     "bonding-pair": (
         BondingPair, "a bonding pair", lambda m: is_bonding_pair(m.forward, m.backward)
     ),
@@ -293,10 +293,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ConceptualError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except (OSError, json.JSONDecodeError, KeyError) as e:
+    except (ConceptualError, OSError, json.JSONDecodeError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
 

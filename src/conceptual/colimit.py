@@ -345,9 +345,7 @@ def check_coproduct_property(
 
 
 def transport_coproduct(
-    d: CoproductDiagram,
-    targets: list[Classification] | None = None,
-    inject_bug: bool = False,
+    d: CoproductDiagram, targets: list[Classification] | None = None
 ) -> VerificationReport:
     """Check a coproduct before and after the lattice functor.
 
@@ -358,31 +356,6 @@ def transport_coproduct(
     enumerated; each leg's lattice image is computed once per target.
     """
     report = VerificationReport()
-    if inject_bug:
-        apex = d.apex
-        if not apex.instances or not apex.types:
-            report.add("transport-setup", d.kind, False, witness="cannot perturb an empty apex")
-            return report
-        rows = list(apex.incidence.rows)
-        rows[0] ^= 1
-        broken = Classification(
-            apex.instances, apex.types, Relation(len(rows), len(apex.types), tuple(rows))
-        )
-        left, right = (
-            FunctionalInfomorphism(m.source, broken, m.f, m.g, validate=False)
-            for m in (d.left_injection, d.right_injection)
-        )
-        res_left, res_right = check_functional(left), check_functional(right)
-        report.add(
-            "transport-injection-valid",
-            d.kind,
-            bool(res_left and res_right),
-            witness=str(res_left.witness or res_right.witness),
-        )
-        if not (res_left and res_right):
-            return report
-        d = CoproductDiagram(d.left, d.right, broken, left, right, d.kind)
-
     if targets is None:
         targets = [d.left, d.right]
     cocones = check_coproduct_property(d, targets, report)

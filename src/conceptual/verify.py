@@ -299,12 +299,10 @@ def _summands(c) -> list:
 
 
 def _sums(c):
-    """The sum of each ordered pair of sampled summands, transported; the
-    first carries the injected bug."""
-    for k, ((aid, A), (bid, B)) in enumerate(itertools.product(_summands(c), repeat=2)):
-        yield f"{aid}+{bid}:", colimit.transport_coproduct(
-            colimit.coproduct_sum(A, B), targets=[A], inject_bug=c.inject_bug and k == 0
-        )
+    """The sum of each ordered pair of sampled summands, transported."""
+    for (aid, A), (bid, B) in itertools.product(_summands(c), repeat=2):
+        d = colimit.coproduct_sum(A, B)
+        yield f"{aid}+{bid}:", colimit.transport_coproduct(d, targets=[A])
 
 
 def _appositions(c):

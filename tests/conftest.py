@@ -3,7 +3,9 @@ import random
 import pytest
 
 from conceptual.classification import Classification
-from conceptual.relalg import Relation
+from conceptual.colimit import CoproductDiagram, coproduct_sum
+from conceptual.infomorphism import FunctionalInfomorphism
+from conceptual.relalg import FunctionGraph, Relation
 
 
 @pytest.fixture
@@ -53,6 +55,23 @@ def random_context(rng, m: int, n: int) -> Classification:
     typ = tuple(f"t{k}" for k in range(n))
     rows = tuple(rng.getrandbits(n) for _ in range(m))
     return Classification(inst, typ, Relation(m, n, rows))
+
+
+def duplicated_instance_sum(A, B) -> CoproductDiagram:
+    """The sum of A and B with apex instance 0 repeated: the injections stay
+    valid, but a cocone can have two mediators, so records fail with a count."""
+    d = coproduct_sum(A, B)
+    rows = d.apex.rows + d.apex.rows[:1]
+    apex = Classification(
+        d.apex.instances + ("copy",), d.apex.types, Relation(len(rows), len(d.apex.types), rows)
+    )
+
+    def leg(inj):
+        return FunctionalInfomorphism(
+            inj.source, apex, FunctionGraph(inj.f.targets + inj.f.targets[:1], inj.f.dst_size), inj.g
+        )
+
+    return CoproductDiagram(A, B, apex, leg(d.left_injection), leg(d.right_injection), "sum")
 
 
 # .cxt headers with one negative count, id -> (text, line of the count):

@@ -36,7 +36,7 @@ from conceptual.relalg import (
 from conceptual.report import NO_COVERAGE
 from conceptual.verify import verify_equivalences
 
-from conftest import random_context
+from conftest import duplicated_instance_sum, random_context
 from oracles import closed_pairs_oracle, concept_set, random_relation
 
 SEED = 7
@@ -235,13 +235,14 @@ def test_acceptance_8_colimit_transport(k1):
         report = transport_coproduct(d, targets=[d.left])
         assert report.ok and report.records, report.failures
         total += len(report.records)
-    injected = transport_coproduct(diagrams[0], targets=[diagrams[0].left], inject_bug=True)
-    assert not injected.ok
-    assert injected.failures[0].witness
+    # a second copy of an apex instance gives a cocone two mediators
+    broken = transport_coproduct(duplicated_instance_sum(k1, k1), targets=[k1])
+    assert not broken.ok
+    assert "2 mediators found" in {r.witness for r in broken.failures}
     print(
         f"\nACCEPTANCE 8 colimit transport: PASS ({total} universal-property and "
-        f"transported-mediator checks across sums and appositions; bug injection "
-        f"fails with witness {injected.failures[0].witness})"
+        f"transported-mediator checks across sums and appositions; a duplicated "
+        f"apex instance fails with witness {broken.failures[0].witness!r})"
     )
 
 

@@ -155,6 +155,29 @@ class TestConstructors:
             preorder_as_classification(("x", "y", "z"), not_transitive)
         assert exc.value.witness == ("x", "y", "z")
 
+    def test_preorder_as_classification(self):
+        """A preorder classifies its elements by itself; an order relation
+        of another size than the labels is refused."""
+        leq = Relation.from_matrix([[1, 1, 1], [0, 1, 1], [0, 1, 1]])
+        P = preorder_as_classification(["x", "y", "z"], leq)
+        assert P == Classification(("x", "y", "z"), ("x", "y", "z"), leq)
+        with pytest.raises(ValidationError) as exc:
+            preorder_as_classification(("x", "y"), leq)
+        assert str(exc.value) == "order relation shape (3, 3) does not match 2 labels"
+
+    def test_labels_of_invert_the_masks(self, rng):
+        """``instance_labels_of`` and ``type_labels_of`` send each mask to
+        its labels in carrier order, and back through the masks."""
+        K = random_context(rng, 4, 3)
+        for labels_of, mask, carrier in (
+            (K.instance_labels_of, K.instance_mask, K.instances),
+            (K.type_labels_of, K.type_mask, K.types),
+        ):
+            for m in range(1 << len(carrier)):
+                labels = labels_of(m)
+                assert labels == tuple(l for i, l in enumerate(carrier) if m >> i & 1)
+                assert mask(labels) == m
+
     def test_chain_and_antichain_shapes(self):
         one = chain_classification(1)
         assert one.incidence == Relation.full(1, 1)

@@ -15,7 +15,12 @@ from conceptual.io import (
 from conceptual.bond import Bond, identity_bond
 from conceptual.classification import Classification, powerset_classification
 from conceptual.errors import QUOTE_LIMIT, quote
-from conceptual.infomorphism import identity_functional
+from conceptual.infomorphism import (
+    fn2rel,
+    identity_functional,
+    identity_relational,
+    instance_infomorphism,
+)
 from conceptual.io import emit_cxt
 from conceptual.lattice import build_lattice
 from conceptual.relalg import Relation
@@ -153,6 +158,50 @@ class TestComposeCommand:
         got = json.loads(out)
         assert got["kind"] == "bond"
         assert got["data"]["rel"] == k1.incidence.matrix()
+
+
+    @pytest.mark.parametrize("kind", ["functional", "relational"])
+    def test_compose_infos_with_the_identity(self, capsys, tmp_path, k1, kind):
+        """The identity then the instance infomorphism of k1, or their
+        relational widenings: the composite is the second morphism."""
+        if kind == "functional":
+            ident, m = identity_functional(k1), instance_infomorphism(k1)
+        else:
+            ident, m = identity_relational(k1), fn2rel(instance_infomorphism(k1))
+        paths = []
+        for name, morphism in (("id", ident), ("m", m)):
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(dumps(morphism_to_obj(morphism)))
+        code, out = run(capsys, "compose", "infos", *map(str, paths))
+        assert code == 0
+        assert out == dumps(morphism_to_obj(m))
+
+    @pytest.mark.parametrize(
+        "kind, first, second",
+        [
+            ("infos", "functional", "relational"),
+            ("infos", "bond", "bond"),
+            ("bonds", "functional", "functional"),
+        ],
+        ids=["infos-mixed", "infos-bonds", "bonds-infos"],
+    )
+    def test_wrong_kind_is_structural_error(self, capsys, tmp_path, k1, kind, first, second):
+        message = {
+            "infos": "compose infos expects two infomorphisms of the same kind",
+            "bonds": "compose bonds expects two bond files",
+        }[kind]
+        morphisms = {
+            "functional": identity_functional(k1),
+            "relational": identity_relational(k1),
+            "bond": identity_bond(k1),
+        }
+        paths = []
+        for i, name in enumerate((first, second)):
+            paths.append(tmp_path / f"{i}.json")
+            paths[-1].write_text(dumps(morphism_to_obj(morphisms[name])))
+        code = main(["compose", kind, *map(str, paths)])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (3, "", f"error: {message}\n")
 
 
 class TestConstructions:

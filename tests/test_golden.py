@@ -7,9 +7,14 @@ small context whose labels JSON must escape: quotes, backslashes and control
 characters, next to non-ASCII ones it must not.  The bond commands read
 seeded bonds and bonding pairs between the two random contexts, valid and
 invalid; ``check infomorphism`` reads an injection into their sum, and the
-same map with one instance moved.  The four binary constructions pin their
-apex and legs: sum and product of the two random contexts, apposition and
-subposition of a context with itself.
+same map with one instance moved; ``check relational`` reads the relational
+widening of that injection, and the widening with one instance pair
+flipped.  ``compose infos`` chains the injection with the left injection of
+its apex into a second sum, functional and widened.  The four binary
+constructions pin their apex and legs: sum and product of the two random
+contexts, apposition and subposition of a context with itself.  ``quotient``
+keeps three instances of a random context, on which three of its types
+agree, and merges those types.
 """
 
 import contextlib
@@ -24,7 +29,7 @@ from conceptual.classification import Classification, contranominal_classificati
 from conceptual.cli import main
 from conceptual.colimit import coproduct_sum
 from conceptual.functors import embedding_bonding_pairs
-from conceptual.infomorphism import FunctionalInfomorphism
+from conceptual.infomorphism import FunctionalInfomorphism, RelationalInfomorphism, fn2rel
 from conceptual.io import dumps, emit_cxt, morphism_to_obj
 from conceptual.relalg import FunctionGraph, Relation
 
@@ -62,6 +67,20 @@ def injection():
     return coproduct_sum(*_contexts("rand-6x5", "rand-5x7")).right_injection
 
 
+def next_injection():
+    """The left injection of ``injection()``'s apex into its sum with the
+    contranominal scale, so the two compose."""
+    apex = injection().target
+    return coproduct_sum(apex, CONTEXTS["contranominal-4"]()).left_injection
+
+
+def flipped_instance_pair(m: RelationalInfomorphism) -> RelationalInfomorphism:
+    """``m`` with its first instance pair flipped, unchecked."""
+    rows = (m.r.rows[0] ^ 1,) + m.r.rows[1:]
+    r = Relation(m.r.src_size, m.r.dst_size, rows)
+    return RelationalInfomorphism(m.source, m.target, r, m.s, validate=False)
+
+
 def moved_instance(m: FunctionalInfomorphism, b: int) -> FunctionalInfomorphism:
     """``m`` with the source instance of target instance ``b`` moved by one,
     unchecked."""
@@ -74,6 +93,10 @@ def moved_instance(m: FunctionalInfomorphism, b: int) -> FunctionalInfomorphism:
 MORPHISMS = {
     "infomorphism": injection,
     "non-infomorphism": lambda: moved_instance(injection(), 13),
+    "infomorphism-next": next_injection,
+    "relational": lambda: fn2rel(injection()),
+    "relational-next": lambda: fn2rel(next_injection()),
+    "non-relational": lambda: flipped_instance_pair(fn2rel(injection())),
     "bond": lambda: seeded_bond(*_contexts("rand-6x5", "rand-5x7"), 13),
     "bond-next": lambda: seeded_bond(*_contexts("rand-5x7", "contranominal-4"), 14),
     "non-bond": lambda: Bond(
@@ -85,6 +108,14 @@ MORPHISMS = {
         seeded_bond(*_contexts("rand-5x7", "rand-6x5"), 17),
         validate=False,
     ),
+}
+
+# the invariant file of ``quotient``: on i1, i3 and i4, t0, t3 and t4 agree
+INVARIANTS = {
+    "invariant": {
+        "kept_instances": ["i1", "i3", "i4"],
+        "related_types": [["t0", "t4"], ["t3", "t4"]],
+    },
 }
 
 # argv, with "{ctx}" standing for the context file -> (exit code, SHA-256 of stdout)
@@ -142,9 +173,11 @@ GOLDEN = {
         0,
         "4531ccd03dfdb02eb398d25340a1a670b2f4daadcdbd03c2a91ce10c186b8d21",
     ),
+    # the clean report of seed 10 with one classification round trip failed
+    # (re-pinned when the first sum stopped carrying a second injected bug)
     ("verify-equivalences", "--max-size", "3", "--seed", "10", "--inject-bug", "--json"): (
         1,
-        "2250260674b3a750c873f3aafa90aeed25ed70f42220f690ab16d5ec18fc6bc9",
+        "e7644fb7d7035782d121b8d6fc1c0c54a1f2a7c3dd0aa8ad2ff1efa5ae6f4f54",
     ),
     ("check", "bond", "{bond}"): (
         0,
@@ -194,6 +227,30 @@ GOLDEN = {
         1,
         "5445c7c57d284cb279378ab9f01c207ba3299679c427fa117ce23835c3413253",
     ),
+    ("check", "relational", "{relational}"): (
+        0,
+        "ab5407bdc7a4b323ad592f593249abdd175ef2461934d77e247e29bd5cc85958",
+    ),
+    ("check", "relational", "{relational}", "--json"): (
+        0,
+        "d0df28df6d20ecfb11d86f5b825636bda9b108296dfe2ebd6ba6abe3cbf1c84b",
+    ),
+    ("check", "relational", "{non-relational}"): (
+        1,
+        "72f6c232fe424de2df7c02da421c6838421e2f998dc8ba8bf5a57c9e43d0a24c",
+    ),
+    ("check", "relational", "{non-relational}", "--json"): (
+        1,
+        "77f540e6aa825b3a3febad30a372431bcde3a73b655d2d50a47262cc41811ff6",
+    ),
+    ("compose", "infos", "{infomorphism}", "{infomorphism-next}"): (
+        0,
+        "1d9afc7544e6eb88f0c136f0bf36351e139713f292fea017baeb60bd92e4e448",
+    ),
+    ("compose", "infos", "{relational}", "{relational-next}"): (
+        0,
+        "99298840a21e479cd28b8bb18e2524f40f04f848099ea36ae491ee1ce7cba54c",
+    ),
     ("compose", "bonds", "{bond}", "{bond-next}"): (
         0,
         "e8494ee8c5ebdc2fc1d2156a58f2240350cd02327a85862fab4da8c332dba1b1",
@@ -222,13 +279,37 @@ GOLDEN = {
         0,
         "cfc2b3e2546831c82c52e23e71ac92d62a262328315ae74661a09c0bc392db04",
     ),
+    ("quotient", "{rand-6x5}", "{invariant}"): (
+        0,
+        "6cf4dd34b6dc5698515f3cc638e84cf5d2e91f3094ae466ca25484d54e577234",
+    ),
+    ("dual", "{rand-6x5}"): (
+        0,
+        "636b93e02380e269956147a85a7ef6af22cd998e36699f11e66a949f58367051",
+    ),
+    ("dual", "{escapes}"): (
+        0,
+        "d4d9cfc016e55a310ec0e3dfdc089b8bc9d6a7879b7ec7c164705cabc2629890",
+    ),
+    ("dual", "{rand-6x5}", "--cxt"): (
+        0,
+        "2b80180f3d71567f15b3dabc96f9201aa341320cbcc8468025ac791c1db00667",
+    ),
+    ("dual", "{escapes}", "--cxt"): (
+        0,
+        "eff5baff4d658f920526802e4cef841661a4e7961a84e253a7d37abdde6074c4",
+    ),
+    ("powerset", "x", "y", "z", "--cxt"): (
+        0,
+        "6f35307e7775b8c2be85745068c2f5233de061bf7c746b9acd0ce25a18956bd0",
+    ),
 }
 
 
 def golden_output(argv, tmp_path, monkeypatch) -> tuple[int, str]:
     """Run ``main`` on ``argv`` in ``tmp_path``, with each context placeholder
-    written to a ``.cxt`` file and each morphism placeholder to a ``.json``
-    one, both named relatively because ``check`` prints the name; the exit
+    written to a ``.cxt`` file and each morphism or invariant placeholder to a
+    ``.json`` one, all named relatively because ``check`` prints the name; the exit
     code and the SHA-256 of stdout."""
     monkeypatch.chdir(tmp_path)
     args = []
@@ -238,9 +319,12 @@ def golden_output(argv, tmp_path, monkeypatch) -> tuple[int, str]:
             if name in CONTEXTS:
                 arg = f"{name}.cxt"
                 text = emit_cxt(CONTEXTS[name]())
-            else:
+            elif name in MORPHISMS:
                 arg = f"{name}.json"
                 text = dumps(morphism_to_obj(MORPHISMS[name]()))
+            else:
+                arg = f"{name}.json"
+                text = dumps(INVARIANTS[name])
             (tmp_path / arg).write_text(text, encoding="utf-8")
         args.append(arg)
     buf = io.StringIO()

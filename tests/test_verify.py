@@ -29,6 +29,22 @@ class TestVerifyEquivalences:
         assert report.exit_code == 1
         assert all(r.witness for r in report.failures)
 
+    @pytest.mark.parametrize("max_size", range(1, MAX_CORPUS_SIZE + 1))
+    def test_bug_injection_fails_one_roundtrip_and_nothing_else(self, max_size):
+        """Where a context has a bit to flip, the injected report is the
+        clean one with one record changed: a classification round trip, now
+        failing.  Every family in it is one the suite names."""
+        for seed in range(12):
+            clean = verify_equivalences(max_size=max_size, seed=seed).records
+            injected = verify_equivalences(max_size=max_size, seed=seed, inject_bug=True).records
+            assert len(injected) == len(clean), seed
+            changed = [(was, now) for was, now in zip(clean, injected) if was != now]
+            assert len(changed) == 1, seed
+            ((was, now),) = changed
+            assert (now.check, now.item) == (was.check, was.item)
+            assert now.check == "classification-roundtrip" and now.verdict == FAIL
+            assert {r.check for r in injected} <= set(CHECK_FAMILIES)
+
     def test_bug_injection_with_nothing_to_perturb_adds_one_failure(self):
         """The size-0 corpus holds only the 0x0 context and no coproducts:
         the report is the clean one with one failing record after the

@@ -7,14 +7,14 @@ failure the check could have named.
 
 import pytest
 
-from conceptual.bond import is_bond
+from conceptual.bond import Bond, is_bond
 from conceptual.classification import (
     Classification,
     chain_classification,
     check_preorder,
     contranominal_classification,
 )
-from conceptual.errors import ValidationError
+from conceptual.errors import ShapeError, ValidationError
 from conceptual.functors import (
     AdjointPair,
     CompleteLattice,
@@ -116,3 +116,62 @@ def test_complete_homomorphism_names_the_target_element():
     assert is_complete_homomorphism(SQUARE, CHAIN3, psi).witness == ("join", "1")
     with pytest.raises(ValidationError, match="^not a complete homomorphism: a join is not preserved$"):
         CompleteHomomorphism(SQUARE, CHAIN3, psi)
+
+
+LA = concept_lattice_of(contranominal_classification(2))
+LB = concept_lattice_of(chain_classification(3))
+# each morphism class with one map of the wrong shape -> the error's message
+WRONG_SHAPES = {
+    "functional-f": (
+        lambda: FunctionalInfomorphism(A, B, fg((0,) * 4, 4), fg((0,) * 4, 3)),
+        "instance function shape (4, 4) does not map target instances to source instances",
+    ),
+    "functional-g": (
+        lambda: FunctionalInfomorphism(A, B, fg((0,) * 5, 4), fg((0,) * 3, 3)),
+        "type function shape (3, 3) does not map source types to target types",
+    ),
+    "relational-r": (
+        lambda: RelationalInfomorphism(A, B, Relation.empty(4, 4), Relation.empty(4, 3)),
+        "instance relation shape (4, 4) is wrong",
+    ),
+    "relational-s": (
+        lambda: RelationalInfomorphism(A, B, Relation.empty(4, 5), Relation.empty(3, 3)),
+        "type relation shape (3, 3) is wrong",
+    ),
+    "bond": (
+        lambda: Bond(A, B, Relation.empty(4, 4)),
+        "bond relation shape (4, 4), expected (5, 4)",
+    ),
+    "lattice-morphism-phi": (
+        lambda: ConceptLatticeMorphism(
+            LA, LB, fg((0,) * 4, 4), fg((0,) * 4, 3), fg((0,) * 3, 2), fg((0,) * 2, 3)
+        ),
+        "phi shape (4, 4) is wrong",
+    ),
+    "lattice-morphism-psi": (
+        lambda: ConceptLatticeMorphism(
+            LA, LB, fg((0,) * 3, 4), fg((0,) * 3, 3), fg((0,) * 3, 2), fg((0,) * 2, 3)
+        ),
+        "psi shape (3, 3) is wrong",
+    ),
+    "adjoint-phi": (
+        lambda: AdjointPair(SQUARE, CHAIN3, fg((0,) * 4, 4), fg((0,) * 4, 3)),
+        "phi shape (4, 4) is wrong",
+    ),
+    "adjoint-psi": (
+        lambda: AdjointPair(SQUARE, CHAIN3, fg((0,) * 3, 4), fg((0,) * 3, 3)),
+        "psi shape (3, 3) is wrong",
+    ),
+    "complete-homomorphism": (
+        lambda: CompleteHomomorphism(SQUARE, CHAIN3, fg((0,) * 3, 3)),
+        "psi shape (3, 3) is wrong",
+    ),
+}
+
+
+@pytest.mark.parametrize("build, message", list(WRONG_SHAPES.values()), ids=list(WRONG_SHAPES))
+def test_wrong_shape_is_a_shape_error(build, message):
+    """A map of the wrong shape is refused before any check runs."""
+    with pytest.raises(ShapeError) as exc:
+        build()
+    assert str(exc.value) == message
