@@ -131,23 +131,17 @@ def powerset_classification(labels: Sequence[str], cap: int = POWERSET_CAP) -> C
     """Instances ``labels``, one type per subset, membership incidence.
 
     Subset types are materialised in binary counting order, so the integer
-    value of a subset mask doubles as its type index.
+    value of a subset mask doubles as its type index, and the membership
+    relation from subsets to labels has each subset's mask as its row: the
+    incidence is its transpose.
     """
     labels = tuple(labels)
     if len(labels) > cap:
-        raise ResourceLimitError(
-            f"powerset of {len(labels)} labels exceeds cap {cap}"
-        )
+        raise ResourceLimitError(f"powerset of {len(labels)} labels exceeds cap {cap}")
     n = len(labels)
     type_labels = tuple(subset_label(labels, m) for m in range(1 << n))
-    rows = []
-    for i in range(n):
-        row = 0
-        for m in range(1 << n):
-            if m >> i & 1:
-                row |= 1 << m
-        rows.append(row)
-    return Classification(labels, type_labels, Relation(n, 1 << n, tuple(rows)))
+    members = Relation(1 << n, n, tuple(range(1 << n)))
+    return Classification(labels, type_labels, relalg.transpose(members))
 
 
 def subset_label(labels: Sequence[str], mask: int) -> str:

@@ -23,7 +23,7 @@ from .infomorphism import (
     compose_functional,
     dual_functional,
 )
-from .relalg import FunctionGraph, Relation, bits
+from .relalg import FunctionGraph, Relation, bits, compose, identity, transpose, union
 from .report import VerificationReport
 
 
@@ -63,30 +63,31 @@ class DualInvariant:
     type_relation: Relation
 
 
+def _side_by_side(A: Classification, B: Classification):
+    """The types of A then of B, tagged by side, and the two type injections
+    into them: ``range(ta)`` and ``range(ta, ta + tb)``."""
+    ta, tb = len(A.types), len(B.types)
+    types = tuple(_tag(0, t) for t in A.types) + tuple(_tag(1, t) for t in B.types)
+    return (
+        types,
+        FunctionGraph(tuple(range(ta)), ta + tb),
+        FunctionGraph(tuple(range(ta, ta + tb)), ta + tb),
+    )
+
+
 def coproduct_sum(A: Classification, B: Classification) -> CoproductDiagram:
     """Coproduct in the full category: instance pairs, disjoint types."""
     na, nb = len(A.instances), len(B.instances)
-    ta, tb = len(A.types), len(B.types)
-    instances = tuple(
-        _pair_label(x, y) for x in A.instances for y in B.instances
-    )
-    types = tuple(_tag(0, t) for t in A.types) + tuple(_tag(1, t) for t in B.types)
-    rows = []
-    for i in range(na):
-        for j in range(nb):
-            rows.append(A.rows[i] | B.rows[j] << ta)
-    apex = Classification(instances, types, Relation(na * nb, ta + tb, tuple(rows)))
+    ta = len(A.types)
+    types, g_left, g_right = _side_by_side(A, B)
+    instances = tuple(_pair_label(x, y) for x in A.instances for y in B.instances)
+    rows = tuple(ra | rb << ta for ra in A.rows for rb in B.rows)
+    apex = Classification(instances, types, Relation(na * nb, len(types), rows))
     left = FunctionalInfomorphism(
-        A,
-        apex,
-        FunctionGraph.from_targets(tuple(k // nb for k in range(na * nb)), na),
-        FunctionGraph.from_targets(tuple(range(ta)), ta + tb),
+        A, apex, FunctionGraph(tuple(k // nb for k in range(na * nb)), na), g_left
     )
     right = FunctionalInfomorphism(
-        B,
-        apex,
-        FunctionGraph.from_targets(tuple(k % nb for k in range(na * nb)), nb),
-        FunctionGraph.from_targets(tuple(ta + t for t in range(tb)), ta + tb),
+        B, apex, FunctionGraph(tuple(k % nb for k in range(na * nb)), nb), g_right
     )
     return CoproductDiagram(A, B, apex, left, right, "sum")
 
@@ -114,16 +115,23 @@ def coproduct_mediator(
     return FunctionalInfomorphism(d.apex, C, f, g)
 
 
+def _dual_diagram(d: CoproductDiagram, kind: str) -> ProductDiagram:
+    """The dual of a coproduct of duals: the summands, the apex and both
+    legs dualized, the injections becoming the projections."""
+    return ProductDiagram(
+        dual_classification(d.left),
+        dual_classification(d.right),
+        dual_classification(d.apex),
+        dual_functional(d.left_injection),
+        dual_functional(d.right_injection),
+        kind,
+    )
+
+
 def product(A: Classification, B: Classification) -> ProductDiagram:
     """The dual construction: dualize, sum, dualize back."""
-    s = coproduct_sum(dual_classification(A), dual_classification(B))
-    return ProductDiagram(
-        A,
-        B,
-        dual_classification(s.apex),
-        dual_functional(s.left_injection),
-        dual_functional(s.right_injection),
-        "product",
+    return _dual_diagram(
+        coproduct_sum(dual_classification(A), dual_classification(B)), "product"
     )
 
 
@@ -131,22 +139,13 @@ def apposition(A0: Classification, A1: Classification) -> CoproductDiagram:
     """Coproduct in the instance fiber: shared instances, types side by side."""
     if A0.instances != A1.instances:
         raise ShapeError("apposition requires identical ordered instance sets")
+    types, g_left, g_right = _side_by_side(A0, A1)
     t0 = len(A0.types)
-    types = tuple(_tag(0, t) for t in A0.types) + tuple(_tag(1, t) for t in A1.types)
     rows = tuple(r0 | r1 << t0 for r0, r1 in zip(A0.rows, A1.rows))
-    apex = Classification(
-        A0.instances, types, Relation(len(A0.instances), len(types), rows)
-    )
+    apex = Classification(A0.instances, types, Relation(len(rows), len(types), rows))
     ident = FunctionGraph.identity(len(A0.instances))
-    left = FunctionalInfomorphism(
-        A0, apex, ident, FunctionGraph.from_targets(tuple(range(t0)), len(types))
-    )
-    right = FunctionalInfomorphism(
-        A1,
-        apex,
-        ident,
-        FunctionGraph.from_targets(tuple(t0 + t for t in range(len(A1.types))), len(types)),
-    )
+    left = FunctionalInfomorphism(A0, apex, ident, g_left)
+    right = FunctionalInfomorphism(A1, apex, ident, g_right)
     return CoproductDiagram(A0, A1, apex, left, right, "apposition")
 
 
@@ -155,14 +154,8 @@ def subposition(A0: Classification, A1: Classification) -> ProductDiagram:
     construction of apposition: dualize, appose, dualize back."""
     if A0.types != A1.types:
         raise ShapeError("subposition requires identical ordered type sets")
-    a = apposition(dual_classification(A0), dual_classification(A1))
-    return ProductDiagram(
-        A0,
-        A1,
-        dual_classification(a.apex),
-        dual_functional(a.left_injection),
-        dual_functional(a.right_injection),
-        "subposition",
+    return _dual_diagram(
+        apposition(dual_classification(A0), dual_classification(A1)), "subposition"
     )
 
 
@@ -199,67 +192,34 @@ def check_dual_invariant(A: Classification, J: DualInvariant) -> CheckResult:
     return CheckResult(True)
 
 
-def _equivalence_classes(n: int, rel: Relation) -> list[int]:
-    """Classes of the reflexive-symmetric-transitive closure, by least member."""
-    sym = [rel.rows[i] | 1 << i for i in range(n)]
-    for i in range(n):
-        for j in bits(sym[i]):
-            sym[j] |= 1 << i
-    classes = []
-    seen = 0
-    for i in range(n):
-        if seen >> i & 1:
-            continue
-        frontier = 1 << i
-        members = 0
-        while frontier:
-            members |= frontier
-            nxt = 0
-            for j in bits(frontier):
-                nxt |= sym[j]
-            frontier = nxt & ~members
-        classes.append(members)
-        seen |= members
-    return classes
-
-
 def dual_quotient(
     A: Classification, J: DualInvariant
 ) -> tuple[Classification, FunctionalInfomorphism]:
     """Restrict to the kept instances and merge related types.
 
-    Returns the quotient classification and the projection infomorphism from
-    ``A`` onto it.
+    The type equivalence ``E`` is the least relation above ``J``, its
+    transpose and the identity with ``E = compose(E, E)``, reached by
+    squaring.  Its distinct rows are the classes, in order of their least
+    members, and the class map ``g`` reads them off; the quotient incidence
+    is ``compose`` of the kept rows of ``A`` with ``g``.  Returns the
+    quotient classification and the projection infomorphism from ``A`` onto
+    it.
     """
     check_dual_invariant(A, J).require("incompatible dual invariant")
-    classes = _equivalence_classes(len(A.types), J.type_relation)
-    kept = list(bits(J.kept_instances))
-    instances = tuple(A.instances[a] for a in kept)
-    type_labels = tuple(
-        "[" + ",".join(A.types[t] for t in bits(members)) + "]" for members in classes
-    )
-    rows = []
-    for a in kept:
-        row = 0
-        for k, members in enumerate(classes):
-            rep = next(bits(members))
-            if A.rows[a] >> rep & 1:
-                row |= 1 << k
-        rows.append(row)
+    n = len(A.types)
+    E = union(union(J.type_relation, transpose(J.type_relation)), identity(n))
+    while (square := compose(E, E)) != E:
+        E = square
+    class_of = {row: k for k, row in enumerate(dict.fromkeys(E.rows))}
+    g = FunctionGraph(tuple(map(class_of.__getitem__, E.rows)), len(class_of))
+    kept = tuple(bits(J.kept_instances))
     quotient = Classification(
-        instances, type_labels, Relation(len(kept), len(classes), tuple(rows))
+        tuple(A.instances[a] for a in kept),
+        tuple("[" + ",".join(A.types[t] for t in bits(row)) + "]" for row in class_of),
+        compose(Relation(len(kept), n, tuple(A.rows[a] for a in kept)), g.rel),
     )
-    class_of = {}
-    for k, members in enumerate(classes):
-        for t in bits(members):
-            class_of[t] = k
     projection = FunctionalInfomorphism(
-        A,
-        quotient,
-        FunctionGraph.from_targets(tuple(kept), len(A.instances)),
-        FunctionGraph.from_targets(
-            tuple(class_of[t] for t in range(len(A.types))), len(classes)
-        ),
+        A, quotient, FunctionGraph(kept, len(A.instances)), g
     )
     return quotient, projection
 

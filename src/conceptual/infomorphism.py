@@ -103,7 +103,9 @@ def powerset_infomorphism(
     inverse image.
     """
     if f.shape != (len(b_labels), len(a_labels)):
-        raise ShapeError(f"function shape {f.shape} does not map {len(b_labels)} into {len(a_labels)}")
+        raise ShapeError(
+            f"function shape {f.shape} does not map {len(b_labels)} into {len(a_labels)}"
+        )
     pa = powerset_classification(a_labels)
     pb = powerset_classification(b_labels)
     # subset masks double as type indices in both powersets
@@ -146,7 +148,8 @@ def check_relational(m: RelationalInfomorphism) -> CheckResult:
     """Fundamental property: the two residuals agree (their value is the bond)."""
     lhs = left_residual(m.r, m.source.incidence)
     rhs = relalg.right_residual(m.target.incidence, m.s)
-    return _instance_type_witness(m, relalg.first_difference(lhs.rows, rhs.rows), "residuals differ")
+    diff = relalg.first_difference(lhs.rows, rhs.rows)
+    return _instance_type_witness(m, diff, "residuals differ")
 
 
 def identity_relational(K: Classification) -> RelationalInfomorphism:

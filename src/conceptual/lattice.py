@@ -451,14 +451,11 @@ def is_collective_concept(K: Classification, c: CollectiveConcept) -> bool:
 
 
 def mediating_function(K: Classification, L: ConceptLattice, c: CollectiveConcept) -> FunctionGraph:
-    """The unique function sending each index to its concept in the lattice."""
+    """The unique function sending each index to its concept in the lattice:
+    index ``x`` goes to the concept whose extent is column ``x`` of ``c.a``."""
     if not is_collective_concept(K, c):
         raise ValidationError("not a collective concept")
-    acols = transpose(c.a).rows
-    targets = []
-    for x in range(len(c.index_labels)):
-        targets.append(L.extent_index[acols[x]])
-    return FunctionGraph.from_targets(tuple(targets), L.size)
+    return FunctionGraph(tuple(map(L.extent_index.__getitem__, c.a.columns)), L.size)
 
 
 def collective_from_function(

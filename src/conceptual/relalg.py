@@ -94,7 +94,9 @@ class Relation:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_pairs(cls, src_size: int, dst_size: int, pairs: Iterable[tuple[int, int]]) -> "Relation":
+    def from_pairs(
+        cls, src_size: int, dst_size: int, pairs: Iterable[tuple[int, int]]
+    ) -> "Relation":
         rows = [0] * src_size
         for a, b in pairs:
             if not (0 <= a < src_size and 0 <= b < dst_size):
@@ -103,7 +105,9 @@ class Relation:
         return cls(src_size, dst_size, tuple(rows))
 
     @classmethod
-    def from_matrix(cls, matrix: Sequence[Sequence[int]], dst_size: int | None = None) -> "Relation":
+    def from_matrix(
+        cls, matrix: Sequence[Sequence[int]], dst_size: int | None = None
+    ) -> "Relation":
         """Build from a 0/1 row-of-rows; ``dst_size`` disambiguates 0 rows.
 
         Each row is checked once and read as a binary numeral, last cell

@@ -73,9 +73,8 @@ def context_corpus(max_size: int, rng: random.Random) -> list[tuple[str, Classif
         typ = tuple(f"t{k}" for k in range(size))
         for trial in range(2):
             rows = tuple(rng.getrandbits(size) for _ in range(size))
-            items.append(
-                (f"rand-{size}x{size}-{trial}", Classification(inst, typ, Relation(size, size, rows)))
-            )
+            K = Classification(inst, typ, Relation(size, size, rows))
+            items.append((f"rand-{size}x{size}-{trial}", K))
     if max_size >= 2:
         items.append(("k1", k1_classification()))
     for n in range(1, min(4, max_size) + 1):

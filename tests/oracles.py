@@ -340,6 +340,63 @@ def cocone_mediators(candidates, compose, left, right, leg_a, leg_b) -> list:
     return [m for m in candidates if compose(left, m) == leg_a and compose(right, m) == leg_b]
 
 
+# -- dual quotients ----------------------------------------------------------------
+
+
+def equivalence_classes_oracle(n: int, rel: Relation) -> list[int]:
+    """Classes of the reflexive-symmetric-transitive closure of ``rel`` on
+    ``range(n)``, as masks in order of least member: a breadth-first search
+    from each type not yet in a class."""
+    sym = [1 << i for i in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if rel.bit(i, j):
+                sym[i] |= 1 << j
+                sym[j] |= 1 << i
+    classes = []
+    seen = 0
+    for i in range(n):
+        if seen >> i & 1:
+            continue
+        frontier = 1 << i
+        members = 0
+        while frontier:
+            members |= frontier
+            nxt = 0
+            for j in range(n):
+                if frontier >> j & 1:
+                    nxt |= sym[j]
+            frontier = nxt & ~members
+        classes.append(members)
+        seen |= members
+    return classes
+
+
+def dual_quotient_oracle(A, J) -> tuple:
+    """The dual quotient of ``A`` by ``J``, from the classes: the kept
+    instance labels, the class labels, each kept row read at every class's
+    least member, and the projection's instance and type targets."""
+    n = len(A.types)
+    classes = equivalence_classes_oracle(n, J.type_relation)
+    members = [[t for t in range(n) if c >> t & 1] for c in classes]
+    kept = [a for a in range(len(A.instances)) if J.kept_instances >> a & 1]
+    rows = []
+    for a in kept:
+        row = 0
+        for k, ts in enumerate(members):
+            if A.incidence.bit(a, ts[0]):
+                row |= 1 << k
+        rows.append(row)
+    class_of = {t: k for k, ts in enumerate(members) for t in ts}
+    return (
+        tuple(A.instances[a] for a in kept),
+        tuple("[" + ",".join(A.types[t] for t in ts) + "]" for ts in members),
+        tuple(rows),
+        tuple(kept),
+        tuple(class_of[t] for t in range(n)),
+    )
+
+
 # -- bonding-pair round trip ------------------------------------------------------
 
 

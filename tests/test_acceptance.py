@@ -15,7 +15,12 @@ from conceptual.classification import (
     chain_classification,
     contranominal_classification,
 )
-from conceptual.colimit import apposition, coproduct_sum, transport_coproduct
+from conceptual.colimit import (
+    apposition,
+    coproduct_sum,
+    transport_coproduct,
+    transport_families,
+)
 from conceptual.io import (
     classification_to_obj,
     emit_csv,
@@ -225,15 +230,16 @@ def test_acceptance_7_complete_relational_equivalence(equivalence_report):
 
 def test_acceptance_8_colimit_transport(k1):
     rng = random.Random(SEED)
-    diagrams = [
-        coproduct_sum(k1, contranominal_classification(2)),
-        coproduct_sum(random_context(rng, 2, 2), random_context(rng, 2, 1)),
-        apposition(k1, k1),
-    ]
+    R = random_context(rng, 2, 2)
+    # each summand maps into the target (the identity at least), so every
+    # diagram has cocones and transports a mediator for each
+    diagrams = [coproduct_sum(k1, k1), coproduct_sum(R, R), apposition(k1, k1)]
     total = 0
     for d in diagrams:
         report = transport_coproduct(d, targets=[d.left])
         assert report.ok and report.records, report.failures
+        checks = {r.check for r in report.records}
+        assert transport_families(d.kind)[1] in checks, checks
         total += len(report.records)
     # a second copy of an apex instance gives a cocone two mediators
     broken = transport_coproduct(duplicated_instance_sum(k1, k1), targets=[k1])

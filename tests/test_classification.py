@@ -139,6 +139,10 @@ class TestConstructors:
         # {1} is classified exactly by the subsets containing 1
         got = to_set(intent_of(P, P.instance_mask(["1"])))
         assert {P.types[t] for t in got} == {"{1}", "{1,2}"}
+        # every cell: label i is a member of subset m iff bit i of m is set
+        for n in range(7):
+            P = powerset_classification(tuple(str(i) for i in range(n)))
+            assert P.incidence.matrix() == [[m >> i & 1 for m in range(1 << n)] for i in range(n)]
 
     def test_powerset_cap(self):
         with pytest.raises(ResourceLimitError):

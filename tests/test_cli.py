@@ -246,6 +246,23 @@ class TestConstructions:
         assert got["classification"]["instances"] == ["2"]
         assert got["classification"]["types"] == ["[a,b]"]
 
+    def test_quotient_closes_reversed_pairs(self, capsys, tmp_path):
+        """Related pairs listed reversed and out of order give the bytes of
+        the forward listing: the type equivalence is closed under symmetry
+        and transitivity, not read pair by pair."""
+        ctx = tmp_path / "k.cxt"
+        # on the kept instances 1 and 3, a, b and c agree, and so do d and e
+        ctx.write_text("B\n\n3\n5\n\n1\n2\n3\na\nb\nc\nd\ne\nXXX..\n.X.XX\n...XX\n")
+        outs = []
+        for pairs in ([["a", "b"], ["b", "c"], ["d", "e"]], [["e", "d"], ["c", "b"], ["b", "a"]]):
+            inv = tmp_path / "inv.json"
+            inv.write_text(json.dumps({"kept_instances": ["3", "1"], "related_types": pairs}))
+            code, out = run(capsys, "quotient", str(ctx), str(inv))
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+        assert json.loads(outs[0])["classification"]["types"] == ["[a,b,c]", "[d,e]"]
+
     def test_incompatible_quotient_is_structural_error(self, capsys, tmp_path, k1_file):
         inv = tmp_path / "inv.json"
         inv.write_text(json.dumps({"kept_instances": ["1", "2"], "related_types": [["a", "b"]]}))

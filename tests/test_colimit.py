@@ -203,6 +203,46 @@ class TestDualQuotient:
         Q, _ = dual_quotient(K, J)
         assert Q.types == ("[a,b,c]",)
 
+    def test_matches_the_search_oracle(self):
+        """The closure by squaring against the breadth-first classes, on
+        seeded compatible invariants: empty relations, cycles, every pair
+        reversed too, self-loops and random pairs, some with no kept
+        instance; each kept row is constant on the oracle's classes."""
+        rng = random.Random(19)
+        for trial in range(150):
+            m, n = rng.randint(0, 5), rng.randint(0, 6)
+            style = trial % 5
+            if style == 0:
+                pairs = []
+            elif style == 1:
+                cycle = rng.sample(range(n), rng.randint(0, n))
+                pairs = list(zip(cycle, cycle[1:] + cycle[:1]))
+            else:
+                count = n and rng.randint(1, n)
+                pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(count)]
+                if style == 2:
+                    pairs += [(b, a) for a, b in pairs]
+                elif style == 3:
+                    pairs += [(a, a) for a in range(n) if rng.random() < 0.5]
+            rng.shuffle(pairs)
+            rel = Relation.from_pairs(n, n, pairs)
+            kept = 0 if trial % 7 == 0 else rng.getrandbits(m)
+            classes = oracles.equivalence_classes_oracle(n, rel)
+            rows = tuple(
+                sum(c for c in classes if rng.random() < 0.5)
+                if kept >> a & 1
+                else rng.getrandbits(n)
+                for a in range(m)
+            )
+            inst = tuple(f"i{k}" for k in range(m))
+            A = Classification(inst, tuple(f"t{k}" for k in range(n)), Relation(m, n, rows))
+            J = DualInvariant(kept, rel)
+            Q, proj = dual_quotient(A, J)
+            got = (Q.instances, Q.types, Q.rows, proj.f.targets, proj.g.targets)
+            assert got == oracles.dual_quotient_oracle(A, J), (trial, pairs, kept)
+            assert proj.source == A and proj.target == Q
+            assert check_functional(proj)
+
     def test_compatibility_quantifies_only_over_kept(self, k1):
         # instance 1 separates a and b but is not kept
         J = DualInvariant(k1.instance_mask(["2"]), Relation.from_pairs(2, 2, [(1, 0)]))
