@@ -7,6 +7,24 @@ precision ints act as dense bitset blocks, so composition and both residuals
 sweep whole machine words along the destination axis instead of visiting
 cells one at a time.
 
+Three kernels pick their branch from what they see in their input, its cell
+count and its popcount; each keeps its plain bit loop as the branch for small
+or sparse input:
+
+- ``transpose`` packs each square tile of 32 x 32 to 128 x 128 cells into
+  one int, swaps its off-diagonal blocks in log2 N masked delta swaps
+  (Warren, *Hacker's Delight*, 2nd ed., section 7-3) and unpacks it by
+  bytes, when the shorter side is over 16 and the popcount at least
+  ``4 / side`` of the cells (1/32 at 128);
+- ``right_residual`` tests every output cell as a subset test on the rows
+  below 512 output cells; above, it ANDs ``t``'s cached ``columns`` along each
+  row of ``s`` and turns those columns into rows with ``transpose``;
+- ``left_residual`` sweeps the rows of ``r``.
+
+Both residuals read the bits of a row (of ``s``, of ``r``) byte by byte
+through a table when ``_bytewise`` holds, at least 16 columns and a popcount
+of at least half the row bytes, and one big-int step per bit otherwise.
+
 Empty carriers (0 x n, n x 0) are legal everywhere; residuals over a vacuous
 quantifier come out full, which keeps the adjunction laws total.
 """
@@ -63,12 +81,14 @@ class view(cached_property):
         return value
 
 
+_setattr = object.__setattr__
+
 # the binary digit of a matrix cell: a lookup by hash and ``==``, so a cell
 # is a digit exactly when it equals 0 or 1 (``False``, ``True`` and ``1.0`` too)
 _DIGITS = {0: "0", 1: "1"}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Relation:
     """Boolean matrix between two finite index sets, value semantics."""
 
@@ -76,20 +96,25 @@ class Relation:
     dst_size: int
     rows: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.src_size < 0 or self.dst_size < 0:
+    # written by hand, not generated, to check the fields before storing them
+    # without a ``__post_init__`` call; ``object.__setattr__`` passes the
+    # frozen guard and keeps the fields in the instance's compact inline
+    # values, where a ``__dict__.update`` would give every relation a dict of
+    # its own (about 250 bytes against 105)
+    def __init__(self, src_size: int, dst_size: int, rows: tuple[int, ...]):
+        if src_size < 0 or dst_size < 0:
             raise ValidationError("relation sizes must be nonnegative")
-        if len(self.rows) != self.src_size:
-            raise ValidationError(
-                f"expected {self.src_size} rows, got {len(self.rows)}"
-            )
+        if len(rows) != src_size:
+            raise ValidationError(f"expected {src_size} rows, got {len(rows)}")
         # every row lies in 0..full: two C-level scans, and the offending row
         # is searched for only on failure
-        rows = self.rows
-        full = (1 << self.dst_size) - 1
+        full = (1 << dst_size) - 1
         if rows and (min(rows) < 0 or max(rows) > full):
             a = next(a for a, row in enumerate(rows) if row < 0 or row > full)
-            raise ValidationError(f"row {a} has bits outside 0..{self.dst_size - 1}")
+            raise ValidationError(f"row {a} has bits outside 0..{dst_size - 1}")
+        _setattr(self, "src_size", src_size)
+        _setattr(self, "dst_size", dst_size)
+        _setattr(self, "rows", rows)
 
     # -- constructors ------------------------------------------------------
 
@@ -189,15 +214,91 @@ def identity(n: int) -> Relation:
     return Relation(n, n, tuple(1 << i for i in range(n)))
 
 
+# below this many output cells the right residual's subset tests, about
+# 0.1 us each, beat the columns, their AND-product and its transpose
+_SMALL_CELLS = 512
+# the largest tile side of the delta-swap transpose: its cached masks take
+# log2(side) * side**2 / 8 bytes, 14 kB at 128
+_MAX_TILE = 128
+# tile side -> the (distance, mask) of each delta swap; a pure cache, so two
+# first calls racing store equal values
+_SWAP_MASKS: dict[int, tuple[tuple[int, int], ...]] = {}
+# byte value -> the indices of its set bits
+_BYTE_BITS = tuple(tuple(i for i in range(8) if v >> i & 1) for v in range(256))
+
+
+def _bytewise(r: Relation) -> bool:
+    """Whether the residuals read the bits of ``r``'s rows byte by byte
+    through ``_BYTE_BITS``: from 16 columns and a popcount of half the row
+    bytes (1/16 of the cells), below which one big-int step per bit wins."""
+    n = r.dst_size
+    return n >= 16 and 2 * sum(map(int.bit_count, r.rows)) >= r.src_size * ((n + 7) // 8)
+
+
+def _swap_masks(side: int) -> tuple[tuple[int, int], ...]:
+    """The delta swaps that transpose a ``side`` x ``side`` tile packed row
+    by row into one int, cell ``(a, b)`` at bit ``a * side + b``.
+
+    The swap at ``j`` exchanges cells ``(a, b)`` and ``(a + j, b - j)`` for
+    each ``a`` with bit ``j`` clear and ``b`` with bit ``j`` set: the two
+    off-diagonal ``j`` x ``j`` blocks of every ``2j`` x ``2j`` block."""
+    masks = _SWAP_MASKS.get(side)
+    if masks is None:
+        width = side // 8
+        swaps = []
+        j = side >> 1
+        while j:
+            row = sum(1 << b for b in range(side) if b & j).to_bytes(width, "little")
+            blank = bytes(width)
+            mask = b"".join(blank if a & j else row for a in range(side))
+            swaps.append((j * (side - 1), int.from_bytes(mask, "little")))
+            j >>= 1
+        masks = _SWAP_MASKS[side] = tuple(swaps)
+    return masks
+
+
+def _transpose_tiles(rows: Sequence[int], m: int, n: int, side: int) -> list[int]:
+    """The ``n`` rows of the transpose of ``m`` rows of ``n`` bits, one
+    ``side`` x ``side`` tile at a time."""
+    width = side // 8
+    nbytes = -(-n // side) * width
+    padded = [row.to_bytes(nbytes, "little") for row in rows]
+    padded += [bytes(nbytes)] * (-m % side)
+    swaps = _swap_masks(side)
+    pieces: list[list[bytes]] = [[] for _ in range(n)]
+    for c0 in range(0, nbytes, width):
+        cols = pieces[c0 * 8:c0 * 8 + side]
+        for a0 in range(0, len(padded), side):
+            x = int.from_bytes(b"".join([r[c0:c0 + width] for r in padded[a0:a0 + side]]), "little")
+            for delta, mask in swaps:
+                d = (x ^ x >> delta) & mask
+                x ^= d ^ d << delta
+            tile = x.to_bytes(side * width, "little")
+            for k, col in enumerate(cols):
+                col.append(tile[k * width:(k + 1) * width])
+    return [int.from_bytes(b"".join(p), "little") for p in pieces]
+
+
 def transpose(r: Relation) -> Relation:
-    out = [0] * r.dst_size
+    """The converse: ``(b, a)`` iff ``(a, b)``.
+
+    The tile side is the least power of two, at most 128, that covers the
+    shorter side.  Tiles cost about one pass over the bytes of the rows, so
+    they beat the bit loop once the tiles are at least 32 wide and the rows
+    hold at least ``4 / side`` of the cells (1/32 at 128)."""
+    m, n = r.src_size, r.dst_size
+    if m > 16 and n > 16:
+        side = min(_MAX_TILE, 1 << (min(m, n) - 1).bit_length())
+        if sum(map(int.bit_count, r.rows)) * side >= 4 * m * n:
+            return Relation(n, m, tuple(_transpose_tiles(r.rows, m, n, side)))
+    out = [0] * n
     for a, row in enumerate(r.rows):
         abit = 1 << a
         while row:
             low = row & -row
             out[low.bit_length() - 1] |= abit
             row ^= low
-    return Relation(r.dst_size, r.src_size, tuple(out))
+    return Relation(n, m, tuple(out))
 
 
 def complement(r: Relation) -> Relation:
@@ -210,47 +311,79 @@ def left_residual(r: Relation, t: Relation) -> Relation:
 
     ``(b, c)`` is in ``r\\t`` iff every ``a`` related to ``b`` by ``r`` is
     related to ``c`` by ``t``; computed as a row sweep intersecting ``t``
-    rows into the output.
+    rows into the output, the bits of each row read as ``_bytewise`` picks.
     """
     _require(r.src_size == t.src_size, "left_residual", r, t)
     full = (1 << t.dst_size) - 1
-    out = [full] * r.dst_size
-    for a, row in enumerate(r.rows):
-        ta = t.rows[a]
+    n = r.dst_size
+    out = [full] * n
+    if _bytewise(r):
+        width = (n + 7) // 8
+        for row, ta in zip(r.rows, t.rows):
+            if ta == full or not row:
+                continue
+            for base, byte in enumerate(row.to_bytes(width, "little")):
+                if byte:
+                    base *= 8
+                    for i in _BYTE_BITS[byte]:
+                        out[base + i] &= ta
+        return Relation(n, t.dst_size, tuple(out))
+    for row, ta in zip(r.rows, t.rows):
         if ta == full:
             continue
         while row:
             low = row & -row
             out[low.bit_length() - 1] &= ta
             row ^= low
-    return Relation(r.dst_size, t.dst_size, tuple(out))
+    return Relation(n, t.dst_size, tuple(out))
 
 
 def right_residual(t: Relation, s: Relation) -> Relation:
     """Largest ``r`` with ``compose(r, s) <= t``.
 
     ``(a, b)`` is in ``t/s`` iff the ``s``-row of ``b`` is contained in the
-    ``t``-row of ``a``, so column ``b`` is the AND of the columns of ``t``
-    (its cached ``columns`` view) over the bits of that row: every row of
-    ``t`` for an empty one.  Each column is then scattered into the rows.
+    ``t``-row of ``a``.  Below ``_SMALL_CELLS`` output cells each cell is that
+    subset test.  Above, column ``b`` is the AND of the columns of ``t`` (its
+    cached ``columns`` view) over the bits of row ``b`` of ``s``, every row of
+    ``t`` for an empty one, and ``transpose`` turns the columns into rows.
+    The bits of each row of ``s`` are read as ``_bytewise`` picks.
     """
     _require(t.dst_size == s.dst_size, "right_residual", t, s)
+    m, k = t.src_size, s.src_size
+    if m * k < _SMALL_CELLS:
+        srows = s.rows
+        out = []
+        for ta in t.rows:
+            row = 0
+            bbit = 1
+            for sb in srows:
+                if not sb & ~ta:
+                    row |= bbit
+                bbit <<= 1
+            out.append(row)
+        return Relation(m, k, tuple(out))
     cols = t.columns
-    m = t.src_size
     full = (1 << m) - 1
-    out = [0] * m
-    for b, sb in enumerate(s.rows):
-        col = full
-        while sb and col:
-            low = sb & -sb
-            col &= cols[low.bit_length() - 1]
-            sb ^= low
-        bbit = 1 << b
-        while col:
-            low = col & -col
-            out[low.bit_length() - 1] |= bbit
-            col ^= low
-    return Relation(m, s.src_size, tuple(out))
+    ands = []
+    if _bytewise(s):
+        width = (s.dst_size + 7) // 8
+        for sb in s.rows:
+            col = full
+            for base, byte in enumerate(sb.to_bytes(width, "little")):
+                if byte:
+                    base *= 8
+                    for i in _BYTE_BITS[byte]:
+                        col &= cols[base + i]
+            ands.append(col)
+    else:
+        for sb in s.rows:
+            col = full
+            while sb and col:
+                low = sb & -sb
+                col &= cols[low.bit_length() - 1]
+                sb ^= low
+            ands.append(col)
+    return transpose(Relation(k, m, tuple(ands)))
 
 
 def subrelation(r: Relation, t: Relation) -> bool:

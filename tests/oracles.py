@@ -2,7 +2,13 @@
 
 Everything here runs on explicit index loops and Python sets, touching
 relations only through the single-bit accessor, so agreement with the
-word-parallel kernels is a meaningful check.
+word-parallel kernels is a meaningful check.  The exceptions are the three
+bit loops the kernels ran on every input before their word-parallel
+branches (``transpose_oracle``, ``left_residual_sweep_oracle`` and
+``right_residual_scatter_oracle``): they share no tile, table or byte step
+with the kernels, and they are fast enough to check them, and to time them
+against (``tools/kernel_probe.py``), at sizes the per-cell oracles cannot
+reach.
 """
 
 from __future__ import annotations
@@ -21,6 +27,52 @@ def compose_oracle(r: Relation, s: Relation) -> Relation:
             if any(r.bit(a, b) and s.bit(b, c) for b in range(r.dst_size)):
                 pairs.append((a, c))
     return Relation.from_pairs(r.src_size, s.dst_size, pairs)
+
+
+def transpose_oracle(r: Relation) -> Relation:
+    """The bit loop ``relalg.transpose`` ran on every input before its
+    delta-swap tiles: each set bit ``(a, b)``, lowest first, becomes bit
+    ``a`` of row ``b``."""
+    out = [0] * r.dst_size
+    for a, row in enumerate(r.rows):
+        abit = 1 << a
+        while row:
+            low = row & -row
+            out[low.bit_length() - 1] |= abit
+            row ^= low
+    return Relation(r.dst_size, r.src_size, tuple(out))
+
+
+def left_residual_sweep_oracle(r: Relation, t: Relation) -> Relation:
+    """``r\\t`` as a row sweep that ANDs row ``a`` of ``t`` into the output
+    row of each bit of row ``a`` of ``r``, one bit at a time."""
+    full = (1 << t.dst_size) - 1
+    out = [full] * r.dst_size
+    for row, ta in zip(r.rows, t.rows):
+        while row:
+            low = row & -row
+            out[low.bit_length() - 1] &= ta
+            row ^= low
+    return Relation(r.dst_size, t.dst_size, tuple(out))
+
+
+def right_residual_scatter_oracle(t: Relation, s: Relation) -> Relation:
+    """``t/s`` column by column: column ``b`` is the AND of the columns of
+    ``t`` over the bits of row ``b`` of ``s``, scattered bit by bit into the
+    output rows."""
+    cols = transpose_oracle(t).rows
+    out = [0] * t.src_size
+    for b, sb in enumerate(s.rows):
+        col = (1 << t.src_size) - 1
+        while sb:
+            low = sb & -sb
+            col &= cols[low.bit_length() - 1]
+            sb ^= low
+        while col:
+            low = col & -col
+            out[low.bit_length() - 1] |= 1 << b
+            col ^= low
+    return Relation(t.src_size, s.src_size, tuple(out))
 
 
 def left_residual_oracle(r: Relation, t: Relation) -> Relation:

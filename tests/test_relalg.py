@@ -1,9 +1,11 @@
+import dataclasses
 import functools
 import json
 import re
 
 import pytest
 
+from conceptual import relalg
 from conceptual.errors import ShapeError, ValidationError
 from conceptual.relalg import (
     FunctionGraph,
@@ -29,6 +31,7 @@ from oracles import (
     left_residual_oracle,
     random_relation,
     right_residual_oracle,
+    transpose_oracle,
 )
 
 M = Relation.from_matrix
@@ -116,6 +119,13 @@ class TestIdentityTransposeComplement:
         for a, b, _ in random_shapes(rng, 20):
             r = random_relation(rng, a, b)
             assert transpose(transpose(r)) == r
+
+    def test_transpose_tiles_stay_bounded(self, rng):
+        """A 1500 x 715 transpose runs in tiles of at most 128 x 128, so the
+        cached delta-swap masks stay at a few kilobytes."""
+        r = Relation(1500, 715, tuple(rng.getrandbits(715) for _ in range(1500)))
+        assert transpose(r) == transpose_oracle(r)
+        assert relalg._SWAP_MASKS and max(relalg._SWAP_MASKS) <= 128
 
     def test_transpose_example(self):
         assert transpose(M([[1, 1], [0, 1]])) == M([[1, 0], [1, 1]])
@@ -383,6 +393,23 @@ class TestValuesAndValidation:
         r2 = identity(2)
         assert r1 == r2 and hash(r1) == hash(r2)
         assert r1 != M([[1, 0], [1, 1]])
+
+    def test_frozen_with_the_generated_methods(self):
+        """``__init__`` is written by hand; the fields stay frozen, keyword
+        arguments and ``dataclasses.replace`` still work, and ``==``,
+        ``hash`` and ``repr`` are those of the fields."""
+        r = Relation(2, 3, (0b101, 0b010))
+        for name, value in (("src_size", 3), ("dst_size", 1), ("rows", ())):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(r, name, value)
+        assert r.rows == (0b101, 0b010)
+        assert [f.name for f in dataclasses.fields(r)] == ["src_size", "dst_size", "rows"]
+        assert Relation(src_size=2, dst_size=3, rows=(0b101, 0b010)) == r
+        assert dataclasses.replace(r, rows=(0, 0)) == Relation.empty(2, 3)
+        assert hash(r) == hash((2, 3, (0b101, 0b010)))
+        assert repr(r) == "Relation(2x3: [101, 010])"
+        with pytest.raises(ValidationError, match="expected 2 rows, got 1"):
+            dataclasses.replace(r, rows=(0,))
 
     def test_row_out_of_range_rejected(self):
         with pytest.raises(ValidationError):
