@@ -3,7 +3,10 @@ and the check that the lattice functor transports coproducts.
 
 The sum puts instances in a cartesian product and types side by side; its
 universal property, not the formula, is the contract, and the checkers here
-enumerate candidate mediators outright at desk scale.
+enumerate every mediator.  They do it by propagation: once the instance
+function ``f`` is fixed, each type ``t`` can go only to a type of the target
+whose column is column ``t`` of the source pulled back along ``f``, so the
+type functions for ``f`` are a product of lookups, not a search.
 """
 
 from __future__ import annotations
@@ -19,11 +22,19 @@ from .classification import dual as dual_classification
 from .errors import CheckResult, ShapeError, ValidationError
 from .infomorphism import (
     FunctionalInfomorphism,
-    check_functional,
     compose_functional,
     dual_functional,
 )
-from .relalg import FunctionGraph, Relation, bits, compose, identity, transpose, union
+from .relalg import (
+    FunctionGraph,
+    Relation,
+    bits,
+    compose,
+    first_difference,
+    identity,
+    transpose,
+    union,
+)
 from .report import VerificationReport
 
 
@@ -172,24 +183,34 @@ def fiber_terminal(labels: tuple[str, ...]) -> Classification:
 
 
 def check_dual_invariant(A: Classification, J: DualInvariant) -> CheckResult:
-    """Related types must agree on every kept instance."""
+    """Related types must agree on every kept instance.
+
+    The types fall into groups by their columns restricted to the kept
+    instances, and row ``alpha`` of ``J`` fails where it leaves the group of
+    ``alpha``.  The witness is the first failing row, its lowest type outside
+    the group and the lowest kept instance telling the two apart: the first
+    separating pair in ``(alpha, beta)`` order."""
     if J.type_relation.shape != (len(A.types), len(A.types)):
         raise ShapeError(
             f"type relation shape {J.type_relation.shape} for {len(A.types)} types"
         )
     if J.kept_instances < 0 or J.kept_instances & ~A.full_instances:
         raise ShapeError("kept instance set out of range")
-    for alpha in range(len(A.types)):
-        for beta in bits(J.type_relation.rows[alpha]):
-            diff = (A.cols[alpha] ^ A.cols[beta]) & J.kept_instances
-            if diff:
-                a = next(bits(diff))
-                return CheckResult(
-                    False,
-                    witness=(A.instances[a], A.types[alpha], A.types[beta]),
-                    reason="a kept instance separates related types",
-                )
-    return CheckResult(True)
+    kept = tuple(col & J.kept_instances for col in A.cols)
+    group: dict[int, int] = {}
+    for t, col in enumerate(kept):
+        group[col] = group.get(col, 0) | 1 << t
+    rows = J.type_relation.rows
+    diff = first_difference(rows, (row & group[col] for row, col in zip(rows, kept)))
+    if diff is None:
+        return CheckResult(True)
+    alpha, beta = diff
+    a = next(bits(kept[alpha] ^ kept[beta]))
+    return CheckResult(
+        False,
+        witness=(A.instances[a], A.types[alpha], A.types[beta]),
+        reason="a kept instance separates related types",
+    )
 
 
 def dual_quotient(
@@ -227,13 +248,34 @@ def dual_quotient(
 # -- universal properties -------------------------------------------------------
 
 
-def enumerate_infomorphisms(A: Classification, C: Classification, instance_identity: bool = False):
-    """All valid functional infomorphisms from A to C, by brute force.
+def _propagate(f_candidates, f_size: int, source_cols, target_cols):
+    """Each ``(f, g)`` with ``f`` from ``f_candidates``, target tuples into
+    ``range(f_size)``, and ``g`` sending each source column, pulled back
+    along ``f``, to an equal target column: ``f.preimages(source_cols)[t]
+    == target_cols[g(t)]``.  Lexicographic in ``f``, then in ``g``: for each
+    ``f`` the ``g`` are the product of the ascending types of each pulled-back
+    column."""
+    types_of: dict[int, list[int]] = {}
+    for u, col in enumerate(target_cols):
+        types_of.setdefault(col, []).append(u)
+    n = len(target_cols)
+    for f_t in f_candidates:
+        f = FunctionGraph(f_t, f_size)
+        choices = [types_of.get(col, ()) for col in f.preimages(source_cols)]
+        for g_t in itertools.product(*choices):
+            yield f, FunctionGraph(g_t, n)
 
+
+def enumerate_infomorphisms(A: Classification, C: Classification, instance_identity: bool = False):
+    """All valid functional infomorphisms from A to C, in lexicographic order
+    of their instance, then type, target tuples.
+
+    The fundamental property says ``f(c)`` carries ``t`` iff ``c`` carries
+    ``g(t)``: column ``g(t)`` of C is column ``t`` of A pulled back along
+    ``f``, so the pairs are ``_propagate`` over every instance function.
     ``instance_identity`` restricts the search to the instance fiber.
     """
     na, nc = len(A.instances), len(C.instances)
-    ta, tc = len(A.types), len(C.types)
     if instance_identity:
         if A.instances != C.instances:
             return
@@ -241,14 +283,8 @@ def enumerate_infomorphisms(A: Classification, C: Classification, instance_ident
     else:
         # no instance functions exist into an empty source unless C is empty too
         f_candidates = itertools.product(range(na), repeat=nc)
-    for f_t in f_candidates:
-        f = FunctionGraph.from_targets(f_t, na)
-        for g_t in itertools.product(range(tc), repeat=ta):
-            m = FunctionalInfomorphism(
-                A, C, f, FunctionGraph.from_targets(g_t, tc), validate=False
-            )
-            if check_functional(m):
-                yield m
+    for f, g in _propagate(f_candidates, na, A.cols, C.cols):
+        yield FunctionalInfomorphism(A, C, f, g, validate=False)
 
 
 def _by_restrictions(candidates, compose, left, right) -> dict:
@@ -349,36 +385,41 @@ def transport_coproduct(
 
 
 def _enumerate_lattice_morphisms(L, M) -> list:
-    """All concept lattice morphisms between two built lattices, enumerated
-    over the instance/type functions (the lattice maps are forced by
-    density) and kept by ``check_lattice_morphism``, in candidate order."""
+    """All concept lattice morphisms between two built lattices, in
+    lexicographic order of their instance, then type, functions.
+
+    Column ``t`` of a lattice is the instances ``a`` with ``iota(a) <=
+    tau(t)``, ``iota``'s preimage of the down-set of ``tau(t)``.  Adjointness
+    with ``phi.iota_M = iota_L.f`` and ``psi.tau_L = tau_M.g`` gives
+    ``iota_L(f(c)) <= tau_L(t)`` iff ``iota_M(c) <= tau_M(g(t))``, so the
+    pairs ``(f, g)`` of a morphism are among those ``_propagate`` finds on
+    the lattices' columns.  The lattice maps are forced, ``psi`` by
+    meet-density and ``phi`` by join-density; they are built unchecked and
+    each candidate is kept by ``check_lattice_morphism``."""
+
+    def columns(K):
+        down = K.order.columns
+        return K.iota.preimages(down[x] for x in K.tau.targets)
+
     out = []
-    n_inst_m = len(M.instance_labels)
     n_inst_l = len(L.instance_labels)
-    n_typ_l = len(L.type_labels)
-    n_typ_m = len(M.type_labels)
-    for f_t in itertools.product(range(n_inst_l), repeat=n_inst_m):
-        f = FunctionGraph.from_targets(f_t, n_inst_l)
-        for g_t in itertools.product(range(n_typ_m), repeat=n_typ_l):
-            g = FunctionGraph.from_targets(g_t, n_typ_m)
-            # the lattice legs are forced: psi by meet-density, phi by join-density
-            psi_t = tuple(
-                M.meet_index(M.tau(g(t)) for t in bits(L.intents[x]))
-                for x in range(L.size)
-            )
-            phi_t = tuple(
-                L.join_index(L.iota(f(b)) for b in bits(M.extents[y]))
-                for y in range(M.size)
-            )
-            cm = functors.ConceptLatticeMorphism(
-                L,
-                M,
-                FunctionGraph.from_targets(phi_t, L.size),
-                FunctionGraph.from_targets(psi_t, M.size),
-                f,
-                g,
-                validate=False,
-            )
-            if functors.check_lattice_morphism(cm):
-                out.append(cm)
+    f_candidates = itertools.product(range(n_inst_l), repeat=len(M.instance_labels))
+    for f, g in _propagate(f_candidates, n_inst_l, columns(L), columns(M)):
+        psi_t = tuple(
+            M.meet_index(M.tau(g(t)) for t in bits(L.intents[x])) for x in range(L.size)
+        )
+        phi_t = tuple(
+            L.join_index(L.iota(f(b)) for b in bits(M.extents[y])) for y in range(M.size)
+        )
+        cm = functors.ConceptLatticeMorphism(
+            L,
+            M,
+            FunctionGraph.from_targets(phi_t, L.size),
+            FunctionGraph.from_targets(psi_t, M.size),
+            f,
+            g,
+            validate=False,
+        )
+        if functors.check_lattice_morphism(cm):
+            out.append(cm)
     return out

@@ -177,9 +177,10 @@ def check_lattice_morphism(m: ConceptLatticeMorphism) -> CheckResult:
     diff = adjoint_failure(src.order.rows, tgt.order.rows, m.phi.targets, m.psi)
     if diff is not None:
         return CheckResult(False, witness=diff, reason="adjointness fails")
-    if m.source.tau.then(m.psi) != m.g.then(m.target.tau):
+    # both squares end in one lattice, so their composites compare as targets
+    if src.tau.then_targets(m.psi) != m.g.then_targets(tgt.tau):
         return CheckResult(False, reason="psi does not preserve type concepts")
-    if m.target.iota.then(m.phi) != m.f.then(m.source.iota):
+    if tgt.iota.then_targets(m.phi) != m.f.then_targets(src.iota):
         return CheckResult(False, reason="phi does not preserve instance concepts")
     return CheckResult(True)
 

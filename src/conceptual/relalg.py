@@ -455,9 +455,14 @@ class FunctionGraph:
 
     def then(self, other: "FunctionGraph") -> "FunctionGraph":
         """Diagrammatic composition: first self, then other."""
+        return FunctionGraph(self.then_targets(other), other.dst_size)
+
+    def then_targets(self, other: "FunctionGraph") -> tuple[int, ...]:
+        """The targets of ``self.then(other)``, without building the graph:
+        two composites compare as these tuples when their codomains agree."""
         if self.dst_size != other.src_size:
             raise ShapeError(f"then: incompatible shapes {self.shape} and {other.shape}")
-        return FunctionGraph(tuple(other.targets[b] for b in self.targets), other.dst_size)
+        return tuple(map(other.targets.__getitem__, self.targets))
 
     def preimages(self, masks: Iterable[int]) -> tuple[int, ...]:
         """The inverse image of each mask, the union of the fibers of its

@@ -9,6 +9,12 @@ branches (``transpose_oracle``, ``left_residual_sweep_oracle`` and
 with the kernels, and they are fast enough to check them, and to time them
 against (``tools/kernel_probe.py``), at sizes the per-cell oracles cannot
 reach.
+
+The enumerator oracles (``infomorphisms_oracle``, ``lattice_morphism_candidates``
+and ``lattice_morphisms_oracle``) try every pair of an instance and a type
+function in lexicographic order and keep those the library's own checks
+pass: they share the verdict with the propagating enumerators of
+``colimit``, not the search, which is what they check.
 """
 
 from __future__ import annotations
@@ -17,7 +23,10 @@ import functools
 import itertools
 from types import SimpleNamespace
 
-from conceptual.relalg import Relation
+from conceptual.errors import CheckResult
+from conceptual.functors import ConceptLatticeMorphism, check_lattice_morphism
+from conceptual.infomorphism import FunctionalInfomorphism, check_functional
+from conceptual.relalg import FunctionGraph, Relation, bits
 
 
 def compose_oracle(r: Relation, s: Relation) -> Relation:
@@ -386,6 +395,52 @@ def all_functions(src: int, dst: int):
 # -- coproduct mediators ----------------------------------------------------------
 
 
+def infomorphisms_oracle(A, C, instance_identity: bool = False):
+    """Every functional infomorphism from A to C by brute force: each pair of
+    an instance and a type function, lexicographically, kept by
+    ``check_functional``.  ``instance_identity`` fixes ``f`` as the identity."""
+    na, nc = len(A.instances), len(C.instances)
+    if instance_identity:
+        if A.instances != C.instances:
+            return
+        f_candidates = [tuple(range(na))]
+    else:
+        f_candidates = itertools.product(range(na), repeat=nc)
+    for f_t in f_candidates:
+        f = FunctionGraph(f_t, na)
+        for g_t in all_functions(len(A.types), len(C.types)):
+            m = FunctionalInfomorphism(A, C, f, FunctionGraph(g_t, len(C.types)), validate=False)
+            if check_functional(m):
+                yield m
+
+
+def lattice_morphism_candidates(L, M):
+    """For each pair of an instance and a type function, lexicographically,
+    the lattice maps they force, built unchecked: ``psi`` by meet-density,
+    ``phi`` by join-density."""
+    for f_t in all_functions(len(M.instance_labels), len(L.instance_labels)):
+        f = FunctionGraph(f_t, len(L.instance_labels))
+        for g_t in all_functions(len(L.type_labels), len(M.type_labels)):
+            g = FunctionGraph(g_t, len(M.type_labels))
+            psi_t = tuple(
+                M.meet_index(M.tau(g(t)) for t in bits(L.intents[x])) for x in range(L.size)
+            )
+            phi_t = tuple(
+                L.join_index(L.iota(f(b)) for b in bits(M.extents[y])) for y in range(M.size)
+            )
+            yield ConceptLatticeMorphism(
+                L, M, FunctionGraph(phi_t, L.size), FunctionGraph(psi_t, M.size), f, g,
+                validate=False,
+            )
+
+
+def lattice_morphisms_oracle(L, M) -> list:
+    """Every concept lattice morphism from L to M by brute force: the
+    candidates ``check_lattice_morphism`` keeps, in candidate order."""
+    return [cm for cm in lattice_morphism_candidates(L, M) if check_lattice_morphism(cm)]
+
+
+
 def cocone_mediators(candidates, compose, left, right, leg_a, leg_b) -> list:
     """One cocone's mediators by the per-cocone filter: every candidate whose
     composites with the two injections are the cocone's legs, in order."""
@@ -422,6 +477,26 @@ def equivalence_classes_oracle(n: int, rel: Relation) -> list[int]:
         classes.append(members)
         seen |= members
     return classes
+
+
+def dual_invariant_oracle(A, J) -> CheckResult:
+    """``check_dual_invariant`` as a loop over the related pairs in order:
+    the first pair that a kept instance separates, with the lowest such
+    instance."""
+    for alpha in range(len(A.types)):
+        for beta in range(len(A.types)):
+            if not J.type_relation.bit(alpha, beta):
+                continue
+            for a in range(len(A.instances)):
+                if J.kept_instances >> a & 1 and A.incidence.bit(a, alpha) != A.incidence.bit(
+                    a, beta
+                ):
+                    return CheckResult(
+                        False,
+                        witness=(A.instances[a], A.types[alpha], A.types[beta]),
+                        reason="a kept instance separates related types",
+                    )
+    return CheckResult(True)
 
 
 def dual_quotient_oracle(A, J) -> tuple:

@@ -1,5 +1,4 @@
 import collections
-import itertools
 import random
 
 import pytest
@@ -36,7 +35,7 @@ from conceptual.infomorphism import (
     compose_functional,
     instance_infomorphism,
 )
-from conceptual.relalg import FunctionGraph, Relation, bits
+from conceptual.relalg import Relation
 from conceptual.report import VerificationReport
 
 import oracles
@@ -461,25 +460,15 @@ class TestMediatorIndex:
 
 
 def _validated_lattice_morphisms(L, M) -> list:
-    """Every forced candidate of ``_enumerate_lattice_morphisms`` that the
-    validating ``ConceptLatticeMorphism`` constructor accepts, in order."""
+    """Every brute-force candidate of ``oracles.lattice_morphism_candidates``
+    that the validating ``ConceptLatticeMorphism`` constructor accepts, in
+    order."""
     out = []
-    for f_t in itertools.product(range(len(L.instance_labels)), repeat=len(M.instance_labels)):
-        f = FunctionGraph.from_targets(f_t, len(L.instance_labels))
-        for g_t in itertools.product(range(len(M.type_labels)), repeat=len(L.type_labels)):
-            g = FunctionGraph.from_targets(g_t, len(M.type_labels))
-            psi_t = tuple(
-                M.meet_index(M.tau(g(t)) for t in bits(L.intents[x])) for x in range(L.size)
-            )
-            phi_t = tuple(
-                L.join_index(L.iota(f(b)) for b in bits(M.extents[y])) for y in range(M.size)
-            )
-            phi = FunctionGraph.from_targets(phi_t, L.size)
-            psi = FunctionGraph.from_targets(psi_t, M.size)
-            try:
-                out.append(functors.ConceptLatticeMorphism(L, M, phi, psi, f, g))
-            except ValidationError:
-                continue
+    for cm in oracles.lattice_morphism_candidates(L, M):
+        try:
+            out.append(functors.ConceptLatticeMorphism(L, M, cm.phi, cm.psi, cm.f, cm.g))
+        except ValidationError:
+            continue
     return out
 
 
@@ -511,3 +500,51 @@ def _counting(calls: collections.Counter, name: str, fn):
         return fn(*args, **kwargs)
 
     return wrapper
+
+
+class TestTransportBeyondTheBruteForce:
+    """Seed 36 draws summands ``A`` and ``B`` with 11 and 13 infomorphisms
+    into a target ``T``: 143 cocones.  The sum's apex has 9 instances and 6
+    types, so the brute force would try 9^3 x 3^6 = 531,441 candidates on
+    each side."""
+
+    def contexts(self):
+        rng = random.Random(36)
+        return tuple(random_context(rng, 3, 3) for _ in range(3))
+
+    @staticmethod
+    def passed(kind: str, n: int) -> dict:
+        """The counts of a transport report whose ``n`` cocones all pass."""
+        return {f"{kind}-{row}": {"pass": n, "fail": 0, "no-coverage": 0}
+                for row in ("universal", "transport")}
+
+    def test_sum_of_3x3_summands(self):
+        A, B, T = self.contexts()
+        report = transport_coproduct(coproduct_sum(A, B), targets=[T])
+        assert report.counts() == self.passed("sum", 143)
+
+    def test_apposition_of_3x3_contexts(self):
+        """4 endomorphisms of ``T`` in its instance fiber, 16 cocones on each
+        of the two default targets."""
+        T = self.contexts()[2]
+        assert transport_coproduct(apposition(T, T)).counts() == self.passed("apposition", 32)
+
+
+def test_dual_invariant_witness_is_the_pair_loops():
+    """The grouped check names the pair loop's first separating
+    ``(instance, alpha, beta)`` on seeded contexts and relations, sparse
+    enough that some pass."""
+    rng = random.Random(9)
+    verdicts = set()
+    for _ in range(400):
+        m, n = rng.randint(0, 5), rng.randint(0, 5)
+        A = random_context(rng, m, n)
+        density = rng.choice((0.05, 0.2, 0.5))
+        rows = tuple(
+            sum(1 << b for b in range(n) if rng.random() < density) for _ in range(n)
+        )
+        J = DualInvariant(rng.getrandbits(m) if m else 0, Relation(n, n, rows))
+        verdict = check_dual_invariant(A, J)
+        assert verdict == oracles.dual_invariant_oracle(A, J)
+        verdicts.add(verdict.ok)
+    assert verdicts == {True, False}

@@ -1,0 +1,133 @@
+"""The propagating enumerators of ``colimit`` against the brute-force loops
+of ``tests/oracles.py``, order included, on contexts up to 3x3 with empty
+instance or type sets on either end."""
+
+import inspect
+import itertools
+import random
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings, strategies as st
+
+from conceptual import colimit, functors
+from conceptual.classification import Classification
+from conceptual.colimit import (
+    _enumerate_lattice_morphisms,
+    coproduct_sum,
+    enumerate_infomorphisms,
+)
+from conceptual.relalg import Relation
+
+import oracles
+from conftest import random_context
+
+
+def context(m: int, cols) -> Classification:
+    """The context on instances ``i0..`` whose type ``t<j>`` has column
+    ``cols[j]``."""
+    rows = tuple(sum((col >> a & 1) << t for t, col in enumerate(cols)) for a in range(m))
+    return Classification(
+        tuple(f"i{a}" for a in range(m)),
+        tuple(f"t{t}" for t in range(len(cols))),
+        Relation(m, len(cols), rows),
+    )
+
+
+@st.composite
+def contexts(draw, max_inst: int = 3, max_typ: int = 3, inst=None, pool: int | None = None):
+    """Contexts up to ``max_inst`` x ``max_typ`` (``inst`` instances when
+    given).  With ``pool``, the columns are drawn from that many masks, so
+    several types share a column."""
+    m = draw(st.integers(0, max_inst)) if inst is None else inst
+    n = draw(st.integers(0, max_typ))
+    mask = st.integers(0, (1 << m) - 1)
+    if pool is None:
+        return context(m, [draw(mask) for _ in range(n)])
+    masks = [draw(mask) for _ in range(pool)]
+    return context(m, [draw(st.sampled_from(masks)) for _ in range(n)])
+
+
+# the corner shapes, 0 or 3 instances and 0 or 3 types on each end
+CORNERS = [(m, n) for m in (0, 3) for n in (0, 3)]
+
+
+def _lists(A, C, instance_identity=False):
+    return (
+        list(enumerate_infomorphisms(A, C, instance_identity=instance_identity)),
+        list(oracles.infomorphisms_oracle(A, C, instance_identity=instance_identity)),
+    )
+
+
+class TestClassificationSide:
+    @settings(max_examples=150, deadline=None)
+    @given(contexts(), contexts())
+    def test_equals_the_brute_force(self, A, C):
+        found, expected = _lists(A, C)
+        assert found == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(contexts(), contexts(pool=2))
+    def test_targets_with_duplicate_columns(self, A, C):
+        found, expected = _lists(A, C)
+        assert found == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_instance_fiber(self, data):
+        A = data.draw(contexts())
+        C = data.draw(contexts(inst=len(A.instances), pool=data.draw(st.sampled_from([2, 3]))))
+        found, expected = _lists(A, C, instance_identity=True)
+        assert found == expected
+        renamed = Classification(tuple("x" + a for a in C.instances), C.types, C.incidence)
+        if A.instances:
+            assert _lists(A, renamed, instance_identity=True) == ([], [])
+
+    @pytest.mark.parametrize("source", CORNERS)
+    @pytest.mark.parametrize("target", CORNERS)
+    def test_empty_ends(self, source, target):
+        rng = random.Random(f"{source}{target}")
+        A, C = random_context(rng, *source), random_context(rng, *target)
+        found, expected = _lists(A, C)
+        assert found == expected
+        found, expected = _lists(A, C, instance_identity=True)
+        assert found == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(contexts(), contexts(pool=2))
+    def test_first_four_is_the_brute_force_prefix(self, A, C):
+        """``verify.infomorphism_corpus`` reads four candidates through
+        ``islice``; the tracer wraps the enumerator as a generator."""
+        assert inspect.isgeneratorfunction(colimit.enumerate_infomorphisms)
+        assert list(itertools.islice(enumerate_infomorphisms(A, C), 4)) == list(
+            itertools.islice(oracles.infomorphisms_oracle(A, C), 4)
+        )
+
+
+class TestLatticeSide:
+    @settings(max_examples=60, deadline=None)
+    @given(contexts(), contexts(pool=3))
+    def test_equals_the_brute_force(self, A, C):
+        L, M = functors.concept_lattice_of(A), functors.concept_lattice_of(C)
+        assert _enumerate_lattice_morphisms(L, M) == oracles.lattice_morphisms_oracle(L, M)
+
+    @settings(max_examples=40, deadline=None)
+    @given(contexts(2, 2), contexts(2, 2), contexts(2, 2))
+    def test_sum_apex_into_a_target(self, A, B, C):
+        """The pairs the transport check meets: both sides on the apex of a
+        sum, which has repeated rows and columns when a summand does."""
+        apex = coproduct_sum(A, B).apex
+        L, M = functors.concept_lattice_of(apex), functors.concept_lattice_of(C)
+        assert _enumerate_lattice_morphisms(L, M) == oracles.lattice_morphisms_oracle(L, M)
+        found, expected = _lists(apex, C)
+        assert found == expected
+
+    @pytest.mark.parametrize("source", CORNERS)
+    @pytest.mark.parametrize("target", CORNERS)
+    def test_empty_ends(self, source, target):
+        rng = random.Random(f"{source}{target}")
+        A, C = random_context(rng, *source), random_context(rng, *target)
+        L, M = functors.concept_lattice_of(A), functors.concept_lattice_of(C)
+        assert _enumerate_lattice_morphisms(L, M) == oracles.lattice_morphisms_oracle(L, M)

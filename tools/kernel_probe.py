@@ -14,6 +14,14 @@ timing is the best of 7 runs, kernel and loop in turn, each on a fresh copy of
 ``r``, so a right residual pays for its ``columns`` as a first call does.
 ``--check`` compares every result with its reference loop and exits 1 on a
 difference.
+
+A second table times the two ``colimit`` enumerators, of functional
+infomorphisms and of concept lattice morphisms, from the apex of a sum of
+two seeded random contexts into a third.  On 2x3+2x3 into 2x3 it runs them
+against the brute-force loops of ``tests/oracles.py``, each pair of an
+instance and a type function; on 3x3+3x3 into 3x3, 531,441 such pairs, it
+runs them alone, and ``--check`` compares the instance and type functions
+of the two sides, which are the same pairs in the same order.
 """
 
 from __future__ import annotations
@@ -27,8 +35,17 @@ from time import perf_counter
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
+from conceptual import functors  # noqa: E402
+from conceptual.classification import Classification  # noqa: E402
+from conceptual.colimit import (  # noqa: E402
+    _enumerate_lattice_morphisms,
+    coproduct_sum,
+    enumerate_infomorphisms,
+)
 from conceptual.relalg import Relation, left_residual, right_residual, transpose  # noqa: E402
 from oracles import (  # noqa: E402
+    infomorphisms_oracle,
+    lattice_morphisms_oracle,
     left_residual_sweep_oracle,
     right_residual_scatter_oracle,
     transpose_oracle,
@@ -50,6 +67,11 @@ KERNELS = [
     ),
 ]
 
+# summand and target shapes (instances, types); the seed draws diagrams
+# with mediators on both (6 and 81 of them)
+DIAGRAMS = [((2, 3), True), ((3, 3), False)]
+DIAGRAM_SEED = 28
+
 
 def random_relation(rng: random.Random, m: int, n: int, p: float) -> Relation:
     rows = (sum(1 << b for b in range(n) if rng.random() < p) for _ in range(m))
@@ -66,6 +88,83 @@ def best_of(kernel, loop, r: Relation) -> tuple[float, float]:
             f(fresh)
             best[i] = min(best[i], perf_counter() - start)
     return best[0], best[1]
+
+
+def sum_diagram(rng: random.Random, m: int, n: int) -> tuple[Classification, Classification]:
+    """The apex of the sum of two random m x n contexts, and a third."""
+    A, B, C = (
+        Classification(
+            tuple(f"i{a}" for a in range(m)),
+            tuple(f"t{t}" for t in range(n)),
+            Relation(m, n, tuple(rng.getrandbits(n) for _ in range(m))),
+        )
+        for _ in range(3)
+    )
+    return coproduct_sum(A, B).apex, C
+
+
+def enumerators(apex: Classification, C: Classification) -> list:
+    """Each enumerator with its brute-force loop, as functions of nothing."""
+    L, M = functors.concept_lattice_of(apex), functors.concept_lattice_of(C)
+    return [
+        (
+            "infomorphisms",
+            lambda: list(enumerate_infomorphisms(apex, C)),
+            lambda: list(infomorphisms_oracle(apex, C)),
+        ),
+        (
+            "lattice",
+            lambda: _enumerate_lattice_morphisms(L, M),
+            lambda: lattice_morphisms_oracle(L, M),
+        ),
+    ]
+
+
+def best_time(f) -> float:
+    best = float("inf")
+    for _ in range(REPEAT):
+        start = perf_counter()
+        f()
+        best = min(best, perf_counter() - start)
+    return best
+
+
+def probe_enumerators(check: bool) -> tuple[int, int]:
+    """Print the enumerator rows, or compare their results; the number of
+    comparisons made and of those that differ."""
+    if not check:
+        print(f"\n{'diagram':>13} {'enumerator':>14} {'found':>6} {'lookup ms':>10}"
+              f" {'brute ms':>10} {'speed-up':>8}")
+    compared = differ = 0
+    rng = random.Random(DIAGRAM_SEED)
+    for (m, n), brute in DIAGRAMS:
+        apex, C = sum_diagram(rng, m, n)
+        shape = f"{m}x{n}+{m}x{n}>{m}x{n}"
+        rows = enumerators(apex, C)
+        if check:
+            found = [kernel() for _, kernel, _ in rows]
+            checks = [
+                (f"{name} against the brute force", got == loop())
+                for (name, _, loop), got in zip(rows, found)
+                if brute
+            ]
+            pairs = [[(x.f, x.g) for x in side] for side in found]
+            checks.append(("the (f, g) pairs of the two sides", pairs[0] == pairs[1]))
+            for what, ok in checks:
+                if not ok:
+                    differ += 1
+                    print(f"differs: {what} on {shape}")
+            compared += len(checks)
+            continue
+        for name, kernel, loop in rows:
+            k = best_time(kernel)
+            if brute:
+                ref = best_time(loop)
+                tail = f"{ref * 1e3:>10.3f} {ref / k:>7.2f}x"
+            else:
+                tail = f"{'-':>10} {'-':>8}"
+            print(f"{shape:>13} {name:>14} {len(kernel()):>6} {k * 1e3:>10.3f} {tail}")
+    return compared, differ
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -91,8 +190,10 @@ def main(argv: list[str] | None = None) -> int:
                     f"{m:>4}x{n:<4} {density:>7} {name:>14} {k * 1e3:>10.3f} {ref * 1e3:>10.3f}"
                     f" {ref / k:>7.2f}x"
                 )
+    compared, enum_differ = probe_enumerators(args.check)
+    differ += enum_differ
     if args.check:
-        total = len(SHAPES) * len(DENSITIES) * len(KERNELS)
+        total = len(SHAPES) * len(DENSITIES) * len(KERNELS) + compared
         print(f"{total - differ} results equal, {differ} differ")
     return 1 if differ else 0
 
