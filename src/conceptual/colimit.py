@@ -395,7 +395,9 @@ def _enumerate_lattice_morphisms(L, M) -> list:
     pairs ``(f, g)`` of a morphism are among those ``_propagate`` finds on
     the lattices' columns.  The lattice maps are forced, ``psi`` by
     meet-density and ``phi`` by join-density; they are built unchecked and
-    each candidate is kept by ``check_lattice_morphism``."""
+    each candidate is kept by ``check_lattice_morphism``.  On lattices of
+    contexts that rejects nothing, as the candidates are the infomorphisms';
+    it drops those of a lattice whose embeddings disagree with its concepts."""
 
     def columns(K):
         down = K.order.columns

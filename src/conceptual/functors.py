@@ -129,11 +129,6 @@ complete_lattice_of.cache_clear = _complete_lattice_of_order.cache_clear
 complete_lattice_of.cache_info = _complete_lattice_of_order.cache_info
 
 
-def lattice_classification(L: CompleteLattice) -> Classification:
-    """The lattice classified by its own order: its view ``classification``."""
-    return L.classification
-
-
 def abstract_concept_lattice(L: CompleteLattice) -> ConceptLattice:
     """A complete lattice as a concept lattice over itself, both embeddings
     the identity."""
@@ -183,17 +178,6 @@ def check_lattice_morphism(m: ConceptLatticeMorphism) -> CheckResult:
     if tgt.iota.then_targets(m.phi) != m.f.then_targets(src.iota):
         return CheckResult(False, reason="phi does not preserve instance concepts")
     return CheckResult(True)
-
-
-def identity_lattice_morphism(L: ConceptLattice) -> ConceptLatticeMorphism:
-    return ConceptLatticeMorphism(
-        L,
-        L,
-        FunctionGraph.identity(L.size),
-        FunctionGraph.identity(L.size),
-        FunctionGraph.identity(len(L.instance_labels)),
-        FunctionGraph.identity(len(L.type_labels)),
-    )
 
 
 def compose_lattice_morphisms(
@@ -379,9 +363,7 @@ def bond_of_adjoint(p: AdjointPair) -> Bond:
     classifications."""
     rows = tuple(p.source.up[p.phi(y)] for y in range(p.target.size))
     rel = Relation(p.target.size, p.source.size, rows)
-    return Bond(
-        lattice_classification(p.source), lattice_classification(p.target), rel
-    )
+    return Bond(p.source.classification, p.target.classification, rel)
 
 
 @dataclass(frozen=True)
@@ -402,7 +384,7 @@ def embedding_bonds(A: Classification) -> EmbeddingBonds:
     give, ``G.r\\F``, and compared with the identity bond's incidence, which
     is stronger than being a bond."""
     LA = concept_lattice_of(A)
-    order_cls = lattice_classification(complete_lattice_of(LA))
+    order_cls = complete_lattice_of(LA).classification
     instance_bond = Bond(order_cls, A, LA.iota_rel)
     type_bond = Bond(A, order_cls, LA.tau_rel)
     if left_residual(type_bond.r, instance_bond.rel) != order_cls.incidence:
@@ -424,7 +406,7 @@ def bond_naturality_holds(F: Bond) -> bool:
 
 def down_up_witness(L: CompleteLattice) -> FunctionGraph:
     """Each element to its principal concept in the rebuilt order lattice."""
-    M = concept_lattice_of(lattice_classification(L))
+    M = concept_lattice_of(L.classification)
     targets = tuple(M.extent_index[L.down[x]] for x in range(L.size))
     if len(set(targets)) != M.size:
         raise ValidationError("principal concepts do not exhaust the rebuilt lattice")

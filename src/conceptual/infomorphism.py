@@ -94,25 +94,6 @@ def dual_functional(m: FunctionalInfomorphism) -> FunctionalInfomorphism:
     )
 
 
-def powerset_infomorphism(
-    a_labels: tuple[str, ...], b_labels: tuple[str, ...], f: FunctionGraph
-) -> FunctionalInfomorphism:
-    """Lift a function between label sets to their powerset classifications.
-
-    ``f`` maps the second label set into the first; types go forward by
-    inverse image.
-    """
-    if f.shape != (len(b_labels), len(a_labels)):
-        raise ShapeError(
-            f"function shape {f.shape} does not map {len(b_labels)} into {len(a_labels)}"
-        )
-    pa = powerset_classification(a_labels)
-    pb = powerset_classification(b_labels)
-    # subset masks double as type indices in both powersets
-    g = FunctionGraph(f.preimages(range(1 << len(a_labels))), 1 << len(b_labels))
-    return FunctionalInfomorphism(pa, pb, f, g)
-
-
 def instance_infomorphism(K: Classification) -> FunctionalInfomorphism:
     """The instance-identity infomorphism into the instance powerset."""
     p = powerset_classification(K.instances)
@@ -165,15 +146,6 @@ def compose_relational(
         raise ShapeError("compose_relational: middle classifications differ")
     return RelationalInfomorphism(
         m1.source, m2.target, compose(m1.r, m2.r), compose(m1.s, m2.s)
-    )
-
-
-def dual_relational(m: RelationalInfomorphism) -> RelationalInfomorphism:
-    return RelationalInfomorphism(
-        dual_classification(m.target),
-        dual_classification(m.source),
-        transpose(m.s),
-        transpose(m.r),
     )
 
 

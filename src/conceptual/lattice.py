@@ -325,58 +325,6 @@ def check_lattice(
             bound_of(down, down_index, full, 1 << i | 1 << j, "meet")
 
 
-def assemble_lattice(
-    order: Relation,
-    instance_labels: Sequence[str],
-    type_labels: Sequence[str],
-    iota: FunctionGraph,
-    tau: FunctionGraph,
-) -> ConceptLattice:
-    """Assemble an abstract concept lattice from untrusted parts.
-
-    Validates the partial order and completeness, derives the concept pairs
-    that the embeddings induce, and checks the two density conditions as
-    relation equalities.  With ``M`` the instance x element relation
-    ``iota;<=``, the residual ``M\\M`` relates ``x`` to the upper bounds of
-    the instance elements below ``x``: its row ``x`` is the up-set of ``x``
-    iff ``x`` is their join.  Dually, with ``T`` the type x element relation
-    ``tau;>=``, row ``x`` of ``T\\T`` is the down-set of ``x`` iff ``x`` is the
-    meet of the type elements above it.  The first differing row names the
-    failing element; at equal elements the join failure is reported.
-    """
-    instance_labels = tuple(instance_labels)
-    type_labels = tuple(type_labels)
-    n = order.src_size
-    if order.dst_size != n:
-        raise ShapeError(f"order must be square, got {order.shape}")
-    if iota.src_size != len(instance_labels) or iota.dst_size != n:
-        raise ValidationError("instance embedding does not match order size")
-    if tau.src_size != len(type_labels) or tau.dst_size != n:
-        raise ValidationError("type embedding does not match order size")
-
-    down = transpose(order).rows
-    check_lattice(order, range(n), down, {d: x for x, d in enumerate(down)})
-
-    extents = transpose(compose(iota.rel, order)).rows
-    intents = compose(order, transpose(tau.rel)).rows
-    concepts = tuple(FormalConcept(e, t) for e, t in zip(extents, intents))
-    L = ConceptLattice(concepts, instance_labels, type_labels, iota, tau)
-    T = transpose(L.tau_rel)
-    join_diff = relalg.first_difference(order.rows, L.order.rows)
-    meet_diff = relalg.first_difference(down, left_residual(T, T).rows)
-    if join_diff is not None and (meet_diff is None or join_diff[0] <= meet_diff[0]):
-        x = join_diff[0]
-        raise ValidationError(
-            f"instance embedding image is not join-dense at element {x}", witness=(x,)
-        )
-    if meet_diff is not None:
-        x = meet_diff[0]
-        raise ValidationError(
-            f"type embedding image is not meet-dense at element {x}", witness=(x,)
-        )
-    return L
-
-
 def meet(L: ConceptLattice, concepts: Iterable[FormalConcept]) -> FormalConcept:
     """Meet by extent intersection; the empty meet is the top concept."""
     return L.concepts[L.meet_index(_indices(L, concepts))]

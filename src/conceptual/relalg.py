@@ -397,11 +397,6 @@ def union(r: Relation, t: Relation) -> Relation:
     return Relation(r.src_size, r.dst_size, tuple(a | b for a, b in zip(r.rows, t.rows)))
 
 
-def intersection(r: Relation, t: Relation) -> Relation:
-    _require(r.shape == t.shape, "intersection", r, t)
-    return Relation(r.src_size, r.dst_size, tuple(a & b for a, b in zip(r.rows, t.rows)))
-
-
 @dataclass(frozen=True)
 class FunctionGraph:
     """Total function ``range(len(targets)) -> range(dst_size)``, stored as

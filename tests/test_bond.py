@@ -20,6 +20,7 @@ from conceptual.bond import (
 from conceptual.classification import (
     Classification,
     contranominal_classification,
+    dual,
     extent_of,
     instance_preorder,
     intent_of,
@@ -72,8 +73,6 @@ class TestIsBond:
         assert is_bond(k1, k1, Relation.full(2, 2))
 
     def test_identity_bond_of_dual_is_transpose(self, k1, rng):
-        from conceptual.classification import dual
-
         for _ in range(5):
             K = random_context(rng, 3, 2)
             assert identity_bond(dual(K)).rel == transpose(identity_bond(K).rel)
@@ -209,9 +208,10 @@ class TestBondOfInfomorphism:
             B = random_context(rng, 2, 2)
             for m in itertools.islice(enumerate_infomorphisms(A, B), 3):
                 rel = fn2rel(m)
-                from conceptual.infomorphism import dual_relational
-
-                assert bond_of(dual_relational(rel)).rel == transpose(bond_of(rel).rel)
+                dual_rel = RelationalInfomorphism(
+                    dual(rel.target), dual(rel.source), transpose(rel.s), transpose(rel.r)
+                )
+                assert bond_of(dual_rel).rel == transpose(bond_of(rel).rel)
 
     def test_invalid_input_rejected(self, k1):
         bad = RelationalInfomorphism(

@@ -30,6 +30,7 @@ from conceptual.functors import (
     AdjointPair,
     CompleteHomomorphism,
     CompleteLattice,
+    ConceptLatticeMorphism,
     abstract_concept_lattice,
     adjoint_of_bond,
     adjoint_roundtrip_holds,
@@ -49,12 +50,10 @@ from conceptual.functors import (
     hom_roundtrip_holds,
     identity_adjoint,
     identity_hom,
-    identity_lattice_morphism,
     is_complete_homomorphism,
     is_instance_reduced,
     is_type_reduced,
     join_irreducibles,
-    lattice_classification,
     lattice_equivalence_witness,
     lattice_of_morphism,
     meet_irreducibles,
@@ -68,7 +67,12 @@ from conceptual.infomorphism import (
     instance_infomorphism,
 )
 from conceptual.io import dumps, morphism_from_obj, morphism_to_obj
-from conceptual.lattice import collective_from_function, concept_lattice_of
+from conceptual.lattice import (
+    ConceptLattice,
+    FormalConcept,
+    collective_from_function,
+    concept_lattice_of,
+)
 from conceptual.relalg import (
     FunctionGraph,
     Relation,
@@ -262,7 +266,15 @@ class TestCompleteLattice:
 class TestFunctionalEquivalence:
     def test_identity_maps_to_identity(self, k1):
         L = concept_lattice_of(k1)
-        assert lattice_of_morphism(identity_functional(k1)) == identity_lattice_morphism(L)
+        ident = ConceptLatticeMorphism(
+            L,
+            L,
+            FunctionGraph.identity(L.size),
+            FunctionGraph.identity(L.size),
+            FunctionGraph.identity(len(L.instance_labels)),
+            FunctionGraph.identity(len(L.type_labels)),
+        )
+        assert lattice_of_morphism(identity_functional(k1)) == ident
 
     def test_eta_morphism_action(self, k1):
         eta = instance_infomorphism(k1)
@@ -318,12 +330,11 @@ class TestFunctionalEquivalence:
         assert w.rebuilt.size == 8
 
     def test_witness_with_non_injective_embeddings(self):
-        from conceptual.lattice import assemble_lattice
-
-        order = Relation.from_matrix([[1, 1], [0, 1]])
+        # the 2-chain ({}, {t}) < ({a0, a1}, {}) with both instances at the top
+        concepts = (FormalConcept(0b00, 0b1), FormalConcept(0b11, 0b0))
         iota = FunctionGraph.from_targets((1, 1), 2)
         tau = FunctionGraph.from_targets((0,), 2)
-        L = assemble_lattice(order, ("a0", "a1"), ("t",), iota, tau)
+        L = ConceptLattice(concepts, ("a0", "a1"), ("t",), iota, tau)
         w = lattice_equivalence_witness(L)
         assert w.rebuilt.size == 2
 
@@ -450,7 +461,7 @@ class TestCompleteRelationalEquivalence:
     def test_identity_hom_gives_identity_pair(self):
         L = chain_lattice(3)
         p = pair_of_hom(identity_hom(L))
-        ident = lattice_classification(L).incidence
+        ident = L.classification.incidence
         assert p.forward.rel == ident
         assert p.backward.rel == ident
 
@@ -594,9 +605,9 @@ class TestOrderLattice:
 
     def test_order_classification_is_a_view_of_the_lattice(self):
         L = complete_lattice_of(concept_lattice_of(contranominal_classification(3)))
-        K = lattice_classification(L)
+        K = L.classification
         bare = Classification(L.elements, L.elements, L.leq)
-        assert lattice_classification(L) is K is L.classification
+        assert K is L.classification
         assert K == bare and hash(K) == hash(bare) and repr(K) == repr(bare)
         assert concept_lattice_of(K) is concept_lattice_of(bare)
 
@@ -616,7 +627,7 @@ class TestOrderLattice:
             complete_lattice_of(concept_lattice_of(contranominal_classification(3))),
         )
         cases = [
-            (lattice_classification(L).incidence, Relation(L.size, L.size, L.down))
+            (L.classification.incidence, Relation(L.size, L.size, L.down))
             for L in lattices
         ]
         for m, n in ((0, 3), (3, 0), (4, 5), (6, 2)):

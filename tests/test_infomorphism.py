@@ -7,7 +7,6 @@ from conceptual.classification import (
     dual,
     extent_of,
     instance_preorder,
-    powerset_classification,
     type_preorder,
 )
 from conceptual.colimit import enumerate_infomorphisms
@@ -20,12 +19,10 @@ from conceptual.infomorphism import (
     compose_functional,
     compose_relational,
     dual_functional,
-    dual_relational,
     fn2rel,
     identity_functional,
     identity_relational,
     instance_infomorphism,
-    powerset_infomorphism,
 )
 from conceptual.relalg import FunctionGraph, Relation, identity, left_residual
 
@@ -123,28 +120,6 @@ class TestDualFunctional:
                 assert dual_functional(dual_functional(m)) == m
 
 
-class TestPowersetInfomorphism:
-    def test_identity_function(self):
-        labels = ("1", "2")
-        m = powerset_infomorphism(labels, labels, FunctionGraph.identity(2))
-        assert m == identity_functional(powerset_classification(labels))
-
-    def test_constant_function(self):
-        m = powerset_infomorphism(
-            ("1", "2"), ("x",), FunctionGraph.from_targets((0,), 2)
-        )
-        assert check_functional(m)
-        # inverse image of a subset containing the constant target is everything
-        assert m.target.types[m.g(0b01)] == "{x}"
-        assert m.target.types[m.g(0b10)] == "{}"
-
-    def test_empty_sets(self):
-        m = powerset_infomorphism((), (), FunctionGraph.from_targets((), 0))
-        assert check_functional(m)
-        assert m.source.types == ("{}",)
-        assert m.target.types == ("{}",)
-
-
 class TestRelational:
     def test_identity_valid_with_incidence_bond(self, k1):
         m = identity_relational(k1)
@@ -209,16 +184,6 @@ class TestRelational:
                 assert compose_relational(compose_relational(m1, m2), m3) == (
                     compose_relational(m1, compose_relational(m2, m3))
                 )
-
-    def test_dual_relational_involution(self, rng):
-        for _ in range(5):
-            A = random_context(rng, 2, 2)
-            B = random_context(rng, 2, 2)
-            for m in itertools.islice(enumerate_infomorphisms(A, B), 3):
-                rel = fn2rel(m)
-                d = dual_relational(rel)
-                assert check_relational(d)
-                assert dual_relational(d) == rel
 
     def test_four_formulations_agree(self, rng):
         # pointwise, set-lifted, and residuation forms of the property

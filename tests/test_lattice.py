@@ -8,10 +8,10 @@ from conceptual.classification import (
     contranominal_classification,
 )
 from conceptual.errors import ResourceLimitError, ValidationError
-from conceptual.functors import complete_lattice_of, lattice_classification
+from conceptual.functors import complete_lattice_of
 from conceptual.lattice import (
     CollectiveConcept,
-    assemble_lattice,
+    ConceptLattice,
     build_lattice,
     collective_from_function,
     collective_leq,
@@ -26,7 +26,7 @@ from conceptual.lattice import (
 )
 from conceptual.relalg import FunctionGraph, Relation, bits, compose, left_residual, transpose
 
-from conftest import BOWTIE, RANDOM_SHAPES, all_contexts, random_context
+from conftest import RANDOM_SHAPES, all_contexts, random_context
 from oracles import (
     closed_pairs_oracle,
     concept_set,
@@ -50,7 +50,7 @@ def order_classifications(rng):
     ):
         L = complete_lattice_of(build_lattice(K))
         assert L.size <= 128
-        yield lattice_classification(L)
+        yield L.classification
 
 
 class TestBuildLattice:
@@ -172,17 +172,10 @@ class TestBuildLattice:
             for _ in range(10):
                 perm = list(range(L.size))
                 rng.shuffle(perm)
-                order = Relation(
-                    L.size,
-                    L.size,
-                    tuple(
-                        sum(1 << perm[j] for j in bits(L.order.rows[i]))
-                        for i in sorted(range(L.size), key=perm.__getitem__)
-                    ),
-                )
+                concepts = tuple(L.concepts[i] for i in sorted(range(L.size), key=perm.__getitem__))
                 iota = FunctionGraph(tuple(perm[c] for c in L.iota.targets), L.size)
                 tau = FunctionGraph(tuple(perm[c] for c in L.tau.targets), L.size)
-                shuffled = assemble_lattice(order, L.instance_labels, L.type_labels, iota, tau)
+                shuffled = ConceptLattice(concepts, L.instance_labels, L.type_labels, iota, tau)
                 extents = [set(bits(e)) for e in shuffled.extents]
                 assert set(shuffled.covers.pairs()) == covers_oracle(extents)
                 expected = {(perm[i], perm[j]) for i, j in L.covers.pairs()}
@@ -311,52 +304,6 @@ class TestEmbeddingsAndDecomposition:
                 assert L.join_index(below) == i
                 above = [L.tau(t) for t in bits(c.intent)]
                 assert L.meet_index(above) == i
-
-
-class TestAssembleLattice:
-    def test_abstract_chain(self):
-        order = Relation.from_matrix([[1, 1, 1], [0, 1, 1], [0, 0, 1]])
-        ident = FunctionGraph.identity(3)
-        L = assemble_lattice(order, ("x", "y", "z"), ("x", "y", "z"), ident, ident)
-        assert L.size == 3
-        assert [c.extent for c in L.concepts] == [0b001, 0b011, 0b111]
-
-    def test_rejects_non_partial_order(self):
-        cyclic = Relation.from_matrix([[1, 1], [1, 1]])
-        ident = FunctionGraph.identity(2)
-        with pytest.raises(ValidationError, match="antisymmetric"):
-            assemble_lattice(cyclic, ("x", "y"), ("x", "y"), ident, ident)
-
-    def test_rejects_non_dense_embeddings(self):
-        # 3-chain whose only instance hits the top: the middle element is
-        # neither an empty join nor a join of images
-        order = Relation.from_matrix([[1, 1, 1], [0, 1, 1], [0, 0, 1]])
-        iota = FunctionGraph.from_targets((2,), 3)
-        tau = FunctionGraph.from_targets((0,), 3)
-        # element 1 is neither a join of instance images nor a meet of type
-        # images; at equal elements the join failure is reported
-        with pytest.raises(ValidationError, match="join-dense at element 1") as exc:
-            assemble_lattice(order, ("a",), ("t",), iota, tau)
-        assert exc.value.witness == (1,)
-
-    def test_rejects_non_meet_dense_types(self):
-        # 3-chain with every element an instance image, but the only type at
-        # the top: the bottom is not the meet of the type images above it
-        order = Relation.from_matrix([[1, 1, 1], [0, 1, 1], [0, 0, 1]])
-        iota = FunctionGraph.identity(3)
-        tau = FunctionGraph.from_targets((2,), 3)
-        with pytest.raises(ValidationError, match="meet-dense at element 0") as exc:
-            assemble_lattice(order, ("a", "b", "c"), ("t",), iota, tau)
-        assert exc.value.witness == (0,)
-
-    def test_rejects_non_lattice_order(self):
-        # two incomparable points: no joins/meets; the bowtie has both bounds
-        for order in (Relation.from_matrix([[1, 0], [0, 1]]), BOWTIE):
-            n = order.src_size
-            labels = tuple(f"x{i}" for i in range(n))
-            iota = FunctionGraph.identity(n)
-            with pytest.raises(ValidationError, match="no (meet|join)"):
-                assemble_lattice(order, labels, labels, iota, iota)
 
 
 class TestCollectiveConcepts:

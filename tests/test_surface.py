@@ -1,0 +1,98 @@
+"""Every definition of the package is reached, public, or allowlisted.
+
+A top-level function or class of ``src/conceptual``, or a method of one
+whose name is not a dunder, passes when one of these holds:
+
+- its name is read in ``src/conceptual/*.py`` or ``perfbench/*.py``: as a
+  name, an attribute or an imported name.  A ``def`` or ``class`` statement
+  reads nothing, so a definition's own name does not count;
+- it is in ``conceptual.__all__``, or is a method of a class there;
+- it is in ``UNREACHED``, with the reason it stays.
+
+An ``UNREACHED`` entry that is reached or no longer defined fails as well,
+so the list only shrinks as its definitions gain readers or go.
+"""
+
+import ast
+from pathlib import Path
+
+import conceptual
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "conceptual"
+READERS = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+
+PAPER_CLAIM = "a paper claim that no verify family checks yet (ROADMAP item 3)"
+UNREACHED = {
+    "lattice.mediating_function": PAPER_CLAIM,
+    "lattice.collective_from_function": PAPER_CLAIM,
+    "lattice.collective_leq": PAPER_CLAIM,
+    "lattice.collective_transport": PAPER_CLAIM,
+    "bond.collective_image": PAPER_CLAIM,
+    "colimit.fiber_initial": PAPER_CLAIM,
+    "colimit.fiber_terminal": PAPER_CLAIM,
+    "bond.infomorphism_of": PAPER_CLAIM + ": bonds as relational infomorphisms",
+    "bond.bonds_equivalent": PAPER_CLAIM + ": bonds as relational infomorphisms",
+    "infomorphism.identity_relational": "a fixture of test_bond, test_cli and test_infomorphism",
+    "io.emit_csv": "the writer of the CSV round trip in test_acceptance_9",
+    "report.VerificationReport.to_obj": "the reference that to_json is compared with",
+}
+
+
+def definitions() -> dict[str, tuple[str, str | None]]:
+    """``module.name`` or ``module.Class.method`` -> (name, class or None)."""
+    out = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            out[f"{path.stem}.{node.name}"] = (node.name, None)
+            if isinstance(node, ast.ClassDef):
+                for m in node.body:
+                    if isinstance(m, ast.FunctionDef) and not (
+                        m.name.startswith("__") and m.name.endswith("__")
+                    ):
+                        out[f"{path.stem}.{node.name}.{m.name}"] = (m.name, node.name)
+    return out
+
+
+def names_read() -> set[str]:
+    read = set()
+    for path in READERS:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name.rpartition(".")[2])
+    return read
+
+
+def unreached(allowlist) -> list[str]:
+    """The definitions that pass none of the three tests."""
+    read, public = names_read(), set(conceptual.__all__)
+    return [
+        key
+        for key, (name, cls) in definitions().items()
+        if name not in read and (cls or name) not in public and key not in allowlist
+    ]
+
+
+def stale(allowlist) -> list[str]:
+    """The allowlist entries that are reached or defined no more."""
+    flagged = set(unreached(()))
+    return [key for key in allowlist if key not in flagged]
+
+
+def test_every_definition_is_reached_public_or_allowlisted():
+    assert unreached(UNREACHED) == []
+
+
+def test_the_allowlist_has_no_stale_entry():
+    assert stale(UNREACHED) == []
+
+
+def test_reached_public_and_missing_entries_are_stale():
+    entries = {"lattice.check_lattice": "", "lattice.build_lattice": "", "io.gone": ""}
+    assert stale(entries) == list(entries)
