@@ -127,17 +127,18 @@ def dual(K: Classification) -> Classification:
     return Classification(K.types, K.instances, relalg.transpose(K.incidence))
 
 
-def powerset_classification(labels: Sequence[str], cap: int = POWERSET_CAP) -> Classification:
+def powerset_classification(labels: Sequence[str]) -> Classification:
     """Instances ``labels``, one type per subset, membership incidence.
 
     Subset types are materialised in binary counting order, so the integer
     value of a subset mask doubles as its type index, and the membership
     relation from subsets to labels has each subset's mask as its row: the
-    incidence is its transpose.
+    incidence is its transpose.  More than ``POWERSET_CAP`` labels raise
+    ``ResourceLimitError``.
     """
     labels = tuple(labels)
-    if len(labels) > cap:
-        raise ResourceLimitError(f"powerset of {len(labels)} labels exceeds cap {cap}")
+    if len(labels) > POWERSET_CAP:
+        raise ResourceLimitError(f"powerset of {len(labels)} labels exceeds cap {POWERSET_CAP}")
     n = len(labels)
     type_labels = tuple(subset_label(labels, m) for m in range(1 << n))
     members = Relation(1 << n, n, tuple(range(1 << n)))

@@ -361,7 +361,7 @@ def transport_coproduct(
     L_right_inj = functors.lattice_of_morphism(d.right_injection)
     for C, target_cocones in zip(targets, cocones):
         M = functors.concept_lattice_of(C)
-        iso = functors.witness_as_lattice_morphism(functors.lattice_equivalence_witness(M))
+        iso = functors.lattice_equivalence_witness(M)
         image = functools.cache(functors.lattice_of_morphism)
         mediators = _by_restrictions(
             _enumerate_lattice_morphisms(L_apex, M),
@@ -394,8 +394,9 @@ def _enumerate_lattice_morphisms(L, M) -> list:
     ``iota_L(f(c)) <= tau_L(t)`` iff ``iota_M(c) <= tau_M(g(t))``, so the
     pairs ``(f, g)`` of a morphism are among those ``_propagate`` finds on
     the lattices' columns.  The lattice maps are forced, ``psi`` by
-    meet-density and ``phi`` by join-density; they are built unchecked and
-    each candidate is kept by ``check_lattice_morphism``.  On lattices of
+    meet-density and ``phi`` by join-density.  Each candidate is built by
+    the checking ``ConceptLatticeMorphism`` constructor and dropped when its
+    ``check_lattice_morphism`` raises ``ValidationError``.  On lattices of
     contexts that rejects nothing, as the candidates are the infomorphisms';
     it drops those of a lattice whose embeddings disagree with its concepts."""
 
@@ -413,15 +414,10 @@ def _enumerate_lattice_morphisms(L, M) -> list:
         phi_t = tuple(
             L.join_index(L.iota(f(b)) for b in bits(M.extents[y])) for y in range(M.size)
         )
-        cm = functors.ConceptLatticeMorphism(
-            L,
-            M,
-            FunctionGraph.from_targets(phi_t, L.size),
-            FunctionGraph.from_targets(psi_t, M.size),
-            f,
-            g,
-            validate=False,
-        )
-        if functors.check_lattice_morphism(cm):
-            out.append(cm)
+        phi = FunctionGraph.from_targets(phi_t, L.size)
+        psi = FunctionGraph.from_targets(psi_t, M.size)
+        try:
+            out.append(functors.ConceptLatticeMorphism(L, M, phi, psi, f, g))
+        except ValidationError:
+            continue
     return out

@@ -4,14 +4,18 @@ with constructive witnesses for all three equivalences.
 Naming follows the directions of travel: ``lattice_of_morphism`` /
 ``classification_of_lattice`` mediate the functional equivalence,
 ``adjoint_of_bond`` / ``bond_of_adjoint`` the relational one, and
-``hom_of_pair`` / ``pair_of_hom`` the complete-relational one.  Every
-witness construction validates its round trips on the spot and raises with
-a witness if the books do not balance.
+``hom_of_pair`` / ``pair_of_hom`` the complete-relational one.  The
+witnesses are arrows of the categories themselves: the rebuild isomorphism
+of a concept lattice is a ``ConceptLatticeMorphism``, and a classification's
+isomorphism with its order classification is a pair of ``Bond``s.  Each is
+validated on the spot and raises with a witness if the books do not
+balance.  The arrow types here have no unchecked mode: construction is the
+check, and a caller that sifts candidates catches ``ValidationError``.
 """
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .bond import Bond, BondingPair, compose_bonds
@@ -31,11 +35,9 @@ from .relalg import (
     Relation,
     adjoint_failure,
     bits,
-    compose,
     left_residual,
     mask_of,
     right_residual,
-    subrelation,
     transpose,
     view,
 )
@@ -156,15 +158,13 @@ class ConceptLatticeMorphism:
     psi: FunctionGraph  # source lattice -> target lattice
     f: FunctionGraph  # target instances -> source instances
     g: FunctionGraph  # source types -> target types
-    validate: InitVar[bool] = True
 
-    def __post_init__(self, validate: bool):
+    def __post_init__(self):
         if self.phi.shape != (self.target.size, self.source.size):
             raise ShapeError(f"phi shape {self.phi.shape} is wrong")
         if self.psi.shape != (self.source.size, self.target.size):
             raise ShapeError(f"psi shape {self.psi.shape} is wrong")
-        if validate:
-            check_lattice_morphism(self).require("not a concept lattice morphism")
+        check_lattice_morphism(self).require("not a concept lattice morphism")
 
 
 def check_lattice_morphism(m: ConceptLatticeMorphism) -> CheckResult:
@@ -234,24 +234,22 @@ def morphism_of_lattice_morphism(cm: ConceptLatticeMorphism) -> FunctionalInfomo
     )
 
 
-@dataclass(frozen=True)
-class LatticeWitness:
-    """Inverse monotone maps between a lattice and the lattice it rebuilds."""
-
-    lattice: ConceptLattice
-    rebuilt: ConceptLattice
-    forward: FunctionGraph  # rebuilt -> lattice
-    backward: FunctionGraph  # lattice -> rebuilt
-
-
-def lattice_equivalence_witness(L: ConceptLattice) -> LatticeWitness:
+def lattice_equivalence_witness(L: ConceptLattice) -> ConceptLatticeMorphism:
     """Rebuild the lattice from its own classification and exhibit the
-    isomorphism; raises if the maps fail to invert or to respect order."""
+    isomorphism, the morphism from the rebuilt lattice to ``L`` that is the
+    identity on instances and types.
+
+    Raises if a concept's extent is not rebuilt, if the maps fail to invert,
+    or if the morphism check fails; two inverse maps that are adjoint are
+    monotone both ways, so no separate order check is made."""
     K = classification_of_lattice(L)
     M = build_lattice(K)
-    backward = FunctionGraph.from_targets(
-        tuple(M.extent_index[e] for e in L.extents), M.size
-    )
+    back = tuple(map(M.extent_index.get, L.extents))
+    if None in back:
+        raise ValidationError(
+            "extent is not an extent of the rebuilt lattice", witness=(back.index(None),)
+        )
+    backward = FunctionGraph.from_targets(back, M.size)
     fwd = []
     for c in M.concepts:
         via_join = L.join_index([L.iota(a) for a in bits(c.extent)])
@@ -268,26 +266,13 @@ def lattice_equivalence_witness(L: ConceptLattice) -> LatticeWitness:
     for i in range(M.size):
         if backward(forward(i)) != i:
             raise ValidationError("round trip rebuilt->lattice->rebuilt fails", witness=(i,))
-    if not _monotone(M.order, L.order, forward) or not _monotone(L.order, M.order, backward):
-        raise ValidationError("equivalence witness is not monotone")
-    return LatticeWitness(L, M, forward, backward)
-
-
-def _monotone(src_order: Relation, dst_order: Relation, fn: FunctionGraph) -> bool:
-    """``i <= j`` implies ``fn(i) <= fn(j)``: ``<= ; fn`` lies within ``fn ; <=``."""
-    return subrelation(compose(src_order, fn.rel), compose(fn.rel, dst_order))
-
-
-def witness_as_lattice_morphism(w: LatticeWitness) -> ConceptLatticeMorphism:
-    """The rebuild isomorphism as a concept lattice morphism (identity on
-    instances and types)."""
     return ConceptLatticeMorphism(
-        w.rebuilt,
-        w.lattice,
-        w.backward,
-        w.forward,
-        FunctionGraph.identity(len(w.lattice.instance_labels)),
-        FunctionGraph.identity(len(w.lattice.type_labels)),
+        M,
+        L,
+        backward,
+        forward,
+        FunctionGraph.identity(len(L.instance_labels)),
+        FunctionGraph.identity(len(L.type_labels)),
     )
 
 
@@ -302,15 +287,13 @@ class AdjointPair:
     target: CompleteLattice
     phi: FunctionGraph  # target -> source, left adjoint
     psi: FunctionGraph  # source -> target, right adjoint
-    validate: InitVar[bool] = True
 
-    def __post_init__(self, validate: bool):
+    def __post_init__(self):
         if self.phi.shape != (self.target.size, self.source.size):
             raise ShapeError(f"phi shape {self.phi.shape} is wrong")
         if self.psi.shape != (self.source.size, self.target.size):
             raise ShapeError(f"psi shape {self.psi.shape} is wrong")
-        if validate:
-            check_adjoint(self).require("not an adjoint pair")
+        check_adjoint(self).require("not an adjoint pair")
 
 
 def check_adjoint(p: AdjointPair) -> CheckResult:
@@ -366,19 +349,11 @@ def bond_of_adjoint(p: AdjointPair) -> Bond:
     return Bond(p.source.classification, p.target.classification, rel)
 
 
-@dataclass(frozen=True)
-class EmbeddingBonds:
-    """The two embedding bonds tying a classification to its lattice."""
-
-    classification: Classification
-    order_classification: Classification
-    instance_bond: Bond  # lattice classification -> classification
-    type_bond: Bond  # classification -> lattice classification
-
-
-def embedding_bonds(A: Classification) -> EmbeddingBonds:
+def embedding_bonds(A: Classification) -> tuple[Bond, Bond]:
     """Exhibit ``A``'s isomorphism with its own concept lattice in the bond
-    category; the two bonds are mutually inverse (checked).
+    category: the instance bond, from the order classification of ``A``'s
+    lattice (its ``source``) to ``A``, and the type bond back.  The two are
+    mutually inverse (checked).
 
     Each composite is computed as the relation ``compose_bonds`` would
     give, ``G.r\\F``, and compared with the identity bond's incidence, which
@@ -391,16 +366,16 @@ def embedding_bonds(A: Classification) -> EmbeddingBonds:
         raise ValidationError("instance;type composite is not the lattice identity bond")
     if left_residual(instance_bond.r, type_bond.rel) != A.incidence:
         raise ValidationError("type;instance composite is not the identity bond")
-    return EmbeddingBonds(A, order_cls, instance_bond, type_bond)
+    return instance_bond, type_bond
 
 
 def bond_naturality_holds(F: Bond) -> bool:
     """Rebuilt bond against embedding bonds: both composition paths agree."""
-    emb_src = embedding_bonds(F.source)
-    emb_tgt = embedding_bonds(F.target)
+    inst_src, _ = embedding_bonds(F.source)
+    inst_tgt, _ = embedding_bonds(F.target)
     rebuilt = bond_of_adjoint(adjoint_of_bond(F))
-    lhs = compose_bonds(rebuilt, emb_tgt.instance_bond)
-    rhs = compose_bonds(emb_src.instance_bond, F)
+    lhs = compose_bonds(rebuilt, inst_tgt)
+    rhs = compose_bonds(inst_src, F)
     return lhs == rhs
 
 
@@ -435,15 +410,13 @@ class CompleteHomomorphism:
     source: CompleteLattice
     target: CompleteLattice
     psi: FunctionGraph
-    validate: InitVar[bool] = True
 
-    def __post_init__(self, validate: bool):
+    def __post_init__(self):
         if self.psi.shape != (self.source.size, self.target.size):
             raise ShapeError(f"psi shape {self.psi.shape} is wrong")
-        if validate:
-            is_complete_homomorphism(self.source, self.target, self.psi).require(
-                "not a complete homomorphism"
-            )
+        is_complete_homomorphism(self.source, self.target, self.psi).require(
+            "not a complete homomorphism"
+        )
 
     @view
     def pair(self) -> BondingPair:
@@ -527,10 +500,8 @@ def pair_of_hom(h: CompleteHomomorphism) -> BondingPair:
 def embedding_bonding_pairs(A: Classification) -> tuple[BondingPair, BondingPair]:
     """The mutually inverse pairs between ``A`` and its order classification:
     first A to the lattice side, then the lattice side back to A."""
-    emb = embedding_bonds(A)
-    to_lattice = BondingPair(emb.type_bond, emb.instance_bond)
-    from_lattice = BondingPair(emb.instance_bond, emb.type_bond)
-    return to_lattice, from_lattice
+    instance_bond, type_bond = embedding_bonds(A)
+    return BondingPair(type_bond, instance_bond), BondingPair(instance_bond, type_bond)
 
 
 def pair_roundtrip_holds(p: BondingPair) -> bool:
@@ -546,20 +517,16 @@ def pair_roundtrip_holds(p: BondingPair) -> bool:
     The embedding pairs' own pairing constraints are checked where that fact
     is claimed, by ``embedding_bonding_pairs``; a conjugation that is not a
     bond returns false."""
-    emb_src = embedding_bonds(p.source)
-    emb_tgt = embedding_bonds(p.target)
-    forward = left_residual(
-        emb_tgt.type_bond.r, left_residual(p.forward.r, emb_src.instance_bond.rel)
-    )
+    inst_src, type_src = embedding_bonds(p.source)
+    inst_tgt, type_tgt = embedding_bonds(p.target)
+    forward = left_residual(type_tgt.r, left_residual(p.forward.r, inst_src.rel))
     # the middle composite, B to the source's lattice side; its r is I_B/middle
-    middle = left_residual(emb_src.type_bond.r, p.backward.rel)
-    backward = left_residual(
-        right_residual(p.target.incidence, middle), emb_tgt.instance_bond.rel
-    )
+    middle = left_residual(type_src.r, p.backward.rel)
+    backward = left_residual(right_residual(p.target.incidence, middle), inst_tgt.rel)
     rebuilt = pair_of_hom(hom_of_pair(p))
     return (
-        rebuilt.source == emb_src.order_classification
-        and rebuilt.target == emb_tgt.order_classification
+        rebuilt.source == inst_src.source
+        and rebuilt.target == inst_tgt.source
         and rebuilt.forward.rel == forward
         and rebuilt.backward.rel == backward
     )

@@ -150,9 +150,9 @@ def bond_corpus(contexts, morphisms, rng: random.Random) -> list[tuple[str, Bond
         )
         items.append((f"closed-{a_id}>{b_id}", Bond(A, B, close_to_bond(A, B, seed))))
     for cid, K in _sample(rng, small, 3):
-        emb = functors.embedding_bonds(K)
-        items.append((f"iota-{cid}", emb.instance_bond))
-        items.append((f"tau-{cid}", emb.type_bond))
+        instance_bond, type_bond = functors.embedding_bonds(K)
+        items.append((f"iota-{cid}", instance_bond))
+        items.append((f"tau-{cid}", type_bond))
     return items
 
 
@@ -269,10 +269,7 @@ def _classification_roundtrip(item) -> bool:
 def _naturality_holds(cm: functors.ConceptLatticeMorphism) -> bool:
     """The rebuild isomorphisms ``iso`` (rebuilt lattice to lattice) make
     the square ``L(C(cm)) ; iso_tgt == iso_src ; cm`` commute."""
-    iso_src, iso_tgt = (
-        functors.witness_as_lattice_morphism(functors.lattice_equivalence_witness(M))
-        for M in (cm.source, cm.target)
-    )
+    iso_src, iso_tgt = map(functors.lattice_equivalence_witness, (cm.source, cm.target))
     rebuilt = functors.lattice_of_morphism(functors.morphism_of_lattice_morphism(cm))
     lhs = functors.compose_lattice_morphisms(rebuilt, iso_tgt)
     return lhs == functors.compose_lattice_morphisms(iso_src, cm)

@@ -67,9 +67,8 @@ def duplicated_instance_sum(A, B) -> CoproductDiagram:
     )
 
     def leg(inj):
-        return FunctionalInfomorphism(
-            inj.source, apex, FunctionGraph(inj.f.targets + inj.f.targets[:1], inj.f.dst_size), inj.g
-        )
+        f = FunctionGraph(inj.f.targets + inj.f.targets[:1], inj.f.dst_size)
+        return FunctionalInfomorphism(inj.source, apex, f, inj.g)
 
     return CoproductDiagram(A, B, apex, leg(d.left_injection), leg(d.right_injection), "sum")
 

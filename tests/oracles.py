@@ -23,8 +23,8 @@ import functools
 import itertools
 from types import SimpleNamespace
 
-from conceptual.errors import CheckResult
-from conceptual.functors import ConceptLatticeMorphism, check_lattice_morphism
+from conceptual.errors import CheckResult, ValidationError
+from conceptual.functors import ConceptLatticeMorphism
 from conceptual.infomorphism import FunctionalInfomorphism, check_functional
 from conceptual.relalg import FunctionGraph, Relation, bits
 
@@ -416,8 +416,10 @@ def infomorphisms_oracle(A, C, instance_identity: bool = False):
 
 def lattice_morphism_candidates(L, M):
     """For each pair of an instance and a type function, lexicographically,
-    the lattice maps they force, built unchecked: ``psi`` by meet-density,
-    ``phi`` by join-density."""
+    the lattice maps they force, ``psi`` by meet-density and ``phi`` by
+    join-density, as the tuple ``(phi, psi, f, g)``: unchecked maps, which
+    only the checking ``ConceptLatticeMorphism`` constructor makes a
+    morphism."""
     for f_t in all_functions(len(M.instance_labels), len(L.instance_labels)):
         f = FunctionGraph(f_t, len(L.instance_labels))
         for g_t in all_functions(len(L.type_labels), len(M.type_labels)):
@@ -428,16 +430,20 @@ def lattice_morphism_candidates(L, M):
             phi_t = tuple(
                 L.join_index(L.iota(f(b)) for b in bits(M.extents[y])) for y in range(M.size)
             )
-            yield ConceptLatticeMorphism(
-                L, M, FunctionGraph(phi_t, L.size), FunctionGraph(psi_t, M.size), f, g,
-                validate=False,
-            )
+            yield FunctionGraph(phi_t, L.size), FunctionGraph(psi_t, M.size), f, g
 
 
 def lattice_morphisms_oracle(L, M) -> list:
     """Every concept lattice morphism from L to M by brute force: the
-    candidates ``check_lattice_morphism`` keeps, in candidate order."""
-    return [cm for cm in lattice_morphism_candidates(L, M) if check_lattice_morphism(cm)]
+    candidates the constructor's ``check_lattice_morphism`` keeps, in
+    candidate order."""
+    out = []
+    for maps in lattice_morphism_candidates(L, M):
+        try:
+            out.append(ConceptLatticeMorphism(L, M, *maps))
+        except ValidationError:
+            continue
+    return out
 
 
 
@@ -535,9 +541,9 @@ def pair_roundtrip_by_composition(p) -> bool:
     from conceptual.bond import BondingPair, compose_bonding_pairs
     from conceptual.functors import embedding_bonds, hom_of_pair, pair_of_hom
 
-    emb_src = embedding_bonds(p.source)
-    emb_tgt = embedding_bonds(p.target)
-    from_src = BondingPair(emb_src.instance_bond, emb_src.type_bond)
-    to_tgt = BondingPair(emb_tgt.type_bond, emb_tgt.instance_bond)
+    inst_src, type_src = embedding_bonds(p.source)
+    inst_tgt, type_tgt = embedding_bonds(p.target)
+    from_src = BondingPair(inst_src, type_src)
+    to_tgt = BondingPair(type_tgt, inst_tgt)
     conjugated = compose_bonding_pairs(compose_bonding_pairs(from_src, p), to_tgt)
     return conjugated == pair_of_hom(hom_of_pair(p))

@@ -48,7 +48,8 @@ class TestDerivation:
         for _ in range(20):
             K = random_context(rng, rng.randint(0, 4), rng.randint(0, 4))
             for code in range(1 << len(K.instances)):
-                as_rel = Relation(len(K.instances), 1, tuple(code >> a & 1 for a in range(len(K.instances))))
+                n = len(K.instances)
+                as_rel = Relation(n, 1, tuple(code >> a & 1 for a in range(n)))
                 via_residual = left_residual(as_rel, K.incidence).rows[0]
                 assert via_residual == intent_of(K, code)
             for code in range(1 << len(K.types)):

@@ -558,12 +558,16 @@ class TestVerifyCommand:
         assert out1 == out2
 
     def test_inject_bug_fails(self, capsys):
-        code, out = run(capsys, "verify-equivalences", "--max-size", "1", "--seed", "5", "--inject-bug")
+        code, out = run(
+            capsys, "verify-equivalences", "--max-size", "1", "--seed", "5", "--inject-bug"
+        )
         assert code == 1
         assert "FAIL" in out
 
     def test_inject_bug_fails_with_nothing_to_perturb(self, capsys):
-        code, out = run(capsys, "verify-equivalences", "--max-size", "0", "--seed", "3", "--inject-bug")
+        code, out = run(
+            capsys, "verify-equivalences", "--max-size", "0", "--seed", "3", "--inject-bug"
+        )
         assert code == 1
         assert "FAIL classification-roundtrip on inject-bug" in out
 
@@ -595,7 +599,10 @@ class TestUsage:
         path = tmp_path / "bond.json"
         path.write_text(dumps(morphism_to_obj(identity_bond(k1))))
         assert run(capsys, "check", "bond", str(path), "--json") == (
-            0, dumps({"results": [{"file": str(path), "ok": True, "witness": None, "reason": None}]})
+            0,
+            dumps(
+                {"results": [{"file": str(path), "ok": True, "witness": None, "reason": None}]}
+            ),
         )
         assert run(capsys, "check", "bond", str(path)) == (0, f"{path}: ok\n")
 

@@ -56,7 +56,8 @@ class TestCxt:
         # int(..., 2) would accept most of these
         for row in (f"X{ch}X", f"{ch}..", f"..{ch}"):
             text = f"B\n\n2\n3\n\n1\n2\na\nb\nc\nX.X\n{row}\n"
-            with pytest.raises(ParseError, match=re.escape(f"line 12: illegal cell character {ch!r}")):
+            message = re.escape(f"line 12: illegal cell character {ch!r}")
+            with pytest.raises(ParseError, match=message):
                 parse_cxt(text)
 
     def test_first_illegal_cell_is_named(self):

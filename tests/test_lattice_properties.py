@@ -80,7 +80,8 @@ def dividends(draw) -> tuple[Relation, tuple[int, ...]]:
         K = chain_classification(draw(st.integers(1, 8)))
         L = CompleteLattice(K.instances, K.incidence)
     elif kind == "boolean":
-        L = complete_lattice_of(concept_lattice_of(contranominal_classification(draw(st.integers(0, 3)))))
+        K = contranominal_classification(draw(st.integers(0, 3)))
+        L = complete_lattice_of(concept_lattice_of(K))
     else:
         L = complete_lattice_of(concept_lattice_of(draw(contexts(max_size=3))))
     return L.classification.incidence, L.down

@@ -466,7 +466,9 @@ class TestValuesAndValidation:
             return FunctionGraph(tuple(rng.randrange(dst) for _ in range(src)), dst)
 
         outcomes = set()
-        shapes = [(0, 0, 0), (0, 0, 2), (0, 3, 1), (1, 1, 1), (3, 1, 2), (2, 2, 2), (4, 4, 3), (6, 3, 5)]
+        shapes = [
+            (0, 0, 0), (0, 0, 2), (0, 3, 1), (1, 1, 1), (3, 1, 2), (2, 2, 2), (4, 4, 3), (6, 3, 5)
+        ]
         for src, mid, dst in shapes:
             for _ in range(20):
                 f, h = random_function(src, mid), random_function(src, mid)

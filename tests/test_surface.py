@@ -11,6 +11,9 @@ whose name is not a dunder, passes when one of these holds:
 
 An ``UNREACHED`` entry that is reached or no longer defined fails as well,
 so the list only shrinks as its definitions gain readers or go.
+
+An unchecked mode is surface too: only the kinds ``conceptual check``
+reads from files, built by ``io.morphism_from_obj``, take ``validate``.
 """
 
 import ast
@@ -96,3 +99,40 @@ def test_the_allowlist_has_no_stale_entry():
 def test_reached_public_and_missing_entries_are_stale():
     entries = {"lattice.check_lattice": "", "lattice.build_lattice": "", "io.gone": ""}
     assert stale(entries) == list(entries)
+
+
+# the kinds io.morphism_from_obj builds with validate=validate
+READ_FROM_FILES = {"FunctionalInfomorphism", "RelationalInfomorphism", "Bond", "BondingPair"}
+
+
+def classes_with_validate() -> set[str]:
+    """The classes of ``src/conceptual`` with a ``validate: InitVar[...]`` field."""
+    out = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and any(
+                isinstance(field, ast.AnnAssign)
+                and isinstance(field.target, ast.Name)
+                and field.target.id == "validate"
+                and isinstance(field.annotation, ast.Subscript)
+                and ast.unparse(field.annotation.value) in ("InitVar", "dataclasses.InitVar")
+                for field in node.body
+            ):
+                out.add(node.name)
+    return out
+
+
+def built_with_validate() -> set[str]:
+    """The names ``io.morphism_from_obj`` calls with a ``validate`` keyword."""
+    tree = ast.parse((PACKAGE / "io.py").read_text(encoding="utf-8"))
+    (fn,) = (n for n in tree.body if getattr(n, "name", None) == "morphism_from_obj")
+    return {
+        ast.unparse(node.func)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and any(k.arg == "validate" for k in node.keywords)
+    }
+
+
+def test_only_the_kinds_read_from_files_take_validate():
+    assert built_with_validate() == READ_FROM_FILES
+    assert classes_with_validate() == READ_FROM_FILES
