@@ -20,11 +20,7 @@ from . import functors
 from .classification import Classification, powerset_classification
 from .classification import dual as dual_classification
 from .errors import CheckResult, ShapeError, ValidationError
-from .infomorphism import (
-    FunctionalInfomorphism,
-    compose_functional,
-    dual_functional,
-)
+from .infomorphism import FunctionalInfomorphism, dual_functional
 from .relalg import (
     FunctionGraph,
     Relation,
@@ -287,12 +283,43 @@ def enumerate_infomorphisms(A: Classification, C: Classification, instance_ident
         yield FunctionalInfomorphism(A, C, f, g, validate=False)
 
 
-def _by_restrictions(candidates, compose, left, right) -> dict:
-    """Candidates grouped by their two composites with the injections, each
-    list in candidate order: a cocone's mediators are its entry."""
+def _infomorphism_maps(m: FunctionalInfomorphism):
+    """An infomorphism's maps: those that run backward, then forward."""
+    return (m.f,), (m.g,)
+
+
+def _lattice_maps(m: functors.ConceptLatticeMorphism):
+    return (m.phi, m.f), (m.psi, m.g)
+
+
+def _key(maps, m) -> tuple:
+    """The target tuples of a morphism's maps, backward then forward: two
+    morphisms with the same endpoints are equal iff their keys are."""
+    back, forward = maps(m)
+    return tuple(x.targets for x in back + forward)
+
+
+def _by_restrictions(candidates, maps, left, right) -> dict:
+    """Candidates grouped by the keys of their two composites with the
+    injections, each list in candidate order: a cocone's mediators are the
+    entry at the keys of its two legs.
+
+    A composite ``inj;m`` runs each backward map of ``m`` then that of
+    ``inj``, and each forward map of ``inj`` then that of ``m``, as
+    ``compose_functional`` and ``compose_lattice_morphisms`` do.  Its key is
+    read with ``then_targets``, and no composite is built or checked.  Every
+    composite with ``left`` (``right``) has the endpoints of a left (right)
+    leg, so equal keys mean equal morphisms."""
+    injections = (maps(left), maps(right))
     index: dict = {}
     for m in candidates:
-        index.setdefault((compose(left, m), compose(right, m)), []).append(m)
+        back, forward = maps(m)
+        key = tuple(
+            tuple(x.then_targets(y) for x, y in zip(back, inj_back))
+            + tuple(y.then_targets(x) for x, y in zip(forward, inj_forward))
+            for inj_back, inj_forward in injections
+        )
+        index.setdefault(key, []).append(m)
     return index
 
 
@@ -322,12 +349,14 @@ def check_coproduct_property(
             report.add(transport_families(d.kind)[0], f"target-{t_i}", True)
             continue
         mediators = _by_restrictions(
-            all_mediators, compose_functional, d.left_injection, d.right_injection
+            all_mediators, _infomorphism_maps, d.left_injection, d.right_injection
         )
+        keys_b = [_key(_infomorphism_maps, mB) for mB in legs_b]
         for ca, mA in enumerate(legs_a):
+            key_a = _key(_infomorphism_maps, mA)
             for cb, mB in enumerate(legs_b):
                 item = f"target-{t_i}-cocone-{ca}-{cb}"
-                found = mediators.get((mA, mB), [])
+                found = mediators.get((key_a, keys_b[cb]), [])
                 built = coproduct_mediator(d, mA, mB)
                 ok = len(found) == 1 and found[0] == built
                 report.add(
@@ -362,15 +391,14 @@ def transport_coproduct(
     for C, target_cocones in zip(targets, cocones):
         M = functors.concept_lattice_of(C)
         iso = functors.lattice_equivalence_witness(M)
-        image = functools.cache(functors.lattice_of_morphism)
+        image_key = functools.cache(
+            lambda m: _key(_lattice_maps, functors.lattice_of_morphism(m))
+        )
         mediators = _by_restrictions(
-            _enumerate_lattice_morphisms(L_apex, M),
-            functors.compose_lattice_morphisms,
-            L_left_inj,
-            L_right_inj,
+            _enumerate_lattice_morphisms(L_apex, M), _lattice_maps, L_left_inj, L_right_inj
         )
         for item, mA, mB, mediator in target_cocones:
-            found = mediators.get((image(mA), image(mB)), [])
+            found = mediators.get((image_key(mA), image_key(mB)), [])
             formula = functors.compose_lattice_morphisms(
                 functors.lattice_of_morphism(mediator), iso
             )

@@ -351,28 +351,52 @@ def bond_of_adjoint(p: AdjointPair) -> Bond:
 
 def embedding_bonds(A: Classification) -> tuple[Bond, Bond]:
     """Exhibit ``A``'s isomorphism with its own concept lattice in the bond
-    category: the instance bond, from the order classification of ``A``'s
-    lattice (its ``source``) to ``A``, and the type bond back.  The two are
-    mutually inverse (checked).
+    category: the instance bond, ``iota = LA.iota_rel``, from the order
+    classification of ``A``'s lattice ``LA`` (its ``source``) to ``A``, and
+    the type bond, ``tau = LA.tau_rel``, back.  The two are mutually inverse
+    (checked).
 
-    Each composite is computed as the relation ``compose_bonds`` would
-    give, ``G.r\\F``, and compared with the identity bond's incidence, which
-    is stronger than being a bond."""
+    The check reads the bonds' own views, so later readers find them built.
+    In a concept lattice the extents derive to the intents and back
+    (Ganter & Wille, *Formal Concept Analysis*, 1999, Thm. 3): the instance
+    bond's ``s``, ``iota\\I``, is ``tau``, and the type bond's ``r``,
+    ``I/tau``, is ``iota``.  These two identities give the instance bond's
+    column closure and the type bond's row closure, and they make the
+    instance;type composite ``G.r\\F`` of ``compose_bonds`` the order
+    ``iota\\iota``.  The other two closures, over the order, and the
+    type;instance composite are computed.  Both bonds' ``is_bond`` and both
+    composites follow, so the check is no weaker than validating the
+    bonds."""
     LA = concept_lattice_of(A)
     order_cls = complete_lattice_of(LA).classification
-    instance_bond = Bond(order_cls, A, LA.iota_rel)
-    type_bond = Bond(A, order_cls, LA.tau_rel)
-    if left_residual(type_bond.r, instance_bond.rel) != order_cls.incidence:
+    leq, iota, tau = order_cls.incidence, LA.iota_rel, LA.tau_rel
+    instance_bond = Bond(order_cls, A, iota, validate=False)
+    type_bond = Bond(A, order_cls, tau, validate=False)
+    if instance_bond.s != tau:
+        raise ValidationError("the extents do not derive to the intents")
+    if type_bond.r != iota:
+        raise ValidationError("the intents do not derive to the extents")
+    if left_residual(instance_bond.r, leq) != iota:
+        raise ValidationError("instance bond rows are not principal filters of the order")
+    if right_residual(leq, type_bond.s) != tau:
+        raise ValidationError("type bond columns are not principal ideals of the order")
+    if LA.order != leq:
         raise ValidationError("instance;type composite is not the lattice identity bond")
-    if left_residual(instance_bond.r, type_bond.rel) != A.incidence:
+    if left_residual(instance_bond.r, tau) != A.incidence:
         raise ValidationError("type;instance composite is not the identity bond")
     return instance_bond, type_bond
 
 
+def _end_embeddings(F: Bond | BondingPair) -> tuple[tuple[Bond, Bond], tuple[Bond, Bond]]:
+    """The embedding bonds of the source and of the target of ``F``, built
+    once when the two are equal."""
+    src = embedding_bonds(F.source)
+    return src, src if F.target == F.source else embedding_bonds(F.target)
+
+
 def bond_naturality_holds(F: Bond) -> bool:
     """Rebuilt bond against embedding bonds: both composition paths agree."""
-    inst_src, _ = embedding_bonds(F.source)
-    inst_tgt, _ = embedding_bonds(F.target)
+    (inst_src, _), (inst_tgt, _) = _end_embeddings(F)
     rebuilt = bond_of_adjoint(adjoint_of_bond(F))
     lhs = compose_bonds(rebuilt, inst_tgt)
     rhs = compose_bonds(inst_src, F)
@@ -414,9 +438,16 @@ class CompleteHomomorphism:
     def __post_init__(self):
         if self.psi.shape != (self.source.size, self.target.size):
             raise ShapeError(f"psi shape {self.psi.shape} is wrong")
-        is_complete_homomorphism(self.source, self.target, self.psi).require(
+        is_complete_homomorphism(self.source, self.target, self).require(
             "not a complete homomorphism"
         )
+
+    @view
+    def principal_preimages(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """``psi``'s inverse images of the target's principal up-sets, then of
+        its principal down-sets: the two batches the check finds principal,
+        from which ``canonical_adjoints`` reads the adjoints."""
+        return self.psi.preimages(self.target.up), self.psi.preimages(self.target.down)
 
     @view
     def pair(self) -> BondingPair:
@@ -428,7 +459,7 @@ class CompleteHomomorphism:
 
 
 def is_complete_homomorphism(
-    L: CompleteLattice, K: CompleteLattice, psi: FunctionGraph
+    L: CompleteLattice, K: CompleteLattice, psi: FunctionGraph | CompleteHomomorphism
 ) -> CheckResult:
     """``psi`` preserves all meets iff it has a left adjoint, and all joins
     iff it has a right adjoint (Davey & Priestley, *Introduction to Lattices
@@ -443,20 +474,25 @@ def is_complete_homomorphism(
     of ``L.up_index``, and the join check that every preimage of a down-set
     of ``K`` be a key of ``L.down_index``; no meet or join is computed.
 
-    Top and bottom, the empty meet and join, are cheap early exits.  A
-    failing check names the first ``K`` element ``y`` where it fails, the
-    meet check first.
+    ``psi`` is a map or a ``CompleteHomomorphism`` from ``L`` to ``K``,
+    whose view ``principal_preimages`` serves as the two batches and keeps
+    them for its adjoints.  Top and bottom, the empty meet and join, are
+    cheap early exits.  A failing check names the first ``K`` element ``y``
+    where it fails, the meet check first.
     """
+    hom = psi if isinstance(psi, CompleteHomomorphism) else None
+    if hom is not None:
+        psi = hom.psi
     if psi(L.top) != K.top:
         return CheckResult(False, witness=("top",), reason="top is not preserved")
     if psi(L.bottom) != K.bottom:
         return CheckResult(False, witness=("bottom",), reason="bottom is not preserved")
-    for kind, tgt_rows, principal in (
-        ("meet", K.up, L.up_index),
-        ("join", K.down, L.down_index),
-    ):
-        preimages = enumerate(psi.preimages(tgt_rows))
-        y = next((y for y, s in preimages if s not in principal), None)
+    if hom is None:
+        batches = psi.preimages(K.up), psi.preimages(K.down)
+    else:
+        batches = hom.principal_preimages
+    for kind, preimages, principal in zip(("meet", "join"), batches, (L.up_index, L.down_index)):
+        y = next((y for y, s in enumerate(preimages) if s not in principal), None)
         if y is not None:
             return CheckResult(
                 False, witness=(kind, K.elements[y]), reason=f"a {kind} is not preserved"
@@ -477,13 +513,18 @@ def compose_homs(
 
 
 def canonical_adjoints(h: CompleteHomomorphism) -> tuple[FunctionGraph, FunctionGraph]:
-    """Left and right adjoints of a complete homomorphism, by meet/join
-    formulas over the preimages: ``phi(y)`` is the meet of ``psi^-1(up y)``
-    and ``theta(y)`` the join of ``psi^-1(down y)``."""
-    L, K, psi = h.source, h.target, h.psi
+    """Left and right adjoints of a complete homomorphism: ``phi(y)`` is the
+    meet of ``psi^-1(up y)`` and ``theta(y)`` the join of ``psi^-1(down y)``.
+
+    The check found each preimage principal, and the meet of a principal
+    up-set (the join of a principal down-set) is its generator, so both
+    adjoints are ``up_index`` and ``down_index`` lookups of the hom's
+    ``principal_preimages``."""
+    L = h.source
+    ups, downs = h.principal_preimages
     return (
-        FunctionGraph(tuple(map(L.meet_of, psi.preimages(K.up))), L.size),
-        FunctionGraph(tuple(map(L.join_of, psi.preimages(K.down))), L.size),
+        FunctionGraph(tuple(map(L.up_index.__getitem__, ups)), L.size),
+        FunctionGraph(tuple(map(L.down_index.__getitem__, downs)), L.size),
     )
 
 
@@ -517,8 +558,7 @@ def pair_roundtrip_holds(p: BondingPair) -> bool:
     The embedding pairs' own pairing constraints are checked where that fact
     is claimed, by ``embedding_bonding_pairs``; a conjugation that is not a
     bond returns false."""
-    inst_src, type_src = embedding_bonds(p.source)
-    inst_tgt, type_tgt = embedding_bonds(p.target)
+    (inst_src, type_src), (inst_tgt, type_tgt) = _end_embeddings(p)
     forward = left_residual(type_tgt.r, left_residual(p.forward.r, inst_src.rel))
     # the middle composite, B to the source's lattice side; its r is I_B/middle
     middle = left_residual(type_src.r, p.backward.rel)

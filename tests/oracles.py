@@ -365,6 +365,17 @@ def complete_hom_oracle(L, K, psi) -> tuple[bool, tuple | None]:
     raise AssertionError("some bound is not preserved, yet both adjoints exist")
 
 
+def canonical_adjoints_oracle(h) -> tuple[FunctionGraph, FunctionGraph]:
+    """The adjoints of a complete homomorphism by the meet and join folds:
+    ``phi(y)`` is the meet of ``psi^-1(up y)`` and ``theta(y)`` the join of
+    ``psi^-1(down y)``, each found by ``meet_of``/``join_of``."""
+    L, K, psi = h.source, h.target, h.psi
+    return (
+        FunctionGraph(tuple(map(L.meet_of, psi.preimages(K.up))), L.size),
+        FunctionGraph(tuple(map(L.join_of, psi.preimages(K.down))), L.size),
+    )
+
+
 def adjoint_oracle(L, K, phi, psi) -> tuple[int, int] | None:
     """First ``(y, x)``, ``y`` of ``K`` and then ``x`` of ``L`` ascending, at
     which ``phi(y) <= x`` and ``y <= psi(x)`` disagree; ``None`` when
@@ -445,6 +456,16 @@ def lattice_morphisms_oracle(L, M) -> list:
             continue
     return out
 
+
+
+def by_restrictions_oracle(candidates, compose, left, right) -> dict:
+    """Candidates grouped by their two composites with the injections, each
+    a morphism built and checked by ``compose`` and used as a dict key; each
+    list in candidate order."""
+    index: dict = {}
+    for m in candidates:
+        index.setdefault((compose(left, m), compose(right, m)), []).append(m)
+    return index
 
 
 def cocone_mediators(candidates, compose, left, right, leg_a, leg_b) -> list:
@@ -547,3 +568,27 @@ def pair_roundtrip_by_composition(p) -> bool:
     to_tgt = BondingPair(type_tgt, inst_tgt)
     conjugated = compose_bonding_pairs(compose_bonding_pairs(from_src, p), to_tgt)
     return conjugated == pair_of_hom(hom_of_pair(p))
+
+
+# -- embedding bonds ----------------------------------------------------------------
+
+
+def embedding_bonds_oracle(A) -> tuple:
+    """The embedding bonds of ``A`` as two ``Bond``s, each checked by
+    ``is_bond``, then both composites, each the relation ``compose_bonds``
+    would give, compared with an identity incidence.  The lattice is read
+    through ``functors.concept_lattice_of``, so a test that replaces it
+    reaches this oracle too."""
+    from conceptual import functors
+    from conceptual.bond import Bond
+    from conceptual.relalg import left_residual
+
+    LA = functors.concept_lattice_of(A)
+    order_cls = functors.complete_lattice_of(LA).classification
+    instance_bond = Bond(order_cls, A, LA.iota_rel)
+    type_bond = Bond(A, order_cls, LA.tau_rel)
+    if left_residual(type_bond.r, instance_bond.rel) != order_cls.incidence:
+        raise ValidationError("instance;type composite is not the lattice identity bond")
+    if left_residual(instance_bond.r, type_bond.rel) != A.incidence:
+        raise ValidationError("type;instance composite is not the identity bond")
+    return instance_bond, type_bond

@@ -1,5 +1,5 @@
-"""Bounded property tests of the bond laws, on random contexts up to 7x7,
-0-sized carriers included (Ganter & Wille, *Formal Concept Analysis*,
+"""Bounded property tests of the bond laws, on random contexts up to 7x7
+(8x8 for the embedding bonds), 0-sized carriers included (Ganter & Wille, *Formal Concept Analysis*,
 Springer 1999, ch. 7; Schmidt & Stroehlein, *Relations and Graphs*,
 Springer 1993, ch. 4)."""
 
@@ -19,9 +19,11 @@ from conceptual.bond import (
     is_bond,
 )
 from conceptual.classification import Classification
+from conceptual.functors import embedding_bonds
 from conceptual.infomorphism import RelationalInfomorphism, check_relational
 from conceptual.relalg import left_residual, right_residual, subrelation, union
 
+from oracles import embedding_bonds_oracle
 from test_relalg_properties import relations
 
 PROPERTY = settings(max_examples=100, deadline=None, database=None)
@@ -111,3 +113,19 @@ def test_column_closure_is_a_closure(inputs):
     assert subrelation(X, closed)
     assert subrelation(closed, close(union(X, Z)))
     assert close(closed) == closed
+
+
+@st.composite
+def contexts_up_to_8x8(draw):
+    return context(draw, 8)
+
+
+@PROPERTY
+@given(contexts_up_to_8x8())
+def test_embedding_bonds_are_the_oracles(A):
+    # checked by the derivation identities, the pair is the one the oracle
+    # validates bond by bond, and each bond passes is_bond on its own
+    got = embedding_bonds(A)
+    assert got == embedding_bonds_oracle(A)
+    for F in got:
+        assert is_bond(F.source, F.target, F.rel)

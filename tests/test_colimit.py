@@ -16,6 +16,9 @@ from conceptual.colimit import (
     DualInvariant,
     _by_restrictions,
     _enumerate_lattice_morphisms,
+    _infomorphism_maps,
+    _key,
+    _lattice_maps,
     apposition,
     check_coproduct_property,
     check_dual_invariant,
@@ -38,6 +41,7 @@ from conceptual.infomorphism import (
 from conceptual.lattice import ConceptLattice, FormalConcept
 from conceptual.relalg import FunctionGraph, Relation
 from conceptual.report import VerificationReport
+from conceptual.verify import verify_equivalences
 
 import oracles
 from conftest import duplicated_instance_sum, random_context
@@ -384,14 +388,15 @@ class TestMediatorIndex:
                     functors.concept_lattice_of(d.apex), functors.concept_lattice_of(C)
                 )
                 index = _by_restrictions(
-                    mediators, compose_functional, d.left_injection, d.right_injection
+                    mediators, _infomorphism_maps, d.left_injection, d.right_injection
                 )
                 lattice_index = _by_restrictions(
-                    lattice_mediators, functors.compose_lattice_morphisms, L_left, L_right
+                    lattice_mediators, _lattice_maps, L_left, L_right
                 )
                 for mA in legs_a:
                     for mB in legs_b:
-                        assert index.get((mA, mB), []) == oracles.cocone_mediators(
+                        legs = (_key(_infomorphism_maps, mA), _key(_infomorphism_maps, mB))
+                        assert index.get(legs, []) == oracles.cocone_mediators(
                             mediators,
                             compose_functional,
                             d.left_injection,
@@ -400,7 +405,8 @@ class TestMediatorIndex:
                             mB,
                         )
                         gammas = tuple(functors.lattice_of_morphism(m) for m in (mA, mB))
-                        assert lattice_index.get(gammas, []) == oracles.cocone_mediators(
+                        keys = tuple(_key(_lattice_maps, gamma) for gamma in gammas)
+                        assert lattice_index.get(keys, []) == oracles.cocone_mediators(
                             lattice_mediators,
                             functors.compose_lattice_morphisms,
                             L_left,
@@ -547,6 +553,73 @@ class TestTransportBeyondTheBruteForce:
         of the two default targets."""
         T = self.contexts()[2]
         assert transport_coproduct(apposition(T, T)).counts() == self.passed("apposition", 32)
+
+
+class TestIndexKeyedByMaps:
+    """``_by_restrictions`` keys each candidate by the target tuples of its
+    composites with the injections; ``oracles.by_restrictions_oracle`` keys
+    it by the checked composites themselves.  The two indexes hold the same
+    mediator lists under corresponding keys, in the same order."""
+
+    @staticmethod
+    def same_index(candidates, maps, left, right) -> int:
+        """Compare the two indexes; the number of entries."""
+        compose = {
+            _infomorphism_maps: compose_functional,
+            _lattice_maps: functors.compose_lattice_morphisms,
+        }[maps]
+        expected = oracles.by_restrictions_oracle(candidates, compose, left, right)
+        assert list(_by_restrictions(candidates, maps, left, right).items()) == [
+            ((_key(maps, a), _key(maps, b)), found) for (a, b), found in expected.items()
+        ]
+        return len(expected)
+
+    def both_sides(self, d, C) -> tuple[int, int]:
+        """The classification side and the lattice side of ``d`` into ``C``:
+        the entries of each."""
+        fiber = d.kind == "apposition"
+        L_left, L_right = (
+            functors.lattice_of_morphism(m) for m in (d.left_injection, d.right_injection)
+        )
+        return self.same_index(
+            list(enumerate_infomorphisms(d.apex, C, instance_identity=fiber)),
+            _infomorphism_maps,
+            d.left_injection,
+            d.right_injection,
+        ), self.same_index(
+            _enumerate_lattice_morphisms(
+                functors.concept_lattice_of(d.apex), functors.concept_lattice_of(C)
+            ),
+            _lattice_maps,
+            L_left,
+            L_right,
+        )
+
+    def test_beyond_the_brute_force(self):
+        """The sum and the apposition of ``TestTransportBeyondTheBruteForce``:
+        143 and 16 cocones, one entry each on the classification side.  The
+        lattice side indexes every lattice morphism out of the apex, in the
+        instance fiber or not, so the apposition has more entries there."""
+        A, B, T = TestTransportBeyondTheBruteForce().contexts()
+        assert self.both_sides(coproduct_sum(A, B), T) == (143, 143)
+        assert self.both_sides(apposition(T, T), T) == (16, 576)
+
+    def test_on_the_verify_corpora(self, monkeypatch):
+        """Every index ``transport_coproduct`` builds for the sum and
+        apposition rows of ``verify_equivalences`` at ``--max-size 3``,
+        seeds 0-11."""
+        original = colimit._by_restrictions
+        sides = collections.Counter()
+
+        def compared(candidates, maps, left, right):
+            sides[maps.__name__] += 1
+            self.same_index(candidates, maps, left, right)
+            return original(candidates, maps, left, right)
+
+        monkeypatch.setattr(colimit, "_by_restrictions", compared)
+        for seed in range(12):
+            assert verify_equivalences(max_size=3, seed=seed).exit_code == 0
+        assert min(sides["_infomorphism_maps"], sides["_lattice_maps"]) > 12
 
 
 def test_dual_invariant_witness_is_the_pair_loops():

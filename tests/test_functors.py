@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import pytest
 
 from conceptual import bond as bond_module
-from conceptual import functors, relalg
+from conceptual import functors, relalg, verify
 from conceptual.bond import (
     Bond,
     BondingPair,
@@ -16,6 +16,7 @@ from conceptual.bond import (
     compose_bonds,
     identity_bond,
     identity_bonding_pair,
+    is_bond,
     is_bonding_pair,
 )
 from conceptual.classification import (
@@ -89,7 +90,9 @@ from conftest import BOWTIE, all_contexts, order_from_covers, random_context
 from oracles import (
     adjoint_masks_oracle,
     adjoint_oracle,
+    canonical_adjoints_oracle,
     complete_hom_oracle,
+    embedding_bonds_oracle,
     inf_oracle,
     lattice_order_oracle,
     pair_roundtrip_by_composition,
@@ -615,6 +618,61 @@ class TestCompleteRelationalEquivalence:
                 assert lhs == rhs
 
 
+class TestAdjointsByLookup:
+    """``canonical_adjoints`` reads both adjoints, as ``up_index`` and
+    ``down_index`` lookups, from the preimage batches the hom's check kept;
+    ``canonical_adjoints_oracle`` folds ``meet_of`` and ``join_of`` over
+    preimages computed afresh."""
+
+    def test_on_the_hom_corpora(self):
+        """The hom corpus of ``verify_equivalences`` at ``--max-size 3``,
+        seeds 0-11, built with the same draws."""
+        homs = 0
+        for seed in range(12):
+            rng = random.Random(seed)
+            contexts = verify.context_corpus(3, rng)
+            morphisms = verify.infomorphism_corpus(contexts, rng)
+            verify.adjoint_corpus(contexts, verify.bond_corpus(contexts, morphisms, rng), rng)
+            for _, h in verify.hom_corpus(contexts, rng):
+                assert canonical_adjoints(h) == canonical_adjoints_oracle(h)
+                homs += 1
+        assert homs == 139
+
+    def test_on_seeded_boolean_homs(self):
+        """Inverse images along seeded functions ``[b] -> [a]``, homs from
+        2^a to 2^b, for every ``a, b <= 7`` with such a function."""
+        rng = random.Random(24)
+        homs = 0
+        for a, b in itertools.product(range(8), repeat=2):
+            if a or not b:
+                f = tuple(rng.randrange(a) for _ in range(b))
+                h = TestDerivedViews.boolean_hom(a, b, f)
+                assert canonical_adjoints(h) == canonical_adjoints_oracle(h)
+                homs += 1
+        assert homs == 57
+
+    def test_constructor_verdicts_are_the_oracles(self):
+        """Every map between each ordered pair of small lattices, through the
+        constructor, whose check reads the hom's own batches: a hom exactly
+        where the oracle says so, with the oracle's adjoints, and otherwise
+        the oracle's witness."""
+        verdicts = collections.Counter()
+        for L, K in itertools.product(small_lattices(), repeat=2):
+            for psi_t in itertools.product(range(K.size), repeat=L.size):
+                psi = FunctionGraph(psi_t, K.size)
+                ok, witness = complete_hom_oracle(L, K, psi)
+                if ok:
+                    h = CompleteHomomorphism(L, K, psi)
+                    assert is_complete_homomorphism(L, K, h)
+                    assert canonical_adjoints(h) == canonical_adjoints_oracle(h)
+                else:
+                    with pytest.raises(ValidationError) as exc:
+                        CompleteHomomorphism(L, K, psi)
+                    assert exc.value.witness == witness
+                verdicts[witness[0] if witness else True] += 1
+        assert set(verdicts) == {True, "top", "bottom", "meet", "join"}
+
+
 class TestOrderLattice:
     """A lattice owns its order classification as a view, and residuals into
     any incidence, an order or not, go through one kernel."""
@@ -916,9 +974,10 @@ class TestPairRoundtripByResiduals:
             assert pair_roundtrip_holds(p) is (q is rebuilt)
 
     def test_builds_only_the_rebuilt_pair(self, monkeypatch):
-        """On a parsed spread boolean hom 2^5 -> 2^3: one pairing check, for
-        the rebuilt pair, and six bond checks, four for the two embeddings
-        and two for the rebuilt pair; no bond is composed."""
+        """On a parsed spread boolean hom 2^5 -> 2^3: one pairing check and
+        two bond checks, all three for the rebuilt pair; no bond is
+        composed.  The embeddings are checked by their derivation
+        identities, not by ``is_bond``."""
         q = self.parsed(pair_of_hom(self.boolean_hom(5, 3, (4, 1, 2))))
         hom_of_pair(q)
         calls = collections.Counter()
@@ -935,7 +994,120 @@ class TestPairRoundtripByResiduals:
                         if value is original:
                             monkeypatch.setattr(module, key, counted)
         assert pair_roundtrip_holds(q)
-        assert calls == {"is_bonding_pair": 1, "is_bond": 6}
+        assert calls == {"is_bonding_pair": 1, "is_bond": 2}
+
+
+class TestEmbeddingBondsByIdentities:
+    """``embedding_bonds`` checks the pair by the derivation identities of a
+    concept lattice and validates neither bond; ``embedding_bonds_oracle``
+    validates both bonds by ``is_bond`` and compares both composites."""
+
+    def test_every_context_up_to_3x3(self):
+        for A in all_contexts(3, 3):
+            got = embedding_bonds(A)
+            assert got == embedding_bonds_oracle(A)
+            for bond in got:
+                assert is_bond(bond.source, bond.target, bond.rel)
+
+    @staticmethod
+    def skews(L: ConceptLattice):
+        """``L`` with the extents of two concepts swapped, for each pair, and
+        with one concept dropped, for each concept but the first; a dropped
+        concept's instances and types go to the first."""
+        c = L.concepts
+        for i, j in itertools.combinations(range(L.size), 2):
+            swapped = list(c)
+            swapped[i], swapped[j] = c[i]._replace(extent=c[j].extent), c[j]._replace(
+                extent=c[i].extent
+            )
+            yield ConceptLattice(tuple(swapped), L.instance_labels, L.type_labels, L.iota, L.tau)
+        for k in range(1, L.size):
+            kept = c[:k] + c[k + 1:]
+
+            def reindexed(fn, k=k):
+                targets = tuple(0 if x == k else x - (x > k) for x in fn.targets)
+                return FunctionGraph(targets, L.size - 1)
+
+            yield ConceptLattice(
+                kept, L.instance_labels, L.type_labels, reindexed(L.iota), reindexed(L.tau)
+            )
+
+    @staticmethod
+    def raises(monkeypatch, A: Classification, L: ConceptLattice) -> tuple[bool, bool]:
+        """Whether ``embedding_bonds`` and its oracle raise on ``A`` when
+        ``concept_lattice_of`` gives ``L`` for it."""
+        genuine = functors.concept_lattice_of
+
+        def raised(check) -> bool:
+            try:
+                check(A)
+            except ValidationError:
+                return True
+            return False
+
+        monkeypatch.setattr(functors, "concept_lattice_of", lambda K: L if K == A else genuine(K))
+        outcome = raised(embedding_bonds), raised(embedding_bonds_oracle)
+        monkeypatch.setattr(functors, "concept_lattice_of", genuine)
+        return outcome
+
+    def test_skewed_lattices_raise_where_the_oracle_does(self, monkeypatch):
+        """Three skews: the 2x1 lattice of
+        ``test_the_morphism_check_drops_candidates_of_a_skewed_lattice`` with
+        ``tau`` sent to the top, which neither check reads; the two atoms of
+        2^2 with their extents swapped, which the identities catch and the
+        oracle catches at a composite; and 2^2 with an atom dropped, which
+        both catch at the type;instance composite."""
+        one = Classification.from_pairs(("i0", "i1"), ("t0",), [("i0", "t0")])
+        L = concept_lattice_of(one)
+        tau_to_top = ConceptLattice(
+            L.concepts, L.instance_labels, L.type_labels, L.iota, FunctionGraph((0,), 2)
+        )
+        square = contranominal_classification(2)
+        skews = list(self.skews(concept_lattice_of(square)))
+        swapped_atoms, dropped_atom = skews[3], skews[-2]
+        assert [c.extent for c in swapped_atoms.concepts] == [0b11, 0b10, 0b01, 0b00]
+        assert [c.extent for c in dropped_atom.concepts] == [0b11, 0b01, 0b00]
+        outcomes = [
+            self.raises(monkeypatch, A, S)
+            for A, S in ((one, tau_to_top), (square, swapped_atoms), (square, dropped_atom))
+        ]
+        assert outcomes == [(False, False), (True, True), (True, True)]
+
+    def test_every_skew_up_to_2x3_raises_where_the_oracle_does(self, monkeypatch):
+        """Every skew of ``skews`` of the lattice of each context up to 2x3:
+        408 of them, and both checks raise on each."""
+        seen = collections.Counter()
+        for A in all_contexts(2, 3):
+            for S in self.skews(concept_lattice_of(A)):
+                seen[self.raises(monkeypatch, A, S)] += 1
+        assert seen == {(True, True): 408}
+
+    @pytest.mark.parametrize("holds", [pair_roundtrip_holds, bond_naturality_holds])
+    def test_equal_endpoints_build_the_embeddings_once(self, monkeypatch, holds):
+        """One ``embedding_bonds`` call when source and target are equal,
+        two otherwise."""
+        square = contranominal_classification(2)
+        endo = pair_of_hom(TestDerivedViews.boolean_hom(2, 2, (1, 0)))
+        spread = pair_of_hom(TestDerivedViews.boolean_hom(2, 1, (1,)))
+        calls = []
+        original = functors.embedding_bonds
+
+        def counted(A):
+            calls.append(A)
+            return original(A)
+
+        monkeypatch.setattr(functors, "embedding_bonds", counted)
+        for arrow, expected in (
+            (identity_bonding_pair(square), 1),
+            (endo, 1),
+            (spread, 2),
+            (embedding_bonding_pairs(square)[0], 2),
+        ):
+            if holds is bond_naturality_holds:
+                arrow = arrow.forward
+            calls.clear()
+            assert holds(arrow)
+            assert len(calls) == expected
 
 
 class TestIrreducibility:

@@ -22,6 +22,14 @@ against the brute-force loops of ``tests/oracles.py``, each pair of an
 instance and a type function; on 3x3+3x3 into 3x3, 531,441 such pairs, it
 runs them alone, and ``--check`` compares the instance and type functions
 of the two sides, which are the same pairs in the same order.
+
+A third table times ``functors.embedding_bonds``, which checks the pair by
+the derivation identities of a concept lattice, against
+``embedding_bonds_oracle``, which validates both bonds and compares both
+composites: over the 698 contexts of the verify corpus of one seed at size
+3, and on the order classification of the boolean lattice 2^7.  The
+lattices are built before timing, so a row times the checks alone.
+``--check`` compares the two sides' bonds, endpoints and relations.
 """
 
 from __future__ import annotations
@@ -35,8 +43,8 @@ from time import perf_counter
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from conceptual import functors  # noqa: E402
-from conceptual.classification import Classification  # noqa: E402
+from conceptual import functors, verify  # noqa: E402
+from conceptual.classification import Classification, contranominal_classification  # noqa: E402
 from conceptual.colimit import (  # noqa: E402
     _enumerate_lattice_morphisms,
     coproduct_sum,
@@ -44,6 +52,7 @@ from conceptual.colimit import (  # noqa: E402
 )
 from conceptual.relalg import Relation, left_residual, right_residual, transpose  # noqa: E402
 from oracles import (  # noqa: E402
+    embedding_bonds_oracle,
     infomorphisms_oracle,
     lattice_morphisms_oracle,
     left_residual_sweep_oracle,
@@ -71,6 +80,10 @@ KERNELS = [
 # with mediators on both (6 and 81 of them)
 DIAGRAMS = [((2, 3), True), ((3, 3), False)]
 DIAGRAM_SEED = 28
+
+# the verify corpus whose contexts the embedding rows check: the first
+# seed of the verify workload, at its size
+CORPUS_SEED = 7
 
 
 def random_relation(rng: random.Random, m: int, n: int, p: float) -> Relation:
@@ -167,6 +180,43 @@ def probe_enumerators(check: bool) -> tuple[int, int]:
     return compared, differ
 
 
+def embedding_inputs() -> list[tuple[str, list[Classification]]]:
+    """The contexts of the embedding rows, by name."""
+    corpus = [K for _, K in verify.context_corpus(3, random.Random(CORPUS_SEED))]
+    boolean = functors.concept_lattice_of(contranominal_classification(7))
+    return [
+        (f"corpus seed {CORPUS_SEED}", corpus),
+        ("order of 2^7", [functors.complete_lattice_of(boolean).classification]),
+    ]
+
+
+def probe_embeddings(check: bool) -> tuple[int, int]:
+    """Print the embedding rows, or compare the bonds of the two sides; the
+    number of comparisons made and of those that differ."""
+    if not check:
+        print(f"\n{'contexts':>17} {'count':>6} {'identities ms':>14} {'oracle ms':>10}"
+              f" {'speed-up':>8}")
+    compared = differ = 0
+    for name, contexts in embedding_inputs():
+        def kernel():
+            return [functors.embedding_bonds(A) for A in contexts]
+
+        def loop():
+            return [embedding_bonds_oracle(A) for A in contexts]
+
+        if check:
+            compared += 1
+            if kernel() != loop():
+                differ += 1
+                print(f"differs: embedding bonds on {name}")
+            continue
+        loop()  # builds the lattices and their views
+        k, ref = best_time(kernel), best_time(loop)
+        print(f"{name:>17} {len(contexts):>6} {k * 1e3:>14.3f} {ref * 1e3:>10.3f}"
+              f" {ref / k:>7.2f}x")
+    return compared, differ
+
+
 def main(argv: list[str] | None = None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--check", action="store_true", help="compare results only, time nothing")
@@ -191,7 +241,9 @@ def main(argv: list[str] | None = None) -> int:
                     f" {ref / k:>7.2f}x"
                 )
     compared, enum_differ = probe_enumerators(args.check)
-    differ += enum_differ
+    embedding_compared, embedding_differ = probe_embeddings(args.check)
+    compared += embedding_compared
+    differ += enum_differ + embedding_differ
     if args.check:
         total = len(SHAPES) * len(DENSITIES) * len(KERNELS) + compared
         print(f"{total - differ} results equal, {differ} differ")
