@@ -28,6 +28,7 @@ from .relalg import (
     compose,
     first_difference,
     identity,
+    pullback,
     transpose,
     union,
 )
@@ -244,20 +245,21 @@ def dual_quotient(
 # -- universal properties -------------------------------------------------------
 
 
-def _propagate(f_candidates, f_size: int, source_cols, target_cols):
+def _propagate(f_candidates, source_cols, source_rows, target_cols):
     """Each ``(f, g)`` with ``f`` from ``f_candidates``, target tuples into
-    ``range(f_size)``, and ``g`` sending each source column, pulled back
-    along ``f``, to an equal target column: ``f.preimages(source_cols)[t]
-    == target_cols[g(t)]``.  Lexicographic in ``f``, then in ``g``: for each
-    ``f`` the ``g`` are the product of the ascending types of each pulled-back
-    column."""
+    the source instances, and ``g`` sending each source column, pulled back
+    along ``f``, to an equal target column: ``pullback(source_cols,
+    source_rows, f)[t] == target_cols[g(t)]``.  ``source_rows`` are
+    the source's instance rows, the columns of ``source_cols``.
+    Lexicographic in ``f``, then in ``g``: for each ``f`` the ``g`` are the
+    product of the ascending types of each pulled-back column."""
     types_of: dict[int, list[int]] = {}
     for u, col in enumerate(target_cols):
         types_of.setdefault(col, []).append(u)
-    n = len(target_cols)
+    n, f_size = len(target_cols), len(source_rows)
     for f_t in f_candidates:
         f = FunctionGraph(f_t, f_size)
-        choices = [types_of.get(col, ()) for col in f.preimages(source_cols)]
+        choices = [types_of.get(col, ()) for col in pullback(source_cols, source_rows, f)]
         for g_t in itertools.product(*choices):
             yield f, FunctionGraph(g_t, n)
 
@@ -279,7 +281,7 @@ def enumerate_infomorphisms(A: Classification, C: Classification, instance_ident
     else:
         # no instance functions exist into an empty source unless C is empty too
         f_candidates = itertools.product(range(na), repeat=nc)
-    for f, g in _propagate(f_candidates, na, A.cols, C.cols):
+    for f, g in _propagate(f_candidates, A.cols, A.rows, C.cols):
         yield FunctionalInfomorphism(A, C, f, g, validate=False)
 
 
@@ -428,14 +430,20 @@ def _enumerate_lattice_morphisms(L, M) -> list:
     contexts that rejects nothing, as the candidates are the infomorphisms';
     it drops those of a lattice whose embeddings disagree with its concepts."""
 
-    def columns(K):
+    def incidence(K):
+        """The type columns and the instance rows of ``K``, ``a`` under
+        ``t`` iff ``iota(a) <= tau(t)``: the down-sets of the ``tau``
+        concepts pulled back along ``iota``, and their columns, ``tau``'s
+        preimages of the up-sets, gathered along ``iota``."""
         down = K.order.columns
-        return K.iota.preimages(down[x] for x in K.tau.targets)
+        above = pullback(K.order.rows, down, K.tau)
+        below = tuple(map(down.__getitem__, K.tau.targets))
+        return pullback(below, above, K.iota), tuple(map(above.__getitem__, K.iota.targets))
 
     out = []
-    n_inst_l = len(L.instance_labels)
-    f_candidates = itertools.product(range(n_inst_l), repeat=len(M.instance_labels))
-    for f, g in _propagate(f_candidates, n_inst_l, columns(L), columns(M)):
+    f_candidates = itertools.product(range(len(L.instance_labels)), repeat=len(M.instance_labels))
+    (source_cols, source_rows), (target_cols, _) = incidence(L), incidence(M)
+    for f, g in _propagate(f_candidates, source_cols, source_rows, target_cols):
         psi_t = tuple(
             M.meet_index(M.tau(g(t)) for t in bits(L.intents[x])) for x in range(L.size)
         )

@@ -37,6 +37,7 @@ from .relalg import (
     bits,
     left_residual,
     mask_of,
+    pullback,
     right_residual,
     transpose,
     view,
@@ -169,7 +170,8 @@ class ConceptLatticeMorphism:
 
 def check_lattice_morphism(m: ConceptLatticeMorphism) -> CheckResult:
     src, tgt = m.source, m.target
-    diff = adjoint_failure(src.order.rows, tgt.order.rows, m.phi.targets, m.psi)
+    order = tgt.order
+    diff = adjoint_failure(src.order.rows, order.rows, order.columns, m.phi.targets, m.psi)
     if diff is not None:
         return CheckResult(False, witness=diff, reason="adjointness fails")
     # both squares end in one lattice, so their composites compare as targets
@@ -200,27 +202,25 @@ def lattice_of_morphism(m: FunctionalInfomorphism) -> ConceptLatticeMorphism:
 
     ``psi`` sends a concept to the closure of the inverse image of its
     extent; ``phi`` dually via inverse images of intents.  The inverse
-    images of all extents (all intents) come from one ``preimages`` pass
-    over the fibers of ``f`` (of ``g``).
+    images of all extents (all intents) are one ``pullback`` along ``f``
+    (along ``g``) of the extents, whose columns are the rows of ``iota_rel``
+    (of the intents, the rows of ``tau_rel``).
     """
     LA = concept_lattice_of(m.source)
     LB = concept_lattice_of(m.target)
-    psi = FunctionGraph.from_targets(
-        tuple(map(LB.extent_index.__getitem__, m.f.preimages(LA.extents))), LB.size
-    )
-    phi = FunctionGraph.from_targets(
-        tuple(map(LA.intent_index.__getitem__, m.g.preimages(LB.intents))), LA.size
-    )
+    extents = pullback(LA.extents, LA.iota_rel.rows, m.f)
+    intents = pullback(LB.intents, LB.tau_rel.columns, m.g)
+    psi = FunctionGraph.from_targets(tuple(map(LB.extent_index.__getitem__, extents)), LB.size)
+    phi = FunctionGraph.from_targets(tuple(map(LA.intent_index.__getitem__, intents)), LA.size)
     return ConceptLatticeMorphism(LA, LB, phi, psi, m.f, m.g)
 
 
 def classification_of_lattice(L: ConceptLattice) -> Classification:
     """Instances and types of the lattice, classified through the embeddings:
-    ``compose(iota_rel, transpose(tau.rel))``, read as ``tau``'s inverse
-    images of the ``iota_rel`` rows."""
-    incidence = Relation(
-        len(L.instance_labels), len(L.type_labels), L.tau.preimages(L.iota_rel.rows)
-    )
+    ``compose(iota_rel, transpose(tau.rel))``, the ``pullback`` of
+    ``iota_rel`` along ``tau``."""
+    m, n, iota_rel = len(L.instance_labels), len(L.type_labels), L.iota_rel
+    incidence = Relation(m, n, pullback(iota_rel.rows, iota_rel.columns, L.tau))
     return Classification(L.instance_labels, L.type_labels, incidence)
 
 
@@ -297,7 +297,7 @@ class AdjointPair:
 
 
 def check_adjoint(p: AdjointPair) -> CheckResult:
-    diff = adjoint_failure(p.source.up, p.target.up, p.phi.targets, p.psi)
+    diff = adjoint_failure(p.source.up, p.target.up, p.target.down, p.phi.targets, p.psi)
     if diff is None:
         return CheckResult(True)
     y, x = diff
@@ -344,9 +344,13 @@ def adjoint_of_bond(F: Bond) -> AdjointPair:
 def bond_of_adjoint(p: AdjointPair) -> Bond:
     """The adjointness relation itself, as a bond between order
     classifications."""
-    rows = tuple(p.source.up[p.phi(y)] for y in range(p.target.size))
-    rel = Relation(p.target.size, p.source.size, rows)
-    return Bond(p.source.classification, p.target.classification, rel)
+    return _adjointness_bond(p.source, p.target, p.phi)
+
+
+def _adjointness_bond(L: CompleteLattice, K: CompleteLattice, phi: FunctionGraph) -> Bond:
+    """The bond from ``L`` to ``K`` whose row ``y`` is ``L.up[phi(y)]``."""
+    rows = tuple(map(L.up.__getitem__, phi.targets))
+    return Bond(L.classification, K.classification, Relation(K.size, L.size, rows))
 
 
 def embedding_bonds(A: Classification) -> tuple[Bond, Bond]:
@@ -447,15 +451,29 @@ class CompleteHomomorphism:
         """``psi``'s inverse images of the target's principal up-sets, then of
         its principal down-sets: the two batches the check finds principal,
         from which ``canonical_adjoints`` reads the adjoints."""
-        return self.psi.preimages(self.target.up), self.psi.preimages(self.target.down)
+        return _principal_preimages(self.psi, self.target)
 
     @view
     def pair(self) -> BondingPair:
-        """The hom spread into its two adjunction bonds, built on first use."""
+        """The hom spread into its two adjunction bonds, built on first use.
+
+        ``phi`` is read off the up batch of ``principal_preimages``, so the
+        adjointness of ``phi`` and ``psi``, that batch against the up-sets at
+        ``phi``, holds by construction and the forward bond is built without
+        an ``AdjointPair``.  Both bonds are checked as bonds and as a pair."""
         phi, theta = canonical_adjoints(self)
-        forward = bond_of_adjoint(AdjointPair(self.source, self.target, phi, self.psi))
+        forward = _adjointness_bond(self.source, self.target, phi)
         backward = bond_of_adjoint(AdjointPair(self.target, self.source, self.psi, theta))
         return BondingPair(forward, backward)
+
+
+def _principal_preimages(
+    psi: FunctionGraph, K: CompleteLattice
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``psi``'s inverse images of ``K``'s principal up-sets, then of its
+    down-sets: two ``pullback``s of the order, each with the other as its
+    columns."""
+    return pullback(K.up, K.down, psi), pullback(K.down, K.up, psi)
 
 
 def is_complete_homomorphism(
@@ -487,10 +505,7 @@ def is_complete_homomorphism(
         return CheckResult(False, witness=("top",), reason="top is not preserved")
     if psi(L.bottom) != K.bottom:
         return CheckResult(False, witness=("bottom",), reason="bottom is not preserved")
-    if hom is None:
-        batches = psi.preimages(K.up), psi.preimages(K.down)
-    else:
-        batches = hom.principal_preimages
+    batches = _principal_preimages(psi, K) if hom is None else hom.principal_preimages
     for kind, preimages, principal in zip(("meet", "join"), batches, (L.up_index, L.down_index)):
         y = next((y for y, s in enumerate(preimages) if s not in principal), None)
         if y is not None:

@@ -63,7 +63,7 @@ def check_functional(m: FunctionalInfomorphism) -> CheckResult:
     """Fundamental property: f(b) carries t in the source iff b carries g(t),
     the equation of ``relalg.adjoint_failure`` on the two incidences:
     ``compose(f, I_A) == compose(I_B, g^T)``."""
-    diff = relalg.adjoint_failure(m.source.rows, m.target.rows, m.f.targets, m.g)
+    diff = relalg.adjoint_failure(m.source.rows, m.target.rows, m.target.cols, m.f.targets, m.g)
     return _instance_type_witness(m, diff, "fundamental property fails")
 
 

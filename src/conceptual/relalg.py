@@ -7,7 +7,7 @@ precision ints act as dense bitset blocks, so composition and both residuals
 sweep whole machine words along the destination axis instead of visiting
 cells one at a time.
 
-Three kernels pick their branch from what they see in their input, its cell
+Four kernels pick their branch from what they see in their input, its cell
 count and its popcount; each keeps its plain bit loop as the branch for small
 or sparse input:
 
@@ -15,15 +15,22 @@ or sparse input:
   one int, swaps its off-diagonal blocks in log2 N masked delta swaps
   (Warren, *Hacker's Delight*, 2nd ed., section 7-3) and unpacks it by
   bytes, when the shorter side is over 16 and the popcount at least
-  ``4 / side`` of the cells (1/32 at 128);
+  ``4 / side`` of the cells (1/32 at 128); either way the converse keeps
+  the input's rows as its ``columns``;
 - ``right_residual`` tests every output cell as a subset test on the rows
   below 512 output cells; above, it ANDs ``t``'s cached ``columns`` along each
   row of ``s`` and turns those columns into rows with ``transpose``;
-- ``left_residual`` sweeps the rows of ``r``.
+- ``left_residual`` sweeps the rows of ``r``;
+- ``pullback``, ``compose(R, transpose(psi.rel))`` for a function ``psi``,
+  gathers the columns of ``R`` along the targets of ``psi`` and turns them
+  into rows with ``transpose``, from 1024 output cells and 3 set bits of
+  ``R`` per output row and column; below, ``FunctionGraph.preimages`` ORs
+  one fiber of ``psi`` per set bit of each row of ``R``.
 
 Both residuals read the bits of a row (of ``s``, of ``r``) byte by byte
 through a table when ``_bytewise`` holds, at least 16 columns and a popcount
-of at least half the row bytes, and one big-int step per bit otherwise.
+of at least half the row bytes, and one big-int step per bit otherwise;
+``preimages`` reads its masks through the same table from 16 targets.
 
 Empty carriers (0 x n, n x 0) are legal everywhere; residuals over a vacuous
 quantifier come out full, which keeps the adjunction laws total.
@@ -217,6 +224,10 @@ def identity(n: int) -> Relation:
 # below this many output cells the right residual's subset tests, about
 # 0.1 us each, beat the columns, their AND-product and its transpose
 _SMALL_CELLS = 512
+# ``pullback`` gathers from this many output cells and this many set bits
+# of its masks per output row and column, below which the fiber loop wins
+_GATHER_CELLS = 1024
+_GATHER_BITS = 3
 # the largest tile side of the delta-swap transpose: its cached masks take
 # log2(side) * side**2 / 8 bytes, 14 kB at 128
 _MAX_TILE = 128
@@ -280,25 +291,28 @@ def _transpose_tiles(rows: Sequence[int], m: int, n: int, side: int) -> list[int
 
 
 def transpose(r: Relation) -> Relation:
-    """The converse: ``(b, a)`` iff ``(a, b)``.
+    """The converse: ``(b, a)`` iff ``(a, b)``, with ``r``'s rows as its
+    ``columns``, so a converse is never transposed back.
 
     The tile side is the least power of two, at most 128, that covers the
     shorter side.  Tiles cost about one pass over the bytes of the rows, so
     they beat the bit loop once the tiles are at least 32 wide and the rows
     hold at least ``4 / side`` of the cells (1/32 at 128)."""
     m, n = r.src_size, r.dst_size
-    if m > 16 and n > 16:
-        side = min(_MAX_TILE, 1 << (min(m, n) - 1).bit_length())
-        if sum(map(int.bit_count, r.rows)) * side >= 4 * m * n:
-            return Relation(n, m, tuple(_transpose_tiles(r.rows, m, n, side)))
-    out = [0] * n
-    for a, row in enumerate(r.rows):
-        abit = 1 << a
-        while row:
-            low = row & -row
-            out[low.bit_length() - 1] |= abit
-            row ^= low
-    return Relation(n, m, tuple(out))
+    side = min(_MAX_TILE, 1 << (min(m, n) - 1).bit_length()) if m > 16 and n > 16 else 0
+    if side and sum(map(int.bit_count, r.rows)) * side >= 4 * m * n:
+        cols = _transpose_tiles(r.rows, m, n, side)
+    else:
+        cols = [0] * n
+        for a, row in enumerate(r.rows):
+            abit = 1 << a
+            while row:
+                low = row & -row
+                cols[low.bit_length() - 1] |= abit
+                row ^= low
+    out = Relation(n, m, tuple(cols))
+    _setattr(out, "columns", r.rows)
+    return out
 
 
 def complement(r: Relation) -> Relation:
@@ -466,10 +480,24 @@ class FunctionGraph:
         With the masks as the rows of a relation ``R`` into the targets, this
         is ``compose(R, transpose(rel)).rows``, the same loop on the fibers
         without the two relations: each mask costs its popcount, not the
-        number of sources."""
+        number of sources.  From 16 targets the bits are read byte by byte
+        through ``_BYTE_BITS``.  ``pullback`` turns to a gather where the
+        masks' columns are at hand and the output is large."""
         fibers = self.fibers
-        full = (1 << self.dst_size) - 1
+        n = self.dst_size
+        full = (1 << n) - 1
         out = []
+        if n >= 16:
+            width = (n + 7) // 8
+            for mask in masks:
+                acc = 0
+                for base, byte in enumerate((mask & full).to_bytes(width, "little")):
+                    if byte:
+                        base *= 8
+                        for i in _BYTE_BITS[byte]:
+                            acc |= fibers[base + i]
+                out.append(acc)
+            return tuple(out)
         for mask in masks:
             mask &= full
             acc = 0
@@ -484,18 +512,42 @@ class FunctionGraph:
         return self.targets == tuple(range(self.dst_size))
 
 
+def pullback(rows: Sequence[int], cols: Sequence[int], psi: FunctionGraph) -> tuple[int, ...]:
+    """The rows of ``compose(R, transpose(psi.rel))`` for the relation ``R``
+    into ``psi``'s targets with rows ``rows`` and columns ``cols``: row
+    ``y`` is ``psi``'s inverse image of row ``y`` of ``R``, and column ``a``
+    is column ``psi(a)`` of ``R``.
+
+    The fiber loop, ``psi.preimages``, costs one OR per set bit of
+    ``rows``; the gather, the columns read along the targets in one C-level
+    ``map`` and turned into rows by ``transpose``, costs about a pass over
+    the bytes of the output and a few steps per output row and column.  So
+    the gather runs from ``_GATHER_CELLS`` output cells when ``rows`` hold
+    at least ``_GATHER_BITS`` set bits per output row and column, and the
+    loop otherwise.  Bits of ``rows`` past the targets are ignored either
+    way."""
+    k, m = len(rows), len(psi.targets)
+    if k * m >= _GATHER_CELLS and sum(map(int.bit_count, rows)) >= _GATHER_BITS * (k + m):
+        return transpose(Relation(m, k, tuple(map(cols.__getitem__, psi.targets)))).rows
+    return psi.preimages(rows)
+
+
 def adjoint_failure(
-    src_rows: Sequence[int], tgt_rows: Iterable[int], phi: Iterable[int], psi: FunctionGraph
+    src_rows: Sequence[int],
+    tgt_rows: Sequence[int],
+    tgt_cols: Sequence[int],
+    phi: Iterable[int],
+    psi: FunctionGraph,
 ) -> tuple[int, int] | None:
     """First ``(y, x)`` breaking ``compose(phi, R) == compose(S, psi^T)``,
-    for ``R`` and ``S`` with rows ``src_rows`` and ``tgt_rows`` and ``phi``
-    yielding ``phi(0), phi(1), ...``; ``None`` when it holds.
+    for ``R`` with rows ``src_rows``, ``S`` with rows ``tgt_rows`` and
+    columns ``tgt_cols``, and ``phi`` yielding ``phi(0), phi(1), ...``;
+    ``None`` when it holds.
 
-    Row ``y`` of the right side is ``psi``'s inverse image of row ``y`` of
-    ``S``, and ``psi.preimages`` reads them all from its fibers.  On two
-    orders this is adjointness, ``phi(y) <= x iff y <= psi(x)``; on the
-    incidences of two classifications it is the fundamental property of an
+    The right side is ``pullback(tgt_rows, tgt_cols, psi)``.  On two orders
+    this is adjointness, ``phi(y) <= x iff y <= psi(x)``; on the incidences
+    of two classifications it is the fundamental property of an
     infomorphism, ``f(b)`` carries ``t`` iff ``b`` carries ``g(t)``.  Rows
     are compared in order, so the first failing ``y`` is reported.
     """
-    return first_difference(map(src_rows.__getitem__, phi), psi.preimages(tgt_rows))
+    return first_difference(map(src_rows.__getitem__, phi), pullback(tgt_rows, tgt_cols, psi))

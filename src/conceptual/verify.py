@@ -40,7 +40,7 @@ from .infomorphism import (
     instance_infomorphism,
 )
 from .lattice import concept_lattice_of
-from .relalg import FunctionGraph, Relation, bits
+from .relalg import FunctionGraph, Relation, bits, pullback
 from .report import VerificationReport
 
 
@@ -182,7 +182,7 @@ def _first_maps(contexts, rng: random.Random, pairs: int, prefix: str, make):
 
 def _with_left_adjoint(L, Kl, psi) -> functors.AdjointPair:
     """``psi`` with its left adjoint by the meet formula, validated."""
-    phi_t = tuple(map(L.meet_of, psi.preimages(Kl.up)))
+    phi_t = tuple(map(L.meet_of, pullback(Kl.up, Kl.down, psi)))
     return functors.AdjointPair(L, Kl, FunctionGraph(phi_t, L.size), psi)
 
 

@@ -2,13 +2,13 @@
 
 Everything here runs on explicit index loops and Python sets, touching
 relations only through the single-bit accessor, so agreement with the
-word-parallel kernels is a meaningful check.  The exceptions are the three
+word-parallel kernels is a meaningful check.  The exceptions are the four
 bit loops the kernels ran on every input before their word-parallel
-branches (``transpose_oracle``, ``left_residual_sweep_oracle`` and
-``right_residual_scatter_oracle``): they share no tile, table or byte step
-with the kernels, and they are fast enough to check them, and to time them
-against (``tools/kernel_probe.py``), at sizes the per-cell oracles cannot
-reach.
+branches (``transpose_oracle``, ``left_residual_sweep_oracle``,
+``right_residual_scatter_oracle`` and ``preimages_oracle``): they share no
+tile, table, byte step or gather with the kernels, and they are fast enough
+to check them, and to time them against (``tools/kernel_probe.py``), at
+sizes the per-cell oracles cannot reach.
 
 The enumerator oracles (``infomorphisms_oracle``, ``lattice_morphism_candidates``
 and ``lattice_morphisms_oracle``) try every pair of an instance and a type
@@ -50,6 +50,26 @@ def transpose_oracle(r: Relation) -> Relation:
             out[low.bit_length() - 1] |= abit
             row ^= low
     return Relation(r.dst_size, r.src_size, tuple(out))
+
+
+def preimages_oracle(f: FunctionGraph, masks) -> tuple[int, ...]:
+    """The fiber loop ``FunctionGraph.preimages`` and ``relalg.pullback``
+    ran on every input before their byte steps and gather: the inverse image
+    of each mask, one OR of a fiber per set bit, lowest first; bits past the
+    targets are ignored.  The fibers are the function's own view, which
+    ``test_function_properties`` checks by definition."""
+    fibers = f.fibers
+    full = (1 << f.dst_size) - 1
+    out = []
+    for mask in masks:
+        mask &= full
+        acc = 0
+        while mask:
+            low = mask & -mask
+            acc |= fibers[low.bit_length() - 1]
+            mask ^= low
+        out.append(acc)
+    return tuple(out)
 
 
 def left_residual_sweep_oracle(r: Relation, t: Relation) -> Relation:

@@ -902,6 +902,35 @@ class TestDerivedViews:
         assert hom_roundtrip_holds(h)
         assert calls == {"canonical_adjoints": 1, "adjoint_of_bond": 4}
 
+    def test_spread_hom_pulls_back_each_principal_batch_once(self, monkeypatch):
+        """From construction through ``pair_of_hom`` on ``boolean_hom(5, 3,
+        (4, 1, 2))``: the target's up-sets and down-sets are each pulled back
+        along ``psi`` once, by the hom's check, and the forward bond is read
+        off the up batch; the backward bond's pair pulls back the source's
+        up-sets along ``theta``."""
+        batches = collections.Counter()
+        original = relalg.pullback
+
+        def counted(rows, cols, psi):
+            batches[tuple(rows), psi.targets] += 1
+            return original(rows, cols, psi)
+
+        for module in (relalg, functors):
+            monkeypatch.setattr(module, "pullback", counted)
+        h = self.boolean_hom(5, 3, (4, 1, 2))
+        p = pair_of_hom(h)
+        L, K = h.source, h.target
+        theta = canonical_adjoints(h)[1]
+        assert batches == {
+            (K.up, h.psi.targets): 1,
+            (K.down, h.psi.targets): 1,
+            (L.up, theta.targets): 1,
+        }
+        assert p == BondingPair(
+            bond_of_adjoint(AdjointPair(L, K, canonical_adjoints(h)[0], h.psi)),
+            bond_of_adjoint(AdjointPair(K, L, h.psi, theta)),
+        )
+
 
 class TestPairRoundtripByResiduals:
     """The pair round trip compares the conjugation, taken as relations, with

@@ -126,6 +126,23 @@ class TestIdentityTransposeComplement:
         assert transpose(r) == transpose_oracle(r)
         assert relalg._SWAP_MASKS and max(relalg._SWAP_MASKS) <= 128
 
+    @pytest.mark.parametrize("tiles", [True, False])
+    def test_transpose_keeps_its_input_rows_as_its_columns(self, tiles, monkeypatch):
+        """On the tile branch (40 x 40, half the cells) and on the bit loop
+        (40 x 40, one cell per row), the converse stores ``r``'s rows as its
+        ``columns`` view, so reading that view transposes nothing."""
+        half = tuple(0x5555555555 >> a % 2 for a in range(40))
+        sparse = tuple(1 << 7 * a % 40 for a in range(40))
+        r = Relation(40, 40, half if tiles else sparse)
+        ran = []
+        original = relalg._transpose_tiles
+        monkeypatch.setattr(relalg, "_transpose_tiles", lambda *a: ran.append(1) or original(*a))
+        t = transpose(r)
+        assert bool(ran) is tiles
+        monkeypatch.setattr(relalg, "transpose", None)
+        assert t.columns is r.rows
+        assert t == transpose_oracle(r)
+
     def test_transpose_example(self):
         assert transpose(M([[1, 1], [0, 1]])) == M([[1, 0], [1, 1]])
 

@@ -1,4 +1,4 @@
-"""Time the three ``relalg`` kernels against the bit loops they replaced.
+"""Time the ``relalg`` kernels against the bit loops they replaced.
 
 Standard library only.  From the repository root:
 
@@ -23,7 +23,17 @@ instance and a type function; on 3x3+3x3 into 3x3, 531,441 such pairs, it
 runs them alone, and ``--check`` compares the instance and type functions
 of the two sides, which are the same pairs in the same order.
 
-A third table times ``functors.embedding_bonds``, which checks the pair by
+A third table times the inverse images of a map's principal up-sets,
+the batch of every adjointness check: the fiber loop of ``tests/oracles.py``
+against the gather and ``transpose`` and against ``relalg.pullback``, which
+picks one of its two branches.  The inputs are the up-sets of 2^a, with
+their down-sets as columns, pulled back along a seeded boolean homomorphism
+2^c -> 2^a (the inverse image along an injection [a] -> [c]) for c = a and
+c = a + 2, a = 3..7; and, at verify sizes, both principal batches of the
+139 homs of the verify hom corpora of seeds 0-11 at size 3, timed as one
+row.  ``--check`` compares all three sides.
+
+A fourth table times ``functors.embedding_bonds``, which checks the pair by
 the derivation identities of a concept lattice, against
 ``embedding_bonds_oracle``, which validates both bonds and compares both
 composites: over the 698 contexts of the verify corpus of one seed at size
@@ -50,12 +60,20 @@ from conceptual.colimit import (  # noqa: E402
     coproduct_sum,
     enumerate_infomorphisms,
 )
-from conceptual.relalg import Relation, left_residual, right_residual, transpose  # noqa: E402
+from conceptual.relalg import (  # noqa: E402
+    FunctionGraph,
+    Relation,
+    left_residual,
+    pullback,
+    right_residual,
+    transpose,
+)
 from oracles import (  # noqa: E402
     embedding_bonds_oracle,
     infomorphisms_oracle,
     lattice_morphisms_oracle,
     left_residual_sweep_oracle,
+    preimages_oracle,
     right_residual_scatter_oracle,
     transpose_oracle,
 )
@@ -80,6 +98,9 @@ KERNELS = [
 # with mediators on both (6 and 81 of them)
 DIAGRAMS = [((2, 3), True), ((3, 3), False)]
 DIAGRAM_SEED = 28
+
+# the seed of the boolean homs the pullback rows pull back along
+PULLBACK_SEED = 25
 
 # the verify corpus whose contexts the embedding rows check: the first
 # seed of the verify workload, at its size
@@ -180,6 +201,79 @@ def probe_enumerators(check: bool) -> tuple[int, int]:
     return compared, differ
 
 
+def boolean_hom(rng: random.Random, c: int, a: int) -> FunctionGraph:
+    """``S -> f^-1(S)`` for a seeded injection ``f: [a] -> [c]``, a complete
+    homomorphism from 2^c onto 2^a, as a map between the two lattices'
+    element indices."""
+    LC = functors.concept_lattice_of(contranominal_classification(c))
+    LA = functors.concept_lattice_of(contranominal_classification(a))
+    f = rng.sample(range(c), a)
+    return FunctionGraph(
+        tuple(
+            LA.extent_index[sum(1 << y for y in range(a) if e >> f[y] & 1)]
+            for e in LC.extents
+        ),
+        LA.size,
+    )
+
+
+def pullback_inputs() -> list[tuple[str, list[tuple]]]:
+    """The batches of the pullback rows, by name: ``(rows, cols, psi)``."""
+    rng = random.Random(PULLBACK_SEED)
+    inputs = []
+    for a in range(3, 8):
+        K = functors.complete_lattice_of(
+            functors.concept_lattice_of(contranominal_classification(a))
+        )
+        for c in (a, a + 2):
+            inputs.append((f"2^{c}>2^{a}", [(K.up, K.down, boolean_hom(rng, c, a))]))
+    batches = []
+    for seed in range(12):
+        corpus_rng = random.Random(seed)
+        contexts = verify.context_corpus(3, corpus_rng)
+        morphisms = verify.infomorphism_corpus(contexts, corpus_rng)
+        bonds = verify.bond_corpus(contexts, morphisms, corpus_rng)
+        verify.adjoint_corpus(contexts, bonds, corpus_rng)
+        for _, h in verify.hom_corpus(contexts, corpus_rng):
+            K = h.target
+            batches += [(K.up, K.down, h.psi), (K.down, K.up, h.psi)]
+    inputs.append(("verify homs", batches))
+    return inputs
+
+
+def gather(rows, cols, psi: FunctionGraph) -> tuple[int, ...]:
+    """``pullback``'s gather branch alone."""
+    gathered = tuple(map(cols.__getitem__, psi.targets))
+    return transpose(Relation(psi.src_size, len(rows), gathered)).rows
+
+
+def probe_pullbacks(check: bool) -> tuple[int, int]:
+    """Print the pullback rows, or compare the three sides; the number of
+    comparisons made and of those that differ."""
+    if not check:
+        print(f"\n{'batches':>12} {'count':>6} {'loop ms':>10} {'gather ms':>10}"
+              f" {'pullback ms':>12} {'speed-up':>8}")
+    compared = differ = 0
+    for name, batches in pullback_inputs():
+        sides = [
+            lambda: [preimages_oracle(psi, rows) for rows, _, psi in batches],
+            lambda: [gather(rows, cols, psi) for rows, cols, psi in batches],
+            lambda: [pullback(rows, cols, psi) for rows, cols, psi in batches],
+        ]
+        if check:
+            expected = sides[0]()
+            for side, what in zip(sides[1:], ("gather", "pullback")):
+                compared += 1
+                if side() != expected:
+                    differ += 1
+                    print(f"differs: {what} on {name}")
+            continue
+        loop, gathered, kernel = (best_time(side) for side in sides)
+        print(f"{name:>12} {len(batches):>6} {loop * 1e3:>10.3f} {gathered * 1e3:>10.3f}"
+              f" {kernel * 1e3:>12.3f} {loop / kernel:>7.2f}x")
+    return compared, differ
+
+
 def embedding_inputs() -> list[tuple[str, list[Classification]]]:
     """The contexts of the embedding rows, by name."""
     corpus = [K for _, K in verify.context_corpus(3, random.Random(CORPUS_SEED))]
@@ -240,10 +334,11 @@ def main(argv: list[str] | None = None) -> int:
                     f"{m:>4}x{n:<4} {density:>7} {name:>14} {k * 1e3:>10.3f} {ref * 1e3:>10.3f}"
                     f" {ref / k:>7.2f}x"
                 )
-    compared, enum_differ = probe_enumerators(args.check)
-    embedding_compared, embedding_differ = probe_embeddings(args.check)
-    compared += embedding_compared
-    differ += enum_differ + embedding_differ
+    compared = 0
+    for probe in (probe_enumerators, probe_pullbacks, probe_embeddings):
+        more, more_differ = probe(args.check)
+        compared += more
+        differ += more_differ
     if args.check:
         total = len(SHAPES) * len(DENSITIES) * len(KERNELS) + compared
         print(f"{total - differ} results equal, {differ} differ")
