@@ -16,7 +16,7 @@ from .classification import Classification
 from .errors import ParseError, ValidationError, quote
 from .infomorphism import FunctionalInfomorphism, RelationalInfomorphism
 from .lattice import ConceptLattice
-from .relalg import FunctionGraph, Relation, bits
+from .relalg import FunctionGraph, Relation
 
 
 # -- Burmeister context format -------------------------------------------------
@@ -289,7 +289,9 @@ def lattice_json(L: ConceptLattice) -> str:
     pure-Python encoder over every label of every concept.  This emitter
     encodes each label once, with the encoder's own ``encode_basestring``,
     and joins the encoded labels of each extent and intent in the
-    ``indent=2`` layout.
+    ``indent=2`` layout.  The bits of a mask are read in place, highest
+    first, one ``bit_length`` and one XOR each, and the labels reversed:
+    no generator is resumed per label.
     """
     inst = [encode_basestring(label) for label in L.instance_labels]
     typ = [encode_basestring(label) for label in L.type_labels]
@@ -297,7 +299,13 @@ def lattice_json(L: ConceptLattice) -> str:
     def labels(enc: list[str], mask: int) -> str:
         if not mask:
             return "[]"
-        return "[\n        " + ",\n        ".join([enc[i] for i in bits(mask)]) + "\n      ]"
+        out = []
+        while mask:
+            i = mask.bit_length() - 1
+            out.append(enc[i])
+            mask ^= 1 << i
+        out.reverse()
+        return "[\n        " + ",\n        ".join(out) + "\n      ]"
 
     # a concept lattice always has a top concept, so the list is not empty
     body = ",\n".join(
@@ -321,6 +329,11 @@ def emit_dot(L: ConceptLattice) -> str:
     order; the two lines are joined by DOT's ``\\n``.  Inside the quoted
     label, ``\\`` is escaped before ``"``, so that no label can end the
     string or escape its closing quote.
+
+    An edge runs from each upper cover to its concept, in concept order and
+    ascending cover index.  The edges are written from ``L.upper_covers``,
+    each line a precomputed head ``  c{j} -> c`` and the concept's tail; the
+    ``covers`` relation is not built.
     """
     own: list[list[list[str]]] = [[[], []] for _ in range(L.size)]
     for t, c in enumerate(L.tau.targets):
@@ -333,8 +346,9 @@ def emit_dot(L: ConceptLattice) -> str:
             " ".join(part).replace("\\", "\\\\").replace('"', '\\"') for part in parts if part
         )
         lines.append(f'  c{i} [label="{label}"];')
-    for i in range(L.size):
-        for j in bits(L.covers.rows[i]):
-            lines.append(f"  c{j} -> c{i};")
+    heads = [f"  c{j} -> c" for j in range(L.size)]
+    for i, ups in enumerate(L.upper_covers):
+        tail = f"{i};"
+        lines += [heads[j] + tail for j in ups]
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -7,8 +7,10 @@ object-attribute relational data*, Inf. Sci. 185, 2012): a depth-first walk
 of the tree in which each concept's parent is the one it extends canonically.
 A child's extent is one AND of its parent's with a type column, and closures
 that fail the canonicity test are handed down so that descendants skip the
-test.  The walk visits every concept exactly once, in the lectic order of
-intents that Ganter's NextClosure produces.
+test; where an extent's rows are too few to meet every type left to add,
+only the types they meet are tried, and the one place the empty extent may
+be canonical.  The walk visits every concept exactly once, in the lectic
+order of intents that Ganter's NextClosure produces.
 
 The order structure is relational, as in the rest of the package: the concept
 order is the left residual ``M\\M`` of the instance x concept membership
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import relalg
 from .classification import Classification, check_preorder
@@ -142,7 +144,29 @@ class ConceptLattice:
 
     @view
     def covers(self) -> Relation:
-        """Transitive reduction of the strict order (the Hasse diagram).
+        """Transitive reduction of the strict order (the Hasse diagram): row
+        ``i`` holds the upper covers of ``i``, by ``_cover_walk``."""
+        n = self.size
+        return Relation(n, n, tuple(self._cover_walk()))
+
+    @view
+    def upper_covers(self) -> tuple[tuple[int, ...], ...]:
+        """The upper covers of each concept as an ascending index tuple: the
+        bits of its row of ``covers``, read off the final row of the same
+        walk, without building or keeping the ``covers`` relation."""
+        out = []
+        for row in self._cover_walk():
+            ups = []
+            while row:
+                j = row.bit_length() - 1
+                ups.append(j)
+                row ^= 1 << j
+            ups.reverse()
+            out.append(tuple(ups))
+        return tuple(out)
+
+    def _cover_walk(self) -> Iterator[int]:
+        """The rows of the Hasse diagram, one per concept, in index order.
 
         Row ``i`` is the strict up-set of ``i`` minus the strict up-set of
         each element in it.  The elements of the up-set are visited from the
@@ -152,16 +176,18 @@ class ConceptLattice:
         In lectic order a concept above another has the smaller index (its
         intent is a proper subset), so the descending walk meets every
         element before any element above it, and each element it visits is
-        a cover of ``i``.
+        a cover of ``i``.  Off the lectic order a visited element may be
+        removed later, so the covers are the bits of the final row, not the
+        visited indices.
 
         The order rows are read in place, so no second n x n relation is
         built beside the order: removing the up-set of ``j`` and setting
         ``j`` again removes its strict up-set, and the candidates left are
-        the bits of the row below ``j``.
+        the bits of the row below ``j``.  Each row is handed over as it is
+        finished, so ``covers`` and ``upper_covers`` share the walk and
+        neither keeps the other's output.
         """
-        n = self.size
         rows = self.order.rows
-        out = []
         for i, row in enumerate(rows):
             row &= ~(1 << i)
             rest = row
@@ -170,8 +196,7 @@ class ConceptLattice:
                 bit = 1 << j
                 row = row & ~rows[j] | bit
                 rest = row & bit - 1
-            out.append(row)
-        return Relation(n, n, tuple(out))
+            yield row
 
     def extent_labels(self, c: FormalConcept) -> tuple[str, ...]:
         return tuple(self.instance_labels[i] for i in bits(c.extent))
@@ -191,11 +216,12 @@ def build_lattice(K: Classification, max_concepts: int = DEFAULT_CONCEPT_CAP) ->
     closure of the empty type set.  The child of intent ``B`` at type ``j``
     (not in ``B``, above the type that made ``B``) has the extent
     ``ext & cols[j]`` and its intent ``D``; it is kept when ``D`` adds no type
-    below ``j``, so that every concept has exactly one parent.  A concept precedes its descendants
-    (their intents contain its own), and the subtree at a higher ``j``
-    precedes the one at a lower ``j`` (the lower subtree holds ``j`` where the
-    higher one does not).  Children are pushed in ascending ``j`` on a
-    stack, so the highest pops first and the pre-order is the lectic order.
+    below ``j``, so that every concept has exactly one parent.  A concept
+    precedes its descendants (their intents contain its own), and the
+    subtree at a higher ``j`` precedes the one at a lower ``j`` (the lower
+    subtree holds ``j`` where the higher one does not).  Children are pushed
+    in ascending ``j`` on a stack, so the highest pops first and the
+    pre-order is the lectic order.
 
     A closure failing at ``j`` is recorded for the node's children: below a
     node, every closure at ``j`` contains it, so if it adds a type below ``j``
@@ -203,8 +229,22 @@ def build_lattice(K: Classification, max_concepts: int = DEFAULT_CONCEPT_CAP) ->
     is not computed.  A child's closure stops once it has narrowed to
     ``B | {j}``: every instance of its extent has those types, so its intent
     contains that set, and no further row can remove a type from it.
-    ``ResourceLimitError`` is raised once more than
-    ``max_concepts`` concepts are found.
+
+    A child at a type that no row of ``ext`` has gets the empty extent, whose
+    closure is every type.  It adds every type below ``j`` that ``B`` lacks,
+    so it is canonical only at the lowest type ``B`` lacks, where it is the
+    bottom concept.  Where the extent's rows hold too few crosses to meet
+    every free type (those from ``start`` up that ``B`` lacks), by the gate
+    ``|ext| * (1 + mean row weight) < n - start``, a property of the input
+    and not a tuned constant, the walk ORs those rows into ``meet`` and
+    visits only the free types in ``meet`` and that lowest missing type
+    (after Andrews, ICFCA 2017, LNCS 10308, on pruning empty intersections
+    in CbO).  The skipped children record no failed closure: ``failed`` only
+    lets a descendant skip a test it would fail, so a missing entry costs at
+    most a test and changes no result.  Every other node keeps the loop over
+    all free types, for there ``meet`` costs more than the tests it saves.
+    ``ResourceLimitError`` is raised once more than ``max_concepts``
+    concepts are found.
     """
     m = len(K.instances)
     n = len(K.types)
@@ -222,6 +262,10 @@ def build_lattice(K: Classification, max_concepts: int = DEFAULT_CONCEPT_CAP) ->
             imask ^= low
         return t
 
+    # the gate ``|ext| * (1 + mean row weight) < n - start``, times ``m``,
+    # is ``|ext| * weight < (n - start) * m``
+    weight = m + sum(map(int.bit_count, rows))
+
     pairs: list[FormalConcept] = []
     # each entry: extent, intent, the first type index its children may add,
     # and the closures that failed the canonicity test, by type index
@@ -237,7 +281,18 @@ def build_lattice(K: Classification, max_concepts: int = DEFAULT_CONCEPT_CAP) ->
             continue  # no type left to add: a leaf needs no failure list
         # shared by every child pushed below; final before the first of them pops
         failed = inherited.copy()
-        for j in range(start, n):
+        visit = range(start, n)
+        if ext.bit_count() * weight < (n - start) * m:
+            meet = 0
+            rest = ext
+            while rest:
+                low = rest & -rest
+                meet |= rows[low.bit_length() - 1]
+                rest ^= low
+            missing = full_t & ~cur
+            # the free types the rows meet, and where the bottom may be canonical
+            visit = bits((meet | missing & -missing) & missing >> start << start)
+        for j in visit:
             bit = 1 << j
             if cur & bit:
                 continue

@@ -57,6 +57,22 @@ def random_context(rng, m: int, n: int) -> Classification:
     return Classification(inst, typ, Relation(m, n, rows))
 
 
+def sparse_context(rng, m: int, n: int, k: int) -> Classification:
+    """m x n context, each row with exactly ``k`` crosses at random columns:
+    the tall sparse shape of the lattice benchmark."""
+    inst = tuple(f"i{a}" for a in range(m))
+    typ = tuple(f"t{t}" for t in range(n))
+    rows = tuple(sum(1 << t for t in rng.sample(range(n), k)) for _ in range(m))
+    return Classification(inst, typ, Relation(m, n, rows))
+
+
+# ``i0`` has no type and ``i1`` only ``t0``: the bottom concept, of the empty
+# extent, is reached only through the child at the lowest type missing from
+# an intent, at a node where the concept walk skips the types its extent
+# cannot meet
+PRUNED_BOTTOM = Classification(("i0", "i1"), ("t0", "t1", "t2"), Relation(2, 3, (0b000, 0b001)))
+
+
 def duplicated_instance_sum(A, B) -> CoproductDiagram:
     """The sum of A and B with apex instance 0 repeated: the injections stay
     valid, but a cocone can have two mediators, so records fail with a count."""

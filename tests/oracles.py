@@ -15,6 +15,12 @@ and ``lattice_morphisms_oracle``) try every pair of an instance and a type
 function in lexicographic order and keep those the library's own checks
 pass: they share the verdict with the propagating enumerators of
 ``colimit``, not the search, which is what they check.
+
+Two paths the library replaced are kept here as they were: ``fcbo_oracle``,
+the concept walk that tests every free type at every node, which checks the
+walk that skips the types an extent cannot meet on inputs too large for
+NextClosure, and ``emit_dot_oracle``, the DOT emitter that read the bits of
+``covers``, which pins ``emit_dot`` byte for byte.
 """
 
 from __future__ import annotations
@@ -23,9 +29,10 @@ import functools
 import itertools
 from types import SimpleNamespace
 
-from conceptual.errors import CheckResult, ValidationError
+from conceptual.errors import CheckResult, ResourceLimitError, ValidationError
 from conceptual.functors import ConceptLatticeMorphism
 from conceptual.infomorphism import FunctionalInfomorphism, check_functional
+from conceptual.lattice import DEFAULT_CONCEPT_CAP, ConceptLattice, FormalConcept
 from conceptual.relalg import FunctionGraph, Relation, bits
 
 
@@ -250,6 +257,88 @@ def next_closure_oracle(K) -> list[tuple[int, int]]:
                 break
         else:
             return out
+
+
+def fcbo_oracle(K, max_concepts: int = DEFAULT_CONCEPT_CAP) -> ConceptLattice:
+    """The FCbO walk ``lattice.build_lattice`` ran before it skipped the
+    children its extent cannot reach: every free type ``j`` from ``start``
+    up is tested at every node, and each failed closure is recorded for the
+    node's children.  Same concepts, same lectic order."""
+    m = len(K.instances)
+    n = len(K.types)
+    rows = K.rows
+    cols = K.cols
+    full_i = (1 << m) - 1
+    full_t = (1 << n) - 1
+
+    # the closure stops at ``floor``, a set the intent is known to contain
+    def intent(imask: int, floor: int = 0) -> int:
+        t = full_t
+        while imask and t != floor:
+            low = imask & -imask
+            t &= rows[low.bit_length() - 1]
+            imask ^= low
+        return t
+
+    pairs: list[FormalConcept] = []
+    # each entry: extent, intent, the first type index its children may add,
+    # and the closures that failed the canonicity test, by type index
+    stack = [(full_i, intent(full_i), 0, [0] * n)]
+    while stack:
+        ext, cur, start, inherited = stack.pop()
+        pairs.append(FormalConcept(ext, cur))
+        if len(pairs) > max_concepts:
+            raise ResourceLimitError(
+                f"more than {max_concepts} concepts; raise max_concepts to proceed"
+            )
+        if start == n or cur == full_t:
+            continue  # no type left to add: a leaf needs no failure list
+        # shared by every child pushed below; final before the first of them pops
+        failed = inherited.copy()
+        for j in range(start, n):
+            bit = 1 << j
+            if cur & bit:
+                continue
+            below = bit - 1
+            # a closure that failed at j in an ancestor lies inside this one's
+            if failed[j] & below & ~cur:
+                continue
+            child_ext = ext & cols[j]
+            child = intent(child_ext, cur | bit)
+            if child & below == cur & below:
+                stack.append((child_ext, child, j + 1, failed))
+            else:
+                failed[j] = child
+
+    nc = len(pairs)
+    intent_idx = {c.intent: k for k, c in enumerate(pairs)}
+    extent_idx = {c.extent: k for k, c in enumerate(pairs)}
+    iota = FunctionGraph.from_targets(tuple(intent_idx[rows[a]] for a in range(m)), nc)
+    tau = FunctionGraph.from_targets(tuple(extent_idx[cols[t]] for t in range(n)), nc)
+
+    return ConceptLattice(tuple(pairs), K.instances, K.types, iota, tau)
+
+
+def emit_dot_oracle(L) -> str:
+    """The DOT emitter ``io.emit_dot`` was before it read the cover tuples:
+    the node lines, then one edge per bit of each row of ``L.covers``, in
+    row order and ascending bit order."""
+    own: list[list[list[str]]] = [[[], []] for _ in range(L.size)]
+    for t, c in enumerate(L.tau.targets):
+        own[c][0].append(L.type_labels[t])
+    for a, c in enumerate(L.iota.targets):
+        own[c][1].append(L.instance_labels[a])
+    lines = ["digraph lattice {", "  node [shape=box];"]
+    for i, parts in enumerate(own):
+        label = "\\n".join(
+            " ".join(part).replace("\\", "\\\\").replace('"', '\\"') for part in parts if part
+        )
+        lines.append(f'  c{i} [label="{label}"];')
+    for i in range(L.size):
+        for j in bits(L.covers.rows[i]):
+            lines.append(f"  c{j} -> c{i};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def pointwise_pair_constraints(F, G) -> list[tuple[bool, bool]]:

@@ -2,7 +2,9 @@
 
 An intended change of any of these outputs must update its digest here, and
 say why.  The contexts are two seeded random ones, the contranominal scale
-on four elements, whose lattice is the boolean lattice of 16 concepts, and a
+on four elements, whose lattice is the boolean lattice of 16 concepts, a
+tall sparse one, 60 x 12 with two crosses per row, on which the concept
+walk skips the children its extents cannot reach, and a
 small context whose labels JSON must escape: quotes, backslashes and control
 characters, next to non-ASCII ones it must not.  The bond commands read
 seeded bonds and bonding pairs between the two random contexts, valid and
@@ -33,12 +35,13 @@ from conceptual.infomorphism import FunctionalInfomorphism, RelationalInfomorphi
 from conceptual.io import dumps, emit_cxt, morphism_to_obj
 from conceptual.relalg import FunctionGraph, Relation
 
-from conftest import random_context
+from conftest import random_context, sparse_context
 
 CONTEXTS = {
     "rand-6x5": lambda: random_context(random.Random(11), 6, 5),
     "rand-5x7": lambda: random_context(random.Random(12), 5, 7),
     "contranominal-4": lambda: contranominal_classification(4),
+    "tall-60x12": lambda: sparse_context(random.Random(13), 60, 12, 2),
     "escapes": lambda: Classification(
         ('q"uote', "back\\slash", "tab\tctl\x01\x1f\x7f", "café 日本 \U0001F600"),
         ('"', "\\", '\\"', "é\x08", "t\\"),
@@ -143,6 +146,14 @@ GOLDEN = {
     ("lattice", "{contranominal-4}", "--dot"): (
         0,
         "572141b59d2aceed0d956e3bda4f9ccbbb9cb5fc09e7e9bbcd2f854763094b13",
+    ),
+    ("lattice", "{tall-60x12}"): (
+        0,
+        "d617ee12d9889af5aa4f30ed5fa6b65c34ad1b0671a91c3c77e58c4fd955b79e",
+    ),
+    ("lattice", "{tall-60x12}", "--dot"): (
+        0,
+        "32e019e460541bdf8e53c98e1f28fd926ab7b0dc78506ebe76868947c091e18e",
     ),
     ("lattice", "{escapes}"): (
         0,

@@ -9,6 +9,7 @@ from conceptual.classification import (
 )
 from conceptual.errors import ResourceLimitError, ValidationError
 from conceptual.functors import complete_lattice_of
+from conceptual.io import emit_dot
 from conceptual.lattice import (
     CollectiveConcept,
     ConceptLattice,
@@ -26,16 +27,22 @@ from conceptual.lattice import (
 )
 from conceptual.relalg import FunctionGraph, Relation, bits, compose, left_residual, transpose
 
-from conftest import RANDOM_SHAPES, all_contexts, random_context
+from conftest import PRUNED_BOTTOM, RANDOM_SHAPES, all_contexts, random_context, sparse_context
 from oracles import (
     closed_pairs_oracle,
     concept_set,
     covers_oracle,
+    emit_dot_oracle,
     extent_oracle,
+    fcbo_oracle,
     inf_oracle,
     next_closure_oracle,
     sup_oracle,
 )
+
+
+# tall sparse shapes (instances, types, crosses per row)
+TALL_SPARSE = ((40, 12, 0), (40, 12, 1), (40, 12, 2), (60, 12, 2), (300, 30, 2), (1500, 40, 2))
 
 
 def order_classifications(rng):
@@ -51,6 +58,24 @@ def order_classifications(rng):
         L = complete_lattice_of(build_lattice(K))
         assert L.size <= 128
         yield L.classification
+
+
+def shuffled_lattices(rng):
+    """``(L, perm, shuffled)``: lattices of random 6x6 contexts, of the
+    contranominal scale on 4 and of the 6-chain, each with 10 seeded
+    permutations of its concept indices; concept ``i`` of ``L`` is concept
+    ``perm[i]`` of ``shuffled``."""
+    lattices = [build_lattice(random_context(rng, 6, 6)) for _ in range(20)]
+    lattices += [build_lattice(contranominal_classification(4))]
+    lattices += [build_lattice(chain_classification(6))]
+    for L in lattices:
+        for _ in range(10):
+            perm = list(range(L.size))
+            rng.shuffle(perm)
+            concepts = tuple(L.concepts[i] for i in sorted(range(L.size), key=perm.__getitem__))
+            iota = FunctionGraph(tuple(perm[c] for c in L.iota.targets), L.size)
+            tau = FunctionGraph(tuple(perm[c] for c in L.tau.targets), L.size)
+            yield L, perm, ConceptLattice(concepts, L.instance_labels, L.type_labels, iota, tau)
 
 
 class TestBuildLattice:
@@ -104,6 +129,31 @@ class TestBuildLattice:
         for K in contexts:
             got = [(c.extent, c.intent) for c in build_lattice(K).concepts]
             assert got == next_closure_oracle(K)
+
+    def test_bottom_through_the_pruned_branch(self):
+        """At the concept ``({i1}, {t0})`` of ``PRUNED_BOTTOM`` one row cannot
+        meet both free types (1 x 3 < 2 x 2), so the walk visits the types
+        the row meets, none, and ``t1``, the lowest type the intent lacks.
+        There the empty extent closes to every type: the bottom concept,
+        canonical at that type alone."""
+        K = PRUNED_BOTTOM
+        L = build_lattice(K)
+        got = [(c.extent, c.intent) for c in L.concepts]
+        assert got == [(0b11, 0b000), (0b10, 0b001), (0b00, 0b111)]
+        assert got == next_closure_oracle(K)
+        assert L == fcbo_oracle(K)
+
+    def test_pruned_walk_is_the_fcbo_walk(self, rng):
+        """Skipping the children an extent cannot reach changes neither the
+        concepts, nor their order, nor the embeddings: on tall sparse
+        contexts, where the skip runs at most nodes, up to the lattice
+        benchmark's 1500 x 40 with two crosses per row, and on every context
+        up to 3x3."""
+        contexts = itertools.chain(
+            (sparse_context(rng, m, n, k) for m, n, k in TALL_SPARSE), all_contexts(3, 3)
+        )
+        for K in contexts:
+            assert build_lattice(K) == fcbo_oracle(K)
 
     def test_lectic_output_is_deterministic(self, rng):
         K = random_context(rng, 5, 5)
@@ -165,21 +215,37 @@ class TestBuildLattice:
     def test_covers_off_the_lectic_order(self, rng):
         # the skip in the covers loop is exact for any index order; shuffled
         # concept indices make lower elements come before higher ones
-        lattices = [build_lattice(random_context(rng, 6, 6)) for _ in range(20)]
-        lattices += [build_lattice(contranominal_classification(4))]
-        lattices += [build_lattice(chain_classification(6))]
-        for L in lattices:
-            for _ in range(10):
-                perm = list(range(L.size))
-                rng.shuffle(perm)
-                concepts = tuple(L.concepts[i] for i in sorted(range(L.size), key=perm.__getitem__))
-                iota = FunctionGraph(tuple(perm[c] for c in L.iota.targets), L.size)
-                tau = FunctionGraph(tuple(perm[c] for c in L.tau.targets), L.size)
-                shuffled = ConceptLattice(concepts, L.instance_labels, L.type_labels, iota, tau)
-                extents = [set(bits(e)) for e in shuffled.extents]
-                assert set(shuffled.covers.pairs()) == covers_oracle(extents)
-                expected = {(perm[i], perm[j]) for i, j in L.covers.pairs()}
-                assert set(shuffled.covers.pairs()) == expected
+        for L, perm, shuffled in shuffled_lattices(rng):
+            extents = [set(bits(e)) for e in shuffled.extents]
+            assert set(shuffled.covers.pairs()) == covers_oracle(extents)
+            expected = {(perm[i], perm[j]) for i, j in L.covers.pairs()}
+            assert set(shuffled.covers.pairs()) == expected
+
+    def test_upper_covers_are_the_rows_of_covers(self, rng):
+        """The cover tuples are the bits of the ``covers`` rows, and
+        ``emit_dot``, which writes its edges from them, is the emitter that
+        read those bits, byte for byte.  Each view is built alone: neither
+        keeps the other's output."""
+        contexts = itertools.chain(
+            all_contexts(3, 3), (random_context(rng, m, n) for m, n in RANDOM_SHAPES)
+        )
+        for K in contexts:
+            L = build_lattice(K)
+            ups = L.upper_covers
+            assert "covers" not in vars(L)
+            assert ups == tuple(tuple(bits(row)) for row in L.covers.rows)
+            assert emit_dot(L) == emit_dot_oracle(L)
+        L = build_lattice(contranominal_classification(3))
+        L.covers
+        assert "upper_covers" not in vars(L)
+
+    def test_upper_covers_off_the_lectic_order(self, rng):
+        # taken from the walk's final rows, the tuples stay exact where a
+        # visited candidate is removed later
+        for _, _, shuffled in shuffled_lattices(rng):
+            ups = shuffled.upper_covers
+            assert ups == tuple(tuple(bits(row)) for row in shuffled.covers.rows)
+            assert emit_dot(shuffled) == emit_dot_oracle(shuffled)
 
     def test_covers_build_no_second_order(self):
         """The covers walk reads the order rows in place: beside the order,

@@ -1,13 +1,16 @@
 """Bounded property tests of ``build_lattice`` on random contexts up to 7x7,
 against the brute-force closure of every instance subset (the concept set)
-and against NextClosure (the lectic order); and of ``right_residual``
-against its oracle, on incidences, orders and relations that are neither."""
+and against NextClosure (the lectic order); of its pruned walk against
+NextClosure and the unpruned FCbO walk, on tall sparse contexts up to
+40x12, contexts with empty columns or carriers, and order classifications;
+and of ``right_residual`` against its oracle, on incidences, orders and
+relations that are neither."""
 
 import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conceptual.bond import close_to_bond
 from conceptual.classification import (
@@ -20,9 +23,11 @@ from conceptual.functors import CompleteLattice, complete_lattice_of
 from conceptual.lattice import build_lattice, collective_from_function, concept_lattice_of
 from conceptual.relalg import FunctionGraph, Relation, right_residual
 
+from conftest import PRUNED_BOTTOM
 from oracles import (
     closed_pairs_oracle,
     concept_set,
+    fcbo_oracle,
     next_closure_oracle,
     right_residual_oracle,
 )
@@ -51,6 +56,49 @@ def test_build_lattice_matches_oracles(K):
     L = build_lattice(K)
     assert concept_set(L) == closed_pairs_oracle(K)
     assert [(c.extent, c.intent) for c in L.concepts] == next_closure_oracle(K)
+
+
+@st.composite
+def tall_sparse_contexts(draw) -> Classification:
+    """Up to 40 x 12, each row with 0-2 crosses: the extents are small beside
+    the free types, so the walk skips the children they cannot reach."""
+    m = draw(st.integers(0, 40))
+    n = draw(st.integers(0, 12))
+    crosses = st.sets(st.integers(0, n - 1), max_size=2) if n else st.just(set())
+    rows = tuple(sum(1 << t for t in draw(crosses)) for _ in range(m))
+    return Classification(
+        tuple(f"i{k}" for k in range(m)),
+        tuple(f"t{k}" for k in range(n)),
+        Relation(m, n, rows),
+    )
+
+
+@st.composite
+def order_classifications(draw) -> Classification:
+    """A small lattice classified by its own order: a chain of 1..8
+    elements, the boolean lattice of 1..16 elements, or the concept lattice
+    of a context up to 3x3."""
+    kind = draw(st.sampled_from(("chain", "boolean", "concepts")))
+    if kind == "chain":
+        return chain_classification(draw(st.integers(1, 8)))
+    if kind == "boolean":
+        K = contranominal_classification(draw(st.integers(0, 4)))
+    else:
+        K = draw(contexts(max_size=3))
+    return complete_lattice_of(concept_lattice_of(K)).classification
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.one_of(tall_sparse_contexts(), contexts(), order_classifications()))
+@example(PRUNED_BOTTOM)
+def test_pruned_walk_matches_both_walks(K):
+    """The walk that skips the children its extent cannot reach keeps the
+    concepts and their lectic order of NextClosure and of the FCbO walk
+    that tests every free type.  The pinned example reaches its bottom
+    concept only through the lowest type missing from an intent."""
+    L = build_lattice(K)
+    assert [(c.extent, c.intent) for c in L.concepts] == next_closure_oracle(K)
+    assert L == fcbo_oracle(K)
 
 
 @st.composite

@@ -40,6 +40,13 @@ composites: over the 698 contexts of the verify corpus of one seed at size
 3, and on the order classification of the boolean lattice 2^7.  The
 lattices are built before timing, so a row times the checks alone.
 ``--check`` compares the two sides' bonds, endpoints and relations.
+
+A fifth table times ``lattice.build_lattice``, whose walk visits only the
+types an extent's rows meet where they cannot meet every free type, against
+``fcbo_oracle``, the walk that tests every free type: on the lattice
+benchmark's shapes, wide 100x22 at .3 and tall 1500x40 at .05 (every row
+with the rounded share of crosses), and on the order classification of the
+boolean lattice 2^7.  ``--check`` compares the two sides' concept tuples.
 """
 
 from __future__ import annotations
@@ -55,6 +62,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from conceptual import functors, verify  # noqa: E402
 from conceptual.classification import Classification, contranominal_classification  # noqa: E402
+from conceptual.lattice import build_lattice  # noqa: E402
 from conceptual.colimit import (  # noqa: E402
     _enumerate_lattice_morphisms,
     coproduct_sum,
@@ -70,6 +78,7 @@ from conceptual.relalg import (  # noqa: E402
 )
 from oracles import (  # noqa: E402
     embedding_bonds_oracle,
+    fcbo_oracle,
     infomorphisms_oracle,
     lattice_morphisms_oracle,
     left_residual_sweep_oracle,
@@ -105,6 +114,11 @@ PULLBACK_SEED = 25
 # the verify corpus whose contexts the embedding rows check: the first
 # seed of the verify workload, at its size
 CORPUS_SEED = 7
+
+# the lattice benchmark's context shapes (instances, types, density), and
+# the seed of the contexts the build rows draw
+BUILD_SHAPES = [(100, 22, 0.3), (1500, 40, 0.05)]
+BUILD_SEED = 3
 
 
 def random_relation(rng: random.Random, m: int, n: int, p: float) -> Relation:
@@ -311,6 +325,41 @@ def probe_embeddings(check: bool) -> tuple[int, int]:
     return compared, differ
 
 
+def build_inputs() -> list[tuple[str, Classification]]:
+    """The contexts of the build rows, by name."""
+    rng = random.Random(BUILD_SEED)
+    inputs = []
+    for m, n, p in BUILD_SHAPES:
+        k = round(p * n)
+        rows = tuple(sum(1 << t for t in rng.sample(range(n), k)) for _ in range(m))
+        K = Classification(
+            tuple(f"i{a}" for a in range(m)), tuple(f"t{t}" for t in range(n)), Relation(m, n, rows)
+        )
+        inputs.append((f"{m}x{n} at {p}", K))
+    boolean = functors.concept_lattice_of(contranominal_classification(7))
+    inputs.append(("order of 2^7", functors.complete_lattice_of(boolean).classification))
+    return inputs
+
+
+def probe_builds(check: bool) -> tuple[int, int]:
+    """Print the build rows, or compare the two sides' concepts; the number
+    of comparisons made and of those that differ."""
+    if not check:
+        print(f"\n{'context':>17} {'concepts':>8} {'build ms':>10} {'fcbo ms':>10} {'speed-up':>8}")
+    compared = differ = 0
+    for name, K in build_inputs():
+        if check:
+            compared += 1
+            if build_lattice(K).concepts != fcbo_oracle(K).concepts:
+                differ += 1
+                print(f"differs: concepts on {name}")
+            continue
+        k, ref = best_time(lambda: build_lattice(K)), best_time(lambda: fcbo_oracle(K))
+        print(f"{name:>17} {build_lattice(K).size:>8} {k * 1e3:>10.3f} {ref * 1e3:>10.3f}"
+              f" {ref / k:>7.2f}x")
+    return compared, differ
+
+
 def main(argv: list[str] | None = None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--check", action="store_true", help="compare results only, time nothing")
@@ -335,7 +384,7 @@ def main(argv: list[str] | None = None) -> int:
                     f" {ref / k:>7.2f}x"
                 )
     compared = 0
-    for probe in (probe_enumerators, probe_pullbacks, probe_embeddings):
+    for probe in (probe_enumerators, probe_pullbacks, probe_embeddings, probe_builds):
         more, more_differ = probe(args.check)
         compared += more
         differ += more_differ
