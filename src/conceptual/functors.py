@@ -171,7 +171,7 @@ class ConceptLatticeMorphism:
 def check_lattice_morphism(m: ConceptLatticeMorphism) -> CheckResult:
     src, tgt = m.source, m.target
     order = tgt.order
-    diff = adjoint_failure(src.order.rows, order.rows, lambda: order.columns, m.phi.targets, m.psi)
+    diff = adjoint_failure(src.order.rows, order.rows, order.columns, m.phi.targets, m.psi)
     if diff is not None:
         return CheckResult(False, witness=diff, reason="adjointness fails")
     # both squares end in one lattice, so their composites compare as targets
@@ -209,7 +209,7 @@ def lattice_of_morphism(m: FunctionalInfomorphism) -> ConceptLatticeMorphism:
     LA = concept_lattice_of(m.source)
     LB = concept_lattice_of(m.target)
     extents = pullback(LA.extents, LA.iota_rel.rows, m.f)
-    intents = pullback(LB.intents, lambda: LB.tau_rel.columns, m.g)
+    intents = pullback(LB.intents, LB.tau_rel.columns, m.g)
     psi = FunctionGraph.from_targets(tuple(map(LB.extent_index.__getitem__, extents)), LB.size)
     phi = FunctionGraph.from_targets(tuple(map(LA.intent_index.__getitem__, intents)), LA.size)
     return ConceptLatticeMorphism(LA, LB, phi, psi, m.f, m.g)

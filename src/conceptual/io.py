@@ -16,7 +16,7 @@ from .classification import Classification
 from .errors import ParseError, ValidationError, quote
 from .infomorphism import FunctionalInfomorphism, RelationalInfomorphism
 from .lattice import ConceptLattice
-from .relalg import FunctionGraph, Relation
+from .relalg import FunctionGraph, Relation, bits
 
 
 # -- Burmeister context format -------------------------------------------------
@@ -329,11 +329,6 @@ def emit_dot(L: ConceptLattice) -> str:
     order; the two lines are joined by DOT's ``\\n``.  Inside the quoted
     label, ``\\`` is escaped before ``"``, so that no label can end the
     string or escape its closing quote.
-
-    An edge runs from each upper cover to its concept, in concept order and
-    ascending cover index.  The edges are written from ``L.upper_covers``,
-    each line a precomputed head ``  c{j} -> c`` and the concept's tail; the
-    ``covers`` relation is not built.
     """
     own: list[list[list[str]]] = [[[], []] for _ in range(L.size)]
     for t, c in enumerate(L.tau.targets):
@@ -346,9 +341,8 @@ def emit_dot(L: ConceptLattice) -> str:
             " ".join(part).replace("\\", "\\\\").replace('"', '\\"') for part in parts if part
         )
         lines.append(f'  c{i} [label="{label}"];')
-    heads = [f"  c{j} -> c" for j in range(L.size)]
-    for i, ups in enumerate(L.upper_covers):
-        tail = f"{i};"
-        lines += [heads[j] + tail for j in ups]
+    for i in range(L.size):
+        for j in bits(L.covers.rows[i]):
+            lines.append(f"  c{j} -> c{i};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import relalg
 from .classification import Classification, check_preorder
@@ -144,29 +144,7 @@ class ConceptLattice:
 
     @view
     def covers(self) -> Relation:
-        """Transitive reduction of the strict order (the Hasse diagram): row
-        ``i`` holds the upper covers of ``i``, by ``_cover_walk``."""
-        n = self.size
-        return Relation(n, n, tuple(self._cover_walk()))
-
-    @view
-    def upper_covers(self) -> tuple[tuple[int, ...], ...]:
-        """The upper covers of each concept as an ascending index tuple: the
-        bits of its row of ``covers``, read off the final row of the same
-        walk, without building or keeping the ``covers`` relation."""
-        out = []
-        for row in self._cover_walk():
-            ups = []
-            while row:
-                j = row.bit_length() - 1
-                ups.append(j)
-                row ^= 1 << j
-            ups.reverse()
-            out.append(tuple(ups))
-        return tuple(out)
-
-    def _cover_walk(self) -> Iterator[int]:
-        """The rows of the Hasse diagram, one per concept, in index order.
+        """Transitive reduction of the strict order (the Hasse diagram).
 
         Row ``i`` is the strict up-set of ``i`` minus the strict up-set of
         each element in it.  The elements of the up-set are visited from the
@@ -176,18 +154,16 @@ class ConceptLattice:
         In lectic order a concept above another has the smaller index (its
         intent is a proper subset), so the descending walk meets every
         element before any element above it, and each element it visits is
-        a cover of ``i``.  Off the lectic order a visited element may be
-        removed later, so the covers are the bits of the final row, not the
-        visited indices.
+        a cover of ``i``.
 
         The order rows are read in place, so no second n x n relation is
         built beside the order: removing the up-set of ``j`` and setting
         ``j`` again removes its strict up-set, and the candidates left are
-        the bits of the row below ``j``.  Each row is handed over as it is
-        finished, so ``covers`` and ``upper_covers`` share the walk and
-        neither keeps the other's output.
+        the bits of the row below ``j``.
         """
+        n = self.size
         rows = self.order.rows
+        out = []
         for i, row in enumerate(rows):
             row &= ~(1 << i)
             rest = row
@@ -196,7 +172,8 @@ class ConceptLattice:
                 bit = 1 << j
                 row = row & ~rows[j] | bit
                 rest = row & bit - 1
-            yield row
+            out.append(row)
+        return Relation(n, n, tuple(out))
 
     def extent_labels(self, c: FormalConcept) -> tuple[str, ...]:
         return tuple(self.instance_labels[i] for i in bits(c.extent))

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ShapeError, ValidationError, quote
 
@@ -512,17 +512,11 @@ class FunctionGraph:
         return self.targets == tuple(range(self.dst_size))
 
 
-def pullback(
-    rows: Sequence[int],
-    cols: Sequence[int] | Callable[[], Sequence[int]],
-    psi: FunctionGraph,
-) -> tuple[int, ...]:
+def pullback(rows: Sequence[int], cols: Sequence[int], psi: FunctionGraph) -> tuple[int, ...]:
     """The rows of ``compose(R, transpose(psi.rel))`` for the relation ``R``
     into ``psi``'s targets with rows ``rows`` and columns ``cols``: row
     ``y`` is ``psi``'s inverse image of row ``y`` of ``R``, and column ``a``
-    is column ``psi(a)`` of ``R``.  ``cols`` may be a function of nothing
-    that returns the columns, called only on the gather branch, for a
-    caller whose columns are a view not yet built.
+    is column ``psi(a)`` of ``R``.
 
     The fiber loop, ``psi.preimages``, costs one OR per set bit of
     ``rows``; the gather, the columns read along the targets in one C-level
@@ -534,8 +528,6 @@ def pullback(
     way."""
     k, m = len(rows), len(psi.targets)
     if k * m >= _GATHER_CELLS and sum(map(int.bit_count, rows)) >= _GATHER_BITS * (k + m):
-        if callable(cols):
-            cols = cols()
         return transpose(Relation(m, k, tuple(map(cols.__getitem__, psi.targets)))).rows
     return psi.preimages(rows)
 
@@ -543,7 +535,7 @@ def pullback(
 def adjoint_failure(
     src_rows: Sequence[int],
     tgt_rows: Sequence[int],
-    tgt_cols: Sequence[int] | Callable[[], Sequence[int]],
+    tgt_cols: Sequence[int],
     phi: Iterable[int],
     psi: FunctionGraph,
 ) -> tuple[int, int] | None:
@@ -552,8 +544,7 @@ def adjoint_failure(
     columns ``tgt_cols``, and ``phi`` yielding ``phi(0), phi(1), ...``;
     ``None`` when it holds.
 
-    The right side is ``pullback(tgt_rows, tgt_cols, psi)``, which reads
-    ``tgt_cols`` only on its gather branch.  On two orders
+    The right side is ``pullback(tgt_rows, tgt_cols, psi)``.  On two orders
     this is adjointness, ``phi(y) <= x iff y <= psi(x)``; on the incidences
     of two classifications it is the fundamental property of an
     infomorphism, ``f(b)`` carries ``t`` iff ``b`` carries ``g(t)``.  Rows

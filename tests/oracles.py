@@ -16,11 +16,9 @@ function in lexicographic order and keep those the library's own checks
 pass: they share the verdict with the propagating enumerators of
 ``colimit``, not the search, which is what they check.
 
-Two paths the library replaced are kept here as they were: ``fcbo_oracle``,
-the concept walk that tests every free type at every node, which checks the
-walk that skips the types an extent cannot meet on inputs too large for
-NextClosure, and ``emit_dot_oracle``, the DOT emitter that read the bits of
-``covers``, which pins ``emit_dot`` byte for byte.
+``fcbo_oracle`` is the concept walk the library replaced, kept as it was:
+it tests every free type at every node, and checks the walk that skips the
+types an extent cannot meet on inputs too large for NextClosure.
 """
 
 from __future__ import annotations
@@ -317,28 +315,6 @@ def fcbo_oracle(K, max_concepts: int = DEFAULT_CONCEPT_CAP) -> ConceptLattice:
     tau = FunctionGraph.from_targets(tuple(extent_idx[cols[t]] for t in range(n)), nc)
 
     return ConceptLattice(tuple(pairs), K.instances, K.types, iota, tau)
-
-
-def emit_dot_oracle(L) -> str:
-    """The DOT emitter ``io.emit_dot`` was before it read the cover tuples:
-    the node lines, then one edge per bit of each row of ``L.covers``, in
-    row order and ascending bit order."""
-    own: list[list[list[str]]] = [[[], []] for _ in range(L.size)]
-    for t, c in enumerate(L.tau.targets):
-        own[c][0].append(L.type_labels[t])
-    for a, c in enumerate(L.iota.targets):
-        own[c][1].append(L.instance_labels[a])
-    lines = ["digraph lattice {", "  node [shape=box];"]
-    for i, parts in enumerate(own):
-        label = "\\n".join(
-            " ".join(part).replace("\\", "\\\\").replace('"', '\\"') for part in parts if part
-        )
-        lines.append(f'  c{i} [label="{label}"];')
-    for i in range(L.size):
-        for j in bits(L.covers.rows[i]):
-            lines.append(f"  c{j} -> c{i};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
 
 
 def pointwise_pair_constraints(F, G) -> list[tuple[bool, bool]]:

@@ -170,8 +170,7 @@ def test_pullback_is_the_fiber_loop(r_psi, high):
 
 def test_pullback_gathers_from_its_thresholds(monkeypatch):
     """The gather, the one ``transpose`` call, runs from 1024 cells and
-    3 (k + m) set bits, and the fiber loop below either; columns passed as
-    a function are read on the gather branch alone."""
+    3 (k + m) set bits, and the fiber loop below either."""
     gathered = []
     original = relalg.transpose
 
@@ -192,11 +191,3 @@ def test_pullback_gathers_from_its_thresholds(monkeypatch):
         gathered.clear()
         assert pullback(rows, cols, psi) == preimages_oracle(psi, rows)
         assert gathered == ([(m, k)] if gathers else [])
-        reads = []
-
-        def lazy_cols():
-            reads.append(k)
-            return cols
-
-        assert pullback(rows, lazy_cols, psi) == preimages_oracle(psi, rows)
-        assert reads == ([k] if gathers else [])
