@@ -460,10 +460,13 @@ class CompleteHomomorphism:
         ``phi`` is read off the up batch of ``principal_preimages``, so the
         adjointness of ``phi`` and ``psi``, that batch against the up-sets at
         ``phi``, holds by construction and the forward bond is built without
-        an ``AdjointPair``.  Both bonds are checked as bonds and as a pair."""
-        phi, theta = canonical_adjoints(self)
+        an ``AdjointPair``.  The backward bond is the adjointness relation of
+        ``psi`` and its right adjoint, which the hom's join check has shown
+        to exist; that relation reads ``psi`` alone, so the adjoint itself is
+        not built.  Both bonds are checked as bonds and as a pair."""
+        phi = canonical_adjoints(self)[0]
         forward = _adjointness_bond(self.source, self.target, phi)
-        backward = bond_of_adjoint(AdjointPair(self.target, self.source, self.psi, theta))
+        backward = _adjointness_bond(self.target, self.source, self.psi)
         return BondingPair(forward, backward)
 
 

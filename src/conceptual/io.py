@@ -24,6 +24,8 @@ from .relalg import FunctionGraph, Relation, bits
 
 # a .cxt row read backwards is the binary numeral of its bitmask
 _CELL_DIGITS = str.maketrans("X.", "10")
+# deletes the two cell characters, so a row block holding no other is empty
+_NOT_CELLS = str.maketrans("", "", "X.")
 
 
 def parse_cxt(text: str) -> Classification:
@@ -31,15 +33,22 @@ def parse_cxt(text: str) -> Classification:
     counts, a blank line, the instance and type labels, then one row of
     ``X`` (incidence) and ``.`` per instance.
 
-    Each row is checked to hold only those two characters and then read as
-    a binary numeral, least significant cell first.  The check comes first
-    because ``int(..., 2)`` alone also accepts ``_``, whitespace and a sign.
+    The row block is checked in bulk, one scan of the row lengths and one
+    ``translate`` that deletes ``X`` and ``.`` from the joined rows, and
+    read as one binary numeral per row, least significant cell first.  The
+    character check comes first because ``int(..., 2)`` alone also accepts
+    ``_``, whitespace and a sign.  Only a block that fails is walked row by
+    row, to name its first bad row, and a block cut short by the end of the
+    file is reported after the rows it does hold.
     """
     lines = text.split("\n")
 
+    def end_of_file() -> ParseError:
+        return ParseError("unexpected end of file", line=len(lines))
+
     def get(idx: int) -> str:
         if idx >= len(lines):
-            raise ParseError("unexpected end of file", line=len(lines))
+            raise end_of_file()
         return lines[idx]
 
     if get(0).strip() != "B":
@@ -72,21 +81,33 @@ def parse_cxt(text: str) -> Classification:
     if get(pos + 2).strip() != "":
         raise ParseError("expected a blank line after the counts", line=pos + 3)
     pos += 3
-    instances = tuple(get(pos + i) for i in range(n_inst))
-    pos += n_inst
-    types = tuple(get(pos + i) for i in range(n_typ))
-    pos += n_typ
-    rows = []
-    for i in range(n_inst):
-        raw = get(pos + i)
-        if len(raw) != n_typ:
-            raise ParseError(
-                f"row has {len(raw)} cells, expected {n_typ}", line=pos + i + 1
-            )
-        if raw.strip("X."):
-            ch = next(ch for ch in raw if ch not in "X.")
-            raise ParseError(f"illegal cell character {ch!r}", line=pos + i + 1)
-        rows.append(int(raw[::-1].translate(_CELL_DIGITS) or "0", 2))
+    labels = lines[pos:pos + n_inst + n_typ]
+    if len(labels) < n_inst + n_typ:
+        raise end_of_file()
+    instances = tuple(labels[:n_inst])
+    types = tuple(labels[n_inst:])
+    pos += n_inst + n_typ
+    block = lines[pos:pos + n_inst]
+    cells = "".join(block)
+    if set(map(len, block)) - {n_typ} or cells.translate(_NOT_CELLS):
+        for i, raw in enumerate(block):
+            if len(raw) != n_typ:
+                raise ParseError(
+                    f"row has {len(raw)} cells, expected {n_typ}", line=pos + i + 1
+                )
+            if raw.strip("X."):
+                ch = next(ch for ch in raw if ch not in "X.")
+                raise ParseError(f"illegal cell character {ch!r}", line=pos + i + 1)
+    if len(block) < n_inst:
+        raise end_of_file()
+    # the joined block read backwards holds the rows last to first, each
+    # row's cells reversed: its binary numeral
+    digits = cells.translate(_CELL_DIGITS)[::-1]
+    if n_typ:
+        rows = [int(digits[c:c + n_typ], 2) for c in range(0, len(digits), n_typ)]
+        rows.reverse()
+    else:
+        rows = [0] * n_inst
     try:
         return Classification(instances, types, Relation(n_inst, n_typ, tuple(rows)))
     except ValidationError as e:

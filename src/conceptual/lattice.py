@@ -12,12 +12,18 @@ only the types they meet are tried, and the one place the empty extent may
 be canonical.  The walk visits every concept exactly once, in the lectic
 order of intents that Ganter's NextClosure produces.
 
-The order structure is relational, as in the rest of the package: the concept
-order is the left residual ``M\\M`` of the instance x concept membership
-relation ``M`` by itself, and the two preorders of a classification are the
-residuals of its incidence (see ``classification``).  ``check_lattice`` is
-the one validator of lattice orders and ``bound_of`` the one meet/join
-lookup; ``functors.CompleteLattice`` uses both.
+The order structure is relational, as in the rest of the package.  By the
+Basic Theorem (Ganter & Wille, *Formal Concept Analysis*, 1999, Thm. 3)
+concept ``i`` is below ``j`` iff extent ``i`` lies within extent ``j`` iff
+intent ``j`` lies within intent ``i``, so the concept order is both the left
+residual ``M\\M`` of the instance x concept membership relation ``M`` by
+itself and the right residual ``N/N`` of the concept x type membership
+relation ``N``; ``ConceptLattice.order`` takes the type side where the
+context is taller than wide and the right residual's complement tables
+run on it.  The two preorders of a classification are the residuals of its
+incidence (see ``classification``).  ``check_lattice`` is the one validator
+of lattice orders and ``bound_of`` the one meet/join lookup;
+``functors.CompleteLattice`` uses both.
 """
 
 from __future__ import annotations
@@ -63,7 +69,8 @@ class ConceptLattice:
     extents and intents: the membership relations ``iota_rel`` (instance x
     concept, the extents as columns) and ``tau_rel`` (concept x type, the
     intents as rows), and ``order``, extent inclusion, which is the left
-    residual ``iota_rel\\iota_rel``.
+    residual ``iota_rel\\iota_rel`` and the right residual
+    ``tau_rel/tau_rel``.
     """
 
     concepts: tuple[FormalConcept, ...]
@@ -92,7 +99,18 @@ class ConceptLattice:
     @view
     def order(self) -> Relation:
         """Concept ``i`` below ``j`` iff extent ``i`` is within extent ``j``:
-        every instance in ``i`` is in ``j``.
+        every instance in ``i`` is in ``j``; equally, iff intent ``j`` is
+        within intent ``i``.
+
+        The order is taken from the narrower side of the context: with
+        fewer types than instances, and where ``right_residual`` takes its
+        complement tables there (``relalg.takes_complement_tables``), it is
+        ``tau_rel/tau_rel``, a right residual over the types whose rows are
+        the stored intents, so the long side is never swept and no
+        ``iota_rel`` is transposed.  Otherwise it is ``iota_rel\\iota_rel``,
+        a sweep of the instances: where the type side would take the
+        AND-product, the transpose of its ``n x n`` output costs more than
+        the sweep saves.
 
         Raises ``ResourceLimitError`` before allocating if its ``n * n / 8``
         bytes exceed ``ORDER_BYTE_CAP``, so ``covers`` and everything built
@@ -102,6 +120,10 @@ class ConceptLattice:
             raise ResourceLimitError(
                 f"order of {n} concepts needs {n * n // 8} bytes, over the cap {ORDER_BYTE_CAP}"
             )
+        if len(self.type_labels) < len(self.instance_labels):
+            tau = self.tau_rel
+            if relalg.takes_complement_tables(tau, tau):
+                return right_residual(tau, tau)
         return left_residual(self.iota_rel, self.iota_rel)
 
     @view

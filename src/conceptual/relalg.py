@@ -18,8 +18,14 @@ or sparse input:
   ``4 / side`` of the cells (1/32 at 128); either way the converse keeps
   the input's rows as its ``columns``;
 - ``right_residual`` tests every output cell as a subset test on the rows
-  below 512 output cells; above, it ANDs ``t``'s cached ``columns`` along each
-  row of ``s`` and turns those columns into rows with ``transpose``;
+  below 512 output cells.  Above, it has two branches and takes the one
+  that counts fewer big-int steps: the complement tables, which OR the
+  columns of ``s`` outside each row of ``t`` one byte at a time through
+  256-entry tables of OR-ed columns (the "Four Russians" of Albrecht, Bard
+  & Hart, *Algorithm 898*, ACM TOMS 37(1), 2010), for narrow shared sides
+  and long outputs such as the type side of a concept lattice; and the
+  AND-product, which ANDs ``t``'s cached ``columns`` along each row of
+  ``s`` and turns those columns into rows with ``transpose``;
 - ``left_residual`` sweeps the rows of ``r``;
 - ``pullback``, ``compose(R, transpose(psi.rel))`` for a function ``psi``,
   gathers the columns of ``R`` along the targets of ``psi`` and turns them
@@ -357,10 +363,25 @@ def right_residual(t: Relation, s: Relation) -> Relation:
 
     ``(a, b)`` is in ``t/s`` iff the ``s``-row of ``b`` is contained in the
     ``t``-row of ``a``.  Below ``_SMALL_CELLS`` output cells each cell is that
-    subset test.  Above, column ``b`` is the AND of the columns of ``t`` (its
-    cached ``columns`` view) over the bits of row ``b`` of ``s``, every row of
-    ``t`` for an empty one, and ``transpose`` turns the columns into rows.
-    The bits of each row of ``s`` are read as ``_bytewise`` picks.
+    subset test.  Above, for ``m`` rows of ``t``, ``k`` rows of ``s`` and
+    ``n`` shared columns, the output comes one of two ways:
+
+    - the complement tables, ``_complement_tables``: row ``a`` is the full
+      row minus the OR of the columns of ``s`` outside row ``a`` of ``t``,
+      one step per table entry (``T`` in all, 256 per whole byte of the
+      ``n`` columns, fewer for a last broken byte) and one per lookup, ``G``
+      per row for ``G = ceil(n / 8)`` bytes: ``T + G * m`` steps;
+    - the AND-product: column ``b`` is the AND of the columns of ``t`` (its
+      cached ``columns`` view) over the bits of row ``b`` of ``s``, every
+      row of ``t`` for an empty one, and ``transpose`` turns the columns
+      into rows: one step per set bit of ``s``, and about one per machine
+      word of the ``k x m`` output the tiles swap, ``k * m / 64``.
+
+    The tables run where their count is the smaller, as
+    ``takes_complement_tables`` decides: the type side of a concept lattice,
+    few columns against many concepts.  Wide shared sides and short outputs
+    keep the AND-product, which reads the bits of each row of ``s`` as
+    ``_bytewise`` picks.
     """
     _require(t.dst_size == s.dst_size, "right_residual", t, s)
     m, k = t.src_size, s.src_size
@@ -376,6 +397,8 @@ def right_residual(t: Relation, s: Relation) -> Relation:
                 bbit <<= 1
             out.append(row)
         return Relation(m, k, tuple(out))
+    if takes_complement_tables(t, s):
+        return _complement_tables(t, s)
     cols = t.columns
     full = (1 << m) - 1
     ands = []
@@ -398,6 +421,49 @@ def right_residual(t: Relation, s: Relation) -> Relation:
                 sb ^= low
             ands.append(col)
     return transpose(Relation(k, m, tuple(ands)))
+
+
+def takes_complement_tables(t: Relation, s: Relation) -> bool:
+    """Whether ``right_residual(t, s)`` takes the complement tables: from
+    ``_SMALL_CELLS`` output cells, where they count fewer steps than the
+    AND-product, ``64 (T + G m) < 64 |s| + k m`` in its terms.
+
+    Each step counts as one, though an AND of the loop and a word of the
+    transpose cost more than a table step, so the count leans to the
+    AND-product: on every probe shape of ``tools/kernel_probe.py`` and
+    every call of the benchmark workloads that it hands to the tables,
+    they were the faster branch."""
+    m, k, n = t.src_size, s.src_size, s.dst_size
+    if m * k < _SMALL_CELLS:
+        return False
+    entries = sum(1 << min(8, n - c) for c in range(0, n, 8))
+    return 64 * (entries + (n + 7) // 8 * m) < 64 * sum(map(int.bit_count, s.rows)) + k * m
+
+
+def _complement_tables(t: Relation, s: Relation) -> Relation:
+    """``t/s`` by rows: row ``a`` is the full row of ``k`` bits minus the OR
+    of the columns of ``s`` at the columns outside row ``a`` of ``t``.
+
+    The columns are taken eight at a time.  The table of a group holds the
+    OR of every subset of its columns, indexed by the subset's byte, and is
+    built by doubling, one OR per entry; each row's complement then takes
+    one lookup per byte.  One table of at most 256 rows of ``k`` bits is
+    live at a time, so beside the output's rows, accumulated group by
+    group, the branch keeps that table and the complement of each row of
+    ``t`` as bytes; no transpose runs."""
+    m, k, n = t.src_size, s.src_size, s.dst_size
+    cols = s.columns
+    width = (n + 7) // 8
+    full_n = (1 << n) - 1
+    outside = [(full_n ^ ta).to_bytes(width, "little") for ta in t.rows]
+    acc = [0] * m
+    for g in range(width):
+        table = [0]
+        for col in cols[8 * g:8 * g + 8]:
+            table += [x | col for x in table]
+        acc = [x | table[row[g]] for x, row in zip(acc, outside)]
+    full_k = (1 << k) - 1
+    return Relation(m, k, tuple(full_k ^ x for x in acc))
 
 
 def subrelation(r: Relation, t: Relation) -> bool:

@@ -184,6 +184,14 @@ def extent_oracle(K, type_set: set[int]) -> set[int]:
     }
 
 
+def extent_inclusion_oracle(extents: list[set[int]]) -> Relation:
+    """The concept order by its definition: ``(i, j)`` with extent ``i``
+    inside extent ``j``, pair by pair."""
+    n = len(extents)
+    pairs = ((i, j) for i, e in enumerate(extents) for j, f in enumerate(extents) if e <= f)
+    return Relation.from_pairs(n, n, pairs)
+
+
 def covers_oracle(extents: list[set[int]]) -> set[tuple[int, int]]:
     """The Hasse diagram of extent inclusion by its definition: ``(i, j)``
     with extent ``i`` strictly inside extent ``j`` and no extent strictly

@@ -618,6 +618,18 @@ class TestCompleteRelationalEquivalence:
                 assert lhs == rhs
 
 
+def verify_hom_corpora():
+    """The homs of the hom corpora of ``verify_equivalences`` at
+    ``--max-size 3``, seeds 0-11, built with the same draws."""
+    for seed in range(12):
+        rng = random.Random(seed)
+        contexts = verify.context_corpus(3, rng)
+        morphisms = verify.infomorphism_corpus(contexts, rng)
+        verify.adjoint_corpus(contexts, verify.bond_corpus(contexts, morphisms, rng), rng)
+        for _, h in verify.hom_corpus(contexts, rng):
+            yield h
+
+
 class TestAdjointsByLookup:
     """``canonical_adjoints`` reads both adjoints, as ``up_index`` and
     ``down_index`` lookups, from the preimage batches the hom's check kept;
@@ -628,14 +640,9 @@ class TestAdjointsByLookup:
         """The hom corpus of ``verify_equivalences`` at ``--max-size 3``,
         seeds 0-11, built with the same draws."""
         homs = 0
-        for seed in range(12):
-            rng = random.Random(seed)
-            contexts = verify.context_corpus(3, rng)
-            morphisms = verify.infomorphism_corpus(contexts, rng)
-            verify.adjoint_corpus(contexts, verify.bond_corpus(contexts, morphisms, rng), rng)
-            for _, h in verify.hom_corpus(contexts, rng):
-                assert canonical_adjoints(h) == canonical_adjoints_oracle(h)
-                homs += 1
+        for h in verify_hom_corpora():
+            assert canonical_adjoints(h) == canonical_adjoints_oracle(h)
+            homs += 1
         assert homs == 139
 
     def test_on_seeded_boolean_homs(self):
@@ -906,8 +913,9 @@ class TestDerivedViews:
         """From construction through ``pair_of_hom`` on ``boolean_hom(5, 3,
         (4, 1, 2))``: the target's up-sets and down-sets are each pulled back
         along ``psi`` once, by the hom's check, and the forward bond is read
-        off the up batch; the backward bond's pair pulls back the source's
-        up-sets along ``theta``."""
+        off the up batch; the backward bond reads ``psi`` alone, so no batch
+        is pulled back along the right adjoint ``theta``.  The pair is the one
+        the two validated adjoint pairs give."""
         batches = collections.Counter()
         original = relalg.pullback
 
@@ -921,15 +929,26 @@ class TestDerivedViews:
         p = pair_of_hom(h)
         L, K = h.source, h.target
         theta = canonical_adjoints(h)[1]
-        assert batches == {
-            (K.up, h.psi.targets): 1,
-            (K.down, h.psi.targets): 1,
-            (L.up, theta.targets): 1,
-        }
+        assert batches == {(K.up, h.psi.targets): 1, (K.down, h.psi.targets): 1}
         assert p == BondingPair(
             bond_of_adjoint(AdjointPair(L, K, canonical_adjoints(h)[0], h.psi)),
             bond_of_adjoint(AdjointPair(K, L, h.psi, theta)),
         )
+
+    def test_spread_pair_is_the_adjoint_pairs_bonds_on_the_hom_corpora(self):
+        """On every hom of the verify hom corpora, the spread pair equals the
+        bonds of the two adjoint pairs, each validated, that the backward
+        bond no longer builds."""
+        homs = 0
+        for h in verify_hom_corpora():
+            phi, theta = canonical_adjoints(h)
+            L, K = h.source, h.target
+            assert pair_of_hom(h) == BondingPair(
+                bond_of_adjoint(AdjointPair(L, K, phi, h.psi)),
+                bond_of_adjoint(AdjointPair(K, L, h.psi, theta)),
+            )
+            homs += 1
+        assert homs == 139
 
 
 class TestPairRoundtripByResiduals:

@@ -4,9 +4,11 @@ An intended change of any of these outputs must update its digest here, and
 say why.  The contexts are two seeded random ones, the contranominal scale
 on four elements, whose lattice is the boolean lattice of 16 concepts, a
 tall sparse one, 60 x 12 with two crosses per row, on which the concept
-walk skips the children its extents cannot reach, and a
-small context whose labels JSON must escape: quotes, backslashes and control
-characters, next to non-ASCII ones it must not.  The bond commands read
+walk skips the children its extents cannot reach, a tall sparse 200 x 16
+with three crosses per row, whose concept order comes from the type side
+through the right residual's complement tables, and a small context whose
+labels JSON must escape: quotes, backslashes and control characters, next
+to non-ASCII ones it must not.  The bond commands read
 seeded bonds and bonding pairs between the two random contexts, valid and
 invalid; ``check infomorphism`` reads an injection into their sum, and the
 same map with one instance moved; ``check relational`` reads the relational
@@ -42,6 +44,7 @@ CONTEXTS = {
     "rand-5x7": lambda: random_context(random.Random(12), 5, 7),
     "contranominal-4": lambda: contranominal_classification(4),
     "tall-60x12": lambda: sparse_context(random.Random(13), 60, 12, 2),
+    "tall-200x16": lambda: sparse_context(random.Random(14), 200, 16, 3),
     "escapes": lambda: Classification(
         ('q"uote', "back\\slash", "tab\tctl\x01\x1f\x7f", "café 日本 \U0001F600"),
         ('"', "\\", '\\"', "é\x08", "t\\"),
@@ -154,6 +157,11 @@ GOLDEN = {
     ("lattice", "{tall-60x12}", "--dot"): (
         0,
         "32e019e460541bdf8e53c98e1f28fd926ab7b0dc78506ebe76868947c091e18e",
+    ),
+    # pinned before the concept order was taken from the type side
+    ("lattice", "{tall-200x16}", "--dot"): (
+        0,
+        "6d6a5df7e018f1d88f69dc3ee8df6c1cb58c1c14c100ff7cc4665db3354cba0d",
     ),
     ("lattice", "{escapes}"): (
         0,

@@ -64,6 +64,37 @@ class TestCxt:
         with pytest.raises(ParseError, match="line 11: illegal cell character '_'"):
             parse_cxt("B\n\n1\n4\n\n1\na\nb\nc\nd\nX_-Y\n")
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (("X", "XY", "Y"), "line 11: row has 1 cells, expected 2"),
+            (("XY", "X", "Y"), "line 11: illegal cell character 'Y'"),
+            ((".X", "X", "XY"), "line 12: row has 1 cells, expected 2"),
+            ((".X", "_X", "XXX"), "line 12: illegal cell character '_'"),
+        ],
+    )
+    def test_first_bad_row_is_named(self, rows, message):
+        """The row block is checked in bulk; of several bad rows, the first
+        is named, whichever way it is bad."""
+        text = "B\n\n3\n2\n\n1\n2\n3\na\nb\n" + "\n".join(rows) + "\n"
+        with pytest.raises(ParseError, match=re.escape(message)):
+            parse_cxt(text)
+
+    @pytest.mark.parametrize(
+        "tail, message",
+        [
+            ("X.\n.X", "line 12: unexpected end of file"),
+            ("X.\n.X\n", "line 13: row has 0 cells, expected 2"),
+            ("X.", "line 11: unexpected end of file"),
+            ("X.\nX", "line 12: row has 1 cells, expected 2"),
+        ],
+    )
+    def test_truncated_row_block(self, tail, message):
+        """A file that ends inside the row block fails at its end, after the
+        rows it holds are checked: a bad row among them is named first."""
+        with pytest.raises(ParseError, match=re.escape(message)):
+            parse_cxt("B\n\n3\n2\n\n1\n2\n3\na\nb\n" + tail)
+
     def test_context_without_types(self):
         K = parse_cxt("B\n\n2\n0\n\n1\n2\n\n\n")
         assert K.instances == ("1", "2") and K.types == ()

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -24,13 +25,23 @@ from conceptual.lattice import (
     meet,
     type_concept,
 )
-from conceptual.relalg import FunctionGraph, Relation, bits, compose, left_residual, transpose
+from conceptual import relalg
+from conceptual.relalg import (
+    FunctionGraph,
+    Relation,
+    bits,
+    compose,
+    left_residual,
+    right_residual,
+    transpose,
+)
 
 from conftest import PRUNED_BOTTOM, RANDOM_SHAPES, all_contexts, random_context, sparse_context
 from oracles import (
     closed_pairs_oracle,
     concept_set,
     covers_oracle,
+    extent_inclusion_oracle,
     extent_oracle,
     fcbo_oracle,
     inf_oracle,
@@ -43,11 +54,13 @@ from oracles import (
 TALL_SPARSE = ((40, 12, 0), (40, 12, 1), (40, 12, 2), (60, 12, 2), (300, 30, 2), (1500, 40, 2))
 
 
-def order_classifications(rng):
+def order_classifications():
     """Lattices classified by their own order: chains, boolean lattices and
     random lattices, up to 128 elements.  Their concepts are the principal
     (down-set, up-set) pairs, so most canonicity tests fail and the failures
-    handed down prune the most."""
+    handed down prune the most.  The random contexts come from a seed of
+    their own, so the lattices are the same whichever test asks first."""
+    rng = random.Random(0)
     for K in (
         [chain_classification(n) for n in (1, 2, 5, 32, 128)]
         + [contranominal_classification(n) for n in range(8)]
@@ -104,7 +117,7 @@ class TestBuildLattice:
             all_contexts(3, 3),
             (random_context(rng, m, n) for m, n in RANDOM_SHAPES),
             (contranominal_classification(n) for n in range(9)),
-            order_classifications(rng),
+            order_classifications(),
         )
         for K in contexts:
             got = [(c.extent, c.intent) for c in build_lattice(K).concepts]
@@ -182,6 +195,43 @@ class TestBuildLattice:
                     leq = L.order.bit(i, j)
                     assert leq == (ci.extent & ~cj.extent == 0)
                     assert leq == (cj.intent & ~ci.intent == 0)
+
+    def test_order_from_either_side_is_extent_inclusion(self, rng, monkeypatch):
+        """Both residuals give the order of the Basic Theorem, extent
+        inclusion, on contexts wider than tall, taller than wide, square,
+        0 x n and n x 0.  ``order`` takes the type side where the context is
+        taller than wide and the complement tables run there, as on a tall
+        sparse 200 x 16 (302 concepts), and the instance side otherwise, as
+        on 30 x 20 with five crosses per row, whose type side would take
+        the AND-product."""
+        tables = []
+        original = relalg._complement_tables
+        monkeypatch.setattr(
+            relalg, "_complement_tables", lambda t, s: tables.append(t) or original(t, s)
+        )
+        tall_sparse = sparse_context(random.Random(14), 200, 16, 3)
+        tall_dense = sparse_context(random.Random(14), 30, 20, 5)
+        contexts = [random_context(rng, m, n) for m, n in RANDOM_SHAPES + ((3, 9), (9, 3))]
+        contexts += [sparse_context(rng, m, n, k) for m, n, k in TALL_SPARSE[:5]]
+        contexts += [tall_sparse, tall_dense]
+        contexts += [contranominal_classification(5), chain_classification(6)]
+        for K in contexts:
+            L = build_lattice(K)
+            inclusion = extent_inclusion_oracle(
+                [extent_oracle(K, set(bits(c.intent))) for c in L.concepts]
+            )
+            assert right_residual(L.tau_rel, L.tau_rel) == inclusion
+            assert left_residual(L.iota_rel, L.iota_rel) == inclusion
+            fresh = build_lattice(K)
+            tables.clear()
+            assert fresh.order == inclusion
+            # the type side runs exactly where it takes the tables
+            assert ("iota_rel" in vars(fresh)) == (not tables)
+            assert not tables or len(K.types) < len(K.instances)
+            if K is tall_sparse:
+                assert fresh.size == 302 and tables == [fresh.tau_rel]
+            if K is tall_dense:
+                assert "iota_rel" in vars(fresh) and not tables
 
     def test_covers_are_the_reduction_of_extent_inclusion(self, rng):
         contexts = itertools.chain(

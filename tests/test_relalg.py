@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import json
+import random
 import re
 
 import pytest
@@ -30,6 +31,7 @@ from oracles import (
     left_residual_oracle,
     random_relation,
     right_residual_oracle,
+    right_residual_scatter_oracle,
     transpose_oracle,
 )
 
@@ -234,6 +236,35 @@ class TestResiduals:
             left_residual(Relation.empty(2, 2), Relation.empty(3, 2))
         with pytest.raises(ShapeError):
             right_residual(Relation.empty(2, 2), Relation.empty(2, 3))
+
+    def test_complement_tables_run_where_they_count_fewer_steps(self, monkeypatch):
+        """Both sides of the rule ``64 (T + G m) < 64 |s| + k m``: the tables
+        of a short ``t`` against a long, half-full ``s`` over a narrow side,
+        and the AND-product for the converse shapes, for a sparse ``s``, and
+        for a side wide enough that the tables outweigh the output."""
+        rng = random.Random(27)
+
+        def half(src, dst):
+            return Relation(src, dst, tuple(rng.getrandbits(dst) for _ in range(src)))
+
+        calls = []
+        original = relalg._complement_tables
+        monkeypatch.setattr(
+            relalg, "_complement_tables", lambda t, s: calls.append(1) or original(t, s)
+        )
+        cases = [
+            (half(40, 20), half(300, 20), True),
+            (half(300, 20), half(40, 20), False),
+            (half(90, 70), half(90, 70), True),
+            (half(90, 70), Relation(90, 70, tuple(1 << a % 70 for a in range(90))), False),
+            (half(300, 300), half(40, 300), False),
+        ]
+        for t, s, tables in cases:
+            calls.clear()
+            got = right_residual(t, s)
+            assert calls == ([1] if tables else [])
+            assert relalg.takes_complement_tables(t, s) == tables
+            assert got == right_residual_scatter_oracle(t, s)
 
 
 class TestAdjointness:

@@ -167,3 +167,24 @@ def test_sparse_relations_keep_the_bit_loops(data):
         patch.setattr(relalg, "_transpose_tiles", None)
         assert left_residual(r, t) == left_residual_oracle(r, t)
         assert transpose(r) == transpose_oracle(r)
+
+
+# the right residual's complement tables against the per-cell oracle: the
+# shared side runs over every width from 0 to 70 columns, whole bytes and
+# broken ones, and the output from an empty side to 300 rows or columns;
+# a short ``t`` against a long, dense ``s`` takes the tables, a long ``t``
+# against a short or sparse ``s`` the AND-product
+OUTPUT_SHAPES = [
+    (0, 300), (300, 0), (1, 300), (300, 1), (20, 300), (300, 20),
+    (40, 200), (200, 40), (64, 64), (90, 90), (120, 70), (70, 120),
+]
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(st.data())
+def test_complement_tables_are_the_oracle(data):
+    m, k = data.draw(st.sampled_from(OUTPUT_SHAPES))
+    n = data.draw(st.integers(0, 70))
+    t = data.draw(shaped(src=m, dst=n))
+    s = data.draw(shaped(src=k, dst=n))
+    assert right_residual(t, s) == right_residual_oracle(t, s)

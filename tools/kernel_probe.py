@@ -15,6 +15,11 @@ timing is the best of 7 runs, kernel and loop in turn, each on a fresh copy of
 ``--check`` compares every result with its reference loop and exits 1 on a
 difference.
 
+The ``right_residual`` rows take the per-cell subset tests up to 16x16;
+the complement tables at density .5 on 128x128, 752x752 and 100x22, and at
+both densities on 1500x40; and the AND-product at density .05 on 128x128,
+752x752 and 100x22, and at both densities on 40x1500.
+
 A second table times the two ``colimit`` enumerators, of functional
 infomorphisms and of concept lattice morphisms, from the apex of a sum of
 two seeded random contexts into a third.  On 2x3+2x3 into 2x3 it runs them
@@ -47,20 +52,37 @@ types an extent's rows meet where they cannot meet every free type, against
 benchmark's shapes, wide 100x22 at .3 and tall 1500x40 at .05 (every row
 with the rounded share of crosses), and on the order classification of the
 boolean lattice 2^7.  ``--check`` compares the two sides' concept tuples.
+
+A sixth table times the concept order of the same three lattices from each
+side of the context: ``tau_rel/tau_rel``, a right residual over the types,
+and ``iota_rel\\iota_rel``, a left residual over the instances, each side
+building its membership relation as a fresh lattice does (``iota_rel`` is
+a transpose of the extents), and names the side ``ConceptLattice.order``
+takes.  ``--check`` compares both sides and ``order`` with
+``extent_inclusion_oracle``.
+
+A last table, printed without ``--check``, counts the ``right_residual``
+calls of one cycle of each benchmark workload by the branch they take:
+per-cell subset tests, complement tables or AND-product.  Both library
+caches are cleared before each op, as the benchmark worker does.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
+import importlib
 import random
 import sys
+import tempfile
 from pathlib import Path
 from time import perf_counter
+from types import SimpleNamespace
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
 
-from conceptual import functors, verify  # noqa: E402
+from conceptual import functors, relalg, verify  # noqa: E402
 from conceptual.classification import Classification, contranominal_classification  # noqa: E402
 from conceptual.lattice import build_lattice  # noqa: E402
 from conceptual.colimit import (  # noqa: E402
@@ -71,13 +93,16 @@ from conceptual.colimit import (  # noqa: E402
 from conceptual.relalg import (  # noqa: E402
     FunctionGraph,
     Relation,
+    bits,
     left_residual,
     pullback,
     right_residual,
     transpose,
 )
+from workloads import WORKLOADS  # noqa: E402
 from oracles import (  # noqa: E402
     embedding_bonds_oracle,
+    extent_inclusion_oracle,
     fcbo_oracle,
     infomorphisms_oracle,
     lattice_morphisms_oracle,
@@ -360,6 +385,97 @@ def probe_builds(check: bool) -> tuple[int, int]:
     return compared, differ
 
 
+def order_sides(L) -> list:
+    """The two residuals the concept order of ``L`` comes from, as functions
+    of nothing, each building its membership relation afresh."""
+    m, n = len(L.instance_labels), len(L.type_labels)
+
+    def types():
+        tau = Relation(L.size, n, L.intents)
+        return right_residual(tau, tau)
+
+    def instances():
+        iota = transpose(Relation(L.size, m, L.extents))
+        return left_residual(iota, iota)
+
+    return [types, instances]
+
+
+def probe_orders(check: bool) -> tuple[int, int]:
+    """Print the order rows, or compare both sides and ``order`` with the
+    oracle; the number of comparisons made and of those that differ."""
+    if not check:
+        print(f"\n{'context':>17} {'concepts':>8} {'order':>9} {'types ms':>9}"
+              f" {'instances ms':>12} {'speed-up':>8}")
+    compared = differ = 0
+    for name, K in build_inputs():
+        L = build_lattice(K)
+        order = L.order
+        side = "instances" if "iota_rel" in vars(L) else "types"
+        sides = order_sides(L)
+        if check:
+            expected = extent_inclusion_oracle([set(bits(e)) for e in L.extents])
+            for what, got in zip(("types", "instances", "order"), [f() for f in sides] + [order]):
+                compared += 1
+                if got != expected:
+                    differ += 1
+                    print(f"differs: the order by {what} on {name}")
+            continue
+        by_types, by_instances = (best_time(f) for f in sides)
+        print(f"{name:>17} {L.size:>8} {side:>9} {by_types * 1e3:>9.3f}"
+              f" {by_instances * 1e3:>12.3f} {by_instances / by_types:>7.2f}x")
+    return compared, differ
+
+
+def probe_branches(check: bool) -> tuple[int, int]:
+    """Print the branch counts of one cycle of each benchmark workload."""
+    if check:
+        return 0, 0
+    print(f"\n{'workload':>9} {'calls':>7} {'per-cell':>9} {'tables':>7} {'AND-product':>12}")
+    names = ("classification", "relalg", "lattice", "functors", "bond", "io", "cli")
+    mods = SimpleNamespace(**{n: importlib.import_module(f"conceptual.{n}") for n in names})
+    original, tables = relalg.right_residual, relalg._complement_tables
+    counts = collections.Counter()
+
+    def counted_residual(t, s):
+        counts["calls"] += 1
+        counts["cells"] += t.src_size * s.src_size < relalg._SMALL_CELLS
+        return original(t, s)
+
+    def counted_tables(t, s):
+        counts["tables"] += 1
+        return tables(t, s)
+
+    # every module that imported the kernel by name, as the tracer finds them
+    bound = [
+        (module, key)
+        for name, module in list(sys.modules.items())
+        if name.startswith("conceptual")
+        for key, value in vars(module).items()
+        if value is original
+    ]
+    with tempfile.TemporaryDirectory() as workdir:
+        for workload in WORKLOADS.values():
+            ops = list(workload(mods, 1, "full", Path(workdir) / workload.name).ops())
+            counts.clear()
+            for module, key in bound:
+                setattr(module, key, counted_residual)
+            relalg._complement_tables = counted_tables
+            try:
+                for _, op, _ in ops:
+                    mods.lattice.concept_lattice_of.cache_clear()
+                    mods.functors.complete_lattice_of.cache_clear()
+                    op()
+            finally:
+                for module, key in bound:
+                    setattr(module, key, original)
+                relalg._complement_tables = tables
+            ands = counts["calls"] - counts["cells"] - counts["tables"]
+            print(f"{workload.name:>9} {counts['calls']:>7} {counts['cells']:>9}"
+                  f" {counts['tables']:>7} {ands:>12}")
+    return 0, 0
+
+
 def main(argv: list[str] | None = None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--check", action="store_true", help="compare results only, time nothing")
@@ -384,7 +500,15 @@ def main(argv: list[str] | None = None) -> int:
                     f" {ref / k:>7.2f}x"
                 )
     compared = 0
-    for probe in (probe_enumerators, probe_pullbacks, probe_embeddings, probe_builds):
+    probes = (
+        probe_enumerators,
+        probe_pullbacks,
+        probe_embeddings,
+        probe_builds,
+        probe_orders,
+        probe_branches,
+    )
+    for probe in probes:
         more, more_differ = probe(args.check)
         compared += more
         differ += more_differ
