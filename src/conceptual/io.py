@@ -16,7 +16,7 @@ from .classification import Classification
 from .errors import ParseError, ValidationError, quote
 from .infomorphism import FunctionalInfomorphism, RelationalInfomorphism
 from .lattice import ConceptLattice
-from .relalg import FunctionGraph, Relation, bits
+from .relalg import FunctionGraph, Relation, from_digits
 
 
 # -- Burmeister context format -------------------------------------------------
@@ -35,11 +35,13 @@ def parse_cxt(text: str) -> Classification:
 
     The row block is checked in bulk, one scan of the row lengths and one
     ``translate`` that deletes ``X`` and ``.`` from the joined rows, and
-    read as one binary numeral per row, least significant cell first.  The
-    character check comes first because ``int(..., 2)`` alone also accepts
-    ``_``, whitespace and a sign.  Only a block that fails is walked row by
-    row, to name its first bad row, and a block cut short by the end of the
-    file is reported after the rows it does hold.
+    read by ``relalg.from_digits``: one binary numeral per row, least
+    significant cell first, and one per column, so the context comes with
+    its ``cols`` and FCbO transposes nothing.  The character check comes
+    first because ``int(..., 2)`` alone also accepts ``_``, whitespace and a
+    sign.  Only a block that fails is walked row by row, to name its first
+    bad row, and a block cut short by the end of the file is reported after
+    the rows it does hold.
     """
     lines = text.split("\n")
 
@@ -101,15 +103,10 @@ def parse_cxt(text: str) -> Classification:
     if len(block) < n_inst:
         raise end_of_file()
     # the joined block read backwards holds the rows last to first, each
-    # row's cells reversed: its binary numeral
-    digits = cells.translate(_CELL_DIGITS)[::-1]
-    if n_typ:
-        rows = [int(digits[c:c + n_typ], 2) for c in range(0, len(digits), n_typ)]
-        rows.reverse()
-    else:
-        rows = [0] * n_inst
+    # row's cells reversed: the digits ``from_digits`` reads
+    incidence = from_digits(n_inst, n_typ, cells.translate(_CELL_DIGITS)[::-1])
     try:
-        return Classification(instances, types, Relation(n_inst, n_typ, tuple(rows)))
+        return Classification(instances, types, incidence)
     except ValidationError as e:
         raise ParseError(str(e)) from None
 
@@ -350,20 +347,30 @@ def emit_dot(L: ConceptLattice) -> str:
     order; the two lines are joined by DOT's ``\\n``.  Inside the quoted
     label, ``\\`` is escaped before ``"``, so that no label can end the
     string or escape its closing quote.
+
+    Every node is written from the one ``label=""`` template, and only the
+    nodes that own a label, no more than there are instances and types, are
+    formatted again.  An edge line is the lower node's name and the
+    upper node's tail, formatted once per node, read off the bits of its
+    ``covers`` row in an inline loop.
     """
-    own: list[list[list[str]]] = [[[], []] for _ in range(L.size)]
+    own: dict[int, tuple[list[str], list[str]]] = {}
     for t, c in enumerate(L.tau.targets):
-        own[c][0].append(L.type_labels[t])
+        own.setdefault(c, ([], []))[0].append(L.type_labels[t])
     for a, c in enumerate(L.iota.targets):
-        own[c][1].append(L.instance_labels[a])
-    lines = ["digraph lattice {", "  node [shape=box];"]
-    for i, parts in enumerate(own):
+        own.setdefault(c, ([], []))[1].append(L.instance_labels[a])
+    nodes = [f'  c{i} [label=""];' for i in range(L.size)]
+    for c, parts in own.items():
         label = "\\n".join(
             " ".join(part).replace("\\", "\\\\").replace('"', '\\"') for part in parts if part
         )
-        lines.append(f'  c{i} [label="{label}"];')
-    for i in range(L.size):
-        for j in bits(L.covers.rows[i]):
-            lines.append(f"  c{j} -> c{i};")
+        nodes[c] = f'  c{c} [label="{label}"];'
+    lines = ["digraph lattice {", "  node [shape=box];", *nodes]
+    for i, row in enumerate(L.covers.rows):
+        tail = f" -> c{i};"
+        while row:
+            low = row & -row
+            lines.append(f"  c{low.bit_length() - 1}{tail}")
+            row ^= low
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -222,18 +222,23 @@ def build_lattice(K: Classification, max_concepts: int = DEFAULT_CONCEPT_CAP) ->
     in ascending ``j`` on a stack, so the highest pops first and the
     pre-order is the lectic order.
 
-    A closure failing at ``j`` is recorded for the node's children: below a
-    node, every closure at ``j`` contains it, so if it adds a type below ``j``
-    that the child's intent lacks, the child's closure at ``j`` fails too and
-    is not computed.  A child's closure stops once it has narrowed to
-    ``B | {j}``: every instance of its extent has those types, so its intent
-    contains that set, and no further row can remove a type from it.
+    The free types of a node are those ``B`` lacks, and the walk visits
+    those from ``start`` up as the bits of one mask.  A child at ``j`` fails
+    the test when its witness types, ``D & (bit - 1) & free``, the free
+    types below ``j`` that ``D`` adds, are not empty, and those are what
+    ``failed[j]`` keeps for the node's children.  Below a node, every
+    closure at ``j`` contains the failed one, so while a witness type is
+    still free in a descendant, the descendant's closure at ``j`` adds it
+    too and fails: the whole skip test is ``failed[j] & free``, and the
+    closure is not computed.  A child's closure stops once it has narrowed
+    to ``B | {j}``: every instance of its extent has those types, so its
+    intent contains that set, and no further row can remove a type from it.
 
     A child at a type that no row of ``ext`` has gets the empty extent, whose
     closure is every type.  It adds every type below ``j`` that ``B`` lacks,
     so it is canonical only at the lowest type ``B`` lacks, where it is the
     bottom concept.  Where the extent's rows hold too few crosses to meet
-    every free type (those from ``start`` up that ``B`` lacks), by the gate
+    every free type from ``start`` up, by the gate
     ``|ext| * (1 + mean row weight) < n - start``, a property of the input
     and not a tuned constant, the walk ORs those rows into ``meet`` and
     visits only the free types in ``meet`` and that lowest missing type
@@ -267,7 +272,7 @@ def build_lattice(K: Classification, max_concepts: int = DEFAULT_CONCEPT_CAP) ->
 
     pairs: list[FormalConcept] = []
     # each entry: extent, intent, the first type index its children may add,
-    # and the closures that failed the canonicity test, by type index
+    # and the witness types of the closures that failed, by type index
     stack = [(full_i, intent(full_i), 0, [0] * n)]
     while stack:
         ext, cur, start, inherited = stack.pop()
@@ -280,7 +285,8 @@ def build_lattice(K: Classification, max_concepts: int = DEFAULT_CONCEPT_CAP) ->
             continue  # no type left to add: a leaf needs no failure list
         # shared by every child pushed below; final before the first of them pops
         failed = inherited.copy()
-        visit = range(start, n)
+        free = full_t ^ cur
+        visit = free >> start << start
         if ext.bit_count() * weight < (n - start) * m:
             meet = 0
             rest = ext
@@ -288,29 +294,28 @@ def build_lattice(K: Classification, max_concepts: int = DEFAULT_CONCEPT_CAP) ->
                 low = rest & -rest
                 meet |= rows[low.bit_length() - 1]
                 rest ^= low
-            missing = full_t & ~cur
             # the free types the rows meet, and where the bottom may be canonical
-            visit = bits((meet | missing & -missing) & missing >> start << start)
-        for j in visit:
-            bit = 1 << j
-            if cur & bit:
-                continue
-            below = bit - 1
-            # a closure that failed at j in an ancestor lies inside this one's
-            if failed[j] & below & ~cur:
+            visit &= meet | free & -free
+        while visit:
+            bit = visit & -visit
+            visit ^= bit
+            j = bit.bit_length() - 1
+            # a witness of a closure that failed at j above is still free here
+            if failed[j] & free:
                 continue
             child_ext = ext & cols[j]
             child = intent(child_ext, cur | bit)
-            if child & below == cur & below:
-                stack.append((child_ext, child, j + 1, failed))
+            witness = child & (bit - 1) & free
+            if witness:
+                failed[j] = witness
             else:
-                failed[j] = child
+                stack.append((child_ext, child, j + 1, failed))
 
     nc = len(pairs)
     intent_idx = {c.intent: k for k, c in enumerate(pairs)}
     extent_idx = {c.extent: k for k, c in enumerate(pairs)}
-    iota = FunctionGraph.from_targets(tuple(intent_idx[rows[a]] for a in range(m)), nc)
-    tau = FunctionGraph.from_targets(tuple(extent_idx[cols[t]] for t in range(n)), nc)
+    iota = FunctionGraph(tuple(map(intent_idx.__getitem__, rows)), nc)
+    tau = FunctionGraph(tuple(map(extent_idx.__getitem__, cols)), nc)
 
     return ConceptLattice(tuple(pairs), K.instances, K.types, iota, tau)
 

@@ -38,6 +38,12 @@ through a table when ``_bytewise`` holds, at least 16 columns and a popcount
 of at least half the row bytes, and one big-int step per bit otherwise;
 ``preimages`` reads its masks through the same table from 16 targets.
 
+``transpose`` is one of two places that fill a relation's ``columns``
+view on the way; the other is ``from_digits``, the reader of a block of
+0/1 digits (``io.parse_cxt`` and ``Relation.from_matrix``), which reads
+each column as a strided slice of the same digit string as the rows, so
+no relation read from text is transposed.
+
 Empty carriers (0 x n, n x 0) are legal everywhere; residuals over a vacuous
 quantifier come out full, which keeps the adjunction laws total.
 """
@@ -46,6 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ShapeError, ValidationError, quote
@@ -148,21 +155,27 @@ class Relation:
     ) -> "Relation":
         """Build from a 0/1 row-of-rows; ``dst_size`` disambiguates 0 rows.
 
-        Each row is checked once and read as a binary numeral, last cell
-        first, as ``io.parse_cxt`` reads its rows; the cells are scanned one
-        by one only to name a bad one."""
+        The row lengths are checked in one scan and the cells joined in one
+        pass into a digit string, which ``from_digits`` reads backwards, as
+        ``io.parse_cxt`` reads its row block: the relation comes with its
+        ``columns``.  Only a matrix that fails is walked row by row, to name
+        its first ragged row or bad cell."""
         if dst_size is None:
             dst_size = len(matrix[0]) if matrix else 0
-        rows = []
+        try:
+            if set(map(len, matrix)) <= {dst_size}:
+                digits = "".join(map(_DIGITS.__getitem__, chain.from_iterable(matrix)))
+                return from_digits(len(matrix), dst_size, digits[::-1])
+        except (KeyError, TypeError):
+            pass
         for cells in matrix:
             if len(cells) != dst_size:
                 raise ValidationError("ragged incidence matrix")
-            try:
-                rows.append(int("".join(map(_DIGITS.__getitem__, reversed(cells))) or "0", 2))
-            except (KeyError, TypeError):
-                bad = next(cell for cell in cells if cell not in (0, 1))
-                raise ValidationError(f"matrix cell must be 0/1, got {quote(bad)}") from None
-        return cls(len(matrix), dst_size, tuple(rows))
+            for cell in cells:
+                if cell not in (0, 1):
+                    raise ValidationError(f"matrix cell must be 0/1, got {quote(cell)}")
+        # a cell equal to 0 or 1 that does not hash as one
+        raise ValidationError("matrix cells must be 0/1")
 
     @classmethod
     def empty(cls, src_size: int, dst_size: int) -> "Relation":
@@ -199,6 +212,28 @@ class Relation:
     def __repr__(self):
         body = ", ".join(format(row, f"0{self.dst_size}b")[::-1] for row in self.rows)
         return f"Relation({self.src_size}x{self.dst_size}: [{body}])"
+
+
+def from_digits(m: int, n: int, digits: str) -> Relation:
+    """The ``m`` x ``n`` relation whose cell block, read last cell first, is
+    the digit string ``digits`` of ``m * n`` characters ``0`` and ``1``,
+    which the caller has checked: row ``m - 1`` comes first, each row's
+    last cell first.
+
+    So row ``a`` is the numeral ``digits[(m - 1 - a) * n:(m - a) * n]`` and
+    column ``b`` the numeral of every ``n``-th digit from ``n - 1 - b``, the
+    column's last cell first too; both are read with ``int(..., 2)``, and the
+    columns are stored as the relation's ``columns``, as ``transpose``
+    stores its input's rows."""
+    if m and n:
+        rows = [int(digits[c:c + n], 2) for c in range(0, m * n, n)]
+        rows.reverse()
+        cols = [int(digits[c::n], 2) for c in range(n - 1, -1, -1)]
+    else:
+        rows, cols = [0] * m, [0] * n
+    out = Relation(m, n, tuple(rows))
+    _setattr(out, "columns", tuple(cols))
+    return out
 
 
 def _require(cond: bool, op: str, r: Relation, s: Relation):

@@ -7,7 +7,7 @@ import re
 import pytest
 
 from conceptual import relalg
-from conceptual.errors import ShapeError, ValidationError
+from conceptual.errors import ShapeError, ValidationError, quote
 from conceptual.relalg import (
     FunctionGraph,
     view,
@@ -348,7 +348,9 @@ class TestDerivedLaws:
 
 
 # JSON matrix text and dst_size (None: from the first row) -> the rows built,
-# or the error type and message; one case per kind of cell JSON can hold
+# or the error type and message; one case per kind of cell JSON can hold.  The
+# first bad row is named, whichever its fault: a bad cell before a ragged row
+# names the cell, a ragged row before a bad cell names the row
 FROM_MATRIX = [
     ("[[1, 0, 1], [0, 0, 0], [1, 1, 1]]", 3, (5, 0, 7)),
     ("[[true, false], [false, true]]", 2, (1, 2)),
@@ -376,6 +378,7 @@ FROM_MATRIX = [
     ('[{"a": 1}]', 1, (ValidationError, "matrix cell must be 0/1, got 'a'")),
     ("[5]", 1, (TypeError, "object of type 'int' has no len()")),
     ("[[1, 1], null]", 2, (TypeError, "object of type 'NoneType' has no len()")),
+    ("[[1, 0, 1], [0, 2]]", 2, (ValidationError, "ragged incidence matrix")),
 ]
 
 
@@ -390,6 +393,14 @@ def test_from_matrix_verdicts_and_messages(text, dst_size, expected):
         r = Relation.from_matrix(matrix, dst_size)
         width = dst_size if dst_size is not None else len(matrix[0])
         assert (r.src_size, r.dst_size, r.rows) == (len(matrix), width, expected)
+
+
+def test_from_matrix_quotes_a_long_bad_cell_cut_short():
+    cell = "x" * 100_000
+    with pytest.raises(ValidationError) as info:
+        Relation.from_matrix(json.loads(f'[[1, 0], [0, "{cell}"]]'))
+    assert str(info.value) == f"matrix cell must be 0/1, got {quote(cell)}"
+    assert len(str(info.value)) < 100
 
 
 class TestView:

@@ -1,7 +1,8 @@
 """Bounded property tests of the residuation laws the library relies on, on
 random shapes up to 7x7x7, 0-sized carriers included (Schmidt & Stroehlein,
-*Relations and Graphs*, Springer 1993, ch. 4), and of each kernel's branches
-against the reference loops of ``tests/oracles.py``."""
+*Relations and Graphs*, Springer 1993, ch. 4), of each kernel's branches
+against the reference loops of ``tests/oracles.py``, and of the digit reader
+that fills a relation's columns as it reads its rows."""
 
 import random
 
@@ -12,6 +13,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from conceptual import relalg
+from conceptual.classification import Classification
+from conceptual.io import emit_cxt, parse_cxt
 from conceptual.relalg import (
     Relation,
     compose,
@@ -188,3 +191,33 @@ def test_complement_tables_are_the_oracle(data):
     t = data.draw(shaped(src=m, dst=n))
     s = data.draw(shaped(src=k, dst=n))
     assert right_residual(t, s) == right_residual_oracle(t, s)
+
+
+# -- the digit reader ----------------------------------------------------------
+#
+# ``relalg.from_digits`` reads a relation's rows and its columns off one digit
+# string; both text readers go through it.  The widths sit on both sides of a
+# byte and of a machine word, and 0 rows or 0 columns give the empty carriers.
+READ_WIDTHS = (0, 1, 7, 8, 9, 63, 64, 65)
+# the cells JSON can hold for each bit; ``from_matrix`` reads each as its digit
+ZEROS = (0, False, 0.0)
+ONES = (1, True, 1.0)
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(st.integers(0, 12), st.sampled_from(READ_WIDTHS), st.randoms(use_true_random=False))
+def test_read_relations_carry_their_columns(m, n, rnd):
+    """A relation read by ``parse_cxt(emit_cxt(K))`` or by ``from_matrix`` has
+    the rows it was written from, and its ``columns`` are stored by the
+    reader, equal to the rows of its transpose."""
+    rel = Relation(m, n, tuple(rnd.getrandbits(n) if n else 0 for _ in range(m)))
+    K = Classification(tuple(f"i{a}" for a in range(m)), tuple(f"t{b}" for b in range(n)), rel)
+    cells = [[rnd.choice(ONES if row >> b & 1 else ZEROS) for b in range(n)] for row in rel.rows]
+    readers = [
+        parse_cxt(emit_cxt(K)).incidence,
+        Relation.from_matrix(rel.matrix(), n),
+        Relation.from_matrix(cells, n),
+    ]
+    for read in readers:
+        assert (read.shape, read.rows) == (rel.shape, rel.rows)
+        assert vars(read)["columns"] == transpose(rel).rows

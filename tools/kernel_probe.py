@@ -61,6 +61,14 @@ a transpose of the extents), and names the side ``ConceptLattice.order``
 takes.  ``--check`` compares both sides and ``order`` with
 ``extent_inclusion_oracle``.
 
+A seventh table times ``relalg.from_digits``, the reader behind
+``io.parse_cxt`` and ``Relation.from_matrix``, which reads a relation's rows
+and its columns off one digit string, against its rows alone, as the
+readers read them before, and the ``transpose`` that its stored columns
+save, on the same three contexts.  ``--check`` compares the
+columns that ``parse_cxt(emit_cxt(K))`` and ``from_matrix`` store with the
+rows of ``transpose``.
+
 A last table, printed without ``--check``, counts the ``right_residual``
 calls of one cycle of each benchmark workload by the branch they take:
 per-cell subset tests, complement tables or AND-product.  Both library
@@ -83,6 +91,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
 
 from conceptual import functors, relalg, verify  # noqa: E402
+from conceptual.io import emit_cxt, parse_cxt  # noqa: E402
 from conceptual.classification import Classification, contranominal_classification  # noqa: E402
 from conceptual.lattice import build_lattice  # noqa: E402
 from conceptual.colimit import (  # noqa: E402
@@ -94,6 +103,7 @@ from conceptual.relalg import (  # noqa: E402
     FunctionGraph,
     Relation,
     bits,
+    from_digits,
     left_residual,
     pullback,
     right_residual,
@@ -427,6 +437,33 @@ def probe_orders(check: bool) -> tuple[int, int]:
     return compared, differ
 
 
+def probe_readers(check: bool) -> tuple[int, int]:
+    """Print the reader rows, or compare the columns both text readers store
+    with ``transpose``; the number of comparisons made and of those that
+    differ."""
+    if not check:
+        print(f"\n{'context':>17} {'rows ms':>8} {'reader ms':>10} {'transpose ms':>12}")
+    compared = differ = 0
+    for name, K in build_inputs():
+        rel = K.incidence
+        m, n = rel.shape
+        if check:
+            expected = transpose(rel).rows
+            read = [parse_cxt(emit_cxt(K)).incidence, Relation.from_matrix(rel.matrix(), n)]
+            for what, got in zip(("parse_cxt", "from_matrix"), read):
+                compared += 1
+                if vars(got).get("columns") != expected:
+                    differ += 1
+                    print(f"differs: the columns {what} stores on {name}")
+            continue
+        digits = "".join(format(row, f"0{n}b") for row in reversed(rel.rows))
+        rows = best_time(lambda: [int(digits[c:c + n], 2) for c in range(0, m * n, n)])
+        reader = best_time(lambda: from_digits(m, n, digits))
+        converse = best_time(lambda: transpose(Relation(m, n, rel.rows)))
+        print(f"{name:>17} {rows * 1e3:>8.3f} {reader * 1e3:>10.3f} {converse * 1e3:>12.3f}")
+    return compared, differ
+
+
 def probe_branches(check: bool) -> tuple[int, int]:
     """Print the branch counts of one cycle of each benchmark workload."""
     if check:
@@ -506,6 +543,7 @@ def main(argv: list[str] | None = None) -> int:
         probe_embeddings,
         probe_builds,
         probe_orders,
+        probe_readers,
         probe_branches,
     )
     for probe in probes:
