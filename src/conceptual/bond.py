@@ -92,18 +92,21 @@ def is_bond(A: Classification, B: Classification, rel: Relation | Bond) -> Check
     row_closed = left_residual(bond.r, A.incidence)
     if row_closed != rel:
         b = B.instances[relalg.first_difference(rel.rows, row_closed.rows)[0]]
-        return CheckResult(
-            False, witness=("row", b), reason=f"row of {quote(b)} is not an intent of the source"
-        )
+        return _closure_failure("row", b)
     col_closed = right_residual(B.incidence, bond.s)
     if col_closed != rel:
         t = A.types[relalg.first_difference(rel.columns, col_closed.columns)[0]]
-        return CheckResult(
-            False,
-            witness=("column", t),
-            reason=f"column of {quote(t)} is not an extent of the target",
-        )
+        return _closure_failure("column", t)
     return CheckResult(True)
+
+
+def _closure_failure(side: str, label) -> CheckResult:
+    """A failed bond check at the row of the target instance ``label`` or at
+    the column of the source type ``label``."""
+    closed = "an intent of the source" if side == "row" else "an extent of the target"
+    return CheckResult(
+        False, witness=(side, label), reason=f"{side} of {quote(label)} is not {closed}"
+    )
 
 
 def _close_rows(A: Classification, rel: Relation) -> Relation:
@@ -219,7 +222,8 @@ def is_bonding_pair(F: Bond, G: Bond) -> CheckResult:
     ``G`` gives its whole extent.  The first constraint asks each such
     instance set to be the extent of the type set, the second the type set
     to be the intent of the instance set; the witness is the first concept
-    at which either fails.
+    at which either fails, and the reason names the constraint that fails
+    there, the first if both do.
     """
     if F.source != G.target or F.target != G.source:
         raise ShapeError("bonds do not oppose each other")
@@ -235,8 +239,9 @@ def is_bonding_pair(F: Bond, G: Bond) -> CheckResult:
         relalg.first_difference(bwd.rows, second.rows),
     )
     LA = concept_lattice_of(F.source)
-    c = LA.concepts[min(d[0] for d in diffs if d is not None)]
-    which = "first" if diffs[0] is not None else "second"
+    at = min(d[0] for d in diffs if d is not None)
+    c = LA.concepts[at]
+    which = "first" if diffs[0] is not None and diffs[0][0] == at else "second"
     return CheckResult(
         False,
         witness=("concept", LA.extent_labels(c), LA.intent_labels(c)),

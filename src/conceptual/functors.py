@@ -18,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .bond import Bond, BondingPair, compose_bonds
+from .bond import Bond, BondingPair, _closure_failure, compose_bonds
 from .classification import Classification
-from .errors import CheckResult, ShapeError, ValidationError
+from .errors import CheckResult, ShapeError, ValidationError, quote
 from .infomorphism import FunctionalInfomorphism
 from .lattice import (
     ConceptLattice,
@@ -35,6 +35,7 @@ from .relalg import (
     Relation,
     adjoint_failure,
     bits,
+    first_difference,
     left_residual,
     mask_of,
     pullback,
@@ -348,9 +349,60 @@ def bond_of_adjoint(p: AdjointPair) -> Bond:
 
 
 def _adjointness_bond(L: CompleteLattice, K: CompleteLattice, phi: FunctionGraph) -> Bond:
-    """The bond from ``L`` to ``K`` whose row ``y`` is ``L.up[phi(y)]``."""
-    rows = tuple(map(L.up.__getitem__, phi.targets))
-    return Bond(L.classification, K.classification, Relation(K.size, L.size, rows))
+    """The bond from ``L`` to ``K`` whose row ``y`` is ``L.up[phi(y)]``.
+
+    It is checked by ``_order_bond_check``, which is ``is_bond`` between
+    order classifications, and then built unchecked.  Every row is a
+    principal filter by construction, so the columns decide: column ``x``,
+    ``{y : phi(y) <= x}``, is a principal ideal of ``K`` for every ``x``
+    exactly when ``phi`` has a right adjoint."""
+    rel = Relation(K.size, L.size, tuple(map(L.up.__getitem__, phi.targets)))
+    _order_bond_check(L, K, rel).require("relation is not a bond")
+    return Bond(L.classification, K.classification, rel, validate=False)
+
+
+def _order_bond_check(L: CompleteLattice, K: CompleteLattice, rel: Relation) -> CheckResult:
+    """``is_bond`` from the order classification of ``L`` to that of ``K``,
+    with the same verdict, reason and witness, by principal sets alone.
+
+    An order classification ``(L, L, <=)`` of a lattice is its own concept
+    lattice (the Basic Theorem, Ganter & Wille 1999, Thm. 3): its intents
+    are exactly the principal filters and its extents exactly the principal
+    ideals.  So a row of ``rel`` is closed iff it is a key of ``L.up_index``
+    and a column iff it is a key of ``K.down_index``, given that
+    ``check_lattice`` has run on both lattices, as their construction does.
+    No residual is taken."""
+    up, down = L.up_index, K.down_index
+    y = next((y for y, row in enumerate(rel.rows) if row not in up), None)
+    if y is not None:
+        return _closure_failure("row", K.elements[y])
+    x = next((x for x, col in enumerate(rel.columns) if col not in down), None)
+    if x is not None:
+        return _closure_failure("column", L.elements[x])
+    return CheckResult(True)
+
+
+def _order_pairing_check(L: CompleteLattice, K: CompleteLattice, F: Bond, G: Bond) -> CheckResult:
+    """``is_bonding_pair``'s verdict on bonds ``F`` from the order
+    classification of ``L`` to that of ``K`` and ``G`` back, both of which
+    pass ``_order_bond_check``.
+
+    At the concept of ``x``, ``(L.down[x], L.up[x])``, the first pairing
+    constraint reads ``F``'s column ``x``, a principal ideal of ``K``, and
+    the second ``G``'s row ``x``, a principal filter; each constraint holds
+    iff the two are generated by one element.  So the pair is checked by
+    index, ``K.down_index`` of each column of ``F`` against ``K.up_index``
+    of each row of ``G``, and a failure names the first element of ``L``
+    where they differ."""
+    diff = first_difference(
+        map(K.down_index.__getitem__, F.rel.columns), map(K.up_index.__getitem__, G.rel.rows)
+    )
+    if diff is None:
+        return CheckResult(True)
+    x = L.elements[diff[0]]
+    return CheckResult(
+        False, witness=(x,), reason=f"the bonds' column and row of {quote(x)} name two elements"
+    )
 
 
 def embedding_bonds(A: Classification) -> tuple[Bond, Bond]:
@@ -367,12 +419,17 @@ def embedding_bonds(A: Classification) -> tuple[Bond, Bond]:
     ``I/tau``, is ``iota``.  These two identities give the instance bond's
     column closure and the type bond's row closure, and they make the
     instance;type composite ``G.r\\F`` of ``compose_bonds`` the order
-    ``iota\\iota``.  The other two closures, over the order, and the
-    type;instance composite are computed.  Both bonds' ``is_bond`` and both
+    ``iota\\iota``.  The other two closures are over the order
+    classification, whose intents are its principal filters and extents its
+    principal ideals (the same theorem, on the validated lattice), so they
+    are membership tests: the rows of ``iota`` in ``up_index`` and the
+    columns of ``tau`` in ``down_index``.  The type;instance composite is
+    computed.  That is 4 residuals; both bonds' ``is_bond`` and both
     composites follow, so the check is no weaker than validating the
     bonds."""
     LA = concept_lattice_of(A)
-    order_cls = complete_lattice_of(LA).classification
+    lattice = complete_lattice_of(LA)
+    order_cls = lattice.classification
     leq, iota, tau = order_cls.incidence, LA.iota_rel, LA.tau_rel
     instance_bond = Bond(order_cls, A, iota, validate=False)
     type_bond = Bond(A, order_cls, tau, validate=False)
@@ -380,9 +437,9 @@ def embedding_bonds(A: Classification) -> tuple[Bond, Bond]:
         raise ValidationError("the extents do not derive to the intents")
     if type_bond.r != iota:
         raise ValidationError("the intents do not derive to the extents")
-    if left_residual(instance_bond.r, leq) != iota:
+    if not lattice.up_index.keys() >= set(iota.rows):
         raise ValidationError("instance bond rows are not principal filters of the order")
-    if right_residual(leq, type_bond.s) != tau:
+    if not lattice.down_index.keys() >= set(tau.columns):
         raise ValidationError("type bond columns are not principal ideals of the order")
     if LA.order != leq:
         raise ValidationError("instance;type composite is not the lattice identity bond")
@@ -463,11 +520,15 @@ class CompleteHomomorphism:
         an ``AdjointPair``.  The backward bond is the adjointness relation of
         ``psi`` and its right adjoint, which the hom's join check has shown
         to exist; that relation reads ``psi`` alone, so the adjoint itself is
-        not built.  Both bonds are checked as bonds and as a pair."""
-        phi = canonical_adjoints(self)[0]
-        forward = _adjointness_bond(self.source, self.target, phi)
-        backward = _adjointness_bond(self.target, self.source, self.psi)
-        return BondingPair(forward, backward)
+        not built.  Both bonds are still checked as bonds, by their principal
+        sets (``_adjointness_bond``), and as a pair, by index
+        (``_order_pairing_check``); a failing pair raises ``ValidationError``
+        naming the first element of the source where the bonds disagree."""
+        L, K = self.source, self.target
+        forward = _adjointness_bond(L, K, canonical_adjoints(self)[0])
+        backward = _adjointness_bond(K, L, self.psi)
+        _order_pairing_check(L, K, forward, backward).require("pairing constraints fail")
+        return BondingPair(forward, backward, validate=False)
 
 
 def _principal_preimages(
@@ -571,8 +632,11 @@ def pair_roundtrip_holds(p: BondingPair) -> bool:
     ``compose_bonding_pairs`` would give, each a ``G.r\\F`` as in
     ``compose_bonds``, and compared bit for bit with the rebuilt pair, the
     one object built here; its endpoints must be the order classifications.
-    The rebuilt pair is validated, so a conjugation equal to it is a bonding
-    pair, which is stronger than checking each composite for being a bond.
+    The rebuilt pair is checked, as bonds by their principal sets and as a
+    pair by index (``CompleteHomomorphism.pair``), with the verdicts of
+    ``is_bond`` and ``is_bonding_pair``, so a conjugation equal to it is a
+    bonding pair, which is stronger than checking each composite for being a
+    bond; no bond check or composition of ``conceptual.bond`` runs here.
     The embedding pairs' own pairing constraints are checked where that fact
     is claimed, by ``embedding_bonding_pairs``; a conjugation that is not a
     bond returns false."""
@@ -591,7 +655,13 @@ def pair_roundtrip_holds(p: BondingPair) -> bool:
 
 
 def hom_roundtrip_holds(h: CompleteHomomorphism) -> bool:
-    """Principal-concept witnesses intertwine a hom with its rebuilt hom."""
+    """Principal-concept witnesses intertwine a hom with its rebuilt hom.
+
+    The rebuilt hom, through ``adjoint_of_bond``, and the witnesses,
+    ``down_up_witness``, read each end's lattice rebuilt from its order
+    classification by ``concept_lattice_of``.  The rebuilt pair's own checks
+    read only principal sets, so that build happens here, not in
+    ``pair_of_hom``."""
     rebuilt = hom_of_pair(pair_of_hom(h))
     w_src = down_up_witness(h.source)
     w_tgt = down_up_witness(h.target)

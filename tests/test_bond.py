@@ -365,15 +365,24 @@ class TestBondingPairs:
     def test_pointwise_and_categorical_agree(self, k1, rng):
         # the verdict agrees with the pointwise reference, a failure's witness
         # names the first concept the reference flags, and its reason the
-        # first constraint if that fails anywhere; k1 against
-        # contranominal 2, then random contexts with empty carriers.  Between
-        # bonds the two constraints fail at the same concepts; between
-        # unchecked relations, every other pair, they can fail apart
+        # constraint that fails at that concept, the first if both do; a
+        # counterexample where the second fails at the witness and the first
+        # only later, k1 against contranominal 2, then random contexts with
+        # empty carriers.  Between bonds the two constraints fail at the same
+        # concepts; between unchecked relations, every other pair, they can
+        # fail apart
+        A = Classification(("i0", "i1", "i2"), ("t0",), Relation.from_matrix([[0], [1], [0]]))
+        B = Classification(
+            ("i0", "i1"), ("t0", "t1", "t2"), Relation.from_matrix([[0, 1, 1], [1, 1, 0]])
+        )
+        F = Bond(A, B, Relation.from_matrix([[1], [0]]), validate=False)
+        G = Bond(B, A, Relation.from_matrix([[0, 0, 1], [1, 0, 0], [0, 1, 0]]), validate=False)
+        assert pointwise_pair_constraints(F, G) == [(False, True), (True, True)]
+        unchecked = [(F, G)]
         pairs = [(k1, contranominal_classification(2))] * 30 + [
             tuple(random_context(rng, rng.randint(0, 4), rng.randint(0, 4)) for _ in range(2))
             for _ in range(80)
         ]
-        reasons = set()
         for k, (A, B) in enumerate(pairs):
             if k % 2:
                 F = Bond(A, B, random_relation(rng, len(B.instances), len(A.types)), validate=False)
@@ -381,18 +390,23 @@ class TestBondingPairs:
             else:
                 F = random_bond(rng, A, B)
                 G = random_bond(rng, B, A)
+            unchecked.append((F, G))
+        reasons = []
+        for F, G in unchecked:
             verdict = is_bonding_pair(F, G)
             flags = pointwise_pair_constraints(F, G)
             failing = [first or second for first, second in flags]
             assert bool(verdict) == (not any(failing))
             if not verdict:
-                LA = concept_lattice_of(A)
-                c = LA.concepts[failing.index(True)]
+                LA = concept_lattice_of(F.source)
+                at = failing.index(True)
+                c = LA.concepts[at]
                 assert verdict.witness == ("concept", LA.extent_labels(c), LA.intent_labels(c))
-                which = "first" if any(first for first, _ in flags) else "second"
+                which = "first" if flags[at][0] else "second"
                 assert verdict.reason == f"{which} pairing constraint fails"
-                reasons.add(which)
-        assert reasons == {"first", "second"}
+                reasons.append(which)
+        assert reasons[0] == "second"
+        assert set(reasons) == {"first", "second"}
 
     def test_non_paired_bonds_fail_with_concept_witness(self, k1, rng):
         other = contranominal_classification(2)

@@ -3,12 +3,15 @@
 Springer 1999, ch. 7; Schmidt & Stroehlein, *Relations and Graphs*,
 Springer 1993, ch. 4)."""
 
+import itertools
+
 import pytest
 
 pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
 
+from conceptual import functors
 from conceptual.bond import (
     Bond,
     bond_of,
@@ -17,13 +20,32 @@ from conceptual.bond import (
     identity_bond,
     infomorphism_of,
     is_bond,
+    is_bonding_pair,
 )
 from conceptual.classification import Classification
-from conceptual.functors import embedding_bonds
+from conceptual.functors import (
+    CompleteHomomorphism,
+    complete_lattice_of,
+    embedding_bonding_pairs,
+    embedding_bonds,
+    hom_of_pair,
+    identity_hom,
+    is_complete_homomorphism,
+    pair_of_hom,
+)
 from conceptual.infomorphism import RelationalInfomorphism, check_relational
-from conceptual.relalg import left_residual, right_residual, subrelation, union
+from conceptual.lattice import concept_lattice_of
+from conceptual.relalg import (
+    FunctionGraph,
+    Relation,
+    left_residual,
+    right_residual,
+    subrelation,
+    union,
+)
 
 from oracles import embedding_bonds_oracle
+import test_functors
 from test_relalg_properties import relations
 
 PROPERTY = settings(max_examples=100, deadline=None, database=None)
@@ -129,3 +151,72 @@ def test_embedding_bonds_are_the_oracles(A):
     assert got == embedding_bonds_oracle(A)
     for F in got:
         assert is_bond(F.source, F.target, F.rel)
+
+
+def dense_context(draw, max_size: int) -> Classification:
+    """A context of 1 to ``max_size`` instances and types, each cell a
+    drawn coin, so its lattice is seldom a chain of two."""
+    m, n = (draw(st.integers(1, max_size)) for _ in range(2))
+    cells = draw(st.lists(st.booleans(), min_size=m * n, max_size=m * n))
+    rows = tuple(sum(cells[a * n + t] << t for t in range(n)) for a in range(m))
+    return Classification(
+        tuple(f"i{k}" for k in range(m)), tuple(f"t{k}" for k in range(n)), Relation(m, n, rows)
+    )
+
+
+@st.composite
+def complete_homs(draw):
+    """A complete homomorphism between lattices of drawn contexts up to 4x4:
+    the identity of the first; the isomorphism of one of its embedding
+    pairs; a split of the first at an element ``a``, sent to the top of the
+    second at and above ``a`` and to its bottom elsewhere, drawn among the
+    splits that are complete homomorphisms; or a boolean hom 2^a -> 2^b,
+    ``a`` up to 4."""
+    A, B = (dense_context(draw, 4) for _ in range(2))
+    L, K = (complete_lattice_of(concept_lattice_of(C)) for C in (A, B))
+    kind = draw(st.sampled_from(("split", "boolean", "embedding", "identity")))
+    if kind == "embedding":
+        return hom_of_pair(embedding_bonding_pairs(A)[draw(st.integers(0, 1))])
+    if kind == "boolean":
+        a = draw(st.integers(0, 4))
+        f = draw(st.permutations(range(a)))[: draw(st.integers(0, a))]
+        return test_functors.TestDerivedViews.boolean_hom(a, len(f), tuple(f))
+    splits = [
+        psi
+        for psi in (
+            FunctionGraph(tuple(K.top if up >> x & 1 else K.bottom for x in range(L.size)), K.size)
+            for up in L.up
+        )
+        if is_complete_homomorphism(L, K, psi)
+    ]
+    if kind == "split" and splits:
+        return CompleteHomomorphism(L, K, draw(st.sampled_from(splits)))
+    return identity_hom(L)
+
+
+@PROPERTY
+@given(complete_homs())
+def test_order_checks_are_is_bond_and_is_bonding_pair(h):
+    # the rebuilt pair, and every one-cell flip of either of its bonds:
+    # the order bond check is is_bond, by verdict, reason and witness, and
+    # where a flip stays a bond the index pairing check has the verdict of
+    # is_bonding_pair
+    p = pair_of_hom(h)
+    L, K = h.source, h.target
+    assert functors._order_pairing_check(L, K, p.forward, p.backward)
+    assert is_bonding_pair(p.forward, p.backward)
+    for bond, (src, tgt) in ((p.forward, (L, K)), (p.backward, (K, L))):
+        rows = bond.rel.rows
+        flips = [
+            rows[:y] + (rows[y] ^ 1 << x,) + rows[y + 1 :]
+            for y, x in itertools.product(range(tgt.size), range(src.size))
+        ]
+        for flipped in [rows, *flips]:
+            rel = Relation(tgt.size, src.size, flipped)
+            got = functors._order_bond_check(src, tgt, rel)
+            assert got == is_bond(src.classification, tgt.classification, rel)
+            if got:
+                other = Bond(src.classification, tgt.classification, rel, validate=False)
+                F, G = (other, p.backward) if bond is p.forward else (p.forward, other)
+                verdict = functors._order_pairing_check(L, K, F, G)
+                assert bool(verdict) == bool(is_bonding_pair(F, G))

@@ -1022,10 +1022,10 @@ class TestPairRoundtripByResiduals:
             assert pair_roundtrip_holds(p) is (q is rebuilt)
 
     def test_builds_only_the_rebuilt_pair(self, monkeypatch):
-        """On a parsed spread boolean hom 2^5 -> 2^3: one pairing check and
-        two bond checks, all three for the rebuilt pair; no bond is
-        composed.  The embeddings are checked by their derivation
-        identities, not by ``is_bond``."""
+        """On a parsed spread boolean hom 2^5 -> 2^3 no bond is checked by
+        ``is_bond`` or ``is_bonding_pair`` and none is composed: the rebuilt
+        pair is checked by its principal sets, the embeddings by their
+        derivation identities.  The counting patch is seen to count."""
         q = self.parsed(pair_of_hom(self.boolean_hom(5, 3, (4, 1, 2))))
         hom_of_pair(q)
         calls = collections.Counter()
@@ -1042,7 +1042,26 @@ class TestPairRoundtripByResiduals:
                         if value is original:
                             monkeypatch.setattr(module, key, counted)
         assert pair_roundtrip_holds(q)
-        assert calls == {"is_bonding_pair": 1, "is_bond": 2}
+        assert calls == {}
+        assert bond_module.is_bonding_pair(q.forward, q.backward)
+        assert calls == {"is_bonding_pair": 1}
+
+    def test_the_rebuilt_pair_is_still_checked(self, monkeypatch):
+        """With ``canonical_adjoints`` patched to give a ``phi`` that is not
+        ``psi``'s left adjoint, ``pair_of_hom`` raises: at the bond check
+        when ``phi`` has no right adjoint (the constant top), and at the
+        pairing check when its right adjoint is another hom."""
+        h = self.boolean_hom(5, 3, (4, 1, 2))
+        top = FunctionGraph((h.source.top,) * h.target.size, h.source.size)
+        other = canonical_adjoints(self.boolean_hom(5, 3, (1, 4, 2)))[0]
+        for phi, message in (
+            (top, "relation is not a bond: column of "),
+            (other, "pairing constraints fail: "),
+        ):
+            monkeypatch.setattr(functors, "canonical_adjoints", lambda _h, phi=phi: (phi, phi))
+            # a fresh hom each time, whose pair is not built yet
+            with pytest.raises(ValidationError, match=message):
+                pair_of_hom(self.boolean_hom(5, 3, (4, 1, 2)))
 
 
 class TestEmbeddingBondsByIdentities:
@@ -1156,6 +1175,42 @@ class TestEmbeddingBondsByIdentities:
             calls.clear()
             assert holds(arrow)
             assert len(calls) == expected
+
+
+class TestOrderBondChecks:
+    """Between order classifications of lattices, ``_order_bond_check`` is
+    ``is_bond``, by verdict, reason and witness, and
+    ``_order_pairing_check`` has the verdict of ``is_bonding_pair`` on two
+    bonds."""
+
+    def test_every_relation_between_lattices_of_contexts_up_to_2x3(self):
+        """Every relation between the order classifications of two lattices
+        of contexts up to 2x3, sizes multiplying to at most 16: 74,954
+        relations, 63 of them bonds, and the 515 pairs of opposed bonds."""
+        lattices = {}
+        for A in all_contexts(2, 3):
+            L = complete_lattice_of(concept_lattice_of(A))
+            lattices.setdefault(L.leq, L)
+        bonds = collections.defaultdict(list)
+        relations = 0
+        for L, K in itertools.product(lattices.values(), repeat=2):
+            m, n = K.size, L.size
+            if m * n > 16:
+                continue
+            for code in range(1 << m * n):
+                rel = Relation(m, n, tuple(code >> y * n & (1 << n) - 1 for y in range(m)))
+                got = functors._order_bond_check(L, K, rel)
+                assert got == is_bond(L.classification, K.classification, rel)
+                relations += 1
+                if got:
+                    bonds[L, K].append(Bond(L.classification, K.classification, rel))
+        pairs = 0
+        for (L, K), forwards in bonds.items():
+            for F, G in itertools.product(forwards, bonds.get((K, L), ())):
+                got = functors._order_pairing_check(L, K, F, G)
+                assert bool(got) == bool(is_bonding_pair(F, G))
+                pairs += 1
+        assert (relations, sum(map(len, bonds.values())), pairs) == (74_954, 63, 515)
 
 
 class TestIrreducibility:

@@ -69,10 +69,26 @@ save, on the same three contexts.  ``--check`` compares the
 columns that ``parse_cxt(emit_cxt(K))`` and ``from_matrix`` store with the
 rows of ``transpose``.
 
-A last table, printed without ``--check``, counts the ``right_residual``
-calls of one cycle of each benchmark workload by the branch they take:
-per-cell subset tests, complement tables or AND-product.  Both library
-caches are cleared before each op, as the benchmark worker does.
+An eighth table times the checks of the bonds between order
+classifications: ``functors._order_bond_check`` on both bonds of a rebuilt
+pair, ``pair_of_hom``, and ``functors._order_pairing_check`` on the pair,
+which read principal sets alone, against ``bond.is_bond`` and
+``bond.is_bonding_pair``, which residuate; on the boolean homs 2^6 -> 2^4,
+2^6 -> 2^6, 2^7 -> 2^5 and 2^7 -> 2^7 of the bonding benchmark.
+``--check`` compares the verdicts, reasons and witnesses of the bond checks
+on both bonds and on seeded one-cell flips of each, and the verdicts of the
+pairing checks wherever both bonds pass, and on each bond with the
+opposed bond of the same hom on another seeded injection.
+
+Two last tables are printed without ``--check``.  The first counts the
+``right_residual`` calls of one cycle of each benchmark workload by the
+branch they take: per-cell subset tests, complement tables or
+AND-product.  The second counts the kernel calls (``compose``,
+``transpose``, both residuals and ``pullback``, nested calls included) of
+each op of the bonding workload by the stage of the op that makes them:
+parsing the pair, ``is_bonding_pair``, ``hom_of_pair``, and the pair and
+hom round trips.  Both library caches are cleared before each op, as the
+benchmark worker does.
 """
 
 from __future__ import annotations
@@ -80,6 +96,7 @@ from __future__ import annotations
 import argparse
 import collections
 import importlib
+import json
 import random
 import sys
 import tempfile
@@ -90,7 +107,7 @@ from types import SimpleNamespace
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
 
-from conceptual import functors, relalg, verify  # noqa: E402
+from conceptual import bond, functors, relalg, verify  # noqa: E402
 from conceptual.io import emit_cxt, parse_cxt  # noqa: E402
 from conceptual.classification import Classification, contranominal_classification  # noqa: E402
 from conceptual.lattice import build_lattice  # noqa: E402
@@ -149,6 +166,15 @@ PULLBACK_SEED = 25
 # the verify corpus whose contexts the embedding rows check: the first
 # seed of the verify workload, at its size
 CORPUS_SEED = 7
+
+# the boolean homs 2^a -> 2^b of the bonding benchmark, the seed of their
+# injections, and the seeded one-cell flips of each bond that --check tries
+ORDER_HOMS = [(6, 4), (6, 6), (7, 5), (7, 7)]
+ORDER_SEED = 29
+FLIPS = 8
+
+# the kernels the stage table counts
+STAGE_KERNELS = ("compose", "transpose", "left_residual", "right_residual", "pullback")
 
 # the lattice benchmark's context shapes (instances, types, density), and
 # the seed of the contexts the build rows draw
@@ -464,13 +490,134 @@ def probe_readers(check: bool) -> tuple[int, int]:
     return compared, differ
 
 
+def order_pairs(seed: int) -> list[tuple[str, functors.CompleteHomomorphism, bond.BondingPair]]:
+    """The rebuilt pairs of the order rows, by name, with their homs, whose
+    injections ``seed`` draws."""
+    rng = random.Random(seed)
+    lattices = {
+        k: functors.complete_lattice_of(
+            functors.concept_lattice_of(contranominal_classification(k))
+        )
+        for hom in ORDER_HOMS
+        for k in hom
+    }
+    out = []
+    for a, b in ORDER_HOMS:
+        h = functors.CompleteHomomorphism(lattices[a], lattices[b], boolean_hom(rng, a, b))
+        out.append((f"2^{a}>2^{b}", h, functors.pair_of_hom(h)))
+    return out
+
+
+def variants(rng: random.Random, L, rel: Relation) -> list[Relation]:
+    """``rel``, a bond out of the order classification of ``L``, with
+    ``FLIPS`` seeded one-cell flips, which mostly fail at a row, and
+    ``FLIPS`` rows each set to a seeded principal filter of ``L``, which
+    keep every row closed and so reach the column check."""
+    out = [rel]
+    for value in (
+        lambda y: rel.rows[y] ^ 1 << rng.randrange(rel.dst_size),
+        lambda y: L.up[rng.randrange(L.size)],
+    ):
+        for _ in range(FLIPS):
+            y = rng.randrange(rel.src_size)
+            rows = rel.rows[:y] + (value(y),) + rel.rows[y + 1:]
+            out.append(Relation(rel.src_size, rel.dst_size, rows))
+    return out
+
+
+def fresh(b: bond.Bond) -> bond.Bond:
+    """``b`` unchecked, on a copy of its relation, with no view built."""
+    rel = Relation(b.rel.src_size, b.rel.dst_size, b.rel.rows)
+    return bond.Bond(b.source, b.target, rel, validate=False)
+
+
+def probe_order_checks(check: bool) -> tuple[int, int]:
+    """Print the order-check rows, or compare the order checks with
+    ``is_bond`` and ``is_bonding_pair``; the number of comparisons made and
+    of those that differ."""
+    if not check:
+        print(f"\n{'hom':>9} {'elements':>8} {'principal ms':>12} {'residuals ms':>12}"
+              f" {'speed-up':>8}")
+    compared = differ = 0
+    rng = random.Random(ORDER_SEED)
+    # the same homs on other injections: their bonds pass, but do not pair
+    # with the first homs' bonds
+    others = order_pairs(ORDER_SEED + 1)
+    for (name, h, p), (_, _, q) in zip(order_pairs(ORDER_SEED), others):
+        L, K = h.source, h.target
+        if check:
+            for F, G in ((p.forward, q.backward), (q.forward, p.backward)):
+                compared += 1
+                if bool(functors._order_pairing_check(L, K, F, G)) != bool(
+                    bond.is_bonding_pair(F, G)
+                ):
+                    differ += 1
+                    print(f"differs: the pairing check across injections on {name}")
+            for src, tgt, b in ((L, K, p.forward), (K, L, p.backward)):
+                for rel in variants(rng, src, b.rel):
+                    got = functors._order_bond_check(src, tgt, rel)
+                    compared += 1
+                    if got != bond.is_bond(src.classification, tgt.classification, rel):
+                        differ += 1
+                        print(f"differs: the bond check of {rel!r} on {name}")
+                    if not got:
+                        continue
+                    other = bond.Bond(src.classification, tgt.classification, rel, validate=False)
+                    F, G = (other, p.backward) if b is p.forward else (p.forward, other)
+                    compared += 1
+                    if bool(functors._order_pairing_check(L, K, F, G)) != bool(
+                        bond.is_bonding_pair(F, G)
+                    ):
+                        differ += 1
+                        print(f"differs: the pairing check on {name}")
+            continue
+
+        def principal():
+            F, G = fresh(p.forward), fresh(p.backward)
+            return (
+                functors._order_bond_check(L, K, F.rel),
+                functors._order_bond_check(K, L, G.rel),
+                functors._order_pairing_check(L, K, F, G),
+            )
+
+        def residuals():
+            F, G = fresh(p.forward), fresh(p.backward)
+            return (
+                bond.is_bond(F.source, F.target, F),
+                bond.is_bond(G.source, G.target, G),
+                bond.is_bonding_pair(F, G),
+            )
+
+        k, ref = best_time(principal), best_time(residuals)
+        print(f"{name:>9} {f'{L.size}>{K.size}':>8} {k * 1e3:>12.3f} {ref * 1e3:>12.3f}"
+              f" {ref / k:>7.2f}x")
+    return compared, differ
+
+
+def bindings(original) -> list[tuple[object, str]]:
+    """Every module attribute bound to ``original``, as the tracer finds
+    them: a module that imported a kernel by name holds its own binding."""
+    return [
+        (module, key)
+        for name, module in list(sys.modules.items())
+        if name.startswith("conceptual")
+        for key, value in vars(module).items()
+        if value is original
+    ]
+
+
+def library_modules() -> SimpleNamespace:
+    """The modules a benchmark workload is built from."""
+    names = ("classification", "relalg", "lattice", "functors", "bond", "io", "cli")
+    return SimpleNamespace(**{n: importlib.import_module(f"conceptual.{n}") for n in names})
+
+
 def probe_branches(check: bool) -> tuple[int, int]:
     """Print the branch counts of one cycle of each benchmark workload."""
     if check:
         return 0, 0
     print(f"\n{'workload':>9} {'calls':>7} {'per-cell':>9} {'tables':>7} {'AND-product':>12}")
-    names = ("classification", "relalg", "lattice", "functors", "bond", "io", "cli")
-    mods = SimpleNamespace(**{n: importlib.import_module(f"conceptual.{n}") for n in names})
+    mods = library_modules()
     original, tables = relalg.right_residual, relalg._complement_tables
     counts = collections.Counter()
 
@@ -483,14 +630,7 @@ def probe_branches(check: bool) -> tuple[int, int]:
         counts["tables"] += 1
         return tables(t, s)
 
-    # every module that imported the kernel by name, as the tracer finds them
-    bound = [
-        (module, key)
-        for name, module in list(sys.modules.items())
-        if name.startswith("conceptual")
-        for key, value in vars(module).items()
-        if value is original
-    ]
+    bound = bindings(original)
     with tempfile.TemporaryDirectory() as workdir:
         for workload in WORKLOADS.values():
             ops = list(workload(mods, 1, "full", Path(workdir) / workload.name).ops())
@@ -510,6 +650,56 @@ def probe_branches(check: bool) -> tuple[int, int]:
             ands = counts["calls"] - counts["cells"] - counts["tables"]
             print(f"{workload.name:>9} {counts['calls']:>7} {counts['cells']:>9}"
                   f" {counts['tables']:>7} {ands:>12}")
+    return 0, 0
+
+
+def probe_stages(check: bool) -> tuple[int, int]:
+    """Print the kernel calls of each op of the bonding workload by stage."""
+    if check:
+        return 0, 0
+    stages = ("parse", "is_pair", "hom", "pair_rt", "hom_rt")
+    print(f"\n{'op':>13} " + " ".join(f"{name:>7}" for name in stages) + f" {'total':>7}")
+    mods = library_modules()
+    with tempfile.TemporaryDirectory() as workdir:
+        workload = WORKLOADS["bonding"](mods, 1, "full", Path(workdir) / "bonding")
+    counts = collections.Counter()
+    stage = [""]
+
+    def counted(original):
+        def kernel(*args, **kwargs):
+            counts[stage[0]] += 1
+            return original(*args, **kwargs)
+
+        return kernel
+
+    patches = [
+        (module, key, original, counted(original))
+        for original in (getattr(relalg, name) for name in STAGE_KERNELS)
+        for module, key in bindings(original)
+    ]
+    for label, _, text in workload.pairs:
+        mods.lattice.concept_lattice_of.cache_clear()
+        mods.functors.complete_lattice_of.cache_clear()
+        counts.clear()
+        for module, key, _, kernel in patches:
+            setattr(module, key, kernel)
+        try:
+            # the stages of the bonding op, in its order
+            stage[0] = "parse"
+            q = mods.io.morphism_from_obj(json.loads(text), validate=False)
+            stage[0] = "is_pair"
+            mods.bond.is_bonding_pair(q.forward, q.backward)
+            stage[0] = "hom"
+            h = mods.functors.hom_of_pair(q)
+            stage[0] = "pair_rt"
+            mods.functors.pair_roundtrip_holds(q)
+            stage[0] = "hom_rt"
+            mods.functors.hom_roundtrip_holds(h)
+        finally:
+            for module, key, original, _ in patches:
+                setattr(module, key, original)
+        print(f"{label:>13} " + " ".join(f"{counts[name]:>7}" for name in stages)
+              + f" {sum(counts.values()):>7}")
     return 0, 0
 
 
@@ -544,7 +734,9 @@ def main(argv: list[str] | None = None) -> int:
         probe_builds,
         probe_orders,
         probe_readers,
+        probe_order_checks,
         probe_branches,
+        probe_stages,
     )
     for probe in probes:
         more, more_differ = probe(args.check)
