@@ -43,7 +43,8 @@ from .verify import MAX_CORPUS_SIZE, verify_equivalences
 def _read(path: str) -> str:
     try:
         if path == "-":
-            return sys.stdin.read()
+            # the universal-newline translation ``open`` applies to a path
+            return sys.stdin.read().replace("\r\n", "\n").replace("\r", "\n")
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except UnicodeDecodeError as e:

@@ -415,35 +415,20 @@ def transport_coproduct(
 
 
 def _enumerate_lattice_morphisms(L, M) -> list:
-    """All concept lattice morphisms between two built lattices, in
+    """All concept lattice morphisms between two concept lattices, in
     lexicographic order of their instance, then type, functions.
 
-    Column ``t`` of a lattice is the instances ``a`` with ``iota(a) <=
-    tau(t)``, ``iota``'s preimage of the down-set of ``tau(t)``.  Adjointness
-    with ``phi.iota_M = iota_L.f`` and ``psi.tau_L = tau_M.g`` gives
-    ``iota_L(f(c)) <= tau_L(t)`` iff ``iota_M(c) <= tau_M(g(t))``, so the
-    pairs ``(f, g)`` of a morphism are among those ``_propagate`` finds on
-    the lattices' columns.  The lattice maps are forced, ``psi`` by
-    meet-density and ``phi`` by join-density.  Each candidate is built by
-    the checking ``ConceptLatticeMorphism`` constructor and dropped when its
-    ``check_lattice_morphism`` raises ``ValidationError``.  On lattices of
-    contexts that rejects nothing, as the candidates are the infomorphisms';
-    it drops those of a lattice whose embeddings disagree with its concepts."""
-
-    def incidence(K):
-        """The type columns and the instance rows of ``K``, ``a`` under
-        ``t`` iff ``iota(a) <= tau(t)``: the down-sets of the ``tau``
-        concepts pulled back along ``iota``, and their columns, ``tau``'s
-        preimages of the up-sets, gathered along ``iota``."""
-        down = K.order.columns
-        above = pullback(K.order.rows, down, K.tau)
-        below = tuple(map(down.__getitem__, K.tau.targets))
-        return pullback(below, above, K.iota), tuple(map(above.__getitem__, K.iota.targets))
-
+    Adjointness with ``phi.iota_M = iota_L.f`` and ``psi.tau_L = tau_M.g``
+    gives ``iota_L(f(c)) <= tau_L(t)`` iff ``iota_M(c) <= tau_M(g(t))``, and
+    ``iota(a) <= tau(t)`` iff ``a`` has ``t`` in the lattice's
+    classification, so the pairs ``(f, g)`` of a morphism are among those
+    ``_propagate`` finds on the two classifications: the infomorphisms.  The
+    lattice maps are forced, ``psi`` by meet-density and ``phi`` by
+    join-density, and the checking constructor rejects none of them."""
     out = []
-    f_candidates = itertools.product(range(len(L.instance_labels)), repeat=len(M.instance_labels))
-    (source_cols, source_rows), (target_cols, _) = incidence(L), incidence(M)
-    for f, g in _propagate(f_candidates, source_cols, source_rows, target_cols):
+    source, target = L.classification, M.classification
+    f_candidates = itertools.product(range(len(source.instances)), repeat=len(target.instances))
+    for f, g in _propagate(f_candidates, source.cols, source.rows, target.cols):
         psi_t = tuple(
             M.meet_index(M.tau(g(t)) for t in bits(L.intents[x])) for x in range(L.size)
         )
@@ -452,8 +437,5 @@ def _enumerate_lattice_morphisms(L, M) -> list:
         )
         phi = FunctionGraph.from_targets(phi_t, L.size)
         psi = FunctionGraph.from_targets(psi_t, M.size)
-        try:
-            out.append(functors.ConceptLatticeMorphism(L, M, phi, psi, f, g))
-        except ValidationError:
-            continue
+        out.append(functors.ConceptLatticeMorphism(L, M, phi, psi, f, g))
     return out

@@ -134,12 +134,11 @@ complete_lattice_of.cache_info = _complete_lattice_of_order.cache_info
 
 
 def abstract_concept_lattice(L: CompleteLattice) -> ConceptLattice:
-    """A complete lattice as a concept lattice over itself, both embeddings
-    the identity."""
-    n = L.size
-    ident = FunctionGraph.identity(n)
-    concepts = tuple(FormalConcept(L.down[x], L.up[x]) for x in range(n))
-    return ConceptLattice(concepts, L.elements, L.elements, ident, ident)
+    """A complete lattice as the concept lattice of its order classification:
+    element ``x`` is the concept (down-set, up-set) of ``x``, so both derived
+    embeddings are the identity."""
+    concepts = tuple(map(FormalConcept, L.down, L.up))
+    return ConceptLattice(concepts, L.classification)
 
 
 # -- functional equivalence ---------------------------------------------------
@@ -465,12 +464,12 @@ def bond_naturality_holds(F: Bond) -> bool:
 
 
 def down_up_witness(L: CompleteLattice) -> FunctionGraph:
-    """Each element to its principal concept in the rebuilt order lattice."""
-    M = concept_lattice_of(L.classification)
-    targets = tuple(M.extent_index[L.down[x]] for x in range(L.size))
-    if len(set(targets)) != M.size:
+    """Each element to its principal concept in the rebuilt order lattice,
+    whose extent is its down-set: that lattice's type embedding ``tau``."""
+    tau = concept_lattice_of(L.classification).tau
+    if len(set(tau.targets)) != tau.dst_size:
         raise ValidationError("principal concepts do not exhaust the rebuilt lattice")
-    return FunctionGraph.from_targets(targets, M.size)
+    return tau
 
 
 def adjoint_roundtrip_holds(p: AdjointPair) -> bool:

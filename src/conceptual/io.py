@@ -31,7 +31,7 @@ _NOT_CELLS = str.maketrans("", "", "X.")
 def parse_cxt(text: str) -> Classification:
     """Parse a Burmeister context: ``B``, an optional name line, the two
     counts, a blank line, the instance and type labels, then one row of
-    ``X`` (incidence) and ``.`` per instance.
+    ``X`` (incidence) and ``.`` per instance; lines end in ``\n``, as text-mode reads give.
 
     The row block is checked in bulk, one scan of the row lengths and one
     ``translate`` that deletes ``X`` and ``.`` from the joined rows, and

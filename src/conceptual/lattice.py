@@ -61,23 +61,21 @@ class FormalConcept(NamedTuple):
 
 @dataclass(frozen=True)
 class ConceptLattice:
-    """The concept lattice of a classification, plus both embeddings.
+    """The concept lattice of a classification: its ``concepts`` and the
+    ``classification`` they are the concepts of.
 
-    Stored: the ``concepts``, the two label tuples, and the embeddings:
-    ``iota`` sends an instance to its smallest containing concept, ``tau`` a
-    type to its largest.  Everything else is derived on first use from the
-    extents and intents: the membership relations ``iota_rel`` (instance x
-    concept, the extents as columns) and ``tau_rel`` (concept x type, the
-    intents as rows), and ``order``, extent inclusion, which is the left
-    residual ``iota_rel\\iota_rel`` and the right residual
-    ``tau_rel/tau_rel``.
+    The embeddings are functions of the two (the Basic Theorem), derived, so
+    they cannot disagree with the concepts: ``iota`` sends an instance to its
+    smallest containing concept, whose intent is its row, ``tau`` a type to
+    its largest, whose extent is its column; a row or column that is no
+    intent or extent raises ``ValidationError`` naming its label.  From the
+    extents and intents come ``iota_rel`` (instance x concept, the extents as
+    columns), ``tau_rel`` (concept x type, the intents as rows), and
+    ``order``, extent inclusion: ``iota_rel\\iota_rel`` and ``tau_rel/tau_rel``.
     """
 
     concepts: tuple[FormalConcept, ...]
-    instance_labels: tuple[str, ...]
-    type_labels: tuple[str, ...]
-    iota: FunctionGraph
-    tau: FunctionGraph
+    classification: Classification
 
     @property
     def size(self) -> int:
@@ -85,6 +83,32 @@ class ConceptLattice:
 
     def __len__(self) -> int:
         return len(self.concepts)
+
+    @view
+    def instance_labels(self) -> tuple[str, ...]:
+        return self.classification.instances
+
+    @view
+    def type_labels(self) -> tuple[str, ...]:
+        return self.classification.types
+
+    @view
+    def iota(self) -> FunctionGraph:
+        """Each instance to the concept whose intent is its row."""
+        return self._embedding(self.classification.rows, self.intent_index, "instance")
+
+    @view
+    def tau(self) -> FunctionGraph:
+        """Each type to the concept whose extent is its column."""
+        return self._embedding(self.classification.cols, self.extent_index, "type")
+
+    def _embedding(self, sets, index: Mapping[int, int], kind: str) -> FunctionGraph:
+        try:
+            return FunctionGraph(tuple(map(index.__getitem__, sets)), self.size)
+        except KeyError as missing:
+            first = sets.index(missing.args[0])
+        label = (self.instance_labels if kind == "instance" else self.type_labels)[first]
+        raise ValidationError(f"{kind} {quote(label)} has no {kind} concept", witness=(label,))
 
     @view
     def iota_rel(self) -> Relation:
@@ -311,13 +335,7 @@ def build_lattice(K: Classification, max_concepts: int = DEFAULT_CONCEPT_CAP) ->
             else:
                 stack.append((child_ext, child, j + 1, failed))
 
-    nc = len(pairs)
-    intent_idx = {c.intent: k for k, c in enumerate(pairs)}
-    extent_idx = {c.extent: k for k, c in enumerate(pairs)}
-    iota = FunctionGraph(tuple(map(intent_idx.__getitem__, rows)), nc)
-    tau = FunctionGraph(tuple(map(extent_idx.__getitem__, cols)), nc)
-
-    return ConceptLattice(tuple(pairs), K.instances, K.types, iota, tau)
+    return ConceptLattice(tuple(pairs), K)
 
 
 @lru_cache(maxsize=4096)

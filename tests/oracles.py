@@ -316,13 +316,27 @@ def fcbo_oracle(K, max_concepts: int = DEFAULT_CONCEPT_CAP) -> ConceptLattice:
             else:
                 failed[j] = child
 
-    nc = len(pairs)
-    intent_idx = {c.intent: k for k, c in enumerate(pairs)}
-    extent_idx = {c.extent: k for k, c in enumerate(pairs)}
-    iota = FunctionGraph.from_targets(tuple(intent_idx[rows[a]] for a in range(m)), nc)
-    tau = FunctionGraph.from_targets(tuple(extent_idx[cols[t]] for t in range(n)), nc)
+    return ConceptLattice(tuple(pairs), K)
 
-    return ConceptLattice(tuple(pairs), K.instances, K.types, iota, tau)
+
+def embeddings_oracle(L: ConceptLattice) -> tuple[FunctionGraph, FunctionGraph]:
+    """``iota`` and ``tau`` of ``L`` by the Basic Theorem, from its concepts
+    alone: instance ``a`` goes to the concept whose extent is the
+    intersection of every extent holding ``a``, type ``t`` to the concept
+    whose intent is the intersection of every intent holding ``t``; each is
+    found by a scan of the concept list."""
+    full_i = (1 << len(L.instance_labels)) - 1
+    full_t = (1 << len(L.type_labels)) - 1
+
+    def least(sets, full, x) -> int:
+        meet = functools.reduce(int.__and__, (s for s in sets if s >> x & 1), full)
+        return next(k for k, s in enumerate(sets) if s == meet)
+
+    extents = [c.extent for c in L.concepts]
+    intents = [c.intent for c in L.concepts]
+    iota = [least(extents, full_i, a) for a in range(len(L.instance_labels))]
+    tau = [least(intents, full_t, t) for t in range(len(L.type_labels))]
+    return FunctionGraph(tuple(iota), L.size), FunctionGraph(tuple(tau), L.size)
 
 
 def pointwise_pair_constraints(F, G) -> list[tuple[bool, bool]]:

@@ -51,11 +51,15 @@ from test_relalg_properties import relations
 PROPERTY = settings(max_examples=100, deadline=None, database=None)
 
 
-def context(draw, max_size: int = 7) -> Classification:
-    m, n = draw(st.integers(0, max_size)), draw(st.integers(0, max_size))
-    inst = tuple(f"i{k}" for k in range(m))
-    typ = tuple(f"t{k}" for k in range(n))
-    return Classification(inst, typ, relations(draw, m, n))
+def context(draw, max_size: int = 7, min_size: int = 0) -> Classification:
+    """A context of ``min_size`` to ``max_size`` instances and types, each
+    cell a drawn coin, so its lattice is seldom a chain of two."""
+    m, n = (draw(st.integers(min_size, max_size)) for _ in range(2))
+    cells = draw(st.lists(st.booleans(), min_size=m * n, max_size=m * n))
+    rows = tuple(sum(cells[a * n + t] << t for t in range(n)) for a in range(m))
+    return Classification(
+        tuple(f"i{k}" for k in range(m)), tuple(f"t{k}" for k in range(n)), Relation(m, n, rows)
+    )
 
 
 def bond(draw, A: Classification, B: Classification) -> Bond:
@@ -153,17 +157,6 @@ def test_embedding_bonds_are_the_oracles(A):
         assert is_bond(F.source, F.target, F.rel)
 
 
-def dense_context(draw, max_size: int) -> Classification:
-    """A context of 1 to ``max_size`` instances and types, each cell a
-    drawn coin, so its lattice is seldom a chain of two."""
-    m, n = (draw(st.integers(1, max_size)) for _ in range(2))
-    cells = draw(st.lists(st.booleans(), min_size=m * n, max_size=m * n))
-    rows = tuple(sum(cells[a * n + t] << t for t in range(n)) for a in range(m))
-    return Classification(
-        tuple(f"i{k}" for k in range(m)), tuple(f"t{k}" for k in range(n)), Relation(m, n, rows)
-    )
-
-
 @st.composite
 def complete_homs(draw):
     """A complete homomorphism between lattices of drawn contexts up to 4x4:
@@ -172,7 +165,7 @@ def complete_homs(draw):
     second at and above ``a`` and to its bottom elsewhere, drawn among the
     splits that are complete homomorphisms; or a boolean hom 2^a -> 2^b,
     ``a`` up to 4."""
-    A, B = (dense_context(draw, 4) for _ in range(2))
+    A, B = (context(draw, 4, min_size=1) for _ in range(2))
     L, K = (complete_lattice_of(concept_lattice_of(C)) for C in (A, B))
     kind = draw(st.sampled_from(("split", "boolean", "embedding", "identity")))
     if kind == "embedding":

@@ -84,6 +84,15 @@ class TestLatticeCommand:
         assert code == 0
         assert len(json.loads(out)["concepts"]) == 2
 
+    @pytest.mark.parametrize("end", ["\r\n", "\r"])
+    def test_stdin_reads_crlf_as_a_path_does(self, capsys, monkeypatch, k1_file, end):
+        import io as stdlib_io
+
+        by_path = run(capsys, "lattice", k1_file)
+        monkeypatch.setattr("sys.stdin", stdlib_io.StringIO(K1_CXT.replace("\n", end)))
+        assert run(capsys, "lattice", "-") == by_path
+        assert by_path[0] == 0
+
 
 DOT_NODE = re.compile(r'^  c(\d+) \[label="((?:[^"\\]|\\.)*)"\];$', re.M)
 

@@ -38,8 +38,7 @@ from conceptual.infomorphism import (
     compose_functional,
     instance_infomorphism,
 )
-from conceptual.lattice import ConceptLattice, FormalConcept
-from conceptual.relalg import FunctionGraph, Relation
+from conceptual.relalg import Relation
 from conceptual.report import VerificationReport
 from conceptual.verify import verify_equivalences
 
@@ -481,37 +480,6 @@ def test_lattice_morphisms_are_the_validated_candidates(k1):
         assert found == oracles.lattice_morphisms_oracle(L, M)
         kept += len(found)
     assert kept
-
-
-def test_the_morphism_check_drops_candidates_of_a_skewed_lattice(monkeypatch):
-    """On concept lattices of contexts every candidate that ``_propagate``
-    lets through is a morphism, so the ``check_lattice_morphism`` filter of
-    ``_enumerate_lattice_morphisms`` shows only on a lattice whose
-    embeddings disagree with its concepts.  ``L`` is the lattice of the 2x1
-    context in which only ``i0`` has ``t0``; skewed, its ``tau`` sends
-    ``t0`` to the top, whose intent is empty, not to ``({i0}, {t0})``.  Into
-    the one-concept lattice of the full 1x1 context, the skew lets both
-    instance functions through, and the forced maps of ``f = (1,)`` are not
-    adjoint."""
-    check = functors.check_lattice_morphism
-    verdicts = []
-
-    def recording(cm):
-        verdict = check(cm)
-        verdicts.append(bool(verdict))
-        return verdict
-
-    monkeypatch.setattr(functors, "check_lattice_morphism", recording)
-    concepts = (FormalConcept(0b11, 0b0), FormalConcept(0b01, 0b1))
-    iota = FunctionGraph.from_targets((1, 0), 2)
-    M = functors.concept_lattice_of(Classification.from_pairs(("i0",), ("t0",), [("i0", "t0")]))
-    for tau, expected in (((1,), [True]), ((0,), [True, False])):
-        L = ConceptLattice(concepts, ("i0", "i1"), ("t0",), iota, FunctionGraph(tau, 2))
-        verdicts.clear()
-        found = _enumerate_lattice_morphisms(L, M)
-        assert verdicts == expected
-        assert [cm.f.targets for cm in found] == [(0,)]
-        assert found == oracles.lattice_morphisms_oracle(L, M)
 
 
 def _counting(calls: collections.Counter, name: str, fn):

@@ -263,9 +263,10 @@ class TestBuildLattice:
                 perm = list(range(L.size))
                 rng.shuffle(perm)
                 concepts = tuple(L.concepts[i] for i in sorted(range(L.size), key=perm.__getitem__))
-                iota = FunctionGraph(tuple(perm[c] for c in L.iota.targets), L.size)
-                tau = FunctionGraph(tuple(perm[c] for c in L.tau.targets), L.size)
-                shuffled = ConceptLattice(concepts, L.instance_labels, L.type_labels, iota, tau)
+                shuffled = ConceptLattice(concepts, L.classification)
+                # the derived embeddings are the permuted ones
+                assert shuffled.iota.targets == tuple(perm[c] for c in L.iota.targets)
+                assert shuffled.tau.targets == tuple(perm[c] for c in L.tau.targets)
                 extents = [set(bits(e)) for e in shuffled.extents]
                 assert set(shuffled.covers.pairs()) == covers_oracle(extents)
                 expected = {(perm[i], perm[j]) for i, j in L.covers.pairs()}
@@ -370,6 +371,23 @@ class TestEmbeddingsAndDecomposition:
             instance_concept(L, "zz")
         with pytest.raises(ValidationError):
             type_concept(L, "zz")
+
+    def test_a_missing_concept_raises_naming_its_label(self):
+        """A concept list without an instance's row among its intents raises
+        on ``iota`` naming that instance, and one without a type's column
+        among its extents raises on ``tau`` naming that type.  Only ``i0``
+        has ``t0``: the top has the row of ``i1``, the atom the row of
+        ``i0`` and the column of ``t0``."""
+        K = Classification.from_pairs(("i0", "i1"), ("t0",), [("i0", "t0")])
+        top, atom = build_lattice(K).concepts
+        no_top, no_atom = ConceptLattice((atom,), K), ConceptLattice((top,), K)
+        cases = ((no_top, "iota", "i1"), (no_atom, "iota", "i0"), (no_atom, "tau", "t0"))
+        for L, name, label in cases:
+            with pytest.raises(ValidationError) as e:
+                getattr(L, name)
+            assert e.value.witness == (label,)
+            assert f"{label!r}" in str(e.value)
+        assert no_top.tau.targets == (0,)
 
     def test_decomposition(self, k1, rng):
         L = build_lattice(k1)

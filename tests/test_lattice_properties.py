@@ -3,8 +3,11 @@ against the brute-force closure of every instance subset (the concept set)
 and against NextClosure (the lectic order); of its pruned walk against
 NextClosure and the unpruned FCbO walk, on tall sparse contexts up to
 40x12, contexts with empty columns or carriers, and order classifications;
-and of ``right_residual`` against its oracle, on incidences, orders and
-relations that are neither."""
+of the derived embeddings against the Basic Theorem on coin-cell contexts
+up to 6x6; and of ``right_residual`` against its oracle, on incidences,
+orders and relations that are neither."""
+
+import random
 
 import pytest
 
@@ -20,13 +23,20 @@ from conceptual.classification import (
 )
 from conceptual.errors import ShapeError
 from conceptual.functors import CompleteLattice, complete_lattice_of
-from conceptual.lattice import build_lattice, collective_from_function, concept_lattice_of
+from conceptual.lattice import (
+    ConceptLattice,
+    build_lattice,
+    collective_from_function,
+    concept_lattice_of,
+)
 from conceptual.relalg import FunctionGraph, Relation, right_residual
 
 from conftest import PRUNED_BOTTOM
+from test_bond_properties import context
 from oracles import (
     closed_pairs_oracle,
     concept_set,
+    embeddings_oracle,
     fcbo_oracle,
     next_closure_oracle,
     right_residual_oracle,
@@ -56,6 +66,25 @@ def test_build_lattice_matches_oracles(K):
     L = build_lattice(K)
     assert concept_set(L) == closed_pairs_oracle(K)
     assert [(c.extent, c.intent) for c in L.concepts] == next_closure_oracle(K)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.composite(context)(6), st.randoms(use_true_random=False))
+@example(
+    complete_lattice_of(concept_lattice_of(contranominal_classification(5))).classification,
+    random.Random(0),
+)
+def test_embeddings_are_the_basic_theorems(K, rnd):
+    """``iota`` and ``tau``, derived through ``intent_index`` and
+    ``extent_index``, are the oracle's meets of extents and of intents, on
+    the built concepts and on the same concepts in a shuffled order; the
+    pinned example is the order classification of 2^5."""
+    L = build_lattice(K)
+    assert (L.iota, L.tau) == embeddings_oracle(L)
+    shuffled = list(L.concepts)
+    rnd.shuffle(shuffled)
+    S = ConceptLattice(tuple(shuffled), K)
+    assert (S.iota, S.tau) == embeddings_oracle(S)
 
 
 @st.composite

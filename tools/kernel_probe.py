@@ -51,7 +51,8 @@ types an extent's rows meet where they cannot meet every free type, against
 ``fcbo_oracle``, the walk that tests every free type: on the lattice
 benchmark's shapes, wide 100x22 at .3 and tall 1500x40 at .05 (every row
 with the rounded share of crosses), and on the order classification of the
-boolean lattice 2^7.  ``--check`` compares the two sides' concept tuples.
+boolean lattice 2^7.  ``--check`` compares the two sides' concept tuples,
+and the lattice's derived ``iota`` and ``tau`` with ``embeddings_oracle``.
 
 A sixth table times the concept order of the same three lattices from each
 side of the context: ``tau_rel/tau_rel``, a right residual over the types,
@@ -129,6 +130,7 @@ from conceptual.relalg import (  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 from oracles import (  # noqa: E402
     embedding_bonds_oracle,
+    embeddings_oracle,
     extent_inclusion_oracle,
     fcbo_oracle,
     infomorphisms_oracle,
@@ -403,17 +405,22 @@ def build_inputs() -> list[tuple[str, Classification]]:
 
 
 def probe_builds(check: bool) -> tuple[int, int]:
-    """Print the build rows, or compare the two sides' concepts; the number
-    of comparisons made and of those that differ."""
+    """Print the build rows, or compare the two sides' concepts and the
+    embeddings with their oracle; the number of comparisons made and of
+    those that differ."""
     if not check:
         print(f"\n{'context':>17} {'concepts':>8} {'build ms':>10} {'fcbo ms':>10} {'speed-up':>8}")
     compared = differ = 0
     for name, K in build_inputs():
         if check:
-            compared += 1
-            if build_lattice(K).concepts != fcbo_oracle(K).concepts:
+            L = build_lattice(K)
+            compared += 2
+            if L.concepts != fcbo_oracle(K).concepts:
                 differ += 1
                 print(f"differs: concepts on {name}")
+            if (L.iota, L.tau) != embeddings_oracle(L):
+                differ += 1
+                print(f"differs: embeddings on {name}")
             continue
         k, ref = best_time(lambda: build_lattice(K)), best_time(lambda: fcbo_oracle(K))
         print(f"{name:>17} {build_lattice(K).size:>8} {k * 1e3:>10.3f} {ref * 1e3:>10.3f}"
