@@ -18,9 +18,8 @@ concept ``i`` is below ``j`` iff extent ``i`` lies within extent ``j`` iff
 intent ``j`` lies within intent ``i``, so the concept order is both the left
 residual ``M\\M`` of the instance x concept membership relation ``M`` by
 itself and the right residual ``N/N`` of the concept x type membership
-relation ``N``; ``ConceptLattice.order`` takes the type side where the
-context is taller than wide and the right residual's complement tables
-run on it.  The two preorders of a classification are the residuals of its
+relation ``N``; ``ConceptLattice.order`` takes the side ``relalg.branch``
+picks.  The two preorders of a classification are the residuals of its
 incidence (see ``classification``).  ``check_lattice`` is the one validator
 of lattice orders and ``bound_of`` the one meet/join lookup;
 ``functors.CompleteLattice`` uses both.
@@ -126,15 +125,9 @@ class ConceptLattice:
         every instance in ``i`` is in ``j``; equally, iff intent ``j`` is
         within intent ``i``.
 
-        The order is taken from the narrower side of the context: with
-        fewer types than instances, and where ``right_residual`` takes its
-        complement tables there (``relalg.takes_complement_tables``), it is
-        ``tau_rel/tau_rel``, a right residual over the types whose rows are
-        the stored intents, so the long side is never swept and no
-        ``iota_rel`` is transposed.  Otherwise it is ``iota_rel\\iota_rel``,
-        a sweep of the instances: where the type side would take the
-        AND-product, the transpose of its ``n x n`` output costs more than
-        the sweep saves.
+        It is the side ``relalg.branch`` picks: ``tau_rel/tau_rel`` over the
+        types, whose rows are the stored intents, or ``iota_rel\\iota_rel``
+        over the instances.
 
         Raises ``ResourceLimitError`` before allocating if its ``n * n / 8``
         bytes exceed ``ORDER_BYTE_CAP``, so ``covers`` and everything built
@@ -144,10 +137,9 @@ class ConceptLattice:
             raise ResourceLimitError(
                 f"order of {n} concepts needs {n * n // 8} bytes, over the cap {ORDER_BYTE_CAP}"
             )
-        if len(self.type_labels) < len(self.instance_labels):
-            tau = self.tau_rel
-            if relalg.takes_complement_tables(tau, tau):
-                return right_residual(tau, tau)
+        m, k = len(self.instance_labels), len(self.type_labels)
+        if relalg.branch("order", self.extents, m, k) == "types":
+            return right_residual(self.tau_rel, self.tau_rel)
         return left_residual(self.iota_rel, self.iota_rel)
 
     @view

@@ -7,36 +7,12 @@ precision ints act as dense bitset blocks, so composition and both residuals
 sweep whole machine words along the destination axis instead of visiting
 cells one at a time.
 
-Four kernels pick their branch from what they see in their input, its cell
-count and its popcount; each keeps its plain bit loop as the branch for small
-or sparse input:
-
-- ``transpose`` packs each square tile of 32 x 32 to 128 x 128 cells into
-  one int, swaps its off-diagonal blocks in log2 N masked delta swaps
-  (Warren, *Hacker's Delight*, 2nd ed., section 7-3) and unpacks it by
-  bytes, when the shorter side is over 16 and the popcount at least
-  ``4 / side`` of the cells (1/32 at 128); either way the converse keeps
-  the input's rows as its ``columns``;
-- ``right_residual`` tests every output cell as a subset test on the rows
-  below 512 output cells.  Above, it has two branches and takes the one
-  that counts fewer big-int steps: the complement tables, which OR the
-  columns of ``s`` outside each row of ``t`` one byte at a time through
-  256-entry tables of OR-ed columns (the "Four Russians" of Albrecht, Bard
-  & Hart, *Algorithm 898*, ACM TOMS 37(1), 2010), for narrow shared sides
-  and long outputs such as the type side of a concept lattice; and the
-  AND-product, which ANDs ``t``'s cached ``columns`` along each row of
-  ``s`` and turns those columns into rows with ``transpose``;
-- ``left_residual`` sweeps the rows of ``r``;
-- ``pullback``, ``compose(R, transpose(psi.rel))`` for a function ``psi``,
-  gathers the columns of ``R`` along the targets of ``psi`` and turns them
-  into rows with ``transpose``, from 1024 output cells and 3 set bits of
-  ``R`` per output row and column; below, ``FunctionGraph.preimages`` ORs
-  one fiber of ``psi`` per set bit of each row of ``R``.
-
-Both residuals read the bits of a row (of ``s``, of ``r``) byte by byte
-through a table when ``_bytewise`` holds, at least 16 columns and a popcount
-of at least half the row bytes, and one big-int step per bit otherwise;
-``preimages`` reads its masks through the same table from 16 targets.
+Every kernel with more than one branch, and ``lattice.ConceptLattice.order``
+for its side, runs the branch for which ``branch`` counts the fewest big-int
+steps, one step being one pass of a bit loop, from the call's shape and the
+popcount of the rows it reads.  Every branch but the bit loops has a fixed
+cost, so a small call is decided from its shape alone.  The weights were
+fitted once to the probe shapes of ``tools/kernel_probe.py``.
 
 ``transpose`` is one of two places that fill a relation's ``columns``
 view on the way; the other is ``from_digits``, the reader of a block of
@@ -262,13 +238,6 @@ def identity(n: int) -> Relation:
     return Relation(n, n, tuple(1 << i for i in range(n)))
 
 
-# below this many output cells the right residual's subset tests, about
-# 0.1 us each, beat the columns, their AND-product and its transpose
-_SMALL_CELLS = 512
-# ``pullback`` gathers from this many output cells and this many set bits
-# of its masks per output row and column, below which the fiber loop wins
-_GATHER_CELLS = 1024
-_GATHER_BITS = 3
 # the largest tile side of the delta-swap transpose: its cached masks take
 # log2(side) * side**2 / 8 bytes, 14 kB at 128
 _MAX_TILE = 128
@@ -278,18 +247,94 @@ _SWAP_MASKS: dict[int, tuple[tuple[int, int], ...]] = {}
 # byte value -> the indices of its set bits
 _BYTE_BITS = tuple(tuple(i for i in range(8) if v >> i & 1) for v in range(256))
 
+# the weights of ``branch``, in steps of a bit loop
+_BYTE_FIXED = 48  # reading rows by bytes: per call,
+_ROW_STEP = 2.8  # per row,
+_BYTE_STEP = 0.1  # per byte of a row
+_BYTE_BIT_STEP = 0.35  # and per set bit
+_TILE_FIXED = 80  # the tiled transpose: per call
+_TILE_STEP = 2.5  # and per cell over the tile side
+_CELL_STEP = 0.5  # a subset test of the right residual
+_TABLE_FIXED = 150  # the complement tables: per call
+_TABLE_STEP = 0.35  # and per entry or lookup
+_BUILD_FIXED = 60  # the AND-product or the gather, before its transpose
 
-def _bytewise(r: Relation) -> bool:
-    """Whether the residuals read the bits of ``r``'s rows byte by byte
-    through ``_BYTE_BITS``: from 16 columns and a popcount of half the row
-    bytes (1/16 of the cells), below which one big-int step per bit wins."""
-    n = r.dst_size
-    return n >= 16 and 2 * sum(map(int.bit_count, r.rows)) >= r.src_size * ((n + 7) // 8)
+
+def _tile_side(m: int, n: int) -> int:
+    """The least power of two from 8 to ``_MAX_TILE`` that covers ``min(m, n)``."""
+    return min(_MAX_TILE, max(8, 1 << (min(m, n) - 1).bit_length()))
+
+
+def _tile_steps(m: int, n: int) -> float:
+    return _TILE_FIXED + _TILE_STEP * m * n / _tile_side(m, n)
+
+
+def _table_steps(m: int, n: int) -> float:
+    """The steps of the complement tables over ``n`` columns for ``m`` rows:
+    256 entries per byte of columns, fewer for a broken one, and a lookup
+    per byte of each row."""
+    entries = 256 * (n // 8) + (1 << n % 8 if n % 8 else 0)
+    return _TABLE_FIXED + _TABLE_STEP * (entries + (n + 7) // 8 * m)
+
+
+def _reads(m: int, n: int, p: int) -> tuple[float, str]:
+    """The steps and the way, bits or bytes, of reading ``p`` bits set in ``m`` rows of ``n``."""
+    bytewise = _BYTE_FIXED + m * (_ROW_STEP + (n + 7) // 8 * _BYTE_STEP) + _BYTE_BIT_STEP * p
+    return (bytewise, "bytes") if bytewise < p else (p, "bits")
+
+
+def branch(kernel: str, rows: Sequence[int], n: int, k: int = 0) -> str:
+    """The branch of ``kernel`` with the fewest steps on a call reading
+    ``rows``, ``len(rows)`` rows of ``n`` bits, by ``"bits"`` or ``"bytes"``:
+    ``"bits"`` or ``"tiles"`` for their ``"transpose"``; a reading for
+    ``"left_residual"`` and ``"preimages"``; ``"cells"``, ``"tables"`` or a
+    reading for a ``"right_residual"`` of ``k`` rows of ``t`` by ``s``;
+    ``"gather"`` or a reading for their ``"pullback"`` along ``k`` sources;
+    ``"instances"`` or ``"types"`` for the ``"order"`` of a lattice with
+    these extents, ``n`` instances and ``k`` types.  The popcount of
+    ``rows`` is taken only where the shape leaves the choice open."""
+    m = len(rows)
+    most = m * n
+    if kernel == "transpose":
+        if most <= _TILE_FIXED:
+            return "bits"
+        tiles = _tile_steps(m, n)
+        return "tiles" if most > tiles and sum(map(int.bit_count, rows)) > tiles else "bits"
+    if kernel == "order":
+        # the instance side transposes the ``m`` extents and sweeps ``n``
+        # rows of ``m`` bits, each reading every set bit of the extents once
+        if 2 * most <= _TABLE_FIXED:
+            return "instances"
+        types = _table_steps(m, k) + _tile_steps(m, k)
+        p = sum(map(int.bit_count, rows))
+        transposes = min(p, _tile_steps(m, n))
+        return "instances" if transposes + _reads(n, m, p)[0] <= types else "types"
+    # the rows are read, by bits or by bytes, unless that takes more than the
+    # ``limit`` steps of the ``other`` branch, less the AND-product's own
+    if kernel == "right_residual":
+        cells = _CELL_STEP * m * k
+        if cells <= _BUILD_FIXED:
+            return "cells"
+        limit, other = min((cells, "cells"), (_table_steps(k, n), "tables"))
+        limit -= _BUILD_FIXED + _tile_steps(m, k)
+        if limit < 0:
+            return other
+    elif most <= _BUILD_FIXED + _TILE_FIXED and most * (1 - _BYTE_BIT_STEP) <= _BYTE_FIXED:
+        return "bits"
+    else:
+        other, limit = "gather", most
+        if kernel == "pullback":
+            limit = _BUILD_FIXED + _tile_steps(k, m)
+    if most <= limit and _reads(m, n, most)[1] == "bits":
+        return "bits"
+    steps, reading = _reads(m, n, sum(map(int.bit_count, rows)))
+    return reading if steps <= limit else other
 
 
 def _swap_masks(side: int) -> tuple[tuple[int, int], ...]:
-    """The delta swaps that transpose a ``side`` x ``side`` tile packed row
-    by row into one int, cell ``(a, b)`` at bit ``a * side + b``.
+    """The delta swaps (Warren, *Hacker's Delight*, 2nd ed., section 7-3)
+    that transpose a ``side`` x ``side`` tile packed row by row into one
+    int, cell ``(a, b)`` at bit ``a * side + b``.
 
     The swap at ``j`` exchanges cells ``(a, b)`` and ``(a + j, b - j)`` for
     each ``a`` with bit ``j`` clear and ``b`` with bit ``j`` set: the two
@@ -335,14 +380,10 @@ def transpose(r: Relation) -> Relation:
     """The converse: ``(b, a)`` iff ``(a, b)``, with ``r``'s rows as its
     ``columns``, so a converse is never transposed back.
 
-    The tile side is the least power of two, at most 128, that covers the
-    shorter side.  Tiles cost about one pass over the bytes of the rows, so
-    they beat the bit loop once the tiles are at least 32 wide and the rows
-    hold at least ``4 / side`` of the cells (1/32 at 128)."""
+    ``branch`` picks the bit loop or the tiles."""
     m, n = r.src_size, r.dst_size
-    side = min(_MAX_TILE, 1 << (min(m, n) - 1).bit_length()) if m > 16 and n > 16 else 0
-    if side and sum(map(int.bit_count, r.rows)) * side >= 4 * m * n:
-        cols = _transpose_tiles(r.rows, m, n, side)
+    if branch("transpose", r.rows, n) == "tiles":
+        cols = _transpose_tiles(r.rows, m, n, _tile_side(m, n))
     else:
         cols = [0] * n
         for a, row in enumerate(r.rows):
@@ -366,13 +407,13 @@ def left_residual(r: Relation, t: Relation) -> Relation:
 
     ``(b, c)`` is in ``r\\t`` iff every ``a`` related to ``b`` by ``r`` is
     related to ``c`` by ``t``; computed as a row sweep intersecting ``t``
-    rows into the output, the bits of each row read as ``_bytewise`` picks.
+    rows into the output, the bits of each row read as ``branch`` picks.
     """
     _require(r.src_size == t.src_size, "left_residual", r, t)
     full = (1 << t.dst_size) - 1
     n = r.dst_size
     out = [full] * n
-    if _bytewise(r):
+    if branch("left_residual", r.rows, n) == "bytes":
         width = (n + 7) // 8
         for row, ta in zip(r.rows, t.rows):
             if ta == full or not row:
@@ -397,30 +438,16 @@ def right_residual(t: Relation, s: Relation) -> Relation:
     """Largest ``r`` with ``compose(r, s) <= t``.
 
     ``(a, b)`` is in ``t/s`` iff the ``s``-row of ``b`` is contained in the
-    ``t``-row of ``a``.  Below ``_SMALL_CELLS`` output cells each cell is that
-    subset test.  Above, for ``m`` rows of ``t``, ``k`` rows of ``s`` and
-    ``n`` shared columns, the output comes one of two ways:
-
-    - the complement tables, ``_complement_tables``: row ``a`` is the full
-      row minus the OR of the columns of ``s`` outside row ``a`` of ``t``,
-      one step per table entry (``T`` in all, 256 per whole byte of the
-      ``n`` columns, fewer for a last broken byte) and one per lookup, ``G``
-      per row for ``G = ceil(n / 8)`` bytes: ``T + G * m`` steps;
-    - the AND-product: column ``b`` is the AND of the columns of ``t`` (its
-      cached ``columns`` view) over the bits of row ``b`` of ``s``, every
-      row of ``t`` for an empty one, and ``transpose`` turns the columns
-      into rows: one step per set bit of ``s``, and about one per machine
-      word of the ``k x m`` output the tiles swap, ``k * m / 64``.
-
-    The tables run where their count is the smaller, as
-    ``takes_complement_tables`` decides: the type side of a concept lattice,
-    few columns against many concepts.  Wide shared sides and short outputs
-    keep the AND-product, which reads the bits of each row of ``s`` as
-    ``_bytewise`` picks.
+    ``t``-row of ``a``.  ``branch`` picks the per-cell subset tests, the
+    complement tables of ``_complement_tables``, or the AND-product: column
+    ``b`` is the AND of the columns of ``t`` (its cached ``columns`` view)
+    over the bits of row ``b`` of ``s``, every row of ``t`` for an empty
+    one, and ``transpose`` turns the columns into rows.
     """
     _require(t.dst_size == s.dst_size, "right_residual", t, s)
     m, k = t.src_size, s.src_size
-    if m * k < _SMALL_CELLS:
+    kind = branch("right_residual", s.rows, s.dst_size, m)
+    if kind == "cells":
         srows = s.rows
         out = []
         for ta in t.rows:
@@ -432,12 +459,12 @@ def right_residual(t: Relation, s: Relation) -> Relation:
                 bbit <<= 1
             out.append(row)
         return Relation(m, k, tuple(out))
-    if takes_complement_tables(t, s):
+    if kind == "tables":
         return _complement_tables(t, s)
     cols = t.columns
     full = (1 << m) - 1
     ands = []
-    if _bytewise(s):
+    if kind == "bytes":
         width = (s.dst_size + 7) // 8
         for sb in s.rows:
             col = full
@@ -458,34 +485,18 @@ def right_residual(t: Relation, s: Relation) -> Relation:
     return transpose(Relation(k, m, tuple(ands)))
 
 
-def takes_complement_tables(t: Relation, s: Relation) -> bool:
-    """Whether ``right_residual(t, s)`` takes the complement tables: from
-    ``_SMALL_CELLS`` output cells, where they count fewer steps than the
-    AND-product, ``64 (T + G m) < 64 |s| + k m`` in its terms.
-
-    Each step counts as one, though an AND of the loop and a word of the
-    transpose cost more than a table step, so the count leans to the
-    AND-product: on every probe shape of ``tools/kernel_probe.py`` and
-    every call of the benchmark workloads that it hands to the tables,
-    they were the faster branch."""
-    m, k, n = t.src_size, s.src_size, s.dst_size
-    if m * k < _SMALL_CELLS:
-        return False
-    entries = sum(1 << min(8, n - c) for c in range(0, n, 8))
-    return 64 * (entries + (n + 7) // 8 * m) < 64 * sum(map(int.bit_count, s.rows)) + k * m
-
-
 def _complement_tables(t: Relation, s: Relation) -> Relation:
     """``t/s`` by rows: row ``a`` is the full row of ``k`` bits minus the OR
     of the columns of ``s`` at the columns outside row ``a`` of ``t``.
 
-    The columns are taken eight at a time.  The table of a group holds the
-    OR of every subset of its columns, indexed by the subset's byte, and is
-    built by doubling, one OR per entry; each row's complement then takes
-    one lookup per byte.  One table of at most 256 rows of ``k`` bits is
-    live at a time, so beside the output's rows, accumulated group by
-    group, the branch keeps that table and the complement of each row of
-    ``t`` as bytes; no transpose runs."""
+    The columns are taken eight at a time, as in the "Four Russians" method
+    (Albrecht, Bard & Hart, *Algorithm 898*, ACM TOMS 37(1), 2010).  The
+    table of a group holds the OR of every subset of its columns, indexed
+    by the subset's byte, and is built by doubling, one OR per entry; each
+    row's complement then takes one lookup per byte.  One table of at most
+    256 rows of ``k`` bits is live at a time, so beside the output's rows
+    the branch keeps that table and the complement of each row of ``t`` as
+    bytes; no transpose runs."""
     m, k, n = t.src_size, s.src_size, s.dst_size
     cols = s.columns
     width = (n + 7) // 8
@@ -574,21 +585,20 @@ class FunctionGraph:
             raise ShapeError(f"then: incompatible shapes {self.shape} and {other.shape}")
         return tuple(map(other.targets.__getitem__, self.targets))
 
-    def preimages(self, masks: Iterable[int]) -> tuple[int, ...]:
+    def preimages(self, masks: Sequence[int]) -> tuple[int, ...]:
         """The inverse image of each mask, the union of the fibers of its
-        bits; bits past the targets are ignored.
+        bits; bits past the targets are ignored.  With the masks as the rows
+        of ``R``, this is ``compose(R, transpose(rel)).rows`` without the two
+        relations, each mask read by bits or by bytes as ``branch`` picks."""
+        return self._fiber_images(masks, branch("preimages", masks, self.dst_size))
 
-        With the masks as the rows of a relation ``R`` into the targets, this
-        is ``compose(R, transpose(rel)).rows``, the same loop on the fibers
-        without the two relations: each mask costs its popcount, not the
-        number of sources.  From 16 targets the bits are read byte by byte
-        through ``_BYTE_BITS``.  ``pullback`` turns to a gather where the
-        masks' columns are at hand and the output is large."""
+    def _fiber_images(self, masks: Sequence[int], reading: str) -> tuple[int, ...]:
+        """``preimages``, each mask read by ``"bits"`` or by ``"bytes"``."""
         fibers = self.fibers
         n = self.dst_size
         full = (1 << n) - 1
         out = []
-        if n >= 16:
+        if reading == "bytes":
             width = (n + 7) // 8
             for mask in masks:
                 acc = 0
@@ -619,18 +629,15 @@ def pullback(rows: Sequence[int], cols: Sequence[int], psi: FunctionGraph) -> tu
     ``y`` is ``psi``'s inverse image of row ``y`` of ``R``, and column ``a``
     is column ``psi(a)`` of ``R``.
 
-    The fiber loop, ``psi.preimages``, costs one OR per set bit of
-    ``rows``; the gather, the columns read along the targets in one C-level
-    ``map`` and turned into rows by ``transpose``, costs about a pass over
-    the bytes of the output and a few steps per output row and column.  So
-    the gather runs from ``_GATHER_CELLS`` output cells when ``rows`` hold
-    at least ``_GATHER_BITS`` set bits per output row and column, and the
-    loop otherwise.  Bits of ``rows`` past the targets are ignored either
-    way."""
+    ``branch`` picks the fiber loop of ``psi.preimages``, reading ``rows``
+    by bits or by bytes, or the gather: the columns read along the targets
+    in one C-level ``map`` and turned into rows by ``transpose``.  Bits of
+    ``rows`` past the targets are ignored either way."""
     k, m = len(rows), len(psi.targets)
-    if k * m >= _GATHER_CELLS and sum(map(int.bit_count, rows)) >= _GATHER_BITS * (k + m):
+    kind = branch("pullback", rows, psi.dst_size, m)
+    if kind == "gather":
         return transpose(Relation(m, k, tuple(map(cols.__getitem__, psi.targets)))).rows
-    return psi.preimages(rows)
+    return psi._fiber_images(rows, kind)
 
 
 def adjoint_failure(

@@ -1,8 +1,8 @@
 """Bounded property tests of a function's fibers, the inverse images read
 from them and the adjointness equation built on them, on random shapes up to
 7 -> 7, 0-sized domains and codomains included; and of ``pullback`` and the
-byte steps of ``preimages`` against the fiber loop, on shapes on both sides
-of their thresholds."""
+byte steps of ``preimages`` against the fiber loop, each branch forced and
+as ``relalg.branch`` picks it."""
 
 import random
 
@@ -131,14 +131,12 @@ def test_fundamental_property_is_the_adjointness_equation(m):
 
 # -- pullback and the byte steps against the fiber loop -------------------------
 #
-# ``pullback`` gathers from 1024 output cells (masks x sources) and 3 set bits
-# of its masks per output row and column; ``preimages`` reads the masks byte
-# by byte from 16 targets.  The shapes (masks, sources, targets) put the cells
-# at 1023/1024/1025 and far on either side, the targets at 15/16/17, and the
-# carriers at 0; the densities put the set bits on both sides of 3 (k + m).
+# The shapes (masks, sources, targets) run from empty carriers to outputs of
+# a few thousand cells, the targets around a byte (7/8/9 and 15/16/17), and
+# the densities from no bit to every bit of the masks.
 PULLBACK_SHAPES = [
     (0, 40, 5), (40, 0, 5), (0, 0, 0), (6, 0, 0), (3, 4, 2), (1, 1100, 3), (1100, 1, 3),
-    (31, 33, 8), (32, 32, 8), (41, 25, 8), (32, 32, 15), (32, 32, 16), (33, 31, 17),
+    (31, 33, 7), (32, 32, 8), (41, 25, 9), (32, 32, 15), (32, 32, 16), (33, 31, 17),
     (16, 64, 16), (64, 16, 17), (45, 45, 45), (20, 60, 40), (70, 70, 16),
 ]
 
@@ -168,9 +166,25 @@ def test_pullback_is_the_fiber_loop(r_psi, high):
     assert psi.preimages(past) == expected
 
 
-def test_pullback_gathers_from_its_thresholds(monkeypatch):
-    """The gather, the one ``transpose`` call, runs from 1024 cells and
-    3 (k + m) set bits, and the fiber loop below either."""
+@settings(max_examples=150, deadline=None, database=None)
+@given(pullbacks(), st.sampled_from(("gather", "bits", "bytes")))
+def test_every_pullback_branch_is_the_fiber_loop(r_psi, kind):
+    """The gather and the fiber loop reading by bits or by bytes, each
+    forced whatever ``relalg.branch`` would pick, give the fiber loop's
+    rows."""
+    r, psi = r_psi
+    rule = relalg.branch
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(relalg, "branch", lambda k, *a: kind if k == "pullback" else rule(k, *a))
+        assert pullback(r.rows, r.columns, psi) == preimages_oracle(psi, r.rows)
+
+
+def test_pullback_gathers_where_the_rule_counts_fewer_steps(monkeypatch):
+    """The gather, the one ``transpose`` call, runs exactly where
+    ``relalg.branch`` picks it: on many masks dense enough that reading
+    their bits costs more than turning the gathered columns into rows, as
+    with many sources, or with so few that the gathered columns are short;
+    not on sparse masks or few masks."""
     gathered = []
     original = relalg.transpose
 
@@ -179,15 +193,15 @@ def test_pullback_gathers_from_its_thresholds(monkeypatch):
         return original(r)
 
     monkeypatch.setattr(relalg, "transpose", counted)
-    n = 12
-    for k, m, bits_set, gathers in (
-        (32, 32, 192, True), (32, 32, 191, False), (31, 33, 372, False), (1024, 1, 3075, True)
+    n = 64
+    for k, m, per_row, gathers in (
+        (128, 512, 32, True), (128, 4, 32, True), (128, 512, 1, False), (4, 512, 32, False)
     ):
-        rows = tuple((1 << min(n, max(0, bits_set - n * y))) - 1 for y in range(k))
-        assert sum(map(int.bit_count, rows)) == bits_set
+        rows = tuple((1 << per_row) - 1 << y % (n - per_row + 1) for y in range(k))
         r = Relation(k, n, rows)
         psi = FunctionGraph(tuple(a % n for a in range(m)), n)
         cols = r.columns
         gathered.clear()
+        assert (relalg.branch("pullback", rows, n, m) == "gather") == gathers
         assert pullback(rows, cols, psi) == preimages_oracle(psi, rows)
         assert gathered == ([(m, k)] if gathers else [])

@@ -209,21 +209,21 @@ class TestBuildLattice:
     def test_order_from_either_side_is_extent_inclusion(self, rng, monkeypatch):
         """Both residuals give the order of the Basic Theorem, extent
         inclusion, on contexts wider than tall, taller than wide, square,
-        0 x n and n x 0.  ``order`` takes the type side where the context is
-        taller than wide and the complement tables run there, as on a tall
-        sparse 200 x 16 (302 concepts), and the instance side otherwise, as
-        on 30 x 20 with five crosses per row, whose type side would take
-        the AND-product."""
+        0 x n and n x 0.  ``order`` takes the side ``relalg.branch`` picks:
+        the type side, through the complement tables, on a tall sparse
+        200 x 16 (302 concepts), and the instance side on 60 x 50 with six
+        crosses per row, whose type side would read 50 columns for each of
+        302 concepts."""
         tables = []
         original = relalg._complement_tables
         monkeypatch.setattr(
             relalg, "_complement_tables", lambda t, s: tables.append(t) or original(t, s)
         )
         tall_sparse = sparse_context(random.Random(14), 200, 16, 3)
-        tall_dense = sparse_context(random.Random(14), 30, 20, 5)
+        wide_rows = sparse_context(random.Random(3), 60, 50, 6)
         contexts = [random_context(rng, m, n) for m, n in RANDOM_SHAPES + ((3, 9), (9, 3))]
         contexts += [sparse_context(rng, m, n, k) for m, n, k in TALL_SPARSE[:5]]
-        contexts += [tall_sparse, tall_dense]
+        contexts += [tall_sparse, wide_rows]
         contexts += [contranominal_classification(5), chain_classification(6)]
         for K in contexts:
             L = build_lattice(K)
@@ -233,15 +233,31 @@ class TestBuildLattice:
             assert right_residual(L.tau_rel, L.tau_rel) == inclusion
             assert left_residual(L.iota_rel, L.iota_rel) == inclusion
             fresh = build_lattice(K)
+            side = relalg.branch("order", fresh.extents, len(K.instances), len(K.types))
             tables.clear()
             assert fresh.order == inclusion
-            # the type side runs exactly where it takes the tables
-            assert ("iota_rel" in vars(fresh)) == (not tables)
-            assert not tables or len(K.types) < len(K.instances)
+            assert ("iota_rel" in vars(fresh)) == (side == "instances")
             if K is tall_sparse:
                 assert fresh.size == 302 and tables == [fresh.tau_rel]
-            if K is tall_dense:
-                assert "iota_rel" in vars(fresh) and not tables
+            if K is wide_rows:
+                assert fresh.size == 302 and side == "instances" and not tables
+
+    @pytest.mark.parametrize(
+        "m, n, crosses, side",
+        [(100, 90, 9, "instances"), (100, 22, 7, "types"), (1500, 40, 2, "types")],
+    )
+    def test_order_takes_the_side_of_fewer_steps(self, m, n, crosses, side):
+        """On 100 x 90 with nine crosses per row (974 concepts) the instance
+        side counts fewer steps than the complement tables of the type side,
+        and is the faster; the lattice benchmark's wide 100 x 22 at .3 and
+        tall 1500 x 40 at .05 keep the type side.  Either way the order is
+        extent inclusion, and so is the other side."""
+        L = build_lattice(sparse_context(random.Random(3), m, n, crosses))
+        inclusion = extent_inclusion_oracle([set(bits(e)) for e in L.extents])
+        assert L.order == inclusion
+        assert ("iota_rel" in vars(L)) == (side == "instances")
+        assert right_residual(L.tau_rel, L.tau_rel) == inclusion
+        assert left_residual(L.iota_rel, L.iota_rel) == inclusion
 
     def test_covers_are_the_reduction_of_extent_inclusion(self, rng):
         contexts = itertools.chain(

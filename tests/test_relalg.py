@@ -29,6 +29,7 @@ from oracles import (
     compose_oracle,
     enumerate_relations,
     left_residual_oracle,
+    preimages_oracle,
     random_relation,
     right_residual_oracle,
     right_residual_scatter_oracle,
@@ -238,10 +239,11 @@ class TestResiduals:
             right_residual(Relation.empty(2, 2), Relation.empty(2, 3))
 
     def test_complement_tables_run_where_they_count_fewer_steps(self, monkeypatch):
-        """Both sides of the rule ``64 (T + G m) < 64 |s| + k m``: the tables
-        of a short ``t`` against a long, half-full ``s`` over a narrow side,
-        and the AND-product for the converse shapes, for a sparse ``s``, and
-        for a side wide enough that the tables outweigh the output."""
+        """The tables run exactly where ``relalg.branch`` counts fewest
+        steps for them: a short ``t`` against a long, half-full ``s`` over a
+        narrow side; not for a sparse ``s``, a side wide enough that the
+        tables outweigh the output, or an output small enough for the
+        per-cell tests."""
         rng = random.Random(27)
 
         def half(src, dst):
@@ -254,17 +256,83 @@ class TestResiduals:
         )
         cases = [
             (half(40, 20), half(300, 20), True),
-            (half(300, 20), half(40, 20), False),
-            (half(90, 70), half(90, 70), True),
             (half(90, 70), Relation(90, 70, tuple(1 << a % 70 for a in range(90))), False),
             (half(300, 300), half(40, 300), False),
+            (half(8, 20), half(8, 20), False),
         ]
         for t, s, tables in cases:
             calls.clear()
             got = right_residual(t, s)
             assert calls == ([1] if tables else [])
-            assert relalg.takes_complement_tables(t, s) == tables
+            kind = relalg.branch("right_residual", s.rows, s.dst_size, t.src_size)
+            assert (kind == "tables") == tables
             assert got == right_residual_scatter_oracle(t, s)
+
+
+def _dense(rng, m, n, bits_per_row):
+    """``m`` x ``n`` with ``bits_per_row`` set bits in each row."""
+    return Relation(m, n, tuple(sum(1 << b for b in rng.sample(range(n), bits_per_row))
+                                for _ in range(m)))
+
+
+def _branch_cases():
+    """``(kernel, branch, args, run)``: for each branch of each kernel, an
+    input on which ``relalg.branch(kernel, *args)`` picks that branch, and
+    ``run``, which gives the kernel's result on it and its oracle's."""
+    rng = random.Random(31)
+    thin, square, sparse = _dense(rng, 7, 40, 20), _dense(rng, 64, 64, 32), _dense(rng, 100, 100, 1)
+    full4 = Relation.full(30, 4)
+    t300, s_sparse, s_half = _dense(rng, 300, 300, 150), _dense(rng, 40, 300, 1), _dense(
+        rng, 40, 300, 150
+    )
+    t40, s_long, small = _dense(rng, 40, 20, 10), _dense(rng, 300, 20, 10), _dense(rng, 8, 8, 4)
+    masks32, masks128 = _dense(rng, 32, 32, 24), _dense(rng, 128, 128, 64)
+    psi1000 = FunctionGraph(tuple(rng.randrange(32) for _ in range(1000)), 32)
+    psi512 = FunctionGraph(tuple(rng.randrange(128) for _ in range(512)), 128)
+    masks4 = _dense(rng, 5, 4, 2)
+    psi6 = FunctionGraph(tuple(rng.randrange(4) for _ in range(6)), 4)
+    cases = []
+    for kind, r in (("bits", thin), ("bits", sparse), ("tiles", square)):
+        cases.append(
+            ("transpose", kind, (r.rows, r.dst_size),
+             lambda r=r: (transpose(r), transpose_oracle(r)))
+        )
+    for kind, r in (("bits", full4), ("bits", sparse), ("bytes", square)):
+        t = _dense(rng, r.src_size, 9, 4)
+        cases.append(
+            ("left_residual", kind, (r.rows, r.dst_size),
+             lambda r=r, t=t: (left_residual(r, t), left_residual_oracle(r, t)))
+        )
+    for kind, t, s in (
+        ("cells", small, small), ("tables", t40, s_long), ("bits", t300, s_sparse),
+        ("bytes", t300, s_half),
+    ):
+        cases.append(
+            ("right_residual", kind, (s.rows, s.dst_size, t.src_size),
+             lambda t=t, s=s: (right_residual(t, s), right_residual_oracle(t, s)))
+        )
+    for kind, r, psi in (("bits", masks4, psi6), ("bytes", masks32, psi1000),
+                         ("gather", masks128, psi512)):
+        cases.append(
+            ("pullback", kind, (r.rows, r.dst_size, psi.src_size),
+             lambda r=r, psi=psi: (relalg.pullback(r.rows, r.columns, psi),
+                                   preimages_oracle(psi, r.rows)))
+        )
+    return cases
+
+
+BRANCH_CASES = _branch_cases()
+
+
+@pytest.mark.parametrize(
+    "kernel, kind, args, run", BRANCH_CASES, ids=[f"{k}-{b}" for k, b, *_ in BRANCH_CASES]
+)
+def test_each_branch_is_picked_on_its_input(kernel, kind, args, run):
+    """One input per branch of each kernel: ``relalg.branch`` picks that
+    branch, and the kernel's result is its oracle's."""
+    assert relalg.branch(kernel, *args) == kind
+    got, expected = run()
+    assert got == expected
 
 
 class TestAdjointness:

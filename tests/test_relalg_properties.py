@@ -73,20 +73,16 @@ def test_right_residual_is_transposed_left_residual(rst):
 
 # -- the kernels' branches against the reference loops -------------------------
 #
-# Each kernel picks its branch from the shape and the popcount: transpose tiles
-# from a shorter side of 17 (tiles 32 to 128 wide, a wider tile from 65 and 129
-# cut into several) and 4/side of the cells set, byte enumeration from 16
-# columns and half the row bytes, the right residual's columns from 512 output
-# cells.  These shapes sit on both sides of each: 15/16/17, 127/128/129,
-# 255/256/257 and 511/512/513 cells, the shorter sides 16/17, 64/65 and
-# 128/129, the empty carriers and the long thin shapes.
+# The shapes sit at the edges a branch's loop can get wrong: the empty
+# carriers, 7/8/9 and 15/16/17 columns around a byte, shorter sides of
+# 8/9, 16/17, 32/33, 64/65 and 128/129 around a tile side (a wider tile from
+# 129 cut into several), and long thin shapes.
 SHAPES = [
     (0, 9), (9, 0), (1, 300), (300, 1),
-    (3, 5), (15, 1), (4, 4), (1, 16), (16, 1), (1, 17), (17, 1),
-    (1, 127), (127, 1), (8, 16), (16, 8), (2, 64), (3, 43), (43, 3),
-    (15, 17), (17, 15), (5, 51), (16, 16), (2, 128), (128, 2), (1, 257), (257, 1),
-    (7, 73), (16, 32), (32, 16), (19, 27), (27, 19),
-    (17, 17), (17, 40), (64, 65), (65, 70), (128, 129), (129, 129),
+    (3, 5), (4, 4), (1, 7), (9, 8), (8, 9), (1, 16), (16, 1), (1, 17), (17, 1),
+    (15, 17), (17, 15), (16, 16), (2, 64), (43, 3), (5, 51), (2, 128), (128, 2),
+    (7, 73), (16, 32), (32, 16), (32, 33), (17, 17), (17, 40), (64, 65), (65, 70),
+    (128, 129), (129, 129),
 ]
 DENSITIES = ("empty", "sparse", "half", "nearly full", "full")
 
@@ -129,9 +125,8 @@ def test_transpose_is_the_bit_loop(r):
 @settings(max_examples=150, deadline=None, database=None)
 @given(st.data())
 def test_left_residual_is_the_oracle(data):
-    """``r`` takes the threshold shapes, so its columns (16 for byte
-    enumeration) and its density straddle the branch; ``t`` has a few
-    columns and is sometimes full, whose rows the sweep skips."""
+    """``r`` takes the shapes above; ``t`` has a few columns and is
+    sometimes full, whose rows the sweep skips."""
     r = data.draw(shaped())
     t = data.draw(shaped(src=r.src_size, dst=data.draw(st.sampled_from((0, 1, 5, 17)))))
     assert left_residual(r, t) == left_residual_oracle(r, t)
@@ -140,9 +135,8 @@ def test_left_residual_is_the_oracle(data):
 @settings(max_examples=150, deadline=None, database=None)
 @given(st.data())
 def test_right_residual_is_the_oracle(data):
-    """The output ``t.src_size`` x ``s.src_size`` takes the threshold shapes;
-    the shared columns run from none to 17, so that the rows of ``s`` are
-    read bit by bit below 16 columns and byte by byte, when dense, from 16."""
+    """The output ``t.src_size`` x ``s.src_size`` takes the shapes above;
+    the shared columns run from none to 17, around a byte."""
     m, k = data.draw(st.sampled_from(SHAPES))
     n = data.draw(st.sampled_from((0, 1, 7, 8, 16, 17)))
     t = data.draw(shaped(src=m, dst=n))
@@ -150,26 +144,37 @@ def test_right_residual_is_the_oracle(data):
     assert right_residual(t, s) == right_residual_oracle(t, s)
 
 
-class _Untouched:
-    def __getitem__(self, key):
-        raise AssertionError("byte enumeration on a sparse relation")
+# every branch ``relalg.branch`` can pick for each kernel
+BRANCHES = {
+    "transpose": ("bits", "tiles"),
+    "left_residual": ("bits", "bytes"),
+    "right_residual": ("cells", "tables", "bits", "bytes"),
+}
 
 
-@settings(max_examples=60, deadline=None, database=None)
+@settings(max_examples=200, deadline=None, database=None)
 @given(st.data())
-def test_sparse_relations_keep_the_bit_loops(data):
-    """Under 1/32 of the cells set, the transpose runs no tiles and the left
-    residual enumerates no bytes, which on the sparse order residuals of
-    ``lattice`` cost more than the bit loops they replace."""
-    m = data.draw(st.integers(16, 200))
-    n = data.draw(st.integers(16, 800))
-    r = dense_relation(data.draw, m, n, "sparse")
-    t = dense_relation(data.draw, m, 3, "half")
+def test_every_branch_is_the_oracle(data):
+    """Each branch of each kernel, forced whatever the rule would pick, on
+    the shapes and densities above, equals the reference loop; a right
+    residual's shared side runs from none to 17 columns."""
+    kernel = data.draw(st.sampled_from(sorted(BRANCHES)))
+    kind = data.draw(st.sampled_from(BRANCHES[kernel]))
+    rule = relalg.branch
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(relalg, "_BYTE_BITS", _Untouched())
-        patch.setattr(relalg, "_transpose_tiles", None)
-        assert left_residual(r, t) == left_residual_oracle(r, t)
-        assert transpose(r) == transpose_oracle(r)
+        patch.setattr(relalg, "branch", lambda k, *args: kind if k == kernel else rule(k, *args))
+        if kernel == "transpose":
+            r = data.draw(shaped())
+            assert transpose(r) == transpose_oracle(r)
+        elif kernel == "left_residual":
+            r = data.draw(shaped())
+            t = data.draw(shaped(src=r.src_size, dst=data.draw(st.sampled_from((0, 1, 5, 17)))))
+            assert left_residual(r, t) == left_residual_oracle(r, t)
+        else:
+            m, k = data.draw(st.sampled_from(SHAPES))
+            n = data.draw(st.sampled_from((0, 1, 7, 8, 16, 17)))
+            t, s = data.draw(shaped(src=m, dst=n)), data.draw(shaped(src=k, dst=n))
+            assert right_residual(t, s) == right_residual_oracle(t, s)
 
 
 # the right residual's complement tables against the per-cell oracle: the

@@ -1,34 +1,22 @@
-"""Time the ``relalg`` kernels against the bit loops they replaced.
+"""Time the ``relalg`` kernels against the bit loops they replaced, count
+the branches ``relalg.branch`` picks, and compare every fast path with its
+reference.
 
 Standard library only.  From the repository root:
 
-    python3 tools/kernel_probe.py            # the timing table
+    python3 tools/kernel_probe.py            # the timing and branch tables
     python3 tools/kernel_probe.py --check    # equality only, no timing
 
 Each shape is a seeded random relation ``r`` at each density.  The probe runs
 ``transpose(r)``, ``left_residual(r, r)`` and ``right_residual(r, r)`` (the
 residuals of a relation by itself are the orders a concept lattice is built
 from) and the reference loops of ``tests/oracles.py``: the transpose bit loop,
-the residual row sweep and the columns-and-scatter right residual.  Every
-timing is the best of 7 runs, kernel and loop in turn, each on a fresh copy of
-``r``, so a right residual pays for its ``columns`` as a first call does.
-``--check`` compares every result with its reference loop and exits 1 on a
-difference.
+the residual row sweep and the columns-and-scatter right residual, and names
+the branch ``relalg.branch`` picks for each.  Every timing is the best of 7
+runs, kernel and loop in turn, each on a fresh copy of ``r``, so a right
+residual pays for its ``columns`` as a first call does.
 
-The ``right_residual`` rows take the per-cell subset tests up to 16x16;
-the complement tables at density .5 on 128x128, 752x752 and 100x22, and at
-both densities on 1500x40; and the AND-product at density .05 on 128x128,
-752x752 and 100x22, and at both densities on 40x1500.
-
-A second table times the two ``colimit`` enumerators, of functional
-infomorphisms and of concept lattice morphisms, from the apex of a sum of
-two seeded random contexts into a third.  On 2x3+2x3 into 2x3 it runs them
-against the brute-force loops of ``tests/oracles.py``, each pair of an
-instance and a type function; on 3x3+3x3 into 3x3, 531,441 such pairs, it
-runs them alone, and ``--check`` compares the instance and type functions
-of the two sides, which are the same pairs in the same order.
-
-A third table times the inverse images of a map's principal up-sets,
+A second table times the inverse images of a map's principal up-sets,
 the batch of every adjointness check: the fiber loop of ``tests/oracles.py``
 against the gather and ``transpose`` and against ``relalg.pullback``, which
 picks one of its two branches.  The inputs are the up-sets of 2^a, with
@@ -36,60 +24,38 @@ their down-sets as columns, pulled back along a seeded boolean homomorphism
 2^c -> 2^a (the inverse image along an injection [a] -> [c]) for c = a and
 c = a + 2, a = 3..7; and, at verify sizes, both principal batches of the
 139 homs of the verify hom corpora of seeds 0-11 at size 3, timed as one
-row.  ``--check`` compares all three sides.
+row.
 
-A fourth table times ``functors.embedding_bonds``, which checks the pair by
-the derivation identities of a concept lattice, against
-``embedding_bonds_oracle``, which validates both bonds and compares both
-composites: over the 698 contexts of the verify corpus of one seed at size
-3, and on the order classification of the boolean lattice 2^7.  The
-lattices are built before timing, so a row times the checks alone.
-``--check`` compares the two sides' bonds, endpoints and relations.
+A third table times the concept order of seeded contexts from each side:
+``tau_rel/tau_rel``, a right residual over the types, and
+``iota_rel\\iota_rel``, a left residual over the instances, each side
+building its membership relation as a fresh lattice does (``iota_rel`` is a
+transpose of the extents), and names the side ``ConceptLattice.order``
+takes.  The contexts are the lattice benchmark's shapes, wide 100x22 at .3
+and tall 1500x40 at .05, three more with a fixed number of crosses per row,
+and the order classification of the boolean lattice 2^7.  These three tables
+are the data the weights of ``relalg.branch`` were fitted to.
 
-A fifth table times ``lattice.build_lattice``, whose walk visits only the
-types an extent's rows meet where they cannot meet every free type, against
-``fcbo_oracle``, the walk that tests every free type: on the lattice
-benchmark's shapes, wide 100x22 at .3 and tall 1500x40 at .05 (every row
-with the rounded share of crosses), and on the order classification of the
-boolean lattice 2^7.  ``--check`` compares the two sides' concept tuples,
-and the lattice's derived ``iota`` and ``tau`` with ``embeddings_oracle``.
+A fourth table counts the kernel calls of one cycle of each benchmark
+workload, nested calls included, by the branch ``relalg.branch`` picks:
+``transpose``, both residuals, ``pullback`` (the gather, or the fiber loop
+by how it reads its masks), ``compose``, and the side of each concept
+order.  A fifth counts the kernel calls of each op of the bonding workload
+by the stage of the op that makes them: parsing the pair,
+``is_bonding_pair``, ``hom_of_pair``, and the pair and hom round trips.  Both
+library caches are cleared before each op, as the benchmark worker does.
 
-A sixth table times the concept order of the same three lattices from each
-side of the context: ``tau_rel/tau_rel``, a right residual over the types,
-and ``iota_rel\\iota_rel``, a left residual over the instances, each side
-building its membership relation as a fresh lattice does (``iota_rel`` is
-a transpose of the extents), and names the side ``ConceptLattice.order``
-takes.  ``--check`` compares both sides and ``order`` with
-``extent_inclusion_oracle``.
-
-A seventh table times ``relalg.from_digits``, the reader behind
-``io.parse_cxt`` and ``Relation.from_matrix``, which reads a relation's rows
-and its columns off one digit string, against its rows alone, as the
-readers read them before, and the ``transpose`` that its stored columns
-save, on the same three contexts.  ``--check`` compares the
-columns that ``parse_cxt(emit_cxt(K))`` and ``from_matrix`` store with the
-rows of ``transpose``.
-
-An eighth table times the checks of the bonds between order
-classifications: ``functors._order_bond_check`` on both bonds of a rebuilt
-pair, ``pair_of_hom``, and ``functors._order_pairing_check`` on the pair,
-which read principal sets alone, against ``bond.is_bond`` and
-``bond.is_bonding_pair``, which residuate; on the boolean homs 2^6 -> 2^4,
-2^6 -> 2^6, 2^7 -> 2^5 and 2^7 -> 2^7 of the bonding benchmark.
-``--check`` compares the verdicts, reasons and witnesses of the bond checks
-on both bonds and on seeded one-cell flips of each, and the verdicts of the
-pairing checks wherever both bonds pass, and on each bond with the
-opposed bond of the same hom on another seeded injection.
-
-Two last tables are printed without ``--check``.  The first counts the
-``right_residual`` calls of one cycle of each benchmark workload by the
-branch they take: per-cell subset tests, complement tables or
-AND-product.  The second counts the kernel calls (``compose``,
-``transpose``, both residuals and ``pullback``, nested calls included) of
-each op of the bonding workload by the stage of the op that makes them:
-parsing the pair, ``is_bonding_pair``, ``hom_of_pair``, and the pair and
-hom round trips.  Both library caches are cleared before each op, as the
-benchmark worker does.
+``--check`` compares every kernel and pullback result above with its
+reference loop and every order side with ``extent_inclusion_oracle``, and
+besides: the two ``colimit`` enumerators with their brute-force loops on
+2x3+2x3 into 2x3 and with each other on 3x3+3x3 into 3x3;
+``functors.embedding_bonds`` with ``embedding_bonds_oracle`` over the verify
+corpus of one seed and on the order of 2^7; ``build_lattice`` with
+``fcbo_oracle`` and its derived embeddings with ``embeddings_oracle``; the
+columns ``parse_cxt`` and ``from_matrix`` store with ``transpose``; and the
+order bond and pairing checks of ``functors`` with ``bond.is_bond`` and
+``bond.is_bonding_pair`` on the bonding benchmark's boolean homs, on seeded
+flips of their bonds and across injections.  It exits 1 on a difference.
 """
 
 from __future__ import annotations
@@ -121,7 +87,6 @@ from conceptual.relalg import (  # noqa: E402
     FunctionGraph,
     Relation,
     bits,
-    from_digits,
     left_residual,
     pullback,
     right_residual,
@@ -148,12 +113,23 @@ DENSITIES = (0.05, 0.5)
 # timed runs of each function; the best is kept
 REPEAT = 7
 KERNELS = [
-    ("transpose", transpose, transpose_oracle),
-    ("left_residual", lambda r: left_residual(r, r), lambda r: left_residual_sweep_oracle(r, r)),
+    (
+        "transpose",
+        transpose,
+        transpose_oracle,
+        lambda r: relalg.branch("transpose", r.rows, r.dst_size),
+    ),
+    (
+        "left_residual",
+        lambda r: left_residual(r, r),
+        lambda r: left_residual_sweep_oracle(r, r),
+        lambda r: relalg.branch("left_residual", r.rows, r.dst_size),
+    ),
     (
         "right_residual",
         lambda r: right_residual(r, r),
         lambda r: right_residual_scatter_oracle(r, r),
+        lambda r: relalg.branch("right_residual", r.rows, r.dst_size, r.src_size),
     ),
 ]
 
@@ -178,10 +154,11 @@ FLIPS = 8
 # the kernels the stage table counts
 STAGE_KERNELS = ("compose", "transpose", "left_residual", "right_residual", "pullback")
 
-# the lattice benchmark's context shapes (instances, types, density), and
-# the seed of the contexts the build rows draw
-BUILD_SHAPES = [(100, 22, 0.3), (1500, 40, 0.05)]
-BUILD_SEED = 3
+# the contexts of the order rows, (instances, types, crosses per row), each
+# drawn from its own generator at ``CONTEXT_SEED``: the lattice benchmark's
+# wide 100x22 at .3 and tall 1500x40 at .05 first
+CONTEXT_SHAPES = [(100, 22, 7), (1500, 40, 2), (100, 90, 9), (60, 50, 6), (200, 150, 8)]
+CONTEXT_SEED = 3
 
 
 def random_relation(rng: random.Random, m: int, n: int, p: float) -> Relation:
@@ -240,41 +217,28 @@ def best_time(f) -> float:
     return best
 
 
-def probe_enumerators(check: bool) -> tuple[int, int]:
-    """Print the enumerator rows, or compare their results; the number of
-    comparisons made and of those that differ."""
-    if not check:
-        print(f"\n{'diagram':>13} {'enumerator':>14} {'found':>6} {'lookup ms':>10}"
-              f" {'brute ms':>10} {'speed-up':>8}")
+def check_enumerators() -> tuple[int, int]:
+    """Compare the enumerators with their brute force and with each other;
+    the number of comparisons made and of those that differ."""
     compared = differ = 0
     rng = random.Random(DIAGRAM_SEED)
     for (m, n), brute in DIAGRAMS:
         apex, C = sum_diagram(rng, m, n)
         shape = f"{m}x{n}+{m}x{n}>{m}x{n}"
         rows = enumerators(apex, C)
-        if check:
-            found = [kernel() for _, kernel, _ in rows]
-            checks = [
-                (f"{name} against the brute force", got == loop())
-                for (name, _, loop), got in zip(rows, found)
-                if brute
-            ]
-            pairs = [[(x.f, x.g) for x in side] for side in found]
-            checks.append(("the (f, g) pairs of the two sides", pairs[0] == pairs[1]))
-            for what, ok in checks:
-                if not ok:
-                    differ += 1
-                    print(f"differs: {what} on {shape}")
-            compared += len(checks)
-            continue
-        for name, kernel, loop in rows:
-            k = best_time(kernel)
-            if brute:
-                ref = best_time(loop)
-                tail = f"{ref * 1e3:>10.3f} {ref / k:>7.2f}x"
-            else:
-                tail = f"{'-':>10} {'-':>8}"
-            print(f"{shape:>13} {name:>14} {len(kernel()):>6} {k * 1e3:>10.3f} {tail}")
+        found = [kernel() for _, kernel, _ in rows]
+        checks = [
+            (f"{name} against the brute force", got == loop())
+            for (name, _, loop), got in zip(rows, found)
+            if brute
+        ]
+        pairs = [[(x.f, x.g) for x in side] for side in found]
+        checks.append(("the (f, g) pairs of the two sides", pairs[0] == pairs[1]))
+        for what, ok in checks:
+            if not ok:
+                differ += 1
+                print(f"differs: {what} on {shape}")
+        compared += len(checks)
     return compared, differ
 
 
@@ -351,80 +315,63 @@ def probe_pullbacks(check: bool) -> tuple[int, int]:
     return compared, differ
 
 
-def embedding_inputs() -> list[tuple[str, list[Classification]]]:
-    """The contexts of the embedding rows, by name."""
+def check_embeddings() -> tuple[int, int]:
+    """Compare ``embedding_bonds`` with its oracle over the verify corpus of
+    one seed and on the order of 2^7; the number of comparisons made and of
+    those that differ."""
     corpus = [K for _, K in verify.context_corpus(3, random.Random(CORPUS_SEED))]
     boolean = functors.concept_lattice_of(contranominal_classification(7))
-    return [
+    compared = differ = 0
+    for name, contexts in (
         (f"corpus seed {CORPUS_SEED}", corpus),
         ("order of 2^7", [functors.complete_lattice_of(boolean).classification]),
-    ]
-
-
-def probe_embeddings(check: bool) -> tuple[int, int]:
-    """Print the embedding rows, or compare the bonds of the two sides; the
-    number of comparisons made and of those that differ."""
-    if not check:
-        print(f"\n{'contexts':>17} {'count':>6} {'identities ms':>14} {'oracle ms':>10}"
-              f" {'speed-up':>8}")
-    compared = differ = 0
-    for name, contexts in embedding_inputs():
-        def kernel():
-            return [functors.embedding_bonds(A) for A in contexts]
-
-        def loop():
-            return [embedding_bonds_oracle(A) for A in contexts]
-
-        if check:
-            compared += 1
-            if kernel() != loop():
-                differ += 1
-                print(f"differs: embedding bonds on {name}")
-            continue
-        loop()  # builds the lattices and their views
-        k, ref = best_time(kernel), best_time(loop)
-        print(f"{name:>17} {len(contexts):>6} {k * 1e3:>14.3f} {ref * 1e3:>10.3f}"
-              f" {ref / k:>7.2f}x")
+    ):
+        compared += 1
+        if [functors.embedding_bonds(A) for A in contexts] != [
+            embedding_bonds_oracle(A) for A in contexts
+        ]:
+            differ += 1
+            print(f"differs: embedding bonds on {name}")
     return compared, differ
 
 
-def build_inputs() -> list[tuple[str, Classification]]:
-    """The contexts of the build rows, by name."""
-    rng = random.Random(BUILD_SEED)
+def context_inputs() -> list[tuple[str, Classification]]:
+    """The contexts of the order rows, by name."""
     inputs = []
-    for m, n, p in BUILD_SHAPES:
-        k = round(p * n)
+    for m, n, k in CONTEXT_SHAPES:
+        rng = random.Random(CONTEXT_SEED)
         rows = tuple(sum(1 << t for t in rng.sample(range(n), k)) for _ in range(m))
         K = Classification(
             tuple(f"i{a}" for a in range(m)), tuple(f"t{t}" for t in range(n)), Relation(m, n, rows)
         )
-        inputs.append((f"{m}x{n} at {p}", K))
+        inputs.append((f"{m}x{n} by {k}", K))
     boolean = functors.concept_lattice_of(contranominal_classification(7))
     inputs.append(("order of 2^7", functors.complete_lattice_of(boolean).classification))
     return inputs
 
 
-def probe_builds(check: bool) -> tuple[int, int]:
-    """Print the build rows, or compare the two sides' concepts and the
-    embeddings with their oracle; the number of comparisons made and of
-    those that differ."""
-    if not check:
-        print(f"\n{'context':>17} {'concepts':>8} {'build ms':>10} {'fcbo ms':>10} {'speed-up':>8}")
+def check_builds() -> tuple[int, int]:
+    """Compare ``build_lattice``'s concepts with ``fcbo_oracle`` and its
+    embeddings with ``embeddings_oracle``, and the columns both text readers
+    store with ``transpose``; the number of comparisons made and of those
+    that differ."""
     compared = differ = 0
-    for name, K in build_inputs():
-        if check:
-            L = build_lattice(K)
-            compared += 2
-            if L.concepts != fcbo_oracle(K).concepts:
+    for name, K in context_inputs():
+        L = build_lattice(K)
+        rel = K.incidence
+        read = [parse_cxt(emit_cxt(K)).incidence, Relation.from_matrix(rel.matrix(), rel.dst_size)]
+        checks = [
+            ("concepts", L.concepts == fcbo_oracle(K).concepts),
+            ("embeddings", (L.iota, L.tau) == embeddings_oracle(L)),
+        ] + [
+            (f"the columns {what} stores", vars(got).get("columns") == transpose(rel).rows)
+            for what, got in zip(("parse_cxt", "from_matrix"), read)
+        ]
+        for what, ok in checks:
+            compared += 1
+            if not ok:
                 differ += 1
-                print(f"differs: concepts on {name}")
-            if (L.iota, L.tau) != embeddings_oracle(L):
-                differ += 1
-                print(f"differs: embeddings on {name}")
-            continue
-        k, ref = best_time(lambda: build_lattice(K)), best_time(lambda: fcbo_oracle(K))
-        print(f"{name:>17} {build_lattice(K).size:>8} {k * 1e3:>10.3f} {ref * 1e3:>10.3f}"
-              f" {ref / k:>7.2f}x")
+                print(f"differs: {what} on {name}")
     return compared, differ
 
 
@@ -451,7 +398,7 @@ def probe_orders(check: bool) -> tuple[int, int]:
         print(f"\n{'context':>17} {'concepts':>8} {'order':>9} {'types ms':>9}"
               f" {'instances ms':>12} {'speed-up':>8}")
     compared = differ = 0
-    for name, K in build_inputs():
+    for name, K in context_inputs():
         L = build_lattice(K)
         order = L.order
         side = "instances" if "iota_rel" in vars(L) else "types"
@@ -467,33 +414,6 @@ def probe_orders(check: bool) -> tuple[int, int]:
         by_types, by_instances = (best_time(f) for f in sides)
         print(f"{name:>17} {L.size:>8} {side:>9} {by_types * 1e3:>9.3f}"
               f" {by_instances * 1e3:>12.3f} {by_instances / by_types:>7.2f}x")
-    return compared, differ
-
-
-def probe_readers(check: bool) -> tuple[int, int]:
-    """Print the reader rows, or compare the columns both text readers store
-    with ``transpose``; the number of comparisons made and of those that
-    differ."""
-    if not check:
-        print(f"\n{'context':>17} {'rows ms':>8} {'reader ms':>10} {'transpose ms':>12}")
-    compared = differ = 0
-    for name, K in build_inputs():
-        rel = K.incidence
-        m, n = rel.shape
-        if check:
-            expected = transpose(rel).rows
-            read = [parse_cxt(emit_cxt(K)).incidence, Relation.from_matrix(rel.matrix(), n)]
-            for what, got in zip(("parse_cxt", "from_matrix"), read):
-                compared += 1
-                if vars(got).get("columns") != expected:
-                    differ += 1
-                    print(f"differs: the columns {what} stores on {name}")
-            continue
-        digits = "".join(format(row, f"0{n}b") for row in reversed(rel.rows))
-        rows = best_time(lambda: [int(digits[c:c + n], 2) for c in range(0, m * n, n)])
-        reader = best_time(lambda: from_digits(m, n, digits))
-        converse = best_time(lambda: transpose(Relation(m, n, rel.rows)))
-        print(f"{name:>17} {rows * 1e3:>8.3f} {reader * 1e3:>10.3f} {converse * 1e3:>12.3f}")
     return compared, differ
 
 
@@ -532,19 +452,9 @@ def variants(rng: random.Random, L, rel: Relation) -> list[Relation]:
     return out
 
 
-def fresh(b: bond.Bond) -> bond.Bond:
-    """``b`` unchecked, on a copy of its relation, with no view built."""
-    rel = Relation(b.rel.src_size, b.rel.dst_size, b.rel.rows)
-    return bond.Bond(b.source, b.target, rel, validate=False)
-
-
-def probe_order_checks(check: bool) -> tuple[int, int]:
-    """Print the order-check rows, or compare the order checks with
-    ``is_bond`` and ``is_bonding_pair``; the number of comparisons made and
-    of those that differ."""
-    if not check:
-        print(f"\n{'hom':>9} {'elements':>8} {'principal ms':>12} {'residuals ms':>12}"
-              f" {'speed-up':>8}")
+def check_orders() -> tuple[int, int]:
+    """Compare the order checks with ``is_bond`` and ``is_bonding_pair``;
+    the number of comparisons made and of those that differ."""
     compared = differ = 0
     rng = random.Random(ORDER_SEED)
     # the same homs on other injections: their bonds pass, but do not pair
@@ -552,52 +462,30 @@ def probe_order_checks(check: bool) -> tuple[int, int]:
     others = order_pairs(ORDER_SEED + 1)
     for (name, h, p), (_, _, q) in zip(order_pairs(ORDER_SEED), others):
         L, K = h.source, h.target
-        if check:
-            for F, G in ((p.forward, q.backward), (q.forward, p.backward)):
+        for F, G in ((p.forward, q.backward), (q.forward, p.backward)):
+            compared += 1
+            if bool(functors._order_pairing_check(L, K, F, G)) != bool(
+                bond.is_bonding_pair(F, G)
+            ):
+                differ += 1
+                print(f"differs: the pairing check across injections on {name}")
+        for src, tgt, b in ((L, K, p.forward), (K, L, p.backward)):
+            for rel in variants(rng, src, b.rel):
+                got = functors._order_bond_check(src, tgt, rel)
+                compared += 1
+                if got != bond.is_bond(src.classification, tgt.classification, rel):
+                    differ += 1
+                    print(f"differs: the bond check of {rel!r} on {name}")
+                if not got:
+                    continue
+                other = bond.Bond(src.classification, tgt.classification, rel, validate=False)
+                F, G = (other, p.backward) if b is p.forward else (p.forward, other)
                 compared += 1
                 if bool(functors._order_pairing_check(L, K, F, G)) != bool(
                     bond.is_bonding_pair(F, G)
                 ):
                     differ += 1
-                    print(f"differs: the pairing check across injections on {name}")
-            for src, tgt, b in ((L, K, p.forward), (K, L, p.backward)):
-                for rel in variants(rng, src, b.rel):
-                    got = functors._order_bond_check(src, tgt, rel)
-                    compared += 1
-                    if got != bond.is_bond(src.classification, tgt.classification, rel):
-                        differ += 1
-                        print(f"differs: the bond check of {rel!r} on {name}")
-                    if not got:
-                        continue
-                    other = bond.Bond(src.classification, tgt.classification, rel, validate=False)
-                    F, G = (other, p.backward) if b is p.forward else (p.forward, other)
-                    compared += 1
-                    if bool(functors._order_pairing_check(L, K, F, G)) != bool(
-                        bond.is_bonding_pair(F, G)
-                    ):
-                        differ += 1
-                        print(f"differs: the pairing check on {name}")
-            continue
-
-        def principal():
-            F, G = fresh(p.forward), fresh(p.backward)
-            return (
-                functors._order_bond_check(L, K, F.rel),
-                functors._order_bond_check(K, L, G.rel),
-                functors._order_pairing_check(L, K, F, G),
-            )
-
-        def residuals():
-            F, G = fresh(p.forward), fresh(p.backward)
-            return (
-                bond.is_bond(F.source, F.target, F),
-                bond.is_bond(G.source, G.target, G),
-                bond.is_bonding_pair(F, G),
-            )
-
-        k, ref = best_time(principal), best_time(residuals)
-        print(f"{name:>9} {f'{L.size}>{K.size}':>8} {k * 1e3:>12.3f} {ref * 1e3:>12.3f}"
-              f" {ref / k:>7.2f}x")
+                    print(f"differs: the pairing check on {name}")
     return compared, differ
 
 
@@ -619,51 +507,48 @@ def library_modules() -> SimpleNamespace:
     return SimpleNamespace(**{n: importlib.import_module(f"conceptual.{n}") for n in names})
 
 
-def probe_branches(check: bool) -> tuple[int, int]:
+def probe_branches() -> None:
     """Print the branch counts of one cycle of each benchmark workload."""
-    if check:
-        return 0, 0
-    print(f"\n{'workload':>9} {'calls':>7} {'per-cell':>9} {'tables':>7} {'AND-product':>12}")
+    print(f"\n{'workload':>9} {'kernel':>15} {'calls':>7}  branches")
     mods = library_modules()
-    original, tables = relalg.right_residual, relalg._complement_tables
+    rule, compose = relalg.branch, relalg.compose
     counts = collections.Counter()
 
-    def counted_residual(t, s):
-        counts["calls"] += 1
-        counts["cells"] += t.src_size * s.src_size < relalg._SMALL_CELLS
-        return original(t, s)
+    def counted_rule(kernel, rows, n, k=0):
+        kind = rule(kernel, rows, n, k)
+        counts[kernel, kind] += 1
+        return kind
 
-    def counted_tables(t, s):
-        counts["tables"] += 1
-        return tables(t, s)
+    def counted_compose(r, s):
+        counts["compose", ""] += 1
+        return compose(r, s)
 
-    bound = bindings(original)
+    bound = bindings(compose)
     with tempfile.TemporaryDirectory() as workdir:
         for workload in WORKLOADS.values():
             ops = list(workload(mods, 1, "full", Path(workdir) / workload.name).ops())
             counts.clear()
+            relalg.branch = counted_rule
             for module, key in bound:
-                setattr(module, key, counted_residual)
-            relalg._complement_tables = counted_tables
+                setattr(module, key, counted_compose)
             try:
                 for _, op, _ in ops:
                     mods.lattice.concept_lattice_of.cache_clear()
                     mods.functors.complete_lattice_of.cache_clear()
                     op()
             finally:
+                relalg.branch = rule
                 for module, key in bound:
-                    setattr(module, key, original)
-                relalg._complement_tables = tables
-            ands = counts["calls"] - counts["cells"] - counts["tables"]
-            print(f"{workload.name:>9} {counts['calls']:>7} {counts['cells']:>9}"
-                  f" {counts['tables']:>7} {ands:>12}")
-    return 0, 0
+                    setattr(module, key, compose)
+            for kernel in sorted({kernel for kernel, _ in counts}):
+                kinds = sorted((kind, n) for (name, kind), n in counts.items() if name == kernel)
+                total = sum(n for _, n in kinds)
+                spread = ", ".join(f"{n} {kind}" for kind, n in kinds if kind)
+                print(f"{workload.name:>9} {kernel:>15} {total:>7}  {spread}")
 
 
-def probe_stages(check: bool) -> tuple[int, int]:
+def probe_stages() -> None:
     """Print the kernel calls of each op of the bonding workload by stage."""
-    if check:
-        return 0, 0
     stages = ("parse", "is_pair", "hom", "pair_rt", "hom_rt")
     print(f"\n{'op':>13} " + " ".join(f"{name:>7}" for name in stages) + f" {'total':>7}")
     mods = library_modules()
@@ -707,7 +592,6 @@ def probe_stages(check: bool) -> tuple[int, int]:
                 setattr(module, key, original)
         print(f"{label:>13} " + " ".join(f"{counts[name]:>7}" for name in stages)
               + f" {sum(counts.values()):>7}")
-    return 0, 0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -716,13 +600,13 @@ def main(argv: list[str] | None = None) -> int:
     args = p.parse_args(argv)
     rng = random.Random(1)
     if not args.check:
-        print(f"{'shape':>9} {'density':>7} {'kernel':>14} {'kernel ms':>10} {'loop ms':>10}"
-              f" {'speed-up':>8}")
+        print(f"{'shape':>9} {'density':>7} {'kernel':>14} {'branch':>7} {'kernel ms':>10}"
+              f" {'loop ms':>10} {'speed-up':>8}")
     differ = 0
     for m, n in SHAPES:
         for density in DENSITIES:
             r = random_relation(rng, m, n, density)
-            for name, kernel, loop in KERNELS:
+            for name, kernel, loop, rule in KERNELS:
                 if args.check:
                     if kernel(r) != loop(r):
                         differ += 1
@@ -730,29 +614,21 @@ def main(argv: list[str] | None = None) -> int:
                     continue
                 k, ref = best_of(kernel, loop, r)
                 print(
-                    f"{m:>4}x{n:<4} {density:>7} {name:>14} {k * 1e3:>10.3f} {ref * 1e3:>10.3f}"
-                    f" {ref / k:>7.2f}x"
+                    f"{m:>4}x{n:<4} {density:>7} {name:>14} {rule(r):>7} {k * 1e3:>10.3f}"
+                    f" {ref * 1e3:>10.3f} {ref / k:>7.2f}x"
                 )
-    compared = 0
-    probes = (
-        probe_enumerators,
-        probe_pullbacks,
-        probe_embeddings,
-        probe_builds,
-        probe_orders,
-        probe_readers,
-        probe_order_checks,
-        probe_branches,
-        probe_stages,
-    )
-    for probe in probes:
-        more, more_differ = probe(args.check)
-        compared += more
-        differ += more_differ
+    results = [probe(args.check) for probe in (probe_pullbacks, probe_orders)]
     if args.check:
+        checks = (check_enumerators, check_embeddings, check_builds, check_orders)
+        results += [check() for check in checks]
+        compared = sum(more for more, _ in results)
+        differ += sum(more for _, more in results)
         total = len(SHAPES) * len(DENSITIES) * len(KERNELS) + compared
         print(f"{total - differ} results equal, {differ} differ")
-    return 1 if differ else 0
+        return 1 if differ else 0
+    probe_branches()
+    probe_stages()
+    return 0
 
 
 if __name__ == "__main__":
