@@ -7,10 +7,13 @@ Naming follows the directions of travel: ``lattice_of_morphism`` /
 ``hom_of_pair`` / ``pair_of_hom`` the complete-relational one.  The
 witnesses are arrows of the categories themselves: the rebuild isomorphism
 of a concept lattice is a ``ConceptLatticeMorphism``, and a classification's
-isomorphism with its order classification is a pair of ``Bond``s.  Each is
-validated on the spot and raises with a witness if the books do not
-balance.  The arrow types here have no unchecked mode: construction is the
-check, and a caller that sifts candidates catches ``ValidationError``.
+isomorphism with its order classification is a pair of ``Bond``s.  A
+complete lattice, ``CompleteLattice``, is the concept lattice of its order
+classification (the Basic Theorem), so the lattice world has one lattice
+type and each lattice one meet and one join.  Each witness is validated
+on the spot and raises, naming what fails, if the books do not balance.
+The arrow types here have no unchecked mode: construction is the check,
+and a caller that sifts candidates catches ``ValidationError``.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from .infomorphism import FunctionalInfomorphism
 from .lattice import (
     ConceptLattice,
     FormalConcept,
-    bound_of,
     build_lattice,
     check_lattice,
     concept_lattice_of,
@@ -48,67 +50,47 @@ from .relalg import (
 # -- complete lattices -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CompleteLattice:
+class CompleteLattice(ConceptLattice):
     """A finite lattice presented by its order relation; always complete.
 
-    Construction runs ``check_lattice``; meets and joins are looked up on
-    demand from the principal down- and up-sets.  The lattice owns its order
-    classification, ``classification``, so residuals into its order are
-    taken from the down-sets, as into any incidence."""
+    It is the concept lattice of its order classification ``(elements,
+    elements, leq)`` (the Basic Theorem, Ganter & Wille 1999, Thm. 3):
+    element ``x`` is the concept (principal down-set of ``x``, principal
+    up-set of ``x``), so ``extents`` are the down-sets, ``intents`` the
+    up-sets, ``order`` is ``leq`` and both embeddings are the identity.  The
+    three views are preset from the order, so none is derived again, and
+    residuals into the order are taken from the down-sets, as into any
+    incidence.  Construction runs ``check_lattice``."""
 
-    elements: tuple[str, ...]
-    leq: Relation
+    def __init__(self, elements: tuple[str, ...], leq: Relation):
+        n = len(elements)
+        if leq.shape != (n, n):
+            raise ShapeError(f"order shape {leq.shape} for {n} elements")
+        if len(set(elements)) != n:
+            raise ValidationError("duplicate element labels")
+        classification = Classification(elements, elements, leq)
+        down, up = classification.cols, leq.rows
+        concepts = tuple(map(FormalConcept, down, up))
+        for name, value in (
+            ("classification", classification),
+            ("concepts", concepts),
+            ("extents", down),
+            ("intents", up),
+            ("order", leq),
+        ):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
 
     def __post_init__(self):
-        n = len(self.elements)
-        if self.leq.shape != (n, n):
-            raise ShapeError(f"order shape {self.leq.shape} for {n} elements")
-        if len(set(self.elements)) != n:
-            raise ValidationError("duplicate element labels")
-        check_lattice(self.leq, self.elements, self.down, self.down_index)
+        check_lattice(self)
 
     @property
-    def size(self) -> int:
-        return len(self.elements)
-
-    @view
-    def down(self) -> tuple[int, ...]:
-        """The principal down-sets: the type columns of ``classification``."""
-        return self.classification.cols
+    def elements(self) -> tuple[str, ...]:
+        return self.classification.instances
 
     @property
-    def up(self) -> tuple[int, ...]:
-        return self.leq.rows
-
-    @view
-    def down_index(self) -> dict[int, int]:
-        return {d: x for x, d in enumerate(self.down)}
-
-    @view
-    def up_index(self) -> dict[int, int]:
-        return {u: x for x, u in enumerate(self.up)}
-
-    def meet_of(self, mask: int) -> int:
-        """Greatest lower bound of a set of elements; top for the empty set."""
-        return bound_of(self.down, self.down_index, (1 << len(self.elements)) - 1, mask, "meet")
-
-    def join_of(self, mask: int) -> int:
-        return bound_of(self.up, self.up_index, (1 << len(self.elements)) - 1, mask, "join")
-
-    @view
-    def top(self) -> int:
-        return self.meet_of(0)
-
-    @view
-    def bottom(self) -> int:
-        return self.join_of(0)
-
-    @view
-    def classification(self) -> Classification:
-        """The lattice classified by its own order (instances = types =
-        elements); its type columns are the principal down-sets."""
-        return Classification(self.elements, self.elements, self.leq)
+    def leq(self) -> Relation:
+        return self.classification.incidence
 
     def __repr__(self):
         return f"CompleteLattice({self.size} elements)"
@@ -120,7 +102,8 @@ def _complete_lattice_of_order(order: Relation) -> CompleteLattice:
 
 
 def complete_lattice_of(L: ConceptLattice) -> CompleteLattice:
-    """Forget the embeddings; elements are named by concept position.
+    """The concept lattice of ``L``'s order classification: the embeddings
+    of ``L`` are forgotten, and elements are named by concept position.
 
     A complete lattice is its order, so the cache is keyed by ``L.order``:
     concept lattices with equal orders share one validated lattice and its
@@ -131,14 +114,6 @@ def complete_lattice_of(L: ConceptLattice) -> CompleteLattice:
 
 complete_lattice_of.cache_clear = _complete_lattice_of_order.cache_clear
 complete_lattice_of.cache_info = _complete_lattice_of_order.cache_info
-
-
-def abstract_concept_lattice(L: CompleteLattice) -> ConceptLattice:
-    """A complete lattice as the concept lattice of its order classification:
-    element ``x`` is the concept (down-set, up-set) of ``x``, so both derived
-    embeddings are the identity."""
-    concepts = tuple(map(FormalConcept, L.down, L.up))
-    return ConceptLattice(concepts, L.classification)
 
 
 # -- functional equivalence ---------------------------------------------------
@@ -297,13 +272,14 @@ class AdjointPair:
 
 
 def check_adjoint(p: AdjointPair) -> CheckResult:
-    diff = adjoint_failure(p.source.up, p.target.up, p.target.down, p.phi.targets, p.psi)
+    L, K = p.source, p.target
+    diff = adjoint_failure(L.intents, K.intents, K.extents, p.phi.targets, p.psi)
     if diff is None:
         return CheckResult(True)
     y, x = diff
     return CheckResult(
         False,
-        witness=(p.target.elements[y], p.source.elements[x]),
+        witness=(K.elements[y], L.elements[x]),
         reason="adjointness fails",
     )
 
@@ -348,14 +324,14 @@ def bond_of_adjoint(p: AdjointPair) -> Bond:
 
 
 def _adjointness_bond(L: CompleteLattice, K: CompleteLattice, phi: FunctionGraph) -> Bond:
-    """The bond from ``L`` to ``K`` whose row ``y`` is ``L.up[phi(y)]``.
+    """The bond from ``L`` to ``K`` whose row ``y`` is ``L.intents[phi(y)]``.
 
     It is checked by ``_order_bond_check``, which is ``is_bond`` between
     order classifications, and then built unchecked.  Every row is a
     principal filter by construction, so the columns decide: column ``x``,
     ``{y : phi(y) <= x}``, is a principal ideal of ``K`` for every ``x``
     exactly when ``phi`` has a right adjoint."""
-    rel = Relation(K.size, L.size, tuple(map(L.up.__getitem__, phi.targets)))
+    rel = Relation(K.size, L.size, tuple(map(L.intents.__getitem__, phi.targets)))
     _order_bond_check(L, K, rel).require("relation is not a bond")
     return Bond(L.classification, K.classification, rel, validate=False)
 
@@ -364,18 +340,15 @@ def _order_bond_check(L: CompleteLattice, K: CompleteLattice, rel: Relation) -> 
     """``is_bond`` from the order classification of ``L`` to that of ``K``,
     with the same verdict, reason and witness, by principal sets alone.
 
-    An order classification ``(L, L, <=)`` of a lattice is its own concept
-    lattice (the Basic Theorem, Ganter & Wille 1999, Thm. 3): its intents
-    are exactly the principal filters and its extents exactly the principal
-    ideals.  So a row of ``rel`` is closed iff it is a key of ``L.up_index``
-    and a column iff it is a key of ``K.down_index``, given that
-    ``check_lattice`` has run on both lattices, as their construction does.
-    No residual is taken."""
-    up, down = L.up_index, K.down_index
-    y = next((y for y, row in enumerate(rel.rows) if row not in up), None)
+    Each lattice is the concept lattice of its order classification, so a
+    row of ``rel`` is closed iff it is an intent of ``L``, a key of
+    ``L.intent_index``, and a column iff it is an extent of ``K``, a key of
+    ``K.extent_index``.  No residual is taken."""
+    intents, extents = L.intent_index, K.extent_index
+    y = next((y for y, row in enumerate(rel.rows) if row not in intents), None)
     if y is not None:
         return _closure_failure("row", K.elements[y])
-    x = next((x for x, col in enumerate(rel.columns) if col not in down), None)
+    x = next((x for x, col in enumerate(rel.columns) if col not in extents), None)
     if x is not None:
         return _closure_failure("column", L.elements[x])
     return CheckResult(True)
@@ -386,15 +359,15 @@ def _order_pairing_check(L: CompleteLattice, K: CompleteLattice, F: Bond, G: Bon
     classification of ``L`` to that of ``K`` and ``G`` back, both of which
     pass ``_order_bond_check``.
 
-    At the concept of ``x``, ``(L.down[x], L.up[x])``, the first pairing
-    constraint reads ``F``'s column ``x``, a principal ideal of ``K``, and
-    the second ``G``'s row ``x``, a principal filter; each constraint holds
-    iff the two are generated by one element.  So the pair is checked by
-    index, ``K.down_index`` of each column of ``F`` against ``K.up_index``
-    of each row of ``G``, and a failure names the first element of ``L``
-    where they differ."""
+    At element ``x`` of ``L``, the first pairing constraint reads ``F``'s
+    column ``x``, an extent of ``K``, and the second ``G``'s row ``x``, an
+    intent of ``K``; each constraint holds iff the two belong to one element
+    of ``K``.  So the pair is checked by index, ``K.extent_index`` of each
+    column of ``F`` against ``K.intent_index`` of each row of ``G``, and a
+    failure names the first element of ``L`` where they differ."""
     diff = first_difference(
-        map(K.down_index.__getitem__, F.rel.columns), map(K.up_index.__getitem__, G.rel.rows)
+        map(K.extent_index.__getitem__, F.rel.columns),
+        map(K.intent_index.__getitem__, G.rel.rows),
     )
     if diff is None:
         return CheckResult(True)
@@ -419,10 +392,9 @@ def embedding_bonds(A: Classification) -> tuple[Bond, Bond]:
     column closure and the type bond's row closure, and they make the
     instance;type composite ``G.r\\F`` of ``compose_bonds`` the order
     ``iota\\iota``.  The other two closures are over the order
-    classification, whose intents are its principal filters and extents its
-    principal ideals (the same theorem, on the validated lattice), so they
-    are membership tests: the rows of ``iota`` in ``up_index`` and the
-    columns of ``tau`` in ``down_index``.  The type;instance composite is
+    classification, whose concept lattice is ``complete_lattice_of(LA)``, so
+    they are membership tests: the rows of ``iota`` in its ``intent_index``
+    and the columns of ``tau`` in its ``extent_index``.  The type;instance composite is
     computed.  That is 4 residuals; both bonds' ``is_bond`` and both
     composites follow, so the check is no weaker than validating the
     bonds."""
@@ -436,9 +408,9 @@ def embedding_bonds(A: Classification) -> tuple[Bond, Bond]:
         raise ValidationError("the extents do not derive to the intents")
     if type_bond.r != iota:
         raise ValidationError("the intents do not derive to the extents")
-    if not lattice.up_index.keys() >= set(iota.rows):
+    if not lattice.intent_index.keys() >= set(iota.rows):
         raise ValidationError("instance bond rows are not principal filters of the order")
-    if not lattice.down_index.keys() >= set(tau.columns):
+    if not lattice.extent_index.keys() >= set(tau.columns):
         raise ValidationError("type bond columns are not principal ideals of the order")
     if LA.order != leq:
         raise ValidationError("instance;type composite is not the lattice identity bond")
@@ -536,7 +508,7 @@ def _principal_preimages(
     """``psi``'s inverse images of ``K``'s principal up-sets, then of its
     down-sets: two ``pullback``s of the order, each with the other as its
     columns."""
-    return pullback(K.up, K.down, psi), pullback(K.down, K.up, psi)
+    return pullback(K.intents, K.extents, psi), pullback(K.extents, K.intents, psi)
 
 
 def is_complete_homomorphism(
@@ -551,9 +523,11 @@ def is_complete_homomorphism(
     every principal up-set is a principal up-set, whose generator is then
     the adjoint's value: ``up[meet(S)] == S`` holds exactly when ``S`` is
     principal.  So the meet check asks that every row of
-    ``compose(<=', psi^T)``, the preimages of the up-sets of ``K``, be a key
-    of ``L.up_index``, and the join check that every preimage of a down-set
-    of ``K`` be a key of ``L.down_index``; no meet or join is computed.
+    ``compose(<=', psi^T)``, the preimages of the up-sets of ``K``, be an
+    intent of ``L``, a principal up-set, and the join check that every
+    preimage of a down-set of ``K`` be an extent; each is a key lookup in
+    ``L.intent_index`` or ``L.extent_index``, and no meet or join is
+    computed.
 
     ``psi`` is a map or a ``CompleteHomomorphism`` from ``L`` to ``K``,
     whose view ``principal_preimages`` serves as the two batches and keeps
@@ -569,7 +543,8 @@ def is_complete_homomorphism(
     if psi(L.bottom) != K.bottom:
         return CheckResult(False, witness=("bottom",), reason="bottom is not preserved")
     batches = _principal_preimages(psi, K) if hom is None else hom.principal_preimages
-    for kind, preimages, principal in zip(("meet", "join"), batches, (L.up_index, L.down_index)):
+    principal_sets = (L.intent_index, L.extent_index)
+    for kind, preimages, principal in zip(("meet", "join"), batches, principal_sets):
         y = next((y for y, s in enumerate(preimages) if s not in principal), None)
         if y is not None:
             return CheckResult(
@@ -596,13 +571,13 @@ def canonical_adjoints(h: CompleteHomomorphism) -> tuple[FunctionGraph, Function
 
     The check found each preimage principal, and the meet of a principal
     up-set (the join of a principal down-set) is its generator, so both
-    adjoints are ``up_index`` and ``down_index`` lookups of the hom's
+    adjoints are ``intent_index`` and ``extent_index`` lookups of the hom's
     ``principal_preimages``."""
     L = h.source
     ups, downs = h.principal_preimages
     return (
-        FunctionGraph(tuple(map(L.up_index.__getitem__, ups)), L.size),
-        FunctionGraph(tuple(map(L.down_index.__getitem__, downs)), L.size),
+        FunctionGraph(tuple(map(L.intent_index.__getitem__, ups)), L.size),
+        FunctionGraph(tuple(map(L.extent_index.__getitem__, downs)), L.size),
     )
 
 

@@ -16,7 +16,7 @@ from .classification import Classification
 from .errors import ParseError, ValidationError, quote
 from .infomorphism import FunctionalInfomorphism, RelationalInfomorphism
 from .lattice import ConceptLattice
-from .relalg import FunctionGraph, Relation, from_digits
+from .relalg import FunctionGraph, Relation, from_digits, row_digits
 
 
 # -- Burmeister context format -------------------------------------------------
@@ -24,6 +24,8 @@ from .relalg import FunctionGraph, Relation, from_digits
 
 # a .cxt row read backwards is the binary numeral of its bitmask
 _CELL_DIGITS = str.maketrans("X.", "10")
+# its inverse: a row's digits, cell 0 first, written as cells
+_DIGIT_CELLS = str.maketrans("10", "X.")
 # deletes the two cell characters, so a row block holding no other is empty
 _NOT_CELLS = str.maketrans("", "", "X.")
 
@@ -120,10 +122,8 @@ def emit_cxt(K: Classification, name: str = "") -> str:
     out = ["B", name, str(len(K.instances)), str(len(K.types)), ""]
     out.extend(K.instances)
     out.extend(K.types)
-    for row in K.rows:
-        out.append(
-            "".join("X" if row >> b & 1 else "." for b in range(len(K.types)))
-        )
+    n = len(K.types)
+    out.extend(row_digits(row, n).translate(_DIGIT_CELLS) for row in K.rows)
     return "\n".join(out) + "\n"
 
 

@@ -20,9 +20,11 @@ residual ``M\\M`` of the instance x concept membership relation ``M`` by
 itself and the right residual ``N/N`` of the concept x type membership
 relation ``N``; ``ConceptLattice.order`` takes the side ``relalg.branch``
 picks.  The two preorders of a classification are the residuals of its
-incidence (see ``classification``).  ``check_lattice`` is the one validator
-of lattice orders and ``bound_of`` the one meet/join lookup;
-``functors.CompleteLattice`` uses both.
+incidence (see ``classification``).  ``bound_of`` is the one meet/join
+lookup, behind ``ConceptLattice.meet_of`` and ``join_of``, and
+``check_lattice`` the one validator of lattice orders: a complete lattice,
+``functors.CompleteLattice``, is the concept lattice of its order
+classification, and its construction runs it.
 """
 
 from __future__ import annotations
@@ -164,21 +166,29 @@ class ConceptLattice:
 
     @view
     def top(self) -> int:
-        return self.meet_index(())
+        return self.meet_of(0)
 
     @view
     def bottom(self) -> int:
-        return self.join_index(())
+        return self.join_of(0)
+
+    def meet_of(self, mask: int) -> int:
+        """Meet of the concepts in ``mask`` by the extent-intersection
+        formula; the top for the empty set."""
+        full = self.classification.full_instances
+        return bound_of(self.extents, self.extent_index, full, mask, "meet")
+
+    def join_of(self, mask: int) -> int:
+        """Join of the concepts in ``mask`` by the intent-intersection
+        formula; the bottom for the empty set."""
+        full = self.classification.full_types
+        return bound_of(self.intents, self.intent_index, full, mask, "join")
 
     def meet_index(self, indices: Iterable[int]) -> int:
-        """Meet by the extent-intersection formula."""
-        full = (1 << len(self.instance_labels)) - 1
-        return bound_of(self.extents, self.extent_index, full, relalg.mask_of(indices), "meet")
+        return self.meet_of(relalg.mask_of(indices))
 
     def join_index(self, indices: Iterable[int]) -> int:
-        """Join by the intent-intersection formula."""
-        full = (1 << len(self.type_labels)) - 1
-        return bound_of(self.intents, self.intent_index, full, relalg.mask_of(indices), "join")
+        return self.join_of(relalg.mask_of(indices))
 
     @view
     def covers(self) -> Relation:
@@ -361,22 +371,23 @@ def bound_of(
     return found
 
 
-def check_lattice(
-    leq: Relation, labels: Sequence, down: Sequence[int], down_index: Mapping[int, int]
-) -> None:
-    """Raise ``ValidationError`` unless ``leq`` orders a finite lattice.
+def check_lattice(L: ConceptLattice) -> None:
+    """Raise ``ValidationError`` unless ``L.order`` orders a finite lattice,
+    for ``L`` the concept lattice of an order classification, whose
+    instances are its elements (``functors.CompleteLattice``).
 
-    ``down`` holds the principal down-sets (the columns of ``leq``) and
-    ``down_index`` inverts it.  Past the preorder check, antisymmetry means
-    the down-sets are pairwise distinct.  A finite poset is a lattice when
-    the full down-set (a top) is present and the intersection of every two
-    down-sets is a principal down-set again: then every meet exists, and so
-    every join.  The pairs are tested one element at a time, by one set
-    membership pass over ``down[i] & down[j]`` for all ``j > i``; only on a
-    failure is the first failing pair ``(i, j)`` looked for, and reported
-    as ``bound_of`` reports it.  Witnesses are labels.
+    ``L``'s extents are then the principal down-sets, the columns of the
+    order.  Past the preorder check, antisymmetry means the down-sets are
+    pairwise distinct.  A finite poset is a lattice when the full down-set
+    (a top) is present and the intersection of every two down-sets is a
+    principal down-set again: then every meet exists, and so every join.
+    The pairs are tested one element at a time, by one set membership pass
+    over ``down[i] & down[j]`` for all ``j > i``; only on a failure is the
+    first failing pair ``(i, j)`` looked for, and reported by ``meet_of``.
+    Witnesses are labels.
     """
-    check_preorder(leq, labels)
+    labels, down, down_index = L.instance_labels, L.extents, L.extent_index
+    check_preorder(L.order, labels)
     n = len(down)
     if len(down_index) != n:
         i = next(i for i, d in enumerate(down) if down_index[d] != i)
@@ -385,13 +396,12 @@ def check_lattice(
             f"order not antisymmetric between {quote(labels[i])} and {quote(labels[j])}",
             witness=(labels[i], labels[j]),
         )
-    full = (1 << n) - 1
-    bound_of(down, down_index, full, 0, "meet")
+    L.meet_of(0)
     principal = set(down_index)
     for i, d in enumerate(down):
         if not principal.issuperset(map(d.__and__, down[i + 1 :])):
             j = next(j for j in range(i + 1, n) if d & down[j] not in principal)
-            bound_of(down, down_index, full, 1 << i | 1 << j, "meet")
+            L.meet_of(1 << i | 1 << j)
 
 
 def meet(L: ConceptLattice, concepts: Iterable[FormalConcept]) -> FormalConcept:

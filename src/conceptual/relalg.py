@@ -49,6 +49,12 @@ def mask_of(indices: Iterable[int]) -> int:
     return m
 
 
+def row_digits(row: int, n: int) -> str:
+    """The ``n`` cells of a row as ``0``/``1`` digits, cell 0 first; a row
+    of no cells is the empty string."""
+    return format(row, f"0{n}b")[::-1] if n else ""
+
+
 def first_difference(xs: Iterable[int], ys: Iterable[int]) -> tuple[int, int] | None:
     """First row where two row sequences differ, with its lowest differing
     bit; ``None`` when they agree.  Consumes lazy rows only up to the first
@@ -186,7 +192,7 @@ class Relation:
         return (self.src_size, self.dst_size)
 
     def __repr__(self):
-        body = ", ".join(format(row, f"0{self.dst_size}b")[::-1] for row in self.rows)
+        body = ", ".join(row_digits(row, self.dst_size) for row in self.rows)
         return f"Relation({self.src_size}x{self.dst_size}: [{body}])"
 
 

@@ -182,7 +182,7 @@ def _first_maps(contexts, rng: random.Random, pairs: int, prefix: str, make):
 
 def _with_left_adjoint(L, Kl, psi) -> functors.AdjointPair:
     """``psi`` with its left adjoint by the meet formula, validated."""
-    phi_t = tuple(map(L.meet_of, pullback(Kl.up, Kl.down, psi)))
+    phi_t = tuple(map(L.meet_of, pullback(Kl.intents, Kl.extents, psi)))
     return functors.AdjointPair(L, Kl, FunctionGraph(phi_t, L.size), psi)
 
 
@@ -224,18 +224,11 @@ def abstract_lattice_corpus(contexts, adjoints, rng: random.Random):
     for cid, K in _sample(rng, contexts, 12):
         lattices.append((f"built-{cid}", concept_lattice_of(K)))
     for cid, K in _sample(rng, _small(contexts, 3, 3), 6):
-        L = functors.complete_lattice_of(concept_lattice_of(K))
-        lattices.append((f"selfdual-{cid}", functors.abstract_concept_lattice(L)))
+        lattices.append((f"selfdual-{cid}", functors.complete_lattice_of(concept_lattice_of(K))))
     morphisms = []
     for aid, p in adjoints:
-        src = functors.abstract_concept_lattice(p.source)
-        tgt = functors.abstract_concept_lattice(p.target)
-        morphisms.append(
-            (
-                f"abs-{aid}",
-                functors.ConceptLatticeMorphism(src, tgt, p.phi, p.psi, p.phi, p.psi),
-            )
-        )
+        cm = functors.ConceptLatticeMorphism(p.source, p.target, p.phi, p.psi, p.phi, p.psi)
+        morphisms.append((f"abs-{aid}", cm))
     return lattices, morphisms
 
 

@@ -478,8 +478,8 @@ def canonical_adjoints_oracle(h) -> tuple[FunctionGraph, FunctionGraph]:
     ``psi^-1(down y)``, each found by ``meet_of``/``join_of``."""
     L, K, psi = h.source, h.target, h.psi
     return (
-        FunctionGraph(tuple(map(L.meet_of, psi.preimages(K.up))), L.size),
-        FunctionGraph(tuple(map(L.join_of, psi.preimages(K.down))), L.size),
+        FunctionGraph(tuple(map(L.meet_of, psi.preimages(K.intents))), L.size),
+        FunctionGraph(tuple(map(L.join_of, psi.preimages(K.extents))), L.size),
     )
 
 
@@ -699,3 +699,17 @@ def embedding_bonds_oracle(A) -> tuple:
     if left_residual(instance_bond.r, type_bond.rel) != A.incidence:
         raise ValidationError("type;instance composite is not the identity bond")
     return instance_bond, type_bond
+
+
+# -- text ---------------------------------------------------------------------------
+
+
+def emit_cxt_oracle(K, name: str = "") -> str:
+    """The Burmeister text of ``K`` by the per-cell writer ``io.emit_cxt``
+    replaced, which tests every cell of every row; labels are not checked."""
+    out = ["B", name, str(len(K.instances)), str(len(K.types)), ""]
+    out.extend(K.instances)
+    out.extend(K.types)
+    for row in K.rows:
+        out.append("".join("X" if row >> b & 1 else "." for b in range(len(K.types))))
+    return "\n".join(out) + "\n"

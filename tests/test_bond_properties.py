@@ -178,7 +178,7 @@ def complete_homs(draw):
         psi
         for psi in (
             FunctionGraph(tuple(K.top if up >> x & 1 else K.bottom for x in range(L.size)), K.size)
-            for up in L.up
+            for up in L.intents
         )
         if is_complete_homomorphism(L, K, psi)
     ]

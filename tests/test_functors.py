@@ -32,7 +32,6 @@ from conceptual.functors import (
     CompleteHomomorphism,
     CompleteLattice,
     ConceptLatticeMorphism,
-    abstract_concept_lattice,
     adjoint_of_bond,
     adjoint_roundtrip_holds,
     bond_naturality_holds,
@@ -169,6 +168,39 @@ class TestCompleteLattice:
         assert L.top == 2 and L.bottom == 0
         assert L.meet_of(0b101) == 0
         assert L.join_of(0b101) == 2
+
+    def test_is_the_concept_lattice_of_its_order_classification(self):
+        """Element ``x`` is the concept (down-set, up-set) of ``x``: the
+        concepts are those the order classification has, the order is the
+        given one, and both embeddings are the identity."""
+        for L in small_lattices():
+            assert isinstance(L, ConceptLattice)
+            assert L.order is L.leq
+            assert L.iota.is_identity() and L.tau.is_identity()
+            assert L.concepts == tuple(map(FormalConcept, L.extents, L.intents))
+            assert set(L.concepts) == set(concept_lattice_of(L.classification).concepts)
+            assert L == CompleteLattice(L.elements, L.leq) and L != CompleteLattice(
+                tuple(f"{x}'" for x in L.elements), L.leq
+            )
+
+    def test_concept_lattice_views_read_the_order(self, rng):
+        for K in (contranominal_classification(3), random_context(rng, 5, 4)):
+            L = concept_lattice_of(K)
+            assert complete_lattice_of(L).covers == L.covers
+        for C in small_lattices():
+            w = lattice_equivalence_witness(C)
+            assert w.target is C and w.source.size == C.size
+
+    def test_constructor_errors_keep_their_messages(self):
+        """The order shape is checked first, then the labels, then the
+        order; the messages are those of the lattice before it was a
+        concept lattice."""
+        with pytest.raises(ShapeError, match=r"^order shape \(3, 3\) for 2 elements$"):
+            CompleteLattice(("x", "x"), Relation.full(3, 3))
+        with pytest.raises(ValidationError, match="^duplicate element labels$"):
+            CompleteLattice(("x", "x"), Relation.full(2, 2))
+        with pytest.raises(ValidationError, match="^no meet for element set 0x18$"):
+            CompleteLattice(tuple("0abcd1"), BOWTIE)
 
     def test_rejects_unbounded_antichain(self):
         with pytest.raises(ValidationError, match="no (meet|join)"):
@@ -320,7 +352,7 @@ class TestFunctionalEquivalence:
         assert w.psi.is_identity() and w.phi.is_identity()
 
     def test_witness_on_abstract_chain(self):
-        L = abstract_concept_lattice(chain_lattice(3))
+        L = chain_lattice(3)
         w = lattice_equivalence_witness(L)
         # elements map to their principal down/up-set concepts
         for x in range(3):
@@ -632,8 +664,8 @@ def verify_hom_corpora():
 
 
 class TestAdjointsByLookup:
-    """``canonical_adjoints`` reads both adjoints, as ``up_index`` and
-    ``down_index`` lookups, from the preimage batches the hom's check kept;
+    """``canonical_adjoints`` reads both adjoints, as ``intent_index`` and
+    ``extent_index`` lookups, from the preimage batches the hom's check kept;
     ``canonical_adjoints_oracle`` folds ``meet_of`` and ``join_of`` over
     preimages computed afresh."""
 
@@ -709,7 +741,7 @@ class TestOrderLattice:
             complete_lattice_of(concept_lattice_of(contranominal_classification(3))),
         )
         cases = [
-            (L.classification.incidence, Relation(L.size, L.size, L.down))
+            (L.classification.incidence, Relation(L.size, L.size, L.extents))
             for L in lattices
         ]
         for m, n in ((0, 3), (3, 0), (4, 5), (6, 2)):
@@ -785,8 +817,8 @@ class TestCompleteLatticeByOrder:
         complete_lattice_of.cache_clear()
         C = complete_lattice_of(L1)
         assert complete_lattice_of(L2) is C
-        assert C.down is complete_lattice_of(L2).down
-        assert C.classification.cols is C.down
+        assert C.extents is complete_lattice_of(L2).extents
+        assert C.classification.cols is C.extents
 
     def test_cache_clear_and_info(self):
         L1, L2 = self.equal_orders()
@@ -816,7 +848,7 @@ class TestCompleteLatticeByOrder:
         complete_lattice_of.cache_clear()
         C = complete_lattice_of(L1)
         complete_lattice_of(L2)
-        assert calls == [C.leq]
+        assert calls == [C]
         complete_lattice_of.cache_clear()
         complete_lattice_of(L2)
         assert len(calls) == 2
@@ -930,7 +962,7 @@ class TestDerivedViews:
         p = pair_of_hom(h)
         L, K = h.source, h.target
         theta = canonical_adjoints(h)[1]
-        assert batches == {(K.up, h.psi.targets): 1, (K.down, h.psi.targets): 1}
+        assert batches == {(K.intents, h.psi.targets): 1, (K.extents, h.psi.targets): 1}
         assert p == BondingPair(
             bond_of_adjoint(AdjointPair(L, K, canonical_adjoints(h)[0], h.psi)),
             bond_of_adjoint(AdjointPair(K, L, h.psi, theta)),

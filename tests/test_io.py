@@ -24,6 +24,7 @@ from conceptual.lattice import build_lattice
 from conceptual.relalg import Relation
 
 from conftest import NEGATIVE_COUNT_CXT, random_context
+from oracles import emit_cxt_oracle
 
 K1_CXT = "B\n\n2\n2\n\n1\n2\na\nb\nX.\nXX\n"
 
@@ -135,6 +136,17 @@ class TestCxt:
         for _ in range(15):
             K = random_context(rng, rng.randint(0, 4), rng.randint(0, 4))
             assert parse_cxt(emit_cxt(K)) == K
+
+    def test_writer_is_the_per_cell_writer(self, rng):
+        """Rows written as their digits give the bytes of the per-cell
+        writer: with no instances, no types, neither, and seeded shapes."""
+        shapes = [(0, 0), (0, 3), (3, 0), (1, 1)]
+        shapes += [(rng.randint(1, 9), rng.randint(1, 70)) for _ in range(20)]
+        for m, n in shapes:
+            K = random_context(rng, m, n)
+            assert emit_cxt(K, "k") == emit_cxt_oracle(K, "k")
+        full = Classification(("a", "b"), ("s", "t", "u"), Relation.full(2, 3))
+        assert emit_cxt(full) == emit_cxt_oracle(full) == "B\n\n2\n3\n\na\nb\ns\nt\nu\nXXX\nXXX\n"
 
     def test_every_label_emitted_reads_back(self, rng, tmp_path):
         """Labels and names drawn from characters the format could trip on:

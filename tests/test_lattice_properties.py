@@ -161,7 +161,7 @@ def dividends(draw) -> tuple[Relation, tuple[int, ...]]:
         L = complete_lattice_of(concept_lattice_of(K))
     else:
         L = complete_lattice_of(concept_lattice_of(draw(contexts(max_size=3))))
-    return L.classification.incidence, L.down
+    return L.classification.incidence, L.extents
 
 
 @settings(max_examples=300, deadline=None, database=None)

@@ -537,6 +537,13 @@ class TestValuesAndValidation:
         with pytest.raises(ValidationError, match="expected 2 rows, got 1"):
             dataclasses.replace(r, rows=(0,))
 
+    def test_repr_shows_the_cells_a_row_has(self):
+        """Each row is its cells, cell 0 first: none for a row of no cells."""
+        assert repr(Relation(2, 0, (0, 0))) == "Relation(2x0: [, ])"
+        assert repr(Relation.empty(0, 3)) == "Relation(0x3: [])"
+        assert repr(Relation(0, 0, ())) == "Relation(0x0: [])"
+        assert repr(Relation(2, 4, (0b0001, 0b1110))) == "Relation(2x4: [1000, 0111])"
+
     def test_row_out_of_range_rejected(self):
         with pytest.raises(ValidationError):
             Relation(1, 2, (4,))

@@ -17,6 +17,8 @@ reads from files, built by ``io.morphism_from_obj``, take ``validate``.
 """
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import conceptual
@@ -24,6 +26,7 @@ import conceptual
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "conceptual"
 READERS = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 PAPER_CLAIM = "a paper claim that no verify family checks yet (ROADMAP item 3)"
 UNREACHED = {
@@ -136,3 +139,51 @@ def built_with_validate() -> set[str]:
 def test_only_the_kinds_read_from_files_take_validate():
     assert built_with_validate() == READ_FROM_FILES
     assert classes_with_validate() == READ_FROM_FILES
+
+
+def tracer_layers() -> dict[str, list[str]]:
+    """``LAYERS`` of the benchmark's tracer: span name -> hook targets."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.LAYERS
+
+
+def unresolved_hooks(layers) -> list[str]:
+    """The targets the tracer cannot wrap: a ``module:name`` target must be
+    an attribute of the module, and a ``module:Class.attr`` target an entry
+    of the class's own ``__dict__``, which is where the tracer looks."""
+    out = []
+    for targets in layers.values():
+        for target in targets:
+            mod_name, attr = target.split(":")
+            try:
+                module = importlib.import_module(f"conceptual.{mod_name}")
+            except ImportError:
+                out.append(target)
+                continue
+            if "." in attr:
+                cls_name, name = attr.split(".")
+                found = name in vars(getattr(module, cls_name, object))
+            else:
+                found = hasattr(module, attr)
+            if not found:
+                out.append(target)
+    return out
+
+
+def test_every_tracer_hook_resolves():
+    assert unresolved_hooks(tracer_layers()) == []
+
+
+def test_inherited_and_missing_hooks_are_unresolved():
+    layers = {
+        "inherited": ["functors:CompleteLattice.covers", "functors:CompleteLattice.__post_init__"],
+        "missing": ["functors:gone", "gone:compose", "lattice:Gone.covers"],
+    }
+    assert unresolved_hooks(layers) == [
+        "functors:CompleteLattice.covers",
+        "functors:gone",
+        "gone:compose",
+        "lattice:Gone.covers",
+    ]

@@ -267,7 +267,7 @@ def pullback_inputs() -> list[tuple[str, list[tuple]]]:
             functors.concept_lattice_of(contranominal_classification(a))
         )
         for c in (a, a + 2):
-            inputs.append((f"2^{c}>2^{a}", [(K.up, K.down, boolean_hom(rng, c, a))]))
+            inputs.append((f"2^{c}>2^{a}", [(K.intents, K.extents, boolean_hom(rng, c, a))]))
     batches = []
     for seed in range(12):
         corpus_rng = random.Random(seed)
@@ -277,7 +277,7 @@ def pullback_inputs() -> list[tuple[str, list[tuple]]]:
         verify.adjoint_corpus(contexts, bonds, corpus_rng)
         for _, h in verify.hom_corpus(contexts, corpus_rng):
             K = h.target
-            batches += [(K.up, K.down, h.psi), (K.down, K.up, h.psi)]
+            batches += [(K.intents, K.extents, h.psi), (K.extents, K.intents, h.psi)]
     inputs.append(("verify homs", batches))
     return inputs
 
@@ -443,7 +443,7 @@ def variants(rng: random.Random, L, rel: Relation) -> list[Relation]:
     out = [rel]
     for value in (
         lambda y: rel.rows[y] ^ 1 << rng.randrange(rel.dst_size),
-        lambda y: L.up[rng.randrange(L.size)],
+        lambda y: L.intents[rng.randrange(L.size)],
     ):
         for _ in range(FLIPS):
             y = rng.randrange(rel.src_size)
