@@ -10,8 +10,13 @@ of a concept lattice is a ``ConceptLatticeMorphism``, and a classification's
 isomorphism with its order classification is a pair of ``Bond``s.  A
 complete lattice, ``CompleteLattice``, is the concept lattice of its order
 classification (the Basic Theorem), so the lattice world has one lattice
-type and each lattice one meet and one join.  Each witness is validated
-on the spot and raises, naming what fails, if the books do not balance.
+type and each lattice one meet and one join.  Its arrows are one type too:
+an infomorphism between two order classifications is an adjoint pair,
+``f(y) <= x`` iff ``y <= g(x)``, so an adjoint pair ``(phi, psi)`` is the
+``ConceptLatticeMorphism`` between complete lattices whose ``f`` and ``g``
+are ``phi`` and ``psi``, composed by ``compose_lattice_morphisms``.  Each
+witness is validated on the spot and raises, naming what fails, if the
+books do not balance.
 The arrow types here have no unchecked mode: construction is the check,
 and a caller that sifts candidates catches ``ValidationError``.
 """
@@ -36,7 +41,6 @@ from .relalg import (
     FunctionGraph,
     Relation,
     adjoint_failure,
-    bits,
     first_difference,
     left_residual,
     mask_of,
@@ -88,10 +92,6 @@ class CompleteLattice(ConceptLattice):
     def elements(self) -> tuple[str, ...]:
         return self.classification.instances
 
-    @property
-    def leq(self) -> Relation:
-        return self.classification.incidence
-
     def __repr__(self):
         return f"CompleteLattice({self.size} elements)"
 
@@ -125,7 +125,10 @@ class ConceptLatticeMorphism:
 
     ``psi`` runs forward and respects the type embeddings through ``g``;
     ``phi`` runs backward and respects the instance embeddings through
-    ``f``; the two are adjoint.
+    ``f``; the two are adjoint.  Between complete lattices, whose embeddings
+    are identities, the squares hold exactly when ``(f, g) == (phi, psi)``,
+    so the morphism with those maps is the adjoint pair ``(phi, psi)``.
+    All four maps are checked for shape before any check runs.
     """
 
     source: ConceptLattice
@@ -136,10 +139,15 @@ class ConceptLatticeMorphism:
     g: FunctionGraph  # source types -> target types
 
     def __post_init__(self):
-        if self.phi.shape != (self.target.size, self.source.size):
-            raise ShapeError(f"phi shape {self.phi.shape} is wrong")
-        if self.psi.shape != (self.source.size, self.target.size):
-            raise ShapeError(f"psi shape {self.psi.shape} is wrong")
+        src, tgt = self.source, self.target
+        for name, fn, shape in (
+            ("phi", self.phi, (tgt.size, src.size)),
+            ("psi", self.psi, (src.size, tgt.size)),
+            ("f", self.f, (len(tgt.instance_labels), len(src.instance_labels))),
+            ("g", self.g, (len(src.type_labels), len(tgt.type_labels))),
+        ):
+            if fn.shape != shape:
+                raise ShapeError(f"{name} shape {fn.shape} is wrong")
         check_lattice_morphism(self).require("not a concept lattice morphism")
 
 
@@ -155,6 +163,20 @@ def check_lattice_morphism(m: ConceptLatticeMorphism) -> CheckResult:
     if tgt.iota.then_targets(m.phi) != m.f.then_targets(src.iota):
         return CheckResult(False, reason="phi does not preserve instance concepts")
     return CheckResult(True)
+
+
+def identity_lattice_morphism(L: ConceptLattice) -> ConceptLatticeMorphism:
+    """The identity arrow of ``L``: elements, instances and types each map
+    to themselves."""
+    elements = FunctionGraph.identity(L.size)
+    return ConceptLatticeMorphism(
+        L,
+        L,
+        elements,
+        elements,
+        FunctionGraph.identity(len(L.instance_labels)),
+        FunctionGraph.identity(len(L.type_labels)),
+    )
 
 
 def compose_lattice_morphisms(
@@ -214,9 +236,13 @@ def lattice_equivalence_witness(L: ConceptLattice) -> ConceptLatticeMorphism:
     isomorphism, the morphism from the rebuilt lattice to ``L`` that is the
     identity on instances and types.
 
-    Raises if a concept's extent is not rebuilt, if the maps fail to invert,
-    or if the morphism check fails; two inverse maps that are adjoint are
-    monotone both ways, so no separate order check is made."""
+    Each concept of ``L`` goes to the rebuilt concept with its extent, and
+    the forward map is the inverse of that bijection.  Raises if a concept's
+    extent is not rebuilt, if the extents do not match one to one, or if a
+    concept's intent is not that of the rebuilt concept with its extent, so
+    the concepts of ``L`` are those of its classification; the morphism
+    check then finds the two inverse maps adjoint, monotone both ways, and
+    respecting the instances and types."""
     K = classification_of_lattice(L)
     M = build_lattice(K)
     back = tuple(map(M.extent_index.get, L.extents))
@@ -224,23 +250,16 @@ def lattice_equivalence_witness(L: ConceptLattice) -> ConceptLatticeMorphism:
         raise ValidationError(
             "extent is not an extent of the rebuilt lattice", witness=(back.index(None),)
         )
-    backward = FunctionGraph.from_targets(back, M.size)
-    fwd = []
-    for c in M.concepts:
-        via_join = L.join_index([L.iota(a) for a in bits(c.extent)])
-        via_meet = L.meet_index([L.tau(t) for t in bits(c.intent)])
-        if via_join != via_meet:
-            raise ValidationError(
-                "join-of-instances and meet-of-types disagree", witness=(c,)
-            )
-        fwd.append(via_join)
-    forward = FunctionGraph.from_targets(tuple(fwd), L.size)
-    for x in range(L.size):
-        if forward(backward(x)) != x:
-            raise ValidationError("round trip lattice->rebuilt->lattice fails", witness=(x,))
-    for i in range(M.size):
-        if backward(forward(i)) != i:
-            raise ValidationError("round trip rebuilt->lattice->rebuilt fails", witness=(i,))
+    if len(back) != M.size or len(set(back)) != M.size:
+        raise ValidationError("the extents do not match the rebuilt lattice's one to one")
+    wrong = [x for x, i in enumerate(back) if L.intents[x] != M.intents[i]]
+    if wrong:
+        raise ValidationError(
+            "intent is not the intent of the rebuilt concept", witness=(wrong[0],)
+        )
+    backward = FunctionGraph(back, M.size)
+    # the positions of a permutation, sorted by its values, are its inverse
+    forward = FunctionGraph(tuple(sorted(range(M.size), key=back.__getitem__)), L.size)
     return ConceptLatticeMorphism(
         M,
         L,
@@ -254,52 +273,9 @@ def lattice_equivalence_witness(L: ConceptLattice) -> ConceptLatticeMorphism:
 # -- relational equivalence ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AdjointPair:
-    """Contravariant adjoint maps between two complete lattices."""
-
-    source: CompleteLattice
-    target: CompleteLattice
-    phi: FunctionGraph  # target -> source, left adjoint
-    psi: FunctionGraph  # source -> target, right adjoint
-
-    def __post_init__(self):
-        if self.phi.shape != (self.target.size, self.source.size):
-            raise ShapeError(f"phi shape {self.phi.shape} is wrong")
-        if self.psi.shape != (self.source.size, self.target.size):
-            raise ShapeError(f"psi shape {self.psi.shape} is wrong")
-        check_adjoint(self).require("not an adjoint pair")
-
-
-def check_adjoint(p: AdjointPair) -> CheckResult:
-    L, K = p.source, p.target
-    diff = adjoint_failure(L.intents, K.intents, K.extents, p.phi.targets, p.psi)
-    if diff is None:
-        return CheckResult(True)
-    y, x = diff
-    return CheckResult(
-        False,
-        witness=(K.elements[y], L.elements[x]),
-        reason="adjointness fails",
-    )
-
-
-def identity_adjoint(L: CompleteLattice) -> AdjointPair:
-    ident = FunctionGraph.identity(L.size)
-    return AdjointPair(L, L, ident, ident)
-
-
-def compose_adjoints(p1: AdjointPair, p2: AdjointPair) -> AdjointPair:
-    if p1.target != p2.source:
-        raise ShapeError("compose_adjoints: middle lattices differ")
-    return AdjointPair(
-        p1.source, p2.target, p2.phi.then(p1.phi), p1.psi.then(p2.psi)
-    )
-
-
-def adjoint_of_bond(F: Bond) -> AdjointPair:
+def adjoint_of_bond(F: Bond) -> ConceptLatticeMorphism:
     """Derivation along the bond, in both directions, read off the bond's
-    views.
+    views, as the adjoint pair between the two complete lattices.
 
     ``psi`` sends a source concept to the target instances whose bond row
     holds its intent, the columns of ``F.images`` (``F/tau_A``); ``phi``
@@ -314,12 +290,14 @@ def adjoint_of_bond(F: Bond) -> AdjointPair:
     phi = FunctionGraph.from_targets(
         tuple(LA.intent_index[t] for t in F.preimages.rows), LA.size
     )
-    return AdjointPair(complete_lattice_of(LA), complete_lattice_of(LB), phi, psi)
+    return ConceptLatticeMorphism(
+        complete_lattice_of(LA), complete_lattice_of(LB), phi, psi, phi, psi
+    )
 
 
-def bond_of_adjoint(p: AdjointPair) -> Bond:
-    """The adjointness relation itself, as a bond between order
-    classifications."""
+def bond_of_adjoint(p: ConceptLatticeMorphism) -> Bond:
+    """The adjointness relation of an adjoint pair between complete
+    lattices, as a bond between their order classifications."""
     return _adjointness_bond(p.source, p.target, p.phi)
 
 
@@ -444,9 +422,9 @@ def down_up_witness(L: CompleteLattice) -> FunctionGraph:
     return tau
 
 
-def adjoint_roundtrip_holds(p: AdjointPair) -> bool:
+def adjoint_roundtrip_holds(p: ConceptLatticeMorphism) -> bool:
     """Conjugating the rebuilt adjoint by the principal-concept witnesses
-    recovers the original pair."""
+    recovers the original pair, an adjoint pair between complete lattices."""
     q = adjoint_of_bond(bond_of_adjoint(p))
     w_src = down_up_witness(p.source)
     w_tgt = down_up_witness(p.target)
@@ -488,11 +466,12 @@ class CompleteHomomorphism:
         ``phi`` is read off the up batch of ``principal_preimages``, so the
         adjointness of ``phi`` and ``psi``, that batch against the up-sets at
         ``phi``, holds by construction and the forward bond is built without
-        an ``AdjointPair``.  The backward bond is the adjointness relation of
-        ``psi`` and its right adjoint, which the hom's join check has shown
-        to exist; that relation reads ``psi`` alone, so the adjoint itself is
-        not built.  Both bonds are still checked as bonds, by their principal
-        sets (``_adjointness_bond``), and as a pair, by index
+        checking the adjoint pair as a ``ConceptLatticeMorphism``.  The
+        backward bond is the adjointness relation of ``psi`` and its right
+        adjoint, which the hom's join check has shown to exist; that relation
+        reads ``psi`` alone, so the adjoint itself is not built.  Both bonds
+        are still checked as bonds, by their principal sets
+        (``_adjointness_bond``), and as a pair, by index
         (``_order_pairing_check``); a failing pair raises ``ValidationError``
         naming the first element of the source where the bonds disagree."""
         L, K = self.source, self.target

@@ -180,17 +180,18 @@ def _first_maps(contexts, rng: random.Random, pairs: int, prefix: str, make):
     return items
 
 
-def _with_left_adjoint(L, Kl, psi) -> functors.AdjointPair:
-    """``psi`` with its left adjoint by the meet formula, validated."""
-    phi_t = tuple(map(L.meet_of, pullback(Kl.intents, Kl.extents, psi)))
-    return functors.AdjointPair(L, Kl, FunctionGraph(phi_t, L.size), psi)
+def _with_left_adjoint(L, Kl, psi) -> functors.ConceptLatticeMorphism:
+    """``psi`` with its left adjoint by the meet formula, validated as the
+    adjoint pair between the two complete lattices."""
+    phi = FunctionGraph(tuple(map(L.meet_of, pullback(Kl.intents, Kl.extents, psi))), L.size)
+    return functors.ConceptLatticeMorphism(L, Kl, phi, psi, phi, psi)
 
 
 def adjoint_corpus(contexts, bonds, rng: random.Random):
     items = []
     for cid, K in _sample(rng, contexts, 6):
         L = functors.complete_lattice_of(concept_lattice_of(K))
-        items.append((f"idadj-{cid}", functors.identity_adjoint(L)))
+        items.append((f"idadj-{cid}", functors.identity_lattice_morphism(L)))
     for bid, F in _sample(rng, bonds, 10):
         items.append((f"adj-{bid}", functors.adjoint_of_bond(F)))
     return items + _first_maps(contexts, rng, 4, "enumadj", _with_left_adjoint)
@@ -225,11 +226,7 @@ def abstract_lattice_corpus(contexts, adjoints, rng: random.Random):
         lattices.append((f"built-{cid}", concept_lattice_of(K)))
     for cid, K in _sample(rng, _small(contexts, 3, 3), 6):
         lattices.append((f"selfdual-{cid}", functors.complete_lattice_of(concept_lattice_of(K))))
-    morphisms = []
-    for aid, p in adjoints:
-        cm = functors.ConceptLatticeMorphism(p.source, p.target, p.phi, p.psi, p.phi, p.psi)
-        morphisms.append((f"abs-{aid}", cm))
-    return lattices, morphisms
+    return lattices, [(f"abs-{aid}", p) for aid, p in adjoints]
 
 
 def _rebuilds(c):
@@ -329,18 +326,20 @@ FAMILIES = (
     (lambda c: _composites(c.rng, c.bonds, 10, ";"), (
         _ADJOINT_FUNCTORIALITY,
         lambda ab: functors.adjoint_of_bond(compose_bonds(*ab))
-        == functors.compose_adjoints(*map(functors.adjoint_of_bond, ab)),
+        == functors.compose_lattice_morphisms(*map(functors.adjoint_of_bond, ab)),
         "composite adjoint differs",
     )),
     (lambda c: [(f"identity-{cid}", K) for cid, K in _sample(c.rng, c.contexts, 6)], (
         _ADJOINT_FUNCTORIALITY,
         lambda K: functors.adjoint_of_bond(identity_bond(K))
-        == functors.identity_adjoint(functors.complete_lattice_of(concept_lattice_of(K))),
+        == functors.identity_lattice_morphism(
+            functors.complete_lattice_of(concept_lattice_of(K))
+        ),
         None,
     )),
     (lambda c: _composites(c.rng, c.adjoints, 10, ";"), (
         "bond-functoriality",
-        lambda pq: functors.bond_of_adjoint(functors.compose_adjoints(*pq))
+        lambda pq: functors.bond_of_adjoint(functors.compose_lattice_morphisms(*pq))
         == compose_bonds(*map(functors.bond_of_adjoint, pq)),
         "composite bond differs",
     )),

@@ -445,8 +445,8 @@ def complete_hom_oracle(L, K, psi) -> tuple[bool, tuple | None]:
     no element of ``L`` can be a left adjoint's value (``x0 <= x`` iff
     ``y <= psi(x)`` for every ``x``), else ``("join", y)`` for the first ``y``
     with no right adjoint value (``x <= x0`` iff ``psi(x) <= y``)."""
-    L_inf, L_sup = subset_bounds(L.leq)
-    K_inf, K_sup = subset_bounds(K.leq)
+    L_inf, L_sup = subset_bounds(L.order)
+    K_inf, K_sup = subset_bounds(K.order)
     if psi(L_inf[0]) != K_inf[0]:
         return False, ("top",)
     if psi(L_sup[0]) != K_sup[0]:
@@ -463,8 +463,8 @@ def complete_hom_oracle(L, K, psi) -> tuple[bool, tuple | None]:
     if preserved:
         return True, None
     for kind, below in (
-        ("meet", lambda x0, x, y: L.leq.bit(x0, x) == K.leq.bit(y, psi(x))),
-        ("join", lambda x0, x, y: L.leq.bit(x, x0) == K.leq.bit(psi(x), y)),
+        ("meet", lambda x0, x, y: L.order.bit(x0, x) == K.order.bit(y, psi(x))),
+        ("join", lambda x0, x, y: L.order.bit(x, x0) == K.order.bit(psi(x), y)),
     ):
         for y in range(K.size):
             if not any(all(below(x0, x, y) for x in range(L.size)) for x0 in range(L.size)):
@@ -489,7 +489,7 @@ def adjoint_oracle(L, K, phi, psi) -> tuple[int, int] | None:
     ``phi: K -> L`` and ``psi: L -> K`` are adjoint."""
     for y in range(K.size):
         for x in range(L.size):
-            if L.leq.bit(phi(y), x) != K.leq.bit(y, psi(x)):
+            if L.order.bit(phi(y), x) != K.order.bit(y, psi(x)):
                 return y, x
     return None
 

@@ -28,7 +28,6 @@ from conceptual.classification import (
 from conceptual.colimit import enumerate_infomorphisms
 from conceptual.errors import ResourceLimitError, ShapeError, ValidationError
 from conceptual.functors import (
-    AdjointPair,
     CompleteHomomorphism,
     CompleteLattice,
     ConceptLatticeMorphism,
@@ -37,10 +36,8 @@ from conceptual.functors import (
     bond_naturality_holds,
     bond_of_adjoint,
     canonical_adjoints,
-    check_adjoint,
     classification_of_lattice,
     complete_lattice_of,
-    compose_adjoints,
     compose_homs,
     compose_lattice_morphisms,
     down_up_witness,
@@ -48,8 +45,8 @@ from conceptual.functors import (
     embedding_bonds,
     hom_of_pair,
     hom_roundtrip_holds,
-    identity_adjoint,
     identity_hom,
+    identity_lattice_morphism,
     is_complete_homomorphism,
     is_instance_reduced,
     is_type_reduced,
@@ -62,6 +59,7 @@ from conceptual.functors import (
     pair_roundtrip_holds,
 )
 from conceptual.infomorphism import (
+    check_functional,
     compose_functional,
     identity_functional,
     instance_infomorphism,
@@ -110,6 +108,12 @@ def chain_lattice(n):
     labels = tuple(str(i) for i in range(n))
     rows = tuple(((1 << n) - 1) >> i << i for i in range(n))
     return CompleteLattice(labels, Relation(n, n, rows))
+
+
+def adjoint_pair(L, K, phi, psi):
+    """The adjoint pair ``(phi, psi)`` between complete lattices: the
+    concept lattice morphism with ``f = phi`` and ``g = psi``."""
+    return ConceptLatticeMorphism(L, K, phi, psi, phi, psi)
 
 
 def small_lattices():
@@ -175,12 +179,12 @@ class TestCompleteLattice:
         given one, and both embeddings are the identity."""
         for L in small_lattices():
             assert isinstance(L, ConceptLattice)
-            assert L.order is L.leq
+            assert L.order is L.classification.incidence
             assert L.iota.is_identity() and L.tau.is_identity()
             assert L.concepts == tuple(map(FormalConcept, L.extents, L.intents))
             assert set(L.concepts) == set(concept_lattice_of(L.classification).concepts)
-            assert L == CompleteLattice(L.elements, L.leq) and L != CompleteLattice(
-                tuple(f"{x}'" for x in L.elements), L.leq
+            assert L == CompleteLattice(L.elements, L.order) and L != CompleteLattice(
+                tuple(f"{x}'" for x in L.elements), L.order
             )
 
     def test_concept_lattice_views_read_the_order(self, rng):
@@ -221,7 +225,7 @@ class TestCompleteLattice:
             if L.size <= 10:
                 lattices.append(L)
         for L in lattices:
-            ref = SimpleNamespace(order=L.leq, size=L.size)
+            ref = SimpleNamespace(order=L.order, size=L.size)
             for mask in range(1 << L.size):
                 assert L.meet_of(mask) == inf_oracle(ref, list(bits(mask)))
                 assert L.join_of(mask) == sup_oracle(ref, list(bits(mask)))
@@ -252,7 +256,7 @@ class TestCompleteLattice:
                     continue
                 pair = lattice_order_oracle(leq)
                 if pair is None:
-                    assert CompleteLattice(labels, leq).leq == leq
+                    assert CompleteLattice(labels, leq).order == leq
                     outcomes["lattice"] += 1
                     continue
                 mask = 1 << pair[0] | 1 << pair[1]
@@ -283,7 +287,7 @@ class TestCompleteLattice:
                     pair = lattice_order_oracle(leq)
                     labels = tuple(f"e{i}" for i in range(n))
                     if pair is None:
-                        assert CompleteLattice(labels, leq).leq == leq
+                        assert CompleteLattice(labels, leq).order == leq
                         seen["lattice"] += 1
                         continue
                     mask = 1 << pair[0] | 1 << pair[1]
@@ -393,11 +397,37 @@ class TestFunctionalEquivalence:
         report.attempt("lattice-roundtrip", "skewed", lambda: lattice_equivalence_witness(L), None)
         assert [(r.verdict, r.witness) for r in report.records] == [(FAIL, str(exc.value))]
 
+    def test_witness_fails_on_a_concept_listed_twice(self):
+        # the one concept of the full 1x1 context, listed twice: both extents
+        # are rebuilt, but not one to one
+        full = Classification(("i0",), ("t0",), Relation.full(1, 1))
+        L = ConceptLattice((FormalConcept(1, 1),) * 2, full)
+        message = "^the extents do not match the rebuilt lattice's one to one$"
+        with pytest.raises(ValidationError, match=message):
+            lattice_equivalence_witness(L)
+
+    def test_witness_fails_on_an_intent_the_rebuild_lacks(self):
+        # a has t1 and b has t2; the top is listed with intent {t3} where its
+        # intent is {}.  No instance maps to the top, so iota never reads that
+        # intent, and every extent is rebuilt one to one
+        K = Classification.from_pairs(("a", "b"), ("t1", "t2", "t3"), [("a", "t1"), ("b", "t2")])
+        concepts = (
+            FormalConcept(0b11, 0b100),
+            FormalConcept(0b01, 0b001),
+            FormalConcept(0b10, 0b010),
+            FormalConcept(0b00, 0b111),
+        )
+        L = ConceptLattice(concepts, K)
+        with pytest.raises(ValidationError) as exc:
+            lattice_equivalence_witness(L)
+        assert exc.value.witness == (0,)
+        assert str(exc.value) == "intent is not the intent of the rebuilt concept"
+
 
 class TestRelationalEquivalence:
-    def test_identity_bond_gives_identity_adjoint(self, k1):
+    def test_identity_bond_gives_identity_morphism(self, k1):
         p = adjoint_of_bond(identity_bond(k1))
-        assert p == identity_adjoint(complete_lattice_of(concept_lattice_of(k1)))
+        assert p == identity_lattice_morphism(complete_lattice_of(concept_lattice_of(k1)))
 
     def test_adjoint_functorial(self, k1, rng):
         B = contranominal_classification(2)
@@ -406,7 +436,7 @@ class TestRelationalEquivalence:
             F = random_bond(rng, k1, B)
             G = random_bond(rng, B, C)
             lhs = adjoint_of_bond(compose_bonds(F, G))
-            rhs = compose_adjoints(adjoint_of_bond(F), adjoint_of_bond(G))
+            rhs = compose_lattice_morphisms(adjoint_of_bond(F), adjoint_of_bond(G))
             assert lhs == rhs
 
     def test_factorization_through_bond_lattice(self, k1, rng):
@@ -425,10 +455,10 @@ class TestRelationalEquivalence:
                 down = LB.extent_index[LF.concepts[mid].extent]
                 assert p.psi(i) == down
 
-    def test_bond_of_identity_adjoint_is_order(self):
+    def test_bond_of_identity_morphism_is_order(self):
         L = chain_lattice(3)
-        F = bond_of_adjoint(identity_adjoint(L))
-        assert F.rel == L.leq
+        F = bond_of_adjoint(identity_lattice_morphism(L))
+        assert F.rel == L.order
 
     def test_bond_functor_preserves_composition(self, rng):
         for _ in range(5):
@@ -436,7 +466,7 @@ class TestRelationalEquivalence:
             p1 = adjoint_of_bond(random_bond(rng, A, A))
             p2 = adjoint_of_bond(random_bond(rng, A, A))
             if p1.target == p2.source:
-                lhs = bond_of_adjoint(compose_adjoints(p1, p2))
+                lhs = bond_of_adjoint(compose_lattice_morphisms(p1, p2))
                 rhs = compose_bonds(bond_of_adjoint(p1), bond_of_adjoint(p2))
                 assert lhs == rhs
 
@@ -445,6 +475,22 @@ class TestRelationalEquivalence:
         for _ in range(6):
             F = random_bond(rng, k1, B)
             assert adjoint_roundtrip_holds(adjoint_of_bond(F))
+
+    def test_adjoint_pairs_are_infomorphisms_of_order_classifications(self):
+        """Every adjoint pair of the verify adjoint corpus at ``--max-size
+        3``, seed 7, built with the same draws, is a functional infomorphism
+        between the two order classifications: ``f(y) <= x`` iff ``y <=
+        g(x)`` is adjointness, with ``(f, g) == (phi, psi)``."""
+        rng = random.Random(7)
+        contexts = verify.context_corpus(3, rng)
+        bonds = verify.bond_corpus(contexts, verify.infomorphism_corpus(contexts, rng), rng)
+        pairs = verify.adjoint_corpus(contexts, bonds, rng)
+        for _, p in pairs:
+            m = morphism_of_lattice_morphism(p)
+            assert check_functional(m)
+            assert (m.source, m.target) == (p.source.classification, p.target.classification)
+            assert (m.f, m.g) == (p.phi, p.psi)
+        assert len(pairs) == 24
 
     def test_embedding_bonds_examples(self, k1):
         embedding_bonds(k1)
@@ -488,12 +534,12 @@ class TestRelationalEquivalence:
             def reference():
                 psi_fn = FunctionGraph.from_targets([LB.extent_index[e] for e in psi], LB.size)
                 phi_fn = FunctionGraph.from_targets([LA.intent_index[t] for t in phi], LA.size)
-                return AdjointPair(complete_lattice_of(LA), complete_lattice_of(LB), phi_fn, psi_fn)
+                return adjoint_pair(complete_lattice_of(LA), complete_lattice_of(LB), phi_fn, psi_fn)
 
             expected = outcome(reference)
             assert outcome(lambda: adjoint_of_bond(F)) == expected
-            kinds.add(expected[0] if isinstance(expected, tuple) else AdjointPair)
-        assert kinds == {AdjointPair, KeyError}
+            kinds.add(expected[0] if isinstance(expected, tuple) else ConceptLatticeMorphism)
+        assert kinds == {ConceptLatticeMorphism, KeyError}
 
     def test_bond_naturality(self, k1, rng):
         B = contranominal_classification(2)
@@ -558,12 +604,12 @@ class TestCompleteRelationalEquivalence:
         for L, K in itertools.product(lattices, repeat=2):
             if max(L.size, K.size) == 5 and min(L.size, K.size) > 3:
                 continue
-            ref = SimpleNamespace(order=L.leq, size=L.size)
+            ref = SimpleNamespace(order=L.order, size=L.size)
             for psi_t in itertools.product(range(K.size), repeat=L.size):
                 psi = FunctionGraph(psi_t, K.size)
                 # the meet of {x : y <= psi(x)}, the only candidate value
                 left = [
-                    inf_oracle(ref, [x for x in range(L.size) if K.leq.bit(y, psi(x))])
+                    inf_oracle(ref, [x for x in range(L.size) if K.order.bit(y, psi(x))])
                     for y in range(K.size)
                 ]
                 moved = list(left)
@@ -574,14 +620,13 @@ class TestCompleteRelationalEquivalence:
                     phi = FunctionGraph(tuple(phi_t), L.size)
                     expected = adjoint_oracle(L, K, phi, psi)
                     if expected is None:
-                        assert AdjointPair(L, K, phi, psi).phi == phi
+                        assert adjoint_pair(L, K, phi, psi).phi == phi
                         outcomes["adjoint"] += 1
                         continue
-                    y, x = expected
                     with pytest.raises(ValidationError) as exc:
-                        AdjointPair(L, K, phi, psi)
-                    assert exc.value.witness == (K.elements[y], L.elements[x])
-                    assert str(exc.value) == "not an adjoint pair: adjointness fails"
+                        adjoint_pair(L, K, phi, psi)
+                    assert exc.value.witness == expected
+                    assert str(exc.value) == "not a concept lattice morphism: adjointness fails"
                     outcomes["not adjoint"] += 1
         assert all(outcomes.values()), outcomes
 
@@ -594,8 +639,8 @@ class TestCompleteRelationalEquivalence:
                 continue
             h = CompleteHomomorphism(L, K, psi)
             phi, theta = canonical_adjoints(h)
-            assert check_adjoint(AdjointPair(L, K, phi, psi))
-            assert check_adjoint(AdjointPair(K, L, psi, theta))
+            adjoint_pair(L, K, phi, psi)  # validates
+            adjoint_pair(K, L, psi, theta)
 
     def test_pair_of_hom_is_bonding_pair(self, k1, rng):
         LA = complete_lattice_of(concept_lattice_of(k1))
@@ -720,7 +765,7 @@ class TestOrderLattice:
     def test_order_classification_is_a_view_of_the_lattice(self):
         L = complete_lattice_of(concept_lattice_of(contranominal_classification(3)))
         K = L.classification
-        bare = Classification(L.elements, L.elements, L.leq)
+        bare = Classification(L.elements, L.elements, L.order)
         assert K is L.classification
         assert K == bare and hash(K) == hash(bare) and repr(K) == repr(bare)
         assert concept_lattice_of(K) is concept_lattice_of(bare)
@@ -964,8 +1009,8 @@ class TestDerivedViews:
         theta = canonical_adjoints(h)[1]
         assert batches == {(K.intents, h.psi.targets): 1, (K.extents, h.psi.targets): 1}
         assert p == BondingPair(
-            bond_of_adjoint(AdjointPair(L, K, canonical_adjoints(h)[0], h.psi)),
-            bond_of_adjoint(AdjointPair(K, L, h.psi, theta)),
+            bond_of_adjoint(adjoint_pair(L, K, canonical_adjoints(h)[0], h.psi)),
+            bond_of_adjoint(adjoint_pair(K, L, h.psi, theta)),
         )
 
     def test_spread_pair_is_the_adjoint_pairs_bonds_on_the_hom_corpora(self):
@@ -977,8 +1022,8 @@ class TestDerivedViews:
             phi, theta = canonical_adjoints(h)
             L, K = h.source, h.target
             assert pair_of_hom(h) == BondingPair(
-                bond_of_adjoint(AdjointPair(L, K, phi, h.psi)),
-                bond_of_adjoint(AdjointPair(K, L, h.psi, theta)),
+                bond_of_adjoint(adjoint_pair(L, K, phi, h.psi)),
+                bond_of_adjoint(adjoint_pair(K, L, h.psi, theta)),
             )
             homs += 1
         assert homs == 139
@@ -1208,7 +1253,7 @@ class TestOrderBondChecks:
         lattices = {}
         for A in all_contexts(2, 3):
             L = complete_lattice_of(concept_lattice_of(A))
-            lattices.setdefault(L.leq, L)
+            lattices.setdefault(L.order, L)
         bonds = collections.defaultdict(list)
         relations = 0
         for L, K in itertools.product(lattices.values(), repeat=2):

@@ -4,8 +4,10 @@ A top-level function or class of ``src/conceptual``, or a method of one
 whose name is not a dunder, passes when one of these holds:
 
 - its name is read in ``src/conceptual/*.py`` or ``perfbench/*.py``: as a
-  name, an attribute or an imported name.  A ``def`` or ``class`` statement
-  reads nothing, so a definition's own name does not count;
+  name, an attribute or an imported name, and a method's only as an
+  attribute or an imported name, for a local variable of the same name
+  reads no method.  A ``def`` or ``class`` statement reads nothing, so a
+  definition's own name does not count;
 - it is in ``conceptual.__all__``, or is a method of a class there;
 - it is in ``UNREACHED``, with the reason it stays.
 
@@ -62,26 +64,31 @@ def definitions() -> dict[str, tuple[str, str | None]]:
     return out
 
 
-def names_read() -> set[str]:
-    read = set()
+def names_read() -> tuple[set[str], set[str]]:
+    """The names read as bare names, then those read as attributes or
+    imported names."""
+    names, attributes = set(), set()
     for path in READERS:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Name):
-                read.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
+                attributes.add(node.attr)
             elif isinstance(node, ast.alias):
-                read.add(node.name.rpartition(".")[2])
-    return read
+                attributes.add(node.name.rpartition(".")[2])
+    return names, attributes
 
 
 def unreached(allowlist) -> list[str]:
     """The definitions that pass none of the three tests."""
-    read, public = names_read(), set(conceptual.__all__)
+    (names, attributes), public = names_read(), set(conceptual.__all__)
     return [
         key
         for key, (name, cls) in definitions().items()
-        if name not in read and (cls or name) not in public and key not in allowlist
+        if name not in attributes
+        and (cls or name not in names)
+        and (cls or name) not in public
+        and key not in allowlist
     ]
 
 

@@ -16,7 +16,6 @@ from conceptual.classification import (
 )
 from conceptual.errors import ShapeError, ValidationError
 from conceptual.functors import (
-    AdjointPair,
     CompleteLattice,
     CompleteHomomorphism,
     ConceptLatticeMorphism,
@@ -78,11 +77,23 @@ def test_is_bond_column():
     assert verdict.reason == "column of 't1' is not an extent of the target"
 
 
-def test_check_adjoint():
+def test_check_lattice_morphism_on_complete_lattices():
+    # the adjoint pair (phi, psi) is the morphism with f = phi and g = psi:
+    # phi(1) = 0 <= a, but 1 is not below psi(a) = 0
+    phi, psi = fg((0, 0, 1), 4), fg((1, 0, 0, 1), 3)
     with pytest.raises(ValidationError) as exc:
-        AdjointPair(SQUARE, CHAIN3, fg((0, 0, 1), 4), fg((1, 0, 0, 1), 3))
-    assert exc.value.witness == ("1", "a")
-    assert str(exc.value) == "not an adjoint pair: adjointness fails"
+        ConceptLatticeMorphism(SQUARE, CHAIN3, phi, psi, phi, psi)
+    assert exc.value.witness == (1, 1)
+    assert str(exc.value) == "not a concept lattice morphism: adjointness fails"
+
+
+def test_complete_lattice_morphism_with_f_not_phi_is_refused():
+    # the identity of CHAIN3 is adjoint to itself, and the instance square
+    # holds only with f = phi, the embeddings being identities
+    ident = fg((0, 1, 2), 3)
+    message = "^not a concept lattice morphism: phi does not preserve instance concepts$"
+    with pytest.raises(ValidationError, match=message):
+        ConceptLatticeMorphism(CHAIN3, CHAIN3, ident, ident, fg((0, 0, 2), 3), ident)
 
 
 def test_check_lattice_morphism():
@@ -152,12 +163,29 @@ WRONG_SHAPES = {
         ),
         "psi shape (3, 3) is wrong",
     ),
+    "lattice-morphism-f": (
+        lambda: ConceptLatticeMorphism(
+            LA, LB, fg((0,) * 3, 4), fg((0,) * 4, 3), fg((0,) * 2, 2), fg((0,) * 2, 3)
+        ),
+        "f shape (2, 2) is wrong",
+    ),
+    "lattice-morphism-g": (
+        lambda: ConceptLatticeMorphism(
+            LA, LB, fg((0,) * 3, 4), fg((0,) * 4, 3), fg((0,) * 3, 2), fg((0,) * 2, 2)
+        ),
+        "g shape (2, 2) is wrong",
+    ),
+    # an adjoint pair between complete lattices, f and g being phi and psi
     "adjoint-phi": (
-        lambda: AdjointPair(SQUARE, CHAIN3, fg((0,) * 4, 4), fg((0,) * 4, 3)),
+        lambda: ConceptLatticeMorphism(
+            SQUARE, CHAIN3, fg((0,) * 4, 4), fg((0,) * 4, 3), fg((0,) * 4, 4), fg((0,) * 4, 3)
+        ),
         "phi shape (4, 4) is wrong",
     ),
     "adjoint-psi": (
-        lambda: AdjointPair(SQUARE, CHAIN3, fg((0,) * 3, 4), fg((0,) * 3, 3)),
+        lambda: ConceptLatticeMorphism(
+            SQUARE, CHAIN3, fg((0,) * 3, 4), fg((0,) * 3, 3), fg((0,) * 3, 4), fg((0,) * 3, 3)
+        ),
         "psi shape (3, 3) is wrong",
     ),
     "complete-homomorphism": (
