@@ -23,7 +23,6 @@ from .errors import (
     ValidationError,
 )
 from .lattice import (
-    CollectiveConcept,
     ConceptLattice,
     FormalConcept,
     build_lattice,
@@ -50,7 +49,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CheckResult",
     "Classification",
-    "CollectiveConcept",
     "ConceptLattice",
     "ConceptualError",
     "FormalConcept",

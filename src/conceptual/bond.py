@@ -4,6 +4,16 @@ A bond from A to B is a relation between B's instances and A's types whose
 rows are intents of A and whose columns are extents of B.  Bond composition
 is pure residuation.  Bonding pairs add the pairing constraints tying two
 opposed bonds to a single lattice homomorphism.
+
+An X-indexed collective concept ``(a, alpha)`` of ``K``, ``a`` inst(K) x X
+and ``alpha`` X x typ(K), is closed when ``a == I/alpha`` and
+``alpha == a\\I``.  That is the bond ``alpha`` from ``K`` into the
+contranominal scale of X, whose view ``r`` is ``a``: its row check is
+``alpha == (I/alpha)\\I``, and its column check always holds, for every
+index set is an extent of the scale (Ganter & Wille, *Formal Concept
+Analysis*, 1999, on bonds and scales).  So a collective concept is that
+``Bond``: two are ordered by ``subrelation`` of their ``r``, and the image
+of one along a bonding pair ``p`` is ``compose_bonds(p.backward, F)``.
 """
 
 from __future__ import annotations
@@ -12,11 +22,11 @@ from dataclasses import InitVar, dataclass
 from typing import TYPE_CHECKING
 
 from . import relalg
-from .classification import Classification
+from .classification import Classification, contranominal_classification
 from .errors import CheckResult, ShapeError, ValidationError, quote
 from .infomorphism import RelationalInfomorphism, check_relational
-from .lattice import CollectiveConcept, concept_lattice_of, is_collective_concept
-from .relalg import Relation, left_residual, right_residual, view
+from .lattice import ConceptLattice, concept_lattice_of
+from .relalg import FunctionGraph, Relation, left_residual, right_residual, view
 
 if TYPE_CHECKING:
     from .functors import CompleteHomomorphism
@@ -261,10 +271,44 @@ def compose_bonding_pairs(p1: BondingPair, p2: BondingPair) -> BondingPair:
     )
 
 
-def collective_image(p: BondingPair, c: CollectiveConcept) -> CollectiveConcept:
-    """Image of a collective source concept under a bonding pair."""
-    if not is_collective_concept(p.source, c):
-        raise ValidationError("input is not a collective concept over the source")
-    a = right_residual(p.forward.rel, c.alpha)
-    alpha = left_residual(c.a, p.backward.rel)
-    return CollectiveConcept(c.index_labels, a, alpha)
+# -- collective concepts -------------------------------------------------------
+
+
+def collective_from_function(L: ConceptLattice, f: FunctionGraph) -> Bond:
+    """The collective concept picked out by a function into the lattice:
+    row ``x`` is the intent of concept ``f(x)``.  Every row is an intent and
+    every column an extent of the scale, so it is built unchecked.
+    ``mediating_function`` reads ``f`` back when ``L`` is
+    ``concept_lattice_of(L.classification)``; a ``CompleteLattice`` numbers
+    its elements in its own order."""
+    if f.dst_size != L.size:
+        raise ShapeError(f"function lands in {f.dst_size} elements, lattice has {L.size}")
+    K = L.classification
+    rel = Relation(f.src_size, len(K.types), tuple(map(L.intents.__getitem__, f.targets)))
+    return Bond(K, contranominal_classification(f.src_size), rel, validate=False)
+
+
+def mediating_function(F: Bond) -> FunctionGraph:
+    """The unique function sending each index to its concept in
+    ``concept_lattice_of(F.source)``: index ``x`` goes to the concept whose
+    intent is row ``x`` of ``F.rel``."""
+    L = concept_lattice_of(F.source)
+    return FunctionGraph(tuple(map(L.intent_index.__getitem__, F.rel.rows)), L.size)
+
+
+def collective_transport(F: Bond, r: Relation, side: str) -> Bond:
+    """Transport a collective concept along an index relation ``r``, X x Y.
+
+    With ``side="left"`` (the left adjoint) ``F`` is indexed by X and the
+    result, ``r\\F``, by Y; ``side="right"`` (the right adjoint) goes the
+    other way, to ``(F.r/r)\\I``.  Every row of either is an intent, an
+    intersection of rows of ``F.rel`` or a residual into ``I``, so each is
+    built unchecked.
+    """
+    if side == "left":
+        rel, n = left_residual(r, F.rel), r.dst_size
+    elif side == "right":
+        rel, n = left_residual(right_residual(F.r, r), F.source.incidence), r.src_size
+    else:
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    return Bond(F.source, contranominal_classification(n), rel, validate=False)

@@ -132,7 +132,11 @@ def emit_cxt(K: Classification, name: str = "") -> str:
 
 def parse_csv(text: str) -> Classification:
     reader = csv.reader(_io.StringIO(text))
-    table = [row for row in reader if row]
+    try:
+        table = [row for row in reader if row]
+    except csv.Error as e:
+        # a field over ``csv.field_size_limit()``, process-wide state left as it is
+        raise ParseError(str(e), line=reader.line_num) from None
     if not table:
         raise ParseError("empty CSV input", line=1)
     types = tuple(table[0][1:])

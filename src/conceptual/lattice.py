@@ -1,5 +1,4 @@
-"""Concept lattices: construction, order structure, embeddings, and the
-collective-concept machinery.
+"""Concept lattices: construction, order structure and embeddings.
 
 ``build_lattice`` enumerates concepts by FCbO (Outrata & Vychodil, *Fast
 algorithm for computing fixpoints of Galois connections induced by
@@ -35,7 +34,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import relalg
 from .classification import Classification, check_preorder
-from .errors import ResourceLimitError, ShapeError, ValidationError, quote
+from .errors import ResourceLimitError, ValidationError, quote
 from .relalg import (
     FunctionGraph,
     Relation,
@@ -445,89 +444,3 @@ def decomposition_check(K: Classification, L: ConceptLattice) -> bool:
     """Incidence must equal instance-embedding ; order ; type-embedding-op."""
     recomposed = compose(compose(L.iota.rel, L.order), transpose(L.tau.rel))
     return recomposed == K.incidence
-
-
-# -- collective concepts -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CollectiveConcept:
-    """An indexed family of concepts given by a closed relation pair.
-
-    ``a`` relates instances to the index set, ``alpha`` the index set to
-    types; closedness means each coordinate is the residuation of the other
-    against the incidence.
-    """
-
-    index_labels: tuple[str, ...]
-    a: Relation
-    alpha: Relation
-
-
-def is_collective_concept(K: Classification, c: CollectiveConcept) -> bool:
-    x = len(c.index_labels)
-    if c.a.shape != (len(K.instances), x) or c.alpha.shape != (x, len(K.types)):
-        raise ShapeError(
-            f"collective concept shapes {c.a.shape}/{c.alpha.shape} do not fit "
-            f"{len(K.instances)} instances x {len(K.types)} types over {x} indices"
-        )
-    return (
-        c.a == right_residual(K.incidence, c.alpha)
-        and c.alpha == left_residual(c.a, K.incidence)
-    )
-
-
-def mediating_function(K: Classification, L: ConceptLattice, c: CollectiveConcept) -> FunctionGraph:
-    """The unique function sending each index to its concept in the lattice:
-    index ``x`` goes to the concept whose extent is column ``x`` of ``c.a``."""
-    if not is_collective_concept(K, c):
-        raise ValidationError("not a collective concept")
-    return FunctionGraph(tuple(map(L.extent_index.__getitem__, c.a.columns)), L.size)
-
-
-def collective_from_function(
-    K: Classification,
-    L: ConceptLattice,
-    f: FunctionGraph,
-    index_labels: Sequence[str] | None = None,
-) -> CollectiveConcept:
-    """The collective concept picked out by a function into the lattice."""
-    if f.dst_size != L.size:
-        raise ShapeError(f"function lands in {f.dst_size} elements, lattice has {L.size}")
-    if index_labels is None:
-        index_labels = tuple(f"x{i}" for i in range(f.src_size))
-    a = compose(L.iota_rel, transpose(f.rel))
-    alpha = compose(f.rel, L.tau_rel)
-    return CollectiveConcept(tuple(index_labels), a, alpha)
-
-
-def collective_leq(c1: CollectiveConcept, c2: CollectiveConcept) -> bool:
-    """Componentwise extent inclusion (equivalently reversed intents)."""
-    return relalg.subrelation(c1.a, c2.a)
-
-
-def collective_transport(
-    K: Classification, r: Relation, c: CollectiveConcept, side: str
-) -> CollectiveConcept:
-    """Transport a collective concept along an index relation ``r``.
-
-    With ``side="left"`` (the left adjoint) the input is indexed by the
-    source of ``r`` and the result by its destination; ``side="right"`` (the
-    right adjoint) goes the other way.
-    """
-    A = K.incidence
-    if side == "left":
-        if c.a.dst_size != r.src_size:
-            raise ShapeError(f"left transport: index set {c.a.dst_size} vs relation {r.shape}")
-        alpha = left_residual(r, c.alpha)
-        a = right_residual(A, left_residual(compose(c.a, r), A))
-        labels = tuple(f"y{i}" for i in range(r.dst_size))
-        return CollectiveConcept(labels, a, alpha)
-    if side == "right":
-        if c.a.dst_size != r.dst_size:
-            raise ShapeError(f"right transport: index set {c.a.dst_size} vs relation {r.shape}")
-        a = right_residual(c.a, r)
-        alpha = left_residual(right_residual(A, compose(r, c.alpha)), A)
-        labels = tuple(f"x{i}" for i in range(r.src_size))
-        return CollectiveConcept(labels, a, alpha)
-    raise ValueError(f"side must be 'left' or 'right', got {side!r}")

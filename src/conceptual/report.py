@@ -63,20 +63,6 @@ class VerificationReport:
             slot[r.verdict] += 1
         return out
 
-    def to_obj(self) -> dict:
-        return {
-            "checks": [
-                {
-                    "check": r.check,
-                    "item": r.item,
-                    "verdict": r.verdict,
-                    "witness": r.witness,
-                }
-                for r in self.records
-            ],
-            "summary": self._summary(),
-        }
-
     def _summary(self) -> dict:
         return {
             "total": len(self.records),
@@ -85,7 +71,8 @@ class VerificationReport:
         }
 
     def to_json(self) -> str:
-        """``io.dumps(self.to_obj())``, byte for byte.
+        """The report's object, its records under ``"checks"`` and their
+        counts under ``"summary"``, as ``io.dumps`` writes it, byte for byte.
 
         With ``indent`` set, ``json.dumps`` runs the standard library's
         pure-Python encoder over every field of every record.  This emitter

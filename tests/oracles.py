@@ -16,6 +16,9 @@ function in lexicographic order and keep those the library's own checks
 pass: they share the verdict with the propagating enumerators of
 ``colimit``, not the search, which is what they check.
 
+The collective oracles are the formulas on pairs ``(a, alpha)`` that the
+bond form of a collective concept replaced, run on the per-cell kernels.
+
 ``fcbo_oracle`` is the concept walk the library replaced, kept as it was:
 it tests every free type at every node, and checks the walk that skips the
 types an extent cannot meet on inputs too large for NextClosure.
@@ -699,6 +702,60 @@ def embedding_bonds_oracle(A) -> tuple:
     if left_residual(instance_bond.r, type_bond.rel) != A.incidence:
         raise ValidationError("type;instance composite is not the identity bond")
     return instance_bond, type_bond
+
+
+# -- collective concepts ------------------------------------------------------------
+
+
+def collective_closed_oracle(K, a: Relation, alpha: Relation) -> bool:
+    """The pair test the bond form replaced: ``a == I/alpha`` and
+    ``alpha == a\\I``."""
+    I = K.incidence
+    return a == right_residual_oracle(I, alpha) and alpha == left_residual_oracle(a, I)
+
+
+def collective_from_function_oracle(L, f: FunctionGraph) -> tuple[Relation, Relation]:
+    """``(a, alpha)`` of the concepts ``f`` picks, as the pair form built it:
+    ``iota;f^T`` and ``f;tau``."""
+    a = compose_oracle(L.iota_rel, transpose_oracle(f.rel))
+    return a, compose_oracle(f.rel, L.tau_rel)
+
+
+def collective_transport_oracle(K, r: Relation, a: Relation, alpha: Relation, side: str):
+    """``(a, alpha)`` transported along ``r`` as the pair form did it: on the
+    left ``(I/((a;r)\\I), r\\alpha)``, on the right ``(a/r, (I/(r;alpha))\\I)``."""
+    I = K.incidence
+    if side == "left":
+        closed = left_residual_oracle(compose_oracle(a, r), I)
+        return right_residual_oracle(I, closed), left_residual_oracle(r, alpha)
+    closed = right_residual_oracle(I, compose_oracle(r, alpha))
+    return right_residual_oracle(a, r), left_residual_oracle(closed, I)
+
+
+def collective_image_oracle(p, a: Relation, alpha: Relation) -> tuple[Relation, Relation]:
+    """The image of ``(a, alpha)`` along the bonding pair ``p`` as the pair
+    form built it: ``(F/alpha, a\\G)`` for ``p``'s forward bond ``F`` and
+    backward bond ``G``."""
+    return right_residual_oracle(p.forward.rel, alpha), left_residual_oracle(a, p.backward.rel)
+
+
+# -- verification report ------------------------------------------------------------
+
+
+def report_obj_oracle(report) -> dict:
+    """The object ``VerificationReport.to_json`` writes, built record by
+    record, so that ``io.dumps`` of it is the reference for that emitter."""
+    return {
+        "checks": [
+            {"check": r.check, "item": r.item, "verdict": r.verdict, "witness": r.witness}
+            for r in report.records
+        ],
+        "summary": {
+            "total": len(report.records),
+            "failed": len(report.failures),
+            "families": report.counts(),
+        },
+    }
 
 
 # -- text ---------------------------------------------------------------------------

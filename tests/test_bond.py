@@ -8,7 +8,7 @@ from conceptual.bond import (
     bond_of,
     bonds_equivalent,
     close_to_bond,
-    collective_image,
+    collective_from_function,
     compose_bonding_pairs,
     compose_bonds,
     identity_bond,
@@ -34,10 +34,12 @@ from conceptual.infomorphism import (
     identity_relational,
     instance_infomorphism,
 )
-from conceptual.lattice import CollectiveConcept, concept_lattice_of
+from conceptual.lattice import concept_lattice_of
 from conceptual.relalg import (
+    FunctionGraph,
     Relation,
     bits,
+    compose,
     left_residual,
     right_residual,
     transpose,
@@ -45,6 +47,7 @@ from conceptual.relalg import (
 
 from conftest import RANDOM_SHAPES, all_contexts, random_context
 from oracles import (
+    collective_image_oracle,
     enumerate_relations,
     extent_oracle,
     intent_oracle,
@@ -440,39 +443,32 @@ class TestBondingPairs:
                     assert lhs == rhs
 
     def test_collective_image(self, k1):
+        # the image of a collective concept, the bond F into its index
+        # scale, along a bonding pair p is compose_bonds(p.backward, F)
         LA = concept_lattice_of(k1)
         p = identity_bonding_pair(k1)
-        basic = CollectiveConcept(
-            tuple(f"c{i}" for i in range(LA.size)), LA.iota_rel, LA.tau_rel
-        )
-        image = collective_image(p, basic)
-        from conceptual.lattice import is_collective_concept
-
-        assert is_collective_concept(k1, image)
+        basic = Bond(k1, contranominal_classification(LA.size), LA.tau_rel)
+        image = compose_bonds(p.backward, basic)
+        assert is_bond(k1, image.target, image.rel)
+        assert (image.r, image.rel) == collective_image_oracle(p, LA.iota_rel, LA.tau_rel)
         # the identity pair fixes an already-closed collective concept
-        assert image.a == basic.a and image.alpha == basic.alpha
+        assert image == basic and image.r == LA.iota_rel
 
     def test_collective_image_two_step_factorization(self, k1, rng):
-        from conceptual.lattice import collective_from_function, is_collective_concept
-        from conceptual.relalg import FunctionGraph, compose
-
         LA = concept_lattice_of(k1)
         other = contranominal_classification(2)
         pairs = _some_pairs(k1, other, rng)[:3]
-        basic = CollectiveConcept(
-            tuple(f"c{i}" for i in range(LA.size)), LA.iota_rel, LA.tau_rel
-        )
+        basic = Bond(k1, contranominal_classification(LA.size), LA.tau_rel)
         for p in pairs:
-            basic_image = collective_image(p, basic)
+            basic_image = compose_bonds(p.backward, basic)
             for targets in itertools.product(range(LA.size), repeat=2):
                 f = FunctionGraph.from_targets(targets, LA.size)
-                c = collective_from_function(k1, LA, f)
-                direct = collective_image(p, c)
-                assert is_collective_concept(other, direct)
-                two_step_a = compose(basic_image.a, transpose(f.rel))
-                two_step_alpha = compose(f.rel, basic_image.alpha)
-                assert direct.a == two_step_a
-                assert direct.alpha == two_step_alpha
+                c = collective_from_function(LA, f)
+                direct = compose_bonds(p.backward, c)
+                assert is_bond(other, direct.target, direct.rel)
+                assert (direct.r, direct.rel) == collective_image_oracle(p, c.r, c.rel)
+                assert direct.r == compose(basic_image.r, transpose(f.rel))
+                assert direct.rel == compose(f.rel, basic_image.rel)
 
 
 def _some_pairs(A, B, rng):

@@ -1,7 +1,9 @@
 """Bounded property tests of the bond laws, on random contexts up to 7x7
 (8x8 for the embedding bonds), 0-sized carriers included (Ganter & Wille, *Formal Concept Analysis*,
 Springer 1999, ch. 7; Schmidt & Stroehlein, *Relations and Graphs*,
-Springer 1993, ch. 4)."""
+Springer 1993, ch. 4); and of collective concepts as bonds into their
+index scales, against the pair formulas they replaced, on contexts up to
+4x4 and index sets up to 3."""
 
 import itertools
 
@@ -16,13 +18,17 @@ from conceptual.bond import (
     Bond,
     bond_of,
     close_to_bond,
+    collective_from_function,
+    collective_transport,
     compose_bonds,
     identity_bond,
+    identity_bonding_pair,
     infomorphism_of,
     is_bond,
     is_bonding_pair,
+    mediating_function,
 )
-from conceptual.classification import Classification
+from conceptual.classification import Classification, contranominal_classification
 from conceptual.functors import (
     CompleteHomomorphism,
     complete_lattice_of,
@@ -44,7 +50,13 @@ from conceptual.relalg import (
     union,
 )
 
-from oracles import embedding_bonds_oracle
+from oracles import (
+    collective_closed_oracle,
+    collective_from_function_oracle,
+    collective_image_oracle,
+    collective_transport_oracle,
+    embedding_bonds_oracle,
+)
 import test_functors
 from test_relalg_properties import relations
 
@@ -213,3 +225,63 @@ def test_order_checks_are_is_bond_and_is_bonding_pair(h):
                 F, G = (other, p.backward) if bond is p.forward else (p.forward, other)
                 verdict = functors._order_pairing_check(L, K, F, G)
                 assert bool(verdict) == bool(is_bonding_pair(F, G))
+
+
+@st.composite
+def collective_inputs(draw):
+    """A bonding pair ``p`` out of a context up to 4x4 (its identity or an
+    embedding pair) or between the lattices of two such contexts (the pair
+    of a drawn complete homomorphism); two functions ``f`` and ``g`` from up
+    to 3 indices into the concept lattice of ``p.source``; an index
+    relation ``r`` from the indices of ``f`` to those of ``g``; and a drawn
+    pair ``(a, alpha)`` of ``p.source``, half the time with ``a == I/alpha``."""
+    A = context(draw, 4)
+    kind = draw(st.sampled_from(("identity", "embedding", "hom")))
+    if kind == "identity":
+        p = identity_bonding_pair(A)
+    elif kind == "embedding":
+        p = embedding_bonding_pairs(A)[draw(st.integers(0, 1))]
+    else:
+        p = pair_of_hom(draw(complete_homs()))
+    K = p.source
+    size = concept_lattice_of(K).size
+    f, g = (
+        FunctionGraph(tuple(draw(st.integers(0, size - 1)) for _ in range(k)), size)
+        for k in (draw(st.integers(0, 3)), draw(st.integers(0, 3)))
+    )
+    r = relations(draw, f.src_size, g.src_size)
+    n = draw(st.integers(0, 3))
+    alpha = relations(draw, n, len(K.types))
+    if draw(st.booleans()):
+        a = right_residual(K.incidence, alpha)
+    else:
+        a = relations(draw, len(K.instances), n)
+    return p, f, g, r, (a, alpha)
+
+
+@PROPERTY
+@given(collective_inputs())
+def test_collective_bonds_are_the_pair_formulas(inputs):
+    # a collective concept (a, alpha) is the bond alpha into its index
+    # scale, with view r the a: closedness, the concept of a function, both
+    # transports and the image along a bonding pair are the pair formulas,
+    # the transports are adjoint under the order of the r, and the mediating
+    # function reads the function back
+    p, f, g, r, (a, alpha) = inputs
+    K = p.source
+    L = concept_lattice_of(K)
+    scale = contranominal_classification(alpha.src_size)
+    closed = bool(is_bond(K, scale, alpha)) and Bond(K, scale, alpha, validate=False).r == a
+    assert closed == collective_closed_oracle(K, a, alpha)
+    F, G = collective_from_function(L, f), collective_from_function(L, g)
+    for H, h in ((F, f), (G, g)):
+        assert collective_closed_oracle(K, H.r, H.rel)
+        assert (H.r, H.rel) == collective_from_function_oracle(L, h)
+        assert mediating_function(H) == h
+    left = collective_transport(F, r, "left")
+    right = collective_transport(G, r, "right")
+    assert (left.r, left.rel) == collective_transport_oracle(K, r, F.r, F.rel, "left")
+    assert (right.r, right.rel) == collective_transport_oracle(K, r, G.r, G.rel, "right")
+    assert subrelation(left.r, G.r) == subrelation(F.r, right.r)
+    image = compose_bonds(p.backward, F)
+    assert (image.r, image.rel) == collective_image_oracle(p, F.r, F.rel)

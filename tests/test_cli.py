@@ -93,6 +93,31 @@ class TestLatticeCommand:
         assert run(capsys, "lattice", "-") == by_path
         assert by_path[0] == 0
 
+    @pytest.mark.parametrize("source", ["path", "stdin"])
+    def test_csv_field_over_the_reader_limit_is_malformed(
+        self, capsys, monkeypatch, tmp_path, source
+    ):
+        """A CSV field longer than the ``csv`` module reads is a parse error
+        naming its line (exit 3), from a path as from stdin, not a
+        ``csv.Error`` traceback."""
+        import csv
+        import io as stdlib_io
+
+        limit = csv.field_size_limit()
+        text = ",a\n1," + "0" * (limit + 1) + "\n"
+        if source == "path":
+            path = tmp_path / "k.csv"
+            path.write_text(text)
+            arg = str(path)
+        else:
+            monkeypatch.setattr("sys.stdin", stdlib_io.StringIO(text))
+            arg = "-"
+        code = main(["lattice", arg])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == f"error: line 2: field larger than field limit ({limit})\n"
+        assert csv.field_size_limit() == limit
+
 
 DOT_NODE = re.compile(r'^  c(\d+) \[label="((?:[^"\\]|\\.)*)"\];$', re.M)
 

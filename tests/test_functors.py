@@ -12,6 +12,7 @@ from conceptual import functors, relalg, verify
 from conceptual.bond import (
     Bond,
     BondingPair,
+    collective_from_function,
     compose_bonding_pairs,
     compose_bonds,
     identity_bond,
@@ -65,12 +66,7 @@ from conceptual.infomorphism import (
     instance_infomorphism,
 )
 from conceptual.io import dumps, morphism_from_obj, morphism_to_obj
-from conceptual.lattice import (
-    ConceptLattice,
-    FormalConcept,
-    collective_from_function,
-    concept_lattice_of,
-)
+from conceptual.lattice import ConceptLattice, FormalConcept, concept_lattice_of
 from conceptual.relalg import (
     FunctionGraph,
     Relation,
@@ -534,7 +530,8 @@ class TestRelationalEquivalence:
             def reference():
                 psi_fn = FunctionGraph.from_targets([LB.extent_index[e] for e in psi], LB.size)
                 phi_fn = FunctionGraph.from_targets([LA.intent_index[t] for t in phi], LA.size)
-                return adjoint_pair(complete_lattice_of(LA), complete_lattice_of(LB), phi_fn, psi_fn)
+                L, K = complete_lattice_of(LA), complete_lattice_of(LB)
+                return adjoint_pair(L, K, phi_fn, psi_fn)
 
             expected = outcome(reference)
             assert outcome(lambda: adjoint_of_bond(F)) == expected
@@ -774,7 +771,8 @@ class TestOrderLattice:
         """Dividends: the order classifications of chains, the pentagon, the
         diamond and the 8-element boolean lattice; random contexts with 0x3
         and 3x0 among them; and relations that are no incidence, random
-        bonds and the instance relations ``a`` of collective concepts.
+        bonds and the instance relations ``a`` of collective concepts, their
+        bonds' views ``r``.
         Divisor rows are empty, full, the dividend's own rows, down-sets or
         random."""
         rng = random.Random(13)
@@ -796,7 +794,7 @@ class TestOrderLattice:
             cases.append((random_bond(rng, A, B).rel, random_relation(rng, 3, n)))
             L = concept_lattice_of(A)
             f = FunctionGraph(tuple(rng.randrange(L.size) for _ in range(3)), L.size)
-            cases.append((collective_from_function(A, L, f).a, random_relation(rng, 2, 3)))
+            cases.append((collective_from_function(L, f).r, random_relation(rng, 2, 3)))
         for t, other in cases:
             n = t.dst_size
             for s in (

@@ -8,20 +8,22 @@ from conceptual.classification import (
     chain_classification,
     contranominal_classification,
 )
-from conceptual.errors import ResourceLimitError, ValidationError
+from conceptual.errors import ResourceLimitError, ShapeError, ValidationError
 from conceptual.functors import complete_lattice_of
+from conceptual.bond import (
+    Bond,
+    collective_from_function,
+    collective_transport,
+    is_bond,
+    mediating_function,
+)
 from conceptual.lattice import (
-    CollectiveConcept,
     ConceptLattice,
     build_lattice,
-    collective_from_function,
-    collective_leq,
-    collective_transport,
+    concept_lattice_of,
     decomposition_check,
     instance_concept,
-    is_collective_concept,
     join,
-    mediating_function,
     meet,
     type_concept,
 )
@@ -39,6 +41,9 @@ from conceptual.relalg import (
 from conftest import PRUNED_BOTTOM, RANDOM_SHAPES, all_contexts, random_context, sparse_context
 from oracles import (
     closed_pairs_oracle,
+    collective_closed_oracle,
+    collective_from_function_oracle,
+    collective_transport_oracle,
     concept_set,
     covers_oracle,
     extent_inclusion_oracle,
@@ -431,110 +436,114 @@ class TestEmbeddingsAndDecomposition:
 
 
 class TestCollectiveConcepts:
+    """A collective concept ``(a, alpha)`` is the bond ``alpha`` into the
+    contranominal scale of its index set, whose view ``r`` is ``a``."""
+
     def test_embedding_pair_is_collective(self, k1):
         L = build_lattice(k1)
-        c = CollectiveConcept(
-            tuple(f"c{i}" for i in range(L.size)), L.iota_rel, L.tau_rel
-        )
-        assert is_collective_concept(k1, c)
+        F = scaled(k1, L.tau_rel)
+        assert is_bond(k1, F.target, F.rel)
+        assert F.r == L.iota_rel
+        assert collective_closed_oracle(k1, L.iota_rel, L.tau_rel)
 
     def test_full_pair_usually_is_not(self, k1):
-        c = CollectiveConcept(("x",), Relation.full(2, 1), Relation.full(1, 2))
-        assert not is_collective_concept(k1, c)
+        # the full alpha is the bottom intent, a bond, but its a is not the
+        # full column; an alpha whose row is no intent fails as a bond
+        a, alpha = Relation.full(2, 1), Relation.full(1, 2)
+        assert not collective_closed_oracle(k1, a, alpha)
+        assert scaled(k1, alpha).r != a
+        empty = Relation.empty(1, 2)
+        assert not collective_closed_oracle(k1, right_residual(k1.incidence, empty), empty)
+        assert is_bond(k1, contranominal_classification(1), empty).witness == ("row", "0")
 
     def test_empty_index_set(self, k1):
-        c = CollectiveConcept((), Relation.empty(2, 0), Relation.empty(0, 2))
-        assert is_collective_concept(k1, c)
+        F = Bond(k1, contranominal_classification(0), Relation.empty(0, 2))
+        assert F.r == Relation.empty(2, 0)
+        assert collective_closed_oracle(k1, F.r, F.rel)
 
     def test_mediating_of_embeddings_is_identity(self, k1):
-        L = build_lattice(k1)
-        c = CollectiveConcept(
-            tuple(f"c{i}" for i in range(L.size)), L.iota_rel, L.tau_rel
-        )
-        assert mediating_function(k1, L, c).is_identity()
+        L = concept_lattice_of(k1)
+        F = Bond(k1, contranominal_classification(L.size), L.tau_rel)
+        assert mediating_function(F).is_identity()
 
     def test_function_collective_roundtrip(self, k1):
-        L = build_lattice(k1)
+        L = concept_lattice_of(k1)
         for targets in itertools.product(range(L.size), repeat=3):
             f = FunctionGraph.from_targets(targets, L.size)
-            c = collective_from_function(k1, L, f, index_labels=("p", "q", "r"))
-            assert is_collective_concept(k1, c)
-            assert mediating_function(k1, L, c) == f
+            F = collective_from_function(L, f)
+            assert F.target == contranominal_classification(3)
+            assert is_bond(k1, F.target, F.rel)
+            assert (F.r, F.rel) == collective_from_function_oracle(L, f)
+            assert mediating_function(F) == f
 
     def test_collective_determines_function_pointwise(self, k1):
-        L = build_lattice(k1)
+        L = concept_lattice_of(k1)
         f = FunctionGraph.from_targets((L.top,), L.size)
-        c = collective_from_function(k1, L, f)
-        g = mediating_function(k1, L, c)
+        F = collective_from_function(L, f)
+        g = mediating_function(F)
         assert g(0) == L.top
-        # columns of a / rows of alpha read back the concept
-        acols = transpose(c.a).rows
-        assert acols[0] == L.concepts[L.top].extent
-        assert c.alpha.rows[0] == L.concepts[L.top].intent
+        # columns of a (the view r) / rows of alpha (the bond) read back the concept
+        assert F.r.columns[0] == L.concepts[L.top].extent
+        assert F.rel.rows[0] == L.concepts[L.top].intent
 
     def test_mediating_requires_collective(self, k1):
-        L = build_lattice(k1)
-        bad = CollectiveConcept(("x",), Relation.full(2, 1), Relation.full(1, 2))
-        with pytest.raises(ValidationError):
-            mediating_function(k1, L, bad)
+        # mediating_function takes a bond, and a pair that is not closed is none
+        with pytest.raises(ValidationError) as e:
+            Bond(k1, contranominal_classification(1), Relation.empty(1, 2))
+        assert e.value.witness == ("row", "0")
+        with pytest.raises(ShapeError):
+            collective_from_function(concept_lattice_of(k1), FunctionGraph((0,), 5))
 
 
-def all_collectives(K, L, size):
+def scaled(K, alpha) -> Bond:
+    """The unchecked bond ``alpha`` from ``K`` into the scale of its rows."""
+    return Bond(K, contranominal_classification(alpha.src_size), alpha, validate=False)
+
+
+def all_collectives(L, size):
     for targets in itertools.product(range(L.size), repeat=size):
-        yield collective_from_function(
-            K, L, FunctionGraph.from_targets(targets, L.size)
-        )
+        yield collective_from_function(L, FunctionGraph.from_targets(targets, L.size))
 
 
 class TestCollectiveTransport:
     def test_identity_relation_fixes_closed_concepts(self, k1):
-        L = build_lattice(k1)
+        L = concept_lattice_of(k1)
         from conceptual.relalg import identity
 
-        for c in all_collectives(k1, L, 2):
-            assert collective_transport(k1, identity(2), c, side="left") == replace_labels(
-                c, "y"
-            )
-            assert collective_transport(k1, identity(2), c, side="right") == replace_labels(
-                c, "x"
-            )
+        for c in all_collectives(L, 2):
+            assert collective_transport(c, identity(2), side="left") == c
+            assert collective_transport(c, identity(2), side="right") == c
 
     def test_outputs_are_collective(self, k1, rng):
-        L = build_lattice(k1)
+        L = concept_lattice_of(k1)
         for _ in range(20):
             r = Relation(2, 2, (rng.getrandbits(2), rng.getrandbits(2)))
-            for c in all_collectives(k1, L, 2):
-                assert is_collective_concept(
-                    k1, collective_transport(k1, r, c, side="left")
-                )
-                assert is_collective_concept(
-                    k1, collective_transport(k1, r, c, side="right")
-                )
+            for c in all_collectives(L, 2):
+                for side in ("left", "right"):
+                    out = collective_transport(c, r, side=side)
+                    assert is_bond(k1, out.target, out.rel)
+                    oracle = collective_transport_oracle(k1, r, c.r, c.rel, side)
+                    assert (out.r, out.rel) == oracle
 
     def test_adjointness_exhaustive(self, k1):
-        L = build_lattice(k1)
-        xs = list(all_collectives(k1, L, 2))
+        # collectives are ordered by their a, the view r
+        L = concept_lattice_of(k1)
+        xs = list(all_collectives(L, 2))
         for code in range(16):
             r = Relation(2, 2, (code & 3, code >> 2))
             for c2 in xs:
-                image = collective_transport(k1, r, c2, side="left")
+                image = collective_transport(c2, r, side="left")
                 for c1 in xs:
-                    lhs = collective_leq(image, c1)
-                    rhs = collective_leq(c2, collective_transport(k1, r, c1, side="right"))
+                    lhs = relalg.subrelation(image.r, c1.r)
+                    rhs = relalg.subrelation(c2.r, collective_transport(c1, r, side="right").r)
                     assert lhs == rhs
 
     def test_triple_transport_idempotence(self, k1):
-        L = build_lattice(k1)
+        L = concept_lattice_of(k1)
         for code in range(16):
             r = Relation(2, 2, (code & 3, code >> 2))
-            for c in all_collectives(k1, L, 2):
-                once = collective_transport(k1, r, c, side="left")
-                back = collective_transport(k1, r, once, side="right")
-                again = collective_transport(k1, r, back, side="left")
+            for c in all_collectives(L, 2):
+                once = collective_transport(c, r, side="left")
+                back = collective_transport(once, r, side="right")
+                again = collective_transport(back, r, side="left")
                 assert once == again
-
-
-def replace_labels(c, prefix):
-    return CollectiveConcept(
-        tuple(f"{prefix}{i}" for i in range(len(c.index_labels))), c.a, c.alpha
-    )

@@ -15,7 +15,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import example, given, settings, strategies as st
 
-from conceptual.bond import close_to_bond
+from conceptual.bond import close_to_bond, collective_from_function
 from conceptual.classification import (
     Classification,
     chain_classification,
@@ -23,12 +23,7 @@ from conceptual.classification import (
 )
 from conceptual.errors import ShapeError
 from conceptual.functors import CompleteLattice, complete_lattice_of
-from conceptual.lattice import (
-    ConceptLattice,
-    build_lattice,
-    collective_from_function,
-    concept_lattice_of,
-)
+from conceptual.lattice import ConceptLattice, build_lattice, concept_lattice_of
 from conceptual.relalg import FunctionGraph, Relation, right_residual
 
 from conftest import PRUNED_BOTTOM
@@ -137,8 +132,9 @@ def dividends(draw) -> tuple[Relation, tuple[int, ...]]:
     order classifications of chains of 1..8 elements, of boolean lattices
     of 1..8 elements and of concept lattices of contexts up to 3x3; and two
     relations that are no incidence, the least bond above a random relation
-    between contexts up to 4x4, and the instance relation ``a`` of the
-    collective concept of a random function into a concept lattice."""
+    between contexts up to 4x4, and the instance relation ``a``, the bond's
+    view ``r``, of the collective concept of a random function into a
+    concept lattice."""
     kinds = ("context", "chain", "boolean", "concepts", "bond", "collective")
     kind = draw(st.sampled_from(kinds))
     if kind == "context":
@@ -152,7 +148,7 @@ def dividends(draw) -> tuple[Relation, tuple[int, ...]]:
         K = draw(contexts(max_size=4))
         L = concept_lattice_of(K)
         targets = draw(st.lists(st.integers(0, L.size - 1), max_size=4))
-        return collective_from_function(K, L, FunctionGraph(tuple(targets), L.size)).a, ()
+        return collective_from_function(L, FunctionGraph(tuple(targets), L.size)).r, ()
     if kind == "chain":
         K = chain_classification(draw(st.integers(1, 8)))
         L = CompleteLattice(K.instances, K.incidence)
