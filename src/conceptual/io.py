@@ -131,18 +131,22 @@ def emit_cxt(K: Classification, name: str = "") -> str:
 
 
 def parse_csv(text: str) -> Classification:
+    """A header row of types after one empty cell, then one row per
+    instance: its label and a ``0`` or ``1`` per type.  Empty lines are
+    skipped, and an error names the line its row ends on, ``reader.line_num``
+    as the row is read."""
     reader = csv.reader(_io.StringIO(text))
     try:
-        table = [row for row in reader if row]
+        table = [(reader.line_num, row) for row in reader if row]
     except csv.Error as e:
         # a field over ``csv.field_size_limit()``, process-wide state left as it is
         raise ParseError(str(e), line=reader.line_num) from None
     if not table:
         raise ParseError("empty CSV input", line=1)
-    types = tuple(table[0][1:])
+    types = tuple(table[0][1][1:])
     instances = []
     rows = []
-    for li, cells in enumerate(table[1:], start=2):
+    for li, cells in table[1:]:
         if len(cells) != len(types) + 1:
             raise ParseError(
                 f"row has {len(cells) - 1} cells, expected {len(types)}", line=li
@@ -167,8 +171,8 @@ def emit_csv(K: Classification) -> str:
     buf = _io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow([""] + list(K.types))
-    for label, row in zip(K.instances, K.rows):
-        writer.writerow([label] + [row >> b & 1 for b in range(len(K.types))])
+    for label, cells in zip(K.instances, K.incidence.matrix()):
+        writer.writerow([label, *cells])
     return buf.getvalue()
 
 
@@ -300,7 +304,61 @@ def morphism_from_obj(obj: dict, validate: bool = True):
 
 
 def dumps(obj) -> str:
-    return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+    """``json.dumps(obj, indent=2, ensure_ascii=False) + "\\n"``, byte for
+    byte, for ``obj`` built of dicts with ``str`` keys, lists, tuples,
+    ``str``, ``int``, ``bool`` and ``None``.  Any other value, such as a
+    float or a set, and any key that is not a ``str`` raise ``TypeError``.
+
+    With ``indent`` set, ``json.dumps`` runs the standard library's
+    pure-Python encoder over every value.  This writer encodes each string
+    once, with the encoder's own ``encode_basestring``, and writes a list
+    whose items are all ``str``, or all exact ``int``, with one
+    ``str.join``: a matrix row of 0s and 1s takes its cells from a
+    two-entry table.  Dicts and mixed lists recurse.
+    """
+    return _encode(obj, "\n") + "\n"
+
+
+# the text of a matrix cell
+_BIT_TEXT = {0: "0", 1: "1"}
+_BITS = frozenset(_BIT_TEXT)
+
+
+def _encode(value, newline: str) -> str:
+    """The ``indent=2`` text of ``value``, whose enclosing lines start with
+    ``newline``: a line break and the indent of the value's own line."""
+    if isinstance(value, str):
+        return encode_basestring(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        kinds = set(map(type, value))
+        if kinds == {str}:
+            items = map(encode_basestring, value)
+        elif kinds == {int}:
+            items = map(_BIT_TEXT.__getitem__ if _BITS.issuperset(value) else int.__repr__, value)
+        else:
+            items = [_encode(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = []
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            items.append(encode_basestring(key) + ": " + _encode(item, inner))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def lattice_json(L: ConceptLattice) -> str:

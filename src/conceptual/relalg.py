@@ -49,6 +49,10 @@ def mask_of(indices: Iterable[int]) -> int:
     return m
 
 
+# the bytes of ``row_digits``' characters ``0`` and ``1`` to the values 0 and 1
+_DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def row_digits(row: int, n: int) -> str:
     """The ``n`` cells of a row as ``0``/``1`` digits, cell 0 first; a row
     of no cells is the empty string."""
@@ -182,7 +186,10 @@ class Relation:
                 yield a, b
 
     def matrix(self) -> list[list[int]]:
-        return [[row >> b & 1 for b in range(self.dst_size)] for row in self.rows]
+        """The rows as lists of 0s and 1s: each row's digits, ``row_digits``,
+        translated to byte values 0 and 1 in one pass."""
+        n = self.dst_size
+        return [list(row_digits(row, n).encode().translate(_DIGIT_BITS)) for row in self.rows]
 
     def count(self) -> int:
         return sum(row.bit_count() for row in self.rows)

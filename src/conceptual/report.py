@@ -72,7 +72,8 @@ class VerificationReport:
 
     def to_json(self) -> str:
         """The report's object, its records under ``"checks"`` and their
-        counts under ``"summary"``, as ``io.dumps`` writes it, byte for byte.
+        counts under ``"summary"``, as ``json.dumps(..., indent=2,
+        ensure_ascii=False)`` writes it, byte for byte.
 
         With ``indent`` set, ``json.dumps`` runs the standard library's
         pure-Python encoder over every field of every record.  This emitter

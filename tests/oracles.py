@@ -46,6 +46,12 @@ def compose_oracle(r: Relation, s: Relation) -> Relation:
     return Relation.from_pairs(r.src_size, s.dst_size, pairs)
 
 
+def matrix_oracle(r: Relation) -> list[list[int]]:
+    """The per-cell form ``Relation.matrix`` replaced: one ``int`` 0 or 1
+    per cell, read by the single-bit accessor."""
+    return [[int(r.bit(a, b)) for b in range(r.dst_size)] for a in range(r.src_size)]
+
+
 def transpose_oracle(r: Relation) -> Relation:
     """The bit loop ``relalg.transpose`` ran on every input before its
     delta-swap tiles: each set bit ``(a, b)``, lowest first, becomes bit
@@ -744,7 +750,8 @@ def collective_image_oracle(p, a: Relation, alpha: Relation) -> tuple[Relation, 
 
 def report_obj_oracle(report) -> dict:
     """The object ``VerificationReport.to_json`` writes, built record by
-    record, so that ``io.dumps`` of it is the reference for that emitter."""
+    record, so that ``json.dumps(..., indent=2, ensure_ascii=False)`` of it
+    is the reference for that emitter."""
     return {
         "checks": [
             {"check": r.check, "item": r.item, "verdict": r.verdict, "witness": r.witness}

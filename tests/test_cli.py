@@ -118,6 +118,21 @@ class TestLatticeCommand:
         assert captured.err == f"error: line 2: field larger than field limit ({limit})\n"
         assert csv.field_size_limit() == limit
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (",a\n\n\n1,x\n", "line 4: cell must be 0 or 1, got 'x'"),
+            (",a\n\n1,0\n\n2,0,1\n", "line 5: row has 2 cells, expected 1"),
+        ],
+    )
+    def test_csv_error_after_blank_lines_names_its_line(self, capsys, tmp_path, text, message):
+        path = tmp_path / "k.csv"
+        path.write_text(text)
+        code = main(["lattice", str(path)])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
 
 DOT_NODE = re.compile(r'^  c(\d+) \[label="((?:[^"\\]|\\.)*)"\];$', re.M)
 

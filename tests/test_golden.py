@@ -318,6 +318,10 @@ GOLDEN = {
         0,
         "eff5baff4d658f920526802e4cef841661a4e7961a84e253a7d37abdde6074c4",
     ),
+    ("powerset", "x", "y", "z"): (
+        0,
+        "13c91507a074376bddc14086baa6363add98de65db60f0e19ec27f7d107b8224",
+    ),
     ("powerset", "x", "y", "z", "--cxt"): (
         0,
         "6f35307e7775b8c2be85745068c2f5233de061bf7c746b9acd0ce25a18956bd0",

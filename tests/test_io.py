@@ -6,10 +6,12 @@ import pytest
 from conceptual.bond import identity_bond, identity_bonding_pair
 from conceptual.classification import Classification, contranominal_classification
 from conceptual.errors import ParseError, ValidationError
+from conceptual.functors import complete_lattice_of, identity_hom, pair_of_hom
 from conceptual.infomorphism import fn2rel, identity_functional, instance_infomorphism
 from conceptual.io import (
     classification_from_obj,
     classification_to_obj,
+    dumps,
     emit_csv,
     emit_cxt,
     emit_dot,
@@ -20,7 +22,7 @@ from conceptual.io import (
     parse_csv,
     parse_cxt,
 )
-from conceptual.lattice import build_lattice
+from conceptual.lattice import build_lattice, concept_lattice_of
 from conceptual.relalg import Relation
 
 from conftest import NEGATIVE_COUNT_CXT, random_context
@@ -193,6 +195,20 @@ class TestCsv:
         with pytest.raises(ParseError, match="0 or 1"):
             parse_csv(",t\ni,2\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (",a\n\n\n1,x\n", "line 4: cell must be 0 or 1, got 'x'"),
+            (",a\n\n1,0\n\n2,0,1\n", "line 5: row has 2 cells, expected 1"),
+            ('\n,a\n"1\n",0\n\n2,2\n', "line 6: cell must be 0 or 1, got '2'"),
+        ],
+    )
+    def test_error_names_the_line_after_blank_lines(self, text, message):
+        """A row's line is the reader's line count as it is read, not its
+        place among the non-empty rows; a quoted line break counts too."""
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            parse_csv(text)
+
     def test_matches_cxt_parse(self, k1):
         csv_text = ",a,b\n1,1,0\n2,1,1\n"
         assert parse_csv(csv_text) == parse_cxt(K1_CXT)
@@ -254,6 +270,47 @@ AWKWARD_LABELS = (
     "\U0001F600 non-BMP",
     "\u2028\u2029",
 )
+
+
+def stdlib_dumps(value) -> str:
+    return json.dumps(value, indent=2, ensure_ascii=False) + "\n"
+
+
+class TestDumps:
+    """``io.dumps`` against the standard library's ``indent=2`` text; the
+    hypothesis property is in ``test_io_properties.py``."""
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {"a": [0, 1, 1], "b": [], "c": {}, "d": None},
+            [[0, 1], [1, 0], []],
+            [True, 0, False, 1, None],
+            [2**70, -3, 0, 1],
+            list(AWKWARD_LABELS),
+            (("x",), ["y", 1], {"z": [True]}),
+            {label: label for label in AWKWARD_LABELS},
+            "\ud800 lone",
+            7,
+            False,
+            None,
+        ],
+    )
+    def test_matches_the_standard_library(self, value):
+        assert dumps(value) == stdlib_dumps(value)
+
+    @pytest.mark.parametrize(
+        "value", [1.0, [0, 1, 0.5], {"a": {1, 2}}, {1: "a"}, {("a",): 1}, [b"01"]]
+    )
+    def test_other_values_are_a_type_error(self, value):
+        with pytest.raises(TypeError):
+            dumps(value)
+
+    def test_bonding_pair_of_128_element_lattices(self):
+        L = complete_lattice_of(concept_lattice_of(contranominal_classification(7)))
+        assert L.size == 128
+        obj = morphism_to_obj(pair_of_hom(identity_hom(L)))
+        assert dumps(obj) == stdlib_dumps(obj)
 
 
 class TestLatticeJson:

@@ -29,6 +29,7 @@ from oracles import (
     compose_oracle,
     enumerate_relations,
     left_residual_oracle,
+    matrix_oracle,
     preimages_oracle,
     random_relation,
     right_residual_oracle,
@@ -461,6 +462,19 @@ def test_from_matrix_verdicts_and_messages(text, dst_size, expected):
         r = Relation.from_matrix(matrix, dst_size)
         width = dst_size if dst_size is not None else len(matrix[0])
         assert (r.src_size, r.dst_size, r.rows) == (len(matrix), width, expected)
+
+
+def test_matrix_is_the_per_cell_form(rng):
+    """Empty shapes, and random ones up to 130 columns, past two 64-bit
+    words; every cell an exact ``int``, which JSON writes as a digit."""
+    shapes = [(0, 0), (0, 5), (5, 0), (1, 1)]
+    shapes += [(rng.randint(1, 12), rng.randint(1, 130)) for _ in range(40)]
+    for m, n in shapes:
+        r = random_relation(rng, m, n)
+        matrix = r.matrix()
+        assert matrix == matrix_oracle(r)
+        assert {type(cell) for row in matrix for cell in row} <= {int}
+        assert Relation.from_matrix(matrix, n) == r
 
 
 def test_from_matrix_quotes_a_long_bad_cell_cut_short():

@@ -3,7 +3,6 @@ import json
 import pytest
 
 from conceptual.errors import ShapeError, ValidationError
-from conceptual.io import dumps
 from conceptual.report import FAIL, NO_COVERAGE, CheckRecord, VerificationReport
 from conceptual.verify import CHECK_FAMILIES, MAX_CORPUS_SIZE, verify_equivalences
 
@@ -153,5 +152,6 @@ class TestReportType:
             verify_equivalences(max_size=2, seed=3, inject_bug=True),
         ]
         for report in reports:
-            assert report.to_json() == dumps(report_obj_oracle(report))
+            expected = json.dumps(report_obj_oracle(report), indent=2, ensure_ascii=False)
+            assert report.to_json() == expected + "\n"
 
