@@ -7,12 +7,14 @@ precision ints act as dense bitset blocks, so composition and both residuals
 sweep whole machine words along the destination axis instead of visiting
 cells one at a time.
 
-Every kernel with more than one branch, and ``lattice.ConceptLattice.order``
-for its side, runs the branch for which ``branch`` counts the fewest big-int
+Every kernel with more than one branch, ``lattice.ConceptLattice.order``
+for its side and ``lattice.build_lattice`` for how its walk reads a node's
+types runs the branch for which ``branch`` counts the fewest big-int
 steps, one step being one pass of a bit loop, from the call's shape and the
 popcount of the rows it reads.  Every branch but the bit loops has a fixed
 cost, so a small call is decided from its shape alone.  The weights were
-fitted once to the probe shapes of ``tools/kernel_probe.py``.
+fitted to the probe shapes of ``tools/kernel_probe.py`` and to replays of
+the calls of one cycle of each benchmark workload.
 
 ``transpose`` is one of two places that fill a relation's ``columns``
 view on the way; the other is ``from_digits``, the reader of a block of
@@ -28,7 +30,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
+from operator import getitem
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ShapeError, ValidationError, quote
@@ -271,6 +274,7 @@ _CELL_STEP = 0.5  # a subset test of the right residual
 _TABLE_FIXED = 150  # the complement tables: per call
 _TABLE_STEP = 0.35  # and per entry or lookup
 _BUILD_FIXED = 60  # the AND-product or the gather, before its transpose
+_WALK_CLOSURES = 2  # the visits of an FCbO node that close, at one cost by either reading
 
 
 def _tile_side(m: int, n: int) -> int:
@@ -304,10 +308,27 @@ def branch(kernel: str, rows: Sequence[int], n: int, k: int = 0) -> str:
     reading for a ``"right_residual"`` of ``k`` rows of ``t`` by ``s``;
     ``"gather"`` or a reading for their ``"pullback"`` along ``k`` sources;
     ``"instances"`` or ``"types"`` for the ``"order"`` of a lattice with
-    these extents, ``n`` instances and ``k`` types.  The popcount of
-    ``rows`` is taken only where the shape leaves the choice open."""
+    these extents, ``n`` instances and ``k`` types; a reading of the visit
+    masks for the FCbO ``"walk"`` over a context with these rows of ``n``
+    types and ``k`` crosses.  The popcount of ``rows`` is taken only where
+    the shape leaves the choice open.
+
+    The walk's reading is counted per node, one node taken per instance: a
+    node reads one visit mask, and the bytes save on its skip tests, the
+    types it visits less the ``_WALK_CLOSURES`` that close either way.  A
+    node tests about half its free types where a row is full, for every
+    extent holds that row and the gate keeps them all; otherwise the free
+    types its rows meet, ``w * (1 - w / n)`` for the mean row weight
+    ``w = k / len(rows)``."""
     m = len(rows)
     most = m * n
+    if kernel == "walk":
+        # the skips counted below are under half the cells: too few to pay
+        # for ``_BYTE_FIXED``
+        if most <= 2 * _BYTE_FIXED:
+            return "bits"
+        tests = n / 2 if (1 << n) - 1 in rows else k * (most - k) / (m * most)
+        return _reads(m, n, m * (tests - _WALK_CLOSURES))[1]
     if kernel == "transpose":
         if most <= _TILE_FIXED:
             return "bits"
@@ -369,24 +390,32 @@ def _swap_masks(side: int) -> tuple[tuple[int, int], ...]:
 
 def _transpose_tiles(rows: Sequence[int], m: int, n: int, side: int) -> list[int]:
     """The ``n`` rows of the transpose of ``m`` rows of ``n`` bits, one
-    ``side`` x ``side`` tile at a time."""
+    ``side`` x ``side`` tile at a time.
+
+    Each strip of ``side`` rows is swapped tile by tile into one string
+    that holds its piece of every column, and each column joins its pieces
+    of the strips, so a relation one tile covers is packed, swapped and
+    sliced once."""
     width = side // 8
     nbytes = -(-n // side) * width
-    padded = [row.to_bytes(nbytes, "little") for row in rows]
-    padded += [bytes(nbytes)] * (-m % side)
+    packed = list(map(int.to_bytes, rows, repeat(nbytes), repeat("little")))
     swaps = _swap_masks(side)
-    pieces: list[list[bytes]] = [[] for _ in range(n)]
-    for c0 in range(0, nbytes, width):
-        cols = pieces[c0 * 8:c0 * 8 + side]
-        for a0 in range(0, len(padded), side):
-            x = int.from_bytes(b"".join([r[c0:c0 + width] for r in padded[a0:a0 + side]]), "little")
+    cells = range(0, n * width, width)
+    pieces: list[list[bytes]] = []
+    # a relation with no rows still has one strip, of empty columns
+    for a0 in range(0, max(m, 1), side):
+        strip = packed[a0:a0 + side]
+        tiles = []
+        for c0 in range(0, nbytes, width):
+            piece = slice(c0, c0 + width)
+            x = int.from_bytes(b"".join(map(getitem, strip, repeat(piece))), "little")
             for delta, mask in swaps:
                 d = (x ^ x >> delta) & mask
                 x ^= d ^ d << delta
-            tile = x.to_bytes(side * width, "little")
-            for k, col in enumerate(cols):
-                col.append(tile[k * width:(k + 1) * width])
-    return [int.from_bytes(b"".join(p), "little") for p in pieces]
+            tiles.append(x.to_bytes(side * width, "little"))
+        swapped = b"".join(tiles)
+        pieces.append([swapped[c:c + width] for c in cells])
+    return list(map(int.from_bytes, map(b"".join, zip(*pieces)), repeat("little")))
 
 
 def transpose(r: Relation) -> Relation:

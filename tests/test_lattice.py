@@ -163,6 +163,61 @@ class TestBuildLattice:
         for K in contexts:
             assert build_lattice(K) == fcbo_oracle(K)
 
+    def test_walk_takes_the_reading_the_rule_picks(self, monkeypatch):
+        """``relalg.branch`` picks once per build how the walk reads its
+        visit masks: by bytes on the order classifications of 2^6 and 2^7,
+        whose full bottom row lets every node test its free types, most of
+        them skipped; by bits on the lattice benchmark's wide 100 x 22 at .3
+        and tall 1500 x 40 with two crosses per row, and on every context up
+        to 3x3.  Either way the concepts come in the lectic order of both
+        oracles."""
+        boolean = [
+            complete_lattice_of(build_lattice(contranominal_classification(n))).classification
+            for n in (6, 7)
+        ]
+        picks = []
+        rule = relalg.branch
+
+        def spy(kernel, rows, n, k=0):
+            kind = rule(kernel, rows, n, k)
+            if kernel == "walk":
+                picks.append(kind)
+            return kind
+
+        monkeypatch.setattr(relalg, "branch", spy)
+        cases = [(K, "bytes") for K in boolean] + [
+            (sparse_context(random.Random(3), 100, 22, 7), "bits"),
+            (sparse_context(random.Random(3), 1500, 40, 2), "bits"),
+        ]
+        cases += [(K, "bits") for K in all_contexts(3, 3)]
+        for K, reading in cases:
+            picks.clear()
+            L = build_lattice(K)
+            assert picks == [reading]
+            assert [(c.extent, c.intent) for c in L.concepts] == next_closure_oracle(K)
+            assert L == fcbo_oracle(K)
+
+    @pytest.mark.parametrize("reading", ["bits", "bytes"])
+    def test_either_reading_is_the_fcbo_walk(self, reading, rng, monkeypatch):
+        """Forced either way, the walk finds the concepts of ``fcbo_oracle``
+        in its order: on every context up to 3x3 (0 x n and n x 0 among
+        them), random and tall sparse contexts, and lattices classified by
+        their own order up to 128 types, which read 16 bytes a node."""
+        rule = relalg.branch
+        monkeypatch.setattr(
+            relalg,
+            "branch",
+            lambda kernel, rows, n, k=0: reading if kernel == "walk" else rule(kernel, rows, n, k),
+        )
+        contexts = itertools.chain(
+            all_contexts(3, 3),
+            (random_context(rng, m, n) for m, n in RANDOM_SHAPES),
+            (sparse_context(rng, m, n, k) for m, n, k in TALL_SPARSE),
+            order_classifications(),
+        )
+        for K in contexts:
+            assert build_lattice(K) == fcbo_oracle(K)
+
     def test_lectic_output_is_deterministic(self, rng):
         K = random_context(rng, 5, 5)
         assert build_lattice(K) == build_lattice(K)

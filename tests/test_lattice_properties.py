@@ -99,14 +99,15 @@ def tall_sparse_contexts(draw) -> Classification:
 
 @st.composite
 def order_classifications(draw) -> Classification:
-    """A small lattice classified by its own order: a chain of 1..8
-    elements, the boolean lattice of 1..16 elements, or the concept lattice
-    of a context up to 3x3."""
+    """A lattice classified by its own order: a chain of 1..64 elements,
+    the boolean lattice of 1..128 elements, or the concept lattice of a
+    context up to 3x3.  The walk reads chains of 21 elements and more, and
+    boolean lattices from 2^5 up, by bytes."""
     kind = draw(st.sampled_from(("chain", "boolean", "concepts")))
     if kind == "chain":
-        return chain_classification(draw(st.integers(1, 8)))
+        return chain_classification(draw(st.integers(1, 64)))
     if kind == "boolean":
-        K = contranominal_classification(draw(st.integers(0, 4)))
+        K = contranominal_classification(draw(st.integers(0, 7)))
     else:
         K = draw(contexts(max_size=3))
     return complete_lattice_of(concept_lattice_of(K)).classification

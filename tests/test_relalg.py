@@ -130,6 +130,17 @@ class TestIdentityTransposeComplement:
         assert transpose(r) == transpose_oracle(r)
         assert relalg._SWAP_MASKS and max(relalg._SWAP_MASKS) <= 128
 
+    @pytest.mark.parametrize(
+        "m, n", [(33, 40), (40, 33), (129, 200), (200, 129), (1, 300), (300, 1), (0, 300), (300, 0)]
+    )
+    def test_transpose_tiles_overhang_the_last_rows_and_columns(self, m, n, rng):
+        """With every tile side, a last strip of rows or a last tile of
+        columns that is one past a whole tile, or cut short, and a relation
+        with no rows or no columns, transposes as the cell loop does."""
+        r = Relation(m, n, tuple(rng.getrandbits(n) for _ in range(m)))
+        for side in (8, 16, 32, 64, 128):
+            assert tuple(relalg._transpose_tiles(r.rows, m, n, side)) == transpose_oracle(r).rows
+
     @pytest.mark.parametrize("tiles", [True, False])
     def test_transpose_keeps_its_input_rows_as_its_columns(self, tiles, monkeypatch):
         """On the tile branch (40 x 40, half the cells) and on the bit loop

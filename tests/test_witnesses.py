@@ -96,6 +96,14 @@ def test_complete_lattice_morphism_with_f_not_phi_is_refused():
         ConceptLatticeMorphism(CHAIN3, CHAIN3, ident, ident, fg((0, 0, 2), 3), ident)
 
 
+def test_complete_lattice_morphism_with_g_not_psi_is_refused():
+    # the type square of two complete lattices holds only with g = psi
+    ident = fg((0, 1, 2), 3)
+    message = "^not a concept lattice morphism: psi does not preserve type concepts$"
+    with pytest.raises(ValidationError, match=message):
+        ConceptLatticeMorphism(CHAIN3, CHAIN3, ident, ident, ident, fg((0, 2, 2), 3))
+
+
 def test_check_lattice_morphism():
     LA = concept_lattice_of(contranominal_classification(2))
     LB = concept_lattice_of(chain_classification(3))

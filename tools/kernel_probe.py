@@ -33,17 +33,23 @@ building its membership relation as a fresh lattice does (``iota_rel`` is a
 transpose of the extents), and names the side ``ConceptLattice.order``
 takes.  The contexts are the lattice benchmark's shapes, wide 100x22 at .3
 and tall 1500x40 at .05, three more with a fixed number of crosses per row,
-and the order classification of the boolean lattice 2^7.  These three tables
-are the data the weights of ``relalg.branch`` were fitted to.
+and the order classifications of the boolean lattices 2^5 to 2^7.
 
-A fourth table counts the kernel calls of one cycle of each benchmark
+A fourth table times ``build_lattice`` on the same contexts with its FCbO
+walk reading the visit masks by bits and by bytes, each reading forced by
+rebinding ``relalg.branch`` as the branch counts below do, and names the
+reading the rule picks.  These four tables are the data the weights of
+``relalg.branch`` were fitted to.
+
+A fifth table counts the kernel calls of one cycle of each benchmark
 workload, nested calls included, by the branch ``relalg.branch`` picks:
 ``transpose``, both residuals, ``pullback`` (the gather, or the fiber loop
-by how it reads its masks), ``compose``, and the side of each concept
-order.  A fifth counts the kernel calls of each op of the bonding workload
-by the stage of the op that makes them: parsing the pair,
-``is_bonding_pair``, ``hom_of_pair``, and the pair and hom round trips.  Both
-library caches are cleared before each op, as the benchmark worker does.
+by how it reads its masks), ``compose``, the side of each concept order and
+the reading of each walk.  A sixth counts the kernel calls of each op of
+the bonding workload by the stage of the op that makes them: parsing the
+pair, ``is_bonding_pair``, ``hom_of_pair``, and the pair and hom round
+trips.  Both library caches are cleared before each op, as the benchmark
+worker does.
 
 ``--check`` compares every kernel and pullback result above with its
 reference loop and every order side with ``extent_inclusion_oracle``, and
@@ -51,7 +57,8 @@ besides: the two ``colimit`` enumerators with their brute-force loops on
 2x3+2x3 into 2x3 and with each other on 3x3+3x3 into 3x3;
 ``functors.embedding_bonds`` with ``embedding_bonds_oracle`` over the verify
 corpus of one seed and on the order of 2^7; ``build_lattice`` with
-``fcbo_oracle`` and its derived embeddings with ``embeddings_oracle``; the
+``fcbo_oracle``, under the reading the rule picks and under each forced
+reading, and its derived embeddings with ``embeddings_oracle``; the
 columns ``parse_cxt`` and ``from_matrix`` store with ``transpose``; and the
 order bond and pairing checks of ``functors`` with ``bond.is_bond`` and
 ``bond.is_bonding_pair`` on the bonding benchmark's boolean homs, on seeded
@@ -62,6 +69,7 @@ from __future__ import annotations
 
 import argparse
 import collections
+import contextlib
 import importlib
 import json
 import random
@@ -159,6 +167,10 @@ STAGE_KERNELS = ("compose", "transpose", "left_residual", "right_residual", "pul
 # wide 100x22 at .3 and tall 1500x40 at .05 first
 CONTEXT_SHAPES = [(100, 22, 7), (1500, 40, 2), (100, 90, 9), (60, 50, 6), (200, 150, 8)]
 CONTEXT_SEED = 3
+# the boolean lattices 2^a whose order classifications follow those contexts
+ORDER_POWERS = (5, 6, 7)
+# the two readings of the FCbO walk's visit masks
+READINGS = ("bits", "bytes")
 
 
 def random_relation(rng: random.Random, m: int, n: int, p: float) -> Relation:
@@ -345,8 +357,9 @@ def context_inputs() -> list[tuple[str, Classification]]:
             tuple(f"i{a}" for a in range(m)), tuple(f"t{t}" for t in range(n)), Relation(m, n, rows)
         )
         inputs.append((f"{m}x{n} by {k}", K))
-    boolean = functors.concept_lattice_of(contranominal_classification(7))
-    inputs.append(("order of 2^7", functors.complete_lattice_of(boolean).classification))
+    for a in ORDER_POWERS:
+        boolean = functors.concept_lattice_of(contranominal_classification(a))
+        inputs.append((f"order of 2^{a}", functors.complete_lattice_of(boolean).classification))
     return inputs
 
 
@@ -372,6 +385,51 @@ def check_builds() -> tuple[int, int]:
             if not ok:
                 differ += 1
                 print(f"differs: {what} on {name}")
+    return compared, differ
+
+
+@contextlib.contextmanager
+def walk_reading(reading: str):
+    """``build_lattice`` reads its visit masks by ``reading`` while the
+    block runs: ``relalg.branch`` is rebound, as ``probe_branches`` counts
+    it, with every other kernel's pick left as it is."""
+    rule = relalg.branch
+    relalg.branch = lambda kernel, rows, n, k=0: (
+        reading if kernel == "walk" else rule(kernel, rows, n, k)
+    )
+    try:
+        yield
+    finally:
+        relalg.branch = rule
+
+
+def probe_walks(check: bool) -> tuple[int, int]:
+    """Print the build time of each context under each reading of the walk,
+    or compare both builds with ``fcbo_oracle``; the number of comparisons
+    made and of those that differ."""
+    if not check:
+        print(f"\n{'context':>17} {'concepts':>8} {'walk':>9} {'bits ms':>9}"
+              f" {'bytes ms':>12} {'speed-up':>8}")
+    compared = differ = 0
+    for name, K in context_inputs():
+        if check:
+            expected = fcbo_oracle(K)
+            for reading in READINGS:
+                with walk_reading(reading):
+                    got = build_lattice(K)
+                compared += 1
+                if got != expected:
+                    differ += 1
+                    print(f"differs: the walk by {reading} on {name}")
+            continue
+        times = []
+        for reading in READINGS:
+            with walk_reading(reading):
+                times.append(best_time(lambda: build_lattice(K)))
+        by_bits, by_bytes = times
+        pick = relalg.branch("walk", K.rows, len(K.types), K.incidence.count())
+        print(f"{name:>17} {build_lattice(K).size:>8} {pick:>9} {by_bits * 1e3:>9.3f}"
+              f" {by_bytes * 1e3:>12.3f} {by_bits / by_bytes:>7.2f}x")
     return compared, differ
 
 
@@ -617,7 +675,7 @@ def main(argv: list[str] | None = None) -> int:
                     f"{m:>4}x{n:<4} {density:>7} {name:>14} {rule(r):>7} {k * 1e3:>10.3f}"
                     f" {ref * 1e3:>10.3f} {ref / k:>7.2f}x"
                 )
-    results = [probe(args.check) for probe in (probe_pullbacks, probe_orders)]
+    results = [probe(args.check) for probe in (probe_pullbacks, probe_orders, probe_walks)]
     if args.check:
         checks = (check_enumerators, check_embeddings, check_builds, check_orders)
         results += [check() for check in checks]
