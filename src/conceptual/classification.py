@@ -97,29 +97,19 @@ class Classification:
 
 
 def intent_of(K: Classification, instance_set: int) -> int:
-    """Types common to every instance in the set; all types when empty."""
+    """Types common to every instance in the set; all types when empty:
+    ``relalg.intersect_rows`` of the instances' rows."""
     if instance_set < 0 or instance_set & ~K.full_instances:
         raise ValidationError("instance set out of range")
-    out = K.full_types
-    rows = K.rows
-    for a in bits(instance_set):
-        out &= rows[a]
-        if not out:
-            break
-    return out
+    return relalg.intersect_rows(K.rows, instance_set, K.full_types)
 
 
 def extent_of(K: Classification, type_set: int) -> int:
-    """Instances carrying every type in the set; all instances when empty."""
+    """Instances carrying every type in the set; all instances when empty:
+    ``relalg.intersect_rows`` of the types' columns."""
     if type_set < 0 or type_set & ~K.full_types:
         raise ValidationError("type set out of range")
-    out = K.full_instances
-    cols = K.cols
-    for t in bits(type_set):
-        out &= cols[t]
-        if not out:
-            break
-    return out
+    return relalg.intersect_rows(K.cols, type_set, K.full_instances)
 
 
 def dual(K: Classification) -> Classification:

@@ -371,9 +371,7 @@ def check_coproduct_property(
     return cocones
 
 
-def transport_coproduct(
-    d: CoproductDiagram, targets: list[Classification] | None = None
-) -> VerificationReport:
+def transport_coproduct(d: CoproductDiagram, targets: list[Classification]) -> VerificationReport:
     """Check a coproduct before and after the lattice functor.
 
     The transported mediator is rebuilt by the equivalence recipe: take the
@@ -383,8 +381,6 @@ def transport_coproduct(
     enumerated; each leg's lattice image is computed once per target.
     """
     report = VerificationReport()
-    if targets is None:
-        targets = [d.left, d.right]
     cocones = check_coproduct_property(d, targets, report)
 
     L_apex = functors.concept_lattice_of(d.apex)

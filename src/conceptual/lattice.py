@@ -258,9 +258,10 @@ def build_lattice(K: Classification, max_concepts: int = DEFAULT_CONCEPT_CAP) ->
     closure at ``j`` contains the failed one, so while a witness type is
     still free in a descendant, the descendant's closure at ``j`` adds it
     too and fails: the whole skip test is ``failed[j] & free``, and the
-    closure is not computed.  A child's closure stops once it has narrowed
-    to ``B | {j}``: every instance of its extent has those types, so its
-    intent contains that set, and no further row can remove a type from it.
+    closure is not computed.  A child's closure is ``relalg.intersect_rows``
+    of its extent's rows with the floor ``B | {j}``: every instance of its
+    extent has those types, so its intent contains that set, and the AND
+    stops once it has narrowed to it, for no further row can remove a type.
 
     A child at a type that no row of ``ext`` has gets the empty extent, whose
     closure is every type.  It adds every type below ``j`` that ``B`` lacks,
@@ -293,14 +294,7 @@ def build_lattice(K: Classification, max_concepts: int = DEFAULT_CONCEPT_CAP) ->
     full_i = (1 << m) - 1
     full_t = (1 << n) - 1
 
-    # the closure stops at ``floor``, a set the intent is known to contain
-    def intent(imask: int, floor: int = 0) -> int:
-        t = full_t
-        while imask and t != floor:
-            low = imask & -imask
-            t &= rows[low.bit_length() - 1]
-            imask ^= low
-        return t
+    intersect = relalg.intersect_rows
 
     # the gate ``|ext| * (1 + mean row weight) < n - start``, times ``m``,
     # is ``|ext| * weight < (n - start) * m``
@@ -313,7 +307,7 @@ def build_lattice(K: Classification, max_concepts: int = DEFAULT_CONCEPT_CAP) ->
     pairs: list[FormalConcept] = []
     # each entry: extent, intent, the first type index its children may add,
     # and the witness types of the closures that failed, by type index
-    stack = [(full_i, intent(full_i), 0, [0] * n)]
+    stack = [(full_i, intersect(rows, full_i, full_t), 0, [0] * n)]
     while stack:
         ext, cur, start, inherited = stack.pop()
         pairs.append(FormalConcept(ext, cur))
@@ -349,7 +343,7 @@ def build_lattice(K: Classification, max_concepts: int = DEFAULT_CONCEPT_CAP) ->
                         continue
                     bit = 1 << j
                     child_ext = ext & cols[j]
-                    child = intent(child_ext, cur | bit)
+                    child = intersect(rows, child_ext, full_t, cur | bit)
                     witness = child & (bit - 1) & free
                     if witness:
                         failed[j] = witness
@@ -364,7 +358,7 @@ def build_lattice(K: Classification, max_concepts: int = DEFAULT_CONCEPT_CAP) ->
             if failed[j] & free:
                 continue
             child_ext = ext & cols[j]
-            child = intent(child_ext, cur | bit)
+            child = intersect(rows, child_ext, full_t, cur | bit)
             witness = child & (bit - 1) & free
             if witness:
                 failed[j] = witness
@@ -391,15 +385,16 @@ def bound_of(
     ``sets``.  With down-sets (or extents) this is the meet, with up-sets (or
     intents) the join: in a finite poset the meet of a set is the element
     whose down-set is the intersection of the set's down-sets (Davey &
-    Priestley, *Introduction to Lattices and Order*, ch. 2).
+    Priestley, *Introduction to Lattices and Order*, ch. 2).  The
+    intersection is ``relalg.intersect_rows``; a mask with a bit outside
+    ``sets``, or a negative one, raises ``ValidationError`` with the mask as
+    witness, as does one whose intersection is no principal set.
     """
-    acc = full
-    rest = mask
-    while rest:
-        low = rest & -rest
-        acc &= sets[low.bit_length() - 1]
-        rest ^= low
-    found = index.get(acc)
+    if mask < 0 or mask >> len(sets):
+        raise ValidationError(
+            f"element set {mask:#x} outside the {len(sets)} elements", witness=(mask,)
+        )
+    found = index.get(relalg.intersect_rows(sets, mask, full))
     if found is None:
         raise ValidationError(f"no {kind} for element set {mask:#x}", witness=(mask,))
     return found

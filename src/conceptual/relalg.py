@@ -16,6 +16,13 @@ cost, so a small call is decided from its shape alone.  The weights were
 fitted to the probe shapes of ``tools/kernel_probe.py`` and to replays of
 the calls of one cycle of each benchmark workload.
 
+Each gather is written once.  ``_unions``, the OR of a table's rows at the
+bits of each mask, by bits or by bytes, is ``compose`` and the inverse
+images of ``FunctionGraph.preimages`` and ``pullback``; ``intersect_rows``,
+the AND of rows at the bits of one mask, is the derivations of a
+classification, the meets and joins of a lattice and the closures of the
+FCbO walk.
+
 ``transpose`` is one of two places that fill a relation's ``columns``
 view on the way; the other is ``from_digits``, the reader of a block of
 0/1 digits (``io.parse_cxt`` and ``Relation.from_matrix``), which reads
@@ -46,8 +53,12 @@ def bits(mask: int) -> Iterator[int]:
 
 
 def mask_of(indices: Iterable[int]) -> int:
+    """The mask with the bits ``indices``; a negative index raises
+    ``ValidationError``."""
     m = 0
     for i in indices:
+        if i < 0:
+            raise ValidationError(f"negative index {i}", witness=(i,))
         m |= 1 << i
     return m
 
@@ -234,18 +245,53 @@ def _require(cond: bool, op: str, r: Relation, s: Relation):
 
 
 def compose(r: Relation, s: Relation) -> Relation:
-    """Boolean matrix product: ``(a, c)`` iff some ``b`` links both legs."""
+    """Boolean matrix product: ``(a, c)`` iff some ``b`` links both legs.
+
+    Row ``a`` is the OR of the rows of ``s`` at the bits of row ``a`` of
+    ``r``, read by bits or by bytes as ``branch`` picks."""
     _require(r.dst_size == s.src_size, "compose", r, s)
-    srows = s.rows
+    rows = _unions(r.rows, s.rows, branch("compose", r.rows, s.src_size))
+    return Relation(r.src_size, s.dst_size, rows)
+
+
+def _unions(masks: Sequence[int], table: Sequence[int], reading: str) -> tuple[int, ...]:
+    """The OR of the rows of ``table`` at the bits of each mask, each mask
+    read by ``"bits"`` or by ``"bytes"``; bits past the table are ignored."""
+    n = len(table)
+    full = (1 << n) - 1
     out = []
-    for row in r.rows:
+    if reading == "bytes":
+        width = (n + 7) // 8
+        for mask in masks:
+            acc = 0
+            for base, byte in enumerate((mask & full).to_bytes(width, "little")):
+                if byte:
+                    base *= 8
+                    for i in _BYTE_BITS[byte]:
+                        acc |= table[base + i]
+            out.append(acc)
+        return tuple(out)
+    for mask in masks:
+        mask &= full
         acc = 0
-        while row:
-            low = row & -row
-            acc |= srows[low.bit_length() - 1]
-            row ^= low
+        while mask:
+            low = mask & -mask
+            acc |= table[low.bit_length() - 1]
+            mask ^= low
         out.append(acc)
-    return Relation(r.src_size, s.dst_size, tuple(out))
+    return tuple(out)
+
+
+def intersect_rows(rows: Sequence[int], mask: int, full: int, floor: int = 0) -> int:
+    """The AND of ``full`` and the rows at the bits of ``mask``, lowest
+    first, stopped once it equals ``floor``: a set the AND is known to
+    contain, so no further row can take a bit from it; ``0`` stops at the
+    empty set."""
+    while mask and full != floor:
+        low = mask & -mask
+        full &= rows[low.bit_length() - 1]
+        mask ^= low
+    return full
 
 
 def identity(n: int) -> Relation:
@@ -294,9 +340,14 @@ def _table_steps(m: int, n: int) -> float:
     return _TABLE_FIXED + _TABLE_STEP * (entries + (n + 7) // 8 * m)
 
 
+def _bytewise(m: int, n: int, p: int) -> float:
+    """The steps of reading ``p`` bits set in ``m`` rows of ``n`` by bytes."""
+    return _BYTE_FIXED + m * (_ROW_STEP + (n + 7) // 8 * _BYTE_STEP) + _BYTE_BIT_STEP * p
+
+
 def _reads(m: int, n: int, p: int) -> tuple[float, str]:
     """The steps and the way, bits or bytes, of reading ``p`` bits set in ``m`` rows of ``n``."""
-    bytewise = _BYTE_FIXED + m * (_ROW_STEP + (n + 7) // 8 * _BYTE_STEP) + _BYTE_BIT_STEP * p
+    bytewise = _bytewise(m, n, p)
     return (bytewise, "bytes") if bytewise < p else (p, "bits")
 
 
@@ -304,14 +355,14 @@ def branch(kernel: str, rows: Sequence[int], n: int, k: int = 0) -> str:
     """The branch of ``kernel`` with the fewest steps on a call reading
     ``rows``, ``len(rows)`` rows of ``n`` bits, by ``"bits"`` or ``"bytes"``:
     ``"bits"`` or ``"tiles"`` for their ``"transpose"``; a reading for
-    ``"left_residual"`` and ``"preimages"``; ``"cells"``, ``"tables"`` or a
-    reading for a ``"right_residual"`` of ``k`` rows of ``t`` by ``s``;
-    ``"gather"`` or a reading for their ``"pullback"`` along ``k`` sources;
-    ``"instances"`` or ``"types"`` for the ``"order"`` of a lattice with
-    these extents, ``n`` instances and ``k`` types; a reading of the visit
-    masks for the FCbO ``"walk"`` over a context with these rows of ``n``
-    types and ``k`` crosses.  The popcount of ``rows`` is taken only where
-    the shape leaves the choice open.
+    ``"left_residual"`` and ``"compose"``; ``"cells"``, ``"tables"`` or
+    ``"bytes"``, the AND-product, for a ``"right_residual"`` of ``k`` rows of
+    ``t`` by ``s``; ``"gather"`` or a reading for their ``"pullback"`` along
+    ``k`` sources; ``"instances"`` or ``"types"`` for the ``"order"`` of a
+    lattice with these extents, ``n`` instances and ``k`` types; a reading
+    of the visit masks for the FCbO ``"walk"`` over a context with these
+    rows of ``n`` types and ``k`` crosses.  The popcount of ``rows`` is
+    taken only where the shape leaves the choice open.
 
     The walk's reading is counted per node, one node taken per instance: a
     node reads one visit mask, and the bytes save on its skip tests, the
@@ -343,26 +394,26 @@ def branch(kernel: str, rows: Sequence[int], n: int, k: int = 0) -> str:
         p = sum(map(int.bit_count, rows))
         transposes = min(p, _tile_steps(m, n))
         return "instances" if transposes + _reads(n, m, p)[0] <= types else "types"
-    # the rows are read, by bits or by bytes, unless that takes more than the
-    # ``limit`` steps of the ``other`` branch, less the AND-product's own
     if kernel == "right_residual":
         cells = _CELL_STEP * m * k
         if cells <= _BUILD_FIXED:
             return "cells"
+        # the AND-product reads the rows by bytes, unless that takes more than
+        # the ``limit`` steps of the ``other`` branch, less its transpose's
         limit, other = min((cells, "cells"), (_table_steps(k, n), "tables"))
         limit -= _BUILD_FIXED + _tile_steps(m, k)
         if limit < 0:
             return other
-    elif most <= _BUILD_FIXED + _TILE_FIXED and most * (1 - _BYTE_BIT_STEP) <= _BYTE_FIXED:
+        return "bytes" if _bytewise(m, n, sum(map(int.bit_count, rows))) <= limit else other
+    if most <= _BUILD_FIXED + _TILE_FIXED and most * (1 - _BYTE_BIT_STEP) <= _BYTE_FIXED:
         return "bits"
-    else:
-        other, limit = "gather", most
-        if kernel == "pullback":
-            limit = _BUILD_FIXED + _tile_steps(k, m)
+    # the rows are read, by bits or by bytes, unless that takes more than
+    # the ``limit`` steps of ``pullback``'s gather
+    limit = _BUILD_FIXED + _tile_steps(k, m) if kernel == "pullback" else most
     if most <= limit and _reads(m, n, most)[1] == "bits":
         return "bits"
     steps, reading = _reads(m, n, sum(map(int.bit_count, rows)))
-    return reading if steps <= limit else other
+    return reading if steps <= limit else "gather"
 
 
 def _swap_masks(side: int) -> tuple[tuple[int, int], ...]:
@@ -483,8 +534,8 @@ def right_residual(t: Relation, s: Relation) -> Relation:
     ``t``-row of ``a``.  ``branch`` picks the per-cell subset tests, the
     complement tables of ``_complement_tables``, or the AND-product: column
     ``b`` is the AND of the columns of ``t`` (its cached ``columns`` view)
-    over the bits of row ``b`` of ``s``, every row of ``t`` for an empty
-    one, and ``transpose`` turns the columns into rows.
+    over the bits of row ``b`` of ``s``, read by its bytes, every row of
+    ``t`` for an empty one, and ``transpose`` turns the columns into rows.
     """
     _require(t.dst_size == s.dst_size, "right_residual", t, s)
     m, k = t.src_size, s.src_size
@@ -505,25 +556,16 @@ def right_residual(t: Relation, s: Relation) -> Relation:
         return _complement_tables(t, s)
     cols = t.columns
     full = (1 << m) - 1
+    width = (s.dst_size + 7) // 8
     ands = []
-    if kind == "bytes":
-        width = (s.dst_size + 7) // 8
-        for sb in s.rows:
-            col = full
-            for base, byte in enumerate(sb.to_bytes(width, "little")):
-                if byte:
-                    base *= 8
-                    for i in _BYTE_BITS[byte]:
-                        col &= cols[base + i]
-            ands.append(col)
-    else:
-        for sb in s.rows:
-            col = full
-            while sb and col:
-                low = sb & -sb
-                col &= cols[low.bit_length() - 1]
-                sb ^= low
-            ands.append(col)
+    for sb in s.rows:
+        col = full
+        for base, byte in enumerate(sb.to_bytes(width, "little")):
+            if byte:
+                base *= 8
+                for i in _BYTE_BITS[byte]:
+                    col &= cols[base + i]
+        ands.append(col)
     return transpose(Relation(k, m, tuple(ands)))
 
 
@@ -631,35 +673,8 @@ class FunctionGraph:
         """The inverse image of each mask, the union of the fibers of its
         bits; bits past the targets are ignored.  With the masks as the rows
         of ``R``, this is ``compose(R, transpose(rel)).rows`` without the two
-        relations, each mask read by bits or by bytes as ``branch`` picks."""
-        return self._fiber_images(masks, branch("preimages", masks, self.dst_size))
-
-    def _fiber_images(self, masks: Sequence[int], reading: str) -> tuple[int, ...]:
-        """``preimages``, each mask read by ``"bits"`` or by ``"bytes"``."""
-        fibers = self.fibers
-        n = self.dst_size
-        full = (1 << n) - 1
-        out = []
-        if reading == "bytes":
-            width = (n + 7) // 8
-            for mask in masks:
-                acc = 0
-                for base, byte in enumerate((mask & full).to_bytes(width, "little")):
-                    if byte:
-                        base *= 8
-                        for i in _BYTE_BITS[byte]:
-                            acc |= fibers[base + i]
-                out.append(acc)
-            return tuple(out)
-        for mask in masks:
-            mask &= full
-            acc = 0
-            while mask:
-                low = mask & -mask
-                acc |= fibers[low.bit_length() - 1]
-                mask ^= low
-            out.append(acc)
-        return tuple(out)
+        relations, by the loop and the reading ``compose`` takes."""
+        return _unions(masks, self.fibers, branch("compose", masks, self.dst_size))
 
     def is_identity(self) -> bool:
         return self.targets == tuple(range(self.dst_size))
@@ -671,15 +686,15 @@ def pullback(rows: Sequence[int], cols: Sequence[int], psi: FunctionGraph) -> tu
     ``y`` is ``psi``'s inverse image of row ``y`` of ``R``, and column ``a``
     is column ``psi(a)`` of ``R``.
 
-    ``branch`` picks the fiber loop of ``psi.preimages``, reading ``rows``
-    by bits or by bytes, or the gather: the columns read along the targets
-    in one C-level ``map`` and turned into rows by ``transpose``.  Bits of
-    ``rows`` past the targets are ignored either way."""
+    ``branch`` picks the loop of ``compose`` over ``psi``'s fibers, reading
+    ``rows`` by bits or by bytes, or the gather: the columns read along the
+    targets in one C-level ``map`` and turned into rows by ``transpose``.
+    Bits of ``rows`` past the targets are ignored either way."""
     k, m = len(rows), len(psi.targets)
     kind = branch("pullback", rows, psi.dst_size, m)
     if kind == "gather":
         return transpose(Relation(m, k, tuple(map(cols.__getitem__, psi.targets)))).rows
-    return psi._fiber_images(rows, kind)
+    return _unions(rows, psi.fibers, kind)
 
 
 def adjoint_failure(

@@ -2,13 +2,14 @@
 
 Everything here runs on explicit index loops and Python sets, touching
 relations only through the single-bit accessor, so agreement with the
-word-parallel kernels is a meaningful check.  The exceptions are the four
+word-parallel kernels is a meaningful check.  The exceptions are the five
 bit loops the kernels ran on every input before their word-parallel
-branches (``transpose_oracle``, ``left_residual_sweep_oracle``,
-``right_residual_scatter_oracle`` and ``preimages_oracle``): they share no
-tile, table, byte step or gather with the kernels, and they are fast enough
-to check them, and to time them against (``tools/kernel_probe.py``), at
-sizes the per-cell oracles cannot reach.
+branches (``compose_loop_oracle``, ``transpose_oracle``,
+``left_residual_sweep_oracle``, ``right_residual_scatter_oracle`` and
+``preimages_oracle``): they share no tile, table, byte step or gather with
+the kernels, and they are fast enough to check them, and to time them
+against (``tools/kernel_probe.py``), at sizes the per-cell oracles cannot
+reach.
 
 The enumerator oracles (``infomorphisms_oracle``, ``lattice_morphism_candidates``
 and ``lattice_morphisms_oracle``) try every pair of an instance and a type
@@ -44,6 +45,22 @@ def compose_oracle(r: Relation, s: Relation) -> Relation:
             if any(r.bit(a, b) and s.bit(b, c) for b in range(r.dst_size)):
                 pairs.append((a, c))
     return Relation.from_pairs(r.src_size, s.dst_size, pairs)
+
+
+def compose_loop_oracle(r: Relation, s: Relation) -> Relation:
+    """The bit loop ``relalg.compose`` ran on every input before its byte
+    steps: row ``a`` is the OR of the rows of ``s`` at the bits of row ``a``
+    of ``r``, one bit at a time, lowest first."""
+    srows = s.rows
+    out = []
+    for row in r.rows:
+        acc = 0
+        while row:
+            low = row & -row
+            acc |= srows[low.bit_length() - 1]
+            row ^= low
+        out.append(acc)
+    return Relation(r.src_size, s.dst_size, tuple(out))
 
 
 def matrix_oracle(r: Relation) -> list[list[int]]:

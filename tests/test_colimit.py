@@ -368,7 +368,7 @@ class TestMediatorIndex:
             assert universal.records == [
                 r for r in expected.records if r.check.endswith("-universal")
             ]
-            assert transport_coproduct(d).records == expected.records
+            assert transport_coproduct(d, targets).records == expected.records
             failing += len(expected.failures)
         # the duplicated-instance apex makes some cocones fail with a count
         assert failing
@@ -452,7 +452,7 @@ class TestMediatorIndex:
             monkeypatch.setattr(module, name, _counting(calls, name, getattr(module, name)))
         for d, (cocones, images) in zip(diagrams, expected):
             calls.clear()
-            transport_coproduct(d)
+            transport_coproduct(d, [d.left, d.right])
             assert calls["coproduct_mediator"] == cocones
             assert calls["lattice_of_morphism"] == 2 + images + cocones
             enumerations = collections.Counter(
@@ -518,9 +518,10 @@ class TestTransportBeyondTheBruteForce:
 
     def test_apposition_of_3x3_contexts(self):
         """4 endomorphisms of ``T`` in its instance fiber, 16 cocones on each
-        of the two default targets."""
+        of the two targets, its summands."""
         T = self.contexts()[2]
-        assert transport_coproduct(apposition(T, T)).counts() == self.passed("apposition", 32)
+        d = apposition(T, T)
+        assert transport_coproduct(d, [d.left, d.right]).counts() == self.passed("apposition", 32)
 
 
 class TestIndexKeyedByMaps:

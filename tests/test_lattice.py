@@ -425,6 +425,25 @@ class TestMeetJoin:
         with pytest.raises(ValidationError, match="belong"):
             meet(L, [FormalConcept(1, 1)])
 
+    def test_out_of_range_bounds_raise_with_the_mask(self, k1):
+        """A set with an element past the lattice's, or a negative mask, is
+        refused by every bound with ``ValidationError``, the mask its
+        witness; a negative index has no mask, and is its own witness."""
+        L = build_lattice(k1)
+        past = 1 << L.size
+        for bound, arg, witness in (
+            (L.meet_of, past, past),
+            (L.join_of, past | 1, past | 1),
+            (L.join_of, -1, -1),
+            (L.meet_of, -2, -2),
+            (L.meet_index, [L.size], past),
+            (L.join_index, [0, L.size], past | 1),
+            (L.meet_index, [-1], -1),
+        ):
+            with pytest.raises(ValidationError) as e:
+                bound(arg)
+            assert e.value.witness == (witness,)
+
 
 class TestEmbeddingsAndDecomposition:
     def test_k1_instance_and_type_concepts(self, k1):

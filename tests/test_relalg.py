@@ -294,9 +294,7 @@ def _branch_cases():
     rng = random.Random(31)
     thin, square, sparse = _dense(rng, 7, 40, 20), _dense(rng, 64, 64, 32), _dense(rng, 100, 100, 1)
     full4 = Relation.full(30, 4)
-    t300, s_sparse, s_half = _dense(rng, 300, 300, 150), _dense(rng, 40, 300, 1), _dense(
-        rng, 40, 300, 150
-    )
+    t300, s_half = _dense(rng, 300, 300, 150), _dense(rng, 40, 300, 150)
     t40, s_long, small = _dense(rng, 40, 20, 10), _dense(rng, 300, 20, 10), _dense(rng, 8, 8, 4)
     masks32, masks128 = _dense(rng, 32, 32, 24), _dense(rng, 128, 128, 64)
     psi1000 = FunctionGraph(tuple(rng.randrange(32) for _ in range(1000)), 32)
@@ -316,8 +314,7 @@ def _branch_cases():
              lambda r=r, t=t: (left_residual(r, t), left_residual_oracle(r, t)))
         )
     for kind, t, s in (
-        ("cells", small, small), ("tables", t40, s_long), ("bits", t300, s_sparse),
-        ("bytes", t300, s_half),
+        ("cells", small, small), ("tables", t40, s_long), ("bytes", t300, s_half),
     ):
         cases.append(
             ("right_residual", kind, (s.rows, s.dst_size, t.src_size),
@@ -329,6 +326,12 @@ def _branch_cases():
             ("pullback", kind, (r.rows, r.dst_size, psi.src_size),
              lambda r=r, psi=psi: (relalg.pullback(r.rows, r.columns, psi),
                                    preimages_oracle(psi, r.rows)))
+        )
+    for kind, r in (("bits", small), ("bytes", square)):
+        s = _dense(rng, r.dst_size, 9, 4)
+        cases.append(
+            ("compose", kind, (r.rows, r.dst_size),
+             lambda r=r, s=s: (compose(r, s), compose_oracle(r, s)))
         )
     return cases
 

@@ -17,15 +17,25 @@ from conceptual.classification import Classification
 from conceptual.io import emit_cxt, parse_cxt
 from conceptual.relalg import (
     Relation,
+    bits,
     compose,
+    intersect_rows,
     left_residual,
+    mask_of,
     right_residual,
     subrelation,
     transpose,
     union,
 )
 
-from oracles import left_residual_oracle, right_residual_oracle, transpose_oracle
+from oracles import (
+    compose_oracle,
+    extent_oracle,
+    intent_oracle,
+    left_residual_oracle,
+    right_residual_oracle,
+    transpose_oracle,
+)
 
 
 def relations(draw, src: int, dst: int) -> Relation:
@@ -146,9 +156,10 @@ def test_right_residual_is_the_oracle(data):
 
 # every branch ``relalg.branch`` can pick for each kernel
 BRANCHES = {
+    "compose": ("bits", "bytes"),
     "transpose": ("bits", "tiles"),
     "left_residual": ("bits", "bytes"),
-    "right_residual": ("cells", "tables", "bits", "bytes"),
+    "right_residual": ("cells", "tables", "bytes"),
 }
 
 
@@ -157,7 +168,8 @@ BRANCHES = {
 def test_every_branch_is_the_oracle(data):
     """Each branch of each kernel, forced whatever the rule would pick, on
     the shapes and densities above, equals the reference loop; a right
-    residual's shared side runs from none to 17 columns."""
+    residual's shared side runs from none to 17 columns, and so do the
+    output columns of a composition and a left residual."""
     kernel = data.draw(st.sampled_from(sorted(BRANCHES)))
     kind = data.draw(st.sampled_from(BRANCHES[kernel]))
     rule = relalg.branch
@@ -166,6 +178,10 @@ def test_every_branch_is_the_oracle(data):
         if kernel == "transpose":
             r = data.draw(shaped())
             assert transpose(r) == transpose_oracle(r)
+        elif kernel == "compose":
+            r = data.draw(shaped())
+            s = data.draw(shaped(src=r.dst_size, dst=data.draw(st.sampled_from((0, 1, 5, 17)))))
+            assert compose(r, s) == compose_oracle(r, s)
         elif kernel == "left_residual":
             r = data.draw(shaped())
             t = data.draw(shaped(src=r.src_size, dst=data.draw(st.sampled_from((0, 1, 5, 17)))))
@@ -175,6 +191,32 @@ def test_every_branch_is_the_oracle(data):
             n = data.draw(st.sampled_from((0, 1, 7, 8, 16, 17)))
             t, s = data.draw(shaped(src=m, dst=n)), data.draw(shaped(src=k, dst=n))
             assert right_residual(t, s) == right_residual_oracle(t, s)
+
+
+def subset(draw, full: int) -> int:
+    """A subset of ``full``, of about ``1/2**j`` of its bits for ``j`` in 0..4."""
+    mask = full
+    for _ in range(draw(st.integers(0, 4))):
+        mask &= draw(st.integers(0, full))
+    return mask
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.data())
+def test_intersect_rows_is_the_derivation(data):
+    """With the floor 0, ``intersect_rows`` is the intent of a set of
+    instances and the extent of a set of types; with any floor inside the
+    whole AND, as the FCbO walk passes a child's closure, it is that AND."""
+    r = data.draw(shaped())
+    m, n = r.shape
+    K = Classification(tuple(f"i{a}" for a in range(m)), tuple(f"t{t}" for t in range(n)), r)
+    imask, tmask = subset(data.draw, K.full_instances), subset(data.draw, K.full_types)
+    intent = intersect_rows(K.rows, imask, K.full_types)
+    assert intent == mask_of(intent_oracle(K, set(bits(imask))))
+    extent = intersect_rows(K.cols, tmask, K.full_instances)
+    assert extent == mask_of(extent_oracle(K, set(bits(tmask))))
+    floor = subset(data.draw, intent)
+    assert intersect_rows(K.rows, imask, K.full_types, floor) == intent
 
 
 # the right residual's complement tables against the per-cell oracle: the

@@ -8,13 +8,14 @@ Standard library only.  From the repository root:
     python3 tools/kernel_probe.py --check    # equality only, no timing
 
 Each shape is a seeded random relation ``r`` at each density.  The probe runs
-``transpose(r)``, ``left_residual(r, r)`` and ``right_residual(r, r)`` (the
-residuals of a relation by itself are the orders a concept lattice is built
-from) and the reference loops of ``tests/oracles.py``: the transpose bit loop,
-the residual row sweep and the columns-and-scatter right residual, and names
-the branch ``relalg.branch`` picks for each.  Every timing is the best of 7
-runs, kernel and loop in turn, each on a fresh copy of ``r``, so a right
-residual pays for its ``columns`` as a first call does.
+``compose(r, transpose(r))``, ``transpose(r)``, ``left_residual(r, r)`` and
+``right_residual(r, r)`` (the residuals of a relation by itself are the
+orders a concept lattice is built from) and the reference loops of
+``tests/oracles.py``: the compose and transpose bit loops, the residual row
+sweep and the columns-and-scatter right residual, and names the branch
+``relalg.branch`` picks for each.  Every timing is the best of 7 runs,
+kernel and loop in turn, each on a fresh copy of ``r``, so a right residual
+pays for its ``columns`` as a first call does.
 
 A second table times the inverse images of a map's principal up-sets,
 the batch of every adjointness check: the fiber loop of ``tests/oracles.py``
@@ -43,13 +44,13 @@ reading the rule picks.  These four tables are the data the weights of
 
 A fifth table counts the kernel calls of one cycle of each benchmark
 workload, nested calls included, by the branch ``relalg.branch`` picks:
-``transpose``, both residuals, ``pullback`` (the gather, or the fiber loop
-by how it reads its masks), ``compose``, the side of each concept order and
-the reading of each walk.  A sixth counts the kernel calls of each op of
-the bonding workload by the stage of the op that makes them: parsing the
-pair, ``is_bonding_pair``, ``hom_of_pair``, and the pair and hom round
-trips.  Both library caches are cleared before each op, as the benchmark
-worker does.
+``compose`` and ``FunctionGraph.preimages`` by how they read their rows,
+``transpose``, both residuals, ``pullback`` (the gather, or the reading of
+its masks), the side of each concept order and the reading of each walk.
+A sixth counts the kernel calls of each op of the bonding workload by the
+stage of the op that makes them: parsing the pair, ``is_bonding_pair``,
+``hom_of_pair``, and the pair and hom round trips.  Both library caches are
+cleared before each op, as the benchmark worker does.
 
 ``--check`` compares every kernel and pullback result above with its
 reference loop and every order side with ``extent_inclusion_oracle``, and
@@ -95,6 +96,7 @@ from conceptual.relalg import (  # noqa: E402
     FunctionGraph,
     Relation,
     bits,
+    compose,
     left_residual,
     pullback,
     right_residual,
@@ -102,6 +104,7 @@ from conceptual.relalg import (  # noqa: E402
 )
 from workloads import WORKLOADS  # noqa: E402
 from oracles import (  # noqa: E402
+    compose_loop_oracle,
     embedding_bonds_oracle,
     embeddings_oracle,
     extent_inclusion_oracle,
@@ -121,6 +124,12 @@ DENSITIES = (0.05, 0.5)
 # timed runs of each function; the best is kept
 REPEAT = 7
 KERNELS = [
+    (
+        "compose",
+        lambda r: compose(r, transpose(r)),
+        lambda r: compose_loop_oracle(r, transpose(r)),
+        lambda r: relalg.branch("compose", r.rows, r.dst_size),
+    ),
     (
         "transpose",
         transpose,
@@ -547,18 +556,6 @@ def check_orders() -> tuple[int, int]:
     return compared, differ
 
 
-def bindings(original) -> list[tuple[object, str]]:
-    """Every module attribute bound to ``original``, as the tracer finds
-    them: a module that imported a kernel by name holds its own binding."""
-    return [
-        (module, key)
-        for name, module in list(sys.modules.items())
-        if name.startswith("conceptual")
-        for key, value in vars(module).items()
-        if value is original
-    ]
-
-
 def library_modules() -> SimpleNamespace:
     """The modules a benchmark workload is built from."""
     names = ("classification", "relalg", "lattice", "functors", "bond", "io", "cli")
@@ -569,7 +566,7 @@ def probe_branches() -> None:
     """Print the branch counts of one cycle of each benchmark workload."""
     print(f"\n{'workload':>9} {'kernel':>15} {'calls':>7}  branches")
     mods = library_modules()
-    rule, compose = relalg.branch, relalg.compose
+    rule = relalg.branch
     counts = collections.Counter()
 
     def counted_rule(kernel, rows, n, k=0):
@@ -577,18 +574,11 @@ def probe_branches() -> None:
         counts[kernel, kind] += 1
         return kind
 
-    def counted_compose(r, s):
-        counts["compose", ""] += 1
-        return compose(r, s)
-
-    bound = bindings(compose)
     with tempfile.TemporaryDirectory() as workdir:
         for workload in WORKLOADS.values():
             ops = list(workload(mods, 1, "full", Path(workdir) / workload.name).ops())
             counts.clear()
             relalg.branch = counted_rule
-            for module, key in bound:
-                setattr(module, key, counted_compose)
             try:
                 for _, op, _ in ops:
                     mods.lattice.concept_lattice_of.cache_clear()
@@ -596,12 +586,10 @@ def probe_branches() -> None:
                     op()
             finally:
                 relalg.branch = rule
-                for module, key in bound:
-                    setattr(module, key, compose)
             for kernel in sorted({kernel for kernel, _ in counts}):
                 kinds = sorted((kind, n) for (name, kind), n in counts.items() if name == kernel)
                 total = sum(n for _, n in kinds)
-                spread = ", ".join(f"{n} {kind}" for kind, n in kinds if kind)
+                spread = ", ".join(f"{n} {kind}" for kind, n in kinds)
                 print(f"{workload.name:>9} {kernel:>15} {total:>7}  {spread}")
 
 
@@ -622,10 +610,15 @@ def probe_stages() -> None:
 
         return kernel
 
+    # every module attribute bound to a counted kernel, as the tracer finds
+    # them: a module that imported a kernel by name holds its own binding
+    kernels = {id(getattr(relalg, name)) for name in STAGE_KERNELS}
     patches = [
         (module, key, original, counted(original))
-        for original in (getattr(relalg, name) for name in STAGE_KERNELS)
-        for module, key in bindings(original)
+        for name, module in list(sys.modules.items())
+        if name.startswith("conceptual")
+        for key, original in vars(module).items()
+        if id(original) in kernels
     ]
     for label, _, text in workload.pairs:
         mods.lattice.concept_lattice_of.cache_clear()
