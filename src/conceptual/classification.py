@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 
 from . import relalg
 from .errors import ResourceLimitError, ValidationError, quote
-from .relalg import Relation, bits, view
+from .relalg import Relation, _new, _setattr, bits, view
 
 POWERSET_CAP = 16
 
@@ -33,6 +33,19 @@ class Classification:
             raise ValidationError("duplicate instance labels")
         if len(set(self.types)) != len(self.types):
             raise ValidationError("duplicate type labels")
+
+    @classmethod
+    def _of(
+        cls, instances: tuple[str, ...], types: tuple[str, ...], incidence: Relation
+    ) -> "Classification":
+        """The classification with these fields, stored unchecked, as
+        ``Relation._of``: only for distinct labels and an incidence of their
+        shape by construction."""
+        out = _new(cls)
+        _setattr(out, "instances", instances)
+        _setattr(out, "types", types)
+        _setattr(out, "incidence", incidence)
+        return out
 
     @classmethod
     def from_pairs(

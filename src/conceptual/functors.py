@@ -72,7 +72,7 @@ class CompleteLattice(ConceptLattice):
             raise ShapeError(f"order shape {leq.shape} for {n} elements")
         if len(set(elements)) != n:
             raise ValidationError("duplicate element labels")
-        classification = Classification(elements, elements, leq)
+        classification = Classification._of(elements, elements, leq)
         down, up = classification.cols, leq.rows
         concepts = tuple(map(FormalConcept, down, up))
         for name, value in (
@@ -207,8 +207,8 @@ def lattice_of_morphism(m: FunctionalInfomorphism) -> ConceptLatticeMorphism:
     LB = concept_lattice_of(m.target)
     extents = pullback(LA.extents, LA.iota_rel.rows, m.f)
     intents = pullback(LB.intents, LB.tau_rel.columns, m.g)
-    psi = FunctionGraph.from_targets(tuple(map(LB.extent_index.__getitem__, extents)), LB.size)
-    phi = FunctionGraph.from_targets(tuple(map(LA.intent_index.__getitem__, intents)), LA.size)
+    psi = FunctionGraph._of(tuple(map(LB.extent_index.__getitem__, extents)), LB.size)
+    phi = FunctionGraph._of(tuple(map(LA.intent_index.__getitem__, intents)), LA.size)
     return ConceptLatticeMorphism(LA, LB, phi, psi, m.f, m.g)
 
 
@@ -217,8 +217,8 @@ def classification_of_lattice(L: ConceptLattice) -> Classification:
     ``compose(iota_rel, transpose(tau.rel))``, the ``pullback`` of
     ``iota_rel`` along ``tau``."""
     m, n, iota_rel = len(L.instance_labels), len(L.type_labels), L.iota_rel
-    incidence = Relation(m, n, pullback(iota_rel.rows, iota_rel.columns, L.tau))
-    return Classification(L.instance_labels, L.type_labels, incidence)
+    incidence = Relation._of(m, n, pullback(iota_rel.rows, iota_rel.columns, L.tau))
+    return Classification._of(L.instance_labels, L.type_labels, incidence)
 
 
 def morphism_of_lattice_morphism(cm: ConceptLatticeMorphism) -> FunctionalInfomorphism:
@@ -257,9 +257,9 @@ def lattice_equivalence_witness(L: ConceptLattice) -> ConceptLatticeMorphism:
         raise ValidationError(
             "intent is not the intent of the rebuilt concept", witness=(wrong[0],)
         )
-    backward = FunctionGraph(back, M.size)
+    backward = FunctionGraph._of(back, M.size)
     # the positions of a permutation, sorted by its values, are its inverse
-    forward = FunctionGraph(tuple(sorted(range(M.size), key=back.__getitem__)), L.size)
+    forward = FunctionGraph._of(tuple(sorted(range(M.size), key=back.__getitem__)), L.size)
     return ConceptLatticeMorphism(
         M,
         L,
@@ -284,12 +284,8 @@ def adjoint_of_bond(F: Bond) -> ConceptLatticeMorphism:
     are extents and intents."""
     LA = concept_lattice_of(F.source)
     LB = concept_lattice_of(F.target)
-    psi = FunctionGraph.from_targets(
-        tuple(LB.extent_index[e] for e in F.images.columns), LB.size
-    )
-    phi = FunctionGraph.from_targets(
-        tuple(LA.intent_index[t] for t in F.preimages.rows), LA.size
-    )
+    psi = FunctionGraph._of(tuple(LB.extent_index[e] for e in F.images.columns), LB.size)
+    phi = FunctionGraph._of(tuple(LA.intent_index[t] for t in F.preimages.rows), LA.size)
     return ConceptLatticeMorphism(
         complete_lattice_of(LA), complete_lattice_of(LB), phi, psi, phi, psi
     )
@@ -297,7 +293,10 @@ def adjoint_of_bond(F: Bond) -> ConceptLatticeMorphism:
 
 def bond_of_adjoint(p: ConceptLatticeMorphism) -> Bond:
     """The adjointness relation of an adjoint pair between complete
-    lattices, as a bond between their order classifications."""
+    lattices, as a bond between their order classifications; a morphism
+    between other concept lattices raises ``ValidationError``."""
+    if not (isinstance(p.source, CompleteLattice) and isinstance(p.target, CompleteLattice)):
+        raise ValidationError("not an adjoint pair between complete lattices")
     return _adjointness_bond(p.source, p.target, p.phi)
 
 
@@ -309,7 +308,7 @@ def _adjointness_bond(L: CompleteLattice, K: CompleteLattice, phi: FunctionGraph
     principal filter by construction, so the columns decide: column ``x``,
     ``{y : phi(y) <= x}``, is a principal ideal of ``K`` for every ``x``
     exactly when ``phi`` has a right adjoint."""
-    rel = Relation(K.size, L.size, tuple(map(L.intents.__getitem__, phi.targets)))
+    rel = Relation._of(K.size, L.size, tuple(map(L.intents.__getitem__, phi.targets)))
     _order_bond_check(L, K, rel).require("relation is not a bond")
     return Bond(L.classification, K.classification, rel, validate=False)
 
@@ -555,8 +554,8 @@ def canonical_adjoints(h: CompleteHomomorphism) -> tuple[FunctionGraph, Function
     L = h.source
     ups, downs = h.principal_preimages
     return (
-        FunctionGraph(tuple(map(L.intent_index.__getitem__, ups)), L.size),
-        FunctionGraph(tuple(map(L.extent_index.__getitem__, downs)), L.size),
+        FunctionGraph._of(tuple(map(L.intent_index.__getitem__, ups)), L.size),
+        FunctionGraph._of(tuple(map(L.extent_index.__getitem__, downs)), L.size),
     )
 
 

@@ -107,7 +107,7 @@ class ConceptLattice:
 
     def _embedding(self, sets, index: Mapping[int, int], kind: str) -> FunctionGraph:
         try:
-            return FunctionGraph(tuple(map(index.__getitem__, sets)), self.size)
+            return FunctionGraph._of(tuple(map(index.__getitem__, sets)), self.size)
         except KeyError as missing:
             first = sets.index(missing.args[0])
         label = (self.instance_labels if kind == "instance" else self.type_labels)[first]
@@ -223,7 +223,7 @@ class ConceptLattice:
                 row = row & ~rows[j] | bit
                 rest = row & bit - 1
             out.append(row)
-        return Relation(n, n, tuple(out))
+        return Relation._of(n, n, tuple(out))
 
     def extent_labels(self, c: FormalConcept) -> tuple[str, ...]:
         return tuple(self.instance_labels[i] for i in bits(c.extent))

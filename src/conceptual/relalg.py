@@ -31,6 +31,18 @@ no relation read from text is transposed.
 
 Empty carriers (0 x n, n x 0) are legal everywhere; residuals over a vacuous
 quantifier come out full, which keeps the adjunction laws total.
+
+Values are checked where they enter.  The public constructors,
+``Relation(...)``, ``from_pairs``, ``from_matrix``, ``FunctionGraph(...)``
+and ``from_targets``, refuse negative sizes, wrong row counts, rows or
+targets out of range, and rows or targets that are no tuple of ints.  A
+value built from checked operands is in range by construction and is
+stored unchecked by its class's ``_of``: the result of each kernel,
+``complement``, ``union`` and ``identity``, ``from_digits`` (whose callers
+check the digits), ``pullback``'s gather, a map's graph ``rel``, and
+``FunctionGraph.then`` and ``identity``.  ``Classification._of`` and the
+lattice and functor code build the values they derive from checked ones
+the same way.
 """
 
 from __future__ import annotations
@@ -63,8 +75,10 @@ def mask_of(indices: Iterable[int]) -> int:
     return m
 
 
-# the bytes of ``row_digits``' characters ``0`` and ``1`` to the values 0 and 1
+# the bytes of ``row_digits``' characters ``0`` and ``1`` to the values 0 and 1,
+# and back
 _DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")
+_BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def row_digits(row: int, n: int) -> str:
@@ -102,6 +116,21 @@ class view(cached_property):
 
 
 _setattr = object.__setattr__
+_new = object.__new__
+
+
+def _require_ints(values, what: str) -> None:
+    """Raise ``ValidationError`` unless ``values`` is a tuple of ints: one
+    C-level scan, for ``int.bit_count`` refuses every other value but a
+    ``bool``, which is an int."""
+    try:
+        if isinstance(values, tuple):
+            sum(map(int.bit_count, values))
+            return
+    except TypeError:
+        pass
+    raise ValidationError(f"{what} must be a tuple of ints")
+
 
 # the binary digit of a matrix cell: a lookup by hash and ``==``, so a cell
 # is a digit exactly when it equals 0 or 1 (``False``, ``True`` and ``1.0`` too)
@@ -120,10 +149,13 @@ class Relation:
     # without a ``__post_init__`` call; ``object.__setattr__`` passes the
     # frozen guard and keeps the fields in the instance's compact inline
     # values, where a ``__dict__.update`` would give every relation a dict of
-    # its own (about 250 bytes against 105)
+    # its own (about 250 bytes against 105).  The check is for values from
+    # outside the library: a kernel, whose rows are in range because its
+    # operands are, stores its result with ``_of`` unchecked
     def __init__(self, src_size: int, dst_size: int, rows: tuple[int, ...]):
         if src_size < 0 or dst_size < 0:
             raise ValidationError("relation sizes must be nonnegative")
+        _require_ints(rows, "relation rows")
         if len(rows) != src_size:
             raise ValidationError(f"expected {src_size} rows, got {len(rows)}")
         # every row lies in 0..full: two C-level scans, and the offending row
@@ -135,6 +167,16 @@ class Relation:
         _setattr(self, "src_size", src_size)
         _setattr(self, "dst_size", dst_size)
         _setattr(self, "rows", rows)
+
+    @classmethod
+    def _of(cls, src_size: int, dst_size: int, rows: tuple[int, ...]) -> "Relation":
+        """The relation with these fields, stored unchecked: only for rows
+        in range by construction, built from checked operands."""
+        out = _new(cls)
+        _setattr(out, "src_size", src_size)
+        _setattr(out, "dst_size", dst_size)
+        _setattr(out, "rows", rows)
+        return out
 
     # -- constructors ------------------------------------------------------
 
@@ -156,15 +198,18 @@ class Relation:
         """Build from a 0/1 row-of-rows; ``dst_size`` disambiguates 0 rows.
 
         The row lengths are checked in one scan and the cells joined in one
-        pass into a digit string, which ``from_digits`` reads backwards, as
-        ``io.parse_cxt`` reads its row block: the relation comes with its
-        ``columns``.  Only a matrix that fails is walked row by row, to name
-        its first ragged row or bad cell."""
+        pass into a digit string, ``_cell_digits``, which ``from_digits``
+        reads backwards, as ``io.parse_cxt`` reads its row block: the
+        relation comes with its ``columns``.  Only a matrix that fails is
+        walked row by row, to name its first ragged row or bad cell."""
         if dst_size is None:
             dst_size = len(matrix[0]) if matrix else 0
         try:
             if set(map(len, matrix)) <= {dst_size}:
-                digits = "".join(map(_DIGITS.__getitem__, chain.from_iterable(matrix)))
+                # only a matrix of no rows gets here with a negative size
+                if dst_size < 0:
+                    raise ValidationError("relation sizes must be nonnegative")
+                digits = _cell_digits(matrix, len(matrix) * dst_size)
                 return from_digits(len(matrix), dst_size, digits[::-1])
         except (KeyError, TypeError):
             pass
@@ -217,6 +262,23 @@ class Relation:
         return f"Relation({self.src_size}x{self.dst_size}: [{body}])"
 
 
+def _cell_digits(matrix: Sequence[Sequence[int]], size: int) -> str:
+    """The ``size`` cells of a matrix as one string of ``0``/``1`` digits,
+    row by row.  Rows that ``bytes`` takes, ints 0..255, are joined in one
+    C-level pass and kept when every byte is 0 or 1; otherwise each cell
+    is read through ``_DIGITS``, which raises ``KeyError`` or ``TypeError``
+    on a cell that is no digit."""
+    try:
+        cells = b"".join(map(bytes, matrix))
+    except (TypeError, ValueError):
+        pass
+    else:
+        # a row of wider items, such as an ``array('i')``, gives more bytes
+        if len(cells) == size and not cells.translate(None, b"\x00\x01"):
+            return cells.translate(_BIT_DIGITS).decode()
+    return "".join(map(_DIGITS.__getitem__, chain.from_iterable(matrix)))
+
+
 def from_digits(m: int, n: int, digits: str) -> Relation:
     """The ``m`` x ``n`` relation whose cell block, read last cell first, is
     the digit string ``digits`` of ``m * n`` characters ``0`` and ``1``,
@@ -234,7 +296,7 @@ def from_digits(m: int, n: int, digits: str) -> Relation:
         cols = [int(digits[c::n], 2) for c in range(n - 1, -1, -1)]
     else:
         rows, cols = [0] * m, [0] * n
-    out = Relation(m, n, tuple(rows))
+    out = Relation._of(m, n, tuple(rows))
     _setattr(out, "columns", tuple(cols))
     return out
 
@@ -251,7 +313,7 @@ def compose(r: Relation, s: Relation) -> Relation:
     ``r``, read by bits or by bytes as ``branch`` picks."""
     _require(r.dst_size == s.src_size, "compose", r, s)
     rows = _unions(r.rows, s.rows, branch("compose", r.rows, s.src_size))
-    return Relation(r.src_size, s.dst_size, rows)
+    return Relation._of(r.src_size, s.dst_size, rows)
 
 
 def _unions(masks: Sequence[int], table: Sequence[int], reading: str) -> tuple[int, ...]:
@@ -297,7 +359,7 @@ def intersect_rows(rows: Sequence[int], mask: int, full: int, floor: int = 0) ->
 def identity(n: int) -> Relation:
     if n < 0:
         raise ValidationError("identity size must be nonnegative")
-    return Relation(n, n, tuple(1 << i for i in range(n)))
+    return Relation._of(n, n, tuple(1 << i for i in range(n)))
 
 
 # the largest tile side of the delta-swap transpose: its cached masks take
@@ -485,14 +547,14 @@ def transpose(r: Relation) -> Relation:
                 low = row & -row
                 cols[low.bit_length() - 1] |= abit
                 row ^= low
-    out = Relation(n, m, tuple(cols))
+    out = Relation._of(n, m, tuple(cols))
     _setattr(out, "columns", r.rows)
     return out
 
 
 def complement(r: Relation) -> Relation:
     full = (1 << r.dst_size) - 1
-    return Relation(r.src_size, r.dst_size, tuple(row ^ full for row in r.rows))
+    return Relation._of(r.src_size, r.dst_size, tuple(row ^ full for row in r.rows))
 
 
 def left_residual(r: Relation, t: Relation) -> Relation:
@@ -516,7 +578,7 @@ def left_residual(r: Relation, t: Relation) -> Relation:
                     base *= 8
                     for i in _BYTE_BITS[byte]:
                         out[base + i] &= ta
-        return Relation(n, t.dst_size, tuple(out))
+        return Relation._of(n, t.dst_size, tuple(out))
     for row, ta in zip(r.rows, t.rows):
         if ta == full:
             continue
@@ -524,7 +586,7 @@ def left_residual(r: Relation, t: Relation) -> Relation:
             low = row & -row
             out[low.bit_length() - 1] &= ta
             row ^= low
-    return Relation(n, t.dst_size, tuple(out))
+    return Relation._of(n, t.dst_size, tuple(out))
 
 
 def right_residual(t: Relation, s: Relation) -> Relation:
@@ -551,7 +613,7 @@ def right_residual(t: Relation, s: Relation) -> Relation:
                     row |= bbit
                 bbit <<= 1
             out.append(row)
-        return Relation(m, k, tuple(out))
+        return Relation._of(m, k, tuple(out))
     if kind == "tables":
         return _complement_tables(t, s)
     cols = t.columns
@@ -566,7 +628,7 @@ def right_residual(t: Relation, s: Relation) -> Relation:
                 for i in _BYTE_BITS[byte]:
                     col &= cols[base + i]
         ands.append(col)
-    return transpose(Relation(k, m, tuple(ands)))
+    return transpose(Relation._of(k, m, tuple(ands)))
 
 
 def _complement_tables(t: Relation, s: Relation) -> Relation:
@@ -593,7 +655,7 @@ def _complement_tables(t: Relation, s: Relation) -> Relation:
             table += [x | col for x in table]
         acc = [x | table[row[g]] for x, row in zip(acc, outside)]
     full_k = (1 << k) - 1
-    return Relation(m, k, tuple(full_k ^ x for x in acc))
+    return Relation._of(m, k, tuple(full_k ^ x for x in acc))
 
 
 def subrelation(r: Relation, t: Relation) -> bool:
@@ -604,7 +666,7 @@ def subrelation(r: Relation, t: Relation) -> bool:
 
 def union(r: Relation, t: Relation) -> Relation:
     _require(r.shape == t.shape, "union", r, t)
-    return Relation(r.src_size, r.dst_size, tuple(a | b for a, b in zip(r.rows, t.rows)))
+    return Relation._of(r.src_size, r.dst_size, tuple(a | b for a, b in zip(r.rows, t.rows)))
 
 
 @dataclass(frozen=True)
@@ -618,12 +680,22 @@ class FunctionGraph:
     def __post_init__(self):
         if self.dst_size < 0:
             raise ValidationError("function sizes must be nonnegative")
+        targets = self.targets
+        _require_ints(targets, "function targets")
         # every target lies in 0..dst_size - 1: two C-level scans, as in
         # ``Relation``, and the offending target is searched for only on failure
-        targets = self.targets
         if targets and (min(targets) < 0 or max(targets) >= self.dst_size):
             a, b = next((a, b) for a, b in enumerate(targets) if not 0 <= b < self.dst_size)
             raise ValidationError(f"target {b} of {a} out of range 0..{self.dst_size - 1}")
+
+    @classmethod
+    def _of(cls, targets: tuple[int, ...], dst_size: int) -> "FunctionGraph":
+        """The function with these fields, stored unchecked, as
+        ``Relation._of``: only for targets in range by construction."""
+        out = _new(cls)
+        _setattr(out, "targets", targets)
+        _setattr(out, "dst_size", dst_size)
+        return out
 
     @classmethod
     def from_targets(cls, targets: Sequence[int], dst_size: int) -> "FunctionGraph":
@@ -631,12 +703,14 @@ class FunctionGraph:
 
     @classmethod
     def identity(cls, n: int) -> "FunctionGraph":
-        return cls(tuple(range(n)), n)
+        if n < 0:
+            raise ValidationError("function sizes must be nonnegative")
+        return cls._of(tuple(range(n)), n)
 
     @view
     def rel(self) -> Relation:
         """The graph: row ``a`` holds the single bit ``targets[a]``."""
-        return Relation(len(self.targets), self.dst_size, tuple(1 << b for b in self.targets))
+        return Relation._of(len(self.targets), self.dst_size, tuple(1 << b for b in self.targets))
 
     @view
     def fibers(self) -> tuple[int, ...]:
@@ -660,7 +734,7 @@ class FunctionGraph:
 
     def then(self, other: "FunctionGraph") -> "FunctionGraph":
         """Diagrammatic composition: first self, then other."""
-        return FunctionGraph(self.then_targets(other), other.dst_size)
+        return FunctionGraph._of(self.then_targets(other), other.dst_size)
 
     def then_targets(self, other: "FunctionGraph") -> tuple[int, ...]:
         """The targets of ``self.then(other)``, without building the graph:
@@ -693,7 +767,7 @@ def pullback(rows: Sequence[int], cols: Sequence[int], psi: FunctionGraph) -> tu
     k, m = len(rows), len(psi.targets)
     kind = branch("pullback", rows, psi.dst_size, m)
     if kind == "gather":
-        return transpose(Relation(m, k, tuple(map(cols.__getitem__, psi.targets)))).rows
+        return transpose(Relation._of(m, k, tuple(map(cols.__getitem__, psi.targets)))).rows
     return _unions(rows, psi.fibers, kind)
 
 

@@ -66,7 +66,7 @@ def context_corpus(max_size: int, rng: random.Random) -> list[tuple[str, Classif
             for code in range(1 << (m * n)):
                 rows = tuple(code >> a * n & (1 << n) - 1 for a in range(m))
                 items.append(
-                    (f"exh-{m}x{n}-{code}", Classification(inst, typ, Relation(m, n, rows)))
+                    (f"exh-{m}x{n}-{code}", Classification._of(inst, typ, Relation._of(m, n, rows)))
                 )
     for size in range(exh + 1, max_size + 1):
         inst = tuple(f"i{k}" for k in range(size))
@@ -97,8 +97,15 @@ def _sample(rng: random.Random, items: list, k: int) -> list:
 def _composites(rng: random.Random, items: list, k: int, sep: str) -> list:
     """``k`` sampled pairs of ``(id, morphism)`` items whose morphisms
     compose, the target of the first the source of the second, each as
-    ``(first id + sep + second id, (first, second))``."""
-    composable = [(a, b) for a in items for b in items if a[1].target == b[1].source]
+    ``(first id + sep + second id, (first, second))``.
+
+    The items are grouped by source, and each is paired with the group at
+    its target, in item order: the pairs of the scan over all pairs, in
+    its order, so the sample draws the same pairs."""
+    by_source: dict = {}
+    for item in items:
+        by_source.setdefault(item[1].source, []).append(item)
+    composable = [(a, b) for a in items for b in by_source.get(a[1].target, ())]
     return [(f"{aid}{sep}{bid}", (a, b)) for (aid, a), (bid, b) in _sample(rng, composable, k)]
 
 

@@ -31,7 +31,7 @@ import functools
 import itertools
 from types import SimpleNamespace
 
-from conceptual.errors import CheckResult, ResourceLimitError, ValidationError
+from conceptual.errors import CheckResult, ResourceLimitError, ValidationError, quote
 from conceptual.functors import ConceptLatticeMorphism
 from conceptual.infomorphism import FunctionalInfomorphism, check_functional
 from conceptual.lattice import DEFAULT_CONCEPT_CAP, ConceptLattice, FormalConcept
@@ -782,7 +782,39 @@ def report_obj_oracle(report) -> dict:
     }
 
 
-# -- text ---------------------------------------------------------------------------
+def composites_oracle(rng, items: list, k: int, sep: str) -> list:
+    """``verify._composites`` by the scan it replaced, which compares every
+    pair of items with ``==``."""
+    composable = [(a, b) for a in items for b in items if a[1].target == b[1].source]
+    if len(composable) > k:
+        composable = rng.sample(composable, k)
+    return [(f"{aid}{sep}{bid}", (a, b)) for (aid, a), (bid, b) in composable]
+
+
+# -- readers and writers ------------------------------------------------------------
+
+
+def from_matrix_oracle(matrix, dst_size: int | None = None) -> Relation:
+    """``Relation.from_matrix`` as it read every cell through a dict, with
+    the same errors: a cell is a digit exactly when it equals 0 or 1, the
+    rows are built through the checked constructor, and only a matrix that
+    fails is walked row by row to name its first ragged row or bad cell."""
+    if dst_size is None:
+        dst_size = len(matrix[0]) if matrix else 0
+    digit = {0: 0, 1: 1}
+    try:
+        if set(map(len, matrix)) <= {dst_size}:
+            rows = tuple(sum(digit[cell] << b for b, cell in enumerate(row)) for row in matrix)
+            return Relation(len(matrix), dst_size, rows)
+    except (KeyError, TypeError):
+        pass
+    for cells in matrix:
+        if len(cells) != dst_size:
+            raise ValidationError("ragged incidence matrix")
+        for cell in cells:
+            if cell not in (0, 1):
+                raise ValidationError(f"matrix cell must be 0/1, got {quote(cell)}")
+    raise ValidationError("matrix cells must be 0/1")
 
 
 def emit_cxt_oracle(K, name: str = "") -> str:

@@ -456,6 +456,14 @@ class TestRelationalEquivalence:
         F = bond_of_adjoint(identity_lattice_morphism(L))
         assert F.rel == L.order
 
+    def test_bond_of_a_morphism_between_concept_lattices_is_refused(self):
+        """Its rows would be intents over types, not principal filters of the
+        order; the relation is built unchecked, so it is refused first."""
+        wide = Classification(("a",), ("x", "y"), Relation(1, 2, (1,)))
+        for K in (contranominal_classification(2), wide):
+            with pytest.raises(ValidationError, match="between complete lattices"):
+                bond_of_adjoint(identity_lattice_morphism(concept_lattice_of(K)))
+
     def test_bond_functor_preserves_composition(self, rng):
         for _ in range(5):
             A = random_context(rng, 2, 2)

@@ -591,6 +591,23 @@ class TestValuesAndValidation:
         with pytest.raises(ValidationError, match=re.escape("row 0 has bits outside 0..-1")):
             Relation(1, 0, (1,))
 
+    def test_rows_and_targets_must_be_tuples_of_ints(self):
+        """A list of rows, or a row that is no int, is refused where it
+        enters, not in a later ``hash``; a ``bool`` is an int."""
+        for rows in ([1, 2], (1, 2.0), (1, "2"), (1, None)):
+            with pytest.raises(ValidationError, match="^relation rows must be a tuple of ints$"):
+                Relation(2, 2, rows)
+        # ``from_targets`` makes a tuple of any sequence
+        for build, targets in (
+            (FunctionGraph, [0, 1]),
+            (FunctionGraph, (0, 1.0)),
+            (FunctionGraph.from_targets, [0, 1.0]),
+        ):
+            with pytest.raises(ValidationError, match="^function targets must be a tuple of ints$"):
+                build(targets, 2)
+        assert Relation(2, 2, (True, False)) == Relation(2, 2, (1, 0))
+        assert FunctionGraph((True,), 2) == FunctionGraph((1,), 2)
+
     def test_zero_rows_accepted(self):
         for dst in (0, 3):
             assert Relation(0, dst, ()).rows == ()

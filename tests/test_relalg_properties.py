@@ -1,10 +1,15 @@
 """Bounded property tests of the residuation laws the library relies on, on
 random shapes up to 7x7x7, 0-sized carriers included (Schmidt & Stroehlein,
 *Relations and Graphs*, Springer 1993, ch. 4), of each kernel's branches
-against the reference loops of ``tests/oracles.py``, and of the digit reader
-that fills a relation's columns as it reads its rows."""
+against the reference loops of ``tests/oracles.py``, of the digit reader
+that fills a relation's columns as it reads its rows, and of the invariant
+the unchecked constructors rely on: what the library builds without the
+check, the public constructor accepts."""
 
+import contextlib
+import itertools
 import random
+import re
 
 import pytest
 
@@ -14,23 +19,42 @@ from hypothesis import given, settings, strategies as st
 
 from conceptual import relalg
 from conceptual.classification import Classification
+from conceptual.errors import ValidationError
+from conceptual.bond import identity_bond
+from conceptual.functors import (
+    adjoint_of_bond,
+    canonical_adjoints,
+    classification_of_lattice,
+    complete_lattice_of,
+    identity_hom,
+    lattice_equivalence_witness,
+    lattice_of_morphism,
+)
+from conceptual.infomorphism import identity_functional
 from conceptual.io import emit_cxt, parse_cxt
+from conceptual.lattice import concept_lattice_of
 from conceptual.relalg import (
+    FunctionGraph,
     Relation,
     bits,
+    complement,
     compose,
+    identity,
     intersect_rows,
     left_residual,
     mask_of,
+    pullback,
     right_residual,
     subrelation,
     transpose,
     union,
 )
+from conceptual.verify import context_corpus
 
 from oracles import (
     compose_oracle,
     extent_oracle,
+    from_matrix_oracle,
     intent_oracle,
     left_residual_oracle,
     right_residual_oracle,
@@ -163,6 +187,16 @@ BRANCHES = {
 }
 
 
+@contextlib.contextmanager
+def forced(kernel: str, kind: str):
+    """``relalg.branch`` picks ``kind`` for ``kernel`` while the block runs,
+    and what the rule picks for every other kernel."""
+    rule = relalg.branch
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(relalg, "branch", lambda k, *args: kind if k == kernel else rule(k, *args))
+        yield
+
+
 @settings(max_examples=200, deadline=None, database=None)
 @given(st.data())
 def test_every_branch_is_the_oracle(data):
@@ -172,9 +206,7 @@ def test_every_branch_is_the_oracle(data):
     output columns of a composition and a left residual."""
     kernel = data.draw(st.sampled_from(sorted(BRANCHES)))
     kind = data.draw(st.sampled_from(BRANCHES[kernel]))
-    rule = relalg.branch
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(relalg, "branch", lambda k, *args: kind if k == kernel else rule(k, *args))
+    with forced(kernel, kind):
         if kernel == "transpose":
             r = data.draw(shaped())
             assert transpose(r) == transpose_oracle(r)
@@ -268,3 +300,206 @@ def test_read_relations_carry_their_columns(m, n, rnd):
     for read in readers:
         assert (read.shape, read.rows) == (rel.shape, rel.rows)
         assert vars(read)["columns"] == transpose(rel).rows
+
+
+MATRIX_CELLS = (0, 1, True, False, 0.0, 1.0, 2, -1, 256, "1", None)
+
+
+@st.composite
+def matrices(draw):
+    """A matrix and a ``dst_size`` for ``from_matrix``: rows of one width,
+    or a quarter of the time ragged, cells of 0 and 1 or of ``MATRIX_CELLS``,
+    whose odd ones ``bytes`` refuses (``1.0``, ``"1"``, ``None``, ``-1``,
+    ``256``) or takes as a byte other than 0 or 1 (``2``)."""
+    width = draw(st.integers(0, 9))
+    cells = st.sampled_from(MATRIX_CELLS if draw(st.booleans()) else (0, 1))
+    rows = st.lists(cells, min_size=width, max_size=width)
+    if not draw(st.integers(0, 3)):
+        rows = st.lists(cells, max_size=9)
+    matrix = draw(st.lists(rows, max_size=6))
+    return matrix, draw(st.sampled_from((None, width, width + 1)))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(matrices())
+def test_from_matrix_is_the_per_cell_reader(drawn):
+    """``from_matrix`` builds what the per-cell reader it replaced built,
+    its stored columns those of the transpose, or raises the same error
+    with the same message."""
+
+    def outcome(read, columns):
+        try:
+            r = read(*drawn)
+        except Exception as e:
+            return type(e), str(e)
+        return r.shape, r.rows, columns(r)
+
+    got = outcome(Relation.from_matrix, lambda r: vars(r).get("columns"))
+    assert got == outcome(from_matrix_oracle, lambda r: transpose(r).rows)
+
+
+# -- the unchecked constructors ------------------------------------------------
+#
+# Kernels, composites and rebuilt classifications store their results with
+# ``_of``, unchecked: each result must pass the public constructor, which
+# builds an equal value with the same hash.  The shapes open with the empty
+# carriers.
+REBUILD_SHAPES = [(0, 0), (0, 5), (5, 0), (1, 1), (3, 7), (9, 8), (17, 40), (40, 17), (130, 9)]
+
+
+def rebuilt(r: Relation) -> None:
+    out = Relation(r.src_size, r.dst_size, r.rows)
+    assert out == r and hash(out) == hash(r)
+
+
+def rough(rng: random.Random, m: int, n: int) -> Relation:
+    """A relation whose rows are empty, full or random, a third each."""
+    full = (1 << n) - 1
+    return Relation(m, n, tuple(rng.choice((0, full, rng.getrandbits(n))) for _ in range(m)))
+
+
+@pytest.mark.parametrize("kernel", sorted(BRANCHES))
+def test_every_branch_builds_what_the_constructor_accepts(kernel):
+    """Each branch of each kernel, forced, on the shapes above, with a third
+    side of no cells and of five."""
+    rng = random.Random(kernel)
+    for kind in BRANCHES[kernel]:
+        with forced(kernel, kind):
+            for (m, n), p in itertools.product(REBUILD_SHAPES, (0, 5)):
+                r = rough(rng, m, n)
+                if kernel == "transpose":
+                    out = transpose(r)
+                elif kernel == "compose":
+                    out = compose(r, rough(rng, n, p))
+                elif kernel == "left_residual":
+                    out = left_residual(r, rough(rng, m, p))
+                else:
+                    out = right_residual(r, rough(rng, p, n))
+                rebuilt(out)
+
+
+def test_the_other_unchecked_relations_pass_the_constructor():
+    """``complement``, ``union``, ``identity``, the two readers, a map's
+    graph, the rows of each branch of ``pullback`` and the covers of a
+    concept lattice."""
+    rng = random.Random(38)
+    for m, n in REBUILD_SHAPES:
+        r = rough(rng, m, n)
+        K = Classification(tuple(f"i{a}" for a in range(m)), tuple(f"t{b}" for b in range(n)), r)
+        # a map of six sources into r's columns, none where there is no column
+        g = FunctionGraph(tuple(rng.randrange(n) for _ in range(6 if n else 0)), n)
+        for out in (
+            complement(r),
+            union(r, rough(rng, m, n)),
+            identity(m),
+            Relation.from_matrix(r.matrix(), n),
+            parse_cxt(emit_cxt(K)).incidence,
+            g.rel,
+        ):
+            rebuilt(out)
+        if m * n <= 200:
+            rebuilt(concept_lattice_of(K).covers)
+        for kind in ("gather", "bits", "bytes"):
+            with forced("pullback", kind):
+                rows = pullback(r.rows, r.columns, g)
+            assert Relation(m, g.src_size, rows) == compose(r, transpose(g.rel))
+
+
+FUNCTION_SHAPES = [(0, 0, 0), (0, 3, 2), (0, 0, 4), (2, 1, 1), (3, 4, 2), (5, 5, 5), (9, 2, 7)]
+
+
+def test_function_composites_and_identities_pass_the_constructor():
+    """``then`` on maps ``src -> mid -> dst``, and ``identity`` from 0 up."""
+    rng = random.Random(38)
+    built = [FunctionGraph.identity(n) for n in range(6)]
+    for src, mid, dst in FUNCTION_SHAPES:
+        for _ in range(5):
+            f = FunctionGraph(tuple(rng.randrange(mid) for _ in range(src)), mid)
+            g = FunctionGraph(tuple(rng.randrange(dst) for _ in range(mid)), dst)
+            built.append(f.then(g))
+    for out in built:
+        again = FunctionGraph(out.targets, out.dst_size)
+        assert again == out and hash(again) == hash(out)
+
+
+def test_rebuilt_classifications_pass_the_constructor():
+    """``classification_of_lattice`` on the exhaustive contexts up to 3x3
+    and on random ones with empty carriers, the order classification of a
+    complete lattice, and the contexts of the verify corpus."""
+    rng = random.Random(38)
+    built = []
+    contexts = [K for _, K in context_corpus(3, rng)]
+    for m, n in REBUILD_SHAPES[:7]:
+        r = rough(rng, m, n)
+        contexts.append(
+            Classification(tuple(f"i{a}" for a in range(m)), tuple(f"t{b}" for b in range(n)), r)
+        )
+    for K in contexts:
+        L = concept_lattice_of(K)
+        built += [K, classification_of_lattice(L), complete_lattice_of(L).classification]
+    for out in built:
+        inc = out.incidence
+        again = Classification(out.instances, out.types, Relation(*inc.shape, inc.rows))
+        assert again == out and hash(again) == hash(out)
+
+
+def test_lattice_maps_pass_the_constructor():
+    """The embeddings of a concept lattice, the maps of its rebuild witness
+    and of ``lattice_of_morphism``, the adjoint pair of a bond, and the
+    adjoints and adjointness bonds of a complete homomorphism, on a sample
+    of the verify corpus up to 3x3."""
+    rng = random.Random(38)
+    contexts = rng.sample([K for _, K in context_corpus(3, rng)], 40)
+    maps, relations = [], []
+    for K in contexts:
+        L = concept_lattice_of(K)
+        h = identity_hom(complete_lattice_of(L))
+        for m in (
+            lattice_equivalence_witness(L),
+            lattice_of_morphism(identity_functional(K)),
+            adjoint_of_bond(identity_bond(K)),
+        ):
+            maps += [m.phi, m.psi]
+        maps += [L.iota, L.tau, *canonical_adjoints(h)]
+        relations += [h.pair.forward.rel, h.pair.backward.rel]
+    for f in maps:
+        again = FunctionGraph(f.targets, f.dst_size)
+        assert again == f and hash(again) == hash(f)
+    for r in relations:
+        rebuilt(r)
+
+
+# each public constructor, on values from outside the library, and the
+# message it refuses them with; rows and targets that are no tuple of ints
+# are in ``test_relalg.py``
+REFUSED = [
+    (lambda: Relation(-1, 0, ()), "relation sizes must be nonnegative"),
+    (lambda: Relation(0, -2, ()), "relation sizes must be nonnegative"),
+    (lambda: Relation(2, 2, (1,)), "expected 2 rows, got 1"),
+    (lambda: Relation(0, 2, (0,)), "expected 0 rows, got 1"),
+    (lambda: Relation(2, 2, (1, 4)), "row 1 has bits outside 0..1"),
+    (lambda: Relation(1, 0, (-1,)), "row 0 has bits outside 0..-1"),
+    (lambda: Relation.from_pairs(2, 2, [(0, 2)]), "pair (0, 2) out of range 2x2"),
+    (lambda: Relation.from_matrix([[0, 1], [1]]), "ragged incidence matrix"),
+    (lambda: Relation.from_matrix([], -1), "relation sizes must be nonnegative"),
+    (lambda: FunctionGraph((), -1), "function sizes must be nonnegative"),
+    (lambda: FunctionGraph((0, 2), 2), "target 2 of 1 out of range 0..1"),
+    (lambda: FunctionGraph((-1,), 2), "target -1 of 0 out of range 0..1"),
+    (lambda: FunctionGraph.from_targets([0, 5], 2), "target 5 of 1 out of range 0..1"),
+    (lambda: FunctionGraph.identity(-1), "function sizes must be nonnegative"),
+    (
+        lambda: Classification(("a", "a"), ("t",), Relation(2, 1, (0, 0))),
+        "duplicate instance labels",
+    ),
+    (lambda: Classification(("a",), ("t", "t"), Relation(1, 2, (0,))), "duplicate type labels"),
+    (
+        lambda: Classification(("a",), ("t",), Relation(1, 2, (0,))),
+        "incidence shape (1, 2) does not match 1 instances x 1 types",
+    ),
+]
+
+
+@pytest.mark.parametrize("build, message", REFUSED, ids=[message for _, message in REFUSED])
+def test_public_constructors_still_refuse_bad_values(build, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        build()

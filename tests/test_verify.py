@@ -1,12 +1,24 @@
 import json
+import random
 
 import pytest
 
 from conceptual.errors import ShapeError, ValidationError
 from conceptual.report import FAIL, NO_COVERAGE, CheckRecord, VerificationReport
-from conceptual.verify import CHECK_FAMILIES, MAX_CORPUS_SIZE, verify_equivalences
+from conceptual.verify import (
+    CHECK_FAMILIES,
+    MAX_CORPUS_SIZE,
+    _composites,
+    adjoint_corpus,
+    bond_corpus,
+    context_corpus,
+    hom_corpus,
+    infomorphism_corpus,
+    pair_corpus,
+    verify_equivalences,
+)
 
-from oracles import report_obj_oracle
+from oracles import composites_oracle, report_obj_oracle
 
 
 class TestVerifyEquivalences:
@@ -155,3 +167,24 @@ class TestReportType:
             expected = json.dumps(report_obj_oracle(report), indent=2, ensure_ascii=False)
             assert report.to_json() == expected + "\n"
 
+
+
+@pytest.mark.parametrize(
+    "max_size, seed", [(3, seed) for seed in range(7, 12)] + [(6, seed) for seed in range(3)]
+)
+def test_composites_are_the_scan_over_all_pairs(max_size, seed):
+    """On each corpus of arrows ``verify_equivalences`` builds, the grouped
+    ``_composites`` samples the pairs the scan over all pairs sampled, in
+    the same order, and leaves the generator where the scan left it."""
+    rng = random.Random(seed)
+    contexts = context_corpus(max_size, rng)
+    morphisms = infomorphism_corpus(contexts, rng)
+    bonds = bond_corpus(contexts, morphisms, rng)
+    adjoints = adjoint_corpus(contexts, bonds, rng)
+    homs = hom_corpus(contexts, rng)
+    pairs = pair_corpus(contexts, homs, rng)
+    for items in (morphisms, bonds, adjoints, homs, pairs):
+        for k in (1, 8, len(items) ** 2):
+            got, expected = random.Random(k), random.Random(k)
+            assert _composites(got, items, k, ";") == composites_oracle(expected, items, k, ";")
+            assert got.getstate() == expected.getstate()

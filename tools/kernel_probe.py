@@ -54,8 +54,11 @@ cleared before each op, as the benchmark worker does.
 
 ``--check`` compares every kernel and pullback result above with its
 reference loop and every order side with ``extent_inclusion_oracle``, and
-besides: the two ``colimit`` enumerators with their brute-force loops on
-2x3+2x3 into 2x3 and with each other on 3x3+3x3 into 3x3;
+rebuilds every kernel result and order side through the public ``Relation``
+constructor, which must accept the fields the kernels store unchecked and
+build an equal relation with the same hash; and besides: the two
+``colimit`` enumerators with their brute-force loops on 2x3+2x3 into 2x3
+and with each other on 3x3+3x3 into 3x3;
 ``functors.embedding_bonds`` with ``embedding_bonds_oracle`` over the verify
 corpus of one seed and on the order of 2^7; ``build_lattice`` with
 ``fcbo_oracle``, under the reading the rule picks and under each forced
@@ -86,6 +89,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
 from conceptual import bond, functors, relalg, verify  # noqa: E402
 from conceptual.io import emit_cxt, parse_cxt  # noqa: E402
 from conceptual.classification import Classification, contranominal_classification  # noqa: E402
+from conceptual.errors import ValidationError  # noqa: E402
 from conceptual.lattice import build_lattice  # noqa: E402
 from conceptual.colimit import (  # noqa: E402
     _enumerate_lattice_morphisms,
@@ -185,6 +189,16 @@ READINGS = ("bits", "bytes")
 def random_relation(rng: random.Random, m: int, n: int, p: float) -> Relation:
     rows = (sum(1 << b for b in range(n) if rng.random() < p) for _ in range(m))
     return Relation(m, n, tuple(rows))
+
+
+def rebuilds(r: Relation) -> bool:
+    """Whether the public constructor accepts ``r``'s fields and builds an
+    equal relation with the same hash."""
+    try:
+        again = Relation(r.src_size, r.dst_size, r.rows)
+    except ValidationError:
+        return False
+    return again == r and hash(again) == hash(r)
 
 
 def best_of(kernel, loop, r: Relation) -> tuple[float, float]:
@@ -474,7 +488,7 @@ def probe_orders(check: bool) -> tuple[int, int]:
             expected = extent_inclusion_oracle([set(bits(e)) for e in L.extents])
             for what, got in zip(("types", "instances", "order"), [f() for f in sides] + [order]):
                 compared += 1
-                if got != expected:
+                if got != expected or not rebuilds(got):
                     differ += 1
                     print(f"differs: the order by {what} on {name}")
             continue
@@ -659,7 +673,8 @@ def main(argv: list[str] | None = None) -> int:
             r = random_relation(rng, m, n, density)
             for name, kernel, loop, rule in KERNELS:
                 if args.check:
-                    if kernel(r) != loop(r):
+                    got = kernel(r)
+                    if got != loop(r) or not rebuilds(got):
                         differ += 1
                         print(f"differs: {name} on {m}x{n} at density {density}")
                     continue
