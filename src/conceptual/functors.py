@@ -40,6 +40,7 @@ from .lattice import (
 from .relalg import (
     FunctionGraph,
     Relation,
+    _setattr,
     adjoint_failure,
     first_difference,
     left_residual,
@@ -64,7 +65,9 @@ class CompleteLattice(ConceptLattice):
     up-sets, ``order`` is ``leq`` and both embeddings are the identity.  The
     three views are preset from the order, so none is derived again, and
     residuals into the order are taken from the down-sets, as into any
-    incidence.  Construction runs ``check_lattice``."""
+    incidence.  Construction runs ``check_lattice``, and the concept lattice
+    that proves the order a lattice lends its classification, an equal one
+    whose columns, the down-sets, are already read."""
 
     def __init__(self, elements: tuple[str, ...], leq: Relation):
         n = len(elements)
@@ -72,21 +75,22 @@ class CompleteLattice(ConceptLattice):
             raise ShapeError(f"order shape {leq.shape} for {n} elements")
         if len(set(elements)) != n:
             raise ValidationError("duplicate element labels")
-        classification = Classification._of(elements, elements, leq)
-        down, up = classification.cols, leq.rows
-        concepts = tuple(map(FormalConcept, down, up))
-        for name, value in (
-            ("classification", classification),
-            ("concepts", concepts),
-            ("extents", down),
-            ("intents", up),
-            ("order", leq),
-        ):
-            object.__setattr__(self, name, value)
+        _setattr(self, "classification", Classification._of(elements, elements, leq))
         self.__post_init__()
 
     def __post_init__(self):
-        check_lattice(self)
+        # the proving lattice's classification equals this one, and FCbO
+        # has read its columns, the down-sets
+        classification = check_lattice(self).classification
+        leq, down = classification.incidence, classification.cols
+        for name, value in (
+            ("classification", classification),
+            ("concepts", tuple(map(FormalConcept, down, leq.rows))),
+            ("extents", down),
+            ("intents", leq.rows),
+            ("order", leq),
+        ):
+            _setattr(self, name, value)
 
     @property
     def elements(self) -> tuple[str, ...]:

@@ -22,14 +22,23 @@ itself and the right residual ``N/N`` of the concept x type membership
 relation ``N``; ``ConceptLattice.order`` takes the side ``relalg.branch``
 picks.  The two preorders of a classification are the residuals of its
 incidence (see ``classification``).  ``bound_of`` is the one meet/join
-lookup, behind ``ConceptLattice.meet_of`` and ``join_of``, and
-``check_lattice`` the one validator of lattice orders: a complete lattice,
-``functors.CompleteLattice``, is the concept lattice of its order
-classification, and its construction runs it.
+lookup, behind ``ConceptLattice.meet_of`` and ``join_of``.
+
+``concept_lattice_of`` is ``build_lattice`` behind a least-recently-used
+cache keyed by classification, which bonds and functors share; a lookup
+through ``_lattice_within`` caps the build on a miss.
+``check_lattice`` is the one validator of lattice orders, and it reads the
+same theorem the other way: a complete lattice, ``functors.CompleteLattice``,
+is the concept lattice of its order classification, so an order is a lattice
+exactly when the concepts of its order classification are its principal
+pairs.  It takes that concept lattice from the cache, or builds it there
+with no more concepts than elements, and names a failure only when the test
+fails.
 """
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -41,6 +50,9 @@ from .relalg import (
     _BYTE_BITS,
     FunctionGraph,
     Relation,
+    _new,
+    _require_ints,
+    _setattr,
     bits,
     compose,
     left_residual,
@@ -75,10 +87,42 @@ class ConceptLattice:
     extents and intents come ``iota_rel`` (instance x concept, the extents as
     columns), ``tau_rel`` (concept x type, the intents as rows), and
     ``order``, extent inclusion: ``iota_rel\\iota_rel`` and ``tau_rel/tau_rel``.
+
+    The constructor refuses concepts that are no ``FormalConcept``s of
+    int masks within the classification's instances and types, so the
+    views store their relations unchecked; ``build_lattice`` stores the
+    concepts it finds through ``_of``, with no check.
     """
 
     concepts: tuple[FormalConcept, ...]
     classification: Classification
+
+    def __post_init__(self):
+        concepts, K = self.concepts, self.classification
+        if not (isinstance(concepts, tuple) and all(type(c) is FormalConcept for c in concepts)):
+            raise ValidationError("concepts must be a tuple of FormalConcepts")
+        for kind, sets, size in (
+            ("extent", self.extents, len(K.instances)),
+            ("intent", self.intents, len(K.types)),
+        ):
+            _require_ints(sets, f"concept {kind}s")
+            full = (1 << size) - 1
+            if sets and (min(sets) < 0 or max(sets) > full):
+                i = next(i for i, s in enumerate(sets) if s < 0 or s > full)
+                raise ValidationError(
+                    f"{kind} of concept {i} has bits outside 0..{size - 1}", witness=(i,)
+                )
+
+    @classmethod
+    def _of(
+        cls, concepts: tuple[FormalConcept, ...], classification: Classification
+    ) -> "ConceptLattice":
+        """The lattice with these fields, stored unchecked, as ``Relation._of``:
+        only for concepts found in ``classification``."""
+        out = _new(cls)
+        _setattr(out, "concepts", concepts)
+        _setattr(out, "classification", classification)
+        return out
 
     @property
     def size(self) -> int:
@@ -116,12 +160,12 @@ class ConceptLattice:
     @view
     def iota_rel(self) -> Relation:
         """instance x concept: the instance lies in the concept's extent."""
-        return transpose(Relation(self.size, len(self.instance_labels), self.extents))
+        return transpose(Relation._of(self.size, len(self.instance_labels), self.extents))
 
     @view
     def tau_rel(self) -> Relation:
         """concept x type: the type lies in the concept's intent."""
-        return Relation(self.size, len(self.type_labels), self.intents)
+        return Relation._of(self.size, len(self.type_labels), self.intents)
 
     @view
     def order(self) -> Relation:
@@ -365,13 +409,32 @@ def build_lattice(K: Classification, max_concepts: int = DEFAULT_CONCEPT_CAP) ->
             else:
                 stack.append((child_ext, child, j + 1, failed))
 
-    return ConceptLattice(tuple(pairs), K)
+    return ConceptLattice._of(tuple(pairs), K)
+
+
+# the concept cap of a build on a cache miss, lowered by ``_lattice_within``
+# for one lookup; a context variable, so each thread and task has its own
+_MISS_CAP: ContextVar[int] = ContextVar("_MISS_CAP", default=DEFAULT_CONCEPT_CAP)
 
 
 @lru_cache(maxsize=4096)
 def concept_lattice_of(K: Classification) -> ConceptLattice:
     """Cached ``build_lattice``; bonds and functors share lattices through it."""
-    return build_lattice(K)
+    return build_lattice(K, _MISS_CAP.get())
+
+
+def _lattice_within(K: Classification, max_concepts: int) -> ConceptLattice | None:
+    """``concept_lattice_of(K)``, built with at most ``max_concepts``
+    concepts if it is not cached; ``None`` if it has more, and then, as
+    ``lru_cache`` keeps no exception, nothing is stored and a later call
+    builds the whole lattice."""
+    token = _MISS_CAP.set(max_concepts)
+    try:
+        return concept_lattice_of(K)
+    except ResourceLimitError:
+        return None
+    finally:
+        _MISS_CAP.reset(token)
 
 
 def bound_of(
@@ -400,24 +463,49 @@ def bound_of(
     return found
 
 
-def check_lattice(L: ConceptLattice) -> None:
-    """Raise ``ValidationError`` unless ``L.order`` orders a finite lattice,
-    for ``L`` the concept lattice of an order classification, whose
-    instances are its elements (``functors.CompleteLattice``).
+def check_lattice(L: ConceptLattice) -> ConceptLattice:
+    """Raise ``ValidationError`` unless the incidence of ``L``'s
+    classification, an order classification ``(P, P, <=)`` as
+    ``functors.CompleteLattice`` builds it, orders a finite lattice; return
+    the concept lattice of that classification, which proves it.  Only the
+    classification of ``L`` is read.
 
-    ``L``'s extents are then the principal down-sets, the columns of the
-    order.  Past the preorder check, antisymmetry means the down-sets are
-    pairwise distinct.  A finite poset is a lattice when the full down-set
-    (a top) is present and the intersection of every two down-sets is a
-    principal down-set again: then every meet exists, and so every join.
-    The pairs are tested one element at a time, by one set membership pass
-    over ``down[i] & down[j]`` for all ``j > i``; only on a failure is the
-    first failing pair ``(i, j)`` looked for, and reported by ``meet_of``.
-    Witnesses are labels.
+    A finite lattice is the concept lattice of its order classification
+    (the Basic Theorem, Ganter & Wille 1999, Thm. 3), which is the order's
+    Dedekind-MacNeille completion (MacNeille, *Partially ordered sets*,
+    Trans. AMS 42, 1937): a relation on ``n`` elements orders a lattice iff
+    the concepts of its classification are exactly the ``n`` distinct pairs
+    (column ``x``, row ``x``).  Each such concept puts ``x`` in its column,
+    so the relation is reflexive, and every ``z`` of row ``y`` in
+    ``{t : column y within column t}``, so it is transitive; distinct pairs
+    make it antisymmetric, and with every concept principal the order is its
+    own completion.  Whole pairs are compared: with extents alone, some
+    intransitive relations pass.  The concept lattice comes from
+    ``concept_lattice_of``, and one missing there is built with at most
+    ``n`` concepts, so an order with a larger completion fails fast and
+    stores nothing.
+
+    Only when that test fails are the laws checked one by one, to name the
+    first that fails: the preorder (``check_preorder``); antisymmetry, which
+    means the down-sets, the columns, are pairwise distinct; a top, the full
+    down-set; and, for every two down-sets, an intersection that is a
+    principal down-set, whence every meet exists, and so every join.  The
+    pairs are tested one element at a time, by one set membership pass over
+    ``down[i] & down[j]`` for all ``j > i``; only on a failure is the first
+    failing pair ``(i, j)`` looked for.  A preorder or antisymmetry failure
+    names labels; a missing top or meet is reported by ``bound_of``, whose
+    witness is the element set as a mask, ``(0x18,)`` for the pair 3 and 4.
     """
-    labels, down, down_index = L.instance_labels, L.extents, L.extent_index
-    check_preorder(L.order, labels)
-    n = len(down)
+    K = L.classification
+    n = len(K.instances)
+    M = _lattice_within(K, n)
+    # M's classification equals K, and FCbO has read its columns
+    if M is not None and M.size == n:
+        if set(M.concepts) == set(zip(M.classification.cols, K.rows)):
+            return M
+    labels, down = K.instances, K.cols
+    check_preorder(K.incidence, labels)
+    down_index = {d: i for i, d in enumerate(down)}
     if len(down_index) != n:
         i = next(i for i, d in enumerate(down) if down_index[d] != i)
         j = down_index[down[i]]
@@ -425,12 +513,14 @@ def check_lattice(L: ConceptLattice) -> None:
             f"order not antisymmetric between {quote(labels[i])} and {quote(labels[j])}",
             witness=(labels[i], labels[j]),
         )
-    L.meet_of(0)
+    full = K.full_instances
+    bound_of(down, down_index, full, 0, "meet")
     principal = set(down_index)
     for i, d in enumerate(down):
         if not principal.issuperset(map(d.__and__, down[i + 1 :])):
             j = next(j for j in range(i + 1, n) if d & down[j] not in principal)
-            L.meet_of(1 << i | 1 << j)
+            bound_of(down, down_index, full, 1 << i | 1 << j, "meet")
+    raise AssertionError("a lattice order whose concepts are not its principal pairs")
 
 
 def meet(L: ConceptLattice, concepts: Iterable[FormalConcept]) -> FormalConcept:

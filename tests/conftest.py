@@ -50,6 +50,16 @@ def order_from_covers(n: int, covers) -> Relation:
 BOWTIE = order_from_covers(6, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)])
 
 
+def crown(k: int) -> tuple[tuple[str, ...], Relation]:
+    """The crown on ``2k`` elements, ``a_i`` below ``b_j`` iff ``i != j``:
+    an order with no top, whose order classification has about ``2^k``
+    concepts."""
+    labels = tuple(f"a{i}" for i in range(k)) + tuple(f"b{j}" for j in range(k))
+    tops = ((1 << k) - 1) << k
+    rows = tuple(1 << i | tops & ~(1 << k + i) for i in range(k))
+    return labels, Relation(2 * k, 2 * k, rows + tuple(1 << k + j for j in range(k)))
+
+
 def random_context(rng, m: int, n: int) -> Classification:
     inst = tuple(f"i{k}" for k in range(m))
     typ = tuple(f"t{k}" for k in range(n))

@@ -23,6 +23,11 @@ bond form of a collective concept replaced, run on the per-cell kernels.
 ``fcbo_oracle`` is the concept walk the library replaced, kept as it was:
 it tests every free type at every node, and checks the walk that skips the
 types an extent cannot meet on inputs too large for NextClosure.
+
+``check_lattice_oracle`` is the validator of lattice orders the library
+replaced, kept as it was: it tests the order laws one by one, and every
+pair of down-sets, where ``lattice.check_lattice`` reads the concepts of
+the order classification.
 """
 
 from __future__ import annotations
@@ -31,10 +36,11 @@ import functools
 import itertools
 from types import SimpleNamespace
 
+from conceptual.classification import check_preorder
 from conceptual.errors import CheckResult, ResourceLimitError, ValidationError, quote
 from conceptual.functors import ConceptLatticeMorphism
 from conceptual.infomorphism import FunctionalInfomorphism, check_functional
-from conceptual.lattice import DEFAULT_CONCEPT_CAP, ConceptLattice, FormalConcept
+from conceptual.lattice import DEFAULT_CONCEPT_CAP, ConceptLattice, FormalConcept, bound_of
 from conceptual.relalg import FunctionGraph, Relation, bits
 
 
@@ -517,6 +523,48 @@ def adjoint_oracle(L, K, phi, psi) -> tuple[int, int] | None:
         for x in range(L.size):
             if L.order.bit(phi(y), x) != K.order.bit(y, psi(x)):
                 return y, x
+    return None
+
+
+def check_lattice_oracle(K) -> None:
+    """Raise ``ValidationError`` unless the incidence of the order
+    classification ``K`` orders a finite lattice on its instances, by the
+    laws one at a time, as ``lattice.check_lattice`` did before it read the
+    concepts of ``K``.
+
+    Past the preorder check, antisymmetry means the down-sets, the columns,
+    are pairwise distinct.  A finite poset is a lattice when the full
+    down-set (a top) is present and the intersection of every two down-sets
+    is a principal down-set again.  The pairs are tested one element at a
+    time, and the first failing pair ``(i, j)`` is reported by ``bound_of``
+    with its mask as witness, as a missing top is with mask 0."""
+    labels, down = K.instances, K.cols
+    check_preorder(K.incidence, labels)
+    n = len(down)
+    down_index = {d: i for i, d in enumerate(down)}
+    if len(down_index) != n:
+        i = next(i for i, d in enumerate(down) if down_index[d] != i)
+        j = down_index[down[i]]
+        raise ValidationError(
+            f"order not antisymmetric between {quote(labels[i])} and {quote(labels[j])}",
+            witness=(labels[i], labels[j]),
+        )
+    full = K.full_instances
+    bound_of(down, down_index, full, 0, "meet")
+    principal = set(down_index)
+    for i, d in enumerate(down):
+        if not principal.issuperset(map(d.__and__, down[i + 1 :])):
+            j = next(j for j in range(i + 1, n) if d & down[j] not in principal)
+            bound_of(down, down_index, full, 1 << i | 1 << j, "meet")
+
+
+def raised(check, *args) -> tuple[str, tuple] | None:
+    """The message and witness of the ``ValidationError`` that
+    ``check(*args)`` raises; ``None`` when it raises none."""
+    try:
+        check(*args)
+    except ValidationError as e:
+        return str(e), e.witness
     return None
 
 

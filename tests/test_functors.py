@@ -66,7 +66,7 @@ from conceptual.infomorphism import (
     instance_infomorphism,
 )
 from conceptual.io import dumps, morphism_from_obj, morphism_to_obj
-from conceptual.lattice import ConceptLattice, FormalConcept, concept_lattice_of
+from conceptual.lattice import ConceptLattice, FormalConcept, build_lattice, concept_lattice_of
 from conceptual.relalg import (
     FunctionGraph,
     Relation,
@@ -79,16 +79,18 @@ from conceptual.relalg import (
 from conceptual.report import FAIL, VerificationReport
 from conceptual.verify import verify_equivalences
 
-from conftest import BOWTIE, all_contexts, order_from_covers, random_context
+from conftest import BOWTIE, all_contexts, crown, order_from_covers, random_context
 from oracles import (
     adjoint_masks_oracle,
     adjoint_oracle,
     canonical_adjoints_oracle,
+    check_lattice_oracle,
     complete_hom_oracle,
     embedding_bonds_oracle,
     inf_oracle,
     lattice_order_oracle,
     pair_roundtrip_by_composition,
+    raised,
     random_relation,
     right_residual_oracle,
     sup_oracle,
@@ -262,6 +264,87 @@ class TestCompleteLattice:
                 assert exc.value.witness == (mask,)
                 outcomes["pair"] += 1
         assert sum(outcomes.values()) == 4166 and all(outcomes.values()), outcomes
+
+    def test_every_relation_on_up_to_3_elements_against_the_oracle(self):
+        """Every relation on at most 3 elements, reflexive or not: the
+        constructor raises what ``check_lattice_oracle`` raises, message and
+        witness, and accepts exactly what it accepts."""
+        verdicts = collections.Counter()
+        for n in range(4):
+            labels = tuple(f"e{i}" for i in range(n))
+            for code in range(1 << n * n):
+                leq = Relation(n, n, tuple(code >> n * i & (1 << n) - 1 for i in range(n)))
+                expected = raised(check_lattice_oracle, Classification(labels, labels, leq))
+                assert raised(CompleteLattice, labels, leq) == expected, leq
+                verdicts[expected is None] += 1
+        # the lattices: 1 on one element, 2 on two and 6 on three
+        assert verdicts == {True: 9, False: 1 + 2 + 16 + 512 - 9}
+
+    def test_exactly_the_lattice_orders_on_4_elements_pass(self):
+        """Of the 66,066 relations on 1 to 4 elements, exactly the 45
+        labelled lattice orders pass: 1, 2, 6, and 24 chains and 12 squares
+        on four; each is an order with a top in which
+        ``lattice_order_oracle`` finds no pair without a meet."""
+        passed = 0
+        for n in range(1, 5):
+            labels = tuple(f"e{i}" for i in range(n))
+            for code in range(1 << n * n):
+                leq = Relation(n, n, tuple(code >> n * i & (1 << n) - 1 for i in range(n)))
+                try:
+                    CompleteLattice(labels, leq)
+                except ValidationError:
+                    continue
+                ref = SimpleNamespace(order=leq, size=n)
+                assert all(leq.bit(i, i) for i in range(n)) and order_flaw(leq) is None
+                assert inf_oracle(ref, []) is not None and lattice_order_oracle(leq) is None
+                passed += 1
+        concept_lattice_of.cache_clear()
+        assert passed == 45
+
+    def test_a_crown_is_refused_with_at_most_n_concepts_built(self, monkeypatch):
+        """The 40-element crown is an order with no top, and its order
+        classification has over 2^20 concepts: the lattice check builds at
+        most 40 of them, stores none, and raises what the oracle raises."""
+        from conceptual import lattice
+
+        caps = []
+        original = lattice.build_lattice
+
+        def spy(K, max_concepts=lattice.DEFAULT_CONCEPT_CAP):
+            caps.append(max_concepts)
+            return original(K, max_concepts)
+
+        monkeypatch.setattr(lattice, "build_lattice", spy)
+        labels, leq = crown(20)
+        concept_lattice_of.cache_clear()
+        with pytest.raises(ValidationError) as exc:
+            CompleteLattice(labels, leq)
+        assert (str(exc.value), exc.value.witness) == ("no meet for element set 0x0", (0,))
+        assert raised(check_lattice_oracle, Classification(labels, labels, leq)) == (
+            "no meet for element set 0x0",
+            (0,),
+        )
+        assert caps and max(caps) <= 40
+        assert concept_lattice_of.cache_info().currsize == 0
+
+    def test_the_check_shares_the_concept_lattice_cache(self):
+        """A capped miss that overflows stores nothing, and a later call
+        builds the whole lattice; a lattice order's concept lattice is stored
+        and found again, and lends the lattice its classification."""
+        labels, leq = crown(3)
+        K = Classification(labels, labels, leq)
+        concept_lattice_of.cache_clear()
+        with pytest.raises(ValidationError, match="^no meet for element set 0x0$"):
+            CompleteLattice(labels, leq)
+        assert concept_lattice_of.cache_info() == (0, 1, 4096, 0)
+        assert concept_lattice_of(K).size == len(build_lattice(K).concepts) > 6
+        assert concept_lattice_of.cache_info() == (0, 2, 4096, 1)
+        L = chain_lattice(5)
+        M = concept_lattice_of(Classification(L.elements, L.elements, L.order))
+        assert concept_lattice_of.cache_info()[:2] == (1, 3)
+        assert L.classification is M.classification and L.extents is M.classification.cols
+        assert chain_lattice(5).classification is M.classification
+        concept_lattice_of.cache_clear()
 
     def test_bounded_non_lattices_name_their_first_pair(self, rng):
         # bottom and top around every partial order on 3 or 4 elements: the

@@ -19,6 +19,7 @@ from conceptual.bond import (
 )
 from conceptual.lattice import (
     ConceptLattice,
+    FormalConcept,
     build_lattice,
     concept_lattice_of,
     decomposition_check,
@@ -392,6 +393,32 @@ class TestBuildLattice:
             assert L.order == left_residual(members, members)
             assert L.iota_rel == compose(L.iota.rel, L.order)
             assert L.tau_rel == compose(L.order, transpose(L.tau.rel))
+
+    def test_the_constructor_refuses_concepts_out_of_range(self, k1):
+        """``ConceptLattice(concepts, classification)`` checks every extent
+        and intent against the classification's instances and types, so
+        the views build their relations unchecked; they equal the same
+        relations rebuilt through the public ``Relation`` constructor."""
+        L = build_lattice(k1)
+        assert ConceptLattice(L.concepts, k1) == L
+        for concept, message in (
+            (FormalConcept(0b100, 0), "extent of concept 1 has bits outside 0..1"),
+            (FormalConcept(-1, 0), "extent of concept 1 has bits outside 0..1"),
+            (FormalConcept(0, 0b100), "intent of concept 1 has bits outside 0..1"),
+        ):
+            with pytest.raises(ValidationError) as e:
+                ConceptLattice((L.concepts[0], concept), k1)
+            assert (str(e.value), e.value.witness) == (message, (1,))
+        for concepts, message in (
+            (list(L.concepts), "concepts must be a tuple of FormalConcepts"),
+            (((0b11, 0),), "concepts must be a tuple of FormalConcepts"),
+            ((FormalConcept(1.0, 0),), "concept extents must be a tuple of ints"),
+            ((FormalConcept(0, "1"),), "concept intents must be a tuple of ints"),
+        ):
+            with pytest.raises(ValidationError, match=f"^{message}$"):
+                ConceptLattice(concepts, k1)
+        for rel in (L.iota_rel, L.tau_rel):
+            assert Relation(rel.src_size, rel.dst_size, rel.rows) == rel
 
 
 class TestMeetJoin:

@@ -4,8 +4,10 @@ and against NextClosure (the lectic order); of its pruned walk against
 NextClosure and the unpruned FCbO walk, on tall sparse contexts up to
 40x12, contexts with empty columns or carriers, and order classifications;
 of the derived embeddings against the Basic Theorem on coin-cell contexts
-up to 6x6; and of ``right_residual`` against its oracle, on incidences,
-orders and relations that are neither."""
+up to 6x6; of ``right_residual`` against its oracle, on incidences,
+orders and relations that are neither; and of the lattice check of
+``CompleteLattice`` against ``check_lattice_oracle``, on relations and
+bounded orders of 5 to 8 elements."""
 
 import random
 
@@ -24,16 +26,18 @@ from conceptual.classification import (
 from conceptual.errors import ShapeError
 from conceptual.functors import CompleteLattice, complete_lattice_of
 from conceptual.lattice import ConceptLattice, build_lattice, concept_lattice_of
-from conceptual.relalg import FunctionGraph, Relation, right_residual
+from conceptual.relalg import FunctionGraph, Relation, bits, right_residual
 
-from conftest import PRUNED_BOTTOM
+from conftest import PRUNED_BOTTOM, order_from_covers
 from test_bond_properties import context
 from oracles import (
+    check_lattice_oracle,
     closed_pairs_oracle,
     concept_set,
     embeddings_oracle,
     fcbo_oracle,
     next_closure_oracle,
+    raised,
     right_residual_oracle,
 )
 
@@ -179,3 +183,52 @@ def test_right_residual_is_the_oracle(data):
     with pytest.raises(ShapeError) as e:
         right_residual(t, wrong)
     assert str(e.value) == f"right_residual: incompatible shapes {t.shape} and {wrong.shape}"
+
+
+@st.composite
+def relations(draw) -> Relation:
+    """5..8 elements, each row a coin draw: as drawn, made reflexive,
+    closed to the preorder it generates, which mostly has cycles, or cut to
+    its pairs ``(i, j)``, ``i < j``, and closed to an order, which mostly
+    has no top."""
+    n = draw(st.integers(5, 8))
+    rows = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
+    kind = draw(st.sampled_from(("drawn", "reflexive", "preorder", "order")))
+    if kind == "reflexive":
+        rows = [row | 1 << i for i, row in enumerate(rows)]
+    elif kind != "drawn":
+        if kind == "order":
+            rows = [row >> i + 1 << i + 1 for i, row in enumerate(rows)]
+        return order_from_covers(n, [(i, j) for i, row in enumerate(rows) for j in bits(row)])
+    return Relation(n, n, tuple(rows))
+
+
+@st.composite
+def bounded_orders(draw) -> Relation:
+    """A bottom and a top around an order on 3..6 elements in three seeded
+    levels, the transitive closure of a coin draw of the pairs from a lower
+    level to a higher one, relabelled by a seeded permutation: a lattice,
+    or, about one time in five, a bounded non-lattice."""
+    middle = draw(st.integers(3, 6))
+    rnd = draw(st.randoms(use_true_random=False))
+    n = middle + 2
+    level = [0] + [rnd.randrange(3) for _ in range(middle)]
+    inner = [(i, j) for i in range(1, n - 1) for j in range(1, n - 1) if level[i] < level[j]]
+    pairs = [p for p in inner if rnd.random() < 0.5]
+    bounds = [(0, i) for i in range(1, n)] + [(i, n - 1) for i in range(n)]
+    leq = order_from_covers(n, bounds + pairs)
+    perm = rnd.sample(range(n), n)
+    rows = [0] * n
+    for i, j in leq.pairs():
+        rows[perm[i]] |= 1 << perm[j]
+    return Relation(n, n, tuple(rows))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.one_of(relations(), bounded_orders()))
+def test_check_lattice_is_the_oracle(leq):
+    """``CompleteLattice`` raises what ``check_lattice_oracle`` raises,
+    message and witness, and accepts what it accepts."""
+    labels = tuple(f"e{i}" for i in range(leq.src_size))
+    expected = raised(check_lattice_oracle, Classification(labels, labels, leq))
+    assert raised(CompleteLattice, labels, leq) == expected

@@ -66,7 +66,12 @@ reading, and its derived embeddings with ``embeddings_oracle``; the
 columns ``parse_cxt`` and ``from_matrix`` store with ``transpose``; and the
 order bond and pairing checks of ``functors`` with ``bond.is_bond`` and
 ``bond.is_bonding_pair`` on the bonding benchmark's boolean homs, on seeded
-flips of their bonds and across injections.  It exits 1 on a difference.
+flips of their bonds and across injections; and the lattice check of
+``functors.CompleteLattice``, ``lattice.check_lattice``, with
+``check_lattice_oracle``, message and witness, on the order of every concept
+lattice the bonding benchmark's pairs join (16 to 128 elements) and on two
+orders that are no lattices, the bowtie and the crown on 40 elements, each
+with both caches cleared.  It exits 1 on a difference.
 """
 
 from __future__ import annotations
@@ -108,6 +113,7 @@ from conceptual.relalg import (  # noqa: E402
 )
 from workloads import WORKLOADS  # noqa: E402
 from oracles import (  # noqa: E402
+    check_lattice_oracle,
     compose_loop_oracle,
     embedding_bonds_oracle,
     embeddings_oracle,
@@ -117,6 +123,7 @@ from oracles import (  # noqa: E402
     lattice_morphisms_oracle,
     left_residual_sweep_oracle,
     preimages_oracle,
+    raised,
     right_residual_scatter_oracle,
     transpose_oracle,
 )
@@ -570,6 +577,50 @@ def check_orders() -> tuple[int, int]:
     return compared, differ
 
 
+def lattice_orders() -> list[tuple[str, Relation]]:
+    """The orders of the lattice check rows, by name: of every concept
+    lattice the bonding benchmark's pairs join, then the bowtie, bounded
+    with two minimal upper bounds for a pair, and the crown on 40 elements,
+    ``a_i`` below ``b_j`` iff ``i != j``, with no top and over 2^20
+    concepts in its order classification."""
+    with tempfile.TemporaryDirectory() as workdir:
+        workload = WORKLOADS["bonding"](library_modules(), 1, "full", Path(workdir) / "bonding")
+    orders = {}
+    for label, pair, _ in workload.pairs:
+        for end, K in (("source", pair.source), ("target", pair.target)):
+            orders.setdefault(build_lattice(K).order, f"{label} {end}")
+    out = [(name, order) for order, name in orders.items()]
+    bowtie = (0b111111, 0b111010, 0b111100, 0b101000, 0b110000, 0b100000)
+    k = 20
+    tops = ((1 << k) - 1) << k
+    crown = [1 << i | tops & ~(1 << k + i) for i in range(k)] + [1 << k + j for j in range(k)]
+    out += [("bowtie", Relation(6, 6, bowtie)), ("crown", Relation(2 * k, 2 * k, tuple(crown)))]
+    return out
+
+
+def check_lattices() -> tuple[int, int]:
+    """Compare the lattice check of ``CompleteLattice`` with
+    ``check_lattice_oracle``, and a lattice's down-sets with the columns of
+    its order; the number of comparisons made and of those that differ."""
+    compared = differ = 0
+    for name, order in lattice_orders():
+        labels = tuple(f"e{i}" for i in range(order.src_size))
+        functors.concept_lattice_of.cache_clear()
+        functors.complete_lattice_of.cache_clear()
+        got = raised(functors.CompleteLattice, labels, order)
+        expected = raised(check_lattice_oracle, Classification(labels, labels, order))
+        checks = [("verdict", got == expected)]
+        if got is None:
+            down = functors.CompleteLattice(labels, order).extents
+            checks.append(("down-sets", down == transpose(order).rows))
+        for what, ok in checks:
+            compared += 1
+            if not ok:
+                differ += 1
+                print(f"differs: the lattice check's {what} on {name} ({order.src_size} elements)")
+    return compared, differ
+
+
 def library_modules() -> SimpleNamespace:
     """The modules a benchmark workload is built from."""
     names = ("classification", "relalg", "lattice", "functors", "bond", "io", "cli")
@@ -685,7 +736,7 @@ def main(argv: list[str] | None = None) -> int:
                 )
     results = [probe(args.check) for probe in (probe_pullbacks, probe_orders, probe_walks)]
     if args.check:
-        checks = (check_enumerators, check_embeddings, check_builds, check_orders)
+        checks = (check_enumerators, check_embeddings, check_builds, check_orders, check_lattices)
         results += [check() for check in checks]
         compared = sum(more for more, _ in results)
         differ += sum(more for _, more in results)
