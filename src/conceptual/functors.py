@@ -81,7 +81,7 @@ class CompleteLattice(ConceptLattice):
     def __post_init__(self):
         # the proving lattice's classification equals this one, and FCbO
         # has read its columns, the down-sets
-        classification = check_lattice(self).classification
+        classification = check_lattice(self.classification).classification
         leq, down = classification.incidence, classification.cols
         for name, value in (
             ("classification", classification),

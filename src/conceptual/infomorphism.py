@@ -12,7 +12,6 @@ from dataclasses import InitVar, dataclass
 from . import relalg
 from .classification import (
     Classification,
-    extent_of,
     instance_preorder,
     powerset_classification,
     type_preorder,
@@ -95,11 +94,11 @@ def dual_functional(m: FunctionalInfomorphism) -> FunctionalInfomorphism:
 
 
 def instance_infomorphism(K: Classification) -> FunctionalInfomorphism:
-    """The instance-identity infomorphism into the instance powerset."""
+    """The instance-identity infomorphism into the instance powerset: each
+    type goes to its extent, its column, a mask of the instances and so in
+    range."""
     p = powerset_classification(K.instances)
-    g = FunctionGraph.from_targets(
-        tuple(extent_of(K, 1 << t) for t in range(len(K.types))), 1 << len(K.instances)
-    )
+    g = FunctionGraph._of(K.cols, 1 << len(K.instances))
     return FunctionalInfomorphism(K, p, FunctionGraph.identity(len(K.instances)), g)
 
 

@@ -463,12 +463,11 @@ def bound_of(
     return found
 
 
-def check_lattice(L: ConceptLattice) -> ConceptLattice:
-    """Raise ``ValidationError`` unless the incidence of ``L``'s
-    classification, an order classification ``(P, P, <=)`` as
-    ``functors.CompleteLattice`` builds it, orders a finite lattice; return
-    the concept lattice of that classification, which proves it.  Only the
-    classification of ``L`` is read.
+def check_lattice(K: Classification) -> ConceptLattice:
+    """Raise ``ValidationError`` unless the incidence of ``K``, an order
+    classification ``(P, P, <=)`` as ``functors.CompleteLattice`` builds it,
+    orders a finite lattice; return the concept lattice of ``K``, which
+    proves it.
 
     A finite lattice is the concept lattice of its order classification
     (the Basic Theorem, Ganter & Wille 1999, Thm. 3), which is the order's
@@ -496,7 +495,6 @@ def check_lattice(L: ConceptLattice) -> ConceptLattice:
     names labels; a missing top or meet is reported by ``bound_of``, whose
     witness is the element set as a mask, ``(0x18,)`` for the pair 3 and 4.
     """
-    K = L.classification
     n = len(K.instances)
     M = _lattice_within(K, n)
     # M's classification equals K, and FCbO has read its columns

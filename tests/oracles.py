@@ -28,14 +28,21 @@ types an extent cannot meet on inputs too large for NextClosure.
 replaced, kept as it was: it tests the order laws one by one, and every
 pair of down-sets, where ``lattice.check_lattice`` reads the concepts of
 the order classification.
+
+``branches`` is the one rebinding of ``relalg.branch``: the tests force a
+kernel's branch through it, and ``tools/kernel_probe.py``, which imports
+this module too, forces the branches it times and counts what the rule
+picks.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 from types import SimpleNamespace
 
+from conceptual import relalg
 from conceptual.classification import check_preorder
 from conceptual.errors import CheckResult, ResourceLimitError, ValidationError, quote
 from conceptual.functors import ConceptLatticeMorphism
@@ -566,6 +573,27 @@ def raised(check, *args) -> tuple[str, tuple] | None:
     except ValidationError as e:
         return str(e), e.witness
     return None
+
+
+@contextlib.contextmanager
+def branches(kernel: str = "", kind: str = ""):
+    """While the block runs, ``relalg.branch`` picks ``kind`` for
+    ``kernel``, where both are given, and what the rule picks everywhere
+    else; the block gets the list of its picks, one ``(kernel, branch)`` per
+    call, in call order."""
+    rule = relalg.branch
+    picks = []
+
+    def rebound(name, rows, n, k=0):
+        pick = name == kernel and kind or rule(name, rows, n, k)
+        picks.append((name, pick))
+        return pick
+
+    relalg.branch = rebound
+    try:
+        yield picks
+    finally:
+        relalg.branch = rule
 
 
 def lattice_order_oracle(leq: Relation) -> tuple[int, int] | None:

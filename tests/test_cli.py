@@ -319,6 +319,12 @@ class TestConstructions:
         assert code == 3
 
 
+K1 = parse_classification(K1_CXT)
+# a context on K1's instances with other types
+K2 = powerset_classification(K1.instances)
+FIVE = {**morphism_to_obj(identity_bond(K1)), "data": 5}
+
+
 class TestMalformedInput:
     """Malformed input is a structural error (exit 3) with a message, never a
     traceback."""
@@ -329,6 +335,47 @@ class TestMalformedInput:
         assert code == 3
         assert err.startswith("error: ")
         return err
+
+    @pytest.mark.parametrize(
+        "argv, files, message",
+        [
+            (
+                ["compose", "bonds", "a.json", "b.json"],
+                {"a.json": identity_bond(K1), "b.json": identity_bond(K2)},
+                "compose_bonds: middle classifications differ",
+            ),
+            (
+                ["compose", "infos", "a.json", "b.json"],
+                {"a.json": identity_relational(K1), "b.json": identity_relational(K2)},
+                "compose_relational: middle classifications differ",
+            ),
+            (
+                ["subpose", "a.cxt", "b.cxt"],
+                {"a.cxt": emit_cxt(K1), "b.cxt": emit_cxt(K2)},
+                "subposition requires identical ordered type sets",
+            ),
+            (["lattice", "a.csv"], {"a.csv": "\n\n\n"}, "line 1: empty CSV input"),
+            (["lattice", "a.csv"], {"a.csv": ",a,a\n1,0,1\n"}, "duplicate type labels"),
+            (["lattice", "a.cxt"], {"a.cxt": "B\n"}, "line 2: unexpected end of file"),
+            (
+                ["check", "bond", "a.json"],
+                {"a.json": dumps(FIVE)},
+                "bad morphism object: missing or invalid 'int' object is not subscriptable",
+            ),
+        ],
+        ids=[
+            "compose-bonds", "compose-infos", "subpose", "blank-csv", "csv-types", "cxt-end", "data"
+        ],
+    )
+    def test_message_of_each_refusal(self, capsys, tmp_path, argv, files, message):
+        """Files of the wrong shape or kind, and text that is no context, give
+        exit 3 and one line on stderr."""
+        for name, content in files.items():
+            text = content if isinstance(content, str) else dumps(morphism_to_obj(content))
+            (tmp_path / name).write_text(text)
+        code = main([str(tmp_path / arg) if arg in files else arg for arg in argv])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (3, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("command", ["lattice", "dual"])
     def test_non_utf8_file(self, capsys, tmp_path, command):

@@ -26,7 +26,7 @@ from conceptual.relalg import (
 )
 
 from conftest import order_from_covers
-from oracles import preimages_oracle
+from oracles import branches, preimages_oracle
 from test_relalg_properties import DENSITIES, dense_relation, relations
 
 
@@ -173,9 +173,7 @@ def test_every_pullback_branch_is_the_fiber_loop(r_psi, kind):
     forced whatever ``relalg.branch`` would pick, give the fiber loop's
     rows."""
     r, psi = r_psi
-    rule = relalg.branch
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(relalg, "branch", lambda k, *a: kind if k == "pullback" else rule(k, *a))
+    with branches("pullback", kind):
         assert pullback(r.rows, r.columns, psi) == preimages_oracle(psi, r.rows)
 
 

@@ -982,7 +982,7 @@ class TestCompleteLatticeByOrder:
         complete_lattice_of.cache_clear()
         C = complete_lattice_of(L1)
         complete_lattice_of(L2)
-        assert calls == [C]
+        assert calls == [C.classification]
         complete_lattice_of.cache_clear()
         complete_lattice_of(L2)
         assert len(calls) == 2

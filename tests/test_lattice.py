@@ -41,6 +41,7 @@ from conceptual.relalg import (
 
 from conftest import PRUNED_BOTTOM, RANDOM_SHAPES, all_contexts, random_context, sparse_context
 from oracles import (
+    branches,
     closed_pairs_oracle,
     collective_closed_oracle,
     collective_from_function_oracle,
@@ -58,6 +59,12 @@ from oracles import (
 
 # tall sparse shapes (instances, types, crosses per row)
 TALL_SPARSE = ((40, 12, 0), (40, 12, 1), (40, 12, 2), (60, 12, 2), (300, 30, 2), (1500, 40, 2))
+
+
+def order_by(L: ConceptLattice, side: str) -> Relation:
+    """The order of ``L`` from ``side``, forced, on a fresh lattice."""
+    with branches("order", side):
+        return ConceptLattice._of(L.concepts, L.classification).order
 
 
 def order_classifications():
@@ -164,7 +171,7 @@ class TestBuildLattice:
         for K in contexts:
             assert build_lattice(K) == fcbo_oracle(K)
 
-    def test_walk_takes_the_reading_the_rule_picks(self, monkeypatch):
+    def test_walk_takes_the_reading_the_rule_picks(self):
         """``relalg.branch`` picks once per build how the walk reads its
         visit masks: by bytes on the order classifications of 2^6 and 2^7,
         whose full bottom row lets every node test its free types, most of
@@ -176,40 +183,24 @@ class TestBuildLattice:
             complete_lattice_of(build_lattice(contranominal_classification(n))).classification
             for n in (6, 7)
         ]
-        picks = []
-        rule = relalg.branch
-
-        def spy(kernel, rows, n, k=0):
-            kind = rule(kernel, rows, n, k)
-            if kernel == "walk":
-                picks.append(kind)
-            return kind
-
-        monkeypatch.setattr(relalg, "branch", spy)
         cases = [(K, "bytes") for K in boolean] + [
             (sparse_context(random.Random(3), 100, 22, 7), "bits"),
             (sparse_context(random.Random(3), 1500, 40, 2), "bits"),
         ]
         cases += [(K, "bits") for K in all_contexts(3, 3)]
         for K, reading in cases:
-            picks.clear()
-            L = build_lattice(K)
-            assert picks == [reading]
+            with branches() as picks:
+                L = build_lattice(K)
+            assert [kind for kernel, kind in picks if kernel == "walk"] == [reading]
             assert [(c.extent, c.intent) for c in L.concepts] == next_closure_oracle(K)
             assert L == fcbo_oracle(K)
 
     @pytest.mark.parametrize("reading", ["bits", "bytes"])
-    def test_either_reading_is_the_fcbo_walk(self, reading, rng, monkeypatch):
+    def test_either_reading_is_the_fcbo_walk(self, reading, rng):
         """Forced either way, the walk finds the concepts of ``fcbo_oracle``
         in its order: on every context up to 3x3 (0 x n and n x 0 among
         them), random and tall sparse contexts, and lattices classified by
         their own order up to 128 types, which read 16 bytes a node."""
-        rule = relalg.branch
-        monkeypatch.setattr(
-            relalg,
-            "branch",
-            lambda kernel, rows, n, k=0: reading if kernel == "walk" else rule(kernel, rows, n, k),
-        )
         contexts = itertools.chain(
             all_contexts(3, 3),
             (random_context(rng, m, n) for m, n in RANDOM_SHAPES),
@@ -217,7 +208,9 @@ class TestBuildLattice:
             order_classifications(),
         )
         for K in contexts:
-            assert build_lattice(K) == fcbo_oracle(K)
+            with branches("walk", reading):
+                L = build_lattice(K)
+            assert L == fcbo_oracle(K)
 
     def test_lectic_output_is_deterministic(self, rng):
         K = random_context(rng, 5, 5)
@@ -291,8 +284,7 @@ class TestBuildLattice:
             inclusion = extent_inclusion_oracle(
                 [extent_oracle(K, set(bits(c.intent))) for c in L.concepts]
             )
-            assert right_residual(L.tau_rel, L.tau_rel) == inclusion
-            assert left_residual(L.iota_rel, L.iota_rel) == inclusion
+            assert order_by(L, "types") == order_by(L, "instances") == inclusion
             fresh = build_lattice(K)
             side = relalg.branch("order", fresh.extents, len(K.instances), len(K.types))
             tables.clear()
@@ -317,8 +309,7 @@ class TestBuildLattice:
         inclusion = extent_inclusion_oracle([set(bits(e)) for e in L.extents])
         assert L.order == inclusion
         assert ("iota_rel" in vars(L)) == (side == "instances")
-        assert right_residual(L.tau_rel, L.tau_rel) == inclusion
-        assert left_residual(L.iota_rel, L.iota_rel) == inclusion
+        assert order_by(L, "types") == order_by(L, "instances") == inclusion
 
     def test_covers_are_the_reduction_of_extent_inclusion(self, rng):
         contexts = itertools.chain(

@@ -6,7 +6,6 @@ that fills a relation's columns as it reads its rows, and of the invariant
 the unchecked constructors rely on: what the library builds without the
 check, the public constructor accepts."""
 
-import contextlib
 import itertools
 import random
 import re
@@ -17,7 +16,6 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
 
-from conceptual import relalg
 from conceptual.classification import Classification
 from conceptual.errors import ValidationError
 from conceptual.bond import identity_bond
@@ -52,6 +50,7 @@ from conceptual.relalg import (
 from conceptual.verify import context_corpus
 
 from oracles import (
+    branches,
     compose_oracle,
     extent_oracle,
     from_matrix_oracle,
@@ -187,16 +186,6 @@ BRANCHES = {
 }
 
 
-@contextlib.contextmanager
-def forced(kernel: str, kind: str):
-    """``relalg.branch`` picks ``kind`` for ``kernel`` while the block runs,
-    and what the rule picks for every other kernel."""
-    rule = relalg.branch
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(relalg, "branch", lambda k, *args: kind if k == kernel else rule(k, *args))
-        yield
-
-
 @settings(max_examples=200, deadline=None, database=None)
 @given(st.data())
 def test_every_branch_is_the_oracle(data):
@@ -206,7 +195,7 @@ def test_every_branch_is_the_oracle(data):
     output columns of a composition and a left residual."""
     kernel = data.draw(st.sampled_from(sorted(BRANCHES)))
     kind = data.draw(st.sampled_from(BRANCHES[kernel]))
-    with forced(kernel, kind):
+    with branches(kernel, kind):
         if kernel == "transpose":
             r = data.draw(shaped())
             assert transpose(r) == transpose_oracle(r)
@@ -364,7 +353,7 @@ def test_every_branch_builds_what_the_constructor_accepts(kernel):
     side of no cells and of five."""
     rng = random.Random(kernel)
     for kind in BRANCHES[kernel]:
-        with forced(kernel, kind):
+        with branches(kernel, kind):
             for (m, n), p in itertools.product(REBUILD_SHAPES, (0, 5)):
                 r = rough(rng, m, n)
                 if kernel == "transpose":
@@ -400,7 +389,7 @@ def test_the_other_unchecked_relations_pass_the_constructor():
         if m * n <= 200:
             rebuilt(concept_lattice_of(K).covers)
         for kind in ("gather", "bits", "bytes"):
-            with forced("pullback", kind):
+            with branches("pullback", kind):
                 rows = pullback(r.rows, r.columns, g)
             assert Relation(m, g.src_size, rows) == compose(r, transpose(g.rel))
 

@@ -5,20 +5,45 @@ the first failing row, then its lowest failing bit, and not some other
 failure the check could have named.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
-from conceptual.bond import Bond, is_bond
+from conceptual.bond import (
+    Bond,
+    BondingPair,
+    close_to_bond,
+    collective_transport,
+    compose_bonding_pairs,
+    identity_bond,
+    identity_bonding_pair,
+    is_bond,
+    is_bonding_pair,
+)
 from conceptual.classification import (
     Classification,
     chain_classification,
     check_preorder,
     contranominal_classification,
+    extent_of,
+    intent_of,
+)
+from conceptual.colimit import (
+    DualInvariant,
+    apposition,
+    check_dual_invariant,
+    coproduct_mediator,
+    coproduct_sum,
 )
 from conceptual.errors import ShapeError, ValidationError
 from conceptual.functors import (
     CompleteLattice,
     CompleteHomomorphism,
     ConceptLatticeMorphism,
+    compose_homs,
+    compose_lattice_morphisms,
+    identity_hom,
+    identity_lattice_morphism,
     is_complete_homomorphism,
 )
 from conceptual.infomorphism import (
@@ -26,9 +51,11 @@ from conceptual.infomorphism import (
     RelationalInfomorphism,
     check_functional,
     check_relational,
+    identity_functional,
 )
+from conceptual.io import morphism_to_obj
 from conceptual.lattice import concept_lattice_of
-from conceptual.relalg import FunctionGraph, Relation
+from conceptual.relalg import FunctionGraph, Relation, identity
 
 fg = FunctionGraph.from_targets
 
@@ -200,6 +227,50 @@ WRONG_SHAPES = {
         lambda: CompleteHomomorphism(SQUARE, CHAIN3, fg((0,) * 3, 3)),
         "psi shape (3, 3) is wrong",
     ),
+    "bond-seed": (
+        lambda: close_to_bond(A, B, Relation.empty(4, 4)),
+        "bond seed shape (4, 4), expected (5, 4)",
+    ),
+    "bonding-pair-ends": (
+        lambda: BondingPair(identity_bond(A), identity_bond(B)),
+        "bonding pair endpoints do not oppose each other",
+    ),
+    "is-bonding-pair-ends": (
+        lambda: is_bonding_pair(identity_bond(A), identity_bond(B)),
+        "bonds do not oppose each other",
+    ),
+    "compose-bonding-pairs": (
+        lambda: compose_bonding_pairs(identity_bonding_pair(A), identity_bonding_pair(B)),
+        "compose_bonding_pairs: middle classifications differ",
+    ),
+    "compose-lattice-morphisms": (
+        lambda: compose_lattice_morphisms(
+            identity_lattice_morphism(LA), identity_lattice_morphism(LB)
+        ),
+        "compose_lattice_morphisms: middle lattices differ",
+    ),
+    "compose-homs": (
+        lambda: compose_homs(identity_hom(SQUARE), identity_hom(CHAIN3)),
+        "compose_homs: middle lattices differ",
+    ),
+    "dual-invariant": (
+        lambda: check_dual_invariant(A, DualInvariant(0, Relation.empty(3, 3))),
+        "type relation shape (3, 3) for 4 types",
+    ),
+    "dual-invariant-kept": (
+        lambda: check_dual_invariant(A, DualInvariant(1 << 4, Relation.empty(4, 4))),
+        "kept instance set out of range",
+    ),
+    "mediator-ends": (
+        lambda: coproduct_mediator(
+            coproduct_sum(A, B), identity_functional(B), identity_functional(B)
+        ),
+        "cocone endpoints do not match the diagram",
+    ),
+    "then": (
+        lambda: fg((0,), 2).then(fg((0,), 1)),
+        "then: incompatible shapes (1, 2) and (1, 1)",
+    ),
 }
 
 
@@ -209,3 +280,35 @@ def test_wrong_shape_is_a_shape_error(build, message):
     with pytest.raises(ShapeError) as exc:
         build()
     assert str(exc.value) == message
+
+
+# the other refusals of bad arguments: the exception and its message
+ROTATION = FunctionalInfomorphism(A, A, fg((1, 2, 3, 0), 4), fg((3, 0, 1, 2), 4))
+REFUSED = {
+    "intent-of": (lambda: intent_of(A, 1 << 4), ValidationError, "instance set out of range"),
+    "extent-of": (lambda: extent_of(A, -1), ValidationError, "type set out of range"),
+    "identity": (lambda: identity(-1), ValidationError, "identity size must be nonnegative"),
+    # two legs of a cocone over an apposition must share their instance map
+    "mediator-legs": (
+        lambda: coproduct_mediator(apposition(A, A), identity_functional(A), ROTATION),
+        ValidationError,
+        "fiber cocone legs disagree on instances",
+    ),
+    "transport-side": (
+        lambda: collective_transport(identity_bond(A), Relation.empty(4, 4), "up"),
+        ValueError,
+        "side must be 'left' or 'right', got 'up'",
+    ),
+    "serialize": (
+        lambda: morphism_to_obj(SimpleNamespace(source=A, target=B)),
+        TypeError,
+        "cannot serialize SimpleNamespace",
+    ),
+}
+
+
+@pytest.mark.parametrize("build, error, message", list(REFUSED.values()), ids=list(REFUSED))
+def test_bad_argument_is_refused_with_its_message(build, error, message):
+    with pytest.raises(error) as exc:
+        build()
+    assert exc.type is error and str(exc.value) == message

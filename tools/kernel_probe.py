@@ -7,40 +7,37 @@ Standard library only.  From the repository root:
     python3 tools/kernel_probe.py            # the timing and branch tables
     python3 tools/kernel_probe.py --check    # equality only, no timing
 
-Each shape is a seeded random relation ``r`` at each density.  The probe runs
-``compose(r, transpose(r))``, ``transpose(r)``, ``left_residual(r, r)`` and
-``right_residual(r, r)`` (the residuals of a relation by itself are the
-orders a concept lattice is built from) and the reference loops of
-``tests/oracles.py``: the compose and transpose bit loops, the residual row
-sweep and the columns-and-scatter right residual, and names the branch
-``relalg.branch`` picks for each.  Every timing is the best of 7 runs,
-kernel and loop in turn, each on a fresh copy of ``r``, so a right residual
-pays for its ``columns`` as a first call does.
+Four tables are the data the weights of ``relalg.branch`` were fitted to.
+Each is its rows, its reference and its sides: the library call of a row,
+with its kernel's branch forced by ``oracles.branches`` or picked by the
+rule.  Timing prints each row's pick and the best of 7 runs of each timed
+column, the columns taking turns, each run on a fresh input; ``--check``
+compares every side with the reference.
 
-A second table times the inverse images of a map's principal up-sets,
-the batch of every adjointness check: the fiber loop of ``tests/oracles.py``
-against the gather and ``transpose`` and against ``relalg.pullback``, which
-picks one of its two branches.  The inputs are the up-sets of 2^a, with
-their down-sets as columns, pulled back along a seeded boolean homomorphism
-2^c -> 2^a (the inverse image along an injection [a] -> [c]) for c = a and
-c = a + 2, a = 3..7; and, at verify sizes, both principal batches of the
-139 homs of the verify hom corpora of seeds 0-11 at size 3, timed as one
-row.
-
-A third table times the concept order of seeded contexts from each side:
-``tau_rel/tau_rel``, a right residual over the types, and
-``iota_rel\\iota_rel``, a left residual over the instances, each side
-building its membership relation as a fresh lattice does (``iota_rel`` is a
-transpose of the extents), and names the side ``ConceptLattice.order``
-takes.  The contexts are the lattice benchmark's shapes, wide 100x22 at .3
-and tall 1500x40 at .05, three more with a fixed number of crosses per row,
-and the order classifications of the boolean lattices 2^5 to 2^7.
-
-A fourth table times ``build_lattice`` on the same contexts with its FCbO
-walk reading the visit masks by bits and by bytes, each reading forced by
-rebinding ``relalg.branch`` as the branch counts below do, and names the
-reading the rule picks.  These four tables are the data the weights of
-``relalg.branch`` were fitted to.
+- The kernels ``compose(r, transpose(r))``, ``transpose(r)``,
+  ``left_residual(r, r)`` and ``right_residual(r, r)`` (the residuals of a
+  relation by itself are the orders a concept lattice is built from), on a
+  seeded random relation ``r`` of each shape at each density, against the
+  compose and transpose bit loops, the residual row sweep and the
+  columns-and-scatter right residual of ``tests/oracles.py``.  Each run
+  takes a fresh copy of ``r``, so a right residual pays for its
+  ``columns`` as a first call does.
+- ``relalg.pullback``, with its gather forced and as the rule picks,
+  against the fiber loop: the inverse images of a map's principal up-sets,
+  the batch of every adjointness check.  The inputs are the up-sets of 2^a,
+  with their down-sets as columns, pulled back along a seeded boolean
+  homomorphism 2^c -> 2^a (the inverse image along an injection [a] -> [c])
+  for c = a and c = a + 2, a = 3..7; and, at verify sizes, both principal
+  batches of the 139 homs of the verify hom corpora of seeds 0-11 at size 3,
+  as one row.
+- ``ConceptLattice.order`` on a fresh lattice, forced to ``tau_rel/tau_rel``
+  over the types and to ``iota_rel\\iota_rel`` over the instances, against
+  ``extent_inclusion_oracle``, on seeded contexts: the lattice benchmark's
+  shapes, wide 100x22 at .3 and tall 1500x40 at .05, three more with a fixed
+  number of crosses per row, and the order classifications of the boolean
+  lattices 2^5 to 2^7.
+- ``build_lattice`` on the same contexts, its FCbO walk reading the visit
+  masks by bits and by bytes, against ``fcbo_oracle``.
 
 A fifth table counts the kernel calls of one cycle of each benchmark
 workload, nested calls included, by the branch ``relalg.branch`` picks:
@@ -52,18 +49,15 @@ stage of the op that makes them: parsing the pair, ``is_bonding_pair``,
 ``hom_of_pair``, and the pair and hom round trips.  Both library caches are
 cleared before each op, as the benchmark worker does.
 
-``--check`` compares every kernel and pullback result above with its
-reference loop and every order side with ``extent_inclusion_oracle``, and
-rebuilds every kernel result and order side through the public ``Relation``
-constructor, which must accept the fields the kernels store unchecked and
-build an equal relation with the same hash; and besides: the two
-``colimit`` enumerators with their brute-force loops on 2x3+2x3 into 2x3
-and with each other on 3x3+3x3 into 3x3;
+``--check`` also rebuilds every kernel result and order through the public
+``Relation`` constructor, which must accept the fields the kernels store
+unchecked and build an equal relation with the same hash; and it compares
+the two ``colimit`` enumerators with their brute-force loops on 2x3+2x3
+into 2x3 and with each other on 3x3+3x3 into 3x3;
 ``functors.embedding_bonds`` with ``embedding_bonds_oracle`` over the verify
-corpus of one seed and on the order of 2^7; ``build_lattice`` with
-``fcbo_oracle``, under the reading the rule picks and under each forced
-reading, and its derived embeddings with ``embeddings_oracle``; the
-columns ``parse_cxt`` and ``from_matrix`` store with ``transpose``; and the
+corpus of one seed and on the order of 2^7; ``build_lattice``'s concepts
+with ``fcbo_oracle`` and its derived embeddings with ``embeddings_oracle``;
+the columns ``parse_cxt`` and ``from_matrix`` store with ``transpose``; the
 order bond and pairing checks of ``functors`` with ``bond.is_bond`` and
 ``bond.is_bonding_pair`` on the bonding benchmark's boolean homs, on seeded
 flips of their bonds and across injections; and the lattice check of
@@ -87,6 +81,7 @@ import tempfile
 from pathlib import Path
 from time import perf_counter
 from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
@@ -95,7 +90,7 @@ from conceptual import bond, functors, relalg, verify  # noqa: E402
 from conceptual.io import emit_cxt, parse_cxt  # noqa: E402
 from conceptual.classification import Classification, contranominal_classification  # noqa: E402
 from conceptual.errors import ValidationError  # noqa: E402
-from conceptual.lattice import build_lattice  # noqa: E402
+from conceptual.lattice import ConceptLattice, build_lattice  # noqa: E402
 from conceptual.colimit import (  # noqa: E402
     _enumerate_lattice_morphisms,
     coproduct_sum,
@@ -113,6 +108,7 @@ from conceptual.relalg import (  # noqa: E402
 )
 from workloads import WORKLOADS  # noqa: E402
 from oracles import (  # noqa: E402
+    branches,
     check_lattice_oracle,
     compose_loop_oracle,
     embedding_bonds_oracle,
@@ -134,30 +130,15 @@ SHAPES = [(3, 3), (8, 8), (16, 16), (128, 128), (752, 752), (100, 22), (1500, 40
 DENSITIES = (0.05, 0.5)
 # timed runs of each function; the best is kept
 REPEAT = 7
+# each kernel, by name, with its call on ``r`` and the reference loop's
 KERNELS = [
-    (
-        "compose",
-        lambda r: compose(r, transpose(r)),
-        lambda r: compose_loop_oracle(r, transpose(r)),
-        lambda r: relalg.branch("compose", r.rows, r.dst_size),
-    ),
-    (
-        "transpose",
-        transpose,
-        transpose_oracle,
-        lambda r: relalg.branch("transpose", r.rows, r.dst_size),
-    ),
-    (
-        "left_residual",
-        lambda r: left_residual(r, r),
-        lambda r: left_residual_sweep_oracle(r, r),
-        lambda r: relalg.branch("left_residual", r.rows, r.dst_size),
-    ),
+    ("compose", lambda r: compose(r, transpose(r)), lambda r: compose_loop_oracle(r, transpose(r))),
+    ("transpose", transpose, transpose_oracle),
+    ("left_residual", lambda r: left_residual(r, r), lambda r: left_residual_sweep_oracle(r, r)),
     (
         "right_residual",
         lambda r: right_residual(r, r),
         lambda r: right_residual_scatter_oracle(r, r),
-        lambda r: relalg.branch("right_residual", r.rows, r.dst_size, r.src_size),
     ),
 ]
 
@@ -189,8 +170,6 @@ CONTEXT_SHAPES = [(100, 22, 7), (1500, 40, 2), (100, 90, 9), (60, 50, 6), (200, 
 CONTEXT_SEED = 3
 # the boolean lattices 2^a whose order classifications follow those contexts
 ORDER_POWERS = (5, 6, 7)
-# the two readings of the FCbO walk's visit masks
-READINGS = ("bits", "bytes")
 
 
 def random_relation(rng: random.Random, m: int, n: int, p: float) -> Relation:
@@ -208,16 +187,131 @@ def rebuilds(r: Relation) -> bool:
     return again == r and hash(again) == hash(r)
 
 
-def best_of(kernel, loop, r: Relation) -> tuple[float, float]:
-    """The best time of each function over ``REPEAT`` alternating runs."""
-    best = [float("inf"), float("inf")]
+class Tally:
+    """The comparisons made and those that differ, each of which is printed."""
+
+    def __init__(self) -> None:
+        self.compared = self.differ = 0
+
+    def __call__(self, ok: bool, what: str) -> None:
+        self.compared += 1
+        if not ok:
+            self.differ += 1
+            print(f"differs: {what}")
+
+
+class Table(NamedTuple):
+    """A table of rows ``(labels, kernel, x, reference, run)``: ``run`` calls
+    the library on ``fresh(x)`` under each side, a branch of ``kernel``
+    forced or ``""``, the rule's pick, and ``--check`` compares it with
+    ``reference(fresh(x))``.  The timed columns are sides or ``"loop"``, the
+    reference; the speed-up is one of them over another."""
+
+    labels: tuple[str, ...]
+    rows: list[tuple]
+    sides: dict[str, str]
+    timed: tuple[str, ...]
+    ratio: tuple[str, str]
+    fresh: Callable = lambda x: x
+
+
+def best_time(fresh, kernel: str, columns: list) -> list[float]:
+    """The best time of each ``(f, kind)`` in ``columns`` over ``REPEAT``
+    rounds, the functions taking turns: ``f(fresh())``, with ``kind``, if
+    any, forced on ``kernel``."""
+    best = [float("inf")] * len(columns)
     for _ in range(REPEAT):
-        for i, f in enumerate((kernel, loop)):
-            fresh = Relation(r.src_size, r.dst_size, r.rows)
-            start = perf_counter()
-            f(fresh)
-            best[i] = min(best[i], perf_counter() - start)
-    return best[0], best[1]
+        for i, (f, kind) in enumerate(columns):
+            x = fresh()
+            with branches(kernel, kind) if kind else contextlib.nullcontext():
+                start = perf_counter()
+                f(x)
+                best[i] = min(best[i], perf_counter() - start)
+    return best
+
+
+def run_table(table: Table, check: bool, tally: Tally) -> None:
+    """Compare every side of every row with its reference, or print each
+    row with the branch the rule picks and its timed columns."""
+    widths = [
+        max(len(h), *(len(row[0][i]) for row in table.rows)) for i, h in enumerate(table.labels)
+    ]
+    widths += [9] + [max(10, len(c) + 3) for c in table.timed] + [8]
+
+    def line(cells) -> None:
+        print(" ".join(f"{cell:>{w}}" for cell, w in zip(cells, widths)))
+
+    if not check:
+        line((*table.labels, "rule", *(f"{c} ms" for c in table.timed), "speed-up"))
+    num, den = map(table.timed.index, table.ratio)
+    for labels, kernel, x, reference, run in table.rows:
+        if check:
+            expected = reference(table.fresh(x))
+            for side, kind in table.sides.items():
+                with branches(kernel, kind):
+                    got = run(table.fresh(x))
+                ok = got == expected and (type(got) is not Relation or rebuilds(got))
+                tally(ok, f"{side} on {' '.join(labels)}")
+            continue
+        with branches() as picks:
+            run(table.fresh(x))
+        pick = "/".join(sorted({kind for name, kind in picks if name == kernel}))
+        columns = [(reference, "") if c == "loop" else (run, table.sides[c]) for c in table.timed]
+        times = best_time(lambda: table.fresh(x), kernel, columns)
+        line((*labels, pick, *(f"{t * 1e3:.3f}" for t in times), f"{times[num] / times[den]:.2f}x"))
+    if not check:
+        print()
+
+
+def kernel_table() -> Table:
+    """The kernels against their bit loops, on each shape at each density."""
+    rng = random.Random(1)
+    rows = []
+    for m, n in SHAPES:
+        for density in DENSITIES:
+            r = random_relation(rng, m, n, density)
+            labels = (f"{m}x{n}", str(density))
+            rows += [((*labels, name), name, r, loop, run) for name, run, loop in KERNELS]
+    # each run on a fresh copy of r, so a right residual pays for its columns
+    # as a first call does
+    copy = lambda r: Relation(r.src_size, r.dst_size, r.rows)  # noqa: E731
+    labels = ("shape", "density", "kernel")
+    return Table(labels, rows, {"kernel": ""}, ("kernel", "loop"), ("loop", "kernel"), copy)
+
+
+def pullback_table() -> Table:
+    """``pullback``, gathering and as the rule picks, against the fiber loop."""
+    rows = [
+        (
+            (name, str(len(batches))),
+            "pullback",
+            batches,
+            lambda batches: [preimages_oracle(psi, rows) for rows, _, psi in batches],
+            lambda batches: [pullback(rows, cols, psi) for rows, cols, psi in batches],
+        )
+        for name, batches in pullback_inputs()
+    ]
+    sides, timed = {"gather": "gather", "pullback": ""}, ("loop", "gather", "pullback")
+    return Table(("batches", "count"), rows, sides, timed, ("loop", "pullback"))
+
+
+def context_tables() -> list[Table]:
+    """The order of each context's lattice from each side, and its walk by
+    each reading."""
+    orders, walks = [], []
+    inclusions = lambda L: extent_inclusion_oracle([set(bits(e)) for e in L.extents])  # noqa: E731
+    for name, K in context_inputs():
+        L = build_lattice(K)
+        labels = (name, str(L.size))
+        orders.append((labels, "order", L, inclusions, lambda L: L.order))
+        walks.append((labels, "walk", K, fcbo_oracle, build_lattice))
+    sides = {"types": "types", "instances": "instances", "order": ""}
+    fresh = lambda L: ConceptLattice._of(L.concepts, L.classification)  # noqa: E731
+    labels, readings = ("context", "concepts"), ("bits", "bytes")
+    return [
+        Table(labels, orders, sides, ("types", "instances"), ("instances", "types"), fresh),
+        Table(labels, walks, dict(zip(readings, readings)), readings, readings),
+    ]
 
 
 def sum_diagram(rng: random.Random, m: int, n: int) -> tuple[Classification, Classification]:
@@ -233,55 +327,21 @@ def sum_diagram(rng: random.Random, m: int, n: int) -> tuple[Classification, Cla
     return coproduct_sum(A, B).apex, C
 
 
-def enumerators(apex: Classification, C: Classification) -> list:
-    """Each enumerator with its brute-force loop, as functions of nothing."""
-    L, M = functors.concept_lattice_of(apex), functors.concept_lattice_of(C)
-    return [
-        (
-            "infomorphisms",
-            lambda: list(enumerate_infomorphisms(apex, C)),
-            lambda: list(infomorphisms_oracle(apex, C)),
-        ),
-        (
-            "lattice",
-            lambda: _enumerate_lattice_morphisms(L, M),
-            lambda: lattice_morphisms_oracle(L, M),
-        ),
-    ]
-
-
-def best_time(f) -> float:
-    best = float("inf")
-    for _ in range(REPEAT):
-        start = perf_counter()
-        f()
-        best = min(best, perf_counter() - start)
-    return best
-
-
-def check_enumerators() -> tuple[int, int]:
-    """Compare the enumerators with their brute force and with each other;
-    the number of comparisons made and of those that differ."""
-    compared = differ = 0
+def check_enumerators(tally: Tally) -> None:
+    """Compare the enumerators with their brute force and with each other."""
     rng = random.Random(DIAGRAM_SEED)
     for (m, n), brute in DIAGRAMS:
         apex, C = sum_diagram(rng, m, n)
-        shape = f"{m}x{n}+{m}x{n}>{m}x{n}"
-        rows = enumerators(apex, C)
-        found = [kernel() for _, kernel, _ in rows]
-        checks = [
-            (f"{name} against the brute force", got == loop())
-            for (name, _, loop), got in zip(rows, found)
-            if brute
-        ]
-        pairs = [[(x.f, x.g) for x in side] for side in found]
-        checks.append(("the (f, g) pairs of the two sides", pairs[0] == pairs[1]))
-        for what, ok in checks:
-            if not ok:
-                differ += 1
-                print(f"differs: {what} on {shape}")
-        compared += len(checks)
-    return compared, differ
+        L, M = functors.concept_lattice_of(apex), functors.concept_lattice_of(C)
+        infos = list(enumerate_infomorphisms(apex, C))
+        morphisms = _enumerate_lattice_morphisms(L, M)
+        on = f"on {m}x{n}+{m}x{n}>{m}x{n}"
+        if brute:
+            tally(infos == list(infomorphisms_oracle(apex, C)), f"infomorphisms, brute force {on}")
+            ok = morphisms == lattice_morphisms_oracle(L, M)
+            tally(ok, f"lattice morphisms, brute force {on}")
+        pairs = [[(x.f, x.g) for x in side] for side in (infos, morphisms)]
+        tally(pairs[0] == pairs[1], f"the (f, g) pairs of the two sides {on}")
 
 
 def boolean_hom(rng: random.Random, c: int, a: int) -> FunctionGraph:
@@ -324,57 +384,17 @@ def pullback_inputs() -> list[tuple[str, list[tuple]]]:
     return inputs
 
 
-def gather(rows, cols, psi: FunctionGraph) -> tuple[int, ...]:
-    """``pullback``'s gather branch alone."""
-    gathered = tuple(map(cols.__getitem__, psi.targets))
-    return transpose(Relation(psi.src_size, len(rows), gathered)).rows
-
-
-def probe_pullbacks(check: bool) -> tuple[int, int]:
-    """Print the pullback rows, or compare the three sides; the number of
-    comparisons made and of those that differ."""
-    if not check:
-        print(f"\n{'batches':>12} {'count':>6} {'loop ms':>10} {'gather ms':>10}"
-              f" {'pullback ms':>12} {'speed-up':>8}")
-    compared = differ = 0
-    for name, batches in pullback_inputs():
-        sides = [
-            lambda: [preimages_oracle(psi, rows) for rows, _, psi in batches],
-            lambda: [gather(rows, cols, psi) for rows, cols, psi in batches],
-            lambda: [pullback(rows, cols, psi) for rows, cols, psi in batches],
-        ]
-        if check:
-            expected = sides[0]()
-            for side, what in zip(sides[1:], ("gather", "pullback")):
-                compared += 1
-                if side() != expected:
-                    differ += 1
-                    print(f"differs: {what} on {name}")
-            continue
-        loop, gathered, kernel = (best_time(side) for side in sides)
-        print(f"{name:>12} {len(batches):>6} {loop * 1e3:>10.3f} {gathered * 1e3:>10.3f}"
-              f" {kernel * 1e3:>12.3f} {loop / kernel:>7.2f}x")
-    return compared, differ
-
-
-def check_embeddings() -> tuple[int, int]:
+def check_embeddings(tally: Tally) -> None:
     """Compare ``embedding_bonds`` with its oracle over the verify corpus of
-    one seed and on the order of 2^7; the number of comparisons made and of
-    those that differ."""
+    one seed and on the order of 2^7."""
     corpus = [K for _, K in verify.context_corpus(3, random.Random(CORPUS_SEED))]
     boolean = functors.concept_lattice_of(contranominal_classification(7))
-    compared = differ = 0
     for name, contexts in (
         (f"corpus seed {CORPUS_SEED}", corpus),
         ("order of 2^7", [functors.complete_lattice_of(boolean).classification]),
     ):
-        compared += 1
-        if [functors.embedding_bonds(A) for A in contexts] != [
-            embedding_bonds_oracle(A) for A in contexts
-        ]:
-            differ += 1
-            print(f"differs: embedding bonds on {name}")
-    return compared, differ
+        got = [functors.embedding_bonds(A) for A in contexts]
+        tally(got == [embedding_bonds_oracle(A) for A in contexts], f"embedding bonds on {name}")
 
 
 def context_inputs() -> list[tuple[str, Classification]]:
@@ -393,116 +413,19 @@ def context_inputs() -> list[tuple[str, Classification]]:
     return inputs
 
 
-def check_builds() -> tuple[int, int]:
+def check_builds(tally: Tally) -> None:
     """Compare ``build_lattice``'s concepts with ``fcbo_oracle`` and its
     embeddings with ``embeddings_oracle``, and the columns both text readers
-    store with ``transpose``; the number of comparisons made and of those
-    that differ."""
-    compared = differ = 0
+    store with ``transpose``."""
     for name, K in context_inputs():
         L = build_lattice(K)
         rel = K.incidence
         read = [parse_cxt(emit_cxt(K)).incidence, Relation.from_matrix(rel.matrix(), rel.dst_size)]
-        checks = [
-            ("concepts", L.concepts == fcbo_oracle(K).concepts),
-            ("embeddings", (L.iota, L.tau) == embeddings_oracle(L)),
-        ] + [
-            (f"the columns {what} stores", vars(got).get("columns") == transpose(rel).rows)
-            for what, got in zip(("parse_cxt", "from_matrix"), read)
-        ]
-        for what, ok in checks:
-            compared += 1
-            if not ok:
-                differ += 1
-                print(f"differs: {what} on {name}")
-    return compared, differ
-
-
-@contextlib.contextmanager
-def walk_reading(reading: str):
-    """``build_lattice`` reads its visit masks by ``reading`` while the
-    block runs: ``relalg.branch`` is rebound, as ``probe_branches`` counts
-    it, with every other kernel's pick left as it is."""
-    rule = relalg.branch
-    relalg.branch = lambda kernel, rows, n, k=0: (
-        reading if kernel == "walk" else rule(kernel, rows, n, k)
-    )
-    try:
-        yield
-    finally:
-        relalg.branch = rule
-
-
-def probe_walks(check: bool) -> tuple[int, int]:
-    """Print the build time of each context under each reading of the walk,
-    or compare both builds with ``fcbo_oracle``; the number of comparisons
-    made and of those that differ."""
-    if not check:
-        print(f"\n{'context':>17} {'concepts':>8} {'walk':>9} {'bits ms':>9}"
-              f" {'bytes ms':>12} {'speed-up':>8}")
-    compared = differ = 0
-    for name, K in context_inputs():
-        if check:
-            expected = fcbo_oracle(K)
-            for reading in READINGS:
-                with walk_reading(reading):
-                    got = build_lattice(K)
-                compared += 1
-                if got != expected:
-                    differ += 1
-                    print(f"differs: the walk by {reading} on {name}")
-            continue
-        times = []
-        for reading in READINGS:
-            with walk_reading(reading):
-                times.append(best_time(lambda: build_lattice(K)))
-        by_bits, by_bytes = times
-        pick = relalg.branch("walk", K.rows, len(K.types), K.incidence.count())
-        print(f"{name:>17} {build_lattice(K).size:>8} {pick:>9} {by_bits * 1e3:>9.3f}"
-              f" {by_bytes * 1e3:>12.3f} {by_bits / by_bytes:>7.2f}x")
-    return compared, differ
-
-
-def order_sides(L) -> list:
-    """The two residuals the concept order of ``L`` comes from, as functions
-    of nothing, each building its membership relation afresh."""
-    m, n = len(L.instance_labels), len(L.type_labels)
-
-    def types():
-        tau = Relation(L.size, n, L.intents)
-        return right_residual(tau, tau)
-
-    def instances():
-        iota = transpose(Relation(L.size, m, L.extents))
-        return left_residual(iota, iota)
-
-    return [types, instances]
-
-
-def probe_orders(check: bool) -> tuple[int, int]:
-    """Print the order rows, or compare both sides and ``order`` with the
-    oracle; the number of comparisons made and of those that differ."""
-    if not check:
-        print(f"\n{'context':>17} {'concepts':>8} {'order':>9} {'types ms':>9}"
-              f" {'instances ms':>12} {'speed-up':>8}")
-    compared = differ = 0
-    for name, K in context_inputs():
-        L = build_lattice(K)
-        order = L.order
-        side = "instances" if "iota_rel" in vars(L) else "types"
-        sides = order_sides(L)
-        if check:
-            expected = extent_inclusion_oracle([set(bits(e)) for e in L.extents])
-            for what, got in zip(("types", "instances", "order"), [f() for f in sides] + [order]):
-                compared += 1
-                if got != expected or not rebuilds(got):
-                    differ += 1
-                    print(f"differs: the order by {what} on {name}")
-            continue
-        by_types, by_instances = (best_time(f) for f in sides)
-        print(f"{name:>17} {L.size:>8} {side:>9} {by_types * 1e3:>9.3f}"
-              f" {by_instances * 1e3:>12.3f} {by_instances / by_types:>7.2f}x")
-    return compared, differ
+        tally(L.concepts == fcbo_oracle(K).concepts, f"concepts on {name}")
+        tally((L.iota, L.tau) == embeddings_oracle(L), f"embeddings on {name}")
+        for what, got in zip(("parse_cxt", "from_matrix"), read):
+            ok = vars(got).get("columns") == transpose(rel).rows
+            tally(ok, f"the columns {what} stores on {name}")
 
 
 def order_pairs(seed: int) -> list[tuple[str, functors.CompleteHomomorphism, bond.BondingPair]]:
@@ -540,10 +463,13 @@ def variants(rng: random.Random, L, rel: Relation) -> list[Relation]:
     return out
 
 
-def check_orders() -> tuple[int, int]:
-    """Compare the order checks with ``is_bond`` and ``is_bonding_pair``;
-    the number of comparisons made and of those that differ."""
-    compared = differ = 0
+def pairing_agrees(L, K, F, G) -> bool:
+    """Whether the order pairing check and ``is_bonding_pair`` agree."""
+    return bool(functors._order_pairing_check(L, K, F, G)) == bool(bond.is_bonding_pair(F, G))
+
+
+def check_orders(tally: Tally) -> None:
+    """Compare the order checks with ``is_bond`` and ``is_bonding_pair``."""
     rng = random.Random(ORDER_SEED)
     # the same homs on other injections: their bonds pass, but do not pair
     # with the first homs' bonds
@@ -551,30 +477,16 @@ def check_orders() -> tuple[int, int]:
     for (name, h, p), (_, _, q) in zip(order_pairs(ORDER_SEED), others):
         L, K = h.source, h.target
         for F, G in ((p.forward, q.backward), (q.forward, p.backward)):
-            compared += 1
-            if bool(functors._order_pairing_check(L, K, F, G)) != bool(
-                bond.is_bonding_pair(F, G)
-            ):
-                differ += 1
-                print(f"differs: the pairing check across injections on {name}")
+            tally(pairing_agrees(L, K, F, G), f"the pairing check across injections on {name}")
         for src, tgt, b in ((L, K, p.forward), (K, L, p.backward)):
             for rel in variants(rng, src, b.rel):
                 got = functors._order_bond_check(src, tgt, rel)
-                compared += 1
-                if got != bond.is_bond(src.classification, tgt.classification, rel):
-                    differ += 1
-                    print(f"differs: the bond check of {rel!r} on {name}")
-                if not got:
-                    continue
-                other = bond.Bond(src.classification, tgt.classification, rel, validate=False)
-                F, G = (other, p.backward) if b is p.forward else (p.forward, other)
-                compared += 1
-                if bool(functors._order_pairing_check(L, K, F, G)) != bool(
-                    bond.is_bonding_pair(F, G)
-                ):
-                    differ += 1
-                    print(f"differs: the pairing check on {name}")
-    return compared, differ
+                ok = got == bond.is_bond(src.classification, tgt.classification, rel)
+                tally(ok, f"the bond check of {rel!r} on {name}")
+                if got:
+                    other = bond.Bond(src.classification, tgt.classification, rel, validate=False)
+                    F, G = (other, p.backward) if b is p.forward else (p.forward, other)
+                    tally(pairing_agrees(L, K, F, G), f"the pairing check on {name}")
 
 
 def lattice_orders() -> list[tuple[str, Relation]]:
@@ -598,27 +510,21 @@ def lattice_orders() -> list[tuple[str, Relation]]:
     return out
 
 
-def check_lattices() -> tuple[int, int]:
+def check_lattices(tally: Tally) -> None:
     """Compare the lattice check of ``CompleteLattice`` with
     ``check_lattice_oracle``, and a lattice's down-sets with the columns of
-    its order; the number of comparisons made and of those that differ."""
-    compared = differ = 0
+    its order."""
     for name, order in lattice_orders():
         labels = tuple(f"e{i}" for i in range(order.src_size))
         functors.concept_lattice_of.cache_clear()
         functors.complete_lattice_of.cache_clear()
         got = raised(functors.CompleteLattice, labels, order)
         expected = raised(check_lattice_oracle, Classification(labels, labels, order))
-        checks = [("verdict", got == expected)]
+        on = f"on {name} ({order.src_size} elements)"
+        tally(got == expected, f"the lattice check's verdict {on}")
         if got is None:
             down = functors.CompleteLattice(labels, order).extents
-            checks.append(("down-sets", down == transpose(order).rows))
-        for what, ok in checks:
-            compared += 1
-            if not ok:
-                differ += 1
-                print(f"differs: the lattice check's {what} on {name} ({order.src_size} elements)")
-    return compared, differ
+            tally(down == transpose(order).rows, f"the lattice check's down-sets {on}")
 
 
 def library_modules() -> SimpleNamespace:
@@ -629,28 +535,17 @@ def library_modules() -> SimpleNamespace:
 
 def probe_branches() -> None:
     """Print the branch counts of one cycle of each benchmark workload."""
-    print(f"\n{'workload':>9} {'kernel':>15} {'calls':>7}  branches")
+    print(f"{'workload':>9} {'kernel':>15} {'calls':>7}  branches")
     mods = library_modules()
-    rule = relalg.branch
-    counts = collections.Counter()
-
-    def counted_rule(kernel, rows, n, k=0):
-        kind = rule(kernel, rows, n, k)
-        counts[kernel, kind] += 1
-        return kind
-
     with tempfile.TemporaryDirectory() as workdir:
         for workload in WORKLOADS.values():
             ops = list(workload(mods, 1, "full", Path(workdir) / workload.name).ops())
-            counts.clear()
-            relalg.branch = counted_rule
-            try:
+            with branches() as picks:
                 for _, op, _ in ops:
                     mods.lattice.concept_lattice_of.cache_clear()
                     mods.functors.complete_lattice_of.cache_clear()
                     op()
-            finally:
-                relalg.branch = rule
+            counts = collections.Counter(picks)
             for kernel in sorted({kernel for kernel, _ in counts}):
                 kinds = sorted((kind, n) for (name, kind), n in counts.items() if name == kernel)
                 total = sum(n for _, n in kinds)
@@ -714,38 +609,17 @@ def main(argv: list[str] | None = None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--check", action="store_true", help="compare results only, time nothing")
     args = p.parse_args(argv)
-    rng = random.Random(1)
+    tally = Tally()
+    for table in (kernel_table(), pullback_table(), *context_tables()):
+        run_table(table, args.check, tally)
     if not args.check:
-        print(f"{'shape':>9} {'density':>7} {'kernel':>14} {'branch':>7} {'kernel ms':>10}"
-              f" {'loop ms':>10} {'speed-up':>8}")
-    differ = 0
-    for m, n in SHAPES:
-        for density in DENSITIES:
-            r = random_relation(rng, m, n, density)
-            for name, kernel, loop, rule in KERNELS:
-                if args.check:
-                    got = kernel(r)
-                    if got != loop(r) or not rebuilds(got):
-                        differ += 1
-                        print(f"differs: {name} on {m}x{n} at density {density}")
-                    continue
-                k, ref = best_of(kernel, loop, r)
-                print(
-                    f"{m:>4}x{n:<4} {density:>7} {name:>14} {rule(r):>7} {k * 1e3:>10.3f}"
-                    f" {ref * 1e3:>10.3f} {ref / k:>7.2f}x"
-                )
-    results = [probe(args.check) for probe in (probe_pullbacks, probe_orders, probe_walks)]
-    if args.check:
-        checks = (check_enumerators, check_embeddings, check_builds, check_orders, check_lattices)
-        results += [check() for check in checks]
-        compared = sum(more for more, _ in results)
-        differ += sum(more for _, more in results)
-        total = len(SHAPES) * len(DENSITIES) * len(KERNELS) + compared
-        print(f"{total - differ} results equal, {differ} differ")
-        return 1 if differ else 0
-    probe_branches()
-    probe_stages()
-    return 0
+        probe_branches()
+        probe_stages()
+        return 0
+    for check in (check_enumerators, check_embeddings, check_builds, check_orders, check_lattices):
+        check(tally)
+    print(f"{tally.compared - tally.differ} results equal, {tally.differ} differ")
+    return 1 if tally.differ else 0
 
 
 if __name__ == "__main__":
