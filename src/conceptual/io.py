@@ -235,8 +235,8 @@ def parse_classification(text: str) -> Classification:
 
 
 def morphism_to_obj(m) -> dict:
-    src = classification_to_obj(m.source)
-    tgt = classification_to_obj(m.target)
+    """The JSON object of an infomorphism, bond or bonding pair; any other
+    value raises ``TypeError`` naming its type."""
     if isinstance(m, FunctionalInfomorphism):
         data = {
             "instance_map": [m.source.instances[m.f(b)] for b in range(len(m.target.instances))],
@@ -254,15 +254,33 @@ def morphism_to_obj(m) -> dict:
         kind = "bonding-pair"
     else:
         raise TypeError(f"cannot serialize {type(m).__name__}")
+    src = classification_to_obj(m.source)
+    tgt = classification_to_obj(m.target)
     return {"kind": kind, "source": src, "target": tgt, "data": data}
 
 
-def morphism_from_obj(obj: dict, validate: bool = True):
+def _matrix(data: dict, key: str, dst_size: int) -> Relation:
+    """The relation of the matrix field ``key``; a value that is no list of
+    rows is a ``ParseError`` naming the field, not the type Python names."""
     try:
+        return Relation.from_matrix(data[key], dst_size=dst_size)
+    except TypeError:
+        raise ParseError(f"bad morphism object: {key} must be a list of rows") from None
+
+
+def morphism_from_obj(obj: dict, validate: bool = True):
+    """The morphism ``morphism_to_obj`` wrote.  A malformed object is a
+    ``ParseError`` naming the field: the object and its ``data`` must be
+    JSON objects, the maps lists of labels, the matrices lists of rows."""
+    try:
+        if not isinstance(obj, dict):
+            raise ParseError("bad morphism object: the top level must be a JSON object")
         kind = obj["kind"]
         source = classification_from_obj(obj["source"])
         target = classification_from_obj(obj["target"])
         data = obj["data"]
+        if not isinstance(data, dict):
+            raise ParseError("bad morphism object: data must be a JSON object")
         if kind == "functional":
             for key in ("instance_map", "type_map"):
                 if not is_labels(data[key]):
@@ -276,30 +294,22 @@ def morphism_from_obj(obj: dict, validate: bool = True):
             )
             return FunctionalInfomorphism(source, target, f, g, validate=validate)
         if kind == "relational":
-            r = Relation.from_matrix(data["instance_rel"], dst_size=len(target.instances))
-            s = Relation.from_matrix(data["type_rel"], dst_size=len(target.types))
+            r = _matrix(data, "instance_rel", len(target.instances))
+            s = _matrix(data, "type_rel", len(target.types))
             return RelationalInfomorphism(source, target, r, s, validate=validate)
         if kind == "bond":
-            rel = Relation.from_matrix(data["rel"], dst_size=len(source.types))
+            rel = _matrix(data, "rel", len(source.types))
             return Bond(source, target, rel, validate=validate)
         if kind == "bonding-pair":
             fwd = Bond(
-                source,
-                target,
-                Relation.from_matrix(data["forward"], dst_size=len(source.types)),
-                validate=validate,
+                source, target, _matrix(data, "forward", len(source.types)), validate=validate
             )
             bwd = Bond(
-                target,
-                source,
-                Relation.from_matrix(data["backward"], dst_size=len(target.types)),
-                validate=validate,
+                target, source, _matrix(data, "backward", len(target.types)), validate=validate
             )
             return BondingPair(fwd, bwd, validate=validate)
     except KeyError as e:
         raise ParseError(f"bad morphism object: missing or invalid {quote(e.args[0])}") from None
-    except TypeError as e:
-        raise ParseError(f"bad morphism object: missing or invalid {e}") from None
     raise ParseError(f"unknown morphism kind {quote(kind)}")
 
 
@@ -369,33 +379,36 @@ def lattice_json(L: ConceptLattice) -> str:
     pure-Python encoder over every label of every concept.  This emitter
     encodes each label once, with the encoder's own ``encode_basestring``,
     and joins the encoded labels of each extent and intent in the
-    ``indent=2`` layout.  The bits of a mask are read in place, highest
-    first, one ``bit_length`` and one XOR each, and the labels reversed:
-    no generator is resumed per label.
+    ``indent=2`` layout.  It reads the masks from ``L.extents`` and
+    ``L.intents``, no concept object, and the bits of each in place,
+    highest first, one ``bit_length`` and one XOR each, and the labels
+    reversed: no generator is resumed and no function called per label.
     """
     inst = [encode_basestring(label) for label in L.instance_labels]
     typ = [encode_basestring(label) for label in L.type_labels]
-
-    def labels(enc: list[str], mask: int) -> str:
-        if not mask:
-            return "[]"
-        out = []
-        while mask:
-            i = mask.bit_length() - 1
-            out.append(enc[i])
-            mask ^= 1 << i
-        out.reverse()
-        return "[\n        " + ",\n        ".join(out) + "\n      ]"
-
+    items = []
+    for extent, intent in zip(L.extents, L.intents):
+        ext = []
+        while extent:
+            i = extent.bit_length() - 1
+            ext.append(inst[i])
+            extent ^= 1 << i
+        int_ = []
+        while intent:
+            i = intent.bit_length() - 1
+            int_.append(typ[i])
+            intent ^= 1 << i
+        ext.reverse()
+        int_.reverse()
+        items.append(
+            '    {\n      "extent": '
+            + ("[\n        " + ",\n        ".join(ext) + "\n      ]" if ext else "[]")
+            + ',\n      "intent": '
+            + ("[\n        " + ",\n        ".join(int_) + "\n      ]" if int_ else "[]")
+            + "\n    }"
+        )
     # a concept lattice always has a top concept, so the list is not empty
-    body = ",\n".join(
-        [
-            f'    {{\n      "extent": {labels(inst, c.extent)},\n'
-            f'      "intent": {labels(typ, c.intent)}\n    }}'
-            for c in L.concepts
-        ]
-    )
-    return '{\n  "concepts": [\n' + body + "\n  ]\n}\n"
+    return '{\n  "concepts": [\n' + ",\n".join(items) + "\n  ]\n}\n"
 
 
 # -- DOT ------------------------------------------------------------------------
@@ -412,9 +425,11 @@ def emit_dot(L: ConceptLattice) -> str:
 
     Every node is written from the one ``label=""`` template, and only the
     nodes that own a label, no more than there are instances and types, are
-    formatted again.  An edge line is the lower node's name and the
-    upper node's tail, formatted once per node, read off the bits of its
-    ``covers`` row in an inline loop.
+    formatted again.  An edge line is the upper node's head,
+    ``"  cJ -> c"``, and the lower node's tail, ``"I;"``, each formatted
+    once per node.  The heads of a node's upper covers are read off the
+    bits of its ``covers`` row in place, highest first, and reversed, and
+    the row's edge lines are one join of them with its tail.
     """
     own: dict[int, tuple[list[str], list[str]]] = {}
     for t, c in enumerate(L.tau.targets):
@@ -428,11 +443,17 @@ def emit_dot(L: ConceptLattice) -> str:
         )
         nodes[c] = f'  c{c} [label="{label}"];'
     lines = ["digraph lattice {", "  node [shape=box];", *nodes]
+    heads = [f"  c{j} -> c" for j in range(L.size)]
     for i, row in enumerate(L.covers.rows):
-        tail = f" -> c{i};"
+        if not row:
+            continue
+        ups = []
         while row:
-            low = row & -row
-            lines.append(f"  c{low.bit_length() - 1}{tail}")
-            row ^= low
+            j = row.bit_length() - 1
+            ups.append(heads[j])
+            row ^= 1 << j
+        ups.reverse()
+        tail = f"{i};"
+        lines.append((tail + "\n").join(ups) + tail)
     lines.append("}")
     return "\n".join(lines) + "\n"

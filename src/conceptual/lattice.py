@@ -41,6 +41,7 @@ from __future__ import annotations
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import relalg
@@ -240,33 +241,39 @@ class ConceptLattice:
     def covers(self) -> Relation:
         """Transitive reduction of the strict order (the Hasse diagram).
 
-        Row ``i`` is the strict up-set of ``i`` minus the strict up-set of
-        each element in it.  The elements of the up-set are visited from the
-        highest index down, and a candidate already removed is skipped: it
-        lies above a kept ``k``, so its strict up-set is inside that of
-        ``k``, which is removed already.  That is exact for any index order.
-        In lectic order a concept above another has the smaller index (its
-        intent is a proper subset), so the descending walk meets every
-        element before any element above it, and each element it visits is
-        a cover of ``i``.
+        Row ``i`` holds the minimal elements of the strict up-set of ``i``.
+        The walk starts with ``rest``, the candidates, equal to that up-set,
+        and ``cov``, the covers found, empty.  It takes the highest index
+        ``j`` left in ``rest``, removes the up-set of ``j`` from ``rest`` and
+        sets ``j`` in ``cov``; the ints shrink as the walk goes down.
+
+        That is exact for any index order.  A minimal element leaves
+        ``rest`` only when it is taken, so every one is taken, and it is
+        cleared from ``cov`` only by its own up-set, just before it is set.
+        A ``j`` taken that is not minimal lies above a minimal ``k`` still in
+        ``rest``, at a lower index as ``j`` was the highest; when ``k`` is
+        taken, its up-set holds ``j``, an index above its own, and clears
+        ``cov`` of it.  Only such an up-set runs the clear, and in lectic
+        order there is none: a concept above another has the smaller index
+        (its intent is a proper subset), so every element taken is a cover.
 
         The order rows are read in place, so no second n x n relation is
-        built beside the order: removing the up-set of ``j`` and setting
-        ``j`` again removes its strict up-set, and the candidates left are
-        the bits of the row below ``j``.
+        built beside the order.
         """
         n = self.size
         rows = self.order.rows
         out = []
         for i, row in enumerate(rows):
-            row &= ~(1 << i)
-            rest = row
+            rest = row & ~(1 << i)
+            cov = 0
             while rest:
                 j = rest.bit_length() - 1
-                bit = 1 << j
-                row = row & ~rows[j] | bit
-                rest = row & bit - 1
-            out.append(row)
+                above = rows[j]
+                rest ^= rest & above
+                if above >> j > 1:
+                    cov &= ~above
+                cov |= 1 << j
+            out.append(cov)
         return Relation._of(n, n, tuple(out))
 
     def extent_labels(self, c: FormalConcept) -> tuple[str, ...]:
@@ -302,10 +309,11 @@ def build_lattice(K: Classification, max_concepts: int = DEFAULT_CONCEPT_CAP) ->
     closure at ``j`` contains the failed one, so while a witness type is
     still free in a descendant, the descendant's closure at ``j`` adds it
     too and fails: the whole skip test is ``failed[j] & free``, and the
-    closure is not computed.  A child's closure is ``relalg.intersect_rows``
-    of its extent's rows with the floor ``B | {j}``: every instance of its
-    extent has those types, so its intent contains that set, and the AND
-    stops once it has narrowed to it, for no further row can remove a type.
+    closure is not computed.  A child's closure is the AND of its extent's
+    rows with the floor ``B | {j}``, ``relalg.intersect_rows`` written into
+    both loops: every instance of its extent has those types, so its intent
+    contains that set, and the AND stops once it has narrowed to it, for no
+    further row can remove a type.
 
     A child at a type that no row of ``ext`` has gets the empty extent, whose
     closure is every type.  It adds every type below ``j`` that ``B`` lacks,
@@ -328,8 +336,14 @@ def build_lattice(K: Classification, max_concepts: int = DEFAULT_CONCEPT_CAP) ->
     conversion per node and saves on every type, and most types a node
     visits are skipped by the failure lists where every extent holds a full
     row, as in a lattice classified by its own order.  ``relalg.branch``
-    picks the reading once, from the rows.  ``ResourceLimitError`` is raised
-    once more than ``max_concepts`` concepts are found.
+    picks the reading once, from the rows.
+
+    The walk makes no object per concept: it appends each extent and intent
+    to two int lists, and ``ResourceLimitError`` is raised once they hold
+    more than ``max_concepts``.  At the end every ``FormalConcept`` is made
+    in one C-level pass, and the two lists, as tuples, are stored as the
+    lattice's ``extents`` and ``intents``, as ``functors.CompleteLattice``
+    presets its own views.
     """
     m = len(K.instances)
     n = len(K.types)
@@ -337,8 +351,6 @@ def build_lattice(K: Classification, max_concepts: int = DEFAULT_CONCEPT_CAP) ->
     cols = K.cols
     full_i = (1 << m) - 1
     full_t = (1 << n) - 1
-
-    intersect = relalg.intersect_rows
 
     # the gate ``|ext| * (1 + mean row weight) < n - start``, times ``m``,
     # is ``|ext| * weight < (n - start) * m``
@@ -348,14 +360,16 @@ def build_lattice(K: Classification, max_concepts: int = DEFAULT_CONCEPT_CAP) ->
     width = (n + 7) // 8
     offsets = range(0, 8 * width, 8)
 
-    pairs: list[FormalConcept] = []
+    exts: list[int] = []
+    ints: list[int] = []
     # each entry: extent, intent, the first type index its children may add,
     # and the witness types of the closures that failed, by type index
-    stack = [(full_i, intersect(rows, full_i, full_t), 0, [0] * n)]
+    stack = [(full_i, relalg.intersect_rows(rows, full_i, full_t), 0, [0] * n)]
     while stack:
         ext, cur, start, inherited = stack.pop()
-        pairs.append(FormalConcept(ext, cur))
-        if len(pairs) > max_concepts:
+        exts.append(ext)
+        ints.append(cur)
+        if len(exts) > max_concepts:
             raise ResourceLimitError(
                 f"more than {max_concepts} concepts; raise max_concepts to proceed"
             )
@@ -386,8 +400,12 @@ def build_lattice(K: Classification, max_concepts: int = DEFAULT_CONCEPT_CAP) ->
                     if failed[j] & free:
                         continue
                     bit = 1 << j
-                    child_ext = ext & cols[j]
-                    child = intersect(rows, child_ext, full_t, cur | bit)
+                    child_ext = rest = ext & cols[j]
+                    child, floor = full_t, cur | bit
+                    while rest and child != floor:
+                        low = rest & -rest
+                        child &= rows[low.bit_length() - 1]
+                        rest ^= low
                     witness = child & (bit - 1) & free
                     if witness:
                         failed[j] = witness
@@ -401,15 +419,26 @@ def build_lattice(K: Classification, max_concepts: int = DEFAULT_CONCEPT_CAP) ->
             # a witness of a closure that failed at j above is still free here
             if failed[j] & free:
                 continue
-            child_ext = ext & cols[j]
-            child = intersect(rows, child_ext, full_t, cur | bit)
+            child_ext = rest = ext & cols[j]
+            child, floor = full_t, cur | bit
+            while rest and child != floor:
+                low = rest & -rest
+                child &= rows[low.bit_length() - 1]
+                rest ^= low
             witness = child & (bit - 1) & free
             if witness:
                 failed[j] = witness
             else:
                 stack.append((child_ext, child, j + 1, failed))
 
-    return ConceptLattice._of(tuple(pairs), K)
+    extents, intents = tuple(exts), tuple(ints)
+    # ``tuple.__new__`` makes the instances ``FormalConcept(e, i)`` would,
+    # without a Python-level ``__new__`` call each
+    concepts = tuple(map(tuple.__new__, repeat(FormalConcept), zip(extents, intents)))
+    out = ConceptLattice._of(concepts, K)
+    _setattr(out, "extents", extents)
+    _setattr(out, "intents", intents)
+    return out
 
 
 # the concept cap of a build on a cache miss, lowered by ``_lattice_within``

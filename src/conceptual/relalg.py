@@ -20,8 +20,8 @@ Each gather is written once.  ``_unions``, the OR of a table's rows at the
 bits of each mask, by bits or by bytes, is ``compose`` and the inverse
 images of ``FunctionGraph.preimages`` and ``pullback``; ``intersect_rows``,
 the AND of rows at the bits of one mask, is the derivations of a
-classification, the meets and joins of a lattice and the closures of the
-FCbO walk.
+classification and the meets and joins of a lattice, and the FCbO walk
+writes its loop inline into its own two loops.
 
 ``transpose`` is one of two places that fill a relation's ``columns``
 view on the way; the other is ``from_digits``, the reader of a block of

@@ -76,6 +76,16 @@ def sparse_context(rng, m: int, n: int, k: int) -> Classification:
     return Classification(inst, typ, Relation(m, n, rows))
 
 
+def bench_contexts() -> tuple[Classification, Classification]:
+    """One seeded context of each shape of the lattice benchmark: wide
+    100 x 22 at density .3, seven crosses per row, and tall 1500 x 40 at
+    .05, two per row."""
+    return (
+        sparse_context(random.Random(15), 100, 22, 7),
+        sparse_context(random.Random(16), 1500, 40, 2),
+    )
+
+
 # ``i0`` has no type and ``i1`` only ``t0``: the bottom concept, of the empty
 # extent, is reached only through the child at the lowest type missing from
 # an intent, at a node where the concept walk skips the types its extent

@@ -234,15 +234,15 @@ def extent_inclusion_oracle(extents: list[set[int]]) -> Relation:
 def covers_oracle(extents: list[set[int]]) -> set[tuple[int, int]]:
     """The Hasse diagram of extent inclusion by its definition: ``(i, j)``
     with extent ``i`` strictly inside extent ``j`` and no extent strictly
-    between them."""
+    between them.  The strict inclusions are tested pair by pair, and a pair
+    is a cover when no index is both above ``i`` and below ``j``."""
     n = len(extents)
-    less = [[extents[i] < extents[j] for j in range(n)] for i in range(n)]
-    return {
-        (i, j)
-        for i in range(n)
-        for j in range(n)
-        if less[i][j] and not any(less[i][k] and less[k][j] for k in range(n))
-    }
+    above = [{j for j in range(n) if extents[i] < extents[j]} for i in range(n)]
+    below = [set() for _ in range(n)]
+    for i in range(n):
+        for j in above[i]:
+            below[j].add(i)
+    return {(i, j) for i in range(n) for j in above[i] if above[i].isdisjoint(below[j])}
 
 
 def closed_pairs_oracle(K) -> set[tuple[frozenset, frozenset]]:
@@ -376,6 +376,31 @@ def embeddings_oracle(L: ConceptLattice) -> tuple[FunctionGraph, FunctionGraph]:
     iota = [least(extents, full_i, a) for a in range(len(L.instance_labels))]
     tau = [least(intents, full_t, t) for t in range(len(L.type_labels))]
     return FunctionGraph(tuple(iota), L.size), FunctionGraph(tuple(tau), L.size)
+
+
+def emit_dot_oracle(L: ConceptLattice) -> str:
+    """The text ``io.emit_dot`` writes, written plainly: a node per concept,
+    labelled with the types and then the instances that ``embeddings_oracle``
+    sends to it, each part's labels joined by a space and escaped, the
+    parts by DOT's ``\\n``; then one edge ``cJ -> cI`` per ``covers_oracle``
+    pair ``(I, J)``, by ``I`` and then ``J``."""
+    iota, tau = embeddings_oracle(L)
+    lines = ["digraph lattice {", "  node [shape=box];"]
+    for c in range(L.size):
+        types = [label for label, t in zip(L.type_labels, tau.targets) if t == c]
+        instances = [label for label, a in zip(L.instance_labels, iota.targets) if a == c]
+        parts = []
+        for part in (types, instances):
+            if part:
+                parts.append(" ".join(part).replace("\\", "\\\\").replace('"', '\\"'))
+        label = "\\n".join(parts)
+        lines.append(f'  c{c} [label="{label}"];')
+    m = len(L.instance_labels)
+    extents = [{a for a in range(m) if c.extent >> a & 1} for c in L.concepts]
+    for i, j in sorted(covers_oracle(extents)):
+        lines.append(f"  c{j} -> c{i};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def pointwise_pair_constraints(F, G) -> list[tuple[bool, bool]]:

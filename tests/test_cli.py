@@ -360,11 +360,29 @@ class TestMalformedInput:
             (
                 ["check", "bond", "a.json"],
                 {"a.json": dumps(FIVE)},
-                "bad morphism object: missing or invalid 'int' object is not subscriptable",
+                "bad morphism object: data must be a JSON object",
+            ),
+            (
+                ["check", "bond", "a.json"],
+                {"a.json": dumps([FIVE])},
+                "bad morphism object: the top level must be a JSON object",
+            ),
+            (
+                ["check", "bond", "a.json"],
+                {"a.json": dumps({**FIVE, "data": {"rel": 5}})},
+                "bad morphism object: rel must be a list of rows",
             ),
         ],
         ids=[
-            "compose-bonds", "compose-infos", "subpose", "blank-csv", "csv-types", "cxt-end", "data"
+            "compose-bonds",
+            "compose-infos",
+            "subpose",
+            "blank-csv",
+            "csv-types",
+            "cxt-end",
+            "data",
+            "top-level",
+            "matrix",
         ],
     )
     def test_message_of_each_refusal(self, capsys, tmp_path, argv, files, message):

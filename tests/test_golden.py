@@ -3,22 +3,23 @@
 An intended change of any of these outputs must update its digest here, and
 say why.  The contexts are two seeded random ones, the contranominal scale
 on four elements, whose lattice is the boolean lattice of 16 concepts, a
-tall sparse one, 60 x 12 with two crosses per row, on which the concept
-walk skips the children its extents cannot reach, a tall sparse 200 x 16
-with three crosses per row, whose concept order comes from the type side
-through the right residual's complement tables, and a small context whose
-labels JSON must escape: quotes, backslashes and control characters, next
-to non-ASCII ones it must not.  The bond commands read
-seeded bonds and bonding pairs between the two random contexts, valid and
-invalid; ``check infomorphism`` reads an injection into their sum, and the
-same map with one instance moved; ``check relational`` reads the relational
-widening of that injection, and the widening with one instance pair
-flipped.  ``compose infos`` chains the injection with the left injection of
-its apex into a second sum, functional and widened.  The four binary
-constructions pin their apex and legs: sum and product of the two random
-contexts, apposition and subposition of a context with itself.  ``quotient``
-keeps three instances of a random context, on which three of its types
-agree, and merges those types.
+tall sparse one, 60 x 12 with two crosses per row, on which the concept walk
+skips the children its extents cannot reach, a tall sparse 200 x 16 with
+three crosses per row, whose concept order comes from the type side through
+the right residual's complement tables, one seeded context of each shape of
+the lattice benchmark, 100 x 22 with seven crosses per row and 1500 x 40
+with two, and a small context whose labels JSON must escape: quotes,
+backslashes and control characters, next to non-ASCII ones it must not.  The
+bond commands read seeded bonds and bonding pairs between the two random
+contexts, valid and invalid; ``check infomorphism`` reads an injection into
+their sum, and the same map with one instance moved; ``check relational``
+reads the relational widening of that injection, and the widening with one
+instance pair flipped.  ``compose infos`` chains the injection with the left
+injection of its apex into a second sum, functional and widened.  The four
+binary constructions pin their apex and legs: sum and product of the two
+random contexts, apposition and subposition of a context with itself.
+``quotient`` keeps three instances of a random context, on which three of
+its types agree, and merges those types.
 """
 
 import contextlib
@@ -37,7 +38,7 @@ from conceptual.infomorphism import FunctionalInfomorphism, RelationalInfomorphi
 from conceptual.io import dumps, emit_cxt, morphism_to_obj
 from conceptual.relalg import FunctionGraph, Relation
 
-from conftest import random_context, sparse_context
+from conftest import bench_contexts, random_context, sparse_context
 
 CONTEXTS = {
     "rand-6x5": lambda: random_context(random.Random(11), 6, 5),
@@ -45,6 +46,8 @@ CONTEXTS = {
     "contranominal-4": lambda: contranominal_classification(4),
     "tall-60x12": lambda: sparse_context(random.Random(13), 60, 12, 2),
     "tall-200x16": lambda: sparse_context(random.Random(14), 200, 16, 3),
+    "bench-wide-100x22": lambda: bench_contexts()[0],
+    "bench-tall-1500x40": lambda: bench_contexts()[1],
     "escapes": lambda: Classification(
         ('q"uote', "back\\slash", "tab\tctl\x01\x1f\x7f", "café 日本 \U0001F600"),
         ('"', "\\", '\\"', "é\x08", "t\\"),
@@ -162,6 +165,24 @@ GOLDEN = {
     ("lattice", "{tall-200x16}", "--dot"): (
         0,
         "6d6a5df7e018f1d88f69dc3ee8df6c1cb58c1c14c100ff7cc4665db3354cba0d",
+    ),
+    # the lattice benchmark's two shapes, pinned before the concepts were
+    # built in bulk and the covers walk shrank its candidates
+    ("lattice", "{bench-wide-100x22}"): (
+        0,
+        "b94c7e9bbd9789dc282622d1d936ebe2e4cf829b2b478d8ffccaf60d76984f67",
+    ),
+    ("lattice", "{bench-wide-100x22}", "--dot"): (
+        0,
+        "555f8df124363b56a3b514a8d1ce4aa3d3201e33ebb97938a59112945e41a039",
+    ),
+    ("lattice", "{bench-tall-1500x40}"): (
+        0,
+        "0312ca425314f340d3335f859cc1444e1f5d21b4fd7ebcebb9718e2033329916",
+    ),
+    ("lattice", "{bench-tall-1500x40}", "--dot"): (
+        0,
+        "e2478301770c0492e238c339cc321919d5e777f2b4f01304a2824a8beece9d4f",
     ),
     ("lattice", "{escapes}"): (
         0,

@@ -25,8 +25,8 @@ from conceptual.io import (
 from conceptual.lattice import build_lattice, concept_lattice_of
 from conceptual.relalg import Relation
 
-from conftest import NEGATIVE_COUNT_CXT, random_context
-from oracles import emit_cxt_oracle
+from conftest import NEGATIVE_COUNT_CXT, all_contexts, bench_contexts, random_context
+from oracles import emit_cxt_oracle, emit_dot_oracle
 
 K1_CXT = "B\n\n2\n2\n\n1\n2\na\nb\nX.\nXX\n"
 
@@ -349,6 +349,11 @@ class TestLatticeJson:
         assert 0 in L.extents and 0 in L.intents
         assert lattice_json(L) == self.reference(L)
 
+    @pytest.mark.parametrize("shape", [0, 1], ids=["wide-100x22", "tall-1500x40"])
+    def test_matches_dumps_at_the_bench_shapes(self, shape):
+        L = build_lattice(bench_contexts()[shape])
+        assert lattice_json(L) == self.reference(L)
+
 
 class TestDot:
     def test_k1_two_nodes_one_edge(self, k1):
@@ -370,3 +375,13 @@ class TestDot:
     def test_deterministic(self, k1):
         L = build_lattice(k1)
         assert emit_dot(L) == emit_dot(L)
+
+    def test_matches_the_oracle_up_to_3x3(self):
+        for K in all_contexts(3, 3):
+            L = build_lattice(K)
+            assert emit_dot(L) == emit_dot_oracle(L)
+
+    @pytest.mark.parametrize("shape", [0, 1], ids=["wide-100x22", "tall-1500x40"])
+    def test_matches_the_oracle_at_the_bench_shapes(self, shape):
+        L = build_lattice(bench_contexts()[shape])
+        assert emit_dot(L) == emit_dot_oracle(L)

@@ -4,10 +4,12 @@ and against NextClosure (the lectic order); of its pruned walk against
 NextClosure and the unpruned FCbO walk, on tall sparse contexts up to
 40x12, contexts with empty columns or carriers, and order classifications;
 of the derived embeddings against the Basic Theorem on coin-cell contexts
-up to 6x6; of ``right_residual`` against its oracle, on incidences,
-orders and relations that are neither; and of the lattice check of
-``CompleteLattice`` against ``check_lattice_oracle``, on relations and
-bounded orders of 5 to 8 elements."""
+up to 6x6; of ``covers`` against its oracle on shuffled concept orders and
+shuffled complete lattices; of the views and the cap of the walk; of
+``right_residual`` against its oracle, on incidences, orders and relations
+that are neither; and of the lattice check of ``CompleteLattice`` against
+``check_lattice_oracle``, on relations and bounded orders of 5 to 8
+elements."""
 
 import random
 
@@ -23,9 +25,9 @@ from conceptual.classification import (
     chain_classification,
     contranominal_classification,
 )
-from conceptual.errors import ShapeError
+from conceptual.errors import ResourceLimitError, ShapeError
 from conceptual.functors import CompleteLattice, complete_lattice_of
-from conceptual.lattice import ConceptLattice, build_lattice, concept_lattice_of
+from conceptual.lattice import ConceptLattice, FormalConcept, build_lattice, concept_lattice_of
 from conceptual.relalg import FunctionGraph, Relation, bits, right_residual
 
 from conftest import PRUNED_BOTTOM, order_from_covers
@@ -34,6 +36,7 @@ from oracles import (
     check_lattice_oracle,
     closed_pairs_oracle,
     concept_set,
+    covers_oracle,
     embeddings_oracle,
     fcbo_oracle,
     next_closure_oracle,
@@ -84,6 +87,61 @@ def test_embeddings_are_the_basic_theorems(K, rnd):
     rnd.shuffle(shuffled)
     S = ConceptLattice(tuple(shuffled), K)
     assert (S.iota, S.tau) == embeddings_oracle(S)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(contexts(max_size=6), st.randoms(use_true_random=False))
+def test_covers_on_any_concept_order(K, rnd):
+    """``covers`` is the oracle's Hasse diagram on the concepts of a context
+    up to 6x6 in a random order, through the public constructor, where a
+    concept above another may come at the higher index."""
+    concepts = list(build_lattice(K).concepts)
+    rnd.shuffle(concepts)
+    S = ConceptLattice(tuple(concepts), K)
+    assert set(S.covers.pairs()) == covers_oracle([set(bits(e)) for e in S.extents])
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.data())
+def test_covers_of_a_shuffled_complete_lattice(data):
+    """``covers`` of a ``CompleteLattice``, whose order is preset, is the
+    oracle's Hasse diagram of its down-sets when its elements come in a
+    shuffled order: a chain of 1..12 elements, a boolean lattice of 1..32
+    or the concept lattice of a context up to 4x4."""
+    kind = data.draw(st.sampled_from(("chain", "boolean", "concepts")))
+    if kind == "chain":
+        K = chain_classification(data.draw(st.integers(1, 12)))
+    elif kind == "boolean":
+        K = contranominal_classification(data.draw(st.integers(0, 5)))
+    else:
+        K = data.draw(contexts(max_size=4))
+    leq = complete_lattice_of(concept_lattice_of(K)).classification.incidence
+    n = leq.src_size
+    perm = data.draw(st.permutations(range(n)))
+    rows = [0] * n
+    for i, j in leq.pairs():
+        rows[perm[i]] |= 1 << perm[j]
+    L = CompleteLattice(tuple(f"e{i}" for i in range(n)), Relation(n, n, tuple(rows)))
+    assert set(L.covers.pairs()) == covers_oracle([set(bits(d)) for d in L.extents])
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(contexts())
+@example(Classification((), ("t0", "t1", "t2"), Relation.empty(0, 3)))
+@example(Classification(("i0", "i1", "i2"), (), Relation.empty(3, 0)))
+def test_build_presets_the_views_of_its_concepts(K):
+    """The walk stores ``extents`` and ``intents`` as it builds the
+    concepts, each a ``FormalConcept``, and they equal the tuples read off
+    the concepts, on 0 x n and n x 0 contexts too.  Its cap raises at
+    exactly one concept more than it allows."""
+    L = build_lattice(K)
+    assert all(type(c) is FormalConcept for c in L.concepts)
+    assert {"extents", "intents"} <= vars(L).keys()
+    assert L.extents == tuple(c.extent for c in L.concepts)
+    assert L.intents == tuple(c.intent for c in L.concepts)
+    assert build_lattice(K, max_concepts=L.size) == L
+    with pytest.raises(ResourceLimitError, match=f"more than {L.size - 1} concepts"):
+        build_lattice(K, max_concepts=L.size - 1)
 
 
 @st.composite

@@ -304,6 +304,8 @@ REFUSED = {
         TypeError,
         "cannot serialize SimpleNamespace",
     ),
+    # the type is read before any field, so a value with no ``source`` too
+    "serialize-int": (lambda: morphism_to_obj(5), TypeError, "cannot serialize int"),
 }
 
 
