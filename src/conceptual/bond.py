@@ -18,7 +18,7 @@ of one along a bonding pair ``p`` is ``compose_bonds(p.backward, F)``.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from . import relalg
@@ -26,7 +26,7 @@ from .classification import Classification, contranominal_classification
 from .errors import CheckResult, ShapeError, ValidationError, quote
 from .infomorphism import RelationalInfomorphism, check_relational
 from .lattice import ConceptLattice, concept_lattice_of
-from .relalg import FunctionGraph, Relation, left_residual, right_residual, view
+from .relalg import FunctionGraph, Relation, _new, _setattr, left_residual, right_residual, view
 
 if TYPE_CHECKING:
     from .functors import CompleteHomomorphism
@@ -34,8 +34,9 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class Bond:
-    """A bond ``rel`` from ``source`` (A) to ``target`` (B), checked by
-    ``is_bond`` unless ``validate`` is false.
+    """A bond ``rel`` from ``source`` (A) to ``target`` (B): the constructor
+    checks the shape of ``rel`` and raises unless ``is_bond`` holds, and
+    ``_of`` stores a bond built from checked values unchecked.
 
     The residuals a bond determines on its own are derived views, built on
     first use and kept by the instance, so the checks, compositions and
@@ -59,14 +60,21 @@ class Bond:
     source: Classification
     target: Classification
     rel: Relation  # inst(target) x typ(source)
-    validate: InitVar[bool] = True
 
-    def __post_init__(self, validate: bool):
-        expected = (len(self.target.instances), len(self.source.types))
-        if self.rel.shape != expected:
-            raise ShapeError(f"bond relation shape {self.rel.shape}, expected {expected}")
-        if validate:
-            is_bond(self.source, self.target, self).require("relation is not a bond")
+    def __post_init__(self):
+        _require_shape(self.source, self.target, self.rel, "bond relation")
+        is_bond(self.source, self.target, self).require("relation is not a bond")
+
+    @classmethod
+    def _of(cls, source: Classification, target: Classification, rel: Relation) -> "Bond":
+        """The bond with these fields, stored unchecked, as
+        ``Classification._of``: only for a relation of the bond's shape that
+        is a bond by construction or is judged afterwards by ``is_bond``."""
+        out = _new(cls)
+        _setattr(out, "source", source)
+        _setattr(out, "target", target)
+        _setattr(out, "rel", rel)
+        return out
 
     @view
     def r(self) -> Relation:
@@ -88,16 +96,28 @@ class Bond:
         return f"Bond({self.source!r} -> {self.target!r})"
 
 
+def _require_shape(A: Classification, B: Classification, rel: Relation, what: str) -> None:
+    """Raise ``ShapeError`` naming ``what`` unless ``rel`` is
+    inst(B) x typ(A), the shape of a bond from ``A`` to ``B``."""
+    expected = (len(B.instances), len(A.types))
+    if rel.shape != expected:
+        raise ShapeError(f"{what} shape {rel.shape}, expected {expected}")
+
+
 def is_bond(A: Classification, B: Classification, rel: Relation | Bond) -> CheckResult:
     """Both closure equalities, ``(I_A/rel)\\I_A == rel`` on the rows and
     ``I_B/(rel\\I_B) == rel`` on the columns; on failure names the first
     offending row, else the first offending column.
 
-    ``rel`` is a ``Bond`` from ``A`` to ``B``, or a raw relation, which is
-    wrapped as one unchecked; the bond's views ``r`` and ``s`` serve as the
-    two inner residuals.
+    ``rel`` is a ``Bond`` from ``A`` to ``B``, or a raw relation, whose
+    shape is checked before it is wrapped as one unchecked; the bond's views
+    ``r`` and ``s`` serve as the two inner residuals.
     """
-    bond = rel if isinstance(rel, Bond) else Bond(A, B, rel, validate=False)
+    if isinstance(rel, Bond):
+        bond = rel
+    else:
+        _require_shape(A, B, rel, "bond relation")
+        bond = Bond._of(A, B, rel)
     rel = bond.rel
     row_closed = left_residual(bond.r, A.incidence)
     if row_closed != rel:
@@ -169,9 +189,7 @@ def close_to_bond(A: Classification, B: Classification, rel: Relation) -> Relati
     Each sweep only adds pairs forced by closure, and bonds are closed under
     intersection, so the fixpoint is the least bond above the input.
     """
-    expected = (len(B.instances), len(A.types))
-    if rel.shape != expected:
-        raise ShapeError(f"bond seed shape {rel.shape}, expected {expected}")
+    _require_shape(A, B, rel, "bond seed")
     cur = rel
     while True:
         closed = _close_columns(B, _close_rows(A, cur))
@@ -182,21 +200,31 @@ def close_to_bond(A: Classification, B: Classification, rel: Relation) -> Relati
 
 @dataclass(frozen=True)
 class BondingPair:
-    """Two opposed bonds, checked by ``is_bonding_pair`` unless ``validate``
-    is false; the homomorphism they determine, ``hom``, is built on first use."""
+    """Two opposed bonds: the constructor raises unless their endpoints
+    oppose and ``is_bonding_pair`` holds, and ``_of`` stores a pair built
+    from checked values unchecked.  The homomorphism they determine,
+    ``hom``, is built on first use."""
 
     forward: Bond  # A -> B
     backward: Bond  # B -> A
-    validate: InitVar[bool] = True
 
-    def __post_init__(self, validate: bool):
+    def __post_init__(self):
         if (
             self.forward.source != self.backward.target
             or self.forward.target != self.backward.source
         ):
             raise ShapeError("bonding pair endpoints do not oppose each other")
-        if validate:
-            is_bonding_pair(self.forward, self.backward).require("pairing constraints fail")
+        is_bonding_pair(self.forward, self.backward).require("pairing constraints fail")
+
+    @classmethod
+    def _of(cls, forward: Bond, backward: Bond) -> "BondingPair":
+        """The pair with these fields, stored unchecked, as ``Bond._of``:
+        only for opposed bonds that meet the pairing constraints by
+        construction or are judged afterwards by ``is_bonding_pair``."""
+        out = _new(cls)
+        _setattr(out, "forward", forward)
+        _setattr(out, "backward", backward)
+        return out
 
     @property
     def source(self) -> Classification:
@@ -285,7 +313,7 @@ def collective_from_function(L: ConceptLattice, f: FunctionGraph) -> Bond:
         raise ShapeError(f"function lands in {f.dst_size} elements, lattice has {L.size}")
     K = L.classification
     rel = Relation(f.src_size, len(K.types), tuple(map(L.intents.__getitem__, f.targets)))
-    return Bond(K, contranominal_classification(f.src_size), rel, validate=False)
+    return Bond._of(K, contranominal_classification(f.src_size), rel)
 
 
 def mediating_function(F: Bond) -> FunctionGraph:
@@ -311,4 +339,4 @@ def collective_transport(F: Bond, r: Relation, side: str) -> Bond:
         rel, n = left_residual(right_residual(F.r, r), F.source.incidence), r.src_size
     else:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    return Bond(F.source, contranominal_classification(n), rel, validate=False)
+    return Bond._of(F.source, contranominal_classification(n), rel)

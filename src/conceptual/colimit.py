@@ -282,7 +282,7 @@ def enumerate_infomorphisms(A: Classification, C: Classification, instance_ident
         # no instance functions exist into an empty source unless C is empty too
         f_candidates = itertools.product(range(na), repeat=nc)
     for f, g in _propagate(f_candidates, A.cols, A.rows, C.cols):
-        yield FunctionalInfomorphism(A, C, f, g, validate=False)
+        yield FunctionalInfomorphism._of(A, C, f, g)
 
 
 def _infomorphism_maps(m: FunctionalInfomorphism):

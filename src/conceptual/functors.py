@@ -15,7 +15,7 @@ an infomorphism between two order classifications is an adjoint pair,
 ``f(y) <= x`` iff ``y <= g(x)``, so an adjoint pair ``(phi, psi)`` is the
 ``ConceptLatticeMorphism`` between complete lattices whose ``f`` and ``g``
 are ``phi`` and ``psi``, composed by ``compose_lattice_morphisms``.  Each
-witness is validated on the spot and raises, naming what fails, if the
+witness is checked on the spot and raises, naming what fails, if the
 books do not balance.
 The arrow types here have no unchecked mode: construction is the check,
 and a caller that sifts candidates catches ``ValidationError``.
@@ -110,7 +110,7 @@ def complete_lattice_of(L: ConceptLattice) -> CompleteLattice:
     of ``L`` are forgotten, and elements are named by concept position.
 
     A complete lattice is its order, so the cache is keyed by ``L.order``:
-    concept lattices with equal orders share one validated lattice and its
+    concept lattices with equal orders share one checked lattice and its
     views (hash-consing).  ``cache_clear`` and ``cache_info`` are the
     cache's own."""
     return _complete_lattice_of_order(L.order)
@@ -314,7 +314,7 @@ def _adjointness_bond(L: CompleteLattice, K: CompleteLattice, phi: FunctionGraph
     exactly when ``phi`` has a right adjoint."""
     rel = Relation._of(K.size, L.size, tuple(map(L.intents.__getitem__, phi.targets)))
     _order_bond_check(L, K, rel).require("relation is not a bond")
-    return Bond(L.classification, K.classification, rel, validate=False)
+    return Bond._of(L.classification, K.classification, rel)
 
 
 def _order_bond_check(L: CompleteLattice, K: CompleteLattice, rel: Relation) -> CheckResult:
@@ -383,8 +383,8 @@ def embedding_bonds(A: Classification) -> tuple[Bond, Bond]:
     lattice = complete_lattice_of(LA)
     order_cls = lattice.classification
     leq, iota, tau = order_cls.incidence, LA.iota_rel, LA.tau_rel
-    instance_bond = Bond(order_cls, A, iota, validate=False)
-    type_bond = Bond(A, order_cls, tau, validate=False)
+    instance_bond = Bond._of(order_cls, A, iota)
+    type_bond = Bond._of(A, order_cls, tau)
     if instance_bond.s != tau:
         raise ValidationError("the extents do not derive to the intents")
     if type_bond.r != iota:
@@ -481,7 +481,7 @@ class CompleteHomomorphism:
         forward = _adjointness_bond(L, K, canonical_adjoints(self)[0])
         backward = _adjointness_bond(K, L, self.psi)
         _order_pairing_check(L, K, forward, backward).require("pairing constraints fail")
-        return BondingPair(forward, backward, validate=False)
+        return BondingPair._of(forward, backward)
 
 
 def _principal_preimages(

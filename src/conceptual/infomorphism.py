@@ -1,13 +1,15 @@
 """Functional and relational infomorphisms between classifications.
 
-Both variants are contravariant pairs validated eagerly against the
-fundamental property; pass ``validate=False`` to build first and check
-afterwards with ``check_functional``/``check_relational``.
+Both variants are contravariant pairs: the constructors check the shapes
+of the two maps and raise unless the fundamental property holds
+(``check_functional``/``check_relational``).  A pair built from checked
+values, or read from a file to be checked afterwards, is stored unchecked
+by its class's ``_of``, as ``Classification._of``.
 """
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 from . import relalg
 from .classification import (
@@ -18,7 +20,7 @@ from .classification import (
     dual as dual_classification,
 )
 from .errors import CheckResult, ShapeError
-from .relalg import FunctionGraph, Relation, compose, left_residual, transpose
+from .relalg import FunctionGraph, Relation, _new, _setattr, compose, left_residual, transpose
 
 
 @dataclass(frozen=True)
@@ -29,9 +31,8 @@ class FunctionalInfomorphism:
     target: Classification
     f: FunctionGraph  # instances: target -> source
     g: FunctionGraph  # types: source -> target
-    validate: InitVar[bool] = True
 
-    def __post_init__(self, validate: bool):
+    def __post_init__(self):
         if self.f.shape != (len(self.target.instances), len(self.source.instances)):
             raise ShapeError(
                 f"instance function shape {self.f.shape} does not map "
@@ -42,8 +43,22 @@ class FunctionalInfomorphism:
                 f"type function shape {self.g.shape} does not map "
                 f"source types to target types"
             )
-        if validate:
-            check_functional(self).require("not a functional infomorphism")
+        check_functional(self).require("not a functional infomorphism")
+
+    @classmethod
+    def _of(
+        cls, source: Classification, target: Classification, f: FunctionGraph, g: FunctionGraph
+    ) -> "FunctionalInfomorphism":
+        """The infomorphism with these fields, stored unchecked, as
+        ``Classification._of``: only for maps of the right shapes that meet
+        the fundamental property by construction or are judged afterwards
+        by ``check_functional``."""
+        out = _new(cls)
+        _setattr(out, "source", source)
+        _setattr(out, "target", target)
+        _setattr(out, "f", f)
+        _setattr(out, "g", g)
+        return out
 
     def __repr__(self):
         return f"FunctionalInfomorphism({self.source!r} => {self.target!r})"
@@ -110,15 +125,27 @@ class RelationalInfomorphism:
     target: Classification
     r: Relation  # instances: source -> target
     s: Relation  # types: source -> target
-    validate: InitVar[bool] = True
 
-    def __post_init__(self, validate: bool):
+    def __post_init__(self):
         if self.r.shape != (len(self.source.instances), len(self.target.instances)):
             raise ShapeError(f"instance relation shape {self.r.shape} is wrong")
         if self.s.shape != (len(self.source.types), len(self.target.types)):
             raise ShapeError(f"type relation shape {self.s.shape} is wrong")
-        if validate:
-            check_relational(self).require("not a relational infomorphism")
+        check_relational(self).require("not a relational infomorphism")
+
+    @classmethod
+    def _of(
+        cls, source: Classification, target: Classification, r: Relation, s: Relation
+    ) -> "RelationalInfomorphism":
+        """The infomorphism with these fields, stored unchecked, as
+        ``FunctionalInfomorphism._of``: only for relations of the right
+        shapes, judged afterwards by ``check_relational``."""
+        out = _new(cls)
+        _setattr(out, "source", source)
+        _setattr(out, "target", target)
+        _setattr(out, "r", r)
+        _setattr(out, "s", s)
+        return out
 
     def __repr__(self):
         return f"RelationalInfomorphism({self.source!r} => {self.target!r})"

@@ -188,11 +188,19 @@ def classification_to_obj(K: Classification) -> dict:
 
 
 def classification_from_obj(obj: dict) -> Classification:
+    """The classification ``classification_to_obj`` wrote.  A malformed
+    object is a ``ParseError`` naming the field: the object must be a JSON
+    object, the labels lists of strings, the incidence a list of rows, one
+    per instance."""
+    if not isinstance(obj, dict):
+        raise ParseError("bad classification object: the top level must be a JSON object")
     try:
         instances = _labels(obj, "instances")
         types = _labels(obj, "types")
         rel = Relation.from_matrix(obj["incidence"], dst_size=len(types))
-    except (KeyError, TypeError, ValidationError) as e:
+    except TypeError:
+        raise ParseError("bad classification object: incidence must be a list of rows") from None
+    except (KeyError, ValidationError) as e:
         raise ParseError(f"bad classification object: {e}") from None
     if rel.src_size != len(instances):
         raise ParseError("incidence row count does not match instances")
@@ -259,55 +267,82 @@ def morphism_to_obj(m) -> dict:
     return {"kind": kind, "source": src, "target": tgt, "data": data}
 
 
-def _matrix(data: dict, key: str, dst_size: int) -> Relation:
-    """The relation of the matrix field ``key``; a value that is no list of
-    rows is a ``ParseError`` naming the field, not the type Python names."""
+def _object(obj: dict, key: str) -> dict:
+    """The JSON object in the field ``key`` of a morphism object."""
+    value = obj[key]
+    if not isinstance(value, dict):
+        raise ParseError(f"bad morphism object: {key} must be a JSON object")
+    return value
+
+
+def _matrix(data: dict, key: str, src_size: int, dst_size: int) -> Relation:
+    """The relation of the matrix field ``key``, ``src_size`` rows of
+    ``dst_size`` cells; a value that is no list of rows, or has another
+    number of rows, is a ``ParseError`` naming the field, not the type
+    Python names."""
     try:
-        return Relation.from_matrix(data[key], dst_size=dst_size)
+        rel = Relation.from_matrix(data[key], dst_size=dst_size)
     except TypeError:
         raise ParseError(f"bad morphism object: {key} must be a list of rows") from None
+    if rel.src_size != src_size:
+        raise ParseError(
+            f"bad morphism object: {key} must have {src_size} rows, got {rel.src_size}"
+        )
+    return rel
+
+
+def _map(data: dict, key: str, size: int) -> list[str]:
+    """The labels of the map field ``key``, one for each of ``size``
+    elements; a value that is no list of ``size`` strings is a
+    ``ParseError`` naming the field."""
+    labels = data[key]
+    if not is_labels(labels):
+        raise ParseError(f"bad morphism object: {key} must be a list of strings")
+    if len(labels) != size:
+        raise ParseError(f"bad morphism object: {key} must have {size} labels, got {len(labels)}")
+    return labels
 
 
 def morphism_from_obj(obj: dict, validate: bool = True):
     """The morphism ``morphism_to_obj`` wrote.  A malformed object is a
-    ``ParseError`` naming the field: the object and its ``data`` must be
-    JSON objects, the maps lists of labels, the matrices lists of rows."""
+    ``ParseError`` naming the field: the object, its ``source``, ``target``
+    and ``data`` must be JSON objects, the maps lists of labels and the
+    matrices lists of rows, each of the length its morphism's shape asks.
+    So the shape is checked here, and ``validate`` only picks between the
+    checking constructor and ``_of``, which stores the morphism unchecked
+    for the caller to check, as ``conceptual check`` does."""
     try:
         if not isinstance(obj, dict):
             raise ParseError("bad morphism object: the top level must be a JSON object")
         kind = obj["kind"]
-        source = classification_from_obj(obj["source"])
-        target = classification_from_obj(obj["target"])
-        data = obj["data"]
-        if not isinstance(data, dict):
-            raise ParseError("bad morphism object: data must be a JSON object")
+        source = classification_from_obj(_object(obj, "source"))
+        target = classification_from_obj(_object(obj, "target"))
+        data = _object(obj, "data")
+        # the sizes of the source A and of the target B
+        a_inst, a_typ = len(source.instances), len(source.types)
+        b_inst, b_typ = len(target.instances), len(target.types)
         if kind == "functional":
-            for key in ("instance_map", "type_map"):
-                if not is_labels(data[key]):
-                    raise ParseError(f"bad morphism object: {key} must be a list of strings")
             f = FunctionGraph.from_targets(
-                tuple(source.instance_index[l] for l in data["instance_map"]),
-                len(source.instances),
+                tuple(map(source.instance_index.__getitem__, _map(data, "instance_map", b_inst))),
+                a_inst,
             )
             g = FunctionGraph.from_targets(
-                tuple(target.type_index[l] for l in data["type_map"]), len(target.types)
+                tuple(map(target.type_index.__getitem__, _map(data, "type_map", a_typ))), b_typ
             )
-            return FunctionalInfomorphism(source, target, f, g, validate=validate)
+            build = FunctionalInfomorphism if validate else FunctionalInfomorphism._of
+            return build(source, target, f, g)
         if kind == "relational":
-            r = _matrix(data, "instance_rel", len(target.instances))
-            s = _matrix(data, "type_rel", len(target.types))
-            return RelationalInfomorphism(source, target, r, s, validate=validate)
+            r = _matrix(data, "instance_rel", a_inst, b_inst)
+            s = _matrix(data, "type_rel", a_typ, b_typ)
+            build = RelationalInfomorphism if validate else RelationalInfomorphism._of
+            return build(source, target, r, s)
+        bond = Bond if validate else Bond._of
         if kind == "bond":
-            rel = _matrix(data, "rel", len(source.types))
-            return Bond(source, target, rel, validate=validate)
+            return bond(source, target, _matrix(data, "rel", b_inst, a_typ))
         if kind == "bonding-pair":
-            fwd = Bond(
-                source, target, _matrix(data, "forward", len(source.types)), validate=validate
-            )
-            bwd = Bond(
-                target, source, _matrix(data, "backward", len(target.types)), validate=validate
-            )
-            return BondingPair(fwd, bwd, validate=validate)
+            fwd = bond(source, target, _matrix(data, "forward", b_inst, a_typ))
+            bwd = bond(target, source, _matrix(data, "backward", a_inst, b_typ))
+            return (BondingPair if validate else BondingPair._of)(fwd, bwd)
     except KeyError as e:
         raise ParseError(f"bad morphism object: missing or invalid {quote(e.args[0])}") from None
     raise ParseError(f"unknown morphism kind {quote(kind)}")

@@ -40,9 +40,14 @@ value built from checked operands is in range by construction and is
 stored unchecked by its class's ``_of``: the result of each kernel,
 ``complement``, ``union`` and ``identity``, ``from_digits`` (whose callers
 check the digits), ``pullback``'s gather, a map's graph ``rel``, and
-``FunctionGraph.then`` and ``identity``.  ``Classification._of`` and the
-lattice and functor code build the values they derive from checked ones
-the same way.
+``FunctionGraph.then`` and ``identity``.  This is the package's one
+unchecked path: eight classes have an ``_of``, ``Relation``,
+``FunctionGraph``, ``classification.Classification``,
+``lattice.ConceptLattice``, ``bond.Bond``, ``bond.BondingPair``,
+``infomorphism.FunctionalInfomorphism`` and
+``infomorphism.RelationalInfomorphism``, and their constructors always
+check.  ``io.morphism_from_obj`` checks the shapes of what it reads and
+stores a morphism that ``conceptual check`` checks afterwards with ``_of``.
 """
 
 from __future__ import annotations

@@ -33,7 +33,7 @@ class VerificationReport:
 
     def attempt(self, check: str, item: str, test: Callable[[], object], witness: str | None):
         """Record whether ``test()`` holds; a ``ConceptualError`` it raises fails
-        the record with its message as the witness.  A validated build passes."""
+        the record with its message as the witness.  A build that checks passes."""
         try:
             ok = bool(test())
         except ConceptualError as e:

@@ -188,7 +188,7 @@ def _first_maps(contexts, rng: random.Random, pairs: int, prefix: str, make):
 
 
 def _with_left_adjoint(L, Kl, psi) -> functors.ConceptLatticeMorphism:
-    """``psi`` with its left adjoint by the meet formula, validated as the
+    """``psi`` with its left adjoint by the meet formula, checked as the
     adjoint pair between the two complete lattices."""
     phi = FunctionGraph(tuple(map(L.meet_of, pullback(Kl.intents, Kl.extents, psi))), L.size)
     return functors.ConceptLatticeMorphism(L, Kl, phi, psi, phi, psi)

@@ -654,7 +654,7 @@ def infomorphisms_oracle(A, C, instance_identity: bool = False):
     for f_t in f_candidates:
         f = FunctionGraph(f_t, na)
         for g_t in all_functions(len(A.types), len(C.types)):
-            m = FunctionalInfomorphism(A, C, f, FunctionGraph(g_t, len(C.types)), validate=False)
+            m = FunctionalInfomorphism._of(A, C, f, FunctionGraph(g_t, len(C.types)))
             if check_functional(m):
                 yield m
 

@@ -162,14 +162,14 @@ class TestBondViews:
         assert bonds > 1000
 
     def test_random_bonds_and_unchecked_relations(self, rng):
-        # close_to_bond results, and unchecked relations under validate=False
+        # close_to_bond results, and unchecked relations stored by Bond._of
         for m, n in RANDOM_SHAPES:
             for _ in range(3):
                 A = random_context(rng, m, n)
                 B = random_context(rng, rng.randint(0, 8), rng.randint(0, 8))
                 assert_views_are_residuals(random_bond(rng, A, B))
                 rel = random_relation(rng, len(B.instances), len(A.types))
-                assert_views_are_residuals(Bond(A, B, rel, validate=False))
+                assert_views_are_residuals(Bond._of(A, B, rel))
 
     def test_rejection_matches_is_bond(self, rng):
         # every relation between random 3x3 contexts: the constructor raises
@@ -217,9 +217,7 @@ class TestBondOfInfomorphism:
                 assert bond_of(dual_rel).rel == transpose(bond_of(rel).rel)
 
     def test_invalid_input_rejected(self, k1):
-        bad = RelationalInfomorphism(
-            k1, k1, Relation.full(2, 2), Relation.empty(2, 2), validate=False
-        )
+        bad = RelationalInfomorphism._of(k1, k1, Relation.full(2, 2), Relation.empty(2, 2))
         with pytest.raises(ValidationError):
             bond_of(bad)
 
@@ -378,8 +376,8 @@ class TestBondingPairs:
         B = Classification(
             ("i0", "i1"), ("t0", "t1", "t2"), Relation.from_matrix([[0, 1, 1], [1, 1, 0]])
         )
-        F = Bond(A, B, Relation.from_matrix([[1], [0]]), validate=False)
-        G = Bond(B, A, Relation.from_matrix([[0, 0, 1], [1, 0, 0], [0, 1, 0]]), validate=False)
+        F = Bond._of(A, B, Relation.from_matrix([[1], [0]]))
+        G = Bond._of(B, A, Relation.from_matrix([[0, 0, 1], [1, 0, 0], [0, 1, 0]]))
         assert pointwise_pair_constraints(F, G) == [(False, True), (True, True)]
         unchecked = [(F, G)]
         pairs = [(k1, contranominal_classification(2))] * 30 + [
@@ -388,8 +386,8 @@ class TestBondingPairs:
         ]
         for k, (A, B) in enumerate(pairs):
             if k % 2:
-                F = Bond(A, B, random_relation(rng, len(B.instances), len(A.types)), validate=False)
-                G = Bond(B, A, random_relation(rng, len(A.instances), len(B.types)), validate=False)
+                F = Bond._of(A, B, random_relation(rng, len(B.instances), len(A.types)))
+                G = Bond._of(B, A, random_relation(rng, len(A.instances), len(B.types)))
             else:
                 F = random_bond(rng, A, B)
                 G = random_bond(rng, B, A)

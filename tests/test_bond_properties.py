@@ -123,8 +123,8 @@ def test_bond_iff_residual_infomorphism(candidate):
     # rel is a bond iff (I_A/rel, rel\I_B) is a relational infomorphism whose
     # common residual is rel
     A, B, rel = candidate
-    m = RelationalInfomorphism(
-        A, B, right_residual(A.incidence, rel), left_residual(rel, B.incidence), validate=False
+    m = RelationalInfomorphism._of(
+        A, B, right_residual(A.incidence, rel), left_residual(rel, B.incidence)
     )
     holds = bool(check_relational(m)) and left_residual(m.r, A.incidence) == rel
     assert bool(is_bond(A, B, rel)) == holds
@@ -221,7 +221,7 @@ def test_order_checks_are_is_bond_and_is_bonding_pair(h):
             got = functors._order_bond_check(src, tgt, rel)
             assert got == is_bond(src.classification, tgt.classification, rel)
             if got:
-                other = Bond(src.classification, tgt.classification, rel, validate=False)
+                other = Bond._of(src.classification, tgt.classification, rel)
                 F, G = (other, p.backward) if bond is p.forward else (p.forward, other)
                 verdict = functors._order_pairing_check(L, K, F, G)
                 assert bool(verdict) == bool(is_bonding_pair(F, G))
@@ -271,7 +271,7 @@ def test_collective_bonds_are_the_pair_formulas(inputs):
     K = p.source
     L = concept_lattice_of(K)
     scale = contranominal_classification(alpha.src_size)
-    closed = bool(is_bond(K, scale, alpha)) and Bond(K, scale, alpha, validate=False).r == a
+    closed = bool(is_bond(K, scale, alpha)) and Bond._of(K, scale, alpha).r == a
     assert closed == collective_closed_oracle(K, a, alpha)
     F, G = collective_from_function(L, f), collective_from_function(L, g)
     for H, h in ((F, f), (G, g)):

@@ -12,7 +12,7 @@ from conceptual.io import (
     morphism_to_obj,
     parse_classification,
 )
-from conceptual.bond import Bond, identity_bond
+from conceptual.bond import Bond, identity_bond, identity_bonding_pair
 from conceptual.classification import Classification, powerset_classification
 from conceptual.errors import QUOTE_LIMIT, quote
 from conceptual.infomorphism import (
@@ -182,7 +182,7 @@ class TestCheckCommand:
         assert "ok" in out
 
     def test_invalid_bond_exits_one_with_witness(self, capsys, tmp_path, k1):
-        bad = Bond(k1, k1, Relation.from_pairs(2, 2, [(0, 1)]), validate=False)
+        bad = Bond._of(k1, k1, Relation.from_pairs(2, 2, [(0, 1)]))
         path = tmp_path / "bad.json"
         path.write_text(dumps(morphism_to_obj(bad)))
         code, out = run(capsys, "check", "bond", str(path), "--json")
@@ -325,6 +325,82 @@ K2 = powerset_classification(K1.instances)
 FIVE = {**morphism_to_obj(identity_bond(K1)), "data": 5}
 
 
+def short_refusals() -> dict:
+    """A matrix or map one row or label short, through ``check``, which
+    reads it unchecked, and through ``compose``, which reads it checked:
+    the reader refuses the shape either way."""
+    out = {}
+    for m, kind, compose, fields in (
+        (identity_bond(K1), "bond", "bonds", ("rel",)),
+        (identity_bonding_pair(K1), "bonding-pair", "bonds", ("forward", "backward")),
+        (identity_relational(K1), "relational", "infos", ("instance_rel", "type_rel")),
+        (identity_functional(K1), "infomorphism", "infos", ("instance_map", "type_map")),
+    ):
+        for key in fields:
+            obj = morphism_to_obj(m)
+            obj["data"][key] = obj["data"][key][:-1]
+            unit = "labels" if key.endswith("_map") else "rows"
+            message = f"bad morphism object: {key} must have 2 {unit}, got 1"
+            for argv in (["check", kind, "a.json"], ["compose", compose, "a.json", "a.json"]):
+                out[f"short-{key}-{argv[0]}"] = (argv, {"a.json": dumps(obj)}, message)
+    return out
+
+
+# argv, the files it reads (a morphism is written as its JSON text) and the
+# one line on stderr
+REFUSALS = {
+    "compose-bonds": (
+        ["compose", "bonds", "a.json", "b.json"],
+        {"a.json": identity_bond(K1), "b.json": identity_bond(K2)},
+        "compose_bonds: middle classifications differ",
+    ),
+    "compose-infos": (
+        ["compose", "infos", "a.json", "b.json"],
+        {"a.json": identity_relational(K1), "b.json": identity_relational(K2)},
+        "compose_relational: middle classifications differ",
+    ),
+    "subpose": (
+        ["subpose", "a.cxt", "b.cxt"],
+        {"a.cxt": emit_cxt(K1), "b.cxt": emit_cxt(K2)},
+        "subposition requires identical ordered type sets",
+    ),
+    "blank-csv": (["lattice", "a.csv"], {"a.csv": "\n\n\n"}, "line 1: empty CSV input"),
+    "csv-types": (["lattice", "a.csv"], {"a.csv": ",a,a\n1,0,1\n"}, "duplicate type labels"),
+    "cxt-end": (["lattice", "a.cxt"], {"a.cxt": "B\n"}, "line 2: unexpected end of file"),
+    "data": (
+        ["check", "bond", "a.json"],
+        {"a.json": dumps(FIVE)},
+        "bad morphism object: data must be a JSON object",
+    ),
+    "top-level": (
+        ["check", "bond", "a.json"],
+        {"a.json": dumps([FIVE])},
+        "bad morphism object: the top level must be a JSON object",
+    ),
+    "matrix": (
+        ["check", "bond", "a.json"],
+        {"a.json": dumps({**FIVE, "data": {"rel": 5}})},
+        "bad morphism object: rel must be a list of rows",
+    ),
+    "source": (
+        ["check", "bond", "a.json"],
+        {"a.json": dumps({**FIVE, "source": 5})},
+        "bad morphism object: source must be a JSON object",
+    ),
+    "incidence": (
+        ["check", "bond", "a.json"],
+        {"a.json": dumps({**FIVE, "target": {**classification_to_obj(K1), "incidence": 5}})},
+        "bad classification object: incidence must be a list of rows",
+    ),
+    "classification-top-level": (
+        ["lattice", "a.json"],
+        {"a.json": dumps([classification_to_obj(K1)])},
+        "bad classification object: the top level must be a JSON object",
+    ),
+    **short_refusals(),
+}
+
+
 class TestMalformedInput:
     """Malformed input is a structural error (exit 3) with a message, never a
     traceback."""
@@ -336,55 +412,7 @@ class TestMalformedInput:
         assert err.startswith("error: ")
         return err
 
-    @pytest.mark.parametrize(
-        "argv, files, message",
-        [
-            (
-                ["compose", "bonds", "a.json", "b.json"],
-                {"a.json": identity_bond(K1), "b.json": identity_bond(K2)},
-                "compose_bonds: middle classifications differ",
-            ),
-            (
-                ["compose", "infos", "a.json", "b.json"],
-                {"a.json": identity_relational(K1), "b.json": identity_relational(K2)},
-                "compose_relational: middle classifications differ",
-            ),
-            (
-                ["subpose", "a.cxt", "b.cxt"],
-                {"a.cxt": emit_cxt(K1), "b.cxt": emit_cxt(K2)},
-                "subposition requires identical ordered type sets",
-            ),
-            (["lattice", "a.csv"], {"a.csv": "\n\n\n"}, "line 1: empty CSV input"),
-            (["lattice", "a.csv"], {"a.csv": ",a,a\n1,0,1\n"}, "duplicate type labels"),
-            (["lattice", "a.cxt"], {"a.cxt": "B\n"}, "line 2: unexpected end of file"),
-            (
-                ["check", "bond", "a.json"],
-                {"a.json": dumps(FIVE)},
-                "bad morphism object: data must be a JSON object",
-            ),
-            (
-                ["check", "bond", "a.json"],
-                {"a.json": dumps([FIVE])},
-                "bad morphism object: the top level must be a JSON object",
-            ),
-            (
-                ["check", "bond", "a.json"],
-                {"a.json": dumps({**FIVE, "data": {"rel": 5}})},
-                "bad morphism object: rel must be a list of rows",
-            ),
-        ],
-        ids=[
-            "compose-bonds",
-            "compose-infos",
-            "subpose",
-            "blank-csv",
-            "csv-types",
-            "cxt-end",
-            "data",
-            "top-level",
-            "matrix",
-        ],
-    )
+    @pytest.mark.parametrize("argv, files, message", list(REFUSALS.values()), ids=list(REFUSALS))
     def test_message_of_each_refusal(self, capsys, tmp_path, argv, files, message):
         """Files of the wrong shape or kind, and text that is no context, give
         exit 3 and one line on stderr."""

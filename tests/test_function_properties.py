@@ -108,7 +108,7 @@ def candidate_infomorphisms(draw, max_size: int = 6):
                 rows[b] |= (IA.rows[f(b)] >> t & 1) << g(t)
     A = labelled("a", "t", IA)
     B = labelled("b", "u", Relation(f.src_size, g.dst_size, tuple(rows)))
-    return FunctionalInfomorphism(A, B, f, g, validate=False)
+    return FunctionalInfomorphism._of(A, B, f, g)
 
 
 @settings(max_examples=150, deadline=None, database=None)

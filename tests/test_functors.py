@@ -612,7 +612,7 @@ class TestRelationalEquivalence:
             A, B = (random_context(rng, rng.randint(0, 4), rng.randint(0, 4)) for _ in range(2))
             if k % 2:
                 rel = random_relation(rng, len(B.instances), len(A.types))
-                F = Bond(A, B, rel, validate=False)
+                F = Bond._of(A, B, rel)
             else:
                 F = random_bond(rng, A, B)
             LA, LB = concept_lattice_of(A), concept_lattice_of(B)
@@ -1046,7 +1046,7 @@ class TestDerivedViews:
     def test_failing_pair_raises_on_every_access(self, k1):
         m, n = len(k1.instances), len(k1.types)
         everything = Bond(k1, k1, Relation(m, n, ((1 << n) - 1,) * m))
-        p = BondingPair(identity_bond(k1), everything, validate=False)
+        p = BondingPair._of(identity_bond(k1), everything)
         raised = []
         for _ in range(2):
             with pytest.raises(ValidationError) as exc:

@@ -87,7 +87,7 @@ def flipped_instance_pair(m: RelationalInfomorphism) -> RelationalInfomorphism:
     """``m`` with its first instance pair flipped, unchecked."""
     rows = (m.r.rows[0] ^ 1,) + m.r.rows[1:]
     r = Relation(m.r.src_size, m.r.dst_size, rows)
-    return RelationalInfomorphism(m.source, m.target, r, m.s, validate=False)
+    return RelationalInfomorphism._of(m.source, m.target, r, m.s)
 
 
 def moved_instance(m: FunctionalInfomorphism, b: int) -> FunctionalInfomorphism:
@@ -96,7 +96,7 @@ def moved_instance(m: FunctionalInfomorphism, b: int) -> FunctionalInfomorphism:
     t = list(m.f.targets)
     t[b] = (t[b] + 1) % m.f.dst_size
     f = FunctionGraph(tuple(t), m.f.dst_size)
-    return FunctionalInfomorphism(m.source, m.target, f, m.g, validate=False)
+    return FunctionalInfomorphism._of(m.source, m.target, f, m.g)
 
 
 MORPHISMS = {
@@ -108,14 +108,11 @@ MORPHISMS = {
     "non-relational": lambda: flipped_instance_pair(fn2rel(injection())),
     "bond": lambda: seeded_bond(*_contexts("rand-6x5", "rand-5x7"), 13),
     "bond-next": lambda: seeded_bond(*_contexts("rand-5x7", "contranominal-4"), 14),
-    "non-bond": lambda: Bond(
-        *_contexts("rand-6x5", "rand-5x7"), seeded_relation(15, 5, 5), validate=False
-    ),
+    "non-bond": lambda: Bond._of(*_contexts("rand-6x5", "rand-5x7"), seeded_relation(15, 5, 5)),
     "pair": lambda: embedding_bonding_pairs(CONTEXTS["rand-6x5"]())[0],
-    "non-pair": lambda: BondingPair(
+    "non-pair": lambda: BondingPair._of(
         seeded_bond(*_contexts("rand-6x5", "rand-5x7"), 16),
         seeded_bond(*_contexts("rand-5x7", "rand-6x5"), 17),
-        validate=False,
     ),
 }
 

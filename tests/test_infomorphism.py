@@ -47,12 +47,11 @@ class TestFunctional:
         assert eta.target.types[eta.g(1)] == "{2}"
 
     def test_swapped_types_fail_with_genuine_witness(self, k1):
-        m = FunctionalInfomorphism(
+        m = FunctionalInfomorphism._of(
             k1,
             k1,
             FunctionGraph.identity(2),
             FunctionGraph.from_targets((1, 0), 2),
-            validate=False,
         )
         verdict = check_functional(m)
         assert not verdict
@@ -192,7 +191,7 @@ class TestRelational:
             B = random_context(rng, 2, 2)
             r = Relation(2, 2, (rng.getrandbits(2), rng.getrandbits(2)))
             s = Relation(2, 2, (rng.getrandbits(2), rng.getrandbits(2)))
-            m = RelationalInfomorphism(A, B, r, s, validate=False)
+            m = RelationalInfomorphism._of(A, B, r, s)
             residual_form = bool(check_relational(m))
             pointwise = all(
                 _pointwise_ok(m, b, t) for b in range(2) for t in range(2)

@@ -589,7 +589,7 @@ class TestCollectiveConcepts:
 
 def scaled(K, alpha) -> Bond:
     """The unchecked bond ``alpha`` from ``K`` into the scale of its rows."""
-    return Bond(K, contranominal_classification(alpha.src_size), alpha, validate=False)
+    return Bond._of(K, contranominal_classification(alpha.src_size), alpha)
 
 
 def all_collectives(L, size):

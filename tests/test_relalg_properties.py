@@ -6,6 +6,7 @@ that fills a relation's columns as it reads its rows, and of the invariant
 the unchecked constructors rely on: what the library builds without the
 check, the public constructor accepts."""
 
+import dataclasses
 import itertools
 import random
 import re
@@ -18,12 +19,14 @@ from hypothesis import given, settings, strategies as st
 
 from conceptual.classification import Classification
 from conceptual.errors import ValidationError
-from conceptual.bond import identity_bond
+from conceptual.bond import collective_from_function, collective_transport, identity_bond
+from conceptual.colimit import enumerate_infomorphisms
 from conceptual.functors import (
     adjoint_of_bond,
     canonical_adjoints,
     classification_of_lattice,
     complete_lattice_of,
+    embedding_bonds,
     identity_hom,
     lattice_equivalence_witness,
     lattice_of_morphism,
@@ -47,7 +50,7 @@ from conceptual.relalg import (
     transpose,
     union,
 )
-from conceptual.verify import context_corpus
+from conceptual.verify import context_corpus, hom_corpus
 
 from oracles import (
     branches,
@@ -329,10 +332,10 @@ def test_from_matrix_is_the_per_cell_reader(drawn):
 
 # -- the unchecked constructors ------------------------------------------------
 #
-# Kernels, composites and rebuilt classifications store their results with
-# ``_of``, unchecked: each result must pass the public constructor, which
-# builds an equal value with the same hash.  The shapes open with the empty
-# carriers.
+# Kernels, composites, rebuilt classifications and the arrows built from
+# checked ones store their results with ``_of``, unchecked: each result must
+# pass the public constructor, which builds an equal value with the same
+# hash.  The shapes open with the empty carriers.
 REBUILD_SHAPES = [(0, 0), (0, 5), (5, 0), (1, 1), (3, 7), (9, 8), (17, 40), (40, 17), (130, 9)]
 
 
@@ -456,6 +459,38 @@ def test_lattice_maps_pass_the_constructor():
         assert again == f and hash(again) == hash(f)
     for r in relations:
         rebuilt(r)
+
+
+def test_arrows_stored_by_of_pass_the_constructor():
+    """The bonds, bonding pairs and infomorphisms the library stores with
+    ``_of``: both bonds of ``embedding_bonds``, the ``pair`` of a complete
+    homomorphism and its two bonds, the collective concepts of
+    ``collective_from_function`` and of ``collective_transport`` on both
+    sides, and the output of ``enumerate_infomorphisms``, on a sample of the
+    verify corpus up to 3x3.  Each is rebuilt from its fields."""
+    rng = random.Random(38)
+    corpus = context_corpus(3, rng)
+    contexts = [K for _, K in rng.sample(corpus, 40)]
+    built = []
+    for K in contexts:
+        L = concept_lattice_of(K)
+        f = FunctionGraph(tuple(rng.choices(range(L.size), k=3)), L.size)
+        F = collective_from_function(L, f)
+        built += [
+            *embedding_bonds(K),
+            F,
+            collective_transport(F, rough(rng, 3, 2), "left"),
+            collective_transport(F, rough(rng, 2, 3), "right"),
+        ]
+    for _, h in hom_corpus(corpus, rng):
+        built += [h.pair, h.pair.forward, h.pair.backward]
+    for A, C in zip(contexts[:20], contexts[20:]):
+        built += itertools.islice(enumerate_infomorphisms(A, C), 10)
+    for out in built:
+        again = type(out)(*(getattr(out, field.name) for field in dataclasses.fields(out)))
+        assert again == out and hash(again) == hash(out)
+    kinds = {type(out).__name__ for out in built}
+    assert kinds == {"Bond", "BondingPair", "FunctionalInfomorphism"}
 
 
 # each public constructor, on values from outside the library, and the

@@ -14,8 +14,11 @@ whose name is not a dunder, passes when one of these holds:
 An ``UNREACHED`` entry that is reached or no longer defined fails as well,
 so the list only shrinks as its definitions gain readers or go.
 
-An unchecked mode is surface too: only the kinds ``conceptual check``
-reads from files, built by ``io.morphism_from_obj``, take ``validate``.
+An unchecked mode is surface too.  A value is stored unchecked only by its
+class's private ``_of``, so no class declares an ``InitVar`` switch, and
+the one public ``validate`` parameter is ``io.morphism_from_obj``'s, which
+picks between a constructor and ``_of`` for what ``conceptual check``
+reads from files.
 """
 
 import ast
@@ -109,41 +112,64 @@ def test_reached_public_and_missing_entries_are_stale():
     assert stale(entries) == list(entries)
 
 
-# the kinds io.morphism_from_obj builds with validate=validate
-READ_FROM_FILES = {"FunctionalInfomorphism", "RelationalInfomorphism", "Bond", "BondingPair"}
-
-
-def classes_with_validate() -> set[str]:
-    """The classes of ``src/conceptual`` with a ``validate: InitVar[...]`` field."""
-    out = set()
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.ClassDef) and any(
-                isinstance(field, ast.AnnAssign)
-                and isinstance(field.target, ast.Name)
-                and field.target.id == "validate"
-                and isinstance(field.annotation, ast.Subscript)
-                and ast.unparse(field.annotation.value) in ("InitVar", "dataclasses.InitVar")
-                for field in node.body
-            ):
-                out.add(node.name)
-    return out
-
-
-def built_with_validate() -> set[str]:
-    """The names ``io.morphism_from_obj`` calls with a ``validate`` keyword."""
-    tree = ast.parse((PACKAGE / "io.py").read_text(encoding="utf-8"))
-    (fn,) = (n for n in tree.body if getattr(n, "name", None) == "morphism_from_obj")
+def package_trees() -> dict[str, ast.Module]:
+    """Module name -> syntax tree, for each module of ``src/conceptual``."""
     return {
-        ast.unparse(node.func)
-        for node in ast.walk(fn)
-        if isinstance(node, ast.Call) and any(k.arg == "validate" for k in node.keywords)
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.glob("*.py"))
     }
 
 
-def test_only_the_kinds_read_from_files_take_validate():
-    assert built_with_validate() == READ_FROM_FILES
-    assert classes_with_validate() == READ_FROM_FILES
+def classes_with_init_vars(trees) -> set[str]:
+    """``module.Class`` for each class with a field annotated ``InitVar``."""
+    return {
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any(
+            isinstance(field, ast.AnnAssign) and "InitVar" in ast.unparse(field.annotation)
+            for field in node.body
+        )
+    }
+
+
+def functions_with_validate(trees) -> set[str]:
+    """``module.name`` for each function or method with a ``validate``
+    parameter."""
+    return {
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(
+            a.arg == "validate"
+            for a in node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+        )
+    }
+
+
+def test_no_class_declares_an_init_var():
+    assert classes_with_init_vars(package_trees()) == set()
+
+
+def test_only_morphism_from_obj_takes_validate():
+    assert functions_with_validate(package_trees()) == {"io.morphism_from_obj"}
+
+
+def test_a_validate_switch_is_found():
+    """Both finders see the switch the four arrow classes used to carry."""
+    tree = ast.parse(
+        "class Bond:\n"
+        "    rel: Relation\n"
+        "    validate: InitVar[bool] = True\n"
+        "    def __post_init__(self, validate: bool):\n"
+        "        pass\n"
+        "def read(obj, *, validate=True):\n"
+        "    pass\n"
+    )
+    assert classes_with_init_vars({"bond": tree}) == {"bond.Bond"}
+    assert functions_with_validate({"bond": tree}) == {"bond.__post_init__", "bond.read"}
 
 
 def tracer_layers() -> dict[str, list[str]]:

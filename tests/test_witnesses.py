@@ -73,7 +73,7 @@ SQUARE = CompleteLattice(tuple("0ab1"), Relation(4, 4, (0b1111, 0b1010, 0b1100, 
 
 
 def test_check_functional():
-    m = FunctionalInfomorphism(A, A, fg((2, 1, 1, 2), 4), fg((3, 3, 1, 1), 4), validate=False)
+    m = FunctionalInfomorphism._of(A, A, fg((2, 1, 1, 2), 4), fg((3, 3, 1, 1), 4))
     verdict = check_functional(m)
     assert verdict.witness == ("i1", "t1")
     assert verdict.reason == "fundamental property fails"
@@ -85,7 +85,7 @@ def test_check_functional():
 def test_check_relational():
     r = Relation(4, 4, (12, 1, 10, 15))
     s = Relation(4, 4, (15, 4, 14, 5))
-    verdict = check_relational(RelationalInfomorphism(A, A, r, s, validate=False))
+    verdict = check_relational(RelationalInfomorphism._of(A, A, r, s))
     assert verdict.witness == ("i1", "t1")
     assert verdict.reason == "residuals differ"
 
@@ -226,6 +226,10 @@ WRONG_SHAPES = {
     "complete-homomorphism": (
         lambda: CompleteHomomorphism(SQUARE, CHAIN3, fg((0,) * 3, 3)),
         "psi shape (3, 3) is wrong",
+    ),
+    "is-bond": (
+        lambda: is_bond(A, B, Relation.empty(4, 4)),
+        "bond relation shape (4, 4), expected (5, 4)",
     ),
     "bond-seed": (
         lambda: close_to_bond(A, B, Relation.empty(4, 4)),

@@ -124,7 +124,7 @@ from oracles import (  # noqa: E402
     transpose_oracle,
 )
 
-# the probe shapes of ROADMAP item 4: small and square, the bench's large
+# the shapes the kernel table times: small and square, the bench's large
 # lattices, and the lattice workload's wide and tall contexts
 SHAPES = [(3, 3), (8, 8), (16, 16), (128, 128), (752, 752), (100, 22), (1500, 40), (40, 1500)]
 DENSITIES = (0.05, 0.5)
@@ -484,7 +484,7 @@ def check_orders(tally: Tally) -> None:
                 ok = got == bond.is_bond(src.classification, tgt.classification, rel)
                 tally(ok, f"the bond check of {rel!r} on {name}")
                 if got:
-                    other = bond.Bond(src.classification, tgt.classification, rel, validate=False)
+                    other = bond.Bond._of(src.classification, tgt.classification, rel)
                     F, G = (other, p.backward) if b is p.forward else (p.forward, other)
                     tally(pairing_agrees(L, K, F, G), f"the pairing check on {name}")
 
