@@ -191,7 +191,7 @@ def classification_from_obj(obj: dict) -> Classification:
     """The classification ``classification_to_obj`` wrote.  A malformed
     object is a ``ParseError`` naming the field: the object must be a JSON
     object, the labels lists of strings, the incidence a list of rows, one
-    per instance."""
+    per instance, of one cell per type."""
     if not isinstance(obj, dict):
         raise ParseError("bad classification object: the top level must be a JSON object")
     try:
@@ -200,8 +200,12 @@ def classification_from_obj(obj: dict) -> Classification:
         rel = Relation.from_matrix(obj["incidence"], dst_size=len(types))
     except TypeError:
         raise ParseError("bad classification object: incidence must be a list of rows") from None
-    except (KeyError, ValidationError) as e:
+    except KeyError as e:
         raise ParseError(f"bad classification object: {e}") from None
+    except ValidationError as e:
+        short = _short_row(obj["incidence"], len(types))
+        reason = f"incidence {short}" if short else e
+        raise ParseError(f"bad classification object: {reason}") from None
     if rel.src_size != len(instances):
         raise ParseError("incidence row count does not match instances")
     return Classification(instances, types, rel)
@@ -278,17 +282,35 @@ def _object(obj: dict, key: str) -> dict:
 def _matrix(data: dict, key: str, src_size: int, dst_size: int) -> Relation:
     """The relation of the matrix field ``key``, ``src_size`` rows of
     ``dst_size`` cells; a value that is no list of rows, or has another
-    number of rows, is a ``ParseError`` naming the field, not the type
-    Python names."""
+    number of rows or of cells in a row, is a ``ParseError`` naming the
+    field, not the type Python names."""
     try:
         rel = Relation.from_matrix(data[key], dst_size=dst_size)
     except TypeError:
         raise ParseError(f"bad morphism object: {key} must be a list of rows") from None
+    except ValidationError:
+        short = _short_row(data[key], dst_size)
+        if short is None:
+            raise
+        raise ParseError(f"bad morphism object: {key} {short}") from None
     if rel.src_size != src_size:
         raise ParseError(
             f"bad morphism object: {key} must have {src_size} rows, got {rel.src_size}"
         )
     return rel
+
+
+def _short_row(matrix, dst_size: int) -> str | None:
+    """Why ``Relation.from_matrix`` refused ``matrix``, walked again as the
+    reader walked it, when its first fault is a row of another length than
+    ``dst_size``; ``None`` when it is a bad cell, which the reader's own
+    message names."""
+    for a, row in enumerate(matrix):
+        if len(row) != dst_size:
+            return f"row {a} must have {dst_size} cells, got {len(row)}"
+        if any(cell not in (0, 1) for cell in row):
+            return None
+    return None
 
 
 def _map(data: dict, key: str, size: int) -> list[str]:

@@ -13,8 +13,9 @@ types runs the branch for which ``branch`` counts the fewest big-int
 steps, one step being one pass of a bit loop, from the call's shape and the
 popcount of the rows it reads.  Every branch but the bit loops has a fixed
 cost, so a small call is decided from its shape alone.  The weights were
-fitted to the probe shapes of ``tools/kernel_probe.py`` and to replays of
-the calls of one cycle of each benchmark workload.
+fitted to the timing tables of ``tools/kernel_probe.py``, on the seeded
+inputs of ``tests/conftest.py``, and to replays of the calls of one cycle
+of each benchmark workload.
 
 Each gather is written once.  ``_unions``, the OR of a table's rows at the
 bits of each mask, by bits or by bytes, is ``compose`` and the inverse

@@ -1,11 +1,31 @@
+import functools
+import importlib
 import random
+from types import MappingProxyType, SimpleNamespace
 
 import pytest
 
-from conceptual.classification import Classification
+from conceptual import verify
+from conceptual.classification import Classification, contranominal_classification
 from conceptual.colimit import CoproductDiagram, coproduct_sum
+from conceptual.functors import CompleteHomomorphism, complete_lattice_of
 from conceptual.infomorphism import FunctionalInfomorphism
-from conceptual.relalg import FunctionGraph, Relation
+from conceptual.lattice import concept_lattice_of
+from conceptual.relalg import (
+    FunctionGraph,
+    Relation,
+    compose,
+    left_residual,
+    right_residual,
+    transpose,
+)
+
+from oracles import (
+    compose_loop_oracle,
+    left_residual_sweep_oracle,
+    right_residual_scatter_oracle,
+    transpose_oracle,
+)
 
 
 @pytest.fixture
@@ -84,6 +104,126 @@ def bench_contexts() -> tuple[Classification, Classification]:
         sparse_context(random.Random(15), 100, 22, 7),
         sparse_context(random.Random(16), 1500, 40, 2),
     )
+
+
+def boolean_map(a: int, b: int, f: tuple[int, ...]) -> FunctionGraph:
+    """Inverse image along the injection ``f: [b] -> [a]``, a complete
+    homomorphism from the boolean lattice 2^a onto 2^b, as a map between
+    the two lattices' concept indices, unchecked."""
+    LA = concept_lattice_of(contranominal_classification(a))
+    LB = concept_lattice_of(contranominal_classification(b))
+    targets = tuple(
+        LB.extent_index[sum(1 << y for y in range(b) if c.extent >> f[y] & 1)]
+        for c in LA.concepts
+    )
+    return FunctionGraph.from_targets(targets, LB.size)
+
+
+def boolean_hom(a: int, b: int, f: tuple[int, ...]) -> CompleteHomomorphism:
+    """``boolean_map(a, b, f)`` as the checked ``CompleteHomomorphism``."""
+    return CompleteHomomorphism(
+        *(complete_lattice_of(concept_lattice_of(contranominal_classification(k))) for k in (a, b)),
+        boolean_map(a, b, f),
+    )
+
+
+def verify_hom_corpora():
+    """The homs of the hom corpora of ``verify_equivalences`` at
+    ``--max-size 3``, seeds 0-11, built with the same draws."""
+    for seed in range(12):
+        rng = random.Random(seed)
+        contexts = verify.context_corpus(3, rng)
+        morphisms = verify.infomorphism_corpus(contexts, rng)
+        verify.adjoint_corpus(contexts, verify.bond_corpus(contexts, morphisms, rng), rng)
+        for _, h in verify.hom_corpus(contexts, rng):
+            yield h
+
+
+def library_modules() -> SimpleNamespace:
+    """The modules a benchmark workload is built from."""
+    names = ("classification", "relalg", "lattice", "functors", "bond", "io", "cli")
+    return SimpleNamespace(**{n: importlib.import_module(f"conceptual.{n}") for n in names})
+
+
+# -- the inputs of the timing tables of tools/kernel_probe.py ------------------
+#
+# The tables time the library on these seeded inputs, and the tests check
+# it on them.  Each builder is cached: the inputs are immutable values.
+
+# the kernels, by name, each with its call on ``r`` and the reference loop's
+KERNELS = [
+    ("compose", lambda r: compose(r, transpose(r)), lambda r: compose_loop_oracle(r, transpose(r))),
+    ("transpose", transpose, transpose_oracle),
+    ("left_residual", lambda r: left_residual(r, r), lambda r: left_residual_sweep_oracle(r, r)),
+    (
+        "right_residual",
+        lambda r: right_residual(r, r),
+        lambda r: right_residual_scatter_oracle(r, r),
+    ),
+]
+# the shapes of the kernels' relations: small and square, the bonding
+# benchmark's large lattices, and the lattice benchmark's wide and tall
+# contexts; each at each density
+KERNEL_SHAPES = [
+    (3, 3), (8, 8), (16, 16), (128, 128), (752, 752), (100, 22), (1500, 40), (40, 1500)
+]
+KERNEL_DENSITIES = (0.05, 0.5)
+
+
+@functools.cache
+def kernel_inputs() -> tuple[tuple[tuple[str, str], Relation], ...]:
+    """A seeded relation of each shape at each density, by its labels."""
+    rng = random.Random(1)
+    out = []
+    for m, n in KERNEL_SHAPES:
+        for p in KERNEL_DENSITIES:
+            rows = tuple(sum(1 << b for b in range(n) if rng.random() < p) for _ in range(m))
+            out.append(((f"{m}x{n}", str(p)), Relation(m, n, rows)))
+    return tuple(out)
+
+
+@functools.cache
+def pullback_inputs() -> tuple[tuple[str, tuple[tuple, ...]], ...]:
+    """Batches ``(rows, cols, psi)`` for ``pullback``, by name: the up-sets
+    of 2^a, with their down-sets as columns, pulled back along a seeded
+    boolean homomorphism 2^c -> 2^a for c = a and c = a + 2, a = 3..7; and
+    both principal batches of each hom of ``verify_hom_corpora``."""
+    rng = random.Random(25)
+    inputs = []
+    for a in range(3, 8):
+        K = complete_lattice_of(concept_lattice_of(contranominal_classification(a)))
+        for c in (a, a + 2):
+            psi = boolean_map(c, a, tuple(rng.sample(range(c), a)))
+            inputs.append((f"2^{c}>2^{a}", ((K.intents, K.extents, psi),)))
+    batches = []
+    for h in verify_hom_corpora():
+        K = h.target
+        batches += [(K.intents, K.extents, h.psi), (K.extents, K.intents, h.psi)]
+    inputs.append(("verify homs", tuple(batches)))
+    return tuple(inputs)
+
+
+# the contexts of ``context_inputs``, (instances, types, crosses per row):
+# the lattice benchmark's wide 100x22 at .3 and tall 1500x40 at .05 first
+CONTEXT_SHAPES = [(100, 22, 7), (1500, 40, 2), (100, 90, 9), (60, 50, 6), (200, 150, 8)]
+# the boolean lattices 2^a whose order classifications follow them
+ORDER_POWERS = (5, 6, 7)
+CONTEXT_NAMES = [f"{m}x{n} by {k}" for m, n, k in CONTEXT_SHAPES] + [
+    f"order of 2^{a}" for a in ORDER_POWERS
+]
+
+
+@functools.cache
+def context_inputs() -> MappingProxyType:
+    """The contexts of ``CONTEXT_NAMES``, by name: each shape drawn by
+    ``sparse_context`` from a generator of its own at seed 3, then the order
+    classifications."""
+    contexts = [sparse_context(random.Random(3), m, n, k) for m, n, k in CONTEXT_SHAPES]
+    contexts += [
+        complete_lattice_of(concept_lattice_of(contranominal_classification(a))).classification
+        for a in ORDER_POWERS
+    ]
+    return MappingProxyType(dict(zip(CONTEXT_NAMES, contexts)))
 
 
 # ``i0`` has no type and ``i1`` only ``t0``: the bottom concept, of the empty

@@ -8,8 +8,8 @@ branches (``compose_loop_oracle``, ``transpose_oracle``,
 ``left_residual_sweep_oracle``, ``right_residual_scatter_oracle`` and
 ``preimages_oracle``): they share no tile, table, byte step or gather with
 the kernels, and they are fast enough to check them, and to time them
-against (``tools/kernel_probe.py``), at sizes the per-cell oracles cannot
-reach.
+against (``tools/kernel_probe.py``), on the seeded inputs of ``conftest.py``
+at sizes the per-cell oracles cannot reach.
 
 The enumerator oracles (``infomorphisms_oracle``, ``lattice_morphism_candidates``
 and ``lattice_morphisms_oracle``) try every pair of an instance and a type
@@ -31,8 +31,9 @@ the order classification.
 
 ``branches`` is the one rebinding of ``relalg.branch``: the tests force a
 kernel's branch through it, and ``tools/kernel_probe.py``, which imports
-this module too, forces the branches it times and counts what the rule
-picks.
+this module and the seeded inputs of ``conftest.py``, forces the branches
+it times and counts what the rule picks; it checks nothing, for the tests
+compare every branch it times with its reference on the same inputs.
 """
 
 from __future__ import annotations

@@ -3,9 +3,12 @@
 Springer 1999, ch. 7; Schmidt & Stroehlein, *Relations and Graphs*,
 Springer 1993, ch. 4); and of collective concepts as bonds into their
 index scales, against the pair formulas they replaced, on contexts up to
-4x4 and index sets up to 3."""
+4x4 and index sets up to 3.  The order bond and pairing checks are also
+compared with ``is_bond`` and ``is_bonding_pair`` on the bonding
+benchmark's boolean homs."""
 
 import itertools
+import random
 
 import pytest
 
@@ -50,6 +53,7 @@ from conceptual.relalg import (
     union,
 )
 
+from conftest import boolean_hom
 from oracles import (
     collective_closed_oracle,
     collective_from_function_oracle,
@@ -57,7 +61,6 @@ from oracles import (
     collective_transport_oracle,
     embedding_bonds_oracle,
 )
-import test_functors
 from test_relalg_properties import relations
 
 PROPERTY = settings(max_examples=100, deadline=None, database=None)
@@ -185,7 +188,7 @@ def complete_homs(draw):
     if kind == "boolean":
         a = draw(st.integers(0, 4))
         f = draw(st.permutations(range(a)))[: draw(st.integers(0, a))]
-        return test_functors.TestDerivedViews.boolean_hom(a, len(f), tuple(f))
+        return boolean_hom(a, len(f), tuple(f))
     splits = [
         psi
         for psi in (
@@ -199,25 +202,19 @@ def complete_homs(draw):
     return identity_hom(L)
 
 
-@PROPERTY
-@given(complete_homs())
-def test_order_checks_are_is_bond_and_is_bonding_pair(h):
-    # the rebuilt pair, and every one-cell flip of either of its bonds:
-    # the order bond check is is_bond, by verdict, reason and witness, and
-    # where a flip stays a bond the index pairing check has the verdict of
-    # is_bonding_pair
-    p = pair_of_hom(h)
-    L, K = h.source, h.target
-    assert functors._order_pairing_check(L, K, p.forward, p.backward)
-    assert is_bonding_pair(p.forward, p.backward)
+# the boolean homs 2^a -> 2^b of the bonding benchmark
+BOOLEAN_HOMS = [(6, 4), (6, 6), (7, 5), (7, 7)]
+
+
+def order_checks_agree(L, K, p, variants) -> None:
+    """For each bond of ``p``, a pair between the lattices ``L`` and ``K``,
+    and each relation ``variants(rel, src)`` gives for its relation and its
+    source lattice: the order bond check is ``is_bond``, by verdict, reason
+    and witness, and where the relation is a bond, the index pairing check
+    of ``p`` with it in place of that bond has the verdict of
+    ``is_bonding_pair``."""
     for bond, (src, tgt) in ((p.forward, (L, K)), (p.backward, (K, L))):
-        rows = bond.rel.rows
-        flips = [
-            rows[:y] + (rows[y] ^ 1 << x,) + rows[y + 1 :]
-            for y, x in itertools.product(range(tgt.size), range(src.size))
-        ]
-        for flipped in [rows, *flips]:
-            rel = Relation(tgt.size, src.size, flipped)
+        for rel in variants(bond.rel, src):
             got = functors._order_bond_check(src, tgt, rel)
             assert got == is_bond(src.classification, tgt.classification, rel)
             if got:
@@ -225,6 +222,57 @@ def test_order_checks_are_is_bond_and_is_bonding_pair(h):
                 F, G = (other, p.backward) if bond is p.forward else (p.forward, other)
                 verdict = functors._order_pairing_check(L, K, F, G)
                 assert bool(verdict) == bool(is_bonding_pair(F, G))
+
+
+@PROPERTY
+@given(complete_homs())
+def test_order_checks_are_is_bond_and_is_bonding_pair(h):
+    # the rebuilt pair, and every one-cell flip of either of its bonds
+    p = pair_of_hom(h)
+    L, K = h.source, h.target
+    assert functors._order_pairing_check(L, K, p.forward, p.backward)
+    assert is_bonding_pair(p.forward, p.backward)
+
+    def flips(rel: Relation, src) -> list[Relation]:
+        rows = rel.rows
+        return [rel] + [
+            Relation(rel.src_size, rel.dst_size, rows[:y] + (rows[y] ^ 1 << x,) + rows[y + 1 :])
+            for y, x in itertools.product(range(rel.src_size), range(src.size))
+        ]
+
+    order_checks_agree(L, K, p, flips)
+
+
+def test_order_checks_on_the_bonding_benchmarks_boolean_homs():
+    """The pairs of the bonding benchmark's boolean homs along seeded
+    injections.  Each bond with eight seeded one-cell flips, which mostly
+    fail at a row, and eight seeded rows each set to a principal filter,
+    which keep every row closed and so reach the column check; and the
+    bonds of each pair with those of the same hom along other injections,
+    which are bonds but do not pair with them."""
+    rng = random.Random(29)
+
+    def pairs(seed: int) -> list:
+        draw = random.Random(seed)
+        homs = [boolean_hom(a, b, tuple(draw.sample(range(a), b))) for a, b in BOOLEAN_HOMS]
+        return [(h.source, h.target, pair_of_hom(h)) for h in homs]
+
+    def variants(rel: Relation, src) -> list[Relation]:
+        out = [rel]
+        for value in (
+            lambda y: rel.rows[y] ^ 1 << rng.randrange(rel.dst_size),
+            lambda y: src.intents[rng.randrange(src.size)],
+        ):
+            for _ in range(8):
+                y = rng.randrange(rel.src_size)
+                rows = rel.rows[:y] + (value(y),) + rel.rows[y + 1 :]
+                out.append(Relation(rel.src_size, rel.dst_size, rows))
+        return out
+
+    for (L, K, p), (_, _, q) in zip(pairs(29), pairs(30)):
+        for F, G in ((p.forward, q.backward), (q.forward, p.backward)):
+            assert bool(functors._order_pairing_check(L, K, F, G)) == bool(is_bonding_pair(F, G))
+        order_checks_agree(L, K, p, variants)
 
 
 @st.composite

@@ -392,12 +392,50 @@ REFUSALS = {
         {"a.json": dumps({**FIVE, "target": {**classification_to_obj(K1), "incidence": 5}})},
         "bad classification object: incidence must be a list of rows",
     ),
+    "incidence-row": (
+        ["lattice", "a.json"],
+        {"a.json": dumps({**classification_to_obj(K1), "incidence": [[1, 0], [1]]})},
+        "bad classification object: incidence row 1 must have 2 cells, got 1",
+    ),
     "classification-top-level": (
         ["lattice", "a.json"],
         {"a.json": dumps([classification_to_obj(K1)])},
         "bad classification object: the top level must be a JSON object",
     ),
     **short_refusals(),
+    **{
+        f"ragged-{argv[0]}": (
+            argv,
+            {"a.json": dumps({**FIVE, "data": {"rel": [[1], [1]]}})},
+            "bad morphism object: rel row 0 must have 2 cells, got 1",
+        )
+        for argv in (["check", "bond", "a.json"], ["compose", "bonds", "a.json", "a.json"])
+    },
+    **{
+        f"invariant-{name}": (
+            ["quotient", "k.cxt", "inv.json"],
+            {"k.cxt": K1_CXT, "inv.json": text},
+            f"bad invariant object: {message}",
+        )
+        for name, text, message in (
+            ("top-level", "[1]", "the top level must be a JSON object"),
+            (
+                "missing",
+                '{"kept_instances": []}',
+                "need kept_instances, a list of labels, and related_types, a list of label pairs",
+            ),
+            (
+                "instance",
+                '{"kept_instances": ["tz"], "related_types": []}',
+                "unknown instance label 'tz'",
+            ),
+            (
+                "type",
+                '{"kept_instances": ["1"], "related_types": [["a", "tz"]]}',
+                "unknown type label 'tz'",
+            ),
+        )
+    },
 }
 
 

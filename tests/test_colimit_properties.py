@@ -1,6 +1,8 @@
 """The propagating enumerators of ``colimit`` against the brute-force loops
 of ``tests/oracles.py``, order included, on contexts up to 3x3 with empty
-instance or type sets on either end."""
+instance or type sets on either end, and on a seeded sum of 2x3 contexts;
+on a seeded sum of 3x3 contexts, too large for the brute force, the two
+enumerators against each other."""
 
 import inspect
 import itertools
@@ -10,7 +12,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conceptual import colimit, functors
 from conceptual.classification import Classification
@@ -52,6 +54,11 @@ def contexts(draw, max_inst: int = 3, max_typ: int = 3, inst=None, pool: int | N
 
 # the corner shapes, 0 or 3 instances and 0 or 3 types on each end
 CORNERS = [(m, n) for m in (0, 3) for n in (0, 3)]
+
+# two seeded diagrams ``A, B, C``, summands and target, with mediators from
+# the apex of the sum into the target on both sides: 6 on 2x3, 81 on 3x3
+SEEDED = random.Random(28)
+SUM_2X3, SUM_3X3 = ([random_context(SEEDED, m, n) for _ in range(3)] for m, n in ((2, 3), (3, 3)))
 
 
 def _lists(A, C, instance_identity=False):
@@ -115,14 +122,28 @@ class TestLatticeSide:
 
     @settings(max_examples=40, deadline=None)
     @given(contexts(2, 2), contexts(2, 2), contexts(2, 2))
+    @example(*SUM_2X3)
     def test_sum_apex_into_a_target(self, A, B, C):
         """The pairs the transport check meets: both sides on the apex of a
-        sum, which has repeated rows and columns when a summand does."""
+        sum, which has repeated rows and columns when a summand does, and
+        with the same ``(f, g)`` pairs."""
         apex = coproduct_sum(A, B).apex
         L, M = functors.concept_lattice_of(apex), functors.concept_lattice_of(C)
-        assert _enumerate_lattice_morphisms(L, M) == oracles.lattice_morphisms_oracle(L, M)
+        morphisms = _enumerate_lattice_morphisms(L, M)
+        assert morphisms == oracles.lattice_morphisms_oracle(L, M)
         found, expected = _lists(apex, C)
         assert found == expected
+        assert [(x.f, x.g) for x in found] == [(x.f, x.g) for x in morphisms]
+
+    def test_both_sides_have_the_same_pairs_on_a_seeded_3x3_sum(self):
+        """Too many candidates for the brute force: the sides against each
+        other."""
+        A, B, C = SUM_3X3
+        apex = coproduct_sum(A, B).apex
+        L, M = functors.concept_lattice_of(apex), functors.concept_lattice_of(C)
+        found = [(x.f, x.g) for x in enumerate_infomorphisms(apex, C)]
+        assert found == [(x.f, x.g) for x in _enumerate_lattice_morphisms(L, M)]
+        assert len(found) == 81
 
     @pytest.mark.parametrize("source", CORNERS)
     @pytest.mark.parametrize("target", CORNERS)

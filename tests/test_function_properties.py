@@ -2,7 +2,8 @@
 from them and the adjointness equation built on them, on random shapes up to
 7 -> 7, 0-sized domains and codomains included; and of ``pullback`` and the
 byte steps of ``preimages`` against the fiber loop, each branch forced and
-as ``relalg.branch`` picks it."""
+as ``relalg.branch`` picks it, also on the seeded batches
+``tools/kernel_probe.py`` times."""
 
 import random
 
@@ -25,7 +26,7 @@ from conceptual.relalg import (
     transpose,
 )
 
-from conftest import order_from_covers
+from conftest import order_from_covers, pullback_inputs
 from oracles import branches, preimages_oracle
 from test_relalg_properties import DENSITIES, dense_relation, relations
 
@@ -175,6 +176,18 @@ def test_every_pullback_branch_is_the_fiber_loop(r_psi, kind):
     r, psi = r_psi
     with branches("pullback", kind):
         assert pullback(r.rows, r.columns, psi) == preimages_oracle(psi, r.rows)
+
+
+@pytest.mark.parametrize("kind", ["gather", ""], ids=["gather", "rule"])
+def test_pullback_is_the_fiber_loop_on_the_probe_batches(kind):
+    """Gathering, and as ``relalg.branch`` picks, on the batches the kernel
+    probe times: the up-sets of 2^a pulled back along seeded boolean homs
+    2^a -> 2^a and 2^(a+2) -> 2^a, a = 3..7, and both principal batches of
+    each hom of the verify corpora of seeds 0-11 at size 3."""
+    for name, batches in pullback_inputs():
+        with branches("pullback", kind):
+            got = [pullback(rows, cols, psi) for rows, cols, psi in batches]
+        assert got == [preimages_oracle(psi, rows) for rows, _, psi in batches], name
 
 
 def test_pullback_gathers_where_the_rule_counts_fewer_steps(monkeypatch):

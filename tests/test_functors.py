@@ -1,8 +1,10 @@
 import collections
+import importlib.util
 import itertools
 import json
 import random
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -79,7 +81,17 @@ from conceptual.relalg import (
 from conceptual.report import FAIL, VerificationReport
 from conceptual.verify import verify_equivalences
 
-from conftest import BOWTIE, all_contexts, crown, order_from_covers, random_context
+from conftest import (
+    BOWTIE,
+    all_contexts,
+    boolean_hom,
+    context_inputs,
+    crown,
+    library_modules,
+    order_from_covers,
+    random_context,
+    verify_hom_corpora,
+)
 from oracles import (
     adjoint_masks_oracle,
     adjoint_oracle,
@@ -378,8 +390,29 @@ class TestCompleteLattice:
         assert all(seen.values()), seen
         # 1 and 2 meet at 0, but 3 and 4 have the lower bounds 0, 1 and 2
         assert lattice_order_oracle(BOWTIE) == (3, 4)
-        with pytest.raises(ValidationError, match="no meet for element set 0x18"):
-            CompleteLattice(tuple("0abcd1"), BOWTIE)
+        labels, expected = tuple("0abcd1"), ("no meet for element set 0x18", (0x18,))
+        assert raised(CompleteLattice, labels, BOWTIE) == expected
+        assert raised(check_lattice_oracle, Classification(labels, labels, BOWTIE)) == expected
+
+    def test_the_lattices_of_the_bonding_benchmark_against_the_oracle(self, tmp_path):
+        """The order of each of the seven concept lattices the pairs of the
+        bonding benchmark join, 16 to 128 elements, with both caches
+        cleared: the constructor accepts it, as ``check_lattice_oracle``
+        does, and the lattice's down-sets are the columns of its order."""
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        workload = workloads.WORKLOADS["bonding"](library_modules(), 1, "full", tmp_path)
+        ends = [K for _, p, _ in workload.pairs for K in (p.source, p.target)]
+        orders = list(dict.fromkeys(build_lattice(K).order for K in ends))
+        assert len(orders) == 7
+        for order in orders:
+            labels = tuple(f"e{i}" for i in range(order.src_size))
+            concept_lattice_of.cache_clear()
+            complete_lattice_of.cache_clear()
+            assert raised(check_lattice_oracle, Classification(labels, labels, order)) is None
+            assert CompleteLattice(labels, order).extents == transpose(order).rows
 
 
 class TestFunctionalEquivalence:
@@ -784,18 +817,6 @@ class TestCompleteRelationalEquivalence:
                 assert lhs == rhs
 
 
-def verify_hom_corpora():
-    """The homs of the hom corpora of ``verify_equivalences`` at
-    ``--max-size 3``, seeds 0-11, built with the same draws."""
-    for seed in range(12):
-        rng = random.Random(seed)
-        contexts = verify.context_corpus(3, rng)
-        morphisms = verify.infomorphism_corpus(contexts, rng)
-        verify.adjoint_corpus(contexts, verify.bond_corpus(contexts, morphisms, rng), rng)
-        for _, h in verify.hom_corpus(contexts, rng):
-            yield h
-
-
 class TestAdjointsByLookup:
     """``canonical_adjoints`` reads both adjoints, as ``intent_index`` and
     ``extent_index`` lookups, from the preimage batches the hom's check kept;
@@ -819,7 +840,7 @@ class TestAdjointsByLookup:
         for a, b in itertools.product(range(8), repeat=2):
             if a or not b:
                 f = tuple(rng.randrange(a) for _ in range(b))
-                h = TestDerivedViews.boolean_hom(a, b, f)
+                h = boolean_hom(a, b, f)
                 assert canonical_adjoints(h) == canonical_adjoints_oracle(h)
                 homs += 1
         assert homs == 57
@@ -1017,24 +1038,8 @@ class TestDerivedViews:
     """A bonding pair owns its homomorphism and a homomorphism its pair,
     each built and checked once, neither seeded from the other."""
 
-    @staticmethod
-    def boolean_hom(a: int, b: int, f: tuple[int, ...]) -> CompleteHomomorphism:
-        """Inverse image along the injection ``f: [b] -> [a]``, a complete
-        homomorphism from the boolean lattice 2^a onto 2^b."""
-        LA = concept_lattice_of(contranominal_classification(a))
-        LB = concept_lattice_of(contranominal_classification(b))
-        targets = tuple(
-            LB.extent_index[sum(1 << y for y in range(b) if c.extent >> f[y] & 1)]
-            for c in LA.concepts
-        )
-        return CompleteHomomorphism(
-            complete_lattice_of(LA),
-            complete_lattice_of(LB),
-            FunctionGraph.from_targets(targets, LB.size),
-        )
-
     def test_views_are_kept_and_not_seeded(self, k1):
-        h = self.boolean_hom(3, 2, (2, 0))
+        h = boolean_hom(3, 2, (2, 0))
         p = pair_of_hom(h)
         assert pair_of_hom(h) is p
         assert hom_of_pair(p) is hom_of_pair(p)
@@ -1059,7 +1064,7 @@ class TestDerivedViews:
         """The benchmark's ``bonding`` op on a parsed spread boolean hom: one
         pair of canonical adjoints, to spread the parsed pair's hom, and four
         bond adjoints, two for that hom and two for the spread pair's hom."""
-        text = dumps(morphism_to_obj(pair_of_hom(self.boolean_hom(3, 2, (2, 0)))))
+        text = dumps(morphism_to_obj(pair_of_hom(boolean_hom(3, 2, (2, 0)))))
         calls = collections.Counter()
         for name in ("canonical_adjoints", "adjoint_of_bond"):
             original = getattr(functors, name)
@@ -1092,7 +1097,7 @@ class TestDerivedViews:
 
         for module in (relalg, functors):
             monkeypatch.setattr(module, "pullback", counted)
-        h = self.boolean_hom(5, 3, (4, 1, 2))
+        h = boolean_hom(5, 3, (4, 1, 2))
         p = pair_of_hom(h)
         L, K = h.source, h.target
         theta = canonical_adjoints(h)[1]
@@ -1121,8 +1126,6 @@ class TestDerivedViews:
 class TestPairRoundtripByResiduals:
     """The pair round trip compares the conjugation, taken as relations, with
     the one validated pair it builds, the rebuilt one."""
-
-    boolean_hom = staticmethod(TestDerivedViews.boolean_hom)
 
     @staticmethod
     def parsed(p: BondingPair) -> BondingPair:
@@ -1154,9 +1157,9 @@ class TestPairRoundtripByResiduals:
         embedding pair with two spreads, each also as parsed."""
         pairs = list(embedding_bonding_pairs(contranominal_classification(3)))
         for a, b, f in ((2, 1, (1,)), (3, 2, (2, 0)), (5, 3, (4, 1, 2))):
-            pairs.append(pair_of_hom(self.boolean_hom(a, b, f)))
+            pairs.append(pair_of_hom(boolean_hom(a, b, f)))
         composite = embedding_bonding_pairs(contranominal_classification(3))[0]
-        for hom in (self.boolean_hom(3, 2, (0, 2)), self.boolean_hom(2, 1, (1,))):
+        for hom in (boolean_hom(3, 2, (0, 2)), boolean_hom(2, 1, (1,))):
             composite = compose_bonding_pairs(composite, pair_of_hom(hom))
         pairs.append(composite)
         for p in pairs:
@@ -1168,7 +1171,7 @@ class TestPairRoundtripByResiduals:
         """With ``pair_of_hom`` patched to give a valid pair other than the
         rebuild, on the same endpoints or on other ones, the round trip is
         false and raises nothing."""
-        p = pair_of_hom(self.boolean_hom(2, 1, (0,)))
+        p = pair_of_hom(boolean_hom(2, 1, (0,)))
         original = functors.pair_of_hom
         rebuilt = original(hom_of_pair(p))
         h = hom_of_pair(rebuilt)
@@ -1193,7 +1196,7 @@ class TestPairRoundtripByResiduals:
         ``is_bond`` or ``is_bonding_pair`` and none is composed: the rebuilt
         pair is checked by its principal sets, the embeddings by their
         derivation identities.  The counting patch is seen to count."""
-        q = self.parsed(pair_of_hom(self.boolean_hom(5, 3, (4, 1, 2))))
+        q = self.parsed(pair_of_hom(boolean_hom(5, 3, (4, 1, 2))))
         hom_of_pair(q)
         calls = collections.Counter()
         for name in ("is_bond", "is_bonding_pair", "compose_bonds"):
@@ -1218,9 +1221,9 @@ class TestPairRoundtripByResiduals:
         ``psi``'s left adjoint, ``pair_of_hom`` raises: at the bond check
         when ``phi`` has no right adjoint (the constant top), and at the
         pairing check when its right adjoint is another hom."""
-        h = self.boolean_hom(5, 3, (4, 1, 2))
+        h = boolean_hom(5, 3, (4, 1, 2))
         top = FunctionGraph((h.source.top,) * h.target.size, h.source.size)
-        other = canonical_adjoints(self.boolean_hom(5, 3, (1, 4, 2)))[0]
+        other = canonical_adjoints(boolean_hom(5, 3, (1, 4, 2)))[0]
         for phi, message in (
             (top, "relation is not a bond: column of "),
             (other, "pairing constraints fail: "),
@@ -1228,7 +1231,7 @@ class TestPairRoundtripByResiduals:
             monkeypatch.setattr(functors, "canonical_adjoints", lambda _h, phi=phi: (phi, phi))
             # a fresh hom each time, whose pair is not built yet
             with pytest.raises(ValidationError, match=message):
-                pair_of_hom(self.boolean_hom(5, 3, (4, 1, 2)))
+                pair_of_hom(boolean_hom(5, 3, (4, 1, 2)))
 
 
 class TestEmbeddingBondsByIdentities:
@@ -1242,6 +1245,14 @@ class TestEmbeddingBondsByIdentities:
             assert got == embedding_bonds_oracle(A)
             for bond in got:
                 assert is_bond(bond.source, bond.target, bond.rel)
+
+    def test_the_verify_corpus_and_the_order_of_2_7(self):
+        """The contexts of the verify corpus of seed 7 at size 3, the first
+        seed of the verify benchmark, and the order classification of 2^7."""
+        corpus = [A for _, A in verify.context_corpus(3, random.Random(7))]
+        for contexts in (corpus, [context_inputs()["order of 2^7"]]):
+            got = [embedding_bonds(A) for A in contexts]
+            assert got == [embedding_bonds_oracle(A) for A in contexts]
 
     @staticmethod
     def skews(L: ConceptLattice):
@@ -1306,8 +1317,8 @@ class TestEmbeddingBondsByIdentities:
         """One ``embedding_bonds`` call when source and target are equal,
         two otherwise."""
         square = contranominal_classification(2)
-        endo = pair_of_hom(TestDerivedViews.boolean_hom(2, 2, (1, 0)))
-        spread = pair_of_hom(TestDerivedViews.boolean_hom(2, 1, (1,)))
+        endo = pair_of_hom(boolean_hom(2, 2, (1, 0)))
+        spread = pair_of_hom(boolean_hom(2, 1, (1,)))
         calls = []
         original = functors.embedding_bonds
 

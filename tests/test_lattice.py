@@ -39,7 +39,15 @@ from conceptual.relalg import (
     transpose,
 )
 
-from conftest import PRUNED_BOTTOM, RANDOM_SHAPES, all_contexts, random_context, sparse_context
+from conftest import (
+    ORDER_POWERS,
+    PRUNED_BOTTOM,
+    RANDOM_SHAPES,
+    all_contexts,
+    context_inputs,
+    random_context,
+    sparse_context,
+)
 from oracles import (
     branches,
     closed_pairs_oracle,
@@ -48,6 +56,7 @@ from oracles import (
     collective_transport_oracle,
     concept_set,
     covers_oracle,
+    embeddings_oracle,
     extent_inclusion_oracle,
     extent_oracle,
     fcbo_oracle,
@@ -155,21 +164,20 @@ class TestBuildLattice:
         while a witness type of a failed closure is still free, change
         neither the concepts, nor their order, nor the embeddings: on tall
         sparse contexts, where the first skip runs at most nodes, up to the
-        lattice benchmark's 1500 x 40 with two crosses per row; on the order
-        classifications of 2^5 to 2^7, where most loop steps take the second
-        (on 2^7, 9,582 of 9,829); and on every context up to 3x3, where a
-        descendant's intent also takes in a whole witness and must test."""
-        boolean = (
-            complete_lattice_of(build_lattice(contranominal_classification(n))).classification
-            for n in (5, 6, 7)
-        )
+        lattice benchmark's 1500 x 40 with two crosses per row; on the
+        contexts the kernel probe times, the order classifications of 2^5 to
+        2^7 among them, where most loop steps take the second (on 2^7, 9,582
+        of 9,829); and on every context up to 3x3, where a descendant's
+        intent also takes in a whole witness and must test."""
         contexts = itertools.chain(
             (sparse_context(rng, m, n, k) for m, n, k in TALL_SPARSE),
-            boolean,
+            context_inputs().values(),
             all_contexts(3, 3),
         )
         for K in contexts:
-            assert build_lattice(K) == fcbo_oracle(K)
+            L = build_lattice(K)
+            assert L == fcbo_oracle(K)
+            assert (L.iota, L.tau) == embeddings_oracle(L)
 
     def test_walk_takes_the_reading_the_rule_picks(self):
         """``relalg.branch`` picks once per build how the walk reads its
@@ -179,14 +187,13 @@ class TestBuildLattice:
         and tall 1500 x 40 with two crosses per row, and on every context up
         to 3x3.  Either way the concepts come in the lectic order of both
         oracles."""
-        boolean = [
-            complete_lattice_of(build_lattice(contranominal_classification(n))).classification
-            for n in (6, 7)
+        picks = [
+            ("order of 2^6", "bytes"),
+            ("order of 2^7", "bytes"),
+            ("100x22 by 7", "bits"),
+            ("1500x40 by 2", "bits"),
         ]
-        cases = [(K, "bytes") for K in boolean] + [
-            (sparse_context(random.Random(3), 100, 22, 7), "bits"),
-            (sparse_context(random.Random(3), 1500, 40, 2), "bits"),
-        ]
+        cases = [(context_inputs()[name], reading) for name, reading in picks]
         cases += [(K, "bits") for K in all_contexts(3, 3)]
         for K, reading in cases:
             with branches() as picks:
@@ -199,13 +206,15 @@ class TestBuildLattice:
     def test_either_reading_is_the_fcbo_walk(self, reading, rng):
         """Forced either way, the walk finds the concepts of ``fcbo_oracle``
         in its order: on every context up to 3x3 (0 x n and n x 0 among
-        them), random and tall sparse contexts, and lattices classified by
-        their own order up to 128 types, which read 16 bytes a node."""
+        them), random and tall sparse contexts, lattices classified by their
+        own order up to 128 types, which read 16 bytes a node, and the
+        contexts the kernel probe times."""
         contexts = itertools.chain(
             all_contexts(3, 3),
             (random_context(rng, m, n) for m, n in RANDOM_SHAPES),
             (sparse_context(rng, m, n, k) for m, n, k in TALL_SPARSE),
             order_classifications(),
+            context_inputs().values(),
         )
         for K in contexts:
             with branches("walk", reading):
@@ -267,7 +276,8 @@ class TestBuildLattice:
         the type side, through the complement tables, on a tall sparse
         200 x 16 (302 concepts), and the instance side on 60 x 50 with six
         crosses per row, whose type side would read 50 columns for each of
-        302 concepts."""
+        302 concepts.  The last contexts are lattices classified by their
+        own order, of 2^5 to 2^7."""
         tables = []
         original = relalg._complement_tables
         monkeypatch.setattr(
@@ -279,6 +289,7 @@ class TestBuildLattice:
         contexts += [sparse_context(rng, m, n, k) for m, n, k in TALL_SPARSE[:5]]
         contexts += [tall_sparse, wide_rows]
         contexts += [contranominal_classification(5), chain_classification(6)]
+        contexts += [context_inputs()[f"order of 2^{a}"] for a in ORDER_POWERS]
         for K in contexts:
             L = build_lattice(K)
             inclusion = extent_inclusion_oracle(
@@ -297,14 +308,20 @@ class TestBuildLattice:
 
     @pytest.mark.parametrize(
         "m, n, crosses, side",
-        [(100, 90, 9, "instances"), (100, 22, 7, "types"), (1500, 40, 2, "types")],
+        [
+            (100, 90, 9, "instances"),
+            (200, 150, 8, "instances"),
+            (100, 22, 7, "types"),
+            (1500, 40, 2, "types"),
+        ],
     )
     def test_order_takes_the_side_of_fewer_steps(self, m, n, crosses, side):
-        """On 100 x 90 with nine crosses per row (974 concepts) the instance
-        side counts fewer steps than the complement tables of the type side,
-        and is the faster; the lattice benchmark's wide 100 x 22 at .3 and
-        tall 1500 x 40 at .05 keep the type side.  Either way the order is
-        extent inclusion, and so is the other side."""
+        """On 100 x 90 with nine crosses per row (974 concepts) and 200 x 150
+        with eight (1,244) the instance side counts fewer steps than the
+        complement tables of the type side, and is the faster; the lattice
+        benchmark's wide 100 x 22 at .3 and tall 1500 x 40 at .05 keep the
+        type side.  Either way the order is extent inclusion, and so is the
+        other side."""
         L = build_lattice(sparse_context(random.Random(3), m, n, crosses))
         inclusion = extent_inclusion_oracle([set(bits(e)) for e in L.extents])
         assert L.order == inclusion

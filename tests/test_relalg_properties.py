@@ -4,7 +4,8 @@ random shapes up to 7x7x7, 0-sized carriers included (Schmidt & Stroehlein,
 against the reference loops of ``tests/oracles.py``, of the digit reader
 that fills a relation's columns as it reads its rows, and of the invariant
 the unchecked constructors rely on: what the library builds without the
-check, the public constructor accepts."""
+check, the public constructor accepts.  The kernels and the readers are
+also checked on the seeded inputs ``tools/kernel_probe.py`` times."""
 
 import dataclasses
 import itertools
@@ -52,6 +53,7 @@ from conceptual.relalg import (
 )
 from conceptual.verify import context_corpus, hom_corpus
 
+from conftest import CONTEXT_NAMES, KERNELS, context_inputs, kernel_inputs
 from oracles import (
     branches,
     compose_oracle,
@@ -284,11 +286,23 @@ def test_read_relations_carry_their_columns(m, n, rnd):
     rel = Relation(m, n, tuple(rnd.getrandbits(n) if n else 0 for _ in range(m)))
     K = Classification(tuple(f"i{a}" for a in range(m)), tuple(f"t{b}" for b in range(n)), rel)
     cells = [[rnd.choice(ONES if row >> b & 1 else ZEROS) for b in range(n)] for row in rel.rows]
-    readers = [
-        parse_cxt(emit_cxt(K)).incidence,
-        Relation.from_matrix(rel.matrix(), n),
-        Relation.from_matrix(cells, n),
-    ]
+    read_back(K, cells)
+
+
+@pytest.mark.parametrize("name", CONTEXT_NAMES)
+def test_read_probe_contexts_carry_their_columns(name):
+    """The same on the seeded contexts the kernel probe times, up to
+    1500 x 40 and 200 x 150."""
+    read_back(context_inputs()[name])
+
+
+def read_back(K: Classification, *matrices) -> None:
+    """``K``'s incidence, read by ``parse_cxt(emit_cxt(K))`` and by
+    ``from_matrix`` from its matrix and from each of ``matrices``, has its
+    rows, and the ``columns`` each reader stores."""
+    rel = K.incidence
+    readers = [parse_cxt(emit_cxt(K)).incidence]
+    readers += [Relation.from_matrix(cells, rel.dst_size) for cells in (rel.matrix(), *matrices)]
     for read in readers:
         assert (read.shape, read.rows) == (rel.shape, rel.rows)
         assert vars(read)["columns"] == transpose(rel).rows
@@ -342,6 +356,18 @@ REBUILD_SHAPES = [(0, 0), (0, 5), (5, 0), (1, 1), (3, 7), (9, 8), (17, 40), (40,
 def rebuilt(r: Relation) -> None:
     out = Relation(r.src_size, r.dst_size, r.rows)
     assert out == r and hash(out) == hash(r)
+
+
+@pytest.mark.parametrize("name, run, loop", KERNELS, ids=[name for name, _, _ in KERNELS])
+def test_kernels_are_the_loops_on_the_probe_relations(name, run, loop):
+    """Each kernel as ``relalg.branch`` picks, on the seeded relations the
+    kernel probe times, up to 752 x 752 and 1500 x 40 at densities .05 and
+    .5, each on a fresh copy, builds what its reference loop builds, and
+    what the constructor accepts."""
+    for labels, r in kernel_inputs():
+        out = run(Relation(r.src_size, r.dst_size, r.rows))
+        assert out == loop(r), (name, labels)
+        rebuilt(out)
 
 
 def rough(rng: random.Random, m: int, n: int) -> Relation:
