@@ -19,7 +19,6 @@ from .classification import (
     powerset_classification,
 )
 from .colimit import (
-    DualInvariant,
     apposition,
     coproduct_sum,
     dual_quotient,
@@ -36,7 +35,6 @@ from .infomorphism import (
     compose_relational,
 )
 from .lattice import build_lattice
-from .relalg import Relation
 from .verify import MAX_CORPUS_SIZE, verify_equivalences
 
 
@@ -162,26 +160,8 @@ def cmd_binary_construction(args) -> int:
 
 def cmd_quotient(args) -> int:
     K = _load_classification(args.context)
-    invariant = fmt.loads(_read(args.invariant))
-    if not isinstance(invariant, dict):
-        raise ParseError("bad invariant object: the top level must be a JSON object")
-    kept, pairs = invariant.get("kept_instances"), invariant.get("related_types")
-    if not fmt.is_labels(kept) or not isinstance(pairs, list) or not all(
-        fmt.is_labels(pair) and len(pair) == 2 for pair in pairs
-    ):
-        raise ParseError(
-            "bad invariant object: need kept_instances, a list of labels,"
-            " and related_types, a list of label pairs"
-        )
-    side = "instance"
-    try:
-        kept = K.instance_mask(kept)
-        side = "type"
-        rel_pairs = [(K.type_index[a], K.type_index[b]) for a, b in pairs]
-    except KeyError as e:
-        raise ParseError(f"bad invariant object: unknown {side} label {quote(e.args[0])}") from None
-    rel = Relation.from_pairs(len(K.types), len(K.types), rel_pairs)
-    quotient, projection = dual_quotient(K, DualInvariant(kept, rel))
+    invariant = fmt.invariant_from_obj(fmt.loads(_read(args.invariant)), K)
+    quotient, projection = dual_quotient(K, invariant)
     sys.stdout.write(
         fmt.dumps(
             {

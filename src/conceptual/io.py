@@ -13,6 +13,7 @@ from json.encoder import encode_basestring
 
 from .bond import Bond, BondingPair
 from .classification import Classification
+from .colimit import DualInvariant
 from .errors import ParseError, ValidationError, quote
 from .infomorphism import FunctionalInfomorphism, RelationalInfomorphism
 from .lattice import ConceptLattice
@@ -187,41 +188,19 @@ def classification_to_obj(K: Classification) -> dict:
     }
 
 
-def classification_from_obj(obj: dict) -> Classification:
+def classification_from_obj(obj) -> Classification:
     """The classification ``classification_to_obj`` wrote.  A malformed
     object is a ``ParseError`` naming the field: the object must be a JSON
     object, the labels lists of strings, the incidence a list of rows, one
     per instance, of one cell per type."""
-    if not isinstance(obj, dict):
-        raise ParseError("bad classification object: the top level must be a JSON object")
+    obj = _object(obj, "classification")
     try:
-        instances = _labels(obj, "instances")
-        types = _labels(obj, "types")
-        rel = Relation.from_matrix(obj["incidence"], dst_size=len(types))
-    except TypeError:
-        raise ParseError("bad classification object: incidence must be a list of rows") from None
+        instances = _labels(obj["instances"], "classification", "instances")
+        types = _labels(obj["types"], "classification", "types")
+        rel = _matrix(obj["incidence"], "classification", "incidence", len(instances), len(types))
     except KeyError as e:
-        raise ParseError(f"bad classification object: {e}") from None
-    except ValidationError as e:
-        short = _short_row(obj["incidence"], len(types))
-        reason = f"incidence {short}" if short else e
-        raise ParseError(f"bad classification object: {reason}") from None
-    if rel.src_size != len(instances):
-        raise ParseError("incidence row count does not match instances")
+        raise _missing("classification", e) from None
     return Classification(instances, types, rel)
-
-
-def is_labels(value) -> bool:
-    """Whether a JSON value is a list of label strings; a string, whose
-    characters would iterate as labels, is not."""
-    return isinstance(value, list) and all(isinstance(label, str) for label in value)
-
-
-def _labels(obj: dict, key: str) -> tuple[str, ...]:
-    labels = obj[key]
-    if not is_labels(labels):
-        raise ParseError(f"bad classification object: {key} must be a list of strings")
-    return tuple(labels)
 
 
 def loads(text: str):
@@ -271,61 +250,48 @@ def morphism_to_obj(m) -> dict:
     return {"kind": kind, "source": src, "target": tgt, "data": data}
 
 
-def _object(obj: dict, key: str) -> dict:
-    """The JSON object in the field ``key`` of a morphism object."""
-    value = obj[key]
+def _object(value, kind: str, key: str = "the top level") -> dict:
+    """``value``, the top level or the field ``key`` of a ``kind`` object,
+    if it is a JSON object."""
     if not isinstance(value, dict):
-        raise ParseError(f"bad morphism object: {key} must be a JSON object")
+        raise ParseError(f"bad {kind} object: {key} must be a JSON object")
     return value
 
 
-def _matrix(data: dict, key: str, src_size: int, dst_size: int) -> Relation:
-    """The relation of the matrix field ``key``, ``src_size`` rows of
-    ``dst_size`` cells; a value that is no list of rows, or has another
-    number of rows or of cells in a row, is a ``ParseError`` naming the
-    field, not the type Python names."""
+def _labels(value, kind: str, key: str, size: int | None = None) -> tuple[str, ...]:
+    """The labels of the field ``key`` of a ``kind`` object, ``size`` of
+    them when given; a string, whose characters would iterate as labels, is
+    no list."""
+    if not isinstance(value, list) or not all(isinstance(label, str) for label in value):
+        raise ParseError(f"bad {kind} object: {key} must be a list of strings")
+    if size is not None and len(value) != size:
+        raise ParseError(f"bad {kind} object: {key} must have {size} labels, got {len(value)}")
+    return tuple(value)
+
+
+def _matrix(value, kind: str, key: str, src_size: int, dst_size: int) -> Relation:
+    """The relation of the matrix field ``key`` of a ``kind`` object,
+    ``src_size`` rows of ``dst_size`` cells, read by ``Relation.from_matrix``,
+    whose refusals, a first row of another length or a first bad cell, are
+    prefixed with the field; a value that is no list of rows fails there
+    with a ``TypeError``."""
     try:
-        rel = Relation.from_matrix(data[key], dst_size=dst_size)
+        rel = Relation.from_matrix(value, dst_size=dst_size)
     except TypeError:
-        raise ParseError(f"bad morphism object: {key} must be a list of rows") from None
-    except ValidationError:
-        short = _short_row(data[key], dst_size)
-        if short is None:
-            raise
-        raise ParseError(f"bad morphism object: {key} {short}") from None
+        raise ParseError(f"bad {kind} object: {key} must be a list of rows") from None
+    except ValidationError as e:
+        raise ParseError(f"bad {kind} object: {key} {e}") from None
     if rel.src_size != src_size:
-        raise ParseError(
-            f"bad morphism object: {key} must have {src_size} rows, got {rel.src_size}"
-        )
+        raise ParseError(f"bad {kind} object: {key} must have {src_size} rows, got {rel.src_size}")
     return rel
 
 
-def _short_row(matrix, dst_size: int) -> str | None:
-    """Why ``Relation.from_matrix`` refused ``matrix``, walked again as the
-    reader walked it, when its first fault is a row of another length than
-    ``dst_size``; ``None`` when it is a bad cell, which the reader's own
-    message names."""
-    for a, row in enumerate(matrix):
-        if len(row) != dst_size:
-            return f"row {a} must have {dst_size} cells, got {len(row)}"
-        if any(cell not in (0, 1) for cell in row):
-            return None
-    return None
+def _missing(kind: str, error: KeyError) -> ParseError:
+    """The refusal of a ``kind`` object lacking the key, or label, ``error`` names."""
+    return ParseError(f"bad {kind} object: missing or invalid {quote(error.args[0])}")
 
 
-def _map(data: dict, key: str, size: int) -> list[str]:
-    """The labels of the map field ``key``, one for each of ``size``
-    elements; a value that is no list of ``size`` strings is a
-    ``ParseError`` naming the field."""
-    labels = data[key]
-    if not is_labels(labels):
-        raise ParseError(f"bad morphism object: {key} must be a list of strings")
-    if len(labels) != size:
-        raise ParseError(f"bad morphism object: {key} must have {size} labels, got {len(labels)}")
-    return labels
-
-
-def morphism_from_obj(obj: dict, validate: bool = True):
+def morphism_from_obj(obj, validate: bool = True):
     """The morphism ``morphism_to_obj`` wrote.  A malformed object is a
     ``ParseError`` naming the field: the object, its ``source``, ``target``
     and ``data`` must be JSON objects, the maps lists of labels and the
@@ -333,41 +299,63 @@ def morphism_from_obj(obj: dict, validate: bool = True):
     So the shape is checked here, and ``validate`` only picks between the
     checking constructor and ``_of``, which stores the morphism unchecked
     for the caller to check, as ``conceptual check`` does."""
+    obj = _object(obj, "morphism")
     try:
-        if not isinstance(obj, dict):
-            raise ParseError("bad morphism object: the top level must be a JSON object")
         kind = obj["kind"]
-        source = classification_from_obj(_object(obj, "source"))
-        target = classification_from_obj(_object(obj, "target"))
-        data = _object(obj, "data")
+        source = classification_from_obj(_object(obj["source"], "morphism", "source"))
+        target = classification_from_obj(_object(obj["target"], "morphism", "target"))
+        data = _object(obj["data"], "morphism", "data")
         # the sizes of the source A and of the target B
         a_inst, a_typ = len(source.instances), len(source.types)
         b_inst, b_typ = len(target.instances), len(target.types)
         if kind == "functional":
-            f = FunctionGraph.from_targets(
-                tuple(map(source.instance_index.__getitem__, _map(data, "instance_map", b_inst))),
-                a_inst,
-            )
-            g = FunctionGraph.from_targets(
-                tuple(map(target.type_index.__getitem__, _map(data, "type_map", a_typ))), b_typ
-            )
+            fs = _labels(data["instance_map"], "morphism", "instance_map", b_inst)
+            f = FunctionGraph(tuple(map(source.instance_index.__getitem__, fs)), a_inst)
+            gs = _labels(data["type_map"], "morphism", "type_map", a_typ)
+            g = FunctionGraph(tuple(map(target.type_index.__getitem__, gs)), b_typ)
             build = FunctionalInfomorphism if validate else FunctionalInfomorphism._of
             return build(source, target, f, g)
         if kind == "relational":
-            r = _matrix(data, "instance_rel", a_inst, b_inst)
-            s = _matrix(data, "type_rel", a_typ, b_typ)
+            r = _matrix(data["instance_rel"], "morphism", "instance_rel", a_inst, b_inst)
+            s = _matrix(data["type_rel"], "morphism", "type_rel", a_typ, b_typ)
             build = RelationalInfomorphism if validate else RelationalInfomorphism._of
             return build(source, target, r, s)
         bond = Bond if validate else Bond._of
         if kind == "bond":
-            return bond(source, target, _matrix(data, "rel", b_inst, a_typ))
+            return bond(source, target, _matrix(data["rel"], "morphism", "rel", b_inst, a_typ))
         if kind == "bonding-pair":
-            fwd = bond(source, target, _matrix(data, "forward", b_inst, a_typ))
-            bwd = bond(target, source, _matrix(data, "backward", a_inst, b_typ))
-            return (BondingPair if validate else BondingPair._of)(fwd, bwd)
+            fwd = _matrix(data["forward"], "morphism", "forward", b_inst, a_typ)
+            bwd = _matrix(data["backward"], "morphism", "backward", a_inst, b_typ)
+            return (BondingPair if validate else BondingPair._of)(
+                bond(source, target, fwd), bond(target, source, bwd)
+            )
     except KeyError as e:
-        raise ParseError(f"bad morphism object: missing or invalid {quote(e.args[0])}") from None
+        raise _missing("morphism", e) from None
     raise ParseError(f"unknown morphism kind {quote(kind)}")
+
+
+def invariant_from_obj(obj, K: Classification) -> DualInvariant:
+    """The dual invariant of ``K`` in the file of ``conceptual quotient``:
+    ``kept_instances``, a list of instance labels, and ``related_types``, a
+    list of pairs of type labels.  A malformed object, or a label ``K``
+    lacks, is a ``ParseError`` naming the field or the label."""
+    obj = _object(obj, "invariant")
+    try:
+        kept = _labels(obj["kept_instances"], "invariant", "kept_instances")
+        pairs = obj["related_types"]
+    except KeyError as e:
+        raise _missing("invariant", e) from None
+    if not isinstance(pairs, list):
+        raise ParseError("bad invariant object: related_types must be a list of label pairs")
+    pairs = [_labels(p, "invariant", f"related_types pair {i}", 2) for i, p in enumerate(pairs)]
+    side = "instance"
+    try:
+        kept = K.instance_mask(kept)
+        side = "type"
+        pairs = [(K.type_index[a], K.type_index[b]) for a, b in pairs]
+    except KeyError as e:
+        raise ParseError(f"bad invariant object: unknown {side} label {quote(e.args[0])}") from None
+    return DualInvariant(kept, Relation.from_pairs(len(K.types), len(K.types), pairs))
 
 
 def dumps(obj) -> str:

@@ -207,7 +207,8 @@ class Relation:
         pass into a digit string, ``_cell_digits``, which ``from_digits``
         reads backwards, as ``io.parse_cxt`` reads its row block: the
         relation comes with its ``columns``.  Only a matrix that fails is
-        walked row by row, to name its first ragged row or bad cell."""
+        walked row by row, to name its first row of another length or its
+        first bad cell."""
         if dst_size is None:
             dst_size = len(matrix[0]) if matrix else 0
         try:
@@ -219,9 +220,9 @@ class Relation:
                 return from_digits(len(matrix), dst_size, digits[::-1])
         except (KeyError, TypeError):
             pass
-        for cells in matrix:
+        for a, cells in enumerate(matrix):
             if len(cells) != dst_size:
-                raise ValidationError("ragged incidence matrix")
+                raise ValidationError(f"row {a} must have {dst_size} cells, got {len(cells)}")
             for cell in cells:
                 if cell not in (0, 1):
                     raise ValidationError(f"matrix cell must be 0/1, got {quote(cell)}")

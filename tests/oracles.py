@@ -900,7 +900,8 @@ def from_matrix_oracle(matrix, dst_size: int | None = None) -> Relation:
     """``Relation.from_matrix`` as it read every cell through a dict, with
     the same errors: a cell is a digit exactly when it equals 0 or 1, the
     rows are built through the checked constructor, and only a matrix that
-    fails is walked row by row to name its first ragged row or bad cell."""
+    fails is walked row by row to name its first row of another length or
+    its first bad cell."""
     if dst_size is None:
         dst_size = len(matrix[0]) if matrix else 0
     digit = {0: 0, 1: 1}
@@ -910,9 +911,9 @@ def from_matrix_oracle(matrix, dst_size: int | None = None) -> Relation:
             return Relation(len(matrix), dst_size, rows)
     except (KeyError, TypeError):
         pass
-    for cells in matrix:
+    for a, cells in enumerate(matrix):
         if len(cells) != dst_size:
-            raise ValidationError("ragged incidence matrix")
+            raise ValidationError(f"row {a} must have {dst_size} cells, got {len(cells)}")
         for cell in cells:
             if cell not in (0, 1):
                 raise ValidationError(f"matrix cell must be 0/1, got {quote(cell)}")

@@ -10,11 +10,7 @@ benchmark's boolean homs."""
 import itertools
 import random
 
-import pytest
-
-pytest.importorskip("hypothesis")
-
-from hypothesis import given, settings, strategies as st
+from hypothesis_or_skip import given, settings, st
 
 from conceptual import functors
 from conceptual.bond import (

@@ -402,6 +402,26 @@ REFUSALS = {
         {"a.json": dumps([classification_to_obj(K1)])},
         "bad classification object: the top level must be a JSON object",
     ),
+    "incidence-cell": (
+        ["lattice", "a.json"],
+        {"a.json": dumps({**classification_to_obj(K1), "incidence": [[1, 0], [2, 1]]})},
+        "bad classification object: incidence matrix cell must be 0/1, got 2",
+    ),
+    "incidence-missing": (
+        ["lattice", "a.json"],
+        {"a.json": dumps({"instances": ["1", "2"], "types": ["a", "b"]})},
+        "bad classification object: missing or invalid 'incidence'",
+    ),
+    "incidence-short": (
+        ["lattice", "a.json"],
+        {"a.json": dumps({**classification_to_obj(K1), "incidence": [[1, 0]]})},
+        "bad classification object: incidence must have 2 rows, got 1",
+    ),
+    "cell": (
+        ["check", "bond", "a.json"],
+        {"a.json": dumps({**FIVE, "data": {"rel": [[1, 0], [0, "1"]]}})},
+        "bad morphism object: rel matrix cell must be 0/1, got '1'",
+    ),
     **short_refusals(),
     **{
         f"ragged-{argv[0]}": (
@@ -419,10 +439,27 @@ REFUSALS = {
         )
         for name, text, message in (
             ("top-level", "[1]", "the top level must be a JSON object"),
+            ("missing", '{"kept_instances": []}', "missing or invalid 'related_types'"),
+            ("kept", '{"related_types": []}', "missing or invalid 'kept_instances'"),
             (
-                "missing",
-                '{"kept_instances": []}',
-                "need kept_instances, a list of labels, and related_types, a list of label pairs",
+                "kept-labels",
+                '{"kept_instances": "12", "related_types": []}',
+                "kept_instances must be a list of strings",
+            ),
+            (
+                "related-types",
+                '{"kept_instances": [], "related_types": {"a": "b"}}',
+                "related_types must be a list of label pairs",
+            ),
+            (
+                "pair",
+                '{"kept_instances": [], "related_types": [["a", "b"], ["a"]]}',
+                "related_types pair 1 must have 2 labels, got 1",
+            ),
+            (
+                "pair-labels",
+                '{"kept_instances": [], "related_types": ["ab"]}',
+                "related_types pair 0 must be a list of strings",
             ),
             (
                 "instance",

@@ -10,9 +10,7 @@ import random
 
 import pytest
 
-pytest.importorskip("hypothesis")
-
-from hypothesis import example, given, settings, strategies as st
+from hypothesis_or_skip import example, given, settings, st
 
 from conceptual import colimit, functors
 from conceptual.classification import Classification

@@ -9,9 +9,7 @@ import random
 
 import pytest
 
-pytest.importorskip("hypothesis")
-
-from hypothesis import given, settings, strategies as st
+from hypothesis_or_skip import given, settings, st
 
 from conceptual import relalg
 from conceptual.classification import Classification

@@ -4,11 +4,7 @@ of dicts with string keys, lists, tuples, strings, ints, booleans and
 
 import json
 
-import pytest
-
-pytest.importorskip("hypothesis")
-
-from hypothesis import given, settings, strategies as st
+from hypothesis_or_skip import given, settings, st
 
 from conceptual.io import dumps
 

@@ -15,9 +15,7 @@ import random
 
 import pytest
 
-pytest.importorskip("hypothesis")
-
-from hypothesis import example, given, settings, strategies as st
+from hypothesis_or_skip import example, given, settings, st
 
 from conceptual.bond import close_to_bond, collective_from_function
 from conceptual.classification import (

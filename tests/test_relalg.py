@@ -432,8 +432,8 @@ class TestDerivedLaws:
 
 # JSON matrix text and dst_size (None: from the first row) -> the rows built,
 # or the error type and message; one case per kind of cell JSON can hold.  The
-# first bad row is named, whichever its fault: a bad cell before a ragged row
-# names the cell, a ragged row before a bad cell names the row
+# first bad row is named, whichever its fault: a bad cell before a row of
+# another length names the cell, such a row before a bad cell names the row
 FROM_MATRIX = [
     ("[[1, 0, 1], [0, 0, 0], [1, 1, 1]]", 3, (5, 0, 7)),
     ("[[true, false], [false, true]]", 2, (1, 2)),
@@ -452,16 +452,16 @@ FROM_MATRIX = [
     ("[[0, null]]", 2, (ValidationError, "matrix cell must be 0/1, got None")),
     ("[[0, [1]]]", 2, (ValidationError, "matrix cell must be 0/1, got [1]")),
     ("[[0, {}]]", 2, (ValidationError, "matrix cell must be 0/1, got {}")),
-    ("[[1, 0, 1], [1, 0]]", 3, (ValidationError, "ragged incidence matrix")),
-    ("[[1, 0], [1, 0, 1]]", 2, (ValidationError, "ragged incidence matrix")),
+    ("[[1, 0, 1], [1, 0]]", 3, (ValidationError, "row 1 must have 3 cells, got 2")),
+    ("[[1, 0], [1, 0, 1]]", 2, (ValidationError, "row 1 must have 2 cells, got 3")),
     ("[[1, 2], [1]]", 2, (ValidationError, "matrix cell must be 0/1, got 2")),
-    ("[[1], [2, 0]]", 1, (ValidationError, "ragged incidence matrix")),
-    ("[[1, 0], [0, 2, 1]]", 2, (ValidationError, "ragged incidence matrix")),
+    ("[[1], [2, 0]]", 1, (ValidationError, "row 1 must have 1 cells, got 2")),
+    ("[[1, 0], [0, 2, 1]]", 2, (ValidationError, "row 1 must have 2 cells, got 3")),
     ('["01", "10"]', 2, (ValidationError, "matrix cell must be 0/1, got '0'")),
     ('[{"a": 1}]', 1, (ValidationError, "matrix cell must be 0/1, got 'a'")),
     ("[5]", 1, (TypeError, "object of type 'int' has no len()")),
     ("[[1, 1], null]", 2, (TypeError, "object of type 'NoneType' has no len()")),
-    ("[[1, 0, 1], [0, 2]]", 2, (ValidationError, "ragged incidence matrix")),
+    ("[[1, 0, 1], [0, 2]]", 2, (ValidationError, "row 0 must have 2 cells, got 3")),
 ]
 
 

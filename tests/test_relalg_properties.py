@@ -14,9 +14,7 @@ import re
 
 import pytest
 
-pytest.importorskip("hypothesis")
-
-from hypothesis import given, settings, strategies as st
+from hypothesis_or_skip import given, settings, st
 
 from conceptual.classification import Classification
 from conceptual.errors import ValidationError
@@ -520,8 +518,9 @@ def test_arrows_stored_by_of_pass_the_constructor():
 
 
 # each public constructor, on values from outside the library, and the
-# message it refuses them with; rows and targets that are no tuple of ints
-# are in ``test_relalg.py``
+# message it refuses them with, which is the row's id but for the ragged
+# matrix, named by its input; rows and targets that are no tuple of ints are
+# in ``test_relalg.py``
 REFUSED = [
     (lambda: Relation(-1, 0, ()), "relation sizes must be nonnegative"),
     (lambda: Relation(0, -2, ()), "relation sizes must be nonnegative"),
@@ -530,7 +529,11 @@ REFUSED = [
     (lambda: Relation(2, 2, (1, 4)), "row 1 has bits outside 0..1"),
     (lambda: Relation(1, 0, (-1,)), "row 0 has bits outside 0..-1"),
     (lambda: Relation.from_pairs(2, 2, [(0, 2)]), "pair (0, 2) out of range 2x2"),
-    (lambda: Relation.from_matrix([[0, 1], [1]]), "ragged incidence matrix"),
+    pytest.param(
+        lambda: Relation.from_matrix([[0, 1], [1]]),
+        "row 1 must have 2 cells, got 1",
+        id="ragged incidence matrix",
+    ),
     (lambda: Relation.from_matrix([], -1), "relation sizes must be nonnegative"),
     (lambda: FunctionGraph((), -1), "function sizes must be nonnegative"),
     (lambda: FunctionGraph((0, 2), 2), "target 2 of 1 out of range 0..1"),
@@ -549,7 +552,7 @@ REFUSED = [
 ]
 
 
-@pytest.mark.parametrize("build, message", REFUSED, ids=[message for _, message in REFUSED])
+@pytest.mark.parametrize("build, message", REFUSED, ids=[row[-1] for row in REFUSED])
 def test_public_constructors_still_refuse_bad_values(build, message):
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         build()

@@ -58,7 +58,6 @@ from typing import Callable, NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
 
-from conceptual import relalg  # noqa: E402
 from conceptual.lattice import ConceptLattice, build_lattice  # noqa: E402
 from conceptual.relalg import Relation, bits, pullback  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
@@ -198,55 +197,36 @@ def probe_branches() -> None:
 
 
 def probe_stages() -> None:
-    """Print the kernel calls of each op of the bonding workload by stage."""
+    """Print the kernel calls of each op of the bonding workload by stage:
+    each call of a counted kernel runs ``relalg.branch`` once, so the
+    stage's picks of those kernels are its calls (a call of
+    ``FunctionGraph.preimages``, which picks as ``compose`` does, counts as
+    one of ``compose``)."""
     stages = ("parse", "is_pair", "hom", "pair_rt", "hom_rt")
     print(f"\n{'op':>13} " + " ".join(f"{name:>7}" for name in stages) + f" {'total':>7}")
     mods = library_modules()
     with tempfile.TemporaryDirectory() as workdir:
         workload = WORKLOADS["bonding"](mods, 1, "full", Path(workdir) / "bonding")
-    counts = collections.Counter()
-    stage = [""]
-
-    def counted(original):
-        def kernel(*args, **kwargs):
-            counts[stage[0]] += 1
-            return original(*args, **kwargs)
-
-        return kernel
-
-    # every module attribute bound to a counted kernel, as the tracer finds
-    # them: a module that imported a kernel by name holds its own binding
-    kernels = {id(getattr(relalg, name)) for name in STAGE_KERNELS}
-    patches = [
-        (module, key, original, counted(original))
-        for name, module in list(sys.modules.items())
-        if name.startswith("conceptual")
-        for key, original in vars(module).items()
-        if id(original) in kernels
-    ]
     for label, _, text in workload.pairs:
         mods.lattice.concept_lattice_of.cache_clear()
         mods.functors.complete_lattice_of.cache_clear()
-        counts.clear()
-        for module, key, _, kernel in patches:
-            setattr(module, key, kernel)
-        try:
-            # the stages of the bonding op, in its order
-            stage[0] = "parse"
+        with branches() as picks:
+            # the stages of the bonding op, in its order, each ending at a mark
             q = mods.io.morphism_from_obj(json.loads(text), validate=False)
-            stage[0] = "is_pair"
+            marks = [len(picks)]
             mods.bond.is_bonding_pair(q.forward, q.backward)
-            stage[0] = "hom"
+            marks.append(len(picks))
             h = mods.functors.hom_of_pair(q)
-            stage[0] = "pair_rt"
+            marks.append(len(picks))
             mods.functors.pair_roundtrip_holds(q)
-            stage[0] = "hom_rt"
+            marks.append(len(picks))
             mods.functors.hom_roundtrip_holds(h)
-        finally:
-            for module, key, original, _ in patches:
-                setattr(module, key, original)
-        print(f"{label:>13} " + " ".join(f"{counts[name]:>7}" for name in stages)
-              + f" {sum(counts.values()):>7}")
+            marks.append(len(picks))
+        counts = [
+            sum(name in STAGE_KERNELS for name, _ in picks[start:end])
+            for start, end in zip([0, *marks], marks)
+        ]
+        print(f"{label:>13} " + " ".join(f"{n:>7}" for n in counts) + f" {sum(counts):>7}")
 
 
 def main(argv: list[str] | None = None) -> int:
