@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 
 from . import relalg
 from .classification import Classification, contranominal_classification
-from .errors import CheckResult, ShapeError, ValidationError, quote
+from .errors import CheckResult, ShapeError, ValidationError, quote, require_shape
 from .infomorphism import RelationalInfomorphism, check_relational
 from .lattice import ConceptLattice, concept_lattice_of
 from .relalg import FunctionGraph, Relation, _new, _setattr, left_residual, right_residual, view
@@ -97,11 +97,9 @@ class Bond:
 
 
 def _require_shape(A: Classification, B: Classification, rel: Relation, what: str) -> None:
-    """Raise ``ShapeError`` naming ``what`` unless ``rel`` is
-    inst(B) x typ(A), the shape of a bond from ``A`` to ``B``."""
-    expected = (len(B.instances), len(A.types))
-    if rel.shape != expected:
-        raise ShapeError(f"{what} shape {rel.shape}, expected {expected}")
+    """``require_shape`` of ``rel``, named ``what``: inst(B) x typ(A), the
+    shape of a bond from ``A`` to ``B``."""
+    require_shape(what, rel.shape, (len(B.instances), len(A.types)))
 
 
 def is_bond(A: Classification, B: Classification, rel: Relation | Bond) -> CheckResult:
@@ -309,8 +307,7 @@ def collective_from_function(L: ConceptLattice, f: FunctionGraph) -> Bond:
     ``mediating_function`` reads ``f`` back when ``L`` is
     ``concept_lattice_of(L.classification)``; a ``CompleteLattice`` numbers
     its elements in its own order."""
-    if f.dst_size != L.size:
-        raise ShapeError(f"function lands in {f.dst_size} elements, lattice has {L.size}")
+    require_shape("function", f.shape, (f.src_size, L.size))
     K = L.classification
     rel = Relation(f.src_size, len(K.types), tuple(map(L.intents.__getitem__, f.targets)))
     return Bond._of(K, contranominal_classification(f.src_size), rel)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from . import functors
 from .classification import Classification, powerset_classification
 from .classification import dual as dual_classification
-from .errors import CheckResult, ShapeError, ValidationError
+from .errors import CheckResult, ShapeError, ValidationError, require_shape
 from .infomorphism import FunctionalInfomorphism, dual_functional
 from .relalg import (
     FunctionGraph,
@@ -187,10 +187,7 @@ def check_dual_invariant(A: Classification, J: DualInvariant) -> CheckResult:
     ``alpha``.  The witness is the first failing row, its lowest type outside
     the group and the lowest kept instance telling the two apart: the first
     separating pair in ``(alpha, beta)`` order."""
-    if J.type_relation.shape != (len(A.types), len(A.types)):
-        raise ShapeError(
-            f"type relation shape {J.type_relation.shape} for {len(A.types)} types"
-        )
+    require_shape("type relation", J.type_relation.shape, (len(A.types), len(A.types)))
     if J.kept_instances < 0 or J.kept_instances & ~A.full_instances:
         raise ShapeError("kept instance set out of range")
     kept = tuple(col & J.kept_instances for col in A.cols)

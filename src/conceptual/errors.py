@@ -32,7 +32,17 @@ class ConceptualError(Exception):
 
 
 class ShapeError(ConceptualError):
-    """Operands have incompatible shapes; the message names both."""
+    """Operands have incompatible shapes, or a field has the wrong one; the
+    message names both operands' shapes, or the field's and the one
+    expected."""
+
+
+def require_shape(what: str, got: tuple[int, int], expected: tuple[int, int]) -> None:
+    """Raise ``ShapeError("<what> shape <got>, expected <expected>")``
+    unless the field ``what`` has the shape ``expected``: the one refusal
+    of a wrongly shaped field."""
+    if got != expected:
+        raise ShapeError(f"{what} shape {got}, expected {expected}")
 
 
 class ValidationError(ConceptualError):

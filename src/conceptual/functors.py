@@ -28,7 +28,7 @@ from functools import lru_cache
 
 from .bond import Bond, BondingPair, _closure_failure, compose_bonds
 from .classification import Classification
-from .errors import CheckResult, ShapeError, ValidationError, quote
+from .errors import CheckResult, ShapeError, ValidationError, quote, require_shape
 from .infomorphism import FunctionalInfomorphism
 from .lattice import (
     ConceptLattice,
@@ -71,8 +71,7 @@ class CompleteLattice(ConceptLattice):
 
     def __init__(self, elements: tuple[str, ...], leq: Relation):
         n = len(elements)
-        if leq.shape != (n, n):
-            raise ShapeError(f"order shape {leq.shape} for {n} elements")
+        require_shape("order", leq.shape, (n, n))
         if len(set(elements)) != n:
             raise ValidationError("duplicate element labels")
         _setattr(self, "classification", Classification._of(elements, elements, leq))
@@ -144,14 +143,10 @@ class ConceptLatticeMorphism:
 
     def __post_init__(self):
         src, tgt = self.source, self.target
-        for name, fn, shape in (
-            ("phi", self.phi, (tgt.size, src.size)),
-            ("psi", self.psi, (src.size, tgt.size)),
-            ("f", self.f, (len(tgt.instance_labels), len(src.instance_labels))),
-            ("g", self.g, (len(src.type_labels), len(tgt.type_labels))),
-        ):
-            if fn.shape != shape:
-                raise ShapeError(f"{name} shape {fn.shape} is wrong")
+        require_shape("phi", self.phi.shape, (tgt.size, src.size))
+        require_shape("psi", self.psi.shape, (src.size, tgt.size))
+        require_shape("f", self.f.shape, (len(tgt.instance_labels), len(src.instance_labels)))
+        require_shape("g", self.g.shape, (len(src.type_labels), len(tgt.type_labels)))
         check_lattice_morphism(self).require("not a concept lattice morphism")
 
 
@@ -449,8 +444,7 @@ class CompleteHomomorphism:
     psi: FunctionGraph
 
     def __post_init__(self):
-        if self.psi.shape != (self.source.size, self.target.size):
-            raise ShapeError(f"psi shape {self.psi.shape} is wrong")
+        require_shape("psi", self.psi.shape, (self.source.size, self.target.size))
         is_complete_homomorphism(self.source, self.target, self).require(
             "not a complete homomorphism"
         )

@@ -19,7 +19,7 @@ from .classification import (
     type_preorder,
     dual as dual_classification,
 )
-from .errors import CheckResult, ShapeError
+from .errors import CheckResult, ShapeError, require_shape
 from .relalg import FunctionGraph, Relation, _new, _setattr, compose, left_residual, transpose
 
 
@@ -33,16 +33,9 @@ class FunctionalInfomorphism:
     g: FunctionGraph  # types: source -> target
 
     def __post_init__(self):
-        if self.f.shape != (len(self.target.instances), len(self.source.instances)):
-            raise ShapeError(
-                f"instance function shape {self.f.shape} does not map "
-                f"target instances to source instances"
-            )
-        if self.g.shape != (len(self.source.types), len(self.target.types)):
-            raise ShapeError(
-                f"type function shape {self.g.shape} does not map "
-                f"source types to target types"
-            )
+        src, tgt = self.source, self.target
+        require_shape("instance function", self.f.shape, (len(tgt.instances), len(src.instances)))
+        require_shape("type function", self.g.shape, (len(src.types), len(tgt.types)))
         check_functional(self).require("not a functional infomorphism")
 
     @classmethod
@@ -127,10 +120,9 @@ class RelationalInfomorphism:
     s: Relation  # types: source -> target
 
     def __post_init__(self):
-        if self.r.shape != (len(self.source.instances), len(self.target.instances)):
-            raise ShapeError(f"instance relation shape {self.r.shape} is wrong")
-        if self.s.shape != (len(self.source.types), len(self.target.types)):
-            raise ShapeError(f"type relation shape {self.s.shape} is wrong")
+        src, tgt = self.source, self.target
+        require_shape("instance relation", self.r.shape, (len(src.instances), len(tgt.instances)))
+        require_shape("type relation", self.s.shape, (len(src.types), len(tgt.types)))
         check_relational(self).require("not a relational infomorphism")
 
     @classmethod

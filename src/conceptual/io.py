@@ -273,9 +273,12 @@ def _matrix(value, kind: str, key: str, src_size: int, dst_size: int) -> Relatio
     """The relation of the matrix field ``key`` of a ``kind`` object,
     ``src_size`` rows of ``dst_size`` cells, read by ``Relation.from_matrix``,
     whose refusals, a first row of another length or a first bad cell, are
-    prefixed with the field; a value that is no list of rows fails there
-    with a ``TypeError``."""
+    prefixed with the field.  A value that is no list, whose keys or
+    characters ``from_matrix`` would read as rows, and a list whose rows
+    have no length are refused as no list of rows."""
     try:
+        if not isinstance(value, list):
+            raise TypeError
         rel = Relation.from_matrix(value, dst_size=dst_size)
     except TypeError:
         raise ParseError(f"bad {kind} object: {key} must be a list of rows") from None

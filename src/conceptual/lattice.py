@@ -310,10 +310,10 @@ def build_lattice(K: Classification, max_concepts: int = DEFAULT_CONCEPT_CAP) ->
     still free in a descendant, the descendant's closure at ``j`` adds it
     too and fails: the whole skip test is ``failed[j] & free``, and the
     closure is not computed.  A child's closure is the AND of its extent's
-    rows with the floor ``B | {j}``, ``relalg.intersect_rows`` written into
-    both loops: every instance of its extent has those types, so its intent
-    contains that set, and the AND stops once it has narrowed to it, for no
-    further row can remove a type.
+    rows, written into both loops and stopped at the floor ``B | {j}``:
+    every instance of its extent has those types, so its intent contains
+    that set, and the AND stops once it has narrowed to it, for no further
+    row can remove a type.
 
     A child at a type that no row of ``ext`` has gets the empty extent, whose
     closure is every type.  It adds every type below ``j`` that ``B`` lacks,

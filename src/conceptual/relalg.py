@@ -36,7 +36,10 @@ quantifier come out full, which keeps the adjunction laws total.
 Values are checked where they enter.  The public constructors,
 ``Relation(...)``, ``from_pairs``, ``from_matrix``, ``FunctionGraph(...)``
 and ``from_targets``, refuse negative sizes, wrong row counts, rows or
-targets out of range, and rows or targets that are no tuple of ints.  A
+targets out of range, and rows or targets that are no tuple of ints.  Both
+classes are plain frozen dataclasses that check in ``__post_init__``, as
+every checked dataclass of the package does; a class whose fields must meet
+a shape refuses a wrong one through ``errors.require_shape``.  A
 value built from checked operands is in range by construction and is
 stored unchecked by its class's ``_of``: the result of each kernel,
 ``complement``, ``union`` and ``identity``, ``from_digits`` (whose callers
@@ -143,7 +146,7 @@ def _require_ints(values, what: str) -> None:
 _DIGITS = {0: "0", 1: "1"}
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class Relation:
     """Boolean matrix between two finite index sets, value semantics."""
 
@@ -151,14 +154,8 @@ class Relation:
     dst_size: int
     rows: tuple[int, ...]
 
-    # written by hand, not generated, to check the fields before storing them
-    # without a ``__post_init__`` call; ``object.__setattr__`` passes the
-    # frozen guard and keeps the fields in the instance's compact inline
-    # values, where a ``__dict__.update`` would give every relation a dict of
-    # its own (about 250 bytes against 105).  The check is for values from
-    # outside the library: a kernel, whose rows are in range because its
-    # operands are, stores its result with ``_of`` unchecked
-    def __init__(self, src_size: int, dst_size: int, rows: tuple[int, ...]):
+    def __post_init__(self):
+        src_size, dst_size, rows = self.src_size, self.dst_size, self.rows
         if src_size < 0 or dst_size < 0:
             raise ValidationError("relation sizes must be nonnegative")
         _require_ints(rows, "relation rows")
@@ -170,9 +167,6 @@ class Relation:
         if rows and (min(rows) < 0 or max(rows) > full):
             a = next(a for a, row in enumerate(rows) if row < 0 or row > full)
             raise ValidationError(f"row {a} has bits outside 0..{dst_size - 1}")
-        _setattr(self, "src_size", src_size)
-        _setattr(self, "dst_size", dst_size)
-        _setattr(self, "rows", rows)
 
     @classmethod
     def _of(cls, src_size: int, dst_size: int, rows: tuple[int, ...]) -> "Relation":
@@ -351,12 +345,10 @@ def _unions(masks: Sequence[int], table: Sequence[int], reading: str) -> tuple[i
     return tuple(out)
 
 
-def intersect_rows(rows: Sequence[int], mask: int, full: int, floor: int = 0) -> int:
+def intersect_rows(rows: Sequence[int], mask: int, full: int) -> int:
     """The AND of ``full`` and the rows at the bits of ``mask``, lowest
-    first, stopped once it equals ``floor``: a set the AND is known to
-    contain, so no further row can take a bit from it; ``0`` stops at the
-    empty set."""
-    while mask and full != floor:
+    first, stopped once it is empty."""
+    while mask and full:
         low = mask & -mask
         full &= rows[low.bit_length() - 1]
         mask ^= low

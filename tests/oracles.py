@@ -540,11 +540,14 @@ def complete_hom_oracle(L, K, psi) -> tuple[bool, tuple | None]:
 def canonical_adjoints_oracle(h) -> tuple[FunctionGraph, FunctionGraph]:
     """The adjoints of a complete homomorphism by the meet and join folds:
     ``phi(y)`` is the meet of ``psi^-1(up y)`` and ``theta(y)`` the join of
-    ``psi^-1(down y)``, each found by ``meet_of``/``join_of``."""
+    ``psi^-1(down y)``, each found by ``meet_of``/``join_of``.  The inverse
+    images are ``preimages_oracle``'s fiber loop, not ``pullback``, the
+    gather behind the ``principal_preimages`` that ``canonical_adjoints``
+    reads."""
     L, K, psi = h.source, h.target, h.psi
     return (
-        FunctionGraph(tuple(map(L.meet_of, psi.preimages(K.intents))), L.size),
-        FunctionGraph(tuple(map(L.join_of, psi.preimages(K.extents))), L.size),
+        FunctionGraph(tuple(map(L.meet_of, preimages_oracle(psi, K.intents))), L.size),
+        FunctionGraph(tuple(map(L.join_of, preimages_oracle(psi, K.extents))), L.size),
     )
 
 

@@ -407,6 +407,22 @@ REFUSALS = {
         {"a.json": dumps({**classification_to_obj(K1), "incidence": [[1, 0], [2, 1]]})},
         "bad classification object: incidence matrix cell must be 0/1, got 2",
     ),
+    # an object's keys and a string's characters are no rows
+    "incidence-object": (
+        ["lattice", "a.json"],
+        {"a.json": dumps({**classification_to_obj(K1), "incidence": {"ab": 1, "cd": 0}})},
+        "bad classification object: incidence must be a list of rows",
+    ),
+    "incidence-string": (
+        ["lattice", "a.json"],
+        {"a.json": dumps({**classification_to_obj(K1), "incidence": "10"})},
+        "bad classification object: incidence must be a list of rows",
+    ),
+    "rel-string": (
+        ["check", "bond", "a.json"],
+        {"a.json": dumps({**FIVE, "data": {"rel": "1011"}})},
+        "bad morphism object: rel must be a list of rows",
+    ),
     "incidence-missing": (
         ["lattice", "a.json"],
         {"a.json": dumps({"instances": ["1", "2"], "types": ["a", "b"]})},

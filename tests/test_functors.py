@@ -207,9 +207,10 @@ class TestCompleteLattice:
 
     def test_constructor_errors_keep_their_messages(self):
         """The order shape is checked first, then the labels, then the
-        order; the messages are those of the lattice before it was a
-        concept lattice."""
-        with pytest.raises(ShapeError, match=r"^order shape \(3, 3\) for 2 elements$"):
+        order.  The shape is refused as every wrongly shaped field is, with
+        the shape expected; the other messages are those of the lattice
+        before it was a concept lattice."""
+        with pytest.raises(ShapeError, match=r"^order shape \(3, 3\), expected \(2, 2\)$"):
             CompleteLattice(("x", "x"), Relation.full(3, 3))
         with pytest.raises(ValidationError, match="^duplicate element labels$"):
             CompleteLattice(("x", "x"), Relation.full(2, 2))

@@ -228,9 +228,8 @@ def subset(draw, full: int) -> int:
 @settings(max_examples=150, deadline=None, database=None)
 @given(st.data())
 def test_intersect_rows_is_the_derivation(data):
-    """With the floor 0, ``intersect_rows`` is the intent of a set of
-    instances and the extent of a set of types; with any floor inside the
-    whole AND, as the FCbO walk passes a child's closure, it is that AND."""
+    """``intersect_rows`` is the intent of a set of instances and the
+    extent of a set of types."""
     r = data.draw(shaped())
     m, n = r.shape
     K = Classification(tuple(f"i{a}" for a in range(m)), tuple(f"t{t}" for t in range(n)), r)
@@ -239,8 +238,6 @@ def test_intersect_rows_is_the_derivation(data):
     assert intent == mask_of(intent_oracle(K, set(bits(imask))))
     extent = intersect_rows(K.cols, tmask, K.full_instances)
     assert extent == mask_of(extent_oracle(K, set(bits(tmask))))
-    floor = subset(data.draw, intent)
-    assert intersect_rows(K.rows, imask, K.full_types, floor) == intent
 
 
 # the right residual's complement tables against the per-cell oracle: the

@@ -18,7 +18,8 @@ An unchecked mode is surface too.  A value is stored unchecked only by its
 class's private ``_of``, so no class declares an ``InitVar`` switch, and
 the one public ``validate`` parameter is ``io.morphism_from_obj``'s, which
 picks between a constructor and ``_of`` for what ``conceptual check``
-reads from files.
+reads from files.  The checked path has one form too: no dataclass writes
+its own ``__init__``, each checks in ``__post_init__``.
 """
 
 import ast
@@ -170,6 +171,53 @@ def test_a_validate_switch_is_found():
     )
     assert classes_with_init_vars({"bond": tree}) == {"bond.Bond"}
     assert functions_with_validate({"bond": tree}) == {"bond.__post_init__", "bond.read"}
+
+
+def dataclasses_with_init(trees) -> set[str]:
+    """``module.Class`` for each class decorated ``@dataclass``, called or
+    not, whose own body defines ``__init__``."""
+    return {
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any(
+            ast.unparse(d.func if isinstance(d, ast.Call) else d).endswith("dataclass")
+            for d in node.decorator_list
+        )
+        and any(isinstance(m, ast.FunctionDef) and m.name == "__init__" for m in node.body)
+    }
+
+
+def test_no_dataclass_writes_its_own_init():
+    """A dataclass checks its fields in ``__post_init__`` after the
+    generated ``__init__`` stores them, and stores unchecked through
+    ``_of``.  ``functors.CompleteLattice`` is an undecorated subclass and
+    keeps its ``(elements, leq)`` constructor."""
+    assert dataclasses_with_init(package_trees()) == set()
+
+
+def test_a_hand_written_dataclass_init_is_found():
+    """The finder sees the constructor ``Relation`` used to write, and
+    passes a plain dataclass and an undecorated subclass."""
+    tree = ast.parse(
+        "@dataclass(frozen=True, init=False)\n"
+        "class Relation:\n"
+        "    rows: tuple\n"
+        "    def __init__(self, rows):\n"
+        "        pass\n"
+        "@dataclasses.dataclass\n"
+        "class Bond:\n"
+        "    def __init__(self):\n"
+        "        pass\n"
+        "@dataclass(frozen=True)\n"
+        "class FunctionGraph:\n"
+        "    targets: tuple\n"
+        "class CompleteLattice(Relation):\n"
+        "    def __init__(self, elements, leq):\n"
+        "        pass\n"
+    )
+    assert dataclasses_with_init({"relalg": tree}) == {"relalg.Relation", "relalg.Bond"}
 
 
 def tracer_layers() -> dict[str, list[str]]:

@@ -5,6 +5,7 @@ the first failing row, then its lowest failing bit, and not some other
 failure the check could have named.
 """
 
+import re
 from types import SimpleNamespace
 
 import pytest
@@ -13,6 +14,7 @@ from conceptual.bond import (
     Bond,
     BondingPair,
     close_to_bond,
+    collective_from_function,
     collective_transport,
     compose_bonding_pairs,
     identity_bond,
@@ -168,19 +170,19 @@ LB = concept_lattice_of(chain_classification(3))
 WRONG_SHAPES = {
     "functional-f": (
         lambda: FunctionalInfomorphism(A, B, fg((0,) * 4, 4), fg((0,) * 4, 3)),
-        "instance function shape (4, 4) does not map target instances to source instances",
+        "instance function shape (4, 4), expected (5, 4)",
     ),
     "functional-g": (
         lambda: FunctionalInfomorphism(A, B, fg((0,) * 5, 4), fg((0,) * 3, 3)),
-        "type function shape (3, 3) does not map source types to target types",
+        "type function shape (3, 3), expected (4, 3)",
     ),
     "relational-r": (
         lambda: RelationalInfomorphism(A, B, Relation.empty(4, 4), Relation.empty(4, 3)),
-        "instance relation shape (4, 4) is wrong",
+        "instance relation shape (4, 4), expected (4, 5)",
     ),
     "relational-s": (
         lambda: RelationalInfomorphism(A, B, Relation.empty(4, 5), Relation.empty(3, 3)),
-        "type relation shape (3, 3) is wrong",
+        "type relation shape (3, 3), expected (4, 3)",
     ),
     "bond": (
         lambda: Bond(A, B, Relation.empty(4, 4)),
@@ -190,42 +192,46 @@ WRONG_SHAPES = {
         lambda: ConceptLatticeMorphism(
             LA, LB, fg((0,) * 4, 4), fg((0,) * 4, 3), fg((0,) * 3, 2), fg((0,) * 2, 3)
         ),
-        "phi shape (4, 4) is wrong",
+        "phi shape (4, 4), expected (3, 4)",
     ),
     "lattice-morphism-psi": (
         lambda: ConceptLatticeMorphism(
             LA, LB, fg((0,) * 3, 4), fg((0,) * 3, 3), fg((0,) * 3, 2), fg((0,) * 2, 3)
         ),
-        "psi shape (3, 3) is wrong",
+        "psi shape (3, 3), expected (4, 3)",
     ),
     "lattice-morphism-f": (
         lambda: ConceptLatticeMorphism(
             LA, LB, fg((0,) * 3, 4), fg((0,) * 4, 3), fg((0,) * 2, 2), fg((0,) * 2, 3)
         ),
-        "f shape (2, 2) is wrong",
+        "f shape (2, 2), expected (3, 2)",
     ),
     "lattice-morphism-g": (
         lambda: ConceptLatticeMorphism(
             LA, LB, fg((0,) * 3, 4), fg((0,) * 4, 3), fg((0,) * 3, 2), fg((0,) * 2, 2)
         ),
-        "g shape (2, 2) is wrong",
+        "g shape (2, 2), expected (2, 3)",
     ),
     # an adjoint pair between complete lattices, f and g being phi and psi
     "adjoint-phi": (
         lambda: ConceptLatticeMorphism(
             SQUARE, CHAIN3, fg((0,) * 4, 4), fg((0,) * 4, 3), fg((0,) * 4, 4), fg((0,) * 4, 3)
         ),
-        "phi shape (4, 4) is wrong",
+        "phi shape (4, 4), expected (3, 4)",
     ),
     "adjoint-psi": (
         lambda: ConceptLatticeMorphism(
             SQUARE, CHAIN3, fg((0,) * 3, 4), fg((0,) * 3, 3), fg((0,) * 3, 4), fg((0,) * 3, 3)
         ),
-        "psi shape (3, 3) is wrong",
+        "psi shape (3, 3), expected (4, 3)",
     ),
     "complete-homomorphism": (
         lambda: CompleteHomomorphism(SQUARE, CHAIN3, fg((0,) * 3, 3)),
-        "psi shape (3, 3) is wrong",
+        "psi shape (3, 3), expected (4, 3)",
+    ),
+    "complete-lattice-order": (
+        lambda: CompleteLattice(("x", "y"), Relation.full(3, 3)),
+        "order shape (3, 3), expected (2, 2)",
     ),
     "is-bond": (
         lambda: is_bond(A, B, Relation.empty(4, 4)),
@@ -234,6 +240,11 @@ WRONG_SHAPES = {
     "bond-seed": (
         lambda: close_to_bond(A, B, Relation.empty(4, 4)),
         "bond seed shape (4, 4), expected (5, 4)",
+    ),
+    # a function into a lattice of 3 elements where ``LA`` has 4
+    "collective-function": (
+        lambda: collective_from_function(LA, fg((0, 2), 3)),
+        "function shape (2, 3), expected (2, 4)",
     ),
     "bonding-pair-ends": (
         lambda: BondingPair(identity_bond(A), identity_bond(B)),
@@ -259,7 +270,7 @@ WRONG_SHAPES = {
     ),
     "dual-invariant": (
         lambda: check_dual_invariant(A, DualInvariant(0, Relation.empty(3, 3))),
-        "type relation shape (3, 3) for 4 types",
+        "type relation shape (3, 3), expected (4, 4)",
     ),
     "dual-invariant-kept": (
         lambda: check_dual_invariant(A, DualInvariant(1 << 4, Relation.empty(4, 4))),
@@ -284,6 +295,34 @@ def test_wrong_shape_is_a_shape_error(build, message):
     with pytest.raises(ShapeError) as exc:
         build()
     assert str(exc.value) == message
+
+
+# a wrongly shaped field, refused by ``errors.require_shape``; the other rows
+# of ``WRONG_SHAPES`` refuse operands or endpoints that do not meet
+FIELD_SHAPE = re.compile(r"[a-z ]+ shape \(\d+, \d+\), expected \(\d+, \d+\)")
+
+
+def test_each_wrong_field_names_the_shape_expected():
+    fields = [key for key, (_, message) in WRONG_SHAPES.items() if FIELD_SHAPE.fullmatch(message)]
+    assert fields == [
+        "functional-f",
+        "functional-g",
+        "relational-r",
+        "relational-s",
+        "bond",
+        "lattice-morphism-phi",
+        "lattice-morphism-psi",
+        "lattice-morphism-f",
+        "lattice-morphism-g",
+        "adjoint-phi",
+        "adjoint-psi",
+        "complete-homomorphism",
+        "complete-lattice-order",
+        "is-bond",
+        "bond-seed",
+        "collective-function",
+        "dual-invariant",
+    ]
 
 
 # the other refusals of bad arguments: the exception and its message
