@@ -106,11 +106,19 @@ def coproduct_mediator(
     """The unique morphism out of the apex agreeing with a cocone."""
     if mA.source != d.left or mB.source != d.right or mA.target != mB.target:
         raise ShapeError("cocone endpoints do not match the diagram")
-    C = mA.target
+    return FunctionalInfomorphism(d.apex, mA.target, *_mediator_maps(d, mA, mB))
+
+
+def _mediator_maps(
+    d: CoproductDiagram, mA: FunctionalInfomorphism, mB: FunctionalInfomorphism
+) -> tuple[FunctionGraph, FunctionGraph]:
+    """The maps ``(f, g)`` of the mediator of the cocone ``(mA, mB)``: on a
+    sum, ``f`` pairs the two legs' instances; on an apposition it is their
+    shared instance map.  ``g`` puts the legs' type maps side by side."""
     if d.kind == "sum":
         nb = len(d.right.instances)
-        f = FunctionGraph.from_targets(
-            tuple(mA.f(c) * nb + mB.f(c) for c in range(len(C.instances))),
+        f = FunctionGraph(
+            tuple(a * nb + b for a, b in zip(mA.f.targets, mB.f.targets)),
             len(d.apex.instances),
         )
     elif d.kind == "apposition":
@@ -119,8 +127,7 @@ def coproduct_mediator(
         f = mA.f
     else:
         raise ValidationError(f"unknown coproduct kind {d.kind!r}")
-    g = FunctionGraph(mA.g.targets + mB.g.targets, len(C.types))
-    return FunctionalInfomorphism(d.apex, C, f, g)
+    return f, FunctionGraph(mA.g.targets + mB.g.targets, len(mA.target.types))
 
 
 def _dual_diagram(d: CoproductDiagram, kind: str) -> ProductDiagram:
@@ -249,16 +256,17 @@ def _propagate(f_candidates, source_cols, source_rows, target_cols):
     source_rows, f)[t] == target_cols[g(t)]``.  ``source_rows`` are
     the source's instance rows, the columns of ``source_cols``.
     Lexicographic in ``f``, then in ``g``: for each ``f`` the ``g`` are the
-    product of the ascending types of each pulled-back column."""
+    product of the ascending types of each pulled-back column.  Both maps
+    are in range by construction and stored unchecked."""
     types_of: dict[int, list[int]] = {}
     for u, col in enumerate(target_cols):
         types_of.setdefault(col, []).append(u)
     n, f_size = len(target_cols), len(source_rows)
     for f_t in f_candidates:
-        f = FunctionGraph(f_t, f_size)
+        f = FunctionGraph._of(f_t, f_size)
         choices = [types_of.get(col, ()) for col in pullback(source_cols, source_rows, f)]
         for g_t in itertools.product(*choices):
-            yield f, FunctionGraph(g_t, n)
+            yield f, FunctionGraph._of(g_t, n)
 
 
 def enumerate_infomorphisms(A: Classification, C: Classification, instance_identity: bool = False):
@@ -298,26 +306,29 @@ def _key(maps, m) -> tuple:
     return tuple(x.targets for x in back + forward)
 
 
+def _composite_key(first, second) -> tuple:
+    """The key of the composite ``first;second`` from the maps of both,
+    backward then forward: it runs each backward map of ``second`` then that
+    of ``first``, and each forward map of ``first`` then that of ``second``,
+    as ``compose_functional`` and ``compose_lattice_morphisms`` do.  Read
+    with ``then_targets``; no composite is built or checked."""
+    (back1, forward1), (back2, forward2) = first, second
+    then = FunctionGraph.then_targets
+    return (*map(then, back2, back1), *map(then, forward1, forward2))
+
+
 def _by_restrictions(candidates, maps, left, right) -> dict:
     """Candidates grouped by the keys of their two composites with the
     injections, each list in candidate order: a cocone's mediators are the
     entry at the keys of its two legs.
 
-    A composite ``inj;m`` runs each backward map of ``m`` then that of
-    ``inj``, and each forward map of ``inj`` then that of ``m``, as
-    ``compose_functional`` and ``compose_lattice_morphisms`` do.  Its key is
-    read with ``then_targets``, and no composite is built or checked.  Every
-    composite with ``left`` (``right``) has the endpoints of a left (right)
-    leg, so equal keys mean equal morphisms."""
+    Every composite with ``left`` (``right``) has the endpoints of a left
+    (right) leg, so equal keys mean equal morphisms."""
     injections = (maps(left), maps(right))
     index: dict = {}
     for m in candidates:
-        back, forward = maps(m)
-        key = tuple(
-            tuple(x.then_targets(y) for x, y in zip(back, inj_back))
-            + tuple(y.then_targets(x) for x, y in zip(forward, inj_forward))
-            for inj_back, inj_forward in injections
-        )
+        m_maps = maps(m)
+        key = tuple(_composite_key(inj, m_maps) for inj in injections)
         index.setdefault(key, []).append(m)
     return index
 
@@ -333,6 +344,12 @@ def check_coproduct_property(
 ) -> list[list[tuple]]:
     """Enumerate cocones over the given targets and confirm a unique mediator,
     equal to the formula-built one, for each.
+
+    The formula's maps, ``_mediator_maps``, are compared with the found
+    mediator's as target tuples: the two share their endpoints, so equal
+    keys mean equal morphisms, and the found one is checked already.  Only
+    a cocone that fails builds the checked ``coproduct_mediator``, which
+    raises where the formula is no infomorphism.
 
     Returns the cocones of each target, in report order: the item, the two
     legs and the mediator ``coproduct_mediator`` builds from them."""
@@ -356,8 +373,10 @@ def check_coproduct_property(
             for cb, mB in enumerate(legs_b):
                 item = f"target-{t_i}-cocone-{ca}-{cb}"
                 found = mediators.get((key_a, keys_b[cb]), [])
-                built = coproduct_mediator(d, mA, mB)
-                ok = len(found) == 1 and found[0] == built
+                f, g = _mediator_maps(d, mA, mB)
+                formula = (f.targets, g.targets)
+                ok = len(found) == 1 and _key(_infomorphism_maps, found[0]) == formula
+                built = found[0] if ok else coproduct_mediator(d, mA, mB)
                 report.add(
                     transport_families(d.kind)[0],
                     item,
@@ -376,6 +395,13 @@ def transport_coproduct(d: CoproductDiagram, targets: list[Classification]) -> V
     functor, and compose with the rebuild isomorphism of the target lattice.
     The cocones and their mediators are those ``check_coproduct_property``
     enumerated; each leg's lattice image is computed once per target.
+
+    The recipe's key, ``_composite_key`` of the functor's maps and the
+    isomorphism's, is compared with the found lattice mediator's, whose
+    endpoints it shares, so equal keys mean equal morphisms.  The two middle
+    lattices are compared once per target, as ``compose_lattice_morphisms``
+    compares them, and only a cocone that fails builds the checked
+    composite, which raises where the recipe gives no lattice morphism.
     """
     report = VerificationReport()
     cocones = check_coproduct_property(d, targets, report)
@@ -386,6 +412,9 @@ def transport_coproduct(d: CoproductDiagram, targets: list[Classification]) -> V
     for C, target_cocones in zip(targets, cocones):
         M = functors.concept_lattice_of(C)
         iso = functors.lattice_equivalence_witness(M)
+        if target_cocones and M != iso.source:
+            raise ShapeError("compose_lattice_morphisms: middle lattices differ")
+        iso_maps = _lattice_maps(iso)
         image_key = functools.cache(
             lambda m: _key(_lattice_maps, functors.lattice_of_morphism(m))
         )
@@ -394,10 +423,12 @@ def transport_coproduct(d: CoproductDiagram, targets: list[Classification]) -> V
         )
         for item, mA, mB, mediator in target_cocones:
             found = mediators.get((image_key(mA), image_key(mB)), [])
-            formula = functors.compose_lattice_morphisms(
-                functors.lattice_of_morphism(mediator), iso
-            )
-            ok = len(found) == 1 and found[0] == formula
+            phi, psi = functors._functor_maps(L_apex, M, mediator.f, mediator.g)
+            formula = _composite_key(((phi, mediator.f), (psi, mediator.g)), iso_maps)
+            ok = len(found) == 1 and _key(_lattice_maps, found[0]) == formula
+            if not ok:
+                # the checked composite, which raises where it is no morphism
+                functors.compose_lattice_morphisms(functors.lattice_of_morphism(mediator), iso)
             report.add(
                 transport_families(d.kind)[1],
                 item,
@@ -417,7 +448,9 @@ def _enumerate_lattice_morphisms(L, M) -> list:
     classification, so the pairs ``(f, g)`` of a morphism are among those
     ``_propagate`` finds on the two classifications: the infomorphisms.  The
     lattice maps are forced, ``psi`` by meet-density and ``phi`` by
-    join-density, and the checking constructor rejects none of them."""
+    join-density, and the checking constructor rejects none of them.  The
+    maps are indices of the two lattices, stored unchecked; each morphism
+    is checked."""
     out = []
     source, target = L.classification, M.classification
     f_candidates = itertools.product(range(len(source.instances)), repeat=len(target.instances))
@@ -428,7 +461,7 @@ def _enumerate_lattice_morphisms(L, M) -> list:
         phi_t = tuple(
             L.join_index(L.iota(f(b)) for b in bits(M.extents[y])) for y in range(M.size)
         )
-        phi = FunctionGraph.from_targets(phi_t, L.size)
-        psi = FunctionGraph.from_targets(psi_t, M.size)
+        phi = FunctionGraph._of(phi_t, L.size)
+        psi = FunctionGraph._of(psi_t, M.size)
         out.append(functors.ConceptLatticeMorphism(L, M, phi, psi, f, g))
     return out

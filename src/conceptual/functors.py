@@ -202,13 +202,22 @@ def lattice_of_morphism(m: FunctionalInfomorphism) -> ConceptLatticeMorphism:
     (along ``g``) of the extents, whose columns are the rows of ``iota_rel``
     (of the intents, the rows of ``tau_rel``).
     """
-    LA = concept_lattice_of(m.source)
-    LB = concept_lattice_of(m.target)
-    extents = pullback(LA.extents, LA.iota_rel.rows, m.f)
-    intents = pullback(LB.intents, LB.tau_rel.columns, m.g)
+    LA, LB = concept_lattice_of(m.source), concept_lattice_of(m.target)
+    phi, psi = _functor_maps(LA, LB, m.f, m.g)
+    return ConceptLatticeMorphism(LA, LB, phi, psi, m.f, m.g)
+
+
+def _functor_maps(
+    LA: ConceptLattice, LB: ConceptLattice, f: FunctionGraph, g: FunctionGraph
+) -> tuple[FunctionGraph, FunctionGraph]:
+    """The lattice maps ``(phi, psi)`` of ``lattice_of_morphism(m)`` for an
+    infomorphism ``m`` with maps ``f`` and ``g`` between the classifications
+    of ``LA`` and ``LB``, unchecked, for a caller that compares them."""
+    extents = pullback(LA.extents, LA.iota_rel.rows, f)
+    intents = pullback(LB.intents, LB.tau_rel.columns, g)
     psi = FunctionGraph._of(tuple(map(LB.extent_index.__getitem__, extents)), LB.size)
     phi = FunctionGraph._of(tuple(map(LA.intent_index.__getitem__, intents)), LA.size)
-    return ConceptLatticeMorphism(LA, LB, phi, psi, m.f, m.g)
+    return phi, psi
 
 
 def classification_of_lattice(L: ConceptLattice) -> Classification:

@@ -151,12 +151,6 @@ def check_relational(m: RelationalInfomorphism) -> CheckResult:
     return _instance_type_witness(m, diff, "residuals differ")
 
 
-def identity_relational(K: Classification) -> RelationalInfomorphism:
-    n_i = len(K.instances)
-    n_t = len(K.types)
-    return RelationalInfomorphism(K, K, relalg.identity(n_i), relalg.identity(n_t))
-
-
 def compose_relational(
     m1: RelationalInfomorphism, m2: RelationalInfomorphism
 ) -> RelationalInfomorphism:

@@ -168,15 +168,6 @@ def parse_csv(text: str) -> Classification:
         raise ParseError(str(e)) from None
 
 
-def emit_csv(K: Classification) -> str:
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([""] + list(K.types))
-    for label, cells in zip(K.instances, K.incidence.matrix()):
-        writer.writerow([label, *cells])
-    return buf.getvalue()
-
-
 # -- JSON -----------------------------------------------------------------------
 
 
@@ -273,15 +264,17 @@ def _matrix(value, kind: str, key: str, src_size: int, dst_size: int) -> Relatio
     """The relation of the matrix field ``key`` of a ``kind`` object,
     ``src_size`` rows of ``dst_size`` cells, read by ``Relation.from_matrix``,
     whose refusals, a first row of another length or a first bad cell, are
-    prefixed with the field.  A value that is no list, whose keys or
-    characters ``from_matrix`` would read as rows, and a list whose rows
-    have no length are refused as no list of rows."""
+    prefixed with the field.  A value that is no list is refused as no list
+    of rows, and its first row that is no list as no list of cells: of
+    either, ``from_matrix`` would read the keys or characters as cells."""
+    if not isinstance(value, list):
+        raise ParseError(f"bad {kind} object: {key} must be a list of rows")
+    # one C-level scan; the first row of another type is searched for only on failure
+    if not set(map(type, value)) <= {list}:
+        a = next(a for a, row in enumerate(value) if type(row) is not list)
+        raise ParseError(f"bad {kind} object: {key} row {a} must be a list of cells")
     try:
-        if not isinstance(value, list):
-            raise TypeError
         rel = Relation.from_matrix(value, dst_size=dst_size)
-    except TypeError:
-        raise ParseError(f"bad {kind} object: {key} must be a list of rows") from None
     except ValidationError as e:
         raise ParseError(f"bad {kind} object: {key} {e}") from None
     if rel.src_size != src_size:

@@ -12,10 +12,13 @@ for its side and ``lattice.build_lattice`` for how its walk reads a node's
 types runs the branch for which ``branch`` counts the fewest big-int
 steps, one step being one pass of a bit loop, from the call's shape and the
 popcount of the rows it reads.  Every branch but the bit loops has a fixed
-cost, so a small call is decided from its shape alone.  The weights were
-fitted to the timing tables of ``tools/kernel_probe.py``, on the seeded
-inputs of ``tests/conftest.py``, and to replays of the calls of one cycle
-of each benchmark workload.
+cost, so a small call is decided from its shape alone: a bit loop at up to
+``_SHAPE_BITS`` cells, the right residual's subset tests at up to
+``_SHAPE_CELLS``.  The kernels run those calls without calling ``branch``,
+whose own early returns read the same two constants, so the rule stays one.
+The weights were fitted to the timing tables of ``tools/kernel_probe.py``,
+on the seeded inputs of ``tests/conftest.py``, and to replays of the calls
+of one cycle of each benchmark workload.
 
 Each gather is written once.  ``_unions``, the OR of a table's rows at the
 bits of each mask, by bits or by bytes, is ``compose`` and the inverse
@@ -44,7 +47,9 @@ value built from checked operands is in range by construction and is
 stored unchecked by its class's ``_of``: the result of each kernel,
 ``complement``, ``union`` and ``identity``, ``from_digits`` (whose callers
 check the digits), ``pullback``'s gather, a map's graph ``rel``, and
-``FunctionGraph.then`` and ``identity``.  This is the package's one
+``FunctionGraph.then`` and ``identity``; elsewhere, the lattice maps of
+``functors.lattice_of_morphism`` and the maps ``colimit``'s enumerations
+propose.  This is the package's one
 unchecked path: eight classes have an ``_of``, ``Relation``,
 ``FunctionGraph``, ``classification.Classification``,
 ``lattice.ConceptLattice``, ``bond.Bond``, ``bond.BondingPair``,
@@ -313,7 +318,9 @@ def compose(r: Relation, s: Relation) -> Relation:
     Row ``a`` is the OR of the rows of ``s`` at the bits of row ``a`` of
     ``r``, read by bits or by bytes as ``branch`` picks."""
     _require(r.dst_size == s.src_size, "compose", r, s)
-    rows = _unions(r.rows, s.rows, branch("compose", r.rows, s.src_size))
+    n = s.src_size
+    reading = "bits" if r.src_size * n <= _SHAPE_BITS else branch("compose", r.rows, n)
+    rows = _unions(r.rows, s.rows, reading)
     return Relation._of(r.src_size, s.dst_size, rows)
 
 
@@ -383,6 +390,14 @@ _TABLE_STEP = 0.35  # and per entry or lookup
 _BUILD_FIXED = 60  # the AND-product or the gather, before its transpose
 _WALK_CLOSURES = 2  # the visits of an FCbO node that close, at one cost by either reading
 
+# the most cells of a call that its shape alone sends to a bit loop, at one
+# step a cell at most: 73, for the bytes cost more even at one set bit a cell,
+# and the tiles more still; and the most cells of a right residual whose subset
+# tests cost less than ``_BUILD_FIXED``: 120.  A kernel runs such a call
+# without asking ``branch``, whose own early returns read the same two.
+_SHAPE_BITS = int(_BYTE_FIXED / (1 - _BYTE_BIT_STEP))
+_SHAPE_CELLS = int(_BUILD_FIXED / _CELL_STEP)
+
 
 def _tile_side(m: int, n: int) -> int:
     """The least power of two from 8 to ``_MAX_TILE`` that covers ``min(m, n)``."""
@@ -442,7 +457,7 @@ def branch(kernel: str, rows: Sequence[int], n: int, k: int = 0) -> str:
         tests = n / 2 if (1 << n) - 1 in rows else k * (most - k) / (m * most)
         return _reads(m, n, m * (tests - _WALK_CLOSURES))[1]
     if kernel == "transpose":
-        if most <= _TILE_FIXED:
+        if most <= _SHAPE_BITS:
             return "bits"
         tiles = _tile_steps(m, n)
         return "tiles" if most > tiles and sum(map(int.bit_count, rows)) > tiles else "bits"
@@ -456,9 +471,9 @@ def branch(kernel: str, rows: Sequence[int], n: int, k: int = 0) -> str:
         transposes = min(p, _tile_steps(m, n))
         return "instances" if transposes + _reads(n, m, p)[0] <= types else "types"
     if kernel == "right_residual":
-        cells = _CELL_STEP * m * k
-        if cells <= _BUILD_FIXED:
+        if m * k <= _SHAPE_CELLS:
             return "cells"
+        cells = _CELL_STEP * m * k
         # the AND-product reads the rows by bytes, unless that takes more than
         # the ``limit`` steps of the ``other`` branch, less its transpose's
         limit, other = min((cells, "cells"), (_table_steps(k, n), "tables"))
@@ -466,7 +481,7 @@ def branch(kernel: str, rows: Sequence[int], n: int, k: int = 0) -> str:
         if limit < 0:
             return other
         return "bytes" if _bytewise(m, n, sum(map(int.bit_count, rows))) <= limit else other
-    if most <= _BUILD_FIXED + _TILE_FIXED and most * (1 - _BYTE_BIT_STEP) <= _BYTE_FIXED:
+    if most <= _SHAPE_BITS:
         return "bits"
     # the rows are read, by bits or by bytes, unless that takes more than
     # the ``limit`` steps of ``pullback``'s gather
@@ -536,7 +551,7 @@ def transpose(r: Relation) -> Relation:
 
     ``branch`` picks the bit loop or the tiles."""
     m, n = r.src_size, r.dst_size
-    if branch("transpose", r.rows, n) == "tiles":
+    if m * n > _SHAPE_BITS and branch("transpose", r.rows, n) == "tiles":
         cols = _transpose_tiles(r.rows, m, n, _tile_side(m, n))
     else:
         cols = [0] * n
@@ -567,7 +582,7 @@ def left_residual(r: Relation, t: Relation) -> Relation:
     full = (1 << t.dst_size) - 1
     n = r.dst_size
     out = [full] * n
-    if branch("left_residual", r.rows, n) == "bytes":
+    if r.src_size * n > _SHAPE_BITS and branch("left_residual", r.rows, n) == "bytes":
         width = (n + 7) // 8
         for row, ta in zip(r.rows, t.rows):
             if ta == full or not row:
@@ -600,7 +615,7 @@ def right_residual(t: Relation, s: Relation) -> Relation:
     """
     _require(t.dst_size == s.dst_size, "right_residual", t, s)
     m, k = t.src_size, s.src_size
-    kind = branch("right_residual", s.rows, s.dst_size, m)
+    kind = "cells" if m * k <= _SHAPE_CELLS else branch("right_residual", s.rows, s.dst_size, m)
     if kind == "cells":
         srows = s.rows
         out = []
@@ -738,7 +753,7 @@ class FunctionGraph:
     def then_targets(self, other: "FunctionGraph") -> tuple[int, ...]:
         """The targets of ``self.then(other)``, without building the graph:
         two composites compare as these tuples when their codomains agree."""
-        if self.dst_size != other.src_size:
+        if self.dst_size != len(other.targets):
             raise ShapeError(f"then: incompatible shapes {self.shape} and {other.shape}")
         return tuple(map(other.targets.__getitem__, self.targets))
 
@@ -747,7 +762,9 @@ class FunctionGraph:
         bits; bits past the targets are ignored.  With the masks as the rows
         of ``R``, this is ``compose(R, transpose(rel)).rows`` without the two
         relations, by the loop and the reading ``compose`` takes."""
-        return _unions(masks, self.fibers, branch("compose", masks, self.dst_size))
+        n = self.dst_size
+        reading = "bits" if len(masks) * n <= _SHAPE_BITS else branch("compose", masks, n)
+        return _unions(masks, self.fibers, reading)
 
     def is_identity(self) -> bool:
         return self.targets == tuple(range(self.dst_size))
@@ -764,7 +781,8 @@ def pullback(rows: Sequence[int], cols: Sequence[int], psi: FunctionGraph) -> tu
     targets in one C-level ``map`` and turned into rows by ``transpose``.
     Bits of ``rows`` past the targets are ignored either way."""
     k, m = len(rows), len(psi.targets)
-    kind = branch("pullback", rows, psi.dst_size, m)
+    n = psi.dst_size
+    kind = "bits" if k * n <= _SHAPE_BITS else branch("pullback", rows, n, m)
     if kind == "gather":
         return transpose(Relation._of(m, k, tuple(map(cols.__getitem__, psi.targets)))).rows
     return _unions(rows, psi.fibers, kind)

@@ -1,5 +1,7 @@
+import csv
 import functools
 import importlib
+import io
 import random
 from types import MappingProxyType, SimpleNamespace
 
@@ -9,12 +11,13 @@ from conceptual import verify
 from conceptual.classification import Classification, contranominal_classification
 from conceptual.colimit import CoproductDiagram, coproduct_sum
 from conceptual.functors import CompleteHomomorphism, complete_lattice_of
-from conceptual.infomorphism import FunctionalInfomorphism
+from conceptual.infomorphism import FunctionalInfomorphism, RelationalInfomorphism
 from conceptual.lattice import concept_lattice_of
 from conceptual.relalg import (
     FunctionGraph,
     Relation,
     compose,
+    identity,
     left_residual,
     right_residual,
     transpose,
@@ -54,6 +57,23 @@ def all_contexts(max_inst: int, max_typ: int):
 # seeded random shapes beyond the exhaustive 3x3: empty carriers on either
 # side, thin ones, and up to 8x8
 RANDOM_SHAPES = ((0, 5), (5, 0), (1, 8), (8, 1), (5, 7), (7, 5), (8, 8), (8, 8))
+
+
+def identity_relational(K: Classification) -> RelationalInfomorphism:
+    """The identity arrow of ``K`` as a relational infomorphism."""
+    return RelationalInfomorphism(K, K, identity(len(K.instances)), identity(len(K.types)))
+
+
+def emit_csv(K: Classification) -> str:
+    """``K`` as the CSV table ``io.parse_csv`` reads: a header row of the
+    types after an empty cell, then one row per instance, its label then its
+    0/1 cells."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow([""] + list(K.types))
+    for label, cells in zip(K.instances, K.incidence.matrix()):
+        writer.writerow([label, *cells])
+    return buf.getvalue()
 
 
 def order_from_covers(n: int, covers) -> Relation:

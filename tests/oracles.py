@@ -609,8 +609,14 @@ def branches(kernel: str = "", kind: str = ""):
     """While the block runs, ``relalg.branch`` picks ``kind`` for
     ``kernel``, where both are given, and what the rule picks everywhere
     else; the block gets the list of its picks, one ``(kernel, branch)`` per
-    call, in call order."""
-    rule = relalg.branch
+    call, in call order.
+
+    A kernel runs a call that its shape alone decides without asking
+    ``branch``, so while a kernel is forced both shape constants are
+    lowered below every shape: each call asks, and is forced at any size.
+    The rule's answers do not change, for its early returns only shortcut
+    what its counts would pick."""
+    rule, shape = relalg.branch, (relalg._SHAPE_BITS, relalg._SHAPE_CELLS)
     picks = []
 
     def rebound(name, rows, n, k=0):
@@ -619,10 +625,13 @@ def branches(kernel: str = "", kind: str = ""):
         return pick
 
     relalg.branch = rebound
+    if kernel and kind:
+        relalg._SHAPE_BITS = relalg._SHAPE_CELLS = -1
     try:
         yield picks
     finally:
         relalg.branch = rule
+        relalg._SHAPE_BITS, relalg._SHAPE_CELLS = shape
 
 
 def lattice_order_oracle(leq: Relation) -> tuple[int, int] | None:

@@ -23,7 +23,6 @@ from conceptual.colimit import (
 )
 from conceptual.io import (
     classification_to_obj,
-    emit_csv,
     emit_cxt,
     parse_classification,
 )
@@ -41,7 +40,7 @@ from conceptual.relalg import (
 from conceptual.report import NO_COVERAGE
 from conceptual.verify import verify_equivalences
 
-from conftest import duplicated_instance_sum, random_context
+from conftest import duplicated_instance_sum, emit_csv, random_context
 from oracles import closed_pairs_oracle, concept_set, random_relation
 
 SEED = 7

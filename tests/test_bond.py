@@ -31,7 +31,6 @@ from conceptual.errors import ShapeError, ValidationError
 from conceptual.infomorphism import (
     RelationalInfomorphism,
     fn2rel,
-    identity_relational,
     instance_infomorphism,
 )
 from conceptual.lattice import concept_lattice_of
@@ -45,7 +44,7 @@ from conceptual.relalg import (
     transpose,
 )
 
-from conftest import RANDOM_SHAPES, all_contexts, random_context
+from conftest import RANDOM_SHAPES, all_contexts, identity_relational, random_context
 from oracles import (
     collective_image_oracle,
     enumerate_relations,

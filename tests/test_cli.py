@@ -18,14 +18,13 @@ from conceptual.errors import QUOTE_LIMIT, quote
 from conceptual.infomorphism import (
     fn2rel,
     identity_functional,
-    identity_relational,
     instance_infomorphism,
 )
 from conceptual.io import emit_cxt
 from conceptual.lattice import build_lattice
 from conceptual.relalg import Relation
 
-from conftest import NEGATIVE_COUNT_CXT
+from conftest import NEGATIVE_COUNT_CXT, identity_relational
 
 K1_CXT = "B\n\n2\n2\n\n1\n2\na\nb\nX.\nXX\n"
 
@@ -417,6 +416,11 @@ REFUSALS = {
         ["lattice", "a.json"],
         {"a.json": dumps({**classification_to_obj(K1), "incidence": "10"})},
         "bad classification object: incidence must be a list of rows",
+    ),
+    "incidence-row-string": (
+        ["lattice", "a.json"],
+        {"a.json": dumps({**classification_to_obj(K1), "incidence": ["10", "11"]})},
+        "bad classification object: incidence row 0 must be a list of cells",
     ),
     "rel-string": (
         ["check", "bond", "a.json"],

@@ -19,9 +19,10 @@ from hypothesis_or_skip import given, settings, st
 from conceptual.bond import identity_bond, identity_bonding_pair
 from conceptual.classification import Classification
 from conceptual.cli import main
-from conceptual.infomorphism import identity_functional, identity_relational
-from conceptual.io import classification_to_obj, dumps, emit_csv, emit_cxt, morphism_to_obj
+from conceptual.infomorphism import identity_functional
+from conceptual.io import classification_to_obj, dumps, emit_cxt, morphism_to_obj
 
+from conftest import emit_csv, identity_relational
 from test_cli import _mutate
 
 K = Classification.from_pairs(

@@ -31,6 +31,7 @@ from conceptual.colimit import (
     product,
     subposition,
     transport_coproduct,
+    transport_families,
 )
 from conceptual.errors import ShapeError, ValidationError
 from conceptual.infomorphism import (
@@ -426,9 +427,11 @@ class TestMediatorIndex:
                 assert mediator == coproduct_mediator(d, mA, mB)
 
     def test_transport_builds_each_mediator_and_image_once(self, k1, monkeypatch):
-        """One ``coproduct_mediator`` per cocone, one enumeration of each
-        list of legs per target, and one lattice image per injection, per
-        distinct leg of a target and per mediator."""
+        """A checked ``coproduct_mediator`` only per cocone that fails the
+        universal check, a checked lattice image per injection, per distinct
+        leg of a target and per cocone that fails the transport check, one
+        reading of the functor's maps per cocone beside those images, and one
+        enumeration of each list of legs per target."""
         diagrams = _diagrams(k1)
         expected = []
         for d in diagrams:
@@ -442,19 +445,27 @@ class TestMediatorIndex:
                 if legs_a and legs_b:
                     cocones += len(legs_a) * len(legs_b)
                     images += len(set(legs_a) | set(legs_b))
-            expected.append((cocones, images))
+            failures = collections.Counter(
+                r.check for r in _filtered_report(d, [d.left, d.right]).failures
+            )
+            expected.append((cocones, images, *transport_families(d.kind), failures))
+        # the duplicated-instance apex fails cocones before and after the functor
+        total = sum((failures for *_, failures in expected), collections.Counter())
+        assert total["sum-universal"] and total["sum-transport"]
         calls = collections.Counter()
         for module, name in (
             (colimit, "coproduct_mediator"),
             (colimit, "enumerate_infomorphisms"),
             (functors, "lattice_of_morphism"),
+            (functors, "_functor_maps"),
         ):
             monkeypatch.setattr(module, name, _counting(calls, name, getattr(module, name)))
-        for d, (cocones, images) in zip(diagrams, expected):
+        for d, (cocones, images, universal, transport, failures) in zip(diagrams, expected):
             calls.clear()
             transport_coproduct(d, [d.left, d.right])
-            assert calls["coproduct_mediator"] == cocones
-            assert calls["lattice_of_morphism"] == 2 + images + cocones
+            assert calls["coproduct_mediator"] == failures[universal]
+            assert calls["lattice_of_morphism"] == 2 + images + failures[transport]
+            assert calls["_functor_maps"] == cocones + calls["lattice_of_morphism"]
             enumerations = collections.Counter(
                 ("enumerate_infomorphisms", X, C)
                 for C in (d.left, d.right)

@@ -21,12 +21,11 @@ from conceptual.infomorphism import (
     dual_functional,
     fn2rel,
     identity_functional,
-    identity_relational,
     instance_infomorphism,
 )
 from conceptual.relalg import FunctionGraph, Relation, identity, left_residual
 
-from conftest import random_context
+from conftest import identity_relational, random_context
 
 
 def violates(m, b, t):

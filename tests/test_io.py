@@ -12,7 +12,6 @@ from conceptual.io import (
     classification_from_obj,
     classification_to_obj,
     dumps,
-    emit_csv,
     emit_cxt,
     emit_dot,
     lattice_json,
@@ -25,7 +24,13 @@ from conceptual.io import (
 from conceptual.lattice import build_lattice, concept_lattice_of
 from conceptual.relalg import Relation
 
-from conftest import NEGATIVE_COUNT_CXT, all_contexts, bench_contexts, random_context
+from conftest import (
+    NEGATIVE_COUNT_CXT,
+    all_contexts,
+    bench_contexts,
+    emit_csv,
+    random_context,
+)
 from oracles import emit_cxt_oracle, emit_dot_oracle
 
 K1_CXT = "B\n\n2\n2\n\n1\n2\na\nb\nX.\nXX\n"
@@ -253,6 +258,28 @@ class TestJsonAndSniffing:
         obj["data"]["instance_map"] = ["zz", "2"]
         with pytest.raises(ParseError, match="zz"):
             morphism_from_obj(obj)
+
+    @pytest.mark.parametrize(
+        "incidence, row",
+        [
+            (["10", "01"], 0),
+            ([{"a": 1, "b": 0}, {"a": 0, "b": 1}], 0),
+            ([[1, 0], "01"], 1),
+            ([[1, 0], 5], 1),
+        ],
+    )
+    def test_a_row_that_is_no_list_is_refused(self, k1, incidence, row):
+        """A string's characters or an object's keys are no cells."""
+        obj = {**classification_to_obj(k1), "incidence": incidence}
+        with pytest.raises(ParseError) as info:
+            classification_from_obj(obj)
+        assert str(info.value) == (
+            f"bad classification object: incidence row {row} must be a list of cells"
+        )
+        obj = {**morphism_to_obj(identity_bond(k1)), "data": {"rel": incidence}}
+        with pytest.raises(ParseError) as info:
+            morphism_from_obj(obj)
+        assert str(info.value) == f"bad morphism object: rel row {row} must be a list of cells"
 
 
 # labels that JSON must escape, or must pass through unescaped

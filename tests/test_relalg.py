@@ -26,6 +26,7 @@ from conceptual.relalg import (
 from oracles import (
     best_left_residual,
     best_right_residual,
+    branches,
     compose_oracle,
     enumerate_relations,
     left_residual_oracle,
@@ -348,6 +349,46 @@ def test_each_branch_is_picked_on_its_input(kernel, kind, args, run):
     assert relalg.branch(kernel, *args) == kind
     got, expected = run()
     assert got == expected
+
+
+def test_a_forced_branch_is_reached_at_any_shape():
+    """A kernel runs a call that its shape decides without asking
+    ``relalg.branch``; forced, a kernel asks at every shape.  A tiles
+    transpose of a 2 x 3 relation and a bytes left residual of a 3 x 3 one
+    are picked, and equal their oracles."""
+    r = M([[1, 0, 1], [0, 1, 1]])
+    with branches("transpose", "tiles") as picks:
+        got = transpose(r)
+    assert picks == [("transpose", "tiles")]
+    assert got == transpose_oracle(r)
+    r, t = M([[1, 1, 0], [0, 1, 1], [1, 0, 1]]), M([[1, 0], [1, 1], [0, 1]])
+    with branches("left_residual", "bytes") as picks:
+        got = left_residual(r, t)
+    assert picks == [("left_residual", "bytes")]
+    assert got == left_residual_oracle(r, t)
+
+
+def test_the_shape_constants_only_shortcut_the_counts(monkeypatch):
+    """With the two shape constants lowered below every shape, the rule's
+    counts still pick the bit loop on every call of up to ``_SHAPE_BITS``
+    cells, and the subset tests on every right residual of up to
+    ``_SHAPE_CELLS``, even with every bit set: what the kernels run unasked."""
+    bits_most, cells_most = relalg._SHAPE_BITS, relalg._SHAPE_CELLS
+    assert (bits_most, cells_most) == (73, 120)
+    monkeypatch.setattr(relalg, "_SHAPE_BITS", -1)
+    monkeypatch.setattr(relalg, "_SHAPE_CELLS", -1)
+    for m in range(bits_most + 1):
+        for n in range(bits_most // max(m, 1) + 1):
+            rows = ((1 << n) - 1,) * m
+            for kernel in ("transpose", "compose", "left_residual"):
+                assert relalg.branch(kernel, rows, n) == "bits", (kernel, m, n)
+            for k in (0, 1, 100, 1000):
+                assert relalg.branch("pullback", rows, n, k) == "bits", (m, n, k)
+    for k in range(cells_most + 1):
+        for m in range(cells_most // max(k, 1) + 1):
+            for n in (0, 1, 7, 8, 9, 64, 300):
+                rows = ((1 << n) - 1,) * k
+                assert relalg.branch("right_residual", rows, n, m) == "cells", (k, m, n)
 
 
 class TestAdjointness:

@@ -44,8 +44,6 @@ UNREACHED = {
     "colimit.fiber_terminal": PAPER_CLAIM,
     "bond.infomorphism_of": PAPER_CLAIM + ": bonds as relational infomorphisms",
     "bond.bonds_equivalent": PAPER_CLAIM + ": bonds as relational infomorphisms",
-    "infomorphism.identity_relational": "a fixture of test_bond, test_cli and test_infomorphism",
-    "io.emit_csv": "the writer of the CSV round trip in test_acceptance_9",
 }
 
 

@@ -3,6 +3,9 @@ import random
 
 import pytest
 
+from conceptual import colimit
+from conceptual.classification import chain_classification
+from conceptual.cli import main
 from conceptual.errors import ShapeError, ValidationError
 from conceptual.report import FAIL, NO_COVERAGE, CheckRecord, VerificationReport
 from conceptual.verify import (
@@ -188,3 +191,54 @@ def test_composites_are_the_scan_over_all_pairs(max_size, seed):
             got, expected = random.Random(k), random.Random(k)
             assert _composites(got, items, k, ";") == composites_oracle(expected, items, k, ";")
             assert got.getstate() == expected.getstate()
+
+
+# -- mutants --------------------------------------------------------------------
+
+_MEDIATOR_MAPS = colimit._mediator_maps
+
+
+def _swapped_cocone(d, mA, mB):
+    """The mediator maps of the cocone with its legs exchanged: on a sum
+    ``K+K`` the mediator of a cocone still, but of the wrong one wherever
+    the two legs differ."""
+    return _MEDIATOR_MAPS(d, mB, mA)
+
+
+# name -> (module, function, plausible wrong formula, families that must fail):
+# the mutants of ROADMAP item 9, each a rebinding the checks must catch
+MUTANTS = {
+    "swapped-cocone": (
+        colimit,
+        "_mediator_maps",
+        _swapped_cocone,
+        colimit.transport_families("sum"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MUTANTS))
+def test_a_mutant_fails_its_families_on_the_seed_7_report(name, monkeypatch):
+    """Under the mutant, each of its families records a FAIL on the size-3,
+    seed-7 report, with no exception, and the CLI exits 1."""
+    module, function, mutant, families = MUTANTS[name]
+    monkeypatch.setattr(module, function, mutant)
+    report = verify_equivalences(3, 7)
+    assert {r.check for r in report.failures} >= set(families)
+    assert main(["verify-equivalences", "--max-size", "3", "--seed", "7"]) == 1
+
+
+def test_swapped_cocones_fail_where_their_legs_differ(monkeypatch):
+    """On the sum of a two-element chain with itself, the two legs into the
+    chain give four cocones: the swapped formula fails the two whose legs
+    differ, before and after the lattice functor, and passes the others."""
+    monkeypatch.setattr(colimit, "_mediator_maps", _swapped_cocone)
+    K = chain_classification(2)
+    report = colimit.transport_coproduct(colimit.coproduct_sum(K, K), [K])
+    failed = [(r.check, r.item) for r in report.failures]
+    assert failed == [
+        (family, f"target-0-cocone-{ca}-{cb}")
+        for family in colimit.transport_families("sum")
+        for ca, cb in ((0, 1), (1, 0))
+    ]
+    assert len(report.records) == 8
