@@ -396,12 +396,11 @@ def transport_coproduct(d: CoproductDiagram, targets: list[Classification]) -> V
     The cocones and their mediators are those ``check_coproduct_property``
     enumerated; each leg's lattice image is computed once per target.
 
-    The recipe's key, ``_composite_key`` of the functor's maps and the
-    isomorphism's, is compared with the found lattice mediator's, whose
-    endpoints it shares, so equal keys mean equal morphisms.  The two middle
-    lattices are compared once per target, as ``compose_lattice_morphisms``
-    compares them, and only a cocone that fails builds the checked
-    composite, which raises where the recipe gives no lattice morphism.
+    The recipe's key, from ``functors._image_then_key``, is compared with
+    the found lattice mediator's, whose endpoints it shares, so equal keys
+    mean equal morphisms.  The two middle lattices are compared once per
+    target, and only a cocone that fails builds the checked composite,
+    which raises where the recipe gives no lattice morphism.
     """
     report = VerificationReport()
     cocones = check_coproduct_property(d, targets, report)
@@ -412,9 +411,8 @@ def transport_coproduct(d: CoproductDiagram, targets: list[Classification]) -> V
     for C, target_cocones in zip(targets, cocones):
         M = functors.concept_lattice_of(C)
         iso = functors.lattice_equivalence_witness(M)
-        if target_cocones and M != iso.source:
-            raise ShapeError("compose_lattice_morphisms: middle lattices differ")
-        iso_maps = _lattice_maps(iso)
+        # the middle lattices are compared only where a cocone composes
+        recipe_key = functors._image_then_key(L_apex, M, iso) if target_cocones else None
         image_key = functools.cache(
             lambda m: _key(_lattice_maps, functors.lattice_of_morphism(m))
         )
@@ -423,8 +421,7 @@ def transport_coproduct(d: CoproductDiagram, targets: list[Classification]) -> V
         )
         for item, mA, mB, mediator in target_cocones:
             found = mediators.get((image_key(mA), image_key(mB)), [])
-            phi, psi = functors._functor_maps(L_apex, M, mediator.f, mediator.g)
-            formula = _composite_key(((phi, mediator.f), (psi, mediator.g)), iso_maps)
+            formula = recipe_key(mediator)
             ok = len(found) == 1 and _key(_lattice_maps, found[0]) == formula
             if not ok:
                 # the checked composite, which raises where it is no morphism

@@ -181,8 +181,7 @@ def identity_lattice_morphism(L: ConceptLattice) -> ConceptLatticeMorphism:
 def compose_lattice_morphisms(
     m1: ConceptLatticeMorphism, m2: ConceptLatticeMorphism
 ) -> ConceptLatticeMorphism:
-    if m1.target != m2.source:
-        raise ShapeError("compose_lattice_morphisms: middle lattices differ")
+    _require_middle(m1.target, m2)
     return ConceptLatticeMorphism(
         m1.source,
         m2.target,
@@ -191,6 +190,34 @@ def compose_lattice_morphisms(
         m2.f.then(m1.f),
         m1.g.then(m2.g),
     )
+
+
+def _require_middle(middle: ConceptLattice, m2: ConceptLatticeMorphism) -> None:
+    """Refuse to follow a morphism into ``middle`` by ``m2`` unless ``m2``
+    starts at ``middle``."""
+    if middle != m2.source:
+        raise ShapeError("compose_lattice_morphisms: middle lattices differ")
+
+
+def _image_then_key(LA: ConceptLattice, LB: ConceptLattice, m2: ConceptLatticeMorphism):
+    """The function from an infomorphism ``m`` between the classifications
+    of ``LA`` and ``LB`` to the key of
+    ``compose_lattice_morphisms(lattice_of_morphism(m), m2)``: the target
+    tuples of its ``phi``, ``f``, ``psi`` and ``g``, read with
+    ``then_targets``, no morphism built or checked.  The middle lattices
+    are compared once, here, as the composite compares them."""
+    _require_middle(LB, m2)
+
+    def key(m: FunctionalInfomorphism) -> tuple:
+        phi, psi = _functor_maps(LA, LB, m.f, m.g)
+        return (
+            m2.phi.then_targets(phi),
+            m2.f.then_targets(m.f),
+            psi.then_targets(m2.psi),
+            m.g.then_targets(m2.g),
+        )
+
+    return key
 
 
 def lattice_of_morphism(m: FunctionalInfomorphism) -> ConceptLatticeMorphism:
@@ -212,7 +239,7 @@ def _functor_maps(
 ) -> tuple[FunctionGraph, FunctionGraph]:
     """The lattice maps ``(phi, psi)`` of ``lattice_of_morphism(m)`` for an
     infomorphism ``m`` with maps ``f`` and ``g`` between the classifications
-    of ``LA`` and ``LB``, unchecked, for a caller that compares them."""
+    of ``LA`` and ``LB``, unchecked."""
     extents = pullback(LA.extents, LA.iota_rel.rows, f)
     intents = pullback(LB.intents, LB.tau_rel.columns, g)
     psi = FunctionGraph._of(tuple(map(LB.extent_index.__getitem__, extents)), LB.size)

@@ -15,7 +15,7 @@ popcount of the rows it reads.  Every branch but the bit loops has a fixed
 cost, so a small call is decided from its shape alone: a bit loop at up to
 ``_SHAPE_BITS`` cells, the right residual's subset tests at up to
 ``_SHAPE_CELLS``.  The kernels run those calls without calling ``branch``,
-whose own early returns read the same two constants, so the rule stays one.
+whose counts pick the same branches there, so the rule stays one.
 The weights were fitted to the timing tables of ``tools/kernel_probe.py``,
 on the seeded inputs of ``tests/conftest.py``, and to replays of the calls
 of one cycle of each benchmark workload.
@@ -394,7 +394,7 @@ _WALK_CLOSURES = 2  # the visits of an FCbO node that close, at one cost by eith
 # step a cell at most: 73, for the bytes cost more even at one set bit a cell,
 # and the tiles more still; and the most cells of a right residual whose subset
 # tests cost less than ``_BUILD_FIXED``: 120.  A kernel runs such a call
-# without asking ``branch``, whose own early returns read the same two.
+# without asking ``branch``, whose counts pick the same branch there.
 _SHAPE_BITS = int(_BYTE_FIXED / (1 - _BYTE_BIT_STEP))
 _SHAPE_CELLS = int(_BUILD_FIXED / _CELL_STEP)
 
@@ -457,8 +457,6 @@ def branch(kernel: str, rows: Sequence[int], n: int, k: int = 0) -> str:
         tests = n / 2 if (1 << n) - 1 in rows else k * (most - k) / (m * most)
         return _reads(m, n, m * (tests - _WALK_CLOSURES))[1]
     if kernel == "transpose":
-        if most <= _SHAPE_BITS:
-            return "bits"
         tiles = _tile_steps(m, n)
         return "tiles" if most > tiles and sum(map(int.bit_count, rows)) > tiles else "bits"
     if kernel == "order":
@@ -471,8 +469,6 @@ def branch(kernel: str, rows: Sequence[int], n: int, k: int = 0) -> str:
         transposes = min(p, _tile_steps(m, n))
         return "instances" if transposes + _reads(n, m, p)[0] <= types else "types"
     if kernel == "right_residual":
-        if m * k <= _SHAPE_CELLS:
-            return "cells"
         cells = _CELL_STEP * m * k
         # the AND-product reads the rows by bytes, unless that takes more than
         # the ``limit`` steps of the ``other`` branch, less its transpose's
@@ -481,8 +477,6 @@ def branch(kernel: str, rows: Sequence[int], n: int, k: int = 0) -> str:
         if limit < 0:
             return other
         return "bytes" if _bytewise(m, n, sum(map(int.bit_count, rows))) <= limit else other
-    if most <= _SHAPE_BITS:
-        return "bits"
     # the rows are read, by bits or by bytes, unless that takes more than
     # the ``limit`` steps of ``pullback``'s gather
     limit = _BUILD_FIXED + _tile_steps(k, m) if kernel == "pullback" else most

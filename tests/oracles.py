@@ -612,10 +612,10 @@ def branches(kernel: str = "", kind: str = ""):
     call, in call order.
 
     A kernel runs a call that its shape alone decides without asking
-    ``branch``, so while a kernel is forced both shape constants are
-    lowered below every shape: each call asks, and is forced at any size.
-    The rule's answers do not change, for its early returns only shortcut
-    what its counts would pick."""
+    ``branch``, so while the block runs both shape constants are lowered
+    below every shape: every kernel call asks, and is recorded, and a forced
+    one is forced at any size.  The rule's answers do not change, for its
+    counts pick what the constants shortcut."""
     rule, shape = relalg.branch, (relalg._SHAPE_BITS, relalg._SHAPE_CELLS)
     picks = []
 
@@ -625,8 +625,7 @@ def branches(kernel: str = "", kind: str = ""):
         return pick
 
     relalg.branch = rebound
-    if kernel and kind:
-        relalg._SHAPE_BITS = relalg._SHAPE_CELLS = -1
+    relalg._SHAPE_BITS = relalg._SHAPE_CELLS = -1
     try:
         yield picks
     finally:

@@ -368,15 +368,23 @@ def test_a_forced_branch_is_reached_at_any_shape():
     assert got == left_residual_oracle(r, t)
 
 
-def test_the_shape_constants_only_shortcut_the_counts(monkeypatch):
-    """With the two shape constants lowered below every shape, the rule's
-    counts still pick the bit loop on every call of up to ``_SHAPE_BITS``
-    cells, and the subset tests on every right residual of up to
-    ``_SHAPE_CELLS``, even with every bit set: what the kernels run unasked."""
+def test_an_unforced_block_records_every_kernel_call():
+    """Unforced, ``branches`` still records each kernel call that its shape
+    decides: one pick for a 2 x 2 transpose, the rule's, and the converse."""
+    r = M([[1, 0], [1, 1]])
+    with branches() as picks:
+        got = transpose(r)
+    assert picks == [("transpose", "bits")]
+    assert got == transpose_oracle(r)
+
+
+def test_the_shape_constants_only_shortcut_the_counts():
+    """The rule's counts pick the bit loop on every call of up to
+    ``_SHAPE_BITS`` cells, and the subset tests on every right residual of
+    up to ``_SHAPE_CELLS``, even with every bit set: what the kernels run
+    unasked."""
     bits_most, cells_most = relalg._SHAPE_BITS, relalg._SHAPE_CELLS
     assert (bits_most, cells_most) == (73, 120)
-    monkeypatch.setattr(relalg, "_SHAPE_BITS", -1)
-    monkeypatch.setattr(relalg, "_SHAPE_CELLS", -1)
     for m in range(bits_most + 1):
         for n in range(bits_most // max(m, 1) + 1):
             rows = ((1 << n) - 1,) * m
