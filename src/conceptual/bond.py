@@ -26,7 +26,7 @@ from .classification import Classification, contranominal_classification
 from .errors import CheckResult, ShapeError, ValidationError, quote, require_shape
 from .infomorphism import RelationalInfomorphism, check_relational
 from .lattice import ConceptLattice, concept_lattice_of
-from .relalg import FunctionGraph, Relation, _new, _setattr, left_residual, right_residual, view
+from .relalg import FunctionGraph, Relation, _new, left_residual, right_residual, view
 
 if TYPE_CHECKING:
     from .functors import CompleteHomomorphism
@@ -71,9 +71,10 @@ class Bond:
         ``Classification._of``: only for a relation of the bond's shape that
         is a bond by construction or is judged afterwards by ``is_bond``."""
         out = _new(cls)
-        _setattr(out, "source", source)
-        _setattr(out, "target", target)
-        _setattr(out, "rel", rel)
+        d = out.__dict__
+        d["source"] = source
+        d["target"] = target
+        d["rel"] = rel
         return out
 
     @view
@@ -220,8 +221,9 @@ class BondingPair:
         only for opposed bonds that meet the pairing constraints by
         construction or are judged afterwards by ``is_bonding_pair``."""
         out = _new(cls)
-        _setattr(out, "forward", forward)
-        _setattr(out, "backward", backward)
+        d = out.__dict__
+        d["forward"] = forward
+        d["backward"] = backward
         return out
 
     @property

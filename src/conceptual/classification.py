@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 
 from . import relalg
 from .errors import ResourceLimitError, ValidationError, quote
-from .relalg import Relation, _new, _setattr, bits, view
+from .relalg import Relation, _new, bits, view
 
 POWERSET_CAP = 16
 
@@ -42,9 +42,10 @@ class Classification:
         ``Relation._of``: only for distinct labels and an incidence of their
         shape by construction."""
         out = _new(cls)
-        _setattr(out, "instances", instances)
-        _setattr(out, "types", types)
-        _setattr(out, "incidence", incidence)
+        d = out.__dict__
+        d["instances"] = instances
+        d["types"] = types
+        d["incidence"] = incidence
         return out
 
     @classmethod

@@ -103,10 +103,14 @@ def coproduct_sum(A: Classification, B: Classification) -> CoproductDiagram:
 def coproduct_mediator(
     d: CoproductDiagram, mA: FunctionalInfomorphism, mB: FunctionalInfomorphism
 ) -> FunctionalInfomorphism:
-    """The unique morphism out of the apex agreeing with a cocone."""
+    """The unique morphism out of the apex agreeing with a cocone.  Its maps
+    are checked again, for the apex of a diagram built by hand need not be
+    the sum of its summands."""
     if mA.source != d.left or mB.source != d.right or mA.target != mB.target:
         raise ShapeError("cocone endpoints do not match the diagram")
-    return FunctionalInfomorphism(d.apex, mA.target, *_mediator_maps(d, mA, mB))
+    f, g = _mediator_maps(d, mA, mB)
+    checked = (FunctionGraph(m.targets, m.dst_size) for m in (f, g))
+    return FunctionalInfomorphism(d.apex, mA.target, *checked)
 
 
 def _mediator_maps(
@@ -114,10 +118,13 @@ def _mediator_maps(
 ) -> tuple[FunctionGraph, FunctionGraph]:
     """The maps ``(f, g)`` of the mediator of the cocone ``(mA, mB)``: on a
     sum, ``f`` pairs the two legs' instances; on an apposition it is their
-    shared instance map.  ``g`` puts the legs' type maps side by side."""
+    shared instance map.  ``g`` puts the legs' type maps side by side.  The
+    legs are checked infomorphisms, so on a diagram that ``coproduct_sum``
+    or ``apposition`` built both maps are in range by construction, and
+    they are stored unchecked."""
     if d.kind == "sum":
         nb = len(d.right.instances)
-        f = FunctionGraph(
+        f = FunctionGraph._of(
             tuple(a * nb + b for a, b in zip(mA.f.targets, mB.f.targets)),
             len(d.apex.instances),
         )
@@ -127,7 +134,7 @@ def _mediator_maps(
         f = mA.f
     else:
         raise ValidationError(f"unknown coproduct kind {d.kind!r}")
-    return f, FunctionGraph(mA.g.targets + mB.g.targets, len(mA.target.types))
+    return f, FunctionGraph._of(mA.g.targets + mB.g.targets, len(mA.target.types))
 
 
 def _dual_diagram(d: CoproductDiagram, kind: str) -> ProductDiagram:
@@ -445,20 +452,32 @@ def _enumerate_lattice_morphisms(L, M) -> list:
     classification, so the pairs ``(f, g)`` of a morphism are among those
     ``_propagate`` finds on the two classifications: the infomorphisms.  The
     lattice maps are forced, ``psi`` by meet-density and ``phi`` by
-    join-density, and the checking constructor rejects none of them.  The
-    maps are indices of the two lattices, stored unchecked; each morphism
-    is checked."""
+    join-density, and the checking constructor rejects none of them.
+    ``psi`` depends on ``g`` alone and ``phi`` on ``f`` alone, so each is
+    computed once per distinct map, though every pair is a morphism of its
+    own.  The maps are indices of the two lattices, stored unchecked; each
+    morphism is checked."""
     out = []
     source, target = L.classification, M.classification
     f_candidates = itertools.product(range(len(source.instances)), repeat=len(target.instances))
+    phis: dict[tuple[int, ...], FunctionGraph] = {}
+    psis: dict[tuple[int, ...], FunctionGraph] = {}
     for f, g in _propagate(f_candidates, source.cols, source.rows, target.cols):
-        psi_t = tuple(
-            M.meet_index(M.tau(g(t)) for t in bits(L.intents[x])) for x in range(L.size)
-        )
-        phi_t = tuple(
-            L.join_index(L.iota(f(b)) for b in bits(M.extents[y])) for y in range(M.size)
-        )
-        phi = FunctionGraph._of(phi_t, L.size)
-        psi = FunctionGraph._of(psi_t, M.size)
+        phi = phis.get(f.targets)
+        if phi is None:
+            phi = phis[f.targets] = FunctionGraph._of(
+                tuple(
+                    L.join_index(L.iota(f(b)) for b in bits(M.extents[y])) for y in range(M.size)
+                ),
+                L.size,
+            )
+        psi = psis.get(g.targets)
+        if psi is None:
+            psi = psis[g.targets] = FunctionGraph._of(
+                tuple(
+                    M.meet_index(M.tau(g(t)) for t in bits(L.intents[x])) for x in range(L.size)
+                ),
+                M.size,
+            )
         out.append(functors.ConceptLatticeMorphism(L, M, phi, psi, f, g))
     return out

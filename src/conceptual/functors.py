@@ -40,7 +40,6 @@ from .lattice import (
 from .relalg import (
     FunctionGraph,
     Relation,
-    _setattr,
     adjoint_failure,
     first_difference,
     left_residual,
@@ -74,7 +73,7 @@ class CompleteLattice(ConceptLattice):
         require_shape("order", leq.shape, (n, n))
         if len(set(elements)) != n:
             raise ValidationError("duplicate element labels")
-        _setattr(self, "classification", Classification._of(elements, elements, leq))
+        self.__dict__["classification"] = Classification._of(elements, elements, leq)
         self.__post_init__()
 
     def __post_init__(self):
@@ -82,14 +81,12 @@ class CompleteLattice(ConceptLattice):
         # has read its columns, the down-sets
         classification = check_lattice(self.classification).classification
         leq, down = classification.incidence, classification.cols
-        for name, value in (
-            ("classification", classification),
-            ("concepts", tuple(map(FormalConcept, down, leq.rows))),
-            ("extents", down),
-            ("intents", leq.rows),
-            ("order", leq),
-        ):
-            _setattr(self, name, value)
+        d = self.__dict__
+        d["classification"] = classification
+        d["concepts"] = tuple(map(FormalConcept, down, leq.rows))
+        d["extents"] = down
+        d["intents"] = leq.rows
+        d["order"] = leq
 
     @property
     def elements(self) -> tuple[str, ...]:

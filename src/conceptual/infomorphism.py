@@ -20,7 +20,7 @@ from .classification import (
     dual as dual_classification,
 )
 from .errors import CheckResult, ShapeError, require_shape
-from .relalg import FunctionGraph, Relation, _new, _setattr, compose, left_residual, transpose
+from .relalg import FunctionGraph, Relation, _new, compose, left_residual, transpose
 
 
 @dataclass(frozen=True)
@@ -47,10 +47,11 @@ class FunctionalInfomorphism:
         the fundamental property by construction or are judged afterwards
         by ``check_functional``."""
         out = _new(cls)
-        _setattr(out, "source", source)
-        _setattr(out, "target", target)
-        _setattr(out, "f", f)
-        _setattr(out, "g", g)
+        d = out.__dict__
+        d["source"] = source
+        d["target"] = target
+        d["f"] = f
+        d["g"] = g
         return out
 
     def __repr__(self):
@@ -133,10 +134,11 @@ class RelationalInfomorphism:
         ``FunctionalInfomorphism._of``: only for relations of the right
         shapes, judged afterwards by ``check_relational``."""
         out = _new(cls)
-        _setattr(out, "source", source)
-        _setattr(out, "target", target)
-        _setattr(out, "r", r)
-        _setattr(out, "s", s)
+        d = out.__dict__
+        d["source"] = source
+        d["target"] = target
+        d["r"] = r
+        d["s"] = s
         return out
 
     def __repr__(self):

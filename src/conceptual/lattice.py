@@ -53,7 +53,6 @@ from .relalg import (
     Relation,
     _new,
     _require_ints,
-    _setattr,
     bits,
     compose,
     left_residual,
@@ -121,8 +120,9 @@ class ConceptLattice:
         """The lattice with these fields, stored unchecked, as ``Relation._of``:
         only for concepts found in ``classification``."""
         out = _new(cls)
-        _setattr(out, "concepts", concepts)
-        _setattr(out, "classification", classification)
+        d = out.__dict__
+        d["concepts"] = concepts
+        d["classification"] = classification
         return out
 
     @property
@@ -436,8 +436,9 @@ def build_lattice(K: Classification, max_concepts: int = DEFAULT_CONCEPT_CAP) ->
     # without a Python-level ``__new__`` call each
     concepts = tuple(map(tuple.__new__, repeat(FormalConcept), zip(extents, intents)))
     out = ConceptLattice._of(concepts, K)
-    _setattr(out, "extents", extents)
-    _setattr(out, "intents", intents)
+    d = out.__dict__
+    d["extents"] = extents
+    d["intents"] = intents
     return out
 
 

@@ -48,15 +48,20 @@ stored unchecked by its class's ``_of``: the result of each kernel,
 ``complement``, ``union`` and ``identity``, ``from_digits`` (whose callers
 check the digits), ``pullback``'s gather, a map's graph ``rel``, and
 ``FunctionGraph.then`` and ``identity``; elsewhere, the lattice maps of
-``functors.lattice_of_morphism`` and the maps ``colimit``'s enumerations
-propose.  This is the package's one
-unchecked path: eight classes have an ``_of``, ``Relation``,
+``functors.lattice_of_morphism``, the maps ``colimit``'s enumerations
+propose and the mediator maps of its cocones.  This is the package's one
+unchecked path: nine classes have an ``_of``, ``Relation``,
 ``FunctionGraph``, ``classification.Classification``,
 ``lattice.ConceptLattice``, ``bond.Bond``, ``bond.BondingPair``,
-``infomorphism.FunctionalInfomorphism`` and
-``infomorphism.RelationalInfomorphism``, and their constructors always
-check.  ``io.morphism_from_obj`` checks the shapes of what it reads and
-stores a morphism that ``conceptual check`` checks afterwards with ``_of``.
+``infomorphism.FunctionalInfomorphism``,
+``infomorphism.RelationalInfomorphism`` and ``report.CheckRecord``, and
+their constructors always check.  An ``_of`` writes its fields into the
+new instance's dict, one subscript store per key, as ``view`` stores a
+derived value and as ``transpose``, ``from_digits``, ``build_lattice`` and
+``functors.CompleteLattice`` preset theirs; nothing stores through
+``object.__setattr__``, which costs about twice as much per field.
+``io.morphism_from_obj`` checks the shapes of what it reads and stores a
+morphism that ``conceptual check`` checks afterwards with ``_of``.
 """
 
 from __future__ import annotations
@@ -129,7 +134,6 @@ class view(cached_property):
         return value
 
 
-_setattr = object.__setattr__
 _new = object.__new__
 
 
@@ -178,9 +182,10 @@ class Relation:
         """The relation with these fields, stored unchecked: only for rows
         in range by construction, built from checked operands."""
         out = _new(cls)
-        _setattr(out, "src_size", src_size)
-        _setattr(out, "dst_size", dst_size)
-        _setattr(out, "rows", rows)
+        d = out.__dict__
+        d["src_size"] = src_size
+        d["dst_size"] = dst_size
+        d["rows"] = rows
         return out
 
     # -- constructors ------------------------------------------------------
@@ -303,7 +308,7 @@ def from_digits(m: int, n: int, digits: str) -> Relation:
     else:
         rows, cols = [0] * m, [0] * n
     out = Relation._of(m, n, tuple(rows))
-    _setattr(out, "columns", tuple(cols))
+    out.__dict__["columns"] = tuple(cols)
     return out
 
 
@@ -556,7 +561,7 @@ def transpose(r: Relation) -> Relation:
                 cols[low.bit_length() - 1] |= abit
                 row ^= low
     out = Relation._of(n, m, tuple(cols))
-    _setattr(out, "columns", r.rows)
+    out.__dict__["columns"] = r.rows
     return out
 
 
@@ -701,8 +706,9 @@ class FunctionGraph:
         """The function with these fields, stored unchecked, as
         ``Relation._of``: only for targets in range by construction."""
         out = _new(cls)
-        _setattr(out, "targets", targets)
-        _setattr(out, "dst_size", dst_size)
+        d = out.__dict__
+        d["targets"] = targets
+        d["dst_size"] = dst_size
         return out
 
     @classmethod

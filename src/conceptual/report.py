@@ -21,6 +21,19 @@ class CheckRecord:
     verdict: str
     witness: str | None = None
 
+    @classmethod
+    def _of(cls, check: str, item: str, verdict: str, witness: str | None) -> "CheckRecord":
+        """The record with these fields, stored as ``relalg.Relation._of``
+        stores a relation: one instance dict store per field, for the
+        records a report makes by the thousand."""
+        out = object.__new__(cls)
+        d = out.__dict__
+        d["check"] = check
+        d["item"] = item
+        d["verdict"] = verdict
+        d["witness"] = witness
+        return out
+
 
 @dataclass
 class VerificationReport:
@@ -28,7 +41,7 @@ class VerificationReport:
 
     def add(self, check: str, item: str, ok: bool, witness: str | None = None):
         self.records.append(
-            CheckRecord(check, item, PASS if ok else FAIL, None if ok else witness)
+            CheckRecord._of(check, item, PASS if ok else FAIL, None if ok else witness)
         )
 
     def attempt(self, check: str, item: str, test: Callable[[], object], witness: str | None):
@@ -41,12 +54,12 @@ class VerificationReport:
         self.add(check, item, ok, witness)
 
     def flag_no_coverage(self, check: str):
-        self.records.append(CheckRecord(check, "-", NO_COVERAGE))
+        self.records.append(CheckRecord._of(check, "-", NO_COVERAGE, None))
 
     def extend(self, other: "VerificationReport", prefix: str):
         """Append ``other``'s records, each item prefixed by ``prefix``."""
         for r in other.records:
-            self.records.append(CheckRecord(r.check, prefix + r.item, r.verdict, r.witness))
+            self.records.append(CheckRecord._of(r.check, prefix + r.item, r.verdict, r.witness))
 
     @property
     def failures(self) -> list[CheckRecord]:

@@ -16,6 +16,9 @@ and ``lattice_morphisms_oracle``) try every pair of an instance and a type
 function in lexicographic order and keep those the library's own checks
 pass: they share the verdict with the propagating enumerators of
 ``colimit``, not the search, which is what they check.
+``lattice_morphisms_per_pair`` shares the search and computes both forced
+lattice maps for every pair, which checks that the enumerator's one map
+per distinct function is the same map.
 
 The collective oracles are the formulas on pairs ``(a, alpha)`` that the
 bond form of a collective concept replaced, run on the per-cell kernels.
@@ -43,7 +46,7 @@ import functools
 import itertools
 from types import SimpleNamespace
 
-from conceptual import relalg
+from conceptual import colimit, relalg
 from conceptual.classification import check_preorder
 from conceptual.errors import CheckResult, ResourceLimitError, ValidationError, quote
 from conceptual.functors import ConceptLatticeMorphism
@@ -700,6 +703,27 @@ def lattice_morphisms_oracle(L, M) -> list:
             out.append(ConceptLatticeMorphism(L, M, *maps))
         except ValidationError:
             continue
+    return out
+
+
+def lattice_morphisms_per_pair(L, M) -> list:
+    """The lattice morphisms of ``colimit._enumerate_lattice_morphisms`` as
+    it computed them before it kept one ``psi`` per type map and one ``phi``
+    per instance map: both forced maps again for every pair ``(f, g)`` that
+    ``colimit._propagate`` finds, each morphism built by the checking
+    constructor."""
+    out = []
+    source, target = L.classification, M.classification
+    f_candidates = itertools.product(range(len(source.instances)), repeat=len(target.instances))
+    for f, g in colimit._propagate(f_candidates, source.cols, source.rows, target.cols):
+        psi_t = tuple(
+            M.meet_index(M.tau(g(t)) for t in bits(L.intents[x])) for x in range(L.size)
+        )
+        phi_t = tuple(
+            L.join_index(L.iota(f(b)) for b in bits(M.extents[y])) for y in range(M.size)
+        )
+        phi, psi = FunctionGraph(phi_t, L.size), FunctionGraph(psi_t, M.size)
+        out.append(ConceptLatticeMorphism(L, M, phi, psi, f, g))
     return out
 
 

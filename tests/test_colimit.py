@@ -13,6 +13,7 @@ from conceptual.classification import (
     powerset_classification,
 )
 from conceptual.colimit import (
+    CoproductDiagram,
     DualInvariant,
     _by_restrictions,
     _enumerate_lattice_morphisms,
@@ -85,6 +86,20 @@ class TestSum:
             m = coproduct_mediator(d, legs_a[0], legs_b[0])
             assert compose_functional(d.left_injection, m) == legs_a[0]
             assert compose_functional(d.right_injection, m) == legs_b[0]
+
+    def test_mediator_into_an_apex_too_small_is_refused(self):
+        """A sum diagram built by hand whose apex keeps two of the four
+        instance pairs: the mediator of a cocone that pairs instance 1 with
+        an instance beyond them is refused as out of range, not indexed."""
+        K = chain_classification(2)
+        d = coproduct_sum(K, K)
+        apex = Classification(d.apex.instances[:2], d.apex.types, Relation(2, 4, d.apex.rows[:2]))
+        small = CoproductDiagram(K, K, apex, d.left_injection, d.right_injection, "sum")
+        legs = list(enumerate_infomorphisms(K, K))
+        assert [m.f.targets for m in legs] == [(0, 0), (0, 1)]
+        assert coproduct_mediator(small, legs[0], legs[0]).f.targets == (0, 0)
+        with pytest.raises(ValidationError, match="target 2 of 1 out of range 0..1"):
+            coproduct_mediator(small, legs[1], legs[0])
 
 
 class TestProduct:

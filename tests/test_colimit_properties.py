@@ -13,7 +13,11 @@ import pytest
 from hypothesis_or_skip import example, given, settings, st
 
 from conceptual import colimit, functors
-from conceptual.classification import Classification
+from conceptual.classification import (
+    Classification,
+    chain_classification,
+    contranominal_classification,
+)
 from conceptual.colimit import (
     _enumerate_lattice_morphisms,
     coproduct_sum,
@@ -57,6 +61,21 @@ CORNERS = [(m, n) for m in (0, 3) for n in (0, 3)]
 # the apex of the sum into the target on both sides: 6 on 2x3, 81 on 3x3
 SEEDED = random.Random(28)
 SUM_2X3, SUM_3X3 = ([random_context(SEEDED, m, n) for _ in range(3)] for m, n in ((2, 3), (3, 3)))
+
+
+# one seeded context of each shape up to 2x2, the chain and the contranominal
+# scale on two elements, and the all-zero 2x2 context, whose self-sum into it
+# has 256 lattice mediators
+SMALL = [random_context(random.Random(47), m, n) for m in range(3) for n in range(3)]
+NAMED = [
+    chain_classification(2),
+    contranominal_classification(2),
+    Classification(("i0", "i1"), ("t0", "t1"), Relation(2, 2, (0, 0))),
+]
+
+
+def _targets(morphisms) -> list[tuple]:
+    return [(x.phi.targets, x.f.targets, x.psi.targets, x.g.targets) for x in morphisms]
 
 
 def _lists(A, C, instance_identity=False):
@@ -150,3 +169,20 @@ class TestLatticeSide:
         A, C = random_context(rng, *source), random_context(rng, *target)
         L, M = functors.concept_lattice_of(A), functors.concept_lattice_of(C)
         assert _enumerate_lattice_morphisms(L, M) == oracles.lattice_morphisms_oracle(L, M)
+
+    def test_one_map_per_function_is_the_per_pair_formula(self):
+        """The enumerator computes ``psi`` once per type map and ``phi`` once
+        per instance map; the formula computed for every pair gives the same
+        morphisms in the same order, on every ordered pair of the small
+        lattices and from the apex of each named context's self-sum."""
+        lattices = [functors.concept_lattice_of(K) for K in SMALL + NAMED]
+        pairs = list(itertools.product(lattices, repeat=2)) + [
+            (functors.concept_lattice_of(coproduct_sum(K, K).apex), functors.concept_lattice_of(K))
+            for K in NAMED
+        ]
+        counts = []
+        for L, M in pairs:
+            found = _targets(_enumerate_lattice_morphisms(L, M))
+            assert found == _targets(oracles.lattice_morphisms_per_pair(L, M))
+            counts.append(len(found))
+        assert counts[-1] == 256

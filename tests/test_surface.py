@@ -19,15 +19,31 @@ class's private ``_of``, so no class declares an ``InitVar`` switch, and
 the one public ``validate`` parameter is ``io.morphism_from_obj``'s, which
 picks between a constructor and ``_of`` for what ``conceptual check``
 reads from files.  The checked path has one form too: no dataclass writes
-its own ``__init__``, each checks in ``__post_init__``.
+its own ``__init__``, each checks in ``__post_init__``.  So has the
+unchecked one: every ``_of`` stores its fields into the instance dict, one
+subscript store per key, and no module calls ``object.__setattr__``.
 """
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
+import random
 from pathlib import Path
 
+import pytest
+
 import conceptual
+from conceptual.bond import Bond, BondingPair, close_to_bond
+from conceptual.classification import Classification
+from conceptual.colimit import enumerate_infomorphisms
+from conceptual.infomorphism import FunctionalInfomorphism, RelationalInfomorphism, fn2rel
+from conceptual.lattice import ConceptLattice, build_lattice
+from conceptual.relalg import FunctionGraph, Relation
+from conceptual.report import CheckRecord
+
+from conftest import boolean_hom, random_context
+from oracles import random_relation
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "conceptual"
@@ -216,6 +232,95 @@ def test_a_hand_written_dataclass_init_is_found():
         "        pass\n"
     )
     assert dataclasses_with_init({"relalg": tree}) == {"relalg.Relation", "relalg.Bond"}
+
+
+def setattr_stores(trees) -> list[str]:
+    """``module:line``, in order, for each line that reads
+    ``object.__setattr__`` or a name ``_setattr``: a call, or an alias that
+    would make one."""
+    found = {
+        (module, node.lineno)
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and ast.unparse(node) == "object.__setattr__")
+        or (isinstance(node, ast.Name) and node.id == "_setattr")
+    }
+    return [f"{module}:{line}" for module, line in sorted(found)]
+
+
+def test_no_module_stores_through_setattr():
+    assert setattr_stores(package_trees()) == []
+
+
+def test_a_setattr_store_is_found():
+    """The finder sees the alias and both calls the ``_of``s used to make,
+    and passes a store into the instance dict."""
+    tree = ast.parse(
+        "_setattr = object.__setattr__\n"
+        "def _of(cls, rows):\n"
+        "    out = _new(cls)\n"
+        "    _setattr(out, 'rows', rows)\n"
+        "    object.__setattr__(out, 'columns', rows)\n"
+        "    out.__dict__['rows'] = rows\n"
+        "    return out\n"
+    )
+    assert setattr_stores({"relalg": tree}) == ["relalg:1", "relalg:4", "relalg:5"]
+
+
+def classes_with_of(trees) -> set[str]:
+    """``module.Class`` for each class whose own body defines ``_of``."""
+    return {
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(m, ast.FunctionDef) and m.name == "_of" for m in node.body)
+    }
+
+
+def seeded_values(rng) -> dict[type, object]:
+    """One checked value of each class with an ``_of``, from ``rng``."""
+    A, B = random_context(rng, 3, 3), random_context(rng, 2, 3)
+    K = Classification(A.instances, A.types, random_relation(rng, 3, 3))
+    m = rng.choice(list(enumerate_infomorphisms(A, A)))
+    values = [
+        K.incidence,
+        FunctionGraph(tuple(rng.randrange(4) for _ in range(5)), 4),
+        K,
+        build_lattice(K),
+        Bond(A, B, close_to_bond(A, B, random_relation(rng, 2, 3))),
+        boolean_hom(3, 2, tuple(rng.sample(range(3), 2))).pair,
+        m,
+        fn2rel(m),
+        CheckRecord("sum-transport", f"target-0-cocone-{rng.randrange(9)}-0", "fail", "w"),
+    ]
+    return {type(v): v for v in values}
+
+
+OF_CLASSES = seeded_values(random.Random(11))
+
+
+def test_the_classes_with_an_of_are_the_nine():
+    assert classes_with_of(package_trees()) == {
+        f"{cls.__module__.rpartition('.')[2]}.{cls.__name__}" for cls in OF_CLASSES
+    }
+
+
+@pytest.mark.parametrize("cls", OF_CLASSES, ids=lambda cls: cls.__name__)
+def test_of_stores_what_the_constructor_stores(cls):
+    """From the fields of a checked value, ``_of`` and the checking
+    constructor build equal values of one hash; the one ``_of`` builds
+    holds exactly the fields in its instance dict, and neither takes an
+    assignment to a field."""
+    names = [f.name for f in dataclasses.fields(cls)]
+    fields = [getattr(OF_CLASSES[cls], name) for name in names]
+    checked, unchecked = cls(*fields), cls._of(*fields)
+    assert unchecked == checked and hash(unchecked) == hash(checked)
+    assert vars(unchecked) == dict(zip(names, fields))
+    assert list(vars(unchecked)) == names
+    for value in (checked, unchecked):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, names[0], fields[0])
 
 
 def tracer_layers() -> dict[str, list[str]]:

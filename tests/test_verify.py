@@ -205,6 +205,16 @@ def _swapped_cocone(d, mA, mB):
     return _MEDIATOR_MAPS(d, mB, mA)
 
 
+_ENUMERATE_LATTICE_MORPHISMS = colimit._enumerate_lattice_morphisms
+
+
+def _duplicated_lattice_mediator(L, M):
+    """The lattice morphisms with the first one listed twice: a cocone whose
+    mediator it is finds two after the lattice functor."""
+    found = _ENUMERATE_LATTICE_MORPHISMS(L, M)
+    return found[:1] + found
+
+
 # name -> (module, function, plausible wrong formula, families that must fail):
 # the mutants of ROADMAP item 9, each a rebinding the checks must catch
 MUTANTS = {
@@ -213,6 +223,12 @@ MUTANTS = {
         "_mediator_maps",
         _swapped_cocone,
         colimit.transport_families("sum"),
+    ),
+    "duplicated-lattice-mediator": (
+        colimit,
+        "_enumerate_lattice_morphisms",
+        _duplicated_lattice_mediator,
+        colimit.transport_families("sum")[1:],
     ),
 }
 
@@ -242,3 +258,14 @@ def test_swapped_cocones_fail_where_their_legs_differ(monkeypatch):
         for ca, cb in ((0, 1), (1, 0))
     ]
     assert len(report.records) == 8
+
+
+def test_a_duplicated_lattice_mediator_is_counted(monkeypatch):
+    """Under the duplicating enumerator, the seed-7 report fails exactly the
+    sum transport records whose cocone the first lattice morphism mediates,
+    each with the count of lattice mediators it found."""
+    monkeypatch.setattr(colimit, "_enumerate_lattice_morphisms", _duplicated_lattice_mediator)
+    failures = verify_equivalences(3, 7).failures
+    assert [(r.check, r.witness) for r in failures] == [
+        ("sum-transport", "2 lattice mediators found")
+    ] * 2
