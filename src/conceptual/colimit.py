@@ -6,7 +6,10 @@ universal property, not the formula, is the contract, and the checkers here
 enumerate every mediator.  They do it by propagation: once the instance
 function ``f`` is fixed, each type ``t`` can go only to a type of the target
 whose column is column ``t`` of the source pulled back along ``f``, so the
-type functions for ``f`` are a product of lookups, not a search.
+type functions for ``f`` are a product of lookups, not a search.  The
+lattice side searches nothing: the lattice functor is full and faithful, so
+its candidates are the images of the classification mediators, and only a
+target with a cocone is read.
 """
 
 from __future__ import annotations
@@ -348,7 +351,7 @@ def transport_families(kind: str) -> tuple[str, str]:
 
 def check_coproduct_property(
     d: CoproductDiagram, targets: list[Classification], report: VerificationReport
-) -> list[list[tuple]]:
+) -> list[tuple[list[tuple], list[FunctionalInfomorphism]]]:
     """Enumerate cocones over the given targets and confirm a unique mediator,
     equal to the formula-built one, for each.
 
@@ -356,24 +359,29 @@ def check_coproduct_property(
     mediator's as target tuples: the two share their endpoints, so equal
     keys mean equal morphisms, and the found one is checked already.  Only
     a cocone that fails builds the checked ``coproduct_mediator``, which
-    raises where the formula is no infomorphism.
+    raises where the formula is no infomorphism.  The apex's infomorphisms
+    into a target are enumerated only where both summands have legs there.
 
-    Returns the cocones of each target, in report order: the item, the two
-    legs and the mediator ``coproduct_mediator`` builds from them."""
+    Returns, for each target in report order, its cocones (the item, the two
+    legs and the mediator ``coproduct_mediator`` builds from them) and the
+    apex infomorphisms searched for them; a target without a cocone has
+    neither."""
     fiber = d.kind == "apposition"
-    cocones = []
+    out = []
     for t_i, C in enumerate(targets):
-        all_mediators, legs_a, legs_b = (
+        legs_a, legs_b = (
             list(enumerate_infomorphisms(X, C, instance_identity=fiber))
-            for X in (d.apex, d.left, d.right)
+            for X in (d.left, d.right)
         )
-        cocones.append([])
         if not legs_a or not legs_b:
             report.add(transport_families(d.kind)[0], f"target-{t_i}", True)
+            out.append(([], []))
             continue
+        all_mediators = list(enumerate_infomorphisms(d.apex, C, instance_identity=fiber))
         mediators = _by_restrictions(
             all_mediators, _infomorphism_maps, d.left_injection, d.right_injection
         )
+        cocones = []
         keys_b = [_key(_infomorphism_maps, mB) for mB in legs_b]
         for ca, mA in enumerate(legs_a):
             key_a = _key(_infomorphism_maps, mA)
@@ -390,8 +398,18 @@ def check_coproduct_property(
                     ok,
                     witness=f"{len(found)} mediators found",
                 )
-                cocones[-1].append((item, mA, mB, built))
-    return cocones
+                cocones.append((item, mA, mB, built))
+        out.append((cocones, all_mediators))
+    return out
+
+
+def _lattice_candidates(mediators: list[FunctionalInfomorphism]) -> list:
+    """The lattice functor's image of the classification mediators, each
+    built by the checking constructor.  The functor is full and faithful, so
+    on a sum these are all the concept lattice morphisms out of the apex
+    lattice; on an apposition they are the fiber ones, and no other could
+    restrict to a leg, whose instance map is the identity."""
+    return list(map(functors.lattice_of_morphism, mediators))
 
 
 def transport_coproduct(d: CoproductDiagram, targets: list[Classification]) -> VerificationReport:
@@ -400,8 +418,10 @@ def transport_coproduct(d: CoproductDiagram, targets: list[Classification]) -> V
     The transported mediator is rebuilt by the equivalence recipe: take the
     classification mediator of the pulled-back cocone, apply the lattice
     functor, and compose with the rebuild isomorphism of the target lattice.
-    The cocones and their mediators are those ``check_coproduct_property``
-    enumerated; each leg's lattice image is computed once per target.
+    The cocones, their mediators and the candidates are those
+    ``check_coproduct_property`` enumerated, the candidates carried over by
+    ``_lattice_candidates``; each leg's lattice image is computed once per
+    target, and a target without a cocone is not read.
 
     The recipe's key, from ``functors._image_then_key``, is compared with
     the found lattice mediator's, whose endpoints it shares, so equal keys
@@ -410,21 +430,22 @@ def transport_coproduct(d: CoproductDiagram, targets: list[Classification]) -> V
     which raises where the recipe gives no lattice morphism.
     """
     report = VerificationReport()
-    cocones = check_coproduct_property(d, targets, report)
+    searched = check_coproduct_property(d, targets, report)
 
     L_apex = functors.concept_lattice_of(d.apex)
     L_left_inj = functors.lattice_of_morphism(d.left_injection)
     L_right_inj = functors.lattice_of_morphism(d.right_injection)
-    for C, target_cocones in zip(targets, cocones):
+    for C, (target_cocones, classification_mediators) in zip(targets, searched):
+        if not target_cocones:
+            continue
         M = functors.concept_lattice_of(C)
         iso = functors.lattice_equivalence_witness(M)
-        # the middle lattices are compared only where a cocone composes
-        recipe_key = functors._image_then_key(L_apex, M, iso) if target_cocones else None
+        recipe_key = functors._image_then_key(L_apex, M, iso)
         image_key = functools.cache(
             lambda m: _key(_lattice_maps, functors.lattice_of_morphism(m))
         )
         mediators = _by_restrictions(
-            _enumerate_lattice_morphisms(L_apex, M), _lattice_maps, L_left_inj, L_right_inj
+            _lattice_candidates(classification_mediators), _lattice_maps, L_left_inj, L_right_inj
         )
         for item, mA, mB, mediator in target_cocones:
             found = mediators.get((image_key(mA), image_key(mB)), [])
@@ -440,44 +461,3 @@ def transport_coproduct(d: CoproductDiagram, targets: list[Classification]) -> V
                 witness=f"{len(found)} lattice mediators found",
             )
     return report
-
-
-def _enumerate_lattice_morphisms(L, M) -> list:
-    """All concept lattice morphisms between two concept lattices, in
-    lexicographic order of their instance, then type, functions.
-
-    Adjointness with ``phi.iota_M = iota_L.f`` and ``psi.tau_L = tau_M.g``
-    gives ``iota_L(f(c)) <= tau_L(t)`` iff ``iota_M(c) <= tau_M(g(t))``, and
-    ``iota(a) <= tau(t)`` iff ``a`` has ``t`` in the lattice's
-    classification, so the pairs ``(f, g)`` of a morphism are among those
-    ``_propagate`` finds on the two classifications: the infomorphisms.  The
-    lattice maps are forced, ``psi`` by meet-density and ``phi`` by
-    join-density, and the checking constructor rejects none of them.
-    ``psi`` depends on ``g`` alone and ``phi`` on ``f`` alone, so each is
-    computed once per distinct map, though every pair is a morphism of its
-    own.  The maps are indices of the two lattices, stored unchecked; each
-    morphism is checked."""
-    out = []
-    source, target = L.classification, M.classification
-    f_candidates = itertools.product(range(len(source.instances)), repeat=len(target.instances))
-    phis: dict[tuple[int, ...], FunctionGraph] = {}
-    psis: dict[tuple[int, ...], FunctionGraph] = {}
-    for f, g in _propagate(f_candidates, source.cols, source.rows, target.cols):
-        phi = phis.get(f.targets)
-        if phi is None:
-            phi = phis[f.targets] = FunctionGraph._of(
-                tuple(
-                    L.join_index(L.iota(f(b)) for b in bits(M.extents[y])) for y in range(M.size)
-                ),
-                L.size,
-            )
-        psi = psis.get(g.targets)
-        if psi is None:
-            psi = psis[g.targets] = FunctionGraph._of(
-                tuple(
-                    M.meet_index(M.tau(g(t)) for t in bits(L.intents[x])) for x in range(L.size)
-                ),
-                M.size,
-            )
-        out.append(functors.ConceptLatticeMorphism(L, M, phi, psi, f, g))
-    return out

@@ -9,7 +9,12 @@ import pytest
 
 from conceptual import verify
 from conceptual.classification import Classification, contranominal_classification
-from conceptual.colimit import CoproductDiagram, coproduct_sum
+from conceptual.colimit import (
+    CoproductDiagram,
+    _lattice_candidates,
+    coproduct_sum,
+    enumerate_infomorphisms,
+)
 from conceptual.functors import CompleteHomomorphism, complete_lattice_of
 from conceptual.infomorphism import FunctionalInfomorphism, RelationalInfomorphism
 from conceptual.lattice import concept_lattice_of
@@ -267,6 +272,13 @@ def duplicated_instance_sum(A, B) -> CoproductDiagram:
         return FunctionalInfomorphism(inj.source, apex, f, inj.g)
 
     return CoproductDiagram(A, B, apex, leg(d.left_injection), leg(d.right_injection), "sum")
+
+
+def lattice_images(L, M) -> list:
+    """The lattice functor's image of every infomorphism between the
+    classifications of ``L`` and ``M``, in enumeration order, taken as
+    ``colimit.transport_coproduct`` takes its candidates."""
+    return _lattice_candidates(list(enumerate_infomorphisms(L.classification, M.classification)))
 
 
 # .cxt headers with one negative count, id -> (text, line of the count):

@@ -14,11 +14,11 @@ at sizes the per-cell oracles cannot reach.
 The enumerator oracles (``infomorphisms_oracle``, ``lattice_morphism_candidates``
 and ``lattice_morphisms_oracle``) try every pair of an instance and a type
 function in lexicographic order and keep those the library's own checks
-pass: they share the verdict with the propagating enumerators of
-``colimit``, not the search, which is what they check.
-``lattice_morphisms_per_pair`` shares the search and computes both forced
-lattice maps for every pair, which checks that the enumerator's one map
-per distinct function is the same map.
+pass: they share the verdict with the propagating enumerator of
+``colimit`` and the lattice functor's image of what it finds, not the
+search, which is what they check.  ``lattice_morphisms_per_pair`` shares
+the search and computes both forced lattice maps for every pair by
+density, which checks the maps the functor reads through two pullbacks.
 
 The collective oracles are the formulas on pairs ``(a, alpha)`` that the
 bond form of a collective concept replaced, run on the per-cell kernels.
@@ -707,11 +707,10 @@ def lattice_morphisms_oracle(L, M) -> list:
 
 
 def lattice_morphisms_per_pair(L, M) -> list:
-    """The lattice morphisms of ``colimit._enumerate_lattice_morphisms`` as
-    it computed them before it kept one ``psi`` per type map and one ``phi``
-    per instance map: both forced maps again for every pair ``(f, g)`` that
-    ``colimit._propagate`` finds, each morphism built by the checking
-    constructor."""
+    """Every concept lattice morphism from L to M by density, in order: for
+    each pair ``(f, g)`` that ``colimit._propagate`` finds on the two
+    lattices' classifications, ``psi`` by meet-density and ``phi`` by
+    join-density, each morphism built by the checking constructor."""
     out = []
     source, target = L.classification, M.classification
     f_candidates = itertools.product(range(len(source.instances)), repeat=len(target.instances))

@@ -16,9 +16,9 @@ from conceptual.colimit import (
     CoproductDiagram,
     DualInvariant,
     _by_restrictions,
-    _enumerate_lattice_morphisms,
     _infomorphism_maps,
     _key,
+    _lattice_candidates,
     _lattice_maps,
     apposition,
     check_coproduct_property,
@@ -45,7 +45,7 @@ from conceptual.report import VerificationReport
 from conceptual.verify import verify_equivalences
 
 import oracles
-from conftest import duplicated_instance_sum, random_context
+from conftest import duplicated_instance_sum, lattice_images, random_context
 
 
 class TestSum:
@@ -318,7 +318,9 @@ def _diagrams(k1):
 
 def _filtered_report(d, targets) -> VerificationReport:
     """``transport_coproduct``'s records, each cocone's mediators found by
-    ``oracles.cocone_mediators`` over every candidate."""
+    ``oracles.cocone_mediators`` over every candidate: on the lattice side
+    every lattice morphism out of the apex lattice, in the instance fiber
+    or not."""
     report = VerificationReport()
     fiber = d.kind == "apposition"
 
@@ -350,7 +352,7 @@ def _filtered_report(d, targets) -> VerificationReport:
     for t_i, C in enumerate(targets):
         M = functors.concept_lattice_of(C)
         iso = functors.lattice_equivalence_witness(M)
-        candidates = _enumerate_lattice_morphisms(L_apex, M)
+        candidates = lattice_images(L_apex, M)
         for ca, mA in enumerate(legs(d.left, C)):
             for cb, mB in enumerate(legs(d.right, C)):
                 found = oracles.cocone_mediators(
@@ -399,9 +401,7 @@ class TestMediatorIndex:
                 legs_a = list(enumerate_infomorphisms(d.left, C, instance_identity=fiber))
                 legs_b = list(enumerate_infomorphisms(d.right, C, instance_identity=fiber))
                 mediators = list(enumerate_infomorphisms(d.apex, C, instance_identity=fiber))
-                lattice_mediators = _enumerate_lattice_morphisms(
-                    functors.concept_lattice_of(d.apex), functors.concept_lattice_of(C)
-                )
+                lattice_mediators = _lattice_candidates(mediators)
                 index = _by_restrictions(
                     mediators, _infomorphism_maps, d.left_injection, d.right_injection
                 )
@@ -430,28 +430,40 @@ class TestMediatorIndex:
                         )
 
     def test_universal_check_returns_the_cocones_it_reported(self, k1):
+        """Per target, the cocones in report order and the apex
+        infomorphisms enumerated for them; a target without a cocone has
+        neither."""
         for d in _diagrams(k1):
+            fiber = d.kind == "apposition"
             report = VerificationReport()
-            cocones = check_coproduct_property(d, [d.left, d.right], report)
-            assert len(cocones) == 2
-            flat = [c for target_cocones in cocones for c in target_cocones]
+            targets = [d.left, d.right]
+            searched = check_coproduct_property(d, targets, report)
+            assert len(searched) == 2
+            flat = [c for target_cocones, _ in searched for c in target_cocones]
             assert [c[0] for c in flat] == [
                 r.item for r in report.records if "cocone" in r.item
             ]
             for _, mA, mB, mediator in flat:
                 assert mediator == coproduct_mediator(d, mA, mB)
+            for C, (target_cocones, mediators) in zip(targets, searched):
+                expected = list(enumerate_infomorphisms(d.apex, C, instance_identity=fiber))
+                assert mediators == (expected if target_cocones else [])
 
     def test_transport_builds_each_mediator_and_image_once(self, k1, monkeypatch):
         """A checked ``coproduct_mediator`` only per cocone that fails the
         universal check, a checked lattice image per injection, per distinct
-        leg of a target and per cocone that fails the transport check, one
-        reading of the functor's maps per cocone beside those images, and one
-        enumeration of each list of legs per target."""
+        leg of a target, per apex mediator of a target with a cocone and per
+        cocone that fails the transport check, one reading of the functor's
+        maps per cocone beside those images, one enumeration of each list
+        of legs per target and of the apex mediators per target with a
+        cocone.  Every lattice morphism is checked: the images, the rebuild
+        witness of each target with a cocone and each failing composite."""
         diagrams = _diagrams(k1)
         expected = []
         for d in diagrams:
             fiber = d.kind == "apposition"
             cocones = images = 0
+            read = []
             for C in (d.left, d.right):
                 legs_a, legs_b = (
                     list(enumerate_infomorphisms(X, C, instance_identity=fiber))
@@ -460,41 +472,78 @@ class TestMediatorIndex:
                 if legs_a and legs_b:
                     cocones += len(legs_a) * len(legs_b)
                     images += len(set(legs_a) | set(legs_b))
+                    images += len(list(enumerate_infomorphisms(d.apex, C, instance_identity=fiber)))
+                    read.append(C)
             failures = collections.Counter(
                 r.check for r in _filtered_report(d, [d.left, d.right]).failures
             )
-            expected.append((cocones, images, *transport_families(d.kind), failures))
+            expected.append((cocones, images, read, *transport_families(d.kind), failures))
         # the duplicated-instance apex fails cocones before and after the functor
         total = sum((failures for *_, failures in expected), collections.Counter())
         assert total["sum-universal"] and total["sum-transport"]
+        # some targets have no cocone, so neither their apex nor their lattice is read
+        assert any(len(read) < 2 for _, _, read, *_ in expected)
         calls = collections.Counter()
         for module, name in (
             (colimit, "coproduct_mediator"),
             (colimit, "enumerate_infomorphisms"),
             (functors, "lattice_of_morphism"),
             (functors, "_functor_maps"),
+            (functors, "check_lattice_morphism"),
         ):
             monkeypatch.setattr(module, name, _counting(calls, name, getattr(module, name)))
-        for d, (cocones, images, universal, transport, failures) in zip(diagrams, expected):
+        for d, (cocones, images, read, universal, transport, failures) in zip(diagrams, expected):
             calls.clear()
             transport_coproduct(d, [d.left, d.right])
             assert calls["coproduct_mediator"] == failures[universal]
             assert calls["lattice_of_morphism"] == 2 + images + failures[transport]
             assert calls["_functor_maps"] == cocones + calls["lattice_of_morphism"]
+            assert calls["check_lattice_morphism"] == (
+                calls["lattice_of_morphism"] + len(read) + failures[transport]
+            )
             enumerations = collections.Counter(
                 ("enumerate_infomorphisms", X, C)
                 for C in (d.left, d.right)
-                for X in (d.apex, d.left, d.right)
+                for X in (d.left, d.right)
             )
+            enumerations.update(("enumerate_infomorphisms", d.apex, C) for C in read)
             assert {
                 k: n for k, n in calls.items() if k[0] == "enumerate_infomorphisms" and len(k) == 3
             } == enumerations
 
+    def test_a_target_without_a_cocone_is_not_read(self, k1, monkeypatch):
+        """``k1 + contranominal-2`` into ``k1``: the right summand has no
+        infomorphism into ``k1``, so the target has no cocone and one passing
+        universal record.  The apex is not searched, the target's rebuild
+        witness is not built, no lattice candidate is made, and the only
+        lattice morphisms checked are the images of the two injections."""
+        d = coproduct_sum(k1, contranominal_classification(2))
+        assert list(enumerate_infomorphisms(d.left, k1))
+        assert not list(enumerate_infomorphisms(d.right, k1))
+        calls = collections.Counter()
+        for module, name in (
+            (colimit, "enumerate_infomorphisms"),
+            (colimit, "_propagate"),
+            (colimit, "_lattice_candidates"),
+            (functors, "lattice_equivalence_witness"),
+            (functors, "check_lattice_morphism"),
+        ):
+            monkeypatch.setattr(module, name, _counting(calls, name, getattr(module, name)))
+        report = transport_coproduct(d, [k1])
+        assert [(r.check, r.item, r.verdict) for r in report.records] == [
+            ("sum-universal", "target-0", "pass")
+        ]
+        assert calls["enumerate_infomorphisms"] == calls["_propagate"] == 2
+        assert ("enumerate_infomorphisms", d.apex, k1) not in calls
+        assert calls["_lattice_candidates"] == calls["lattice_equivalence_witness"] == 0
+        assert calls["check_lattice_morphism"] == 2
+
 
 def test_lattice_morphisms_are_the_validated_candidates(k1):
     """On every lattice pair the transport check meets, the apex lattice
-    and a target's, the enumeration keeps exactly the brute-force
-    candidates the validating constructor accepts."""
+    and a target's, the functor's image of the infomorphisms is exactly the
+    brute-force candidates the validating constructor accepts: the functor
+    is full and faithful there."""
     pairs = {
         (functors.concept_lattice_of(d.apex), functors.concept_lattice_of(C))
         for d in _diagrams(k1)
@@ -502,7 +551,7 @@ def test_lattice_morphisms_are_the_validated_candidates(k1):
     }
     kept = 0
     for L, M in pairs:
-        found = _enumerate_lattice_morphisms(L, M)
+        found = lattice_images(L, M)
         assert found == oracles.lattice_morphisms_oracle(L, M)
         kept += len(found)
     assert kept
@@ -576,15 +625,14 @@ class TestIndexKeyedByMaps:
         L_left, L_right = (
             functors.lattice_of_morphism(m) for m in (d.left_injection, d.right_injection)
         )
+        mediators = list(enumerate_infomorphisms(d.apex, C, instance_identity=fiber))
         return self.same_index(
-            list(enumerate_infomorphisms(d.apex, C, instance_identity=fiber)),
+            mediators,
             _infomorphism_maps,
             d.left_injection,
             d.right_injection,
         ), self.same_index(
-            _enumerate_lattice_morphisms(
-                functors.concept_lattice_of(d.apex), functors.concept_lattice_of(C)
-            ),
+            _lattice_candidates(mediators),
             _lattice_maps,
             L_left,
             L_right,
@@ -592,12 +640,11 @@ class TestIndexKeyedByMaps:
 
     def test_beyond_the_brute_force(self):
         """The sum and the apposition of ``TestTransportBeyondTheBruteForce``:
-        143 and 16 cocones, one entry each on the classification side.  The
-        lattice side indexes every lattice morphism out of the apex, in the
-        instance fiber or not, so the apposition has more entries there."""
+        143 and 16 cocones, one entry each on both sides, for the lattice
+        side indexes the images of the classification side's candidates."""
         A, B, T = TestTransportBeyondTheBruteForce().contexts()
         assert self.both_sides(coproduct_sum(A, B), T) == (143, 143)
-        assert self.both_sides(apposition(T, T), T) == (16, 576)
+        assert self.both_sides(apposition(T, T), T) == (16, 16)
 
     def test_on_the_verify_corpora(self, monkeypatch):
         """Every index ``transport_coproduct`` builds for the sum and

@@ -1,8 +1,11 @@
-"""The propagating enumerators of ``colimit`` against the brute-force loops
-of ``tests/oracles.py``, order included, on contexts up to 3x3 with empty
+"""The propagating enumerator of ``colimit``, and the lattice functor's
+image of what it finds, against the brute-force loops of
+``tests/oracles.py``, order included, on contexts up to 3x3 with empty
 instance or type sets on either end, and on a seeded sum of 2x3 contexts;
-on a seeded sum of 3x3 contexts, too large for the brute force, the two
-enumerators against each other."""
+on a seeded sum of 3x3 contexts, too large for the brute force, the image
+against the density formula.  Equal to the brute force over every
+``(f, g)``, the image is every lattice morphism, each once: the functor is
+full and faithful on each of these hom-sets."""
 
 import inspect
 import itertools
@@ -18,15 +21,11 @@ from conceptual.classification import (
     chain_classification,
     contranominal_classification,
 )
-from conceptual.colimit import (
-    _enumerate_lattice_morphisms,
-    coproduct_sum,
-    enumerate_infomorphisms,
-)
+from conceptual.colimit import coproduct_sum, enumerate_infomorphisms
 from conceptual.relalg import Relation
 
 import oracles
-from conftest import random_context
+from conftest import lattice_images, random_context
 
 
 def context(m: int, cols) -> Classification:
@@ -131,35 +130,41 @@ class TestClassificationSide:
 
 
 class TestLatticeSide:
+    """``lattice_images``: the lattice morphisms ``transport_coproduct``
+    takes as candidates, the functor's image of the infomorphisms between
+    the two lattices' classifications."""
+
     @settings(max_examples=60, deadline=None)
     @given(contexts(), contexts(pool=3))
     def test_equals_the_brute_force(self, A, C):
+        """Full and faithful: the images are the lattice morphisms the
+        checking constructor keeps among every ``(f, g)``, in order."""
         L, M = functors.concept_lattice_of(A), functors.concept_lattice_of(C)
-        assert _enumerate_lattice_morphisms(L, M) == oracles.lattice_morphisms_oracle(L, M)
+        assert lattice_images(L, M) == oracles.lattice_morphisms_oracle(L, M)
 
     @settings(max_examples=40, deadline=None)
     @given(contexts(2, 2), contexts(2, 2), contexts(2, 2))
     @example(*SUM_2X3)
     def test_sum_apex_into_a_target(self, A, B, C):
         """The pairs the transport check meets: both sides on the apex of a
-        sum, which has repeated rows and columns when a summand does, and
-        with the same ``(f, g)`` pairs."""
+        sum, which has repeated rows and columns when a summand does, each
+        equal to its brute force."""
         apex = coproduct_sum(A, B).apex
         L, M = functors.concept_lattice_of(apex), functors.concept_lattice_of(C)
-        morphisms = _enumerate_lattice_morphisms(L, M)
+        morphisms = lattice_images(L, M)
         assert morphisms == oracles.lattice_morphisms_oracle(L, M)
         found, expected = _lists(apex, C)
         assert found == expected
         assert [(x.f, x.g) for x in found] == [(x.f, x.g) for x in morphisms]
 
     def test_both_sides_have_the_same_pairs_on_a_seeded_3x3_sum(self):
-        """Too many candidates for the brute force: the sides against each
-        other."""
+        """Too many candidates for the brute force: the images against the
+        density formula over the same ``(f, g)`` pairs."""
         A, B, C = SUM_3X3
         apex = coproduct_sum(A, B).apex
         L, M = functors.concept_lattice_of(apex), functors.concept_lattice_of(C)
-        found = [(x.f, x.g) for x in enumerate_infomorphisms(apex, C)]
-        assert found == [(x.f, x.g) for x in _enumerate_lattice_morphisms(L, M)]
+        found = _targets(lattice_images(L, M))
+        assert found == _targets(oracles.lattice_morphisms_per_pair(L, M))
         assert len(found) == 81
 
     @pytest.mark.parametrize("source", CORNERS)
@@ -168,13 +173,13 @@ class TestLatticeSide:
         rng = random.Random(f"{source}{target}")
         A, C = random_context(rng, *source), random_context(rng, *target)
         L, M = functors.concept_lattice_of(A), functors.concept_lattice_of(C)
-        assert _enumerate_lattice_morphisms(L, M) == oracles.lattice_morphisms_oracle(L, M)
+        assert lattice_images(L, M) == oracles.lattice_morphisms_oracle(L, M)
 
     def test_one_map_per_function_is_the_per_pair_formula(self):
-        """The enumerator computes ``psi`` once per type map and ``phi`` once
-        per instance map; the formula computed for every pair gives the same
-        morphisms in the same order, on every ordered pair of the small
-        lattices and from the apex of each named context's self-sum."""
+        """The functor reads ``psi`` and ``phi`` through two pullbacks; the
+        density formula computed for every pair gives the same morphisms in
+        the same order, on every ordered pair of the small lattices and from
+        the apex of each named context's self-sum."""
         lattices = [functors.concept_lattice_of(K) for K in SMALL + NAMED]
         pairs = list(itertools.product(lattices, repeat=2)) + [
             (functors.concept_lattice_of(coproduct_sum(K, K).apex), functors.concept_lattice_of(K))
@@ -182,7 +187,7 @@ class TestLatticeSide:
         ]
         counts = []
         for L, M in pairs:
-            found = _targets(_enumerate_lattice_morphisms(L, M))
+            found = _targets(lattice_images(L, M))
             assert found == _targets(oracles.lattice_morphisms_per_pair(L, M))
             counts.append(len(found))
         assert counts[-1] == 256

@@ -22,13 +22,19 @@ reads from files.  The checked path has one form too: no dataclass writes
 its own ``__init__``, each checks in ``__post_init__``.  So has the
 unchecked one: every ``_of`` stores its fields into the instance dict, one
 subscript store per key, and no module calls ``object.__setattr__``.
+
+Each module imports alone, in a fresh interpreter, and no line of the
+package, the tests or the tools passes 100 columns.
 """
 
 import ast
 import dataclasses
 import importlib
 import importlib.util
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -369,3 +375,39 @@ def test_inherited_and_missing_hooks_are_unresolved():
         "gone:compose",
         "lattice:Gone.covers",
     ]
+
+
+# -- imports and width ----------------------------------------------------------
+
+MODULES = ["conceptual"] + [
+    f"conceptual.{path.stem}" for path in sorted(PACKAGE.glob("*.py")) if path.stem != "__init__"
+]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_each_module_imports_alone(module):
+    """Some modules import others when first used, so each is imported
+    first in a fresh interpreter, as a user's script would."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(PACKAGE.parent), env.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-c", f"import {module}"], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+
+
+def long_lines(paths, width: int = 100) -> list[str]:
+    """``path:line: columns`` for each line of ``paths`` wider than ``width``."""
+    return [
+        f"{path.relative_to(ROOT)}:{n}: {len(line)} columns"
+        for path in paths
+        for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if len(line) > width
+    ]
+
+
+def test_no_source_line_passes_100_columns():
+    """A shorter module must not be a wider one, so line counts stay honest;
+    the tests and tools are held to the same width."""
+    dirs = ("src/conceptual", "tests", "tools")
+    assert long_lines(p for d in dirs for p in sorted((ROOT / d).glob("*.py"))) == []

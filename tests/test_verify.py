@@ -205,13 +205,13 @@ def _swapped_cocone(d, mA, mB):
     return _MEDIATOR_MAPS(d, mB, mA)
 
 
-_ENUMERATE_LATTICE_MORPHISMS = colimit._enumerate_lattice_morphisms
+_LATTICE_CANDIDATES = colimit._lattice_candidates
 
 
-def _duplicated_lattice_mediator(L, M):
-    """The lattice morphisms with the first one listed twice: a cocone whose
+def _duplicated_lattice_mediator(mediators):
+    """The lattice candidates with the first one listed twice: a cocone whose
     mediator it is finds two after the lattice functor."""
-    found = _ENUMERATE_LATTICE_MORPHISMS(L, M)
+    found = _LATTICE_CANDIDATES(mediators)
     return found[:1] + found
 
 
@@ -226,9 +226,9 @@ MUTANTS = {
     ),
     "duplicated-lattice-mediator": (
         colimit,
-        "_enumerate_lattice_morphisms",
+        "_lattice_candidates",
         _duplicated_lattice_mediator,
-        colimit.transport_families("sum")[1:],
+        colimit.transport_families("sum")[1:] + colimit.transport_families("apposition")[1:],
     ),
 }
 
@@ -261,11 +261,13 @@ def test_swapped_cocones_fail_where_their_legs_differ(monkeypatch):
 
 
 def test_a_duplicated_lattice_mediator_is_counted(monkeypatch):
-    """Under the duplicating enumerator, the seed-7 report fails exactly the
-    sum transport records whose cocone the first lattice morphism mediates,
-    each with the count of lattice mediators it found."""
-    monkeypatch.setattr(colimit, "_enumerate_lattice_morphisms", _duplicated_lattice_mediator)
+    """Under the duplicated first candidate, the seed-7 report fails exactly
+    the transport records whose cocone the first lattice candidate mediates,
+    two of sums and two of appositions, each with the count of lattice
+    mediators it found."""
+    monkeypatch.setattr(colimit, "_lattice_candidates", _duplicated_lattice_mediator)
     failures = verify_equivalences(3, 7).failures
     assert [(r.check, r.witness) for r in failures] == [
-        ("sum-transport", "2 lattice mediators found")
-    ] * 2
+        (family, "2 lattice mediators found")
+        for family in ("sum-transport",) * 2 + ("apposition-transport",) * 2
+    ]
