@@ -17,6 +17,15 @@ from .relalg import Relation, _new, bits, view
 POWERSET_CAP = 16
 
 
+def _require_distinct(kind: str, labels: tuple[str, ...]) -> None:
+    """Refuse repeated labels, naming the first that repeats an earlier one,
+    with that label as the witness."""
+    if len(set(labels)) != len(labels):
+        seen: set = set()
+        label = next(x for x in labels if x in seen or seen.add(x))
+        raise ValidationError(f"duplicate {kind} label {quote(label)}", witness=(label,))
+
+
 @dataclass(frozen=True)
 class Classification:
     instances: tuple[str, ...]
@@ -29,10 +38,8 @@ class Classification:
                 f"incidence shape {self.incidence.shape} does not match "
                 f"{len(self.instances)} instances x {len(self.types)} types"
             )
-        if len(set(self.instances)) != len(self.instances):
-            raise ValidationError("duplicate instance labels")
-        if len(set(self.types)) != len(self.types):
-            raise ValidationError("duplicate type labels")
+        _require_distinct("instance", self.instances)
+        _require_distinct("type", self.types)
 
     @classmethod
     def _of(

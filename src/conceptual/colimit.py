@@ -14,7 +14,6 @@ target with a cocone is read.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -316,14 +315,14 @@ def _key(maps, m) -> tuple:
     return tuple(x.targets for x in back + forward)
 
 
-def _composite_key(first, second) -> tuple:
+def _composite_key(first, second, then) -> tuple:
     """The key of the composite ``first;second`` from the maps of both,
     backward then forward: it runs each backward map of ``second`` then that
     of ``first``, and each forward map of ``first`` then that of ``second``,
     as ``compose_functional`` and ``compose_lattice_morphisms`` do.  Read
-    with ``then_targets``; no composite is built or checked."""
+    with ``then``, which gives what ``then_targets`` gives; no composite is
+    built or checked."""
     (back1, forward1), (back2, forward2) = first, second
-    then = FunctionGraph.then_targets
     return (*map(then, back2, back1), *map(then, forward1, forward2))
 
 
@@ -333,12 +332,24 @@ def _by_restrictions(candidates, maps, left, right) -> dict:
     entry at the keys of its two legs.
 
     Every composite with ``left`` (``right``) has the endpoints of a left
-    (right) leg, so equal keys mean equal morphisms."""
+    (right) leg, so equal keys mean equal morphisms.  The candidates share
+    their endpoints, so equal target tuples mean equal maps, and each
+    composite map is read once per distinct pair of injection map and
+    candidate map."""
     injections = (maps(left), maps(right))
+    composites: dict = {}
+
+    def then(a: FunctionGraph, b: FunctionGraph) -> tuple[int, ...]:
+        pair = (a.targets, b.targets)
+        out = composites.get(pair)
+        if out is None:
+            out = composites[pair] = a.then_targets(b)
+        return out
+
     index: dict = {}
     for m in candidates:
         m_maps = maps(m)
-        key = tuple(_composite_key(inj, m_maps) for inj in injections)
+        key = tuple(_composite_key(inj, m_maps, then) for inj in injections)
         index.setdefault(key, []).append(m)
     return index
 
@@ -351,7 +362,7 @@ def transport_families(kind: str) -> tuple[str, str]:
 
 def check_coproduct_property(
     d: CoproductDiagram, targets: list[Classification], report: VerificationReport
-) -> list[tuple[list[tuple], list[FunctionalInfomorphism]]]:
+) -> list[tuple[tuple[list, list], list[tuple], list[FunctionalInfomorphism]]]:
     """Enumerate cocones over the given targets and confirm a unique mediator,
     equal to the formula-built one, for each.
 
@@ -362,10 +373,11 @@ def check_coproduct_property(
     raises where the formula is no infomorphism.  The apex's infomorphisms
     into a target are enumerated only where both summands have legs there.
 
-    Returns, for each target in report order, its cocones (the item, the two
-    legs and the mediator ``coproduct_mediator`` builds from them) and the
-    apex infomorphisms searched for them; a target without a cocone has
-    neither."""
+    Returns, for each target in report order, its two lists of legs, its
+    cocones (the item, the positions of its two legs and the mediator
+    ``coproduct_mediator`` builds from them) and the apex infomorphisms
+    searched for them; a target without a cocone has neither of the last
+    two."""
     fiber = d.kind == "apposition"
     out = []
     for t_i, C in enumerate(targets):
@@ -375,7 +387,7 @@ def check_coproduct_property(
         )
         if not legs_a or not legs_b:
             report.add(transport_families(d.kind)[0], f"target-{t_i}", True)
-            out.append(([], []))
+            out.append(((legs_a, legs_b), [], []))
             continue
         all_mediators = list(enumerate_infomorphisms(d.apex, C, instance_identity=fiber))
         mediators = _by_restrictions(
@@ -398,18 +410,28 @@ def check_coproduct_property(
                     ok,
                     witness=f"{len(found)} mediators found",
                 )
-                cocones.append((item, mA, mB, built))
-        out.append((cocones, all_mediators))
+                cocones.append((item, ca, cb, built))
+        out.append(((legs_a, legs_b), cocones, all_mediators))
     return out
 
 
 def _lattice_candidates(mediators: list[FunctionalInfomorphism]) -> list:
-    """The lattice functor's image of the classification mediators, each
-    built by the checking constructor.  The functor is full and faithful, so
-    on a sum these are all the concept lattice morphisms out of the apex
-    lattice; on an apposition they are the fiber ones, and no other could
-    restrict to a leg, whose instance map is the identity."""
-    return list(map(functors.lattice_of_morphism, mediators))
+    """The lattice functor's image of the classification mediators, which
+    share their endpoints, each built by the checking constructor with the
+    maps of one ``functors._functor_maps_once``.  The functor is full and
+    faithful, so on a sum these are all the concept lattice morphisms out of
+    the apex lattice; on an apposition they are the fiber ones, and no
+    other could restrict to a leg, whose instance map is the identity."""
+    if not mediators:
+        return []
+    first = mediators[0]
+    LA, LB = functors.concept_lattice_of(first.source), functors.concept_lattice_of(first.target)
+    maps = functors._functor_maps_once(LA, LB)
+    out = []
+    for m in mediators:
+        psi, phi = maps(m.f, m.g)
+        out.append(functors.ConceptLatticeMorphism(LA, LB, phi, psi, m.f, m.g))
+    return out
 
 
 def transport_coproduct(d: CoproductDiagram, targets: list[Classification]) -> VerificationReport:
@@ -420,8 +442,10 @@ def transport_coproduct(d: CoproductDiagram, targets: list[Classification]) -> V
     functor, and compose with the rebuild isomorphism of the target lattice.
     The cocones, their mediators and the candidates are those
     ``check_coproduct_property`` enumerated, the candidates carried over by
-    ``_lattice_candidates``; each leg's lattice image is computed once per
-    target, and a target without a cocone is not read.
+    ``_lattice_candidates``.  A target without a cocone is not read, and
+    the apex lattice and the injections' lattice images are built only
+    once some target has one; each leg's lattice key is computed once, by
+    its position in its list.
 
     The recipe's key, from ``functors._image_then_key``, is compared with
     the found lattice mediator's, whose endpoints it shares, so equal keys
@@ -432,23 +456,26 @@ def transport_coproduct(d: CoproductDiagram, targets: list[Classification]) -> V
     report = VerificationReport()
     searched = check_coproduct_property(d, targets, report)
 
-    L_apex = functors.concept_lattice_of(d.apex)
-    L_left_inj = functors.lattice_of_morphism(d.left_injection)
-    L_right_inj = functors.lattice_of_morphism(d.right_injection)
-    for C, (target_cocones, classification_mediators) in zip(targets, searched):
+    injections = None
+    for C, (legs, target_cocones, classification_mediators) in zip(targets, searched):
         if not target_cocones:
             continue
+        if injections is None:
+            L_apex = functors.concept_lattice_of(d.apex)
+            injections = [
+                functors.lattice_of_morphism(m) for m in (d.left_injection, d.right_injection)
+            ]
         M = functors.concept_lattice_of(C)
         iso = functors.lattice_equivalence_witness(M)
         recipe_key = functors._image_then_key(L_apex, M, iso)
-        image_key = functools.cache(
-            lambda m: _key(_lattice_maps, functors.lattice_of_morphism(m))
-        )
         mediators = _by_restrictions(
-            _lattice_candidates(classification_mediators), _lattice_maps, L_left_inj, L_right_inj
+            _lattice_candidates(classification_mediators), _lattice_maps, *injections
         )
-        for item, mA, mB, mediator in target_cocones:
-            found = mediators.get((image_key(mA), image_key(mB)), [])
+        keys_a, keys_b = (
+            [_key(_lattice_maps, functors.lattice_of_morphism(m)) for m in side] for side in legs
+        )
+        for item, ca, cb, mediator in target_cocones:
+            found = mediators.get((keys_a[ca], keys_b[cb]), [])
             formula = recipe_key(mediator)
             ok = len(found) == 1 and _key(_lattice_maps, found[0]) == formula
             if not ok:

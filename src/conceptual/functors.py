@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .bond import Bond, BondingPair, _closure_failure, compose_bonds
-from .classification import Classification
+from .classification import Classification, _require_distinct
 from .errors import CheckResult, ShapeError, ValidationError, quote, require_shape
 from .infomorphism import FunctionalInfomorphism
 from .lattice import (
@@ -71,8 +71,7 @@ class CompleteLattice(ConceptLattice):
     def __init__(self, elements: tuple[str, ...], leq: Relation):
         n = len(elements)
         require_shape("order", leq.shape, (n, n))
-        if len(set(elements)) != n:
-            raise ValidationError("duplicate element labels")
+        _require_distinct("element", elements)
         self.__dict__["classification"] = Classification._of(elements, elements, leq)
         self.__post_init__()
 
@@ -202,17 +201,18 @@ def _image_then_key(LA: ConceptLattice, LB: ConceptLattice, m2: ConceptLatticeMo
     ``compose_lattice_morphisms(lattice_of_morphism(m), m2)``: the target
     tuples of its ``phi``, ``f``, ``psi`` and ``g``, read with
     ``then_targets``, no morphism built or checked.  The middle lattices
-    are compared once, here, as the composite compares them."""
+    are compared once, here, as the composite compares them.  The ``f`` and
+    ``psi`` parts read ``m.f`` alone and the ``phi`` and ``g`` parts
+    ``m.g`` alone, so each pair is computed once per distinct map."""
     _require_middle(LB, m2)
+    parts = _once_per_map(
+        lambda f: (m2.f.then_targets(f), _psi_along(LA, LB, f).then_targets(m2.psi)),
+        lambda g: (m2.phi.then_targets(_phi_along(LA, LB, g)), g.then_targets(m2.g)),
+    )
 
     def key(m: FunctionalInfomorphism) -> tuple:
-        phi, psi = _functor_maps(LA, LB, m.f, m.g)
-        return (
-            m2.phi.then_targets(phi),
-            m2.f.then_targets(m.f),
-            psi.then_targets(m2.psi),
-            m.g.then_targets(m2.g),
-        )
+        (f, psi), (phi, g) = parts(m.f, m.g)
+        return phi, f, psi, g
 
     return key
 
@@ -227,21 +227,52 @@ def lattice_of_morphism(m: FunctionalInfomorphism) -> ConceptLatticeMorphism:
     (of the intents, the rows of ``tau_rel``).
     """
     LA, LB = concept_lattice_of(m.source), concept_lattice_of(m.target)
-    phi, psi = _functor_maps(LA, LB, m.f, m.g)
+    phi, psi = _phi_along(LA, LB, m.g), _psi_along(LA, LB, m.f)
     return ConceptLatticeMorphism(LA, LB, phi, psi, m.f, m.g)
 
 
-def _functor_maps(
-    LA: ConceptLattice, LB: ConceptLattice, f: FunctionGraph, g: FunctionGraph
-) -> tuple[FunctionGraph, FunctionGraph]:
-    """The lattice maps ``(phi, psi)`` of ``lattice_of_morphism(m)`` for an
-    infomorphism ``m`` with maps ``f`` and ``g`` between the classifications
-    of ``LA`` and ``LB``, unchecked."""
+def _psi_along(LA: ConceptLattice, LB: ConceptLattice, f: FunctionGraph) -> FunctionGraph:
+    """The forward map ``psi`` of ``lattice_of_morphism(m)`` for an
+    infomorphism ``m`` with instance map ``f`` between the classifications
+    of ``LA`` and ``LB``, unchecked: it reads ``f`` alone."""
     extents = pullback(LA.extents, LA.iota_rel.rows, f)
+    return FunctionGraph._of(tuple(map(LB.extent_index.__getitem__, extents)), LB.size)
+
+
+def _phi_along(LA: ConceptLattice, LB: ConceptLattice, g: FunctionGraph) -> FunctionGraph:
+    """The backward map ``phi`` of ``lattice_of_morphism(m)`` for an
+    infomorphism ``m`` with type map ``g``, unchecked: it reads ``g`` alone."""
     intents = pullback(LB.intents, LB.tau_rel.columns, g)
-    psi = FunctionGraph._of(tuple(map(LB.extent_index.__getitem__, extents)), LB.size)
-    phi = FunctionGraph._of(tuple(map(LA.intent_index.__getitem__, intents)), LA.size)
-    return phi, psi
+    return FunctionGraph._of(tuple(map(LA.intent_index.__getitem__, intents)), LA.size)
+
+
+def _once_per_map(of_f, of_g):
+    """The function ``(f, g) -> (of_f(f), of_g(g))`` for the maps of
+    infomorphisms with one pair of endpoints, each value computed once per
+    distinct target tuple, in two dicts that live as long as the function:
+    maps of one shape are equal iff their target tuples are."""
+    by_f: dict = {}
+    by_g: dict = {}
+
+    def read(f: FunctionGraph, g: FunctionGraph) -> tuple:
+        a = by_f.get(f.targets)
+        if a is None:
+            a = by_f[f.targets] = of_f(f)
+        b = by_g.get(g.targets)
+        if b is None:
+            b = by_g[g.targets] = of_g(g)
+        return a, b
+
+    return read
+
+
+def _functor_maps_once(LA: ConceptLattice, LB: ConceptLattice):
+    """The function ``(f, g) -> (psi, phi)`` giving the lattice maps of
+    ``lattice_of_morphism(m)`` for the infomorphisms ``m`` with maps ``f``
+    and ``g`` between the classifications of ``LA`` and ``LB``:
+    ``psi`` is computed once per distinct ``f`` and ``phi`` once per
+    distinct ``g``."""
+    return _once_per_map(lambda f: _psi_along(LA, LB, f), lambda g: _phi_along(LA, LB, g))
 
 
 def classification_of_lattice(L: ConceptLattice) -> Classification:

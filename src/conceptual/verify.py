@@ -263,13 +263,25 @@ def _classification_roundtrip(item) -> bool:
     return True
 
 
-def _naturality_holds(cm: functors.ConceptLatticeMorphism) -> bool:
+def _naturality_holds(item) -> bool:
     """The rebuild isomorphisms ``iso`` (rebuilt lattice to lattice) make
-    the square ``L(C(cm)) ; iso_tgt == iso_src ; cm`` commute."""
-    iso_src, iso_tgt = map(functors.lattice_equivalence_witness, (cm.source, cm.target))
+    the square ``L(C(cm)) ; iso_tgt == iso_src ; cm`` commute.  ``item`` is
+    ``cm`` and the run's dict of rebuild isomorphisms, keyed by lattice,
+    which each endpoint's is taken from and first added to."""
+    cm, witnesses = item
+    iso_src, iso_tgt = (_witness_of(witnesses, L) for L in (cm.source, cm.target))
     rebuilt = functors.lattice_of_morphism(functors.morphism_of_lattice_morphism(cm))
     lhs = functors.compose_lattice_morphisms(rebuilt, iso_tgt)
     return lhs == functors.compose_lattice_morphisms(iso_src, cm)
+
+
+def _witness_of(witnesses: dict, L) -> functors.ConceptLatticeMorphism:
+    """``functors.lattice_equivalence_witness(L)``, built once per lattice
+    into ``witnesses``; a build that raises stores nothing."""
+    iso = witnesses.get(L)
+    if iso is None:
+        iso = witnesses[L] = functors.lattice_equivalence_witness(L)
+    return iso
 
 
 def _irreducibility_kept(m: FunctionalInfomorphism) -> bool:
@@ -322,7 +334,7 @@ FAMILIES = (
     (lambda c: c.lattices, (
         "lattice-roundtrip", lambda L: functors.lattice_equivalence_witness(L), None,
     )),
-    (lambda c: c.lattice_morphisms, (
+    (lambda c: [(i, (cm, c.witnesses)) for i, cm in c.lattice_morphisms], (
         "cl-naturality", _naturality_holds, "naturality square broke",
     )),
     # relational equivalence
@@ -391,7 +403,7 @@ CHECK_FAMILIES = tuple(dict.fromkeys(family for _, *checks in FAMILIES for famil
 def verify_equivalences(
     max_size: int = 3, seed: int = 0, inject_bug: bool = False
 ) -> VerificationReport:
-    c = SimpleNamespace(rng=random.Random(seed), inject_bug=inject_bug)
+    c = SimpleNamespace(rng=random.Random(seed), inject_bug=inject_bug, witnesses={})
     c.contexts = context_corpus(max_size, c.rng)
     c.morphisms = infomorphism_corpus(c.contexts, c.rng)
     c.bonds = bond_corpus(c.contexts, c.morphisms, c.rng)

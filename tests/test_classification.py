@@ -14,6 +14,7 @@ from conceptual.classification import (
     type_preorder,
 )
 from conceptual.errors import ResourceLimitError, ValidationError
+from conceptual.functors import CompleteLattice
 from conceptual.relalg import Relation, bits, left_residual, right_residual
 
 from conftest import RANDOM_SHAPES, all_contexts, random_context
@@ -108,6 +109,34 @@ class TestConstructors:
             Classification(("a",), ("t", "t"), Relation.empty(1, 2))
         with pytest.raises(ValidationError):
             Classification(("a",), ("t",), Relation.empty(2, 1))
+
+    @pytest.mark.parametrize(
+        "build, message, label",
+        [
+            (
+                lambda: Classification(tuple("abba"), ("t",), Relation.empty(4, 1)),
+                "duplicate instance label 'b'",
+                "b",
+            ),
+            (
+                lambda: Classification(("a",), ("s", "t", "s", "t"), Relation.empty(1, 4)),
+                "duplicate type label 's'",
+                "s",
+            ),
+            (
+                lambda: CompleteLattice(("y", "x", "z", "x"), Relation.empty(4, 4)),
+                "duplicate element label 'x'",
+                "x",
+            ),
+        ],
+        ids=["instances", "types", "elements"],
+    )
+    def test_a_duplicate_label_is_named_with_its_witness(self, build, message, label):
+        """The refusal names the first label that repeats an earlier one,
+        quoted, and carries it as the witness."""
+        with pytest.raises(ValidationError, match=f"^{message}$") as caught:
+            build()
+        assert caught.value.witness == (label,)
 
     def test_dual_involution(self, rng, k1):
         assert dual(dual(k1)) == k1

@@ -364,7 +364,7 @@ REFUSALS = {
         "subposition requires identical ordered type sets",
     ),
     "blank-csv": (["lattice", "a.csv"], {"a.csv": "\n\n\n"}, "line 1: empty CSV input"),
-    "csv-types": (["lattice", "a.csv"], {"a.csv": ",a,a\n1,0,1\n"}, "duplicate type labels"),
+    "csv-types": (["lattice", "a.csv"], {"a.csv": ",a,a\n1,0,1\n"}, "duplicate type label 'a'"),
     "cxt-end": (["lattice", "a.cxt"], {"a.cxt": "B\n"}, "line 2: unexpected end of file"),
     "data": (
         ["check", "bond", "a.json"],

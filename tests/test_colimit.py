@@ -430,76 +430,94 @@ class TestMediatorIndex:
                         )
 
     def test_universal_check_returns_the_cocones_it_reported(self, k1):
-        """Per target, the cocones in report order and the apex
-        infomorphisms enumerated for them; a target without a cocone has
-        neither."""
+        """Per target, its two lists of legs, the cocones in report order
+        with the positions of their legs, and the apex infomorphisms
+        enumerated for them; a target without a cocone has neither of the
+        last two."""
         for d in _diagrams(k1):
             fiber = d.kind == "apposition"
             report = VerificationReport()
             targets = [d.left, d.right]
             searched = check_coproduct_property(d, targets, report)
             assert len(searched) == 2
-            flat = [c for target_cocones, _ in searched for c in target_cocones]
+            flat = [c for _, target_cocones, _ in searched for c in target_cocones]
             assert [c[0] for c in flat] == [
                 r.item for r in report.records if "cocone" in r.item
             ]
-            for _, mA, mB, mediator in flat:
-                assert mediator == coproduct_mediator(d, mA, mB)
-            for C, (target_cocones, mediators) in zip(targets, searched):
+            for C, ((legs_a, legs_b), target_cocones, mediators) in zip(targets, searched):
+                assert legs_a == list(enumerate_infomorphisms(d.left, C, instance_identity=fiber))
+                assert legs_b == list(enumerate_infomorphisms(d.right, C, instance_identity=fiber))
+                positions = [(ca, cb) for ca in range(len(legs_a)) for cb in range(len(legs_b))]
+                assert [(ca, cb) for _, ca, cb, _ in target_cocones] == positions
+                for _, ca, cb, mediator in target_cocones:
+                    assert mediator == coproduct_mediator(d, legs_a[ca], legs_b[cb])
                 expected = list(enumerate_infomorphisms(d.apex, C, instance_identity=fiber))
                 assert mediators == (expected if target_cocones else [])
 
     def test_transport_builds_each_mediator_and_image_once(self, k1, monkeypatch):
         """A checked ``coproduct_mediator`` only per cocone that fails the
-        universal check, a checked lattice image per injection, per distinct
-        leg of a target, per apex mediator of a target with a cocone and per
-        cocone that fails the transport check, one reading of the functor's
-        maps per cocone beside those images, one enumeration of each list
-        of legs per target and of the apex mediators per target with a
-        cocone.  Every lattice morphism is checked: the images, the rebuild
-        witness of each target with a cocone and each failing composite."""
+        universal check; the apex lattice and a checked lattice image per
+        injection only once a target has a cocone; then, per such target,
+        a checked lattice image per leg, by position, and per apex mediator,
+        and one per cocone that fails the transport check.  The functor's
+        ``psi`` is read once per distinct instance map and ``phi`` once per
+        distinct type map of the apex mediators, for the candidates, and
+        again of the cocones' mediators, for the recipe keys, beside the
+        images.  One enumeration of each list of legs per target and of the
+        apex mediators per target with a cocone.  Every lattice morphism is
+        checked: the images, the rebuild witness of each target with a
+        cocone and each failing composite."""
         diagrams = _diagrams(k1)
         expected = []
         for d in diagrams:
-            fiber = d.kind == "apposition"
-            cocones = images = 0
+            searched = check_coproduct_property(d, [d.left, d.right], VerificationReport())
+            images = candidates = psis = phis = 0
             read = []
-            for C in (d.left, d.right):
-                legs_a, legs_b = (
-                    list(enumerate_infomorphisms(X, C, instance_identity=fiber))
-                    for X in (d.left, d.right)
-                )
-                if legs_a and legs_b:
-                    cocones += len(legs_a) * len(legs_b)
-                    images += len(set(legs_a) | set(legs_b))
-                    images += len(list(enumerate_infomorphisms(d.apex, C, instance_identity=fiber)))
+            for C, (legs, cocones, mediators) in zip((d.left, d.right), searched):
+                if cocones:
+                    images += sum(map(len, legs))
+                    candidates += len(mediators)
+                    for ms in (mediators, [c[-1] for c in cocones]):
+                        psis += len({m.f for m in ms})
+                        phis += len({m.g for m in ms})
                     read.append(C)
             failures = collections.Counter(
                 r.check for r in _filtered_report(d, [d.left, d.right]).failures
             )
-            expected.append((cocones, images, read, *transport_families(d.kind), failures))
+            expected.append(
+                (images, candidates, psis, phis, read, *transport_families(d.kind), failures)
+            )
         # the duplicated-instance apex fails cocones before and after the functor
-        total = sum((failures for *_, failures in expected), collections.Counter())
+        total = sum((e[-1] for e in expected), collections.Counter())
         assert total["sum-universal"] and total["sum-transport"]
         # some targets have no cocone, so neither their apex nor their lattice is read
-        assert any(len(read) < 2 for _, _, read, *_ in expected)
+        assert any(len(e[4]) < 2 for e in expected)
+        # and some diagrams none, so not even the apex lattice is
+        assert any(not e[4] for e in expected)
         calls = collections.Counter()
         for module, name in (
             (colimit, "coproduct_mediator"),
             (colimit, "enumerate_infomorphisms"),
+            (functors, "concept_lattice_of"),
             (functors, "lattice_of_morphism"),
-            (functors, "_functor_maps"),
+            (functors, "_psi_along"),
+            (functors, "_phi_along"),
             (functors, "check_lattice_morphism"),
         ):
             monkeypatch.setattr(module, name, _counting(calls, name, getattr(module, name)))
-        for d, (cocones, images, read, universal, transport, failures) in zip(diagrams, expected):
+        for d, e in zip(diagrams, expected):
+            images, candidates, psis, phis, read, universal, transport, failures = e
             calls.clear()
             transport_coproduct(d, [d.left, d.right])
             assert calls["coproduct_mediator"] == failures[universal]
-            assert calls["lattice_of_morphism"] == 2 + images + failures[transport]
-            assert calls["_functor_maps"] == cocones + calls["lattice_of_morphism"]
+            injections = 2 if read else 0
+            assert bool(calls["concept_lattice_of"]) == bool(read)
+            assert calls["lattice_of_morphism"] == injections + images + failures[transport]
+            images_read = calls["lattice_of_morphism"]
+            assert calls["_psi_along"] == psis + images_read
+            assert calls["_phi_along"] == phis + images_read
             assert calls["check_lattice_morphism"] == (
-                calls["lattice_of_morphism"] + len(read) + failures[transport]
+                images_read + candidates + len(read) + failures[transport]
             )
             enumerations = collections.Counter(
                 ("enumerate_infomorphisms", X, C)
@@ -511,12 +529,41 @@ class TestMediatorIndex:
                 k: n for k, n in calls.items() if k[0] == "enumerate_infomorphisms" and len(k) == 3
             } == enumerations
 
+    def test_the_seed_10_self_sum_reads_each_map_once(self, monkeypatch):
+        """The all-zero 2x2 context summed with itself into itself, the
+        largest transport of the seed-10 report: 16 legs on each side, 256
+        cocones and 256 apex mediators, whose instance and type maps take 16
+        values each.  Each of the 256 lattice candidates is checked; ``psi``
+        and ``phi`` are computed 16 times each for the candidates and 16
+        times each for the recipe keys, beside the images of the 2
+        injections and of the 32 legs, one per leg, by position."""
+        K = Classification(("i0", "i1"), ("t0", "t1"), Relation(2, 2, (0, 0)))
+        d = coproduct_sum(K, K)
+        calls = collections.Counter()
+        for module, name in (
+            (colimit, "_lattice_candidates"),
+            (functors, "lattice_of_morphism"),
+            (functors, "_psi_along"),
+            (functors, "_phi_along"),
+            (functors, "check_lattice_morphism"),
+        ):
+            monkeypatch.setattr(module, name, _counting(calls, name, getattr(module, name)))
+        report = transport_coproduct(d, [K])
+        passed = {"pass": 256, "fail": 0, "no-coverage": 0}
+        assert report.counts() == {"sum-universal": passed, "sum-transport": passed}
+        assert calls["_lattice_candidates"] == 1
+        assert calls["lattice_of_morphism"] == 2 + 32
+        assert calls["_psi_along"] == calls["_phi_along"] == 16 + 16 + 34
+        # the 256 candidates, the 34 images and the target's rebuild witness
+        assert calls["check_lattice_morphism"] == 256 + 34 + 1
+
     def test_a_target_without_a_cocone_is_not_read(self, k1, monkeypatch):
         """``k1 + contranominal-2`` into ``k1``: the right summand has no
         infomorphism into ``k1``, so the target has no cocone and one passing
-        universal record.  The apex is not searched, the target's rebuild
-        witness is not built, no lattice candidate is made, and the only
-        lattice morphisms checked are the images of the two injections."""
+        universal record.  The apex is not searched, neither its lattice nor
+        the target's rebuild witness is built, no lattice candidate is made,
+        and no lattice morphism is checked, not even the images of the two
+        injections."""
         d = coproduct_sum(k1, contranominal_classification(2))
         assert list(enumerate_infomorphisms(d.left, k1))
         assert not list(enumerate_infomorphisms(d.right, k1))
@@ -525,6 +572,7 @@ class TestMediatorIndex:
             (colimit, "enumerate_infomorphisms"),
             (colimit, "_propagate"),
             (colimit, "_lattice_candidates"),
+            (functors, "concept_lattice_of"),
             (functors, "lattice_equivalence_witness"),
             (functors, "check_lattice_morphism"),
         ):
@@ -536,7 +584,7 @@ class TestMediatorIndex:
         assert calls["enumerate_infomorphisms"] == calls["_propagate"] == 2
         assert ("enumerate_infomorphisms", d.apex, k1) not in calls
         assert calls["_lattice_candidates"] == calls["lattice_equivalence_witness"] == 0
-        assert calls["check_lattice_morphism"] == 2
+        assert calls["concept_lattice_of"] == calls["check_lattice_morphism"] == 0
 
 
 def test_lattice_morphisms_are_the_validated_candidates(k1):

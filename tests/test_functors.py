@@ -212,7 +212,7 @@ class TestCompleteLattice:
         before it was a concept lattice."""
         with pytest.raises(ShapeError, match=r"^order shape \(3, 3\), expected \(2, 2\)$"):
             CompleteLattice(("x", "x"), Relation.full(3, 3))
-        with pytest.raises(ValidationError, match="^duplicate element labels$"):
+        with pytest.raises(ValidationError, match="^duplicate element label 'x'$"):
             CompleteLattice(("x", "x"), Relation.full(2, 2))
         with pytest.raises(ValidationError, match="^no meet for element set 0x18$"):
             CompleteLattice(tuple("0abcd1"), BOWTIE)

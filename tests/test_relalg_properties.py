@@ -537,11 +537,16 @@ REFUSED = [
     (lambda: FunctionGraph((-1,), 2), "target -1 of 0 out of range 0..1"),
     (lambda: FunctionGraph.from_targets([0, 5], 2), "target 5 of 1 out of range 0..1"),
     (lambda: FunctionGraph.identity(-1), "function sizes must be nonnegative"),
-    (
+    pytest.param(
         lambda: Classification(("a", "a"), ("t",), Relation(2, 1, (0, 0))),
-        "duplicate instance labels",
+        "duplicate instance label 'a'",
+        id="duplicate instance labels",
     ),
-    (lambda: Classification(("a",), ("t", "t"), Relation(1, 2, (0,))), "duplicate type labels"),
+    pytest.param(
+        lambda: Classification(("a",), ("t", "t"), Relation(1, 2, (0,))),
+        "duplicate type label 't'",
+        id="duplicate type labels",
+    ),
     (
         lambda: Classification(("a",), ("t",), Relation(1, 2, (0,))),
         "incidence shape (1, 2) does not match 1 instances x 1 types",

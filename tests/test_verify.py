@@ -1,9 +1,10 @@
 import json
 import random
+import sys
 
 import pytest
 
-from conceptual import colimit
+from conceptual import colimit, functors, verify
 from conceptual.classification import chain_classification
 from conceptual.cli import main
 from conceptual.errors import ShapeError, ValidationError
@@ -271,3 +272,33 @@ def test_a_duplicated_lattice_mediator_is_counted(monkeypatch):
         (family, "2 lattice mediators found")
         for family in ("sum-transport",) * 2 + ("apposition-transport",) * 2
     ]
+
+
+
+def test_cl_naturality_builds_one_witness_per_lattice(monkeypatch):
+    """At seed 7, size 3, the naturality squares take each endpoint's
+    rebuild witness from the run's dict: the 24 squares have 48 endpoints
+    on 9 distinct lattices, and 9 witnesses are built for them.
+    ``lattice-roundtrip`` still builds its own witness for each of its 18
+    items."""
+    built = []
+    endpoints = []
+    build, take = functors.lattice_equivalence_witness, verify._witness_of
+
+    def counted_build(L):
+        built.append((sys._getframe(1).f_code.co_name, L))
+        return build(L)
+
+    def counted_take(witnesses, L):
+        endpoints.append(L)
+        return take(witnesses, L)
+
+    monkeypatch.setattr(functors, "lattice_equivalence_witness", counted_build)
+    monkeypatch.setattr(verify, "_witness_of", counted_take)
+    report = verify_equivalences(3, 7)
+    squares = [r for r in report.records if r.check == "cl-naturality"]
+    roundtrips = [r for r in report.records if r.check == "lattice-roundtrip"]
+    assert len(squares) == 24 and all(r.verdict == "pass" for r in squares)
+    assert len(endpoints) == 48 and len(set(endpoints)) == 9
+    assert [L for caller, L in built if caller == "_witness_of"] == list(dict.fromkeys(endpoints))
+    assert len([L for caller, L in built if caller == "<lambda>"]) == len(roundtrips) == 18
