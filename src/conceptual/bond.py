@@ -55,6 +55,11 @@ class Bond:
     - ``preimages``, L(B) x typ(A), is ``iota_B\\rel``: row ``c`` holds the
       source types that the bond gives all of the extent of target concept
       ``c``, the intent the left adjoint sends ``c`` to.
+    - ``preimage_extents``, inst(A) x L(B), is ``I_A/preimages``: column
+      ``c`` holds the source instances that have every type of row ``c`` of
+      ``preimages``, the extent of that intent.  It is the right-hand side
+      of the first pairing constraint, and the pair round trip's backward
+      conjugation reads it.
     """
 
     source: Classification
@@ -92,6 +97,10 @@ class Bond:
     @view
     def preimages(self) -> Relation:
         return left_residual(concept_lattice_of(self.target).iota_rel, self.rel)
+
+    @view
+    def preimage_extents(self) -> Relation:
+        return right_residual(self.source.incidence, self.preimages)
 
     def __repr__(self):
         return f"Bond({self.source!r} -> {self.target!r})"
@@ -258,17 +267,18 @@ def is_bonding_pair(F: Bond, G: Bond) -> CheckResult:
     instances whose ``F`` row contains the intent of concept ``c``.  ``bwd``
     is ``G``'s view ``preimages``: row ``c`` holds the target types that
     ``G`` gives its whole extent.  The first constraint asks each such
-    instance set to be the extent of the type set, the second the type set
-    to be the intent of the instance set; the witness is the first concept
-    at which either fails, and the reason names the constraint that fails
-    there, the first if both do.
+    instance set to be the extent of the type set, ``G``'s view
+    ``preimage_extents``, the second the type set to be the intent of the
+    instance set; the witness is the first concept at which either fails,
+    and the reason names the constraint that fails there, the first if both
+    do.
     """
     if F.source != G.target or F.target != G.source:
         raise ShapeError("bonds do not oppose each other")
     B = F.target
     fwd = F.images  # inst(B) x L(A)
     bwd = G.preimages  # L(A) x typ(B)
-    first = right_residual(B.incidence, bwd)
+    first = G.preimage_extents  # I_B/bwd
     second = left_residual(fwd, B.incidence)
     if fwd == first and bwd == second:
         return CheckResult(True)
@@ -318,9 +328,17 @@ def collective_from_function(L: ConceptLattice, f: FunctionGraph) -> Bond:
 def mediating_function(F: Bond) -> FunctionGraph:
     """The unique function sending each index to its concept in
     ``concept_lattice_of(F.source)``: index ``x`` goes to the concept whose
-    intent is row ``x`` of ``F.rel``."""
+    intent is row ``x`` of ``F.rel``.  A relation with a row that is no
+    intent raises ``ValidationError``, as ``Bond`` does, at the first such
+    row."""
     L = concept_lattice_of(F.source)
-    return FunctionGraph(tuple(map(L.intent_index.__getitem__, F.rel.rows)), L.size)
+    rows = F.rel.rows
+    try:
+        return FunctionGraph._of(tuple(map(L.intent_index.__getitem__, rows)), L.size)
+    except KeyError as missing:
+        first = rows.index(missing.args[0])
+    failure = _closure_failure("row", F.target.instances[first])
+    raise ValidationError(f"relation is not a bond: {failure.reason}", witness=failure.witness)
 
 
 def collective_transport(F: Bond, r: Relation, side: str) -> Bond:

@@ -111,32 +111,33 @@ def coproduct_mediator(
     if mA.source != d.left or mB.source != d.right or mA.target != mB.target:
         raise ShapeError("cocone endpoints do not match the diagram")
     f, g = _mediator_maps(d, mA, mB)
-    checked = (FunctionGraph(m.targets, m.dst_size) for m in (f, g))
-    return FunctionalInfomorphism(d.apex, mA.target, *checked)
+    return FunctionalInfomorphism(
+        d.apex,
+        mA.target,
+        FunctionGraph(f, len(d.apex.instances)),
+        FunctionGraph(g, len(mA.target.types)),
+    )
 
 
 def _mediator_maps(
     d: CoproductDiagram, mA: FunctionalInfomorphism, mB: FunctionalInfomorphism
-) -> tuple[FunctionGraph, FunctionGraph]:
-    """The maps ``(f, g)`` of the mediator of the cocone ``(mA, mB)``: on a
-    sum, ``f`` pairs the two legs' instances; on an apposition it is their
-    shared instance map.  ``g`` puts the legs' type maps side by side.  The
-    legs are checked infomorphisms, so on a diagram that ``coproduct_sum``
-    or ``apposition`` built both maps are in range by construction, and
-    they are stored unchecked."""
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The target tuples of the maps ``(f, g)`` of the mediator of the
+    cocone ``(mA, mB)``: on a sum, ``f`` pairs the two legs' instances; on
+    an apposition it is their shared instance map.  ``g`` puts the legs'
+    type maps side by side.  ``check_coproduct_property`` compares them
+    with a found mediator's, and ``coproduct_mediator`` builds its checked
+    maps from them."""
     if d.kind == "sum":
         nb = len(d.right.instances)
-        f = FunctionGraph._of(
-            tuple(a * nb + b for a, b in zip(mA.f.targets, mB.f.targets)),
-            len(d.apex.instances),
-        )
+        f = tuple(a * nb + b for a, b in zip(mA.f.targets, mB.f.targets))
     elif d.kind == "apposition":
         if mA.f != mB.f:
             raise ValidationError("fiber cocone legs disagree on instances")
-        f = mA.f
+        f = mA.f.targets
     else:
         raise ValidationError(f"unknown coproduct kind {d.kind!r}")
-    return f, FunctionGraph._of(mA.g.targets + mB.g.targets, len(mA.target.types))
+    return f, mA.g.targets + mB.g.targets
 
 
 def _dual_diagram(d: CoproductDiagram, kind: str) -> ProductDiagram:
@@ -366,12 +367,14 @@ def check_coproduct_property(
     """Enumerate cocones over the given targets and confirm a unique mediator,
     equal to the formula-built one, for each.
 
-    The formula's maps, ``_mediator_maps``, are compared with the found
-    mediator's as target tuples: the two share their endpoints, so equal
-    keys mean equal morphisms, and the found one is checked already.  Only
-    a cocone that fails builds the checked ``coproduct_mediator``, which
-    raises where the formula is no infomorphism.  The apex's infomorphisms
-    into a target are enumerated only where both summands have legs there.
+    The formula's target tuples, ``_mediator_maps``, are compared with the
+    found mediator's: the two share their endpoints, so equal keys mean
+    equal morphisms, and the found one is checked already.  Only a cocone
+    that fails builds the checked ``coproduct_mediator``, which raises where
+    the formula is no infomorphism.  The apex's infomorphisms into a target
+    are enumerated only where both summands have legs there, and a summand
+    equal to the other, as in a self-sum, has its legs enumerated once: the
+    two lists are one.
 
     Returns, for each target in report order, its two lists of legs, its
     cocones (the item, the positions of its two legs and the mediator
@@ -379,12 +382,14 @@ def check_coproduct_property(
     searched for them; a target without a cocone has neither of the last
     two."""
     fiber = d.kind == "apposition"
+    same = d.left == d.right
     out = []
     for t_i, C in enumerate(targets):
-        legs_a, legs_b = (
-            list(enumerate_infomorphisms(X, C, instance_identity=fiber))
-            for X in (d.left, d.right)
-        )
+        legs_a = list(enumerate_infomorphisms(d.left, C, instance_identity=fiber))
+        if same:
+            legs_b = legs_a
+        else:
+            legs_b = list(enumerate_infomorphisms(d.right, C, instance_identity=fiber))
         if not legs_a or not legs_b:
             report.add(transport_families(d.kind)[0], f"target-{t_i}", True)
             out.append(((legs_a, legs_b), [], []))
@@ -395,13 +400,12 @@ def check_coproduct_property(
         )
         cocones = []
         keys_b = [_key(_infomorphism_maps, mB) for mB in legs_b]
+        keys_a = keys_b if same else [_key(_infomorphism_maps, mA) for mA in legs_a]
         for ca, mA in enumerate(legs_a):
-            key_a = _key(_infomorphism_maps, mA)
             for cb, mB in enumerate(legs_b):
                 item = f"target-{t_i}-cocone-{ca}-{cb}"
-                found = mediators.get((key_a, keys_b[cb]), [])
-                f, g = _mediator_maps(d, mA, mB)
-                formula = (f.targets, g.targets)
+                found = mediators.get((keys_a[ca], keys_b[cb]), [])
+                formula = _mediator_maps(d, mA, mB)
                 ok = len(found) == 1 and _key(_infomorphism_maps, found[0]) == formula
                 built = found[0] if ok else coproduct_mediator(d, mA, mB)
                 report.add(
@@ -445,7 +449,8 @@ def transport_coproduct(d: CoproductDiagram, targets: list[Classification]) -> V
     ``_lattice_candidates``.  A target without a cocone is not read, and
     the apex lattice and the injections' lattice images are built only
     once some target has one; each leg's lattice key is computed once, by
-    its position in its list.
+    its position in its list, and once for both sides when the two lists
+    are one.
 
     The recipe's key, from ``functors._image_then_key``, is compared with
     the found lattice mediator's, whose endpoints it shares, so equal keys
@@ -471,9 +476,12 @@ def transport_coproduct(d: CoproductDiagram, targets: list[Classification]) -> V
         mediators = _by_restrictions(
             _lattice_candidates(classification_mediators), _lattice_maps, *injections
         )
-        keys_a, keys_b = (
-            [_key(_lattice_maps, functors.lattice_of_morphism(m)) for m in side] for side in legs
-        )
+        legs_a, legs_b = legs
+        keys_a = [_key(_lattice_maps, functors.lattice_of_morphism(m)) for m in legs_a]
+        if legs_b is legs_a:
+            keys_b = keys_a
+        else:
+            keys_b = [_key(_lattice_maps, functors.lattice_of_morphism(m)) for m in legs_b]
         for item, ca, cb, mediator in target_cocones:
             found = mediators.get((keys_a[ca], keys_b[cb]), [])
             formula = recipe_key(mediator)

@@ -45,7 +45,6 @@ from .relalg import (
     left_residual,
     mask_of,
     pullback,
-    right_residual,
     transpose,
     view,
 )
@@ -344,13 +343,45 @@ def adjoint_of_bond(F: Bond) -> ConceptLatticeMorphism:
     holds its intent, the columns of ``F.images`` (``F/tau_A``); ``phi``
     sends a target concept to the source types the bond gives all of its
     extent, the rows of ``F.preimages`` (``iota_B\\F``).  For a bond both
-    are extents and intents."""
+    are extents and intents; a relation that is no bond raises
+    ``ValidationError`` at the first source concept whose image is no
+    extent, else at the first target concept whose preimage is no intent."""
     LA = concept_lattice_of(F.source)
     LB = concept_lattice_of(F.target)
-    psi = FunctionGraph._of(tuple(LB.extent_index[e] for e in F.images.columns), LB.size)
-    phi = FunctionGraph._of(tuple(LA.intent_index[t] for t in F.preimages.rows), LA.size)
+    images, preimages = F.images.columns, F.preimages.rows
+    psi = _derived_map(
+        images, LB.extent_index, LB.size, LA, "image of the source", "extent of the target"
+    )
+    phi = _derived_map(
+        preimages, LA.intent_index, LA.size, LB, "preimage of the target", "intent of the source"
+    )
     return ConceptLatticeMorphism(
         complete_lattice_of(LA), complete_lattice_of(LB), phi, psi, phi, psi
+    )
+
+
+def _derived_map(
+    sets: tuple[int, ...],
+    index: dict[int, int],
+    size: int,
+    at: ConceptLattice,
+    what: str,
+    closed: str,
+) -> FunctionGraph:
+    """The map sending concept ``c`` of ``at`` to ``index[sets[c]]``, one of
+    ``size`` concepts, in the style of ``ConceptLattice._embedding``: where
+    a set is no key of ``index``, not ``closed``, the relation derived along
+    is no bond, and ``ValidationError`` names the first such concept, with
+    its extent and intent labels as the witness."""
+    try:
+        return FunctionGraph._of(tuple(map(index.__getitem__, sets)), size)
+    except KeyError as missing:
+        c = at.concepts[sets.index(missing.args[0])]
+    extent, intent = at.extent_labels(c), at.intent_labels(c)
+    raise ValidationError(
+        f"relation is not a bond: the {what} concept with extent {quote(extent)} "
+        f"is not an {closed}",
+        witness=("concept", extent, intent),
     )
 
 
@@ -437,13 +468,19 @@ def embedding_bonds(A: Classification) -> tuple[Bond, Bond]:
     and the columns of ``tau`` in its ``extent_index``.  The type;instance composite is
     computed.  That is 4 residuals; both bonds' ``is_bond`` and both
     composites follow, so the check is no weaker than validating the
-    bonds."""
+    bonds.  When the two bonds are equal, as for an order classification
+    numbered as its own lattice, they are one ``Bond``, returned twice: its
+    ``r`` and ``s`` are computed once, so the six identities take 3
+    residuals."""
     LA = concept_lattice_of(A)
     lattice = complete_lattice_of(LA)
     order_cls = lattice.classification
     leq, iota, tau = order_cls.incidence, LA.iota_rel, LA.tau_rel
     instance_bond = Bond._of(order_cls, A, iota)
-    type_bond = Bond._of(A, order_cls, tau)
+    if iota.shape == tau.shape and iota == tau and A == order_cls:
+        type_bond = instance_bond
+    else:
+        type_bond = Bond._of(A, order_cls, tau)
     if instance_bond.s != tau:
         raise ValidationError("the extents do not derive to the intents")
     if type_bond.r != iota:
@@ -646,6 +683,13 @@ def pair_roundtrip_holds(p: BondingPair) -> bool:
     ``compose_bonding_pairs`` would give, each a ``G.r\\F`` as in
     ``compose_bonds``, and compared bit for bit with the rebuilt pair, the
     one object built here; its endpoints must be the order classifications.
+    The backward one's middle composite, ``type_src.r\\p.backward``, is
+    ``p.backward.preimages``: ``embedding_bonds`` has raised unless
+    ``type_src.r`` is ``iota_rel`` of the source's lattice, and the backward
+    bond ends at the source.  Its ``r``, ``I_B/preimages``, is
+    ``p.backward.preimage_extents``, which the first pairing constraint
+    reads, so the backward conjugation is
+    ``p.backward.preimage_extents\\inst_tgt``.
     The rebuilt pair is checked, as bonds by their principal sets and as a
     pair by index (``CompleteHomomorphism.pair``), with the verdicts of
     ``is_bond`` and ``is_bonding_pair``, so a conjugation equal to it is a
@@ -654,11 +698,9 @@ def pair_roundtrip_holds(p: BondingPair) -> bool:
     The embedding pairs' own pairing constraints are checked where that fact
     is claimed, by ``embedding_bonding_pairs``; a conjugation that is not a
     bond returns false."""
-    (inst_src, type_src), (inst_tgt, type_tgt) = _end_embeddings(p)
+    (inst_src, _), (inst_tgt, type_tgt) = _end_embeddings(p)
     forward = left_residual(type_tgt.r, left_residual(p.forward.r, inst_src.rel))
-    # the middle composite, B to the source's lattice side; its r is I_B/middle
-    middle = left_residual(type_src.r, p.backward.rel)
-    backward = left_residual(right_residual(p.target.incidence, middle), inst_tgt.rel)
+    backward = left_residual(p.backward.preimage_extents, inst_tgt.rel)
     rebuilt = pair_of_hom(hom_of_pair(p))
     return (
         rebuilt.source == inst_src.source

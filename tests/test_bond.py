@@ -125,6 +125,7 @@ def assert_views_are_residuals(F):
     assert F.images == right_residual(F.rel, LA.tau_rel)
     assert transpose(F.images) == left_residual(transpose(LA.tau_rel), transpose(F.rel))
     assert F.preimages == left_residual(LB.iota_rel, F.rel)
+    assert F.preimage_extents == right_residual(F.source.incidence, F.preimages)
 
 
 def bad_row_oracle(A, B, rel):

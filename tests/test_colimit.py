@@ -458,13 +458,15 @@ class TestMediatorIndex:
         """A checked ``coproduct_mediator`` only per cocone that fails the
         universal check; the apex lattice and a checked lattice image per
         injection only once a target has a cocone; then, per such target,
-        a checked lattice image per leg, by position, and per apex mediator,
-        and one per cocone that fails the transport check.  The functor's
-        ``psi`` is read once per distinct instance map and ``phi`` once per
-        distinct type map of the apex mediators, for the candidates, and
-        again of the cocones' mediators, for the recipe keys, beside the
-        images.  One enumeration of each list of legs per target and of the
-        apex mediators per target with a cocone.  Every lattice morphism is
+        a checked lattice image per leg, by position (once for both sides
+        when the summands are equal and their lists of legs one), and per
+        apex mediator, and one per cocone that fails the transport check.
+        The functor's ``psi`` is read once per distinct instance map and
+        ``phi`` once per distinct type map of the apex mediators, for the
+        candidates, and again of the cocones' mediators, for the recipe
+        keys, beside the images.  One enumeration of each list of legs per
+        target, one for both when the summands are equal, and of the apex
+        mediators per target with a cocone.  Every lattice morphism is
         checked: the images, the rebuild witness of each target with a
         cocone and each failing composite."""
         diagrams = _diagrams(k1)
@@ -475,7 +477,9 @@ class TestMediatorIndex:
             read = []
             for C, (legs, cocones, mediators) in zip((d.left, d.right), searched):
                 if cocones:
-                    images += sum(map(len, legs))
+                    legs_a, legs_b = legs
+                    assert (legs_a is legs_b) == (d.left == d.right)
+                    images += len(legs_a) + (0 if legs_b is legs_a else len(legs_b))
                     candidates += len(mediators)
                     for ms in (mediators, [c[-1] for c in cocones]):
                         psis += len({m.f for m in ms})
@@ -522,7 +526,7 @@ class TestMediatorIndex:
             enumerations = collections.Counter(
                 ("enumerate_infomorphisms", X, C)
                 for C in (d.left, d.right)
-                for X in (d.left, d.right)
+                for X in {d.left, d.right}
             )
             enumerations.update(("enumerate_infomorphisms", d.apex, C) for C in read)
             assert {
@@ -533,10 +537,12 @@ class TestMediatorIndex:
         """The all-zero 2x2 context summed with itself into itself, the
         largest transport of the seed-10 report: 16 legs on each side, 256
         cocones and 256 apex mediators, whose instance and type maps take 16
-        values each.  Each of the 256 lattice candidates is checked; ``psi``
-        and ``phi`` are computed 16 times each for the candidates and 16
-        times each for the recipe keys, beside the images of the 2
-        injections and of the 32 legs, one per leg, by position."""
+        values each.  The two summands are one context, so its 16 legs are
+        enumerated once and serve both sides.  Each of the 256 lattice
+        candidates is checked; ``psi`` and ``phi`` are computed 16 times
+        each for the candidates and 16 times each for the recipe keys,
+        beside the images of the 2 injections and of the 16 legs, one per
+        leg, by position."""
         K = Classification(("i0", "i1"), ("t0", "t1"), Relation(2, 2, (0, 0)))
         d = coproduct_sum(K, K)
         calls = collections.Counter()
@@ -546,16 +552,19 @@ class TestMediatorIndex:
             (functors, "_psi_along"),
             (functors, "_phi_along"),
             (functors, "check_lattice_morphism"),
+            (colimit, "enumerate_infomorphisms"),
         ):
             monkeypatch.setattr(module, name, _counting(calls, name, getattr(module, name)))
         report = transport_coproduct(d, [K])
         passed = {"pass": 256, "fail": 0, "no-coverage": 0}
         assert report.counts() == {"sum-universal": passed, "sum-transport": passed}
+        # the legs, once for both summands, and the apex mediators
+        assert calls["enumerate_infomorphisms"] == 1 + 1
         assert calls["_lattice_candidates"] == 1
-        assert calls["lattice_of_morphism"] == 2 + 32
-        assert calls["_psi_along"] == calls["_phi_along"] == 16 + 16 + 34
-        # the 256 candidates, the 34 images and the target's rebuild witness
-        assert calls["check_lattice_morphism"] == 256 + 34 + 1
+        assert calls["lattice_of_morphism"] == 2 + 16
+        assert calls["_psi_along"] == calls["_phi_along"] == 16 + 16 + 18
+        # the 256 candidates, the 18 images and the target's rebuild witness
+        assert calls["check_lattice_morphism"] == 256 + 18 + 1
 
     def test_a_target_without_a_cocone_is_not_read(self, k1, monkeypatch):
         """``k1 + contranominal-2`` into ``k1``: the right summand has no

@@ -632,14 +632,27 @@ class TestRelationalEquivalence:
     def test_adjoint_of_bond_matches_set_derivation(self, rng):
         # on closed bonds and, every other time, on unchecked relations, the
         # outcome is that of the pair built from the set-derivation masks:
-        # the pair itself, or the KeyError of the first mask that is no
-        # extent (psi, first) or no intent (phi).  Derivation along any
-        # relation is a Galois connection, so well-defined maps are adjoint
+        # the pair itself, or the ValidationError naming the concept of the
+        # first mask that is no extent (psi, first) or no intent (phi).
+        # Derivation along any relation is a Galois connection, so
+        # well-defined maps are adjoint
         def outcome(build):
             try:
                 return build()
             except (KeyError, ValidationError) as e:
                 return type(e), str(e), getattr(e, "witness", None)
+
+        def lookup(masks, index, at, what, closed):
+            missing = [x for x, mask in enumerate(masks) if mask not in index]
+            if missing:
+                c = at.concepts[missing[0]]
+                extent, intent = at.extent_labels(c), at.intent_labels(c)
+                raise ValidationError(
+                    f"relation is not a bond: the {what} concept with extent {extent!r} "
+                    f"is not an {closed}",
+                    witness=("concept", extent, intent),
+                )
+            return [index[mask] for mask in masks]
 
         kinds = set()
         for k in range(120):
@@ -653,15 +666,48 @@ class TestRelationalEquivalence:
             psi, phi = adjoint_masks_oracle(F)
 
             def reference():
-                psi_fn = FunctionGraph.from_targets([LB.extent_index[e] for e in psi], LB.size)
-                phi_fn = FunctionGraph.from_targets([LA.intent_index[t] for t in phi], LA.size)
+                images = lookup(
+                    psi, LB.extent_index, LA, "image of the source", "extent of the target"
+                )
+                preimages = lookup(
+                    phi, LA.intent_index, LB, "preimage of the target", "intent of the source"
+                )
+                psi_fn = FunctionGraph.from_targets(images, LB.size)
+                phi_fn = FunctionGraph.from_targets(preimages, LA.size)
                 L, K = complete_lattice_of(LA), complete_lattice_of(LB)
                 return adjoint_pair(L, K, phi_fn, psi_fn)
 
             expected = outcome(reference)
             assert outcome(lambda: adjoint_of_bond(F)) == expected
-            kinds.add(expected[0] if isinstance(expected, tuple) else ConceptLatticeMorphism)
-        assert kinds == {ConceptLatticeMorphism, KeyError}
+            failed = isinstance(expected, tuple)
+            kinds.add(expected[1].partition(" concept ")[0] if failed else ConceptLatticeMorphism)
+        assert kinds == {
+            ConceptLatticeMorphism,
+            "relation is not a bond: the image of the source",
+            "relation is not a bond: the preimage of the target",
+        }
+
+    def test_a_non_bond_fails_an_attempt_instead_of_escaping_it(self):
+        """Every relation between two contexts of up to 2x2, unchecked as a
+        bond: ``adjoint_of_bond`` and ``mediating_function`` raise nothing
+        but ``ValidationError``, so ``report.attempt`` records each
+        refusal as a failure; a bond is never refused."""
+        report = VerificationReport()
+        bonds = refused = 0
+        contexts = list(all_contexts(2, 2))
+        for A, B in itertools.product(contexts, repeat=2):
+            m, n = len(B.instances), len(A.types)
+            for code in range(1 << (m * n)):
+                rows = tuple(code >> (b * n) & ((1 << n) - 1) for b in range(m))
+                F = Bond._of(A, B, Relation(m, n, rows))
+                bond = bool(is_bond(A, B, F.rel))
+                bonds += bond
+                for build in (adjoint_of_bond, bond_module.mediating_function):
+                    report.attempt(build.__name__, "-", lambda: build(F), None)
+                    failed = report.records[-1].verdict == FAIL
+                    assert not (bond and failed)
+                    refused += failed
+        assert bonds and refused
 
     def test_bond_naturality(self, k1, rng):
         B = contranominal_classification(2)
@@ -1152,10 +1198,11 @@ class TestPairRoundtripByResiduals:
         assert all(got == expected for got, expected in seen)
         assert all(got for got, _ in seen)
 
-    def test_agrees_with_validated_composition_on_benchmark_shapes(self):
+    @staticmethod
+    def benchmark_shapes() -> list[BondingPair]:
         """The benchmark's shapes, small: the embedding pairs of a
         contranominal, spread boolean homs 2^a -> 2^b, and a composite of an
-        embedding pair with two spreads, each also as parsed."""
+        embedding pair with two spreads."""
         pairs = list(embedding_bonding_pairs(contranominal_classification(3)))
         for a, b, f in ((2, 1, (1,)), (3, 2, (2, 0)), (5, 3, (4, 1, 2))):
             pairs.append(pair_of_hom(boolean_hom(a, b, f)))
@@ -1163,10 +1210,76 @@ class TestPairRoundtripByResiduals:
         for hom in (boolean_hom(3, 2, (0, 2)), boolean_hom(2, 1, (1,))):
             composite = compose_bonding_pairs(composite, pair_of_hom(hom))
         pairs.append(composite)
-        for p in pairs:
+        return pairs
+
+    def test_agrees_with_validated_composition_on_benchmark_shapes(self):
+        """``benchmark_shapes``, each also as parsed; on each the first
+        pairing constraint holds as ``forward.images ==
+        backward.preimage_extents``, the right residual that view stands
+        for."""
+        for p in self.benchmark_shapes():
             for q in (p, self.parsed(p)):
                 assert pair_roundtrip_holds(q) is True
                 assert pair_roundtrip_by_composition(q) is True
+                G = q.backward
+                assert G.preimage_extents == right_residual(G.source.incidence, G.preimages)
+                assert q.forward.images == G.preimage_extents
+
+    @staticmethod
+    def verify_bonds_and_pairs(seed: int) -> tuple[list[Bond], list[BondingPair]]:
+        """The bond and pair corpora of ``verify_equivalences`` at
+        ``--max-size 3``, built with the same draws."""
+        rng = random.Random(seed)
+        contexts = verify.context_corpus(3, rng)
+        bonds = verify.bond_corpus(contexts, verify.infomorphism_corpus(contexts, rng), rng)
+        verify.adjoint_corpus(contexts, bonds, rng)
+        pairs = verify.pair_corpus(contexts, verify.hom_corpus(contexts, rng), rng)
+        return [F for _, F in bonds], [p for _, p in pairs]
+
+    @pytest.mark.parametrize("seed", range(7, 12))
+    def test_the_first_constraint_reads_the_backward_view_on_the_verify_corpora(self, seed):
+        """Every bond of the bond and pair corpora at size 3: ``preimage_extents``
+        is ``I_A/preimages``; every pair meets its first pairing constraint
+        as ``forward.images == backward.preimage_extents``."""
+        bonds, pairs = self.verify_bonds_and_pairs(seed)
+        assert bonds and pairs
+        for F in bonds + [G for p in pairs for G in (p.forward, p.backward)]:
+            assert F.preimage_extents == right_residual(F.source.incidence, F.preimages)
+        for p in pairs:
+            assert p.forward.images == p.backward.preimage_extents
+
+    def test_the_bonding_op_takes_one_residual_of_each_side_less(self, monkeypatch):
+        """On a parsed spread boolean hom 2^5 -> 2^3, ``is_bonding_pair`` then
+        ``pair_roundtrip_holds`` take 6 right and 12 left residuals, against
+        9 and 13 when each computed its own ``I_B/preimages``: the round
+        trip reads the backward bond's ``preimage_extents``, which the first
+        pairing constraint built, in place of a middle composite and its
+        right residual.  Both ends are order classifications numbered as
+        their own lattices, so each end's two embedding bonds are one, and
+        its ``r`` is computed once, not twice.  Both lattice caches are
+        cleared first, as the benchmark clears them between ops, so the
+        counts hold the orders of the two ends' lattices too.  The counting
+        patch is seen to count."""
+        q = self.parsed(pair_of_hom(boolean_hom(5, 3, (4, 1, 2))))
+        concept_lattice_of.cache_clear()
+        complete_lattice_of.cache_clear()
+        calls = collections.Counter()
+        for name in ("right_residual", "left_residual"):
+            original = getattr(relalg, name)
+
+            def counted(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
+
+            for module_name, module in list(sys.modules.items()):
+                if module_name.startswith("conceptual"):
+                    for key, value in list(vars(module).items()):
+                        if value is original:
+                            monkeypatch.setattr(module, key, counted)
+        assert is_bonding_pair(q.forward, q.backward)
+        assert calls == {"right_residual": 2, "left_residual": 2}
+        assert pair_roundtrip_holds(q)
+        assert calls == {"right_residual": 6, "left_residual": 12}
 
     def test_a_rebuild_that_differs_is_false_not_an_error(self, monkeypatch):
         """With ``pair_of_hom`` patched to give a valid pair other than the
@@ -1256,6 +1369,41 @@ class TestEmbeddingBondsByIdentities:
             assert got == [embedding_bonds_oracle(A) for A in contexts]
 
     @staticmethod
+    def self_numbered(k: int) -> Classification:
+        """The order classification of the boolean lattice 2^k, numbered as
+        its own concept lattice."""
+        L = concept_lattice_of(contranominal_classification(k))
+        return complete_lattice_of(L).classification
+
+    def test_equal_bonds_are_one_bond(self):
+        """``embedding_bonds`` returns one bond twice exactly when the
+        oracle's two bonds are equal: on the self-numbered order
+        classifications of 2^2 to 2^7, the last three those of
+        ``context_inputs``, and on no context up to 3x3 nor any order
+        classification of a lattice of up to 5 elements renumbered by a
+        permutation that its concept lattice does not keep.  Everywhere the
+        bonds equal the oracle's."""
+        for k in range(2, 8):
+            A = self.self_numbered(k)
+            assert k < 5 or A == context_inputs()[f"order of 2^{k}"]
+            instance_bond, type_bond = embedding_bonds(A)
+            assert instance_bond is type_bond
+            assert (instance_bond, type_bond) == embedding_bonds_oracle(A)
+        outcomes = collections.Counter()
+        renumbered = [
+            Classification(labels, labels, relabelled(L.order, perm))
+            for L in small_lattices()
+            for labels in [tuple(f"c{i}" for i in range(L.size))]
+            for perm in itertools.permutations(range(L.size))
+        ]
+        for A in [*all_contexts(3, 3), *renumbered]:
+            got = embedding_bonds(A)
+            expected = embedding_bonds_oracle(A)
+            assert got == expected
+            outcomes[got[0] is got[1], expected[0] == expected[1]] += 1
+        assert set(outcomes) == {(False, False), (True, True)}
+
+    @staticmethod
     def skews(L: ConceptLattice):
         """``L`` with the extents of two concepts swapped, for each pair, and
         with one concept dropped, for each concept but the first, over the
@@ -1303,6 +1451,20 @@ class TestEmbeddingBondsByIdentities:
             for A, S in ((square, swapped_atoms), (square, dropped_atom))
         ]
         assert outcomes == [(True, True), (True, True)]
+
+    def test_every_skew_of_a_self_numbered_order_raises_where_the_oracle_does(
+        self, monkeypatch
+    ):
+        """Every skew of ``skews`` of the lattice of the self-numbered order
+        classification of 2^2, whose two embedding bonds are one: 9 of
+        them, and both checks raise on each."""
+        A = self.self_numbered(2)
+        instance_bond, type_bond = embedding_bonds(A)
+        assert instance_bond is type_bond
+        seen = collections.Counter(
+            self.raises(monkeypatch, A, S) for S in self.skews(concept_lattice_of(A))
+        )
+        assert seen == {(True, True): 9}
 
     def test_every_skew_up_to_2x3_raises_where_the_oracle_does(self, monkeypatch):
         """Every skew of ``skews`` of the lattice of each context up to 2x3:

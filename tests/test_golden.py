@@ -11,11 +11,15 @@ the lattice benchmark, 100 x 22 with seven crosses per row and 1500 x 40
 with two, and a small context whose labels JSON must escape: quotes,
 backslashes and control characters, next to non-ASCII ones it must not.  The
 bond commands read seeded bonds and bonding pairs between the two random
-contexts, valid and invalid; ``check infomorphism`` reads an injection into
-their sum, and the same map with one instance moved; ``check relational``
-reads the relational widening of that injection, and the widening with one
-instance pair flipped.  ``compose infos`` chains the injection with the left
-injection of its apex into a second sum, functional and widened.  The four
+contexts, valid and invalid, and the spread pair of a boolean hom 2^3 -> 2^2,
+both of whose ends are order classifications numbered as their own
+lattices, valid and with one bit of its backward bond flipped, where the
+first pairing constraint fails.  ``check infomorphism`` reads an injection
+into the sum of the two random contexts, and the same map with one instance
+moved; ``check relational`` reads the relational widening of that injection,
+and the widening with one instance pair flipped.  ``compose infos`` chains
+the injection with the left injection of its apex into a second sum,
+functional and widened.  The four
 binary constructions pin their apex and legs: sum and product of the two
 random contexts, apposition and subposition of a context with itself.
 ``quotient`` keeps three instances of a random context, on which three of
@@ -33,12 +37,12 @@ from conceptual.bond import Bond, BondingPair, close_to_bond
 from conceptual.classification import Classification, contranominal_classification
 from conceptual.cli import main
 from conceptual.colimit import coproduct_sum
-from conceptual.functors import embedding_bonding_pairs
+from conceptual.functors import embedding_bonding_pairs, pair_of_hom
 from conceptual.infomorphism import FunctionalInfomorphism, RelationalInfomorphism, fn2rel
 from conceptual.io import dumps, emit_cxt, morphism_to_obj
 from conceptual.relalg import FunctionGraph, Relation
 
-from conftest import bench_contexts, random_context, sparse_context
+from conftest import bench_contexts, boolean_hom, random_context, sparse_context
 
 CONTEXTS = {
     "rand-6x5": lambda: random_context(random.Random(11), 6, 5),
@@ -90,6 +94,21 @@ def flipped_instance_pair(m: RelationalInfomorphism) -> RelationalInfomorphism:
     return RelationalInfomorphism._of(m.source, m.target, r, m.s)
 
 
+def spread_pair() -> BondingPair:
+    """The pair of the boolean hom 2^3 -> 2^2 that drops element 1: both
+    ends are order classifications numbered as their own lattices."""
+    return pair_of_hom(boolean_hom(3, 2, (2, 0)))
+
+
+def flipped_backward_bit(p: BondingPair, row: int, column: int) -> BondingPair:
+    """``p`` with one bit of its backward bond flipped, unchecked."""
+    rel = p.backward.rel
+    rows = list(rel.rows)
+    rows[row] ^= 1 << column
+    flipped = Bond._of(p.backward.source, p.backward.target, Relation(*rel.shape, tuple(rows)))
+    return BondingPair._of(p.forward, flipped)
+
+
 def moved_instance(m: FunctionalInfomorphism, b: int) -> FunctionalInfomorphism:
     """``m`` with the source instance of target instance ``b`` moved by one,
     unchecked."""
@@ -114,6 +133,8 @@ MORPHISMS = {
         seeded_bond(*_contexts("rand-6x5", "rand-5x7"), 16),
         seeded_bond(*_contexts("rand-5x7", "rand-6x5"), 17),
     ),
+    "spread-pair": spread_pair,
+    "spread-non-pair": lambda: flipped_backward_bit(spread_pair(), 1, 2),
 }
 
 # the invariant file of ``quotient``: on i1, i3 and i4, t0, t3 and t4 agree
@@ -242,6 +263,24 @@ GOLDEN = {
     ("check", "bonding-pair", "{non-pair}", "--json"): (
         1,
         "9717dc0efa58938036cbbb87ee21bccabd545097bfcd47d8f5f7400da9deb9bf",
+    ),
+    # pinned before the first pairing constraint and the pair round trip
+    # shared the backward bond's view ``preimage_extents``
+    ("check", "bonding-pair", "{spread-pair}"): (
+        0,
+        "53b596294ab6d0f0d468596afe834d2ab4046324a0c11f556a7725ac897e60b8",
+    ),
+    ("check", "bonding-pair", "{spread-pair}", "--json"): (
+        0,
+        "87c48982bb2507ab5bb6a20a568600a4cf04c5a7ce485dfb53b6c0e6d685be52",
+    ),
+    ("check", "bonding-pair", "{spread-non-pair}"): (
+        1,
+        "d547b923f566b9e9d143fe16b96507ba1c96329068910bd078ffd5bc58e518f7",
+    ),
+    ("check", "bonding-pair", "{spread-non-pair}", "--json"): (
+        1,
+        "91553e3d3b61b132d98a43ce4711f177c0a60d69d03271ff161bab6138d70b5b",
     ),
     ("check", "infomorphism", "{infomorphism}"): (
         0,

@@ -603,6 +603,26 @@ class TestCollectiveConcepts:
         with pytest.raises(ShapeError):
             collective_from_function(concept_lattice_of(k1), FunctionGraph((0,), 5))
 
+    def test_mediating_refuses_a_row_that_is_no_intent(self, k1):
+        """On an unchecked relation of bond shape, ``mediating_function``
+        raises what ``Bond`` raises for it, at the first index whose row is
+        no intent, and reads a bond whose other rows are intents."""
+        L = concept_lattice_of(k1)
+        bad = next(r for r in range(1 << len(k1.types)) if r not in L.intent_index)
+        good = L.intents[0]
+        for rows in ((bad,), (good, bad, bad)):
+            rel = Relation(len(rows), len(k1.types), rows)
+            scale = contranominal_classification(len(rows))
+            with pytest.raises(ValidationError) as built:
+                Bond(k1, scale, rel)
+            with pytest.raises(ValidationError) as read:
+                mediating_function(Bond._of(k1, scale, rel))
+            assert (str(read.value), read.value.witness) == (
+                str(built.value),
+                built.value.witness,
+            )
+            assert read.value.witness == ("row", str(rows.index(bad)))
+
 
 def scaled(K, alpha) -> Bond:
     """The unchecked bond ``alpha`` from ``K`` into the scale of its rows."""
