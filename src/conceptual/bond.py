@@ -246,10 +246,54 @@ class BondingPair:
     @view
     def hom(self) -> CompleteHomomorphism:
         """Right adjoint of the forward bond; checked against the left
-        adjoint of the backward bond, which must agree pointwise."""
-        # functors imports this module, so it is imported on first use
-        from .functors import CompleteHomomorphism, adjoint_of_bond
+        adjoint of the backward bond, which must agree pointwise.
 
+        ``functors._adjoint_maps`` reads the derived maps ``(phi_F, psi_F)``
+        of the forward bond, between the complete lattices ``L`` and ``K``
+        of its ends, and ``(phi_G, psi_G)`` of the backward one.  The hom
+        ``CompleteHomomorphism(L, K, psi_F)`` is checked, and its
+        ``canonical_adjoints`` ``(left, right)`` are read off the two batches
+        that check pulled back, ``ups[y] = psi_F^-1(up y)`` and
+        ``downs[y] = psi_F^-1(down y)``.  Each adjoint pair of the bonds is a
+        ``ConceptLatticeMorphism`` between complete lattices, whose embedding
+        squares compare a tuple with itself, so two tuple identities decide
+        both adjointness tests and no morphism is built:
+
+        - ``left == phi_F`` says ``L.intents[phi_F(y)] == ups[y]`` for every
+          ``y``, the forward pair's adjointness, row by row;
+        - ``right == psi_G``, with ``phi_G == psi_F`` and the backward pair
+          between the same two lattices, says ``L.extents[psi_G(y)] ==
+          downs[y]``, that is, ``x <= psi_G(y)`` iff ``psi_F(x) <= y``: the
+          backward pair's adjointness, read by columns.
+
+        A ``ValidationError`` on the way, or a tuple that differs, runs the
+        full sequence instead, which raises the failure: both adjoint pairs
+        of ``adjoint_of_bond``, each checked, then ``psi_F`` against
+        ``phi_G``, then the hom.  The backward bond is read only once the
+        forward pair is adjoint, as in that sequence, so any other error
+        arises where it arises there."""
+        # functors imports this module, so it is imported on first use
+        from .functors import (
+            CompleteHomomorphism,
+            _adjoint_maps,
+            adjoint_of_bond,
+            canonical_adjoints,
+        )
+
+        try:
+            L, K, phi, psi = _adjoint_maps(self.forward)
+            h = CompleteHomomorphism(L, K, psi)
+            left, right = canonical_adjoints(h)
+            if left.targets == phi.targets:
+                K_G, L_G, phi_G, psi_G = _adjoint_maps(self.backward)
+                if (
+                    (K_G, L_G) == (K, L)
+                    and phi_G.targets == psi.targets
+                    and right.targets == psi_G.targets
+                ):
+                    return h
+        except ValidationError:
+            pass
         fwd = adjoint_of_bond(self.forward)
         bwd = adjoint_of_bond(self.backward)
         diff = relalg.first_difference(fwd.psi.targets, bwd.phi.targets)

@@ -337,7 +337,17 @@ def lattice_equivalence_witness(L: ConceptLattice) -> ConceptLatticeMorphism:
 
 def adjoint_of_bond(F: Bond) -> ConceptLatticeMorphism:
     """Derivation along the bond, in both directions, read off the bond's
-    views, as the adjoint pair between the two complete lattices.
+    views, as the adjoint pair between the two complete lattices: the maps
+    of ``_adjoint_maps``, checked as a ``ConceptLatticeMorphism``."""
+    L, K, phi, psi = _adjoint_maps(F)
+    return ConceptLatticeMorphism(L, K, phi, psi, phi, psi)
+
+
+def _adjoint_maps(
+    F: Bond,
+) -> tuple[CompleteLattice, CompleteLattice, FunctionGraph, FunctionGraph]:
+    """The complete lattices of the bond's ends and its two derived maps,
+    ``(L, K, phi, psi)``, not checked for adjointness.
 
     ``psi`` sends a source concept to the target instances whose bond row
     holds its intent, the columns of ``F.images`` (``F/tau_A``); ``phi``
@@ -355,9 +365,7 @@ def adjoint_of_bond(F: Bond) -> ConceptLatticeMorphism:
     phi = _derived_map(
         preimages, LA.intent_index, LA.size, LB, "preimage of the target", "intent of the source"
     )
-    return ConceptLatticeMorphism(
-        complete_lattice_of(LA), complete_lattice_of(LB), phi, psi, phi, psi
-    )
+    return complete_lattice_of(LA), complete_lattice_of(LB), phi, psi
 
 
 def _derived_map(
@@ -713,7 +721,7 @@ def pair_roundtrip_holds(p: BondingPair) -> bool:
 def hom_roundtrip_holds(h: CompleteHomomorphism) -> bool:
     """Principal-concept witnesses intertwine a hom with its rebuilt hom.
 
-    The rebuilt hom, through ``adjoint_of_bond``, and the witnesses,
+    The rebuilt hom, through ``_adjoint_maps``, and the witnesses,
     ``down_up_witness``, read each end's lattice rebuilt from its order
     classification by ``concept_lattice_of``.  The rebuilt pair's own checks
     read only principal sets, so that build happens here, not in

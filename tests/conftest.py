@@ -1,8 +1,10 @@
 import csv
 import functools
 import importlib
+import importlib.util
 import io
 import random
+from pathlib import Path
 from types import MappingProxyType, SimpleNamespace
 
 import pytest
@@ -168,6 +170,17 @@ def library_modules() -> SimpleNamespace:
     """The modules a benchmark workload is built from."""
     names = ("classification", "relalg", "lattice", "functors", "bond", "io", "cli")
     return SimpleNamespace(**{n: importlib.import_module(f"conceptual.{n}") for n in names})
+
+
+def bonding_workload(workdir: Path):
+    """The benchmark's ``bonding`` workload, seed 1, full scale, built from
+    ``perfbench/workloads.py`` on ``library_modules()``; its ``pairs`` are
+    ``(label, pair, text)``, ``text`` the pair's JSON."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.WORKLOADS["bonding"](library_modules(), 1, "full", workdir)
 
 
 # -- the inputs of the timing tables of tools/kernel_probe.py ------------------

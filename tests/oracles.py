@@ -49,7 +49,7 @@ from types import SimpleNamespace
 from conceptual import colimit, relalg
 from conceptual.classification import check_preorder
 from conceptual.errors import CheckResult, ResourceLimitError, ValidationError, quote
-from conceptual.functors import ConceptLatticeMorphism
+from conceptual.functors import CompleteHomomorphism, ConceptLatticeMorphism, adjoint_of_bond
 from conceptual.infomorphism import FunctionalInfomorphism, check_functional
 from conceptual.lattice import DEFAULT_CONCEPT_CAP, ConceptLattice, FormalConcept, bound_of
 from conceptual.relalg import FunctionGraph, Relation, bits
@@ -837,6 +837,25 @@ def pair_roundtrip_by_composition(p) -> bool:
     to_tgt = BondingPair(type_tgt, inst_tgt)
     conjugated = compose_bonding_pairs(compose_bonding_pairs(from_src, p), to_tgt)
     return conjugated == pair_of_hom(hom_of_pair(p))
+
+
+# -- the hom of a bonding pair ------------------------------------------------------
+
+
+def hom_by_adjoint_pairs_oracle(p) -> CompleteHomomorphism:
+    """``BondingPair.hom`` as both bonds' adjoint pairs: each built and
+    checked as a ``ConceptLatticeMorphism`` by ``adjoint_of_bond``, the
+    forward right adjoint compared with the backward left adjoint, then the
+    hom checked.  The library decides both adjointness tests from the hom's
+    canonical adjoints, and runs this sequence only to raise a failure."""
+    fwd = adjoint_of_bond(p.forward)
+    bwd = adjoint_of_bond(p.backward)
+    diff = relalg.first_difference(fwd.psi.targets, bwd.phi.targets)
+    if diff is not None:
+        raise ValidationError(
+            "forward right adjoint and backward left adjoint disagree", witness=(diff[0],)
+        )
+    return CompleteHomomorphism(fwd.source, fwd.target, fwd.psi)
 
 
 # -- embedding bonds ----------------------------------------------------------------

@@ -1,10 +1,8 @@
 import collections
-import importlib.util
 import itertools
 import json
 import random
 import sys
-from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -14,6 +12,7 @@ from conceptual import functors, relalg, verify
 from conceptual.bond import (
     Bond,
     BondingPair,
+    close_to_bond,
     collective_from_function,
     compose_bonding_pairs,
     compose_bonds,
@@ -29,7 +28,7 @@ from conceptual.classification import (
     extent_of,
 )
 from conceptual.colimit import enumerate_infomorphisms
-from conceptual.errors import ResourceLimitError, ShapeError, ValidationError
+from conceptual.errors import ConceptualError, ResourceLimitError, ShapeError, ValidationError
 from conceptual.functors import (
     CompleteHomomorphism,
     CompleteLattice,
@@ -84,10 +83,10 @@ from conceptual.verify import verify_equivalences
 from conftest import (
     BOWTIE,
     all_contexts,
+    bonding_workload,
     boolean_hom,
     context_inputs,
     crown,
-    library_modules,
     order_from_covers,
     random_context,
     verify_hom_corpora,
@@ -99,6 +98,7 @@ from oracles import (
     check_lattice_oracle,
     complete_hom_oracle,
     embedding_bonds_oracle,
+    hom_by_adjoint_pairs_oracle,
     inf_oracle,
     lattice_order_oracle,
     pair_roundtrip_by_composition,
@@ -400,12 +400,7 @@ class TestCompleteLattice:
         bonding benchmark join, 16 to 128 elements, with both caches
         cleared: the constructor accepts it, as ``check_lattice_oracle``
         does, and the lattice's down-sets are the columns of its order."""
-        path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-        spec = importlib.util.spec_from_file_location("workloads", path)
-        workloads = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(workloads)
-        workload = workloads.WORKLOADS["bonding"](library_modules(), 1, "full", tmp_path)
-        ends = [K for _, p, _ in workload.pairs for K in (p.source, p.target)]
+        ends = [K for _, p, _ in bonding_workload(tmp_path).pairs for K in (p.source, p.target)]
         orders = list(dict.fromkeys(build_lattice(K).order for K in ends))
         assert len(orders) == 7
         for order in orders:
@@ -1108,9 +1103,11 @@ class TestDerivedViews:
         assert raised[0] == ("forward right adjoint and backward left adjoint disagree", (0,))
 
     def test_bonding_op_builds_each_view_once(self, monkeypatch):
-        """The benchmark's ``bonding`` op on a parsed spread boolean hom: one
-        pair of canonical adjoints, to spread the parsed pair's hom, and four
-        bond adjoints, two for that hom and two for the spread pair's hom."""
+        """The benchmark's ``bonding`` op on a parsed spread boolean hom:
+        three pairs of canonical adjoints, one to check the parsed pair's hom
+        against its bonds' maps, one to spread that hom, and one to check the
+        spread pair's hom, and no bond adjoint pair, for a hom that passes
+        builds none."""
         text = dumps(morphism_to_obj(pair_of_hom(boolean_hom(3, 2, (2, 0)))))
         calls = collections.Counter()
         for name in ("canonical_adjoints", "adjoint_of_bond"):
@@ -1126,7 +1123,7 @@ class TestDerivedViews:
         h = hom_of_pair(q)
         assert pair_roundtrip_holds(q)
         assert hom_roundtrip_holds(h)
-        assert calls == {"canonical_adjoints": 1, "adjoint_of_bond": 4}
+        assert calls == {"canonical_adjoints": 3}
 
     def test_spread_hom_pulls_back_each_principal_batch_once(self, monkeypatch):
         """From construction through ``pair_of_hom`` on ``boolean_hom(5, 3,
@@ -1346,6 +1343,127 @@ class TestPairRoundtripByResiduals:
             # a fresh hom each time, whose pair is not built yet
             with pytest.raises(ValidationError, match=message):
                 pair_of_hom(boolean_hom(5, 3, (4, 1, 2)))
+
+
+class TestHomByCanonicalAdjoints:
+    """``BondingPair.hom`` decides both bonds' adjointness from the hom's
+    canonical adjoints, and builds an adjoint pair only on failure: its
+    result, or its exception's type, message and witness, is that of
+    ``hom_by_adjoint_pairs_oracle``, the two checked adjoint pairs."""
+
+    @staticmethod
+    def outcome(of, p: BondingPair) -> tuple:
+        """The lattices and ``psi`` targets of the hom ``of(p)``, or the
+        type, message and witness of what it raises."""
+        try:
+            h = of(p)
+        except ConceptualError as e:
+            return type(e), str(e), getattr(e, "witness", None)
+        return h.source, h.target, h.psi.targets
+
+    def agrees(self, p: BondingPair) -> tuple:
+        """The outcome of ``hom_of_pair(p)``, checked equal to the oracle's."""
+        got = self.outcome(hom_of_pair, p)
+        assert got == self.outcome(hom_by_adjoint_pairs_oracle, p)
+        return got
+
+    @pytest.mark.parametrize("seed", range(7, 12))
+    def test_agrees_on_the_verify_pair_corpora(self, seed):
+        _, pairs = TestPairRoundtripByResiduals.verify_bonds_and_pairs(seed)
+        outcomes = [self.agrees(BondingPair._of(p.forward, p.backward)) for p in pairs]
+        assert outcomes and all(isinstance(o[0], CompleteLattice) for o in outcomes)
+
+    def test_agrees_on_the_bonding_benchmark_pairs(self, tmp_path):
+        pairs = bonding_workload(tmp_path).pairs
+        assert len(pairs) == 9
+        for _, p, text in pairs:
+            got = self.agrees(morphism_from_obj(json.loads(text), validate=False))
+            assert got[2] == hom_of_pair(p).psi.targets
+
+    def test_agrees_on_the_disagreeing_pair(self, k1):
+        m, n = len(k1.instances), len(k1.types)
+        everything = Bond(k1, k1, Relation(m, n, ((1 << n) - 1,) * m))
+        p = BondingPair._of(identity_bond(k1), everything)
+        message = "forward right adjoint and backward left adjoint disagree"
+        assert self.agrees(p) == (ValidationError, message, (0,))
+
+    @staticmethod
+    def seeded_relation(rng, A: Classification, B: Classification, kind: str) -> Relation:
+        """A relation of the shape of a bond from ``A`` to ``B``: seeded
+        (``raw``), its ``close_to_bond`` closure (``closed``), or that
+        closure with one bit flipped (``flipped``)."""
+        m, n = len(B.instances), len(A.types)
+        rel = random_relation(rng, m, n)
+        if kind == "raw":
+            return rel
+        rel = close_to_bond(A, B, rel)
+        if kind == "flipped" and m and n:
+            rows = list(rel.rows)
+            rows[rng.randrange(m)] ^= 1 << rng.randrange(n)
+            rel = Relation(m, n, tuple(rows))
+        return rel
+
+    def test_agrees_on_seeded_unchecked_pairs(self):
+        """600 unchecked pairs between seeded contexts up to 3x3, each bond
+        raw, closed or closed with one bit flipped; in one pair of four the
+        backward bond joins two other contexts of the same shapes.  They
+        reach every outcome: a hom, a forward or a backward relation that is
+        no bond, at a source concept's image or a target concept's
+        preimage, two adjoints that disagree, and, where the backward bond
+        joins other contexts, adjoints that agree on a map that is no
+        complete homomorphism of the forward bond's lattices."""
+        rng = random.Random(51)
+        kinds = ("raw", "closed", "flipped")
+        seen = collections.Counter()
+        for _ in range(600):
+            A, B = (random_context(rng, rng.randint(0, 3), rng.randint(0, 3)) for _ in "AB")
+            B2, A2 = B, A
+            if rng.random() < 0.25:
+                B2, A2 = (random_context(rng, *K.incidence.shape) for K in (B, A))
+            F = Bond._of(A, B, self.seeded_relation(rng, A, B, rng.choice(kinds)))
+            G = Bond._of(B2, A2, self.seeded_relation(rng, B2, A2, rng.choice(kinds)))
+            got = self.agrees(BondingPair._of(F, G))
+            seen[got[1].split(" concept")[0] if got[0] is ValidationError else "hom"] += 1
+        assert set(seen) == {
+            "hom",
+            "relation is not a bond: the image of the source",
+            "relation is not a bond: the preimage of the target",
+            "forward right adjoint and backward left adjoint disagree",
+            "not a complete homomorphism: bottom is not preserved",
+        }, seen
+
+    def test_a_parsed_spread_pair_pulls_back_each_batch_once(self, monkeypatch):
+        """On the parsed spread pair of ``boolean_hom(5, 3, (4, 1, 2))``,
+        after ``is_bonding_pair``, ``hom_of_pair`` pulls the target's up-sets
+        and down-sets back along ``psi`` once each, in the hom's check, and
+        checks no ``ConceptLatticeMorphism``.  The oracle, on the same pair,
+        checks two, and pulls the up-sets back along ``psi`` twice, in the
+        forward pair's check and in the hom's, so the patches are seen to
+        count."""
+        q = TestPairRoundtripByResiduals.parsed(pair_of_hom(boolean_hom(5, 3, (4, 1, 2))))
+        assert is_bonding_pair(q.forward, q.backward)
+        batches = collections.Counter()
+        original_pullback = relalg.pullback
+        original_check = functors.check_lattice_morphism
+
+        def counted_pullback(rows, cols, psi):
+            batches[tuple(rows), psi.targets] += 1
+            return original_pullback(rows, cols, psi)
+
+        def counted_check(m):
+            batches["check_lattice_morphism"] += 1
+            return original_check(m)
+
+        for module in (relalg, functors):
+            monkeypatch.setattr(module, "pullback", counted_pullback)
+        monkeypatch.setattr(functors, "check_lattice_morphism", counted_check)
+        h = hom_of_pair(q)
+        K = h.target
+        assert batches == {(K.intents, h.psi.targets): 1, (K.extents, h.psi.targets): 1}
+        batches.clear()
+        hom_by_adjoint_pairs_oracle(q)
+        assert batches["check_lattice_morphism"] == 2
+        assert batches[K.intents, h.psi.targets] == 2
 
 
 class TestEmbeddingBondsByIdentities:

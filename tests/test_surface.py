@@ -24,7 +24,9 @@ unchecked one: every ``_of`` stores its fields into the instance dict, one
 subscript store per key, and no module calls ``object.__setattr__``.
 
 Each module imports alone, in a fresh interpreter, and no line of the
-package, the tests or the tools passes 100 columns.
+package, the tests or the tools passes 100 columns.  No test module but
+``tests/hypothesis_or_skip.py`` imports ``hypothesis``, so the suite runs
+without it.
 """
 
 import ast
@@ -411,3 +413,48 @@ def test_no_source_line_passes_100_columns():
     the tests and tools are held to the same width."""
     dirs = ("src/conceptual", "tests", "tools")
     assert long_lines(p for d in dirs for p in sorted((ROOT / d).glob("*.py"))) == []
+
+
+def hypothesis_imports(trees) -> set[str]:
+    """Each module of ``trees`` that imports ``hypothesis``, or a submodule
+    of it, by an ``import`` or an absolute ``from`` statement."""
+    return {
+        module
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if (
+            isinstance(node, ast.Import)
+            and any(alias.name.split(".")[0] == "hypothesis" for alias in node.names)
+        )
+        or (
+            isinstance(node, ast.ImportFrom)
+            and node.level == 0
+            and node.module.split(".")[0] == "hypothesis"
+        )
+    }
+
+
+def test_only_hypothesis_or_skip_imports_hypothesis():
+    """CI's tests-without-hypothesis job runs the suite with no
+    ``hypothesis`` installed.  Through ``hypothesis_or_skip`` each
+    ``@given`` test skips there; a module that imported ``hypothesis``
+    itself would fail to collect, and its seeded tests would not run."""
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted((ROOT / "tests").glob("*.py"))
+    }
+    assert hypothesis_imports(trees) == {"hypothesis_or_skip"}
+
+
+def test_a_direct_hypothesis_import_is_found():
+    sources = {
+        "plain": "import hypothesis",
+        "submodule": "import pytest, hypothesis.strategies as st",
+        "from": "from hypothesis import given",
+        "from_submodule": "from hypothesis.strategies import integers",
+        "stand_ins": "from hypothesis_or_skip import given, st",
+        "relative": "from .hypothesis import given",
+        "other": "import hypothesis_extra",
+    }
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    assert hypothesis_imports(trees) == {"plain", "submodule", "from", "from_submodule"}
