@@ -1,7 +1,9 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 failed check or failed verification, 2 usage
-errors, 3 structural errors in the inputs.
+errors, 3 structural errors in the inputs.  An error in reading or
+decoding one input file names that file first, as given on the command
+line (``-`` for stdin).
 """
 
 from __future__ import annotations
@@ -38,26 +40,39 @@ from .lattice import build_lattice
 from .verify import MAX_CORPUS_SIZE, verify_equivalences
 
 
-def _read(path: str) -> str:
+def _load(path: str, decode):
+    """``decode`` of the text at ``path``, ``-`` for stdin.  An error in
+    reading or decoding it is a ``ParseError`` whose message starts with
+    the path as given, so a command reading two files names the one at
+    fault."""
     try:
         if path == "-":
             # the universal-newline translation ``open`` applies to a path
-            return sys.stdin.read().replace("\r\n", "\n").replace("\r", "\n")
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+            text = sys.stdin.read().replace("\r\n", "\n").replace("\r", "\n")
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        return decode(text)
     except UnicodeDecodeError as e:
         raise ParseError(f"{path}: not UTF-8 text: {e}") from None
+    except OSError as e:
+        raise ParseError(f"{path}: {e.strerror or e}") from None
+    except (ConceptualError, json.JSONDecodeError) as e:
+        raise ParseError(f"{path}: {e}") from None
 
 
 def _load_classification(path: str) -> Classification:
-    text = _read(path)
     if path.endswith(".cxt"):
-        return fmt.parse_cxt(text)
+        return _load(path, fmt.parse_cxt)
     if path.endswith(".csv"):
-        return fmt.parse_csv(text)
+        return _load(path, fmt.parse_csv)
     if path.endswith(".json"):
-        return fmt.classification_from_obj(fmt.loads(text))
-    return fmt.parse_classification(text)
+        return _load(path, lambda text: fmt.classification_from_obj(fmt.loads(text)))
+    return _load(path, fmt.parse_classification)
+
+
+def _load_morphism(path: str):
+    return _load(path, lambda text: fmt.morphism_from_obj(fmt.loads(text)))
 
 
 def _print_classification(K: Classification, args) -> None:
@@ -98,7 +113,7 @@ def cmd_check(args) -> int:
     failures = 0
     results = []
     for path in args.files:
-        m = fmt.morphism_from_obj(fmt.loads(_read(path)), validate=False)
+        m = _load(path, lambda text: fmt.morphism_from_obj(fmt.loads(text), validate=False))
         if not isinstance(m, cls):
             raise ConceptualError(f"{path}: expected {name}")
         verdict = check(m)
@@ -122,8 +137,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_compose(args) -> int:
-    a = fmt.morphism_from_obj(fmt.loads(_read(args.first)))
-    b = fmt.morphism_from_obj(fmt.loads(_read(args.second)))
+    a = _load_morphism(args.first)
+    b = _load_morphism(args.second)
     if args.kind == "bonds":
         if not isinstance(a, Bond) or not isinstance(b, Bond):
             raise ConceptualError("compose bonds expects two bond files")
@@ -160,7 +175,7 @@ def cmd_binary_construction(args) -> int:
 
 def cmd_quotient(args) -> int:
     K = _load_classification(args.context)
-    invariant = fmt.invariant_from_obj(fmt.loads(_read(args.invariant)), K)
+    invariant = _load(args.invariant, lambda text: fmt.invariant_from_obj(fmt.loads(text), K))
     quotient, projection = dual_quotient(K, invariant)
     sys.stdout.write(
         fmt.dumps(

@@ -8,10 +8,25 @@ A child's extent is one AND of its parent's with a type column, and closures
 that fail the canonicity test are handed down so that descendants skip the
 test; where an extent's rows are too few to meet every type left to add,
 only the types they meet are tried, and the one place the empty extent may
-be canonical.  A node's free types are read off its visit mask bit by bit,
-or byte by byte through ``relalg._BYTE_BITS``, as ``relalg.branch`` picks
-once per build.  The walk visits every concept exactly once, in the lectic
+be canonical.  The walk visits every concept exactly once, in the lectic
 order of intents that Ganter's NextClosure produces.
+
+A square context whose incidence is a lattice order gets its concepts
+without the walk.  By the Basic Theorem (Ganter & Wille, *Formal Concept
+Analysis*, 1999, Thm. 3) they are its principal pairs, concept ``x`` being
+``(cols[x], rows[x])``, sorted into the same lectic order.  ``build_lattice``
+looks for a full row, the least element's, by one membership test, and
+``_principal_pairs`` tests the rest in one read of the rows: reflexivity,
+distinct rows, transitivity along the covers walk of
+``ConceptLattice.covers``, and a join for every two upper covers of an
+element.  That suffices by a lemma: a finite order with a least element, in
+which any two upper covers of a common element have a join, is a lattice.
+By induction down from the top, all ``x, y >= m`` have a join: if neither
+is ``m``, take covers ``x1 <= x`` and ``y1 <= y`` of ``m``; then
+``x1 v y1``, ``x v (x1 v y1)`` and ``y v (x v (x1 v y1))`` exist by the
+hypothesis at ``m``, ``x1`` and ``y1``, and the last is ``x v y``
+(``build_lattice`` gives the proof in full).  Every order that fails a
+test, and every other context, is walked.
 
 The order structure is relational, as in the rest of the package.  By the
 Basic Theorem (Ganter & Wille, *Formal Concept Analysis*, 1999, Thm. 3)
@@ -32,8 +47,8 @@ same theorem the other way: a complete lattice, ``functors.CompleteLattice``,
 is the concept lattice of its order classification, so an order is a lattice
 exactly when the concepts of its order classification are its principal
 pairs.  It takes that concept lattice from the cache, or builds it there
-with no more concepts than elements, and names a failure only when the test
-fails.
+with no more concepts than elements, where a lattice order takes the
+principal-pairs path, and names a failure only when the test fails.
 """
 
 from __future__ import annotations
@@ -41,14 +56,14 @@ from __future__ import annotations
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
+from itertools import combinations, repeat, starmap
+from operator import and_
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import relalg
 from .classification import Classification, check_preorder
 from .errors import ResourceLimitError, ValidationError, quote
 from .relalg import (
-    _BYTE_BITS,
     FunctionGraph,
     Relation,
     _new,
@@ -286,11 +301,102 @@ class ConceptLattice:
         return f"ConceptLattice({self.size} concepts)"
 
 
+def _principal_pairs(
+    rows: Sequence[int], cols: Sequence[int]
+) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """The extents and intents of the concepts of a square context, with
+    these rows and columns and a full row, in lectic order when its
+    incidence is a lattice order, ``i <= j`` at bit ``j`` of row ``i``;
+    else ``None``.
+
+    By the Basic Theorem (Ganter & Wille 1999, Thm. 3) the concepts of a
+    lattice's order classification are its principal pairs: concept ``x``
+    is ``(cols[x], rows[x])``, the down-set and the up-set of ``x``.  They
+    are sorted into the walk's lectic order of intents, the string order of
+    ``relalg.row_digits`` of the rows.  The test reads each row once.
+
+    ``build_lattice`` has refused cheaply first: a lattice order needs a
+    full row, its least element's, found by one C-level membership test.
+    Here come the reflexive diagonal and distinct rows.  Then each row
+    ``i`` is walked as ``ConceptLattice.covers`` walks it, highest index
+    first, which is exact for any index order, and every ``j`` the walk
+    takes must have ``rows[j]`` within ``rows[i]``.  That is transitivity:
+    every element the walk skips lies in a row it took, which is smaller,
+    for rows are distinct, and so closed by induction on row size.  Last,
+    for every two upper covers ``a`` and ``b`` of ``i``, ``rows[a] &
+    rows[b]``, their common upper bounds, must be a row: their join exists.
+    If every row passes, the relation is an order, so the covers found
+    were its covers.
+
+    That suffices, by the lemma proved in ``build_lattice``.  Where an
+    element has many covers, its cover pairs are the ``n**2 / 2`` pair
+    scan; that still replaces a walk of the whole context.
+    """
+    unit = 1
+    for row in rows:
+        if not row & unit:
+            return None
+        unit <<= 1
+    index = {row: x for x, row in enumerate(rows)}
+    if len(index) != len(rows):
+        return None
+    joined = index.__contains__
+    for i, row in enumerate(rows):
+        rest = row ^ 1 << i
+        cov = taken = 0
+        ups = []  # the rows taken: the covers' rows, unless a take cleared one
+        while rest:
+            j = rest.bit_length() - 1
+            above = rows[j]
+            ups.append(above)
+            taken |= above
+            rest &= ~above
+            if above >> j > 1:
+                cov &= ~above
+            cov |= 1 << j
+        if taken & ~row:
+            return None
+        if len(ups) > 1:
+            if len(ups) > cov.bit_count():
+                ups = list(map(rows.__getitem__, bits(cov)))
+            if not all(map(joined, starmap(and_, combinations(ups, 2)))):
+                return None
+    # ``relalg.row_digits`` of each row, written out
+    digits = f"0{len(rows)}b"
+    keys = [format(row, digits)[::-1] for row in rows]
+    _, extents, intents = zip(*sorted(zip(keys, cols, rows)))
+    return extents, intents
+
+
+def _too_many(max_concepts: int) -> ResourceLimitError:
+    return ResourceLimitError(f"more than {max_concepts} concepts; raise max_concepts to proceed")
+
+
 def build_lattice(K: Classification, max_concepts: int = DEFAULT_CONCEPT_CAP) -> ConceptLattice:
     """All formal concepts of ``K``, in lectic order of their intents.
 
     Intents compare lectically by their lowest differing type: the set holding
-    it is the larger.  FCbO walks the canonical-extension tree from the
+    it is the larger.  A square context whose incidence is a lattice order
+    has its principal pairs as concepts, by the Basic Theorem, and
+    ``_principal_pairs`` reads them off the order, sorted by the string
+    order of ``relalg.row_digits`` of the rows, which is the lectic order;
+    every other context, and every order that fails one of its tests, runs
+    the walk below.  Its tests are a least element, reflexivity, distinct
+    rows, transitivity, and a join for every two upper covers of an
+    element; they suffice.
+
+    **Lemma.** A finite order with a least element, in which any two upper
+    covers of a common element have a join, is a lattice.  **Proof.** All
+    ``x, y >= m`` have a join, by induction down from the top.  If ``x`` or
+    ``y`` is ``m``, this is done.  Otherwise take covers ``x1 <= x`` and
+    ``y1 <= y`` of ``m``.  If ``x1 == y1``, use the hypothesis at ``x1``.
+    If not, ``j = x1 v y1`` exists by assumption, ``k = x v j`` by the
+    hypothesis at ``x1`` and ``l = y v k`` by the hypothesis at ``y1``.  Any
+    upper bound of ``x`` and ``y`` lies above ``j``, then ``k``, then
+    ``l``, so ``l = x v y``.  At ``m = 0`` every pair has a join, and a
+    finite order with a least element and all binary joins is a lattice.
+
+    FCbO walks the canonical-extension tree from the
     closure of the empty type set.  The child of intent ``B`` at type ``j``
     (not in ``B``, above the type that made ``B``) has the extent
     ``ext & cols[j]`` and its intent ``D``; it is kept when ``D`` adds no type
@@ -310,7 +416,7 @@ def build_lattice(K: Classification, max_concepts: int = DEFAULT_CONCEPT_CAP) ->
     still free in a descendant, the descendant's closure at ``j`` adds it
     too and fails: the whole skip test is ``failed[j] & free``, and the
     closure is not computed.  A child's closure is the AND of its extent's
-    rows, written into both loops and stopped at the floor ``B | {j}``:
+    rows, written into the loop and stopped at the floor ``B | {j}``:
     every instance of its extent has those types, so its intent contains
     that set, and the AND stops once it has narrowed to it, for no further
     row can remove a type.
@@ -329,21 +435,13 @@ def build_lattice(K: Classification, max_concepts: int = DEFAULT_CONCEPT_CAP) ->
     most a test and changes no result.  Every other node keeps the loop over
     all free types, for there ``meet`` costs more than the tests it saves.
 
-    The visit mask is read either bit by bit, each type cut off the mask,
-    or by its bytes, each nonzero byte giving its types from
-    ``relalg._BYTE_BITS``; both read the types in ascending order, so the
-    pushes and the output are the same.  Reading by bytes costs a
-    conversion per node and saves on every type, and most types a node
-    visits are skipped by the failure lists where every extent holds a full
-    row, as in a lattice classified by its own order.  ``relalg.branch``
-    picks the reading once, from the rows.
-
     The walk makes no object per concept: it appends each extent and intent
     to two int lists, and ``ResourceLimitError`` is raised once they hold
-    more than ``max_concepts``.  At the end every ``FormalConcept`` is made
-    in one C-level pass, and the two lists, as tuples, are stored as the
-    lattice's ``extents`` and ``intents``, as ``functors.CompleteLattice``
-    presets its own views.
+    more than ``max_concepts``; a lattice order of more than ``max_concepts``
+    elements raises the same.  At the end every ``FormalConcept`` is made
+    in one C-level pass, and the extents and intents, as tuples, are stored
+    as the lattice's ``extents`` and ``intents``, as
+    ``functors.CompleteLattice`` presets its own views.
     """
     m = len(K.instances)
     n = len(K.types)
@@ -352,86 +450,62 @@ def build_lattice(K: Classification, max_concepts: int = DEFAULT_CONCEPT_CAP) ->
     full_i = (1 << m) - 1
     full_t = (1 << n) - 1
 
-    # the gate ``|ext| * (1 + mean row weight) < n - start``, times ``m``,
-    # is ``|ext| * weight < (n - start) * m``
-    crosses = sum(map(int.bit_count, rows))
-    weight = m + crosses
-    bytewise = relalg.branch("walk", rows, n, crosses) == "bytes"
-    width = (n + 7) // 8
-    offsets = range(0, 8 * width, 8)
-
-    exts: list[int] = []
-    ints: list[int] = []
-    # each entry: extent, intent, the first type index its children may add,
-    # and the witness types of the closures that failed, by type index
-    stack = [(full_i, relalg.intersect_rows(rows, full_i, full_t), 0, [0] * n)]
-    while stack:
-        ext, cur, start, inherited = stack.pop()
-        exts.append(ext)
-        ints.append(cur)
-        if len(exts) > max_concepts:
-            raise ResourceLimitError(
-                f"more than {max_concepts} concepts; raise max_concepts to proceed"
-            )
-        if start == n or cur == full_t:
-            continue  # no type left to add: a leaf needs no failure list
-        # shared by every child pushed below; final before the first of them pops
-        failed = inherited.copy()
-        free = full_t ^ cur
-        visit = free >> start << start
-        if ext.bit_count() * weight < (n - start) * m:
-            meet = 0
-            rest = ext
-            while rest:
-                low = rest & -rest
-                meet |= rows[low.bit_length() - 1]
-                rest ^= low
-            # the free types the rows meet, and where the bottom may be canonical
-            visit &= meet | free & -free
-        # the two loops below differ only in how they read ``visit``, and must
-        # stay so: one body fed by a generator of types loses the bytes' gain
-        if bytewise:
-            # the same types in the same order, read by the bytes of ``visit``
-            for base, byte in zip(offsets, visit.to_bytes(width, "little")):
-                if not byte:
+    # a lattice order has a full row, its least element's
+    found = m == n and full_t in rows and _principal_pairs(rows, cols)
+    if found:
+        if n > max_concepts:
+            raise _too_many(max_concepts)
+        extents, intents = found
+    else:
+        # the gate ``|ext| * (1 + mean row weight) < n - start``, times ``m``,
+        # is ``|ext| * weight < (n - start) * m``
+        weight = m + sum(map(int.bit_count, rows))
+        exts: list[int] = []
+        ints: list[int] = []
+        # each entry: extent, intent, the first type index its children may add,
+        # and the witness types of the closures that failed, by type index
+        stack = [(full_i, relalg.intersect_rows(rows, full_i, full_t), 0, [0] * n)]
+        while stack:
+            ext, cur, start, inherited = stack.pop()
+            exts.append(ext)
+            ints.append(cur)
+            if len(exts) > max_concepts:
+                raise _too_many(max_concepts)
+            if start == n or cur == full_t:
+                continue  # no type left to add: a leaf needs no failure list
+            # shared by every child pushed below; final before the first of them pops
+            failed = inherited.copy()
+            free = full_t ^ cur
+            visit = free >> start << start
+            if ext.bit_count() * weight < (n - start) * m:
+                meet = 0
+                rest = ext
+                while rest:
+                    low = rest & -rest
+                    meet |= rows[low.bit_length() - 1]
+                    rest ^= low
+                # the free types the rows meet, and where the bottom may be canonical
+                visit &= meet | free & -free
+            while visit:
+                bit = visit & -visit
+                visit ^= bit
+                j = bit.bit_length() - 1
+                # a witness of a closure that failed at j above is still free here
+                if failed[j] & free:
                     continue
-                for j in _BYTE_BITS[byte]:
-                    j += base
-                    if failed[j] & free:
-                        continue
-                    bit = 1 << j
-                    child_ext = rest = ext & cols[j]
-                    child, floor = full_t, cur | bit
-                    while rest and child != floor:
-                        low = rest & -rest
-                        child &= rows[low.bit_length() - 1]
-                        rest ^= low
-                    witness = child & (bit - 1) & free
-                    if witness:
-                        failed[j] = witness
-                    else:
-                        stack.append((child_ext, child, j + 1, failed))
-            continue
-        while visit:
-            bit = visit & -visit
-            visit ^= bit
-            j = bit.bit_length() - 1
-            # a witness of a closure that failed at j above is still free here
-            if failed[j] & free:
-                continue
-            child_ext = rest = ext & cols[j]
-            child, floor = full_t, cur | bit
-            while rest and child != floor:
-                low = rest & -rest
-                child &= rows[low.bit_length() - 1]
-                rest ^= low
-            witness = child & (bit - 1) & free
-            if witness:
-                failed[j] = witness
-            else:
-                stack.append((child_ext, child, j + 1, failed))
+                child_ext = rest = ext & cols[j]
+                child, floor = full_t, cur | bit
+                while rest and child != floor:
+                    low = rest & -rest
+                    child &= rows[low.bit_length() - 1]
+                    rest ^= low
+                witness = child & (bit - 1) & free
+                if witness:
+                    failed[j] = witness
+                else:
+                    stack.append((child_ext, child, j + 1, failed))
+        extents, intents = tuple(exts), tuple(ints)
 
-    extents, intents = tuple(exts), tuple(ints)
     # ``tuple.__new__`` makes the instances ``FormalConcept(e, i)`` would,
     # without a Python-level ``__new__`` call each
     concepts = tuple(map(tuple.__new__, repeat(FormalConcept), zip(extents, intents)))
@@ -512,7 +586,16 @@ def check_lattice(K: Classification) -> ConceptLattice:
     intransitive relations pass.  The concept lattice comes from
     ``concept_lattice_of``, and one missing there is built with at most
     ``n`` concepts, so an order with a larger completion fails fast and
-    stores nothing.
+    stores nothing.  On a lattice order that build reads the principal
+    pairs off the order with no walk (``_principal_pairs``): it finds a
+    least element, reflexivity, distinct rows, transitivity along the
+    covers walk, and a join for every two upper covers of an element.  By
+    a lemma, a finite order with a least element in which any two upper
+    covers of an element have a join is a lattice: by induction down from
+    the top, ``x, y >= m`` other than ``m`` have the join
+    ``y v (x v (x1 v y1))`` for covers ``x1 <= x`` and ``y1 <= y`` of
+    ``m``, each join existing by the hypothesis at ``m``, ``x1`` or ``y1``
+    (``build_lattice`` gives the proof in full).
 
     Only when that test fails are the laws checked one by one, to name the
     first that fails: the preorder (``check_preorder``); antisymmetry, which
@@ -527,7 +610,7 @@ def check_lattice(K: Classification) -> ConceptLattice:
     """
     n = len(K.instances)
     M = _lattice_within(K, n)
-    # M's classification equals K, and FCbO has read its columns
+    # M's classification equals K, and the build has read its columns
     if M is not None and M.size == n:
         if set(M.concepts) == set(zip(M.classification.cols, K.rows)):
             return M

@@ -7,9 +7,8 @@ precision ints act as dense bitset blocks, so composition and both residuals
 sweep whole machine words along the destination axis instead of visiting
 cells one at a time.
 
-Every kernel with more than one branch, ``lattice.ConceptLattice.order``
-for its side and ``lattice.build_lattice`` for how its walk reads a node's
-types runs the branch for which ``branch`` counts the fewest big-int
+Every kernel with more than one branch, and ``lattice.ConceptLattice.order``
+for its side, runs the branch for which ``branch`` counts the fewest big-int
 steps, one step being one pass of a bit loop, from the call's shape and the
 popcount of the rows it reads.  Every branch but the bit loops has a fixed
 cost, so a small call is decided from its shape alone: a bit loop at up to
@@ -25,7 +24,7 @@ bits of each mask, by bits or by bytes, is ``compose`` and the inverse
 images of ``FunctionGraph.preimages`` and ``pullback``; ``intersect_rows``,
 the AND of rows at the bits of one mask, is the derivations of a
 classification and the meets and joins of a lattice, and the FCbO walk
-writes its loop inline into its own two loops.
+writes its loop inline.
 
 ``transpose`` is one of two places that fill a relation's ``columns``
 view on the way; the other is ``from_digits``, the reader of a block of
@@ -393,7 +392,6 @@ _CELL_STEP = 0.5  # a subset test of the right residual
 _TABLE_FIXED = 150  # the complement tables: per call
 _TABLE_STEP = 0.35  # and per entry or lookup
 _BUILD_FIXED = 60  # the AND-product or the gather, before its transpose
-_WALK_CLOSURES = 2  # the visits of an FCbO node that close, at one cost by either reading
 
 # the most cells of a call that its shape alone sends to a bit loop, at one
 # step a cell at most: 73, for the bytes cost more even at one set bit a cell,
@@ -440,27 +438,11 @@ def branch(kernel: str, rows: Sequence[int], n: int, k: int = 0) -> str:
     ``"bytes"``, the AND-product, for a ``"right_residual"`` of ``k`` rows of
     ``t`` by ``s``; ``"gather"`` or a reading for their ``"pullback"`` along
     ``k`` sources; ``"instances"`` or ``"types"`` for the ``"order"`` of a
-    lattice with these extents, ``n`` instances and ``k`` types; a reading
-    of the visit masks for the FCbO ``"walk"`` over a context with these
-    rows of ``n`` types and ``k`` crosses.  The popcount of ``rows`` is
-    taken only where the shape leaves the choice open.
-
-    The walk's reading is counted per node, one node taken per instance: a
-    node reads one visit mask, and the bytes save on its skip tests, the
-    types it visits less the ``_WALK_CLOSURES`` that close either way.  A
-    node tests about half its free types where a row is full, for every
-    extent holds that row and the gate keeps them all; otherwise the free
-    types its rows meet, ``w * (1 - w / n)`` for the mean row weight
-    ``w = k / len(rows)``."""
+    lattice with these extents, ``n`` instances and ``k`` types.  The
+    popcount of ``rows`` is taken only where the shape leaves the choice
+    open."""
     m = len(rows)
     most = m * n
-    if kernel == "walk":
-        # the skips counted below are under half the cells: too few to pay
-        # for ``_BYTE_FIXED``
-        if most <= 2 * _BYTE_FIXED:
-            return "bits"
-        tests = n / 2 if (1 << n) - 1 in rows else k * (most - k) / (m * most)
-        return _reads(m, n, m * (tests - _WALK_CLOSURES))[1]
     if kernel == "transpose":
         tiles = _tile_steps(m, n)
         return "tiles" if most > tiles and sum(map(int.bit_count, rows)) > tiles else "bits"

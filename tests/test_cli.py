@@ -114,7 +114,7 @@ class TestLatticeCommand:
         code = main(["lattice", arg])
         captured = capsys.readouterr()
         assert code == 3 and captured.out == ""
-        assert captured.err == f"error: line 2: field larger than field limit ({limit})\n"
+        assert captured.err == f"error: {arg}: line 2: field larger than field limit ({limit})\n"
         assert csv.field_size_limit() == limit
 
     @pytest.mark.parametrize(
@@ -130,7 +130,7 @@ class TestLatticeCommand:
         code = main(["lattice", str(path)])
         captured = capsys.readouterr()
         assert code == 3 and captured.out == ""
-        assert captured.err == f"error: {message}\n"
+        assert captured.err == f"error: {path}: {message}\n"
 
 
 DOT_NODE = re.compile(r'^  c(\d+) \[label="((?:[^"\\]|\\.)*)"\];$', re.M)
@@ -339,14 +339,15 @@ def short_refusals() -> dict:
             obj = morphism_to_obj(m)
             obj["data"][key] = obj["data"][key][:-1]
             unit = "labels" if key.endswith("_map") else "rows"
-            message = f"bad morphism object: {key} must have 2 {unit}, got 1"
+            message = f"a.json: bad morphism object: {key} must have 2 {unit}, got 1"
             for argv in (["check", kind, "a.json"], ["compose", compose, "a.json", "a.json"]):
                 out[f"short-{key}-{argv[0]}"] = (argv, {"a.json": dumps(obj)}, message)
     return out
 
 
 # argv, the files it reads (a morphism is written as its JSON text) and the
-# one line on stderr
+# one line on stderr: a refusal in reading or decoding one file starts with
+# its name, as given, and one about two files names neither
 REFUSALS = {
     "compose-bonds": (
         ["compose", "bonds", "a.json", "b.json"],
@@ -363,91 +364,112 @@ REFUSALS = {
         {"a.cxt": emit_cxt(K1), "b.cxt": emit_cxt(K2)},
         "subposition requires identical ordered type sets",
     ),
-    "blank-csv": (["lattice", "a.csv"], {"a.csv": "\n\n\n"}, "line 1: empty CSV input"),
-    "csv-types": (["lattice", "a.csv"], {"a.csv": ",a,a\n1,0,1\n"}, "duplicate type label 'a'"),
-    "cxt-end": (["lattice", "a.cxt"], {"a.cxt": "B\n"}, "line 2: unexpected end of file"),
+    "blank-csv": (["lattice", "a.csv"], {"a.csv": "\n\n\n"}, "a.csv: line 1: empty CSV input"),
+    "csv-types": (
+        ["lattice", "a.csv"],
+        {"a.csv": ",a,a\n1,0,1\n"},
+        "a.csv: duplicate type label 'a'",
+    ),
+    "cxt-end": (["lattice", "a.cxt"], {"a.cxt": "B\n"}, "a.cxt: line 2: unexpected end of file"),
+    "cxt-count": (
+        ["lattice", "bad.cxt"],
+        {"bad.cxt": "B\n\n2\n\n"},
+        "bad.cxt: line 4: expected a count, got ''",
+    ),
+    "missing-file": (["lattice", "none.cxt"], {}, "none.cxt: No such file or directory"),
+    # the second of two files is the one at fault
+    "json-second": (
+        ["check", "bonding-pair", "good.json", "bad.json"],
+        {"good.json": identity_bonding_pair(K1), "bad.json": '{"kind": '},
+        "bad.json: Expecting value: line 1 column 10 (char 9)",
+    ),
+    "invalid-second": (
+        ["compose", "bonds", "a.json", "b.json"],
+        {"a.json": identity_bond(K1), "b.json": dumps({**FIVE, "data": {"rel": [[0, 0]] * 2}})},
+        "b.json: relation is not a bond: row of '1' is not an intent of the source",
+    ),
     "data": (
         ["check", "bond", "a.json"],
         {"a.json": dumps(FIVE)},
-        "bad morphism object: data must be a JSON object",
+        "a.json: bad morphism object: data must be a JSON object",
     ),
     "top-level": (
         ["check", "bond", "a.json"],
         {"a.json": dumps([FIVE])},
-        "bad morphism object: the top level must be a JSON object",
+        "a.json: bad morphism object: the top level must be a JSON object",
     ),
     "matrix": (
         ["check", "bond", "a.json"],
         {"a.json": dumps({**FIVE, "data": {"rel": 5}})},
-        "bad morphism object: rel must be a list of rows",
+        "a.json: bad morphism object: rel must be a list of rows",
     ),
     "source": (
         ["check", "bond", "a.json"],
         {"a.json": dumps({**FIVE, "source": 5})},
-        "bad morphism object: source must be a JSON object",
+        "a.json: bad morphism object: source must be a JSON object",
     ),
     "incidence": (
         ["check", "bond", "a.json"],
         {"a.json": dumps({**FIVE, "target": {**classification_to_obj(K1), "incidence": 5}})},
-        "bad classification object: incidence must be a list of rows",
+        "a.json: bad classification object: incidence must be a list of rows",
     ),
     "incidence-row": (
         ["lattice", "a.json"],
         {"a.json": dumps({**classification_to_obj(K1), "incidence": [[1, 0], [1]]})},
-        "bad classification object: incidence row 1 must have 2 cells, got 1",
+        "a.json: bad classification object: incidence row 1 must have 2 cells, got 1",
     ),
     "classification-top-level": (
         ["lattice", "a.json"],
         {"a.json": dumps([classification_to_obj(K1)])},
-        "bad classification object: the top level must be a JSON object",
+        "a.json: bad classification object: the top level must be a JSON object",
     ),
     "incidence-cell": (
         ["lattice", "a.json"],
         {"a.json": dumps({**classification_to_obj(K1), "incidence": [[1, 0], [2, 1]]})},
-        "bad classification object: incidence matrix cell must be 0/1, got 2",
+        "a.json: bad classification object: incidence matrix cell must be 0/1, got 2",
     ),
     # an object's keys and a string's characters are no rows
     "incidence-object": (
         ["lattice", "a.json"],
         {"a.json": dumps({**classification_to_obj(K1), "incidence": {"ab": 1, "cd": 0}})},
-        "bad classification object: incidence must be a list of rows",
+        "a.json: bad classification object: incidence must be a list of rows",
     ),
     "incidence-string": (
         ["lattice", "a.json"],
         {"a.json": dumps({**classification_to_obj(K1), "incidence": "10"})},
-        "bad classification object: incidence must be a list of rows",
+        "a.json: bad classification object: incidence must be a list of rows",
     ),
     "incidence-row-string": (
         ["lattice", "a.json"],
         {"a.json": dumps({**classification_to_obj(K1), "incidence": ["10", "11"]})},
-        "bad classification object: incidence row 0 must be a list of cells",
+        "a.json: bad classification object: incidence row 0 must be a list of cells",
     ),
     "rel-string": (
         ["check", "bond", "a.json"],
         {"a.json": dumps({**FIVE, "data": {"rel": "1011"}})},
-        "bad morphism object: rel must be a list of rows",
+        "a.json: bad morphism object: rel must be a list of rows",
     ),
     "incidence-missing": (
         ["lattice", "a.json"],
         {"a.json": dumps({"instances": ["1", "2"], "types": ["a", "b"]})},
-        "bad classification object: missing or invalid 'incidence'",
+        "a.json: bad classification object: missing or invalid 'incidence'",
     ),
     "incidence-short": (
         ["lattice", "a.json"],
         {"a.json": dumps({**classification_to_obj(K1), "incidence": [[1, 0]]})},
-        "bad classification object: incidence must have 2 rows, got 1",
+        "a.json: bad classification object: incidence must have 2 rows, got 1",
     ),
     "cell": (
         ["check", "bond", "a.json"],
         {"a.json": dumps({**FIVE, "data": {"rel": [[1, 0], [0, "1"]]}})},
-        "bad morphism object: rel matrix cell must be 0/1, got '1'",
+        "a.json: bad morphism object: rel matrix cell must be 0/1, got '1'",
     ),
     **short_refusals(),
     **{
         f"ragged-{argv[0]}": (
             argv,
             {"a.json": dumps({**FIVE, "data": {"rel": [[1], [1]]}})},
-            "bad morphism object: rel row 0 must have 2 cells, got 1",
+            "a.json: bad morphism object: rel row 0 must have 2 cells, got 1",
         )
         for argv in (["check", "bond", "a.json"], ["compose", "bonds", "a.json", "a.json"])
     },
@@ -455,7 +477,7 @@ REFUSALS = {
         f"invariant-{name}": (
             ["quotient", "k.cxt", "inv.json"],
             {"k.cxt": K1_CXT, "inv.json": text},
-            f"bad invariant object: {message}",
+            f"inv.json: bad invariant object: {message}",
         )
         for name, text, message in (
             ("top-level", "[1]", "the top level must be a JSON object"),
@@ -508,13 +530,14 @@ class TestMalformedInput:
         return err
 
     @pytest.mark.parametrize("argv, files, message", list(REFUSALS.values()), ids=list(REFUSALS))
-    def test_message_of_each_refusal(self, capsys, tmp_path, argv, files, message):
+    def test_message_of_each_refusal(self, capsys, monkeypatch, tmp_path, argv, files, message):
         """Files of the wrong shape or kind, and text that is no context, give
         exit 3 and one line on stderr."""
+        monkeypatch.chdir(tmp_path)
         for name, content in files.items():
             text = content if isinstance(content, str) else dumps(morphism_to_obj(content))
             (tmp_path / name).write_text(text)
-        code = main([str(tmp_path / arg) if arg in files else arg for arg in argv])
+        code = main(argv)
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == (3, "", f"error: {message}\n")
 

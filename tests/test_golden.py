@@ -14,7 +14,11 @@ bond commands read seeded bonds and bonding pairs between the two random
 contexts, valid and invalid, and the spread pair of a boolean hom 2^3 -> 2^2,
 both of whose ends are order classifications numbered as their own
 lattices, valid and with one bit of its backward bond flipped, where the
-first pairing constraint fails.  ``check infomorphism`` reads an injection
+first pairing constraint fails, and the same at bench size, the spread pair
+of a boolean hom 2^6 -> 2^5, valid and with one backward bit flipped, where
+the second constraint fails at a concept of eight elements: that witness is
+the first failing concept, so it pins the lectic order of a 64-element
+lattice order.  ``check infomorphism`` reads an injection
 into the sum of the two random contexts, and the same map with one instance
 moved; ``check relational`` reads the relational widening of that injection,
 and the widening with one instance pair flipped.  ``compose infos`` chains
@@ -100,6 +104,12 @@ def spread_pair() -> BondingPair:
     return pair_of_hom(boolean_hom(3, 2, (2, 0)))
 
 
+def bench_spread_pair() -> BondingPair:
+    """The pair of the boolean hom 2^6 -> 2^5 that drops element 3, of the
+    sizes of the bonding benchmark's pairs."""
+    return pair_of_hom(boolean_hom(6, 5, (4, 0, 5, 2, 1)))
+
+
 def flipped_backward_bit(p: BondingPair, row: int, column: int) -> BondingPair:
     """``p`` with one bit of its backward bond flipped, unchecked."""
     rel = p.backward.rel
@@ -135,6 +145,8 @@ MORPHISMS = {
     ),
     "spread-pair": spread_pair,
     "spread-non-pair": lambda: flipped_backward_bit(spread_pair(), 1, 2),
+    "bench-spread-pair": bench_spread_pair,
+    "bench-spread-non-pair": lambda: flipped_backward_bit(bench_spread_pair(), 45, 14),
 }
 
 # the invariant file of ``quotient``: on i1, i3 and i4, t0, t3 and t4 agree
@@ -281,6 +293,23 @@ GOLDEN = {
     ("check", "bonding-pair", "{spread-non-pair}", "--json"): (
         1,
         "91553e3d3b61b132d98a43ce4711f177c0a60d69d03271ff161bab6138d70b5b",
+    ),
+    # pinned before a lattice order's concepts were read off the order
+    ("check", "bonding-pair", "{bench-spread-pair}"): (
+        0,
+        "6d22782eab9407f8872c8df341cd09b442b75f6454b678f11e0b2fc3a297ab0d",
+    ),
+    ("check", "bonding-pair", "{bench-spread-pair}", "--json"): (
+        0,
+        "3d147ea54c8f90db2b2473cb1dbc5d2e760d5a713f37615ac6d39f3435ffacfc",
+    ),
+    ("check", "bonding-pair", "{bench-spread-non-pair}"): (
+        1,
+        "6582f5ccd74de041f775ec486102851862303cd5ca3428983013e03ddd620d2d",
+    ),
+    ("check", "bonding-pair", "{bench-spread-non-pair}", "--json"): (
+        1,
+        "10e8f31b477663a4fe237ef2815e3e599f5498406f3de10e603c1432e5ce3f37",
     ),
     ("check", "infomorphism", "{infomorphism}"): (
         0,

@@ -1,4 +1,4 @@
-"""``tools/kernel_probe.py`` builds its four timing tables on the seeded
+"""``tools/kernel_probe.py`` builds its three timing tables on the seeded
 inputs of ``conftest.py``, without timing them: a library name it uses that
 is gone fails here, not at the probe's next run.  The tests that compare
 the tables' columns with their references run on the same inputs."""
@@ -16,8 +16,8 @@ def test_the_probe_builds_its_tables(monkeypatch):
     spec = importlib.util.spec_from_file_location("kernel_probe", PROBE)
     probe = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(probe)
-    tables = [probe.kernel_table(), probe.pullback_table(), *probe.context_tables()]
-    assert [len(table.rows) for table in tables] == [64, 11, 8, 8]
+    tables = [probe.kernel_table(), probe.pullback_table(), probe.order_table()]
+    assert [len(table.rows) for table in tables] == [64, 11, 8]
     for table in tables:
         assert set(table.ratio) <= set(table.columns)
         assert all(len(row[0]) == len(table.labels) for row in table.rows)

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -28,7 +29,7 @@ from conceptual.lattice import (
     meet,
     type_concept,
 )
-from conceptual import relalg
+from conceptual import lattice, relalg
 from conceptual.relalg import (
     FunctionGraph,
     Relation,
@@ -40,16 +41,19 @@ from conceptual.relalg import (
 )
 
 from conftest import (
+    BOWTIE,
     ORDER_POWERS,
     PRUNED_BOTTOM,
     RANDOM_SHAPES,
     all_contexts,
     context_inputs,
+    crown,
     random_context,
     sparse_context,
 )
 from oracles import (
     branches,
+    check_lattice_oracle,
     closed_pairs_oracle,
     collective_closed_oracle,
     collective_from_function_oracle,
@@ -62,6 +66,7 @@ from oracles import (
     fcbo_oracle,
     inf_oracle,
     next_closure_oracle,
+    raised,
     sup_oracle,
 )
 
@@ -164,51 +169,35 @@ class TestBuildLattice:
         while a witness type of a failed closure is still free, change
         neither the concepts, nor their order, nor the embeddings: on tall
         sparse contexts, where the first skip runs at most nodes, up to the
-        lattice benchmark's 1500 x 40 with two crosses per row; on the
-        contexts the kernel probe times, the order classifications of 2^5 to
-        2^7 among them, where most loop steps take the second (on 2^7, 9,582
-        of 9,829); and on every context up to 3x3, where a descendant's
-        intent also takes in a whole witness and must test."""
-        contexts = itertools.chain(
-            (sparse_context(rng, m, n, k) for m, n, k in TALL_SPARSE),
-            context_inputs().values(),
-            all_contexts(3, 3),
+        lattice benchmark's 1500 x 40 with two crosses per row; on random
+        contexts; on the contexts the kernel probe times; on lattices
+        classified by their own order, up to 128 elements, which
+        ``build_lattice`` reads off the principal pairs; and on every context
+        up to 3x3, where a descendant's intent also takes in a whole witness
+        and must test."""
+        contexts = list(
+            itertools.chain(
+                (sparse_context(rng, m, n, k) for m, n, k in TALL_SPARSE),
+                (random_context(rng, m, n) for m, n in RANDOM_SHAPES),
+                context_inputs().values(),
+                order_classifications(),
+                all_contexts(3, 3),
+            )
         )
         for K in contexts:
             L = build_lattice(K)
             assert L == fcbo_oracle(K)
             assert (L.iota, L.tau) == embeddings_oracle(L)
 
-    def test_walk_takes_the_reading_the_rule_picks(self):
-        """``relalg.branch`` picks once per build how the walk reads its
-        visit masks: by bytes on the order classifications of 2^6 and 2^7,
-        whose full bottom row lets every node test its free types, most of
-        them skipped; by bits on the lattice benchmark's wide 100 x 22 at .3
-        and tall 1500 x 40 with two crosses per row, and on every context up
-        to 3x3.  Either way the concepts come in the lectic order of both
-        oracles."""
-        picks = [
-            ("order of 2^6", "bytes"),
-            ("order of 2^7", "bytes"),
-            ("100x22 by 7", "bits"),
-            ("1500x40 by 2", "bits"),
-        ]
-        cases = [(context_inputs()[name], reading) for name, reading in picks]
-        cases += [(K, "bits") for K in all_contexts(3, 3)]
-        for K, reading in cases:
-            with branches() as picks:
-                L = build_lattice(K)
-            assert [kind for kernel, kind in picks if kernel == "walk"] == [reading]
-            assert [(c.extent, c.intent) for c in L.concepts] == next_closure_oracle(K)
-            assert L == fcbo_oracle(K)
-
-    @pytest.mark.parametrize("reading", ["bits", "bytes"])
-    def test_either_reading_is_the_fcbo_walk(self, reading, rng):
-        """Forced either way, the walk finds the concepts of ``fcbo_oracle``
-        in its order: on every context up to 3x3 (0 x n and n x 0 among
-        them), random and tall sparse contexts, lattices classified by their
-        own order up to 128 types, which read 16 bytes a node, and the
-        contexts the kernel probe times."""
+    @pytest.mark.parametrize("reading", ["bits"])
+    def test_either_reading_is_the_fcbo_walk(self, reading, rng, monkeypatch):
+        """The walk reads its visit masks by bits, the one reading it has:
+        it asks ``relalg.branch`` for none.  Forced, with the principal-pairs
+        path refused, it finds the concepts of ``fcbo_oracle`` in its order:
+        on every context up to 3x3 (0 x n and n x 0 among them), random and
+        tall sparse contexts, lattices classified by their own order up to
+        128 types, where most of its loop steps skip a test (on 2^7, 9,582 of
+        9,829), and the contexts the kernel probe times."""
         contexts = itertools.chain(
             all_contexts(3, 3),
             (random_context(rng, m, n) for m, n in RANDOM_SHAPES),
@@ -216,9 +205,12 @@ class TestBuildLattice:
             order_classifications(),
             context_inputs().values(),
         )
+        monkeypatch.setattr(lattice, "_principal_pairs", lambda rows, cols: None)
         for K in contexts:
-            with branches("walk", reading):
+            with branches() as picks:
                 L = build_lattice(K)
+            assert [kind for kernel, kind in picks if kernel == "walk"] == []
+            assert reading == "bits"
             assert L == fcbo_oracle(K)
 
     def test_lectic_output_is_deterministic(self, rng):
@@ -240,7 +232,6 @@ class TestBuildLattice:
         low, the order of a 16-concept lattice (32 bytes) passes at a cap of
         32 and raises at 31, before allocating, as do ``covers``,
         ``complete_lattice_of`` and the irreducibles, which read it."""
-        from conceptual import lattice
         from conceptual.functors import meet_irreducibles
 
         assert lattice.ORDER_BYTE_CAP == 131_072**2 // 8 == 2 << 30
@@ -428,6 +419,142 @@ class TestBuildLattice:
         for rel in (L.iota_rel, L.tau_rel):
             assert Relation(rel.src_size, rel.dst_size, rel.rows) == rel
 
+
+def square(rows) -> Classification:
+    """The square context with these rows, ``i <= j`` at bit ``j`` of row ``i``."""
+    n = len(rows)
+    labels = tuple(f"e{i}" for i in range(n))
+    return Classification(labels, labels, Relation(n, n, tuple(rows)))
+
+
+def renumbered(rows, perm) -> list[int]:
+    """The rows with element ``x`` renamed ``perm[x]``."""
+    out = [0] * len(rows)
+    for x, row in enumerate(rows):
+        out[perm[x]] = sum(1 << perm[y] for y in bits(row))
+    return out
+
+
+def seeded_poset(rng, n: int, bounded: bool) -> list[int]:
+    """The up-sets of a random order on ``n`` elements, seededly numbered:
+    the transitive closure of random edges upward, each drawn at a density
+    of its own, inside a bottom and a top when ``bounded``."""
+    inner = n - 2 if bounded else n
+    density = rng.random()
+    up = [1 << i for i in range(inner)]
+    for i in reversed(range(inner)):
+        for j in range(i + 1, inner):
+            if rng.random() < density:
+                up[i] |= up[j]
+    if bounded:
+        up = [(1 << n) - 1] + [u << 1 | 1 << n - 1 for u in up] + [1 << n - 1]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return renumbered(up, perm)
+
+
+@pytest.fixture
+def path_taken(monkeypatch):
+    """A function that builds the lattice of ``K`` and says whether it read
+    the principal pairs.  ``build_lattice`` calls ``_principal_pairs`` only
+    on a square context with a full row."""
+    found = []
+    read = lattice._principal_pairs
+
+    def spy(rows, cols):
+        found.append(read(rows, cols))
+        return found[-1]
+
+    monkeypatch.setattr(lattice, "_principal_pairs", spy)
+
+    def built(K, max_concepts=lattice.DEFAULT_CONCEPT_CAP):
+        calls = len(found)
+        L = build_lattice(K, max_concepts)
+        return L, len(found) > calls and found[-1] is not None
+
+    return built
+
+
+def is_lattice_order(K) -> bool:
+    return raised(check_lattice_oracle, K) is None
+
+
+class TestPrincipalPairs:
+    """A square context whose incidence is a lattice order gets its
+    principal pairs as concepts, with no walk; every other context is
+    walked.  Either way the concepts are those of both oracles, in their
+    lectic order.  The lattice test is ``check_lattice_oracle``, the law by
+    law validator."""
+
+    def assert_built(self, K, path_taken) -> bool:
+        L, taken = path_taken(K)
+        assert taken == is_lattice_order(K)
+        assert L == fcbo_oracle(K)
+        assert [(c.extent, c.intent) for c in L.concepts] == next_closure_oracle(K)
+        return taken
+
+    def test_taken_exactly_on_the_lattice_orders_up_to_4(self, path_taken):
+        """Of the 66,067 relations on 0 to 4 elements, the 45 lattice
+        orders, and no other, take the path."""
+        taken = 0
+        for n in range(5):
+            for code in range(1 << n * n):
+                rows = [code >> n * i & (1 << n) - 1 for i in range(n)]
+                taken += self.assert_built(square(rows), path_taken)
+        assert taken == 45
+
+    def test_seeded_posets_with_and_without_a_flipped_bit(self, path_taken):
+        """Bounded and unbounded orders on 5 to 9 elements, seededly
+        numbered, each also with one bit flipped: lattice orders and
+        refused orders are both met."""
+        rng = random.Random(52)
+        seen = collections.Counter()
+        for _ in range(300):
+            n = rng.randrange(5, 10)
+            rows = seeded_poset(rng, n, rng.random() < 0.5)
+            flipped = list(rows)
+            flipped[rng.randrange(n)] ^= 1 << rng.randrange(n)
+            for K in (square(rows), square(flipped)):
+                seen[self.assert_built(K, path_taken)] += 1
+        assert seen[True] > 50 and seen[False] > 50, seen
+
+    def test_renumbered_boolean_lattices(self, path_taken):
+        """The orders of 2^a for ``a`` up to 7, numbered as their own
+        lattices and renumbered by a seeded permutation."""
+        rng = random.Random(7)
+        for a in range(8):
+            K = complete_lattice_of(concept_lattice_of(contranominal_classification(a)))
+            rows = list(K.classification.rows)
+            perm = list(range(len(rows)))
+            rng.shuffle(perm)
+            for K in (square(rows), square(renumbered(rows, perm))):
+                assert self.assert_built(K, path_taken)
+
+    def test_the_bowtie_and_the_crown_are_walked(self, path_taken):
+        """The bounded bowtie fails only the join of two upper covers, and
+        the 40-element crown, with no least element, fails the first test;
+        its order classification has over 2^20 concepts, so it is held to
+        the oracles at the walk's cap, as the 6-element crown is in full."""
+        assert not self.assert_built(square(BOWTIE.rows), path_taken)
+        K = square(crown(20)[1].rows)
+        message = "^more than 40 concepts; raise max_concepts to proceed$"
+        with pytest.raises(ResourceLimitError, match=message):
+            path_taken(K, 40)
+        with pytest.raises(ResourceLimitError, match=message):
+            fcbo_oracle(K, 40)
+        assert not self.assert_built(square(crown(3)[1].rows), path_taken)
+
+    def test_a_lattice_order_over_the_cap_raises_the_walks_message(self, path_taken):
+        """The order of 2^4 takes the path at a cap of 16 and raises at 15
+        what the walk raises."""
+        K = complete_lattice_of(concept_lattice_of(contranominal_classification(4)))
+        K = K.classification
+        assert path_taken(K, 16)[1]
+        message = "^more than 15 concepts; raise max_concepts to proceed$"
+        with pytest.raises(ResourceLimitError, match=message):
+            path_taken(K, 15)
+        with pytest.raises(ResourceLimitError, match=message):
+            fcbo_oracle(K, 15)
 
 class TestMeetJoin:
     def test_empty_meet_and_join(self, k1):

@@ -128,7 +128,7 @@ def test_covers_of_a_shuffled_complete_lattice(data):
 @example(Classification((), ("t0", "t1", "t2"), Relation.empty(0, 3)))
 @example(Classification(("i0", "i1", "i2"), (), Relation.empty(3, 0)))
 def test_build_presets_the_views_of_its_concepts(K):
-    """The walk stores ``extents`` and ``intents`` as it builds the
+    """The build stores ``extents`` and ``intents`` as it builds the
     concepts, each a ``FormalConcept``, and they equal the tuples read off
     the concepts, on 0 x n and n x 0 contexts too.  Its cap raises at
     exactly one concept more than it allows."""
@@ -161,8 +161,8 @@ def tall_sparse_contexts(draw) -> Classification:
 def order_classifications(draw) -> Classification:
     """A lattice classified by its own order: a chain of 1..64 elements,
     the boolean lattice of 1..128 elements, or the concept lattice of a
-    context up to 3x3.  The walk reads chains of 21 elements and more, and
-    boolean lattices from 2^5 up, by bytes."""
+    context up to 3x3.  ``build_lattice`` reads their principal pairs off the
+    order, with no walk."""
     kind = draw(st.sampled_from(("chain", "boolean", "concepts")))
     if kind == "chain":
         return chain_classification(draw(st.integers(1, 64)))
@@ -179,8 +179,9 @@ def order_classifications(draw) -> Classification:
 def test_pruned_walk_matches_both_walks(K):
     """The walk that skips the children its extent cannot reach keeps the
     concepts and their lectic order of NextClosure and of the FCbO walk
-    that tests every free type.  The pinned example reaches its bottom
-    concept only through the lowest type missing from an intent."""
+    that tests every free type, as do the principal pairs of a lattice
+    order.  The pinned example reaches its bottom concept only through the
+    lowest type missing from an intent."""
     L = build_lattice(K)
     assert [(c.extent, c.intent) for c in L.concepts] == next_closure_oracle(K)
     assert L == fcbo_oracle(K)

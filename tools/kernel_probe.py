@@ -6,7 +6,7 @@ the repository root:
 
     python3 tools/kernel_probe.py
 
-Four tables are the data the weights of ``relalg.branch`` were fitted to.
+Three tables are the data the weights of ``relalg.branch`` were fitted to.
 Each is its rows, its reference and its columns: the library call of a
 row, with its kernel's branch forced by ``oracles.branches`` or picked by
 the rule, or the reference.  Each row prints its pick and the best of 7
@@ -29,15 +29,13 @@ tests check every column against its reference.
   ``context_inputs``: the lattice benchmark's shapes, three more with a
   fixed number of crosses per row, and the order classifications of the
   boolean lattices 2^5 to 2^7.
-- ``build_lattice`` on the same contexts, its FCbO walk reading the visit
-  masks by bits and by bytes.
 
-A fifth table counts the kernel calls of one cycle of each benchmark
+A fourth table counts the kernel calls of one cycle of each benchmark
 workload, nested calls included, by the branch ``relalg.branch`` picks:
 ``compose`` and ``FunctionGraph.preimages`` by how they read their rows,
 ``transpose``, both residuals, ``pullback`` (the gather, or the reading of
-its masks), the side of each concept order and the reading of each walk.
-A sixth counts the kernel calls of each op of the bonding workload by the
+its masks) and the side of each concept order.
+A fifth counts the kernel calls of each op of the bonding workload by the
 stage of the op that makes them: parsing the pair, ``is_bonding_pair``,
 ``hom_of_pair``, and the pair and hom round trips.  Both library caches are
 cleared before each op, as the benchmark worker does.
@@ -68,7 +66,7 @@ from conftest import (  # noqa: E402
     library_modules,
     pullback_inputs,
 )
-from oracles import branches, extent_inclusion_oracle, fcbo_oracle, preimages_oracle  # noqa: E402
+from oracles import branches, extent_inclusion_oracle, preimages_oracle  # noqa: E402
 
 # timed runs of each function; the best is kept
 REPEAT = 7
@@ -158,22 +156,16 @@ def pullback_table() -> Table:
     return Table(("batches", "count"), rows, columns, ("loop", "pullback"))
 
 
-def context_tables() -> list[Table]:
-    """The order of each context's lattice from each side, and its walk by
-    each reading."""
-    orders, walks = [], []
+def order_table() -> Table:
+    """The order of each context's lattice from each side."""
+    orders = []
     inclusions = lambda L: extent_inclusion_oracle([set(bits(e)) for e in L.extents])  # noqa: E731
     for name, K in context_inputs().items():
         L = build_lattice(K)
-        labels = (name, str(L.size))
-        orders.append((labels, "order", L, inclusions, lambda L: L.order))
-        walks.append((labels, "walk", K, fcbo_oracle, build_lattice))
+        orders.append(((name, str(L.size)), "order", L, inclusions, lambda L: L.order))
     fresh = lambda L: ConceptLattice._of(L.concepts, L.classification)  # noqa: E731
-    labels, sides, readings = ("context", "concepts"), ("types", "instances"), ("bits", "bytes")
-    return [
-        Table(labels, orders, dict(zip(sides, sides)), ("instances", "types"), fresh),
-        Table(labels, walks, dict(zip(readings, readings)), readings),
-    ]
+    labels, sides = ("context", "concepts"), ("types", "instances")
+    return Table(labels, orders, dict(zip(sides, sides)), ("instances", "types"), fresh)
 
 
 def probe_branches() -> None:
@@ -231,7 +223,7 @@ def probe_stages() -> None:
 
 def main(argv: list[str] | None = None) -> int:
     argparse.ArgumentParser(description=__doc__.split("\n\n")[0]).parse_args(argv)
-    for table in (kernel_table(), pullback_table(), *context_tables()):
+    for table in (kernel_table(), pullback_table(), order_table()):
         run_table(table)
     probe_branches()
     probe_stages()
